@@ -51,14 +51,13 @@ class BoundInputs:
 def margin_sample_count(inputs: BoundInputs) -> int:
     """Discretization size ceil(16 c^2 gamma^-2 ln(n y_card^2 / (kl + 1))).
 
-    Clamped below at 1 (the derivation needs a natural number).
+    Clamped below at 1 (the derivation needs a natural number).  The log
+    is taken term by term, so ``y_card`` may exceed the float range.
     """
-    value = (
-        16.0
-        * inputs.c**2
-        / inputs.gamma**2
-        * math.log(inputs.n * inputs.y_card**2 / (inputs.kl + 1.0))
+    log_ratio = (
+        math.log(inputs.n) + 2.0 * math.log(inputs.y_card) - math.log(inputs.kl + 1.0)
     )
+    value = 16.0 * inputs.c**2 / inputs.gamma**2 * log_ratio
     return max(1, math.ceil(value))
 
 
@@ -70,10 +69,11 @@ def pac_bound(inputs: BoundInputs) -> float:
       + sqrt((m kl + ln n + 3 ln((m + 1) / delta) + 2) / (2n - 1))
 
     with m from :func:`margin_sample_count`.  May exceed 1; vacuous bounds
-    are returned as computed, not clipped.
+    are returned as computed, not clipped.  The tail is evaluated in log
+    space, so ``y_card`` may exceed the float range.
     """
     m = margin_sample_count(inputs)
-    tail = inputs.y_card * math.exp(-m * inputs.gamma**2 / (32.0 * inputs.c**2))
+    tail = math.exp(math.log(inputs.y_card) - m * inputs.gamma**2 / (32.0 * inputs.c**2))
     complexity = math.sqrt(
         (m * inputs.kl + math.log(inputs.n) + 3.0 * math.log((m + 1) / inputs.delta) + 2.0)
         / (2.0 * inputs.n - 1.0)

@@ -52,34 +52,73 @@ def write_dataset(path, instances, spec: FeatureSpec, meta: dict | None = None):
             fh.write(_dumps({"x": inst.features.tolist(), "y": inst.labels.tolist()}) + "\n")
 
 
+# What malformed JSON content raises on the way to arrays and dataclasses.
+_PARSE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _located(path, lineno, exc) -> ValueError:
+    """One-line ``path:line`` error for a parse failure."""
+    if isinstance(exc, json.JSONDecodeError):
+        what = f"invalid JSON: {exc.msg}"
+    elif isinstance(exc, KeyError):
+        what = f"missing key {exc}"
+    else:
+        what = str(exc)
+    return ValueError(f"{path}:{lineno}: {what}")
+
+
+def _json_object(line: str) -> dict:
+    obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _parse_header(line: str) -> tuple[FeatureSpec, dict]:
+    header = _json_object(line)
+    if header.get("kind") != _DATASET_KIND:
+        raise ValueError("not a dataset file")
+    if header.get("format") != DATASET_FORMAT:
+        raise ValueError(f"unsupported dataset format {header.get('format')}")
+    return FeatureSpec(int(header["d"]), int(header["m"])), header.get("meta", {})
+
+
+def _parse_instance(line: str, spec: FeatureSpec) -> SequenceInstance:
+    obj = _json_object(line)
+    x = np.asarray(obj["x"], dtype=float)
+    y = np.asarray(obj["y"])
+    if x.ndim != 2 or x.shape[1] != spec.d:
+        raise ValueError("feature row width disagrees with header d")
+    if y.dtype.kind not in "iu":
+        raise ValueError("labels must be integer indices")
+    if np.any(y >= spec.m):
+        raise ValueError("label index exceeds header m")
+    return SequenceInstance(features=x, labels=y)
+
+
 def read_dataset(path):
     """Parse a dataset file; returns (instances, spec, meta).
 
-    Every line must parse and agree with the header's d and m.
+    Every line must parse and agree with the header's d and m; any
+    malformed line raises ``ValueError`` naming ``path:line``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
-    header = json.loads(lines[0])
-    if header.get("kind") != _DATASET_KIND:
-        raise ValueError(f"{path}: not a dataset file")
-    if header.get("format") != DATASET_FORMAT:
-        raise ValueError(f"{path}: unsupported dataset format {header.get('format')}")
-    spec = FeatureSpec(int(header["d"]), int(header["m"]))
+    try:
+        spec, meta = _parse_header(lines[0])
+    except _PARSE_ERRORS as exc:
+        raise _located(path, 1, exc) from None
     instances = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        obj = json.loads(line)
-        x = np.asarray(obj["x"], dtype=float)
-        y = np.asarray(obj["y"], dtype=np.int64)
-        if x.ndim != 2 or x.shape[1] != spec.d:
-            raise ValueError(f"{path}:{lineno}: feature row width disagrees with header d")
-        if np.any(y >= spec.m):
-            raise ValueError(f"{path}:{lineno}: label index exceeds header m")
-        instances.append(SequenceInstance(features=x, labels=y))
-    return instances, spec, header.get("meta", {})
+        try:
+            instances.append(_parse_instance(line, spec))
+        except _PARSE_ERRORS as exc:
+            raise _located(path, lineno, exc) from None
+    return instances, spec, meta
 
 
 @dataclass
@@ -108,6 +147,10 @@ class ModelFile:
             self.var_diag = np.asarray(self.var_diag, dtype=float)
             if self.var_diag.shape != (self.spec.K,):
                 raise ValueError("var_diag length disagrees with spec")
+            if not np.all(np.isfinite(self.var_diag) & (self.var_diag > 0)):
+                raise ValueError("var_diag must be finite and positive")
+        if not isinstance(self.hyper, dict):
+            raise ValueError("hyper must be a JSON object")
 
 
 def write_model_file(path, model: ModelFile):
@@ -125,16 +168,22 @@ def write_model_file(path, model: ModelFile):
 
 
 def read_model_file(path) -> ModelFile:
+    """Parse a model file; any malformed content raises ``ValueError``
+    naming ``path:line``."""
     with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != MODEL_FORMAT:
-        raise ValueError(f"{path}: unsupported model format {payload.get('format')}")
-    spec = FeatureSpec(int(payload["d"]), int(payload["m"]))
-    var = payload.get("var_diag")
-    return ModelFile(
-        kind=payload["kind"],
-        spec=spec,
-        weights=np.asarray(payload["weights"], dtype=float),
-        var_diag=None if var is None else np.asarray(var, dtype=float),
-        hyper=payload.get("hyper", {}),
-    )
+        text = fh.read()
+    try:
+        payload = _json_object(text)
+        if payload.get("format") != MODEL_FORMAT:
+            raise ValueError(f"unsupported model format {payload.get('format')}")
+        var = payload.get("var_diag")
+        return ModelFile(
+            kind=payload["kind"],
+            spec=FeatureSpec(int(payload["d"]), int(payload["m"])),
+            weights=np.asarray(payload["weights"], dtype=float),
+            var_diag=None if var is None else np.asarray(var, dtype=float),
+            hyper=payload.get("hyper", {}),
+        )
+    except _PARSE_ERRORS as exc:
+        lineno = exc.lineno if isinstance(exc, json.JSONDecodeError) else 1
+        raise _located(path, lineno, exc) from None

@@ -4,10 +4,16 @@ Datasets come from a randomly drawn sparse chain model: input features are
 standard normal (optionally group-correlated), and each labeling is a Gibbs
 sample from the model's conditional distribution over label sequences.
 Every draw is keyed off the config seed through independent named streams,
-so a config fully determines its dataset.
+one per instance for features and one per instance for its Gibbs chain, so
+a config fully determines its dataset.
+
+One kernel runs every Gibbs chain: a systematic scan that, at each (sweep,
+position) step, redraws that position in all chains at once with numpy
+array operations.  Each chain still draws only from its own stream and in
+the order a lone chain would, so batching changes no labeling, and
+:func:`gibbs_label` and :func:`gibbs_samples` are that kernel with one chain.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +35,10 @@ __all__ = [
 _STREAM_CRF = 0
 _STREAM_FEATURES = 1
 _STREAM_GIBBS = 2
+
+# Sweeps of uniforms drawn per generator call: bounds the kernel's uniform
+# buffer at n * _SWEEP_BLOCK * L floats whatever the sweep count.
+_SWEEP_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -124,42 +134,52 @@ def gen_features(cfg: GeneratorConfig, rng=None) -> np.ndarray:
     return x
 
 
-def _run_chain(crf: TrueCrf, x: np.ndarray, rng, burn_in: int, n_record: int):
-    """Systematic-scan single-site resampling; plain floats in the inner loop
-    because it runs millions of times per dataset."""
+def _run_chains(crf: TrueCrf, xs, rngs, burn_in: int, n_record: int):
+    """Advance one Gibbs chain per feature matrix in ``xs``, all in lockstep.
+
+    Chain ``i`` draws only from ``rngs[i]``: its start labels as
+    ``integers(0, m, L)``, then one uniform per site in scan order, drawn in
+    blocks of ``_SWEEP_BLOCK`` sweeps (a block ``random((k, L))`` yields the
+    same values as ``k * L`` single draws).  Each (sweep, position) step
+    redraws that position of every chain with one set of array operations,
+    by inverse CDF over the unnormalized conditional.  Returns the final
+    labels as (n, L) and the states after each post-burn-in sweep as
+    (n_record, n, L).
+    """
     spec = crf.model.spec
-    node = (np.asarray(x, dtype=float) @ spec.state_view(crf.model.weights)).tolist()
-    trans = spec.transition_view(crf.model.weights).tolist()
+    state = spec.state_view(crf.model.weights)
+    trans = spec.transition_view(crf.model.weights)
+    trans_t = np.ascontiguousarray(trans.T)
     m = spec.m
-    length = len(node)
-    y = [int(v) for v in rng.integers(0, m, size=length)]
-    out = np.empty((n_record, length), dtype=np.int64) if n_record else None
-    labels = range(m)
-    for sweep in range(burn_in + n_record):
-        for l in range(length):
-            row = node[l]
-            if l > 0:
-                prev = trans[y[l - 1]]
-                logits = [row[c] + prev[c] for c in labels]
-            else:
-                logits = list(row)
-            if l + 1 < length:
-                nxt = y[l + 1]
-                logits = [logits[c] + trans[c][nxt] for c in labels]
-            top = max(logits)
-            probs = [math.exp(v - top) for v in logits]
-            u = rng.random() * sum(probs)
-            acc = 0.0
-            pick = m - 1
-            for c in labels:
-                acc += probs[c]
-                if u < acc:
-                    pick = c
-                    break
-            y[l] = pick
-        if sweep >= burn_in:
-            out[sweep - burn_in] = y
-    return np.asarray(y, dtype=np.int64), out
+    # Position-major (L, n, m): one chain matmul each, as a scalar chain would.
+    node = np.stack([np.asarray(x, dtype=float) @ state for x in xs], axis=1)
+    length, n = node.shape[:2]
+    y = np.stack([rng.integers(0, m, size=length) for rng in rngs], axis=1)
+    out = np.empty((n_record, n, length), dtype=np.int64)
+    total = burn_in + n_record
+    # (block, L, n): the uniforms of one (sweep, position) are contiguous.
+    uniforms = np.empty((min(_SWEEP_BLOCK, total), length, n))
+    for block_start in range(0, total, _SWEEP_BLOCK):
+        block = min(_SWEEP_BLOCK, total - block_start)
+        for i, rng in enumerate(rngs):
+            uniforms[:block, :, i] = rng.random((block, length))
+        for sweep in range(block_start, block_start + block):
+            r = uniforms[sweep - block_start]
+            for l in range(length):
+                # Keep this order of adds (node, previous, next): the pinned
+                # gen-synth digests in the tests depend on its rounding.
+                logits = node[l]
+                if l > 0:
+                    logits = logits + trans[y[l - 1]]
+                if l + 1 < length:
+                    logits = logits + trans_t[y[l + 1]]
+                cdf = np.exp(logits - logits.max(axis=1, keepdims=True)).cumsum(axis=1)
+                u = r[l] * cdf[:, -1]
+                pick = (u[:, None] >= cdf).sum(axis=1)
+                y[l] = np.minimum(pick, m - 1)
+            if sweep >= burn_in:
+                out[sweep - burn_in] = y.T
+    return np.ascontiguousarray(y.T), out
 
 
 def gibbs_label(crf: TrueCrf, x: np.ndarray, sweeps: int, seed) -> np.ndarray:
@@ -167,39 +187,50 @@ def gibbs_label(crf: TrueCrf, x: np.ndarray, sweeps: int, seed) -> np.ndarray:
 
     Each position is redrawn in order from its exact conditional given its
     neighbors and local state scores; the chain starts from a uniform random
-    labeling.  ``seed`` may be an int or a numpy Generator.
+    labeling.  ``seed`` may be an int or a numpy Generator.  Runs the
+    lockstep kernel of :func:`gen_dataset` with a single chain, so a
+    labeling drawn here from a given generator equals the one
+    :func:`gen_dataset` draws from that generator.
     """
     if sweeps < 1:
         raise ValueError("sweeps must be at least 1")
-    rng = np.random.default_rng(seed)
-    y, _ = _run_chain(crf, x, rng, burn_in=sweeps, n_record=0)
-    return y
+    y, _ = _run_chains(crf, [x], [np.random.default_rng(seed)], burn_in=sweeps, n_record=0)
+    return y[0]
 
 
 def gibbs_samples(
     crf: TrueCrf, x: np.ndarray, n_samples: int, burn_in: int, seed
 ) -> np.ndarray:
-    """States after each post-burn-in sweep of one chain, as (n_samples, L)."""
+    """States after each post-burn-in sweep of one chain, as (n_samples, L).
+
+    Same single-chain kernel and draw order as :func:`gibbs_label`.
+    """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     rng = np.random.default_rng(seed)
-    _, out = _run_chain(crf, x, rng, burn_in=burn_in, n_record=n_samples)
-    return out
+    _, out = _run_chains(crf, [x], [rng], burn_in=burn_in, n_record=n_samples)
+    return out[:, 0]
 
 
 def gen_dataset(cfg: GeneratorConfig) -> SyntheticDataset:
     """``n_samples`` instances from one randomly generated model.
 
-    Each instance gets fresh input features and a labeling sampled by a
-    ``gibbs_iters``-sweep chain; per-instance seed streams make the dataset
-    a pure function of the config.
+    Instance ``i`` gets fresh input features from the stream
+    ``[_STREAM_FEATURES, seed, i]`` and a labeling sampled by a
+    ``gibbs_iters``-sweep chain drawing from ``[_STREAM_GIBBS, seed, i]``.
+    All chains advance together in one lockstep kernel; because each keeps
+    its own stream, instance ``i``'s labeling equals
+    ``gibbs_label(crf, x_i, gibbs_iters, default_rng([_STREAM_GIBBS, seed, i]))``
+    and the dataset is a pure function of the config.
     """
     crf = gen_crf(cfg)
-    instances = []
-    for i in range(cfg.n_samples):
-        x = gen_features(cfg, rng=np.random.default_rng([_STREAM_FEATURES, cfg.seed, i]))
-        y = gibbs_label(
-            crf, x, cfg.gibbs_iters, seed=np.random.default_rng([_STREAM_GIBBS, cfg.seed, i])
-        )
-        instances.append(SequenceInstance(features=x, labels=y))
+    if cfg.n_samples == 0:
+        return SyntheticDataset(crf=crf, instances=[])
+    xs = [
+        gen_features(cfg, rng=np.random.default_rng([_STREAM_FEATURES, cfg.seed, i]))
+        for i in range(cfg.n_samples)
+    ]
+    rngs = [np.random.default_rng([_STREAM_GIBBS, cfg.seed, i]) for i in range(cfg.n_samples)]
+    labels, _ = _run_chains(crf, xs, rngs, burn_in=cfg.gibbs_iters, n_record=0)
+    instances = [SequenceInstance(features=x, labels=y) for x, y in zip(xs, labels)]
     return SyntheticDataset(crf=crf, instances=instances)

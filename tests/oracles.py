@@ -114,3 +114,38 @@ def make_signal_instances(rng, n: int, length: int, d: int) -> list:
         y = (sign < 0).astype(np.int64)
         instances.append(SequenceInstance(features=x, labels=y))
     return instances
+
+
+def scalar_gibbs_states(node, trans, rng, sweeps: int) -> np.ndarray:
+    """States after each of ``sweeps`` systematic-scan Gibbs sweeps of one
+    chain, as (sweeps, L), one site at a time with python floats.
+
+    Same draw order as the package's sampler: ``integers(0, m, L)`` for the
+    start, then one ``random()`` per site, picking the first label whose
+    running sum of unnormalized probabilities exceeds ``u * total``.
+    """
+    node = np.asarray(node, dtype=float).tolist()
+    trans = np.asarray(trans, dtype=float).tolist()
+    length, m = len(node), len(trans)
+    y = [int(v) for v in rng.integers(0, m, size=length)]
+    states = []
+    for _ in range(sweeps):
+        for l in range(length):
+            logits = list(node[l])
+            for c in range(m):
+                if l > 0:
+                    logits[c] += trans[y[l - 1]][c]
+                if l + 1 < length:
+                    logits[c] += trans[c][y[l + 1]]
+            top = max(logits)
+            probs = [math.exp(v - top) for v in logits]
+            u = rng.random() * sum(probs)
+            acc, pick = 0.0, m - 1
+            for c in range(m):
+                acc += probs[c]
+                if u < acc:
+                    pick = c
+                    break
+            y[l] = pick
+        states.append(list(y))
+    return np.array(states, dtype=np.int64)

@@ -2,13 +2,14 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
 from medn import FeatureSpec, SequenceInstance
 from medn.cli import DEFAULT_BETA_GRID, DEFAULT_LAMBDA_GRID, build_parser, main
-from medn.dataio import read_model_file, write_dataset
+from medn.dataio import ModelFile, read_model_file, write_dataset, write_model_file
 from oracles import make_signal_instances
 
 
@@ -287,3 +288,71 @@ class TestPacBoundCommand:
 
     def test_invalid_inputs_exit_nonzero(self):
         assert main(["pac-bound", "--n", "0", "--y-card", "4", "--kl", "1"]) == 2
+
+    def test_huge_label_set_cardinality(self, capsys):
+        """|Y| = 2**1024 overflows a float; the bound is computed in log space
+        and matches a 50-digit evaluation."""
+        import mpmath
+
+        y_card = 2**1024
+        assert main(["pac-bound", "--n", "100", "--y-card", str(y_card), "--kl", "1"]) == 0
+        printed = capsys.readouterr().out
+        with mpmath.workdps(50):
+            m = int(mpmath.ceil(16 * mpmath.log(100 * mpmath.mpf(y_card) ** 2 / 2)))
+            tail = y_card * mpmath.e ** (-mpmath.mpf(m) / 32)
+            slack = mpmath.sqrt(
+                (m + mpmath.log(100) + 3 * mpmath.log((m + 1) / mpmath.mpf("0.1")) + 2) / 199
+            )
+            oracle = float(tail + slack)
+        assert f"m = {m}\n" in printed
+        bound = float(printed.split("bound = ")[1])
+        assert math.isfinite(bound)
+        assert bound == pytest.approx(oracle, abs=1e-9)
+
+
+_GOOD_LINE = '{"x":[[1.0,0.0]],"y":[0]}'
+
+
+@pytest.mark.parametrize(
+    "target, line, content",
+    [
+        ("data", 3, '{"y":[0]}'),
+        ("data", 3, '{"x":[[1.0,0.0]],'),
+        ("data", 3, "[1,2]"),
+        ("data", 3, '{"x":[[1.0],[1.0,0.0]],"y":[0,0]}'),
+        ("data", 3, '{"x":[[1.0,0.0]],"y":[0,1]}'),
+        ("data", 3, '{"x":[[1.0,0.0]],"y":[0.5]}'),
+        ("data", 3, '{"x":[[1.0,0.0]],"y":[-1]}'),
+        ("data", 1, '{"kind":"sequence-dataset","format":1,"d":"two","m":2}'),
+        ("model", 1, {"weights": None}),
+        ("model", 1, {"var_diag": [0.0] * 8}),
+        ("model", 1, {"var_diag": [float("nan")] * 8}),
+        ("model", 1, {"d": 3}),
+        ("model", 1, {"hyper": [1]}),
+    ],
+)
+def test_malformed_input_fails_with_one_line_error(tmp_path, capsys, target, line, content):
+    """A malformed dataset line or model file ends the command with exit
+    code 2 and one ``error: path:line: ...`` line, never a traceback."""
+    spec = FeatureSpec(2, 2)
+    data = tmp_path / "data.jsonl"
+    write_dataset(data, [SequenceInstance([[1.0, 0.0]], [0])], spec)
+    model = tmp_path / "model.json"
+    write_model_file(
+        model, ModelFile(kind="lapmedn", spec=spec, weights=np.zeros(spec.K),
+                         var_diag=np.ones(spec.K), hyper={})
+    )
+    if target == "data":
+        lines = data.read_text().splitlines() + [_GOOD_LINE]
+        lines[line - 1] = content
+        data.write_text("\n".join(lines) + "\n")
+        bad = data
+    else:
+        payload = json.loads(model.read_text())
+        payload.update(content)
+        model.write_text(json.dumps(payload) + "\n")
+        bad = model
+    assert main(["eval", "--model-file", str(model), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:{line}: ")
+    assert err.count("\n") == 1

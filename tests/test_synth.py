@@ -1,5 +1,6 @@
 """Synthetic data: model sampling, feature generation, Gibbs labeling."""
 
+import hashlib
 import itertools
 from collections import Counter
 
@@ -17,6 +18,9 @@ from medn import (
     gibbs_label,
     gibbs_samples,
 )
+from medn.cli import main
+from medn.synth import _STREAM_FEATURES, _STREAM_GIBBS
+from oracles import scalar_gibbs_states
 
 
 def _cfg(**kw):
@@ -145,6 +149,22 @@ class TestGibbs:
             gibbs_label(crf, x, sweeps=20, seed=42), gibbs_label(crf, x, sweeps=20, seed=42)
         )
 
+    @pytest.mark.parametrize("m, length", [(2, 1), (3, 5), (4, 4)])
+    def test_chain_matches_scalar_reference(self, m, length):
+        """Every recorded state equals the one-site-at-a-time python loop's."""
+        cfg = _cfg(d=3, d_rel=3, L=length, m=m, seed=21)
+        crf = gen_crf(cfg)
+        spec = crf.model.spec
+        x = gen_features(cfg, rng=np.random.default_rng(5))
+        got = gibbs_samples(crf, x, n_samples=150, burn_in=0, seed=6)
+        want = scalar_gibbs_states(
+            x @ spec.state_view(crf.model.weights),
+            spec.transition_view(crf.model.weights),
+            np.random.default_rng(6),
+            sweeps=150,
+        )
+        np.testing.assert_array_equal(got, want)
+
     def test_sweeps_must_be_positive(self):
         crf = _uniform_crf()
         with pytest.raises(ValueError):
@@ -175,8 +195,46 @@ class TestGenDataset:
             np.testing.assert_array_equal(a.features, b.features)
             np.testing.assert_array_equal(a.labels, b.labels)
 
+    def test_batched_chains_equal_one_chain_at_a_time(self):
+        """gen_dataset advances all chains together; each labeling must equal
+        a lone chain run from that instance's own seed stream."""
+        cfg = _cfg(d=4, d_rel=3, L=5, m=3, n_samples=12, gibbs_iters=40, seed=17)
+        dataset = gen_dataset(cfg)
+        for i, inst in enumerate(dataset.instances):
+            x = gen_features(cfg, rng=np.random.default_rng([_STREAM_FEATURES, cfg.seed, i]))
+            np.testing.assert_array_equal(inst.features, x)
+            alone = gibbs_label(
+                dataset.crf,
+                x,
+                cfg.gibbs_iters,
+                seed=np.random.default_rng([_STREAM_GIBBS, cfg.seed, i]),
+            )
+            np.testing.assert_array_equal(inst.labels, alone)
+
     def test_instances_differ_from_each_other(self):
         dataset = gen_dataset(_cfg(n_samples=3, seed=14))
         assert not np.array_equal(
             dataset.instances[0].features, dataset.instances[1].features
         )
+
+
+# sha256 of gen-synth files as written by the one-site-at-a-time sampler
+# that preceded the lockstep kernel.  A change of these bytes is a change of
+# the generator and must be named as such.
+PINNED_GEN_SYNTH = [
+    (
+        ["--d", "6", "--d-rel", "2", "--n", "16", "--gibbs-iters", "60", "--seed", "33"],
+        "027bbb77a7e9ca2739dcdbc709b7ddd023d696b640a27d9772bb22bfa9bd92c7",
+    ),
+    (
+        ["--m", "4", "--length", "12", "--n", "80", "--gibbs-iters", "50", "--seed", "5"],
+        "56b1a2a425d70d0b2f1ca9744e0b3eda111134d98e417f6f86e13575998f1cc9",
+    ),
+]
+
+
+@pytest.mark.parametrize("flags, digest", PINNED_GEN_SYNTH)
+def test_gen_synth_bytes_are_pinned(tmp_path, flags, digest):
+    out = tmp_path / "synth.jsonl"
+    assert main(["gen-synth", *flags, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
