@@ -17,7 +17,7 @@ from .chain import (
     loss_augmented_decode,
     score,
 )
-from .metrics import MetricsReport, evaluate_weights, mean_std
+from .metrics import MetricsReport, evaluate_weight_rows, evaluate_weights, mean_std
 from .models import (
     DualWeights,
     LaplaceConfig,
@@ -29,14 +29,16 @@ from .models import (
     predict_mean,
     shrinkage_mean,
     train_gaussian,
-    train_l1m3n,
+    train_gaussian_grid,
     train_laplace,
+    train_laplace_grid,
 )
 from .optimize import (
     QuadRegularizer,
     SubgradConfig,
     l1_ball_project,
     l1_constrained_train,
+    lockstep_train,
     structured_hinge_objective,
     subgradient_train,
 )
@@ -66,6 +68,7 @@ __all__ = [
     "SyntheticDataset",
     "TrueCrf",
     "decode",
+    "evaluate_weight_rows",
     "evaluate_weights",
     "feature_vector",
     "gen_crf",
@@ -80,6 +83,7 @@ __all__ = [
     "l1m3n_dual_check",
     "laplace_log_z",
     "laplace_log_z_grad",
+    "lockstep_train",
     "loss_augmented_decode",
     "margin_sample_count",
     "mean_std",
@@ -90,8 +94,9 @@ __all__ = [
     "structured_hinge_objective",
     "subgradient_train",
     "train_gaussian",
-    "train_l1m3n",
+    "train_gaussian_grid",
     "train_laplace",
+    "train_laplace_grid",
 ]
 
 __version__ = "0.1.0"

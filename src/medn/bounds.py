@@ -53,11 +53,20 @@ def margin_sample_count(inputs: BoundInputs) -> int:
 
     Clamped below at 1 (the derivation needs a natural number).  The log
     is taken term by term, so ``y_card`` may exceed the float range.
+    Raises ``ValueError`` when m is not finite, as for a huge c / gamma.
     """
     log_ratio = (
         math.log(inputs.n) + 2.0 * math.log(inputs.y_card) - math.log(inputs.kl + 1.0)
     )
-    value = 16.0 * inputs.c**2 / inputs.gamma**2 * log_ratio
+    try:
+        value = 16.0 * inputs.c**2 / inputs.gamma**2 * log_ratio
+    except (OverflowError, ZeroDivisionError):  # c**2 overflowed or gamma**2 underflowed
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(
+            "sample count m = 16 c^2 / gamma^2 * ln(n y_card^2 / (kl + 1)) is not finite "
+            f"(c={inputs.c:g}, gamma={inputs.gamma:g}, kl={inputs.kl:g})"
+        )
     return max(1, math.ceil(value))
 
 

@@ -4,6 +4,12 @@ A chain model scores a labeled sequence with real-valued state features
 (one per input-feature/label pair) and binary transition indicators (one
 per adjacent label pair).  Decoding is exact max-sum dynamic programming.
 Everything in this module is a pure function of its inputs.
+
+The ``*_rows`` functions and :func:`feature_vectors` work on a batch: B
+weight vectors as a (B, K) array, or B labelings of one input as a (B, L)
+array.  They skip input checks, so trainers validate their data once and
+then call them on every update; the single-model functions check their
+inputs and call them with B = 1.
 """
 
 from dataclasses import dataclass
@@ -19,6 +25,9 @@ __all__ = [
     "decode",
     "loss_augmented_decode",
     "hamming_loss",
+    "feature_vectors",
+    "decode_rows",
+    "loss_augmented_decode_rows",
 ]
 
 
@@ -53,12 +62,12 @@ class FeatureSpec:
         return self.d * self.m + self.m * self.m
 
     def state_view(self, weights: np.ndarray) -> np.ndarray:
-        """(d, m) view of the state block of a weight-shaped vector."""
-        return weights[: self.n_state].reshape(self.d, self.m)
+        """(..., d, m) view of the state block of (..., K) weight-shaped rows."""
+        return weights[..., : self.n_state].reshape(*weights.shape[:-1], self.d, self.m)
 
     def transition_view(self, weights: np.ndarray) -> np.ndarray:
-        """(m, m) view of the transition block of a weight-shaped vector."""
-        return weights[self.n_state :].reshape(self.m, self.m)
+        """(..., m, m) view of the transition block of (..., K) weight-shaped rows."""
+        return weights[..., self.n_state :].reshape(*weights.shape[:-1], self.m, self.m)
 
 
 @dataclass
@@ -130,14 +139,32 @@ def feature_vector(spec: FeatureSpec, x: np.ndarray, y: np.ndarray) -> np.ndarra
     y = _check_labels(spec, y)
     if y.shape[0] != x.shape[0]:
         raise ValueError("labels and inputs disagree on sequence length")
-    f = np.zeros(spec.K)
-    state = spec.state_view(f)
-    for c in range(spec.m):
-        mask = y == c
-        if np.any(mask):
-            state[:, c] = x[mask].sum(axis=0)
-    trans = spec.transition_view(f)
-    np.add.at(trans, (y[:-1], y[1:]), 1.0)
+    return feature_vectors(spec, x, y[None])[0]
+
+
+def feature_vectors(spec: FeatureSpec, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """(B, K) feature vectors of the B labelings ``ys`` (B, L) of one input.
+
+    Unchecked: ``x`` must be a finite float (L, d) matrix and ``ys`` hold
+    labels in [0, m).  Each state feature (k, c) is ``x[y == c, k].sum()``
+    to the bit, so rows never depend on which other rows share the call.
+    """
+    batch, length = ys.shape
+    m = spec.m
+    f = np.zeros((batch, spec.K))
+    picked = ys[:, None, :] == np.arange(m)[:, None]  # (B, m, L)
+    if spec.d == 1:
+        # numpy sums a one-column selection pairwise, not in position order.
+        sums = np.array([[x[mask].sum(axis=0) for mask in masks] for masks in picked])
+    else:
+        # numpy sums the rows of a (count, d) selection in position order;
+        # unselected positions add -0.0, which changes no sum, and a label
+        # that never occurs gets +0.0.
+        sums = np.where(picked[..., None], x, -0.0).sum(axis=2)  # (B, m, d)
+        sums = np.where(picked.any(axis=2)[..., None], sums, 0.0)
+    spec.state_view(f)[:] = sums.transpose(0, 2, 1)
+    pairs = ys[:, :-1] * m + ys[:, 1:] + (m * m) * np.arange(batch)[:, None]
+    f[:, spec.n_state :] = np.bincount(pairs.ravel(), minlength=batch * m * m).reshape(batch, m * m)
     return f
 
 
@@ -146,39 +173,63 @@ def score(model: ChainModel, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(model.weights, feature_vector(model.spec, x, y)))
 
 
-def _chain_potentials(model: ChainModel, x: np.ndarray):
-    x = _check_inputs(model.spec, x)
-    node = x @ model.spec.state_view(model.weights)
-    trans = model.spec.transition_view(model.weights)
-    return node, trans
-
-
 def _viterbi(node: np.ndarray, trans: np.ndarray):
-    """Max-sum DP over (L, m) node and (m, m) transition scores.
+    """Max-sum DP over (B, L, m) node and (B, m, m) transition scores.
 
-    Ties are resolved toward the lowest label index at the final argmax and
-    at every backpointer, so the result is deterministic.
+    Returns (B, L) labels and the (B,) attained maxima.  Ties are resolved
+    toward the lowest label index at the final argmax and at every
+    backpointer, so the result is deterministic.
     """
-    length, m = node.shape
-    back = np.zeros((length, m), dtype=np.int64)
-    v = node[0].copy()
+    batch, length, m = node.shape
+    rows, cols = np.arange(batch)[:, None], np.arange(m)
+    back = np.zeros((batch, length, m), dtype=np.int64)
+    v = node[:, 0]
     for l in range(1, length):
-        cand = v[:, None] + trans  # (previous, current)
-        back[l] = np.argmax(cand, axis=0)  # first maximum = lowest index
-        v = cand[back[l], np.arange(m)] + node[l]
-    labels = np.zeros(length, dtype=np.int64)
-    labels[-1] = int(np.argmax(v))
-    value = float(v[labels[-1]])
+        cand = v[:, :, None] + trans  # (batch, previous, current)
+        best = cand.argmax(axis=1)  # first maximum = lowest index
+        back[:, l] = best
+        v = cand[rows, best, cols] + node[:, l]
+    labels = np.zeros((batch, length), dtype=np.int64)
+    labels[:, -1] = v.argmax(axis=1)
+    rows = rows[:, 0]
+    value = v[rows, labels[:, -1]]
     for l in range(length - 1, 0, -1):
-        labels[l - 1] = back[l, labels[l]]
+        labels[:, l - 1] = back[rows, l, labels[:, l]]
     return labels, value
+
+
+def decode_rows(spec: FeatureSpec, weights: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """(B, G, L) highest-scoring labelings of G same-length inputs under B weight rows.
+
+    ``weights`` is (B, K) and ``xs`` (G, L, d); all B * G chains go through
+    one DP.  numpy runs one matrix product per (row, input) pair, so each
+    labeling is bit-equal to decoding that input under that row alone.
+    Unchecked: ``xs`` must be finite floats.
+    """
+    node = xs @ spec.state_view(weights)[:, None]  # (B, G, L, m)
+    batch, group, length, m = node.shape
+    trans = np.repeat(spec.transition_view(weights), group, axis=0)
+    labels, _ = _viterbi(node.reshape(batch * group, length, m), trans)
+    return labels.reshape(batch, group, length)
 
 
 def decode(model: ChainModel, x: np.ndarray) -> np.ndarray:
     """Highest-scoring labeling of ``x`` under the model (exact Viterbi)."""
-    node, trans = _chain_potentials(model, x)
-    labels, _ = _viterbi(node, trans)
-    return labels
+    x = _check_inputs(model.spec, x)
+    return decode_rows(model.spec, model.weights[None], x[None])[0, 0]
+
+
+def loss_augmented_decode_rows(
+    spec: FeatureSpec, weights: np.ndarray, x: np.ndarray, gold: np.ndarray
+):
+    """Loss-augmented Viterbi under each (B, K) weight row.
+
+    Returns (B, L) labelings and their (B,) values.  Unchecked: ``x`` must
+    be a finite float (L, d) matrix and ``gold`` L labels in [0, m).
+    """
+    node = x @ spec.state_view(weights) + 1.0  # (B, L, m)
+    node[:, np.arange(len(gold)), gold] -= 1.0
+    return _viterbi(node, spec.transition_view(weights))
 
 
 def loss_augmented_decode(model: ChainModel, instance: SequenceInstance):
@@ -189,13 +240,12 @@ def loss_augmented_decode(model: ChainModel, instance: SequenceInstance):
     exact chain DP with the same tie-breaking as :func:`decode`.  Used to
     find the most violated margin constraint during training.
     """
-    node, trans = _chain_potentials(model, instance.features)
+    x = _check_inputs(model.spec, instance.features)
     gold = _check_labels(model.spec, instance.labels)
-    if gold.shape[0] != node.shape[0]:
+    if gold.shape[0] != x.shape[0]:
         raise ValueError("gold labels and inputs disagree on sequence length")
-    node = node + 1.0
-    node[np.arange(len(gold)), gold] -= 1.0
-    return _viterbi(node, trans)
+    labels, values = loss_augmented_decode_rows(model.spec, model.weights[None], x, gold)
+    return labels[0], float(values[0])
 
 
 def hamming_loss(a, b) -> int:

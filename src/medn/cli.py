@@ -28,9 +28,9 @@ from .curves import (
     shrinkage_points,
 )
 from .dataio import ModelFile, read_dataset, read_model_file, write_dataset, write_model_file
-from .metrics import evaluate_weights, mean_std
-from .models import LaplaceConfig, train_gaussian, train_l1m3n, train_laplace
-from .optimize import SubgradConfig, structured_hinge_objective
+from .metrics import evaluate_weight_rows, evaluate_weights, mean_std
+from .models import LaplaceConfig, train_gaussian_grid, train_laplace_grid
+from .optimize import SubgradConfig, lockstep_train, structured_hinge_objective
 from .synth import GeneratorConfig, gen_dataset
 
 __all__ = ["main", "build_parser"]
@@ -113,65 +113,64 @@ def _cmd_gen_synth(args) -> int:
 # train
 
 
-def _train_one(model_name, instances, spec, *, lam, beta, c, iters, outer_iters, radius, seed):
-    """Train one model; returns (weights, var_diag or None, hyper dict, objective)."""
-    if model_name == "m3n":
-        c_eff = 200.0 * beta if c is None else c
-        cfg = SubgradConfig(beta=beta, iterations=iters, C=c_eff, seed=seed)
-        post = train_gaussian(instances, spec, cfg)
-        objective = structured_hinge_objective(
-            instances, ChainModel(spec, post.mean), c_eff, inv_diag=np.ones(spec.K)
-        )
-        hyper = {"beta": beta, "c": c_eff, "iters": iters, "seed": seed}
-        return post.mean, post.var_diag, hyper, objective
-    if model_name == "lapmedn":
-        if lam is None:
-            raise ValueError("lapmedn requires --lambda")
-        c_eff = 1.0 if c is None else c
-        inner = SubgradConfig(beta=beta, iterations=iters, C=c_eff, seed=seed)
-        lcfg = LaplaceConfig(lam=lam, inner=inner, C=c_eff, outer_iters=outer_iters)
-        post = train_laplace(instances, spec, lcfg)
-        objective = structured_hinge_objective(
-            instances, ChainModel(spec, post.mean), c_eff, inv_diag=1.0 / post.var_diag
-        )
-        hyper = {
-            "lambda": lam,
-            "beta": beta,
-            "c": c_eff,
-            "iters": iters,
-            "outer_iters": outer_iters,
-            "seed": seed,
-        }
-        return post.mean, post.var_diag, hyper, objective
+def _train_grid(model_name, instances, spec, grid, *, c, iters, outer_iters, seed):
+    """Train one family on every (lam, beta, radius) of ``grid`` in lockstep.
+
+    Returns the (B, K) weights, the (B, K) posterior variances (None for
+    l1m3n) and each row's slack penalty C, which defaults to 200 * beta for
+    m3n and to 1 otherwise.
+    """
+    cfgs = []
+    for _, beta, _ in grid:
+        c_row = c if c is not None else 200.0 * beta if model_name == "m3n" else 1.0
+        cfgs.append(SubgradConfig(beta=beta, iterations=iters, C=c_row, seed=seed))
+    c_eff = [cfg.C for cfg in cfgs]
     if model_name == "l1m3n":
-        if radius is None:
-            raise ValueError("l1m3n requires --radius")
-        c_eff = 1.0 if c is None else c
-        cfg = SubgradConfig(beta=beta, iterations=iters, C=c_eff, seed=seed)
-        model = train_l1m3n(instances, spec, radius, cfg)
-        objective = structured_hinge_objective(instances, model, c_eff)
-        hyper = {"radius": radius, "beta": beta, "c": c_eff, "iters": iters, "seed": seed}
-        return model.weights, None, hyper, objective
-    raise ValueError(f"unknown model {model_name!r}")
+        return lockstep_train(instances, spec, cfgs, radii=[r for _, _, r in grid]), None, c_eff
+    if model_name == "m3n":
+        posts = train_gaussian_grid(instances, spec, cfgs)
+    else:
+        lcfgs = [
+            LaplaceConfig(lam=lam, inner=cfg, C=cfg.C, outer_iters=outer_iters)
+            for (lam, _, _), cfg in zip(grid, cfgs)
+        ]
+        posts = train_laplace_grid(instances, spec, lcfgs)
+    return np.array([p.mean for p in posts]), np.array([p.var_diag for p in posts]), c_eff
 
 
 def _cmd_train(args) -> int:
+    if args.model == "lapmedn" and args.lam is None:
+        raise ValueError("lapmedn requires --lambda")
+    if args.model == "l1m3n" and args.radius is None:
+        raise ValueError("l1m3n requires --radius")
     instances, spec, _ = read_dataset(args.data)
     started = time.perf_counter()
-    weights, var_diag, hyper, objective = _train_one(
+    weights, var_diag, (c_eff,) = _train_grid(
         args.model,
         instances,
         spec,
-        lam=args.lam,
-        beta=args.beta,
+        [(args.lam, args.beta, args.radius)],
         c=args.c,
         iters=args.iters,
         outer_iters=args.outer_iters,
-        radius=args.radius,
         seed=args.seed,
     )
+    weights = weights[0]
+    var_diag = None if var_diag is None else var_diag[0]
+    objective = structured_hinge_objective(
+        instances,
+        ChainModel(spec, weights),
+        c_eff,
+        inv_diag=None if var_diag is None else 1.0 / var_diag,
+    )
     elapsed = time.perf_counter() - started
-    hyper["n_train"] = len(instances)
+    hyper = {"lambda": args.lam} if args.model == "lapmedn" else {}
+    if args.model == "l1m3n":
+        hyper["radius"] = args.radius
+    hyper.update(beta=args.beta, c=c_eff, iters=args.iters)
+    if args.model == "lapmedn":
+        hyper["outer_iters"] = args.outer_iters
+    hyper.update(seed=args.seed, n_train=len(instances))
     write_model_file(
         args.out,
         ModelFile(kind=args.model, spec=spec, weights=weights, var_diag=var_diag, hyper=hyper),
@@ -236,14 +235,20 @@ def _cmd_eval(args) -> int:
 
 
 def _hyper_grid(model_name, lambdas, betas, radii):
-    """Hyperparameter combinations swept for one model family."""
+    """Hyperparameter combinations (lam, beta, radius) swept for one model family."""
     if model_name == "m3n":
-        return [(None, beta, None) for beta in betas]
-    if model_name == "lapmedn":
-        return [(lam, beta, None) for lam in lambdas for beta in betas]
-    if model_name == "l1m3n":
-        return [(None, beta, radius) for radius in radii for beta in betas]
-    raise ValueError(f"unknown model {model_name!r}")
+        grid, flags = [(None, beta, None) for beta in betas], "--betas"
+    elif model_name == "lapmedn":
+        grid = [(lam, beta, None) for lam in lambdas for beta in betas]
+        flags = "--lambdas and --betas"
+    elif model_name == "l1m3n":
+        grid = [(None, beta, radius) for radius in radii for beta in betas]
+        flags = "--radii and --betas"
+    else:
+        raise ValueError(f"unknown model {model_name!r}")
+    if not grid:
+        raise ValueError(f"{model_name} requires nonempty {flags}")
+    return grid
 
 
 def _cmd_cv(args) -> int:
@@ -253,62 +258,55 @@ def _cmd_cv(args) -> int:
         raise ValueError("need at least 2 folds")
     if args.folds > n:
         raise ValueError("more folds than instances")
+    models = [name.strip() for name in args.models.split(",") if name.strip()]
+    grids = [_hyper_grid(name, args.lambdas, args.betas, args.radii) for name in models]
     rng = np.random.default_rng(args.seed)
     folds = np.array_split(rng.permutation(n), args.folds)
-    models = [name.strip() for name in args.models.split(",") if name.strip()]
+    # reports[family][fold][row]: every config of a family trains on a fold
+    # in one lockstep call, because they all share the fold's seed.
+    reports = [[] for _ in models]
+    for fold_idx, fold in enumerate(folds):
+        # Inverted split: train on the single fold, test on the rest.
+        held = set(fold.tolist())
+        train_set = [instances[i] for i in fold]
+        test_set = [instances[i] for i in range(n) if i not in held]
+        for name, grid, family_reports in zip(models, grids, reports):
+            weights, _, _ = _train_grid(
+                name,
+                train_set,
+                spec,
+                grid,
+                c=args.c,
+                iters=args.iters,
+                outer_iters=args.outer_iters,
+                seed=args.seed + fold_idx,
+            )
+            family_reports.append(evaluate_weight_rows(spec, weights, test_set))
     rows = []
-    for model_name in models:
-        for lam, beta, radius in _hyper_grid(model_name, args.lambdas, args.betas, args.radii):
-            label_errs, seq_errs = [], []
-            for fold_idx, fold in enumerate(folds):
-                # Inverted split: train on the single fold, test on the rest.
-                held = set(fold.tolist())
-                train_set = [instances[i] for i in fold]
-                test_set = [instances[i] for i in range(n) if i not in held]
-                weights, _, _, _ = _train_one(
-                    model_name,
-                    train_set,
-                    spec,
-                    lam=lam,
-                    beta=beta,
-                    c=args.c,
-                    iters=args.iters,
-                    outer_iters=args.outer_iters,
-                    radius=radius,
-                    seed=args.seed + fold_idx,
-                )
-                report = evaluate_weights(spec, weights, test_set)
-                label_errs.append(report.per_label_err)
-                seq_errs.append(report.seq_err)
+    for name, grid, family_reports in zip(models, grids, reports):
+        for row, (lam, beta, radius) in enumerate(grid):
+            config = [
+                name,
+                "" if lam is None else _fmt(lam),
+                _fmt(beta),
+                "" if radius is None else _fmt(radius),
+            ]
+            per_fold = [fold_reports[row] for fold_reports in family_reports]
+            for fold_idx, (fold, report) in enumerate(zip(folds, per_fold)):
                 rows.append(
-                    [
-                        model_name,
-                        "" if lam is None else _fmt(lam),
-                        _fmt(beta),
-                        "" if radius is None else _fmt(radius),
+                    config
+                    + [
                         fold_idx,
-                        len(train_set),
+                        len(fold),
                         _fmt(report.per_label_err),
                         _fmt(report.seq_err),
                         args.seed + fold_idx,
                     ]
                 )
-            for stat_name, stat in zip(
-                ("mean", "std"), zip(mean_std(label_errs), mean_std(seq_errs))
-            ):
-                rows.append(
-                    [
-                        model_name,
-                        "" if lam is None else _fmt(lam),
-                        _fmt(beta),
-                        "" if radius is None else _fmt(radius),
-                        stat_name,
-                        "",
-                        _fmt(stat[0]),
-                        _fmt(stat[1]),
-                        args.seed,
-                    ]
-                )
+            label_stats = mean_std([r.per_label_err for r in per_fold])
+            seq_stats = mean_std([r.seq_err for r in per_fold])
+            for stat_name, label_stat, seq_stat in zip(("mean", "std"), label_stats, seq_stats):
+                rows.append(config + [stat_name, "", _fmt(label_stat), _fmt(seq_stat), args.seed])
     _write_csv(args.out, CV_COLUMNS, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

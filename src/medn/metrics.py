@@ -4,9 +4,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainModel, FeatureSpec, decode
+from .chain import FeatureSpec, decode_rows
 
-__all__ = ["MetricsReport", "evaluate_weights", "mean_std"]
+__all__ = ["MetricsReport", "evaluate_weights", "evaluate_weight_rows", "mean_std"]
 
 
 @dataclass(frozen=True)
@@ -30,24 +30,44 @@ class MetricsReport:
 
 def evaluate_weights(spec: FeatureSpec, weights, instances) -> MetricsReport:
     """Decode every instance and count per-position and whole-sequence errors."""
+    return evaluate_weight_rows(spec, np.asarray(weights, dtype=float)[None], instances)[0]
+
+
+def evaluate_weight_rows(spec: FeatureSpec, weights, instances) -> list:
+    """:func:`evaluate_weights` for each row of (B, K) ``weights``.
+
+    Instances of one length are decoded under all B rows in one batched DP
+    call.
+    """
     if not instances:
         raise ValueError("evaluation set must be nonempty")
-    model = ChainModel(spec, np.asarray(weights, dtype=float))
-    wrong_positions = 0
-    wrong_sequences = 0
-    total_positions = 0
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 2 or weights.shape[1] != spec.K:
+        raise ValueError(f"expected rows of {spec.K} weights, got shape {weights.shape}")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("weights must be finite")
+    by_length = {}
     for inst in instances:
-        pred = decode(model, inst.features)
-        mismatches = int(np.sum(pred != inst.labels))
-        wrong_positions += mismatches
-        wrong_sequences += int(mismatches > 0)
-        total_positions += len(inst)
-    return MetricsReport(
-        per_label_err=wrong_positions / total_positions,
-        seq_err=wrong_sequences / len(instances),
-        n_sequences=len(instances),
-        n_positions=total_positions,
-    )
+        if inst.features.shape[1] != spec.d:
+            raise ValueError(f"expected {spec.d} input features, got {inst.features.shape[1]}")
+        by_length.setdefault(len(inst), []).append(inst)
+    wrong_positions = np.zeros(len(weights), dtype=np.int64)
+    wrong_sequences = np.zeros(len(weights), dtype=np.int64)
+    for group in by_length.values():
+        preds = decode_rows(spec, weights, np.stack([inst.features for inst in group]))
+        mismatches = (preds != np.stack([inst.labels for inst in group])).sum(axis=2)  # (B, G)
+        wrong_positions += mismatches.sum(axis=1)
+        wrong_sequences += (mismatches > 0).sum(axis=1)
+    total_positions = sum(len(inst) for inst in instances)
+    return [
+        MetricsReport(
+            per_label_err=int(wp) / total_positions,
+            seq_err=int(ws) / len(instances),
+            n_sequences=len(instances),
+            n_positions=total_positions,
+        )
+        for wp, ws in zip(wrong_positions, wrong_sequences)
+    ]
 
 
 def mean_std(values) -> tuple[float, float]:

@@ -5,7 +5,14 @@
 * the Laplace-prior variational trainer (``train_laplace``), which
   alternates a variance-weighted max-margin solve with a coordinatewise
   variance refresh and yields a shrunken, near-sparse posterior mean;
-* L1-constrained max-margin training (``train_l1m3n``).
+* L1-constrained max-margin training, which is
+  :func:`medn.optimize.l1_constrained_train` itself.
+
+The Gaussian and Laplace trainers also take a whole grid of configs that
+share one instance order (``train_gaussian_grid``, ``train_laplace_grid``)
+and train it in lockstep, one kernel call per solve; the single-config
+trainers are the grid trainers with one config.  An L1 grid is one
+:func:`medn.optimize.lockstep_train` call with one radius per config.
 
 Also provides the analysis functions for the Laplace posterior: the
 entropic shrinkage map, the closed-form log-normalizer and its gradient,
@@ -25,12 +32,7 @@ from .chain import (
     feature_vector,
     hamming_loss,
 )
-from .optimize import (
-    QuadRegularizer,
-    SubgradConfig,
-    l1_constrained_train,
-    subgradient_train,
-)
+from .optimize import SubgradConfig, lockstep_train
 
 __all__ = [
     "Posterior",
@@ -38,13 +40,14 @@ __all__ = [
     "DualWeights",
     "VARIANCE_FLOOR",
     "train_gaussian",
+    "train_gaussian_grid",
     "train_laplace",
+    "train_laplace_grid",
     "predict_mean",
     "shrinkage_mean",
     "laplace_log_z",
     "laplace_log_z_grad",
     "kl_norm",
-    "train_l1m3n",
     "l1m3n_dual_check",
 ]
 
@@ -162,13 +165,21 @@ def train_gaussian(data: list, spec: FeatureSpec, cfg: SubgradConfig) -> Posteri
     with unit variances.  Averaged prediction with this posterior therefore
     coincides with decoding under the point weights.
     """
-    model = subgradient_train(data, spec, QuadRegularizer.identity(spec.K), cfg)
-    return Posterior(
-        spec=spec,
-        mean=model.weights,
-        var_diag=np.ones(spec.K),
-        prior="gaussian",
-    )
+    return train_gaussian_grid(data, spec, [cfg])[0]
+
+
+def train_gaussian_grid(data: list, spec: FeatureSpec, cfgs) -> list:
+    """:func:`train_gaussian` for every config, in one lockstep solve.
+
+    The configs must share ``seed`` and ``iterations``; each result is
+    bit-equal to training its config alone.
+    """
+    cfgs = list(cfgs)
+    means = lockstep_train(data, spec, cfgs, inv_diag=np.ones((len(cfgs), spec.K)))
+    return [
+        Posterior(spec=spec, mean=mean, var_diag=np.ones(spec.K), prior="gaussian")
+        for mean in means
+    ]
 
 
 def train_laplace(data: list, spec: FeatureSpec, cfg: LaplaceConfig) -> Posterior:
@@ -183,15 +194,35 @@ def train_laplace(data: list, spec: FeatureSpec, cfg: LaplaceConfig) -> Posterio
     and their variances contract toward the prior scale, which is what
     drives the shrinkage of irrelevant-feature weights.
     """
-    inner = replace(cfg.inner, C=cfg.C)
-    var = np.ones(spec.K)
-    mean = np.zeros(spec.K)
-    for _ in range(cfg.outer_iters - 1):
-        reg = QuadRegularizer(1.0 / var)
-        mean = subgradient_train(data, spec, reg, inner).weights
+    return train_laplace_grid(data, spec, [cfg])[0]
+
+
+def train_laplace_grid(data: list, spec: FeatureSpec, cfgs) -> list:
+    """:func:`train_laplace` for every config, all rounds in lockstep.
+
+    The configs must share ``outer_iters`` and their inner ``seed`` and
+    ``iterations``; ``lam``, ``C`` and the inner ``beta`` may differ.  Each
+    round is one lockstep solve over every config, followed by each
+    config's variance refresh, so each result is bit-equal to training its
+    config alone.
+    """
+    cfgs = list(cfgs)
+    if not cfgs:
+        raise ValueError("need at least one configuration")
+    if any(cfg.outer_iters != cfgs[0].outer_iters for cfg in cfgs):
+        raise ValueError("lockstep configurations must share outer_iters")
+    inners = [replace(cfg.inner, C=cfg.C) for cfg in cfgs]
+    lams = np.array([[cfg.lam] for cfg in cfgs])
+    var = np.ones((len(cfgs), spec.K))
+    mean = np.zeros((len(cfgs), spec.K))
+    for _ in range(cfgs[0].outer_iters - 1):
+        mean = lockstep_train(data, spec, inners, inv_diag=1.0 / var)
         second_moment = var + mean**2
-        var = np.maximum(np.sqrt(second_moment / cfg.lam), VARIANCE_FLOOR)
-    return Posterior(spec=spec, mean=mean, var_diag=var, prior="laplace", lam=cfg.lam)
+        var = np.maximum(np.sqrt(second_moment / lams), VARIANCE_FLOOR)
+    return [
+        Posterior(spec=spec, mean=mu, var_diag=v, prior="laplace", lam=cfg.lam)
+        for mu, v, cfg in zip(mean, var, cfgs)
+    ]
 
 
 def predict_mean(post: Posterior, x: np.ndarray) -> np.ndarray:
@@ -276,17 +307,6 @@ def kl_norm(mu, lam: float) -> float:
     return float(
         np.sum(np.sqrt(mu**2 + 1.0 / lam) - np.log((root + 1.0) / 2.0) / math.sqrt(lam))
     )
-
-
-def train_l1m3n(
-    data: list, spec: FeatureSpec, radius: float, cfg: SubgradConfig
-) -> ChainModel:
-    """L1-constrained max-margin training.
-
-    Thin wrapper over :func:`medn.optimize.l1_constrained_train` so all
-    three model families share one training surface.
-    """
-    return l1_constrained_train(data, spec, radius, cfg)
 
 
 def l1m3n_dual_check(dual: DualWeights, data: list, tol: float = 1e-9) -> bool:

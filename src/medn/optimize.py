@@ -1,10 +1,12 @@
 """Optimization kernels for structured hinge objectives.
 
-Two trainers share one stochastic subgradient loop: one with a diagonal
-quadratic penalty, one constrained to an L1 ball via exact Euclidean
-projection.  Both process instances in a per-epoch shuffled order with
-step size ``1 / (2 * beta * sqrt(t))``, where t counts individual updates,
-and return the final iterate.
+One stochastic subgradient kernel, :func:`lockstep_train`, advances B
+trajectories in lockstep over one shared per-epoch shuffled instance
+order.  Each trajectory has its own step size ``1 / (2 * beta * sqrt(t))``,
+where t counts individual updates, and its own hinge weight C.  Its step
+either shrinks toward zero and preconditions by a diagonal quadratic
+penalty, or projects onto an L1 ball.  The two single-model trainers are
+the kernel with B = 1, and every trainer returns the final iterate.
 """
 
 import math
@@ -15,15 +17,16 @@ import numpy as np
 from .chain import (
     ChainModel,
     FeatureSpec,
-    SequenceInstance,
-    feature_vector,
+    feature_vectors,
     loss_augmented_decode,
+    loss_augmented_decode_rows,
     score,
 )
 
 __all__ = [
     "SubgradConfig",
     "QuadRegularizer",
+    "lockstep_train",
     "subgradient_train",
     "l1_constrained_train",
     "l1_ball_project",
@@ -86,10 +89,96 @@ def _check_data(data, spec: FeatureSpec):
             raise ValueError("instance label out of range for spec")
 
 
-def _check_iterate(w: np.ndarray):
-    if not np.all(np.isfinite(w)) or np.linalg.norm(w) > DIVERGENCE_LIMIT:
+def lockstep_train(
+    data: list,
+    spec: FeatureSpec,
+    cfgs,
+    *,
+    inv_diag: np.ndarray | None = None,
+    radii=None,
+) -> np.ndarray:
+    """Run one subgradient trajectory per config in lockstep; (B, K) final iterates.
+
+    The configs must share ``seed`` and ``iterations``, so every trajectory
+    visits the instances in the same order; each keeps its own ``beta`` and
+    ``C``.  Give exactly one step rule:
+
+    * ``inv_diag`` (B, K): approximately minimize
+      0.5 w' diag(inv) w + C * sum_i hinge_i(w).  Each update shrinks w by
+      (1 - alpha / n), then adds alpha * C times the subgradient
+      preconditioned by 1 / inv, so stiff coordinates (tiny penalty
+      variance) stay numerically stable;
+    * ``radii`` (B,): minimize C * sum_i hinge_i(w) subject to
+      ||w||_1 <= radius.  Each update adds alpha * C times the subgradient,
+      then projects onto the ball, so all iterates are feasible.
+
+    hinge_i(w) = max_y [w'f(x_i, y) + hamming(y, y_i)] - w'f(x_i, y_i), with
+    the inner maximum found by loss-augmented decoding; when the winner
+    equals the gold labeling the instance adds no data term.  Starts from
+    w = 0.  Every row is bit-equal to running its config alone.  Raises
+    ``RuntimeError`` as soon as a row stops being finite or its L2 norm
+    exceeds ``DIVERGENCE_LIMIT``.
+    """
+    _check_data(data, spec)
+    cfgs = list(cfgs)
+    if not cfgs:
+        raise ValueError("need at least one configuration")
+    seed, iterations = cfgs[0].seed, cfgs[0].iterations
+    if any((cfg.seed, cfg.iterations) != (seed, iterations) for cfg in cfgs):
+        raise ValueError("lockstep configurations must share seed and iterations")
+    if (inv_diag is None) == (radii is None):
+        raise ValueError("give exactly one of inv_diag and radii")
+    batch = len(cfgs)
+    if inv_diag is not None:
+        inv_diag = np.asarray(inv_diag, dtype=float)
+        if inv_diag.shape != (batch, spec.K):
+            raise ValueError("regularizer dimension disagrees with spec")
+        if not np.all(np.isfinite(inv_diag)) or np.any(inv_diag <= 0):
+            raise ValueError("inv_diag entries must be positive and finite")
+        scale = 1.0 / inv_diag
+    else:
+        radii = np.asarray(radii, dtype=float)
+        if radii.shape != (batch,):
+            raise ValueError("need one radius per configuration")
+        if not np.all(radii > 0):
+            raise ValueError("radius must be positive")
+    betas = np.array([cfg.beta for cfg in cfgs])
+    hinge_weights = np.array([cfg.C for cfg in cfgs])
+    n = len(data)
+    gold_feats = [feature_vectors(spec, inst.features, inst.labels[None])[0] for inst in data]
+    rng = np.random.default_rng(seed)
+    w = np.zeros((batch, spec.K))
+    t = 0
+    for epoch in range(1, iterations + 1):
+        for idx in rng.permutation(n):
+            t += 1
+            alpha = 1.0 / (2.0 * betas * math.sqrt(t))
+            inst = data[idx]
+            y_star, _ = loss_augmented_decode_rows(spec, w, inst.features, inst.labels)
+            if inv_diag is not None:
+                w = (1.0 - alpha / n)[:, None] * w
+            rows = np.flatnonzero((y_star != inst.labels).any(axis=1))
+            if rows.size:
+                delta = gold_feats[idx] - feature_vectors(spec, inst.features, y_star[rows])
+                step = (alpha[rows] * hinge_weights[rows])[:, None]
+                if inv_diag is not None:
+                    delta = scale[rows] * delta
+                w[rows] = w[rows] + step * delta
+            if radii is not None:
+                w = _project_rows(w, radii)
+            _check_iterates(w, betas, epoch, t)
+    return w
+
+
+def _check_iterates(w: np.ndarray, betas: np.ndarray, epoch: int, t: int):
+    norms = np.linalg.norm(w, axis=1)
+    bad = np.flatnonzero(~(norms <= DIVERGENCE_LIMIT))
+    if bad.size:
+        row = bad[0]
         raise RuntimeError(
-            "subgradient iterate diverged; decrease the step size (raise beta)"
+            f"subgradient iterate diverged in epoch {epoch} at update t={t}: "
+            f"beta={betas[row]:g} reached L2 norm {norms[row]:.6g}; "
+            "decrease the step size (raise beta)"
         )
 
 
@@ -98,43 +187,48 @@ def subgradient_train(
 ) -> ChainModel:
     """Approximately minimize 0.5 w' diag(inv) w + C * sum_i hinge_i(w).
 
-    hinge_i(w) = max_y [w'f(x_i, y) + hamming(y, y_i)] - w'f(x_i, y_i), with
-    the inner maximum found by loss-augmented decoding.  When the winner
-    equals the gold labeling the instance contributes no data term.  Updates
-    are preconditioned by the inverse penalty diagonal so that stiff
-    coordinates (tiny penalty variance) stay numerically stable; with an
-    identity penalty this is the plain subgradient step.  Starts from w = 0,
-    returns the final iterate, and is bit-reproducible for a fixed seed.
+    :func:`lockstep_train` with one trajectory and the penalty step: bit-
+    reproducible for a fixed seed.  With an identity penalty this is the
+    plain subgradient step.
     """
-    _check_data(data, spec)
-    if reg.inv_diag.shape != (spec.K,):
-        raise ValueError("regularizer dimension disagrees with spec")
-    n = len(data)
-    scale = 1.0 / reg.inv_diag
-    gold_feats = [feature_vector(spec, inst.features, inst.labels) for inst in data]
-    rng = np.random.default_rng(cfg.seed)
-    w = np.zeros(spec.K)
-    t = 0
-    for _ in range(cfg.iterations):
-        for idx in rng.permutation(n):
-            t += 1
-            alpha = 1.0 / (2.0 * cfg.beta * math.sqrt(t))
-            inst = data[idx]
-            y_star, _ = loss_augmented_decode(ChainModel(spec, w), inst)
-            w = (1.0 - alpha / n) * w
-            if not np.array_equal(y_star, inst.labels):
-                delta = gold_feats[idx] - feature_vector(spec, inst.features, y_star)
-                w = w + (alpha * cfg.C) * (scale * delta)
-            _check_iterate(w)
-    return ChainModel(spec, w)
+    w = lockstep_train(data, spec, [cfg], inv_diag=reg.inv_diag[None])
+    return ChainModel(spec, w[0])
+
+
+def _project_rows(v: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Project each row of (B, K) ``v`` onto the L1 ball of its radius.
+
+    Sort-and-threshold algorithm: rows already inside their ball are
+    returned unchanged, otherwise every entry shrinks toward zero by the
+    threshold that makes the row land on the ball boundary.
+    """
+    mag = np.abs(v)
+    # Relative slack keeps re-projection an exact no-op despite the float
+    # error (~K ulp) left on the boundary by a previous projection.
+    outside = np.flatnonzero(mag.sum(axis=1) > radii * (1.0 + 1e-12))
+    if not outside.size:
+        return v.copy()
+    mag_out, radius = mag[outside], radii[outside]
+    u = np.sort(mag_out, axis=1)[:, ::-1]
+    cssv = np.cumsum(u, axis=1)
+    above = u * np.arange(1, v.shape[1] + 1) > cssv - radius[:, None]
+    # The largest entry always clears the threshold (u_1 > u_1 - radius),
+    # but rounding hides it once u_1 is ~2**53 times the radius.
+    above[:, 0] = True
+    # rho: one past the last index where the sorted entry clears the threshold.
+    rho = v.shape[1] - above[:, ::-1].argmax(axis=1)
+    theta = (cssv[np.arange(len(outside)), rho - 1] - radius) / rho
+    out = v.copy()
+    out[outside] = np.sign(v[outside]) * np.maximum(mag_out - theta[:, None], 0.0)
+    return out
 
 
 def l1_ball_project(v: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection of ``v`` onto {u : ||u||_1 <= radius}.
 
-    Sort-and-threshold algorithm: vectors already inside the ball are
-    returned unchanged, otherwise every entry shrinks toward zero by the
-    threshold that makes the result land on the ball boundary.
+    Vectors already inside the ball are returned unchanged, otherwise every
+    entry shrinks toward zero by the threshold that makes the result land
+    on the ball boundary.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
@@ -143,18 +237,7 @@ def l1_ball_project(v: np.ndarray, radius: float) -> np.ndarray:
         raise ValueError("input must be finite")
     if not radius > 0:
         raise ValueError("radius must be positive")
-    mag = np.abs(v)
-    total = mag.sum()
-    # Relative slack keeps re-projection an exact no-op despite the float
-    # error (~K ulp) left on the boundary by a previous projection.
-    if total <= radius * (1.0 + 1e-12):
-        return v.copy()
-    u = np.sort(mag)[::-1]
-    cssv = np.cumsum(u)
-    counts = np.arange(1, v.shape[0] + 1)
-    rho = int(np.max(np.nonzero(u * counts > cssv - radius)[0])) + 1
-    theta = (cssv[rho - 1] - radius) / rho
-    return np.sign(v) * np.maximum(mag - theta, 0.0)
+    return _project_rows(v[None], np.array([float(radius)]))[0]
 
 
 def l1_constrained_train(
@@ -162,30 +245,11 @@ def l1_constrained_train(
 ) -> ChainModel:
     """Minimize C * sum_i hinge_i(w) subject to ||w||_1 <= radius.
 
-    Same stochastic loop as :func:`subgradient_train` but with no quadratic
-    penalty; every update is followed by projection onto the L1 ball, so all
-    iterates (and the result) are feasible.
+    :func:`lockstep_train` with one trajectory and the projection step, so
+    all iterates (and the result) are feasible.
     """
-    _check_data(data, spec)
-    if not radius > 0:
-        raise ValueError("radius must be positive")
-    n = len(data)
-    gold_feats = [feature_vector(spec, inst.features, inst.labels) for inst in data]
-    rng = np.random.default_rng(cfg.seed)
-    w = np.zeros(spec.K)
-    t = 0
-    for _ in range(cfg.iterations):
-        for idx in rng.permutation(n):
-            t += 1
-            alpha = 1.0 / (2.0 * cfg.beta * math.sqrt(t))
-            inst = data[idx]
-            y_star, _ = loss_augmented_decode(ChainModel(spec, w), inst)
-            if not np.array_equal(y_star, inst.labels):
-                delta = gold_feats[idx] - feature_vector(spec, inst.features, y_star)
-                w = w + (alpha * cfg.C) * delta
-            w = l1_ball_project(w, radius)
-            _check_iterate(w)
-    return ChainModel(spec, w)
+    w = lockstep_train(data, spec, [cfg], radii=[radius])
+    return ChainModel(spec, w[0])
 
 
 def structured_hinge_objective(

@@ -7,11 +7,20 @@ dynamic programs or solvers under test.
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import quad
 
-from medn import SequenceInstance
+from medn import (
+    ChainModel,
+    QuadRegularizer,
+    SequenceInstance,
+    feature_vector,
+    l1_ball_project,
+    loss_augmented_decode,
+)
+from medn.models import VARIANCE_FLOOR
 
 
 def enumerate_labelings(m: int, length: int) -> np.ndarray:
@@ -114,6 +123,106 @@ def make_signal_instances(rng, n: int, length: int, d: int) -> list:
         y = (sign < 0).astype(np.int64)
         instances.append(SequenceInstance(features=x, labels=y))
     return instances
+
+
+def make_mixed_instances(rng, n: int, d: int, m: int, max_length: int = 7) -> list:
+    """Instances of random lengths 1..max_length over m labels; feature
+    column ``y % d`` of each position carries a +1 signal."""
+    instances = []
+    for _ in range(n):
+        length = int(rng.integers(1, max_length + 1))
+        y = rng.integers(0, m, size=length)
+        x = rng.standard_normal((length, d)) * 0.5
+        x[np.arange(length), y % d] += 1.0
+        instances.append(SequenceInstance(x, y))
+    return instances
+
+
+# The per-config trainer loops the lockstep kernel replaced, kept as the
+# reference its rows must equal bit for bit: one trajectory, one
+# ChainModel and one feature map per update.  They use the package's
+# single-model chain primitives, so they check the batching of the
+# trainers, not the DP or the feature map.
+
+DIVERGENCE_LIMIT = 1e8
+
+
+def _check_data(data, spec):
+    if not data:
+        raise ValueError("training data must be nonempty")
+    for inst in data:
+        if inst.features.shape[1] != spec.d:
+            raise ValueError("instance feature dimension disagrees with spec")
+        if np.any(inst.labels >= spec.m):
+            raise ValueError("instance label out of range for spec")
+
+
+def _check_iterate(w):
+    if not np.all(np.isfinite(w)) or np.linalg.norm(w) > DIVERGENCE_LIMIT:
+        raise RuntimeError(
+            "subgradient iterate diverged; decrease the step size (raise beta)"
+        )
+
+
+def reference_subgradient_train(data, spec, reg, cfg):
+    _check_data(data, spec)
+    if reg.inv_diag.shape != (spec.K,):
+        raise ValueError("regularizer dimension disagrees with spec")
+    n = len(data)
+    scale = 1.0 / reg.inv_diag
+    gold_feats = [feature_vector(spec, inst.features, inst.labels) for inst in data]
+    rng = np.random.default_rng(cfg.seed)
+    w = np.zeros(spec.K)
+    t = 0
+    for _ in range(cfg.iterations):
+        for idx in rng.permutation(n):
+            t += 1
+            alpha = 1.0 / (2.0 * cfg.beta * math.sqrt(t))
+            inst = data[idx]
+            y_star, _ = loss_augmented_decode(ChainModel(spec, w), inst)
+            w = (1.0 - alpha / n) * w
+            if not np.array_equal(y_star, inst.labels):
+                delta = gold_feats[idx] - feature_vector(spec, inst.features, y_star)
+                w = w + (alpha * cfg.C) * (scale * delta)
+            _check_iterate(w)
+    return ChainModel(spec, w)
+
+
+def reference_l1_constrained_train(data, spec, radius, cfg):
+    _check_data(data, spec)
+    if not radius > 0:
+        raise ValueError("radius must be positive")
+    n = len(data)
+    gold_feats = [feature_vector(spec, inst.features, inst.labels) for inst in data]
+    rng = np.random.default_rng(cfg.seed)
+    w = np.zeros(spec.K)
+    t = 0
+    for _ in range(cfg.iterations):
+        for idx in rng.permutation(n):
+            t += 1
+            alpha = 1.0 / (2.0 * cfg.beta * math.sqrt(t))
+            inst = data[idx]
+            y_star, _ = loss_augmented_decode(ChainModel(spec, w), inst)
+            if not np.array_equal(y_star, inst.labels):
+                delta = gold_feats[idx] - feature_vector(spec, inst.features, y_star)
+                w = w + (alpha * cfg.C) * delta
+            w = l1_ball_project(w, radius)
+            _check_iterate(w)
+    return ChainModel(spec, w)
+
+
+def reference_train_laplace(data, spec, cfg):
+    """(mean, variances) after each of the T - 1 outer rounds."""
+    inner = replace(cfg.inner, C=cfg.C)
+    var = np.ones(spec.K)
+    rounds = []
+    for _ in range(cfg.outer_iters - 1):
+        reg = QuadRegularizer(1.0 / var)
+        mean = reference_subgradient_train(data, spec, reg, inner).weights
+        second_moment = var + mean**2
+        var = np.maximum(np.sqrt(second_moment / cfg.lam), VARIANCE_FLOOR)
+        rounds.append((mean, var))
+    return rounds
 
 
 def scalar_gibbs_states(node, trans, rng, sweeps: int) -> np.ndarray:

@@ -1,7 +1,11 @@
 """Feature map, scoring, exact decoding, and Hamming loss."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medn import (
     ChainModel,
@@ -13,6 +17,7 @@ from medn import (
     loss_augmented_decode,
     score,
 )
+from medn.chain import _viterbi, decode_rows, feature_vectors
 from oracles import chain_scores, enumerate_labelings, manual_score
 
 
@@ -163,6 +168,57 @@ class TestDecode:
         model = ChainModel(spec, np.zeros(spec.K))
         with pytest.raises(ValueError):
             decode(model, np.zeros((0, 2)))
+
+
+@st.composite
+def _dyadic_chains(draw):
+    """(B, L, m) node and (B, m, m) transition scores with m**L <= 256,
+    drawn from halves in [-2, 2] so that exact ties are common and every
+    score sum is exact."""
+    m = draw(st.integers(2, 4))
+    length = draw(st.integers(1, int(math.log(256, m) + 1e-9)))
+    batch = draw(st.integers(1, 4))
+    halves = st.integers(-4, 4).map(lambda k: k / 2.0)
+    node = np.array(draw(st.lists(halves, min_size=batch * length * m, max_size=batch * length * m)))
+    trans = np.array(draw(st.lists(halves, min_size=batch * m * m, max_size=batch * m * m)))
+    return node.reshape(batch, length, m), trans.reshape(batch, m, m)
+
+
+class TestBatchedViterbi:
+    @settings(max_examples=300, deadline=None)
+    @given(_dyadic_chains())
+    def test_rows_match_enumeration_with_ties_to_the_lowest_label(self, chains):
+        """Each row is the best labeling by brute force; among tied optima it
+        is the one with the lowest last label, then the lowest label before
+        that, and so on, as the DP's lowest-index argmax gives."""
+        node, trans = chains
+        batch, length, m = node.shape
+        labelings = enumerate_labelings(m, length)
+        labels, values = _viterbi(node, trans)
+        assert labels.shape == (batch, length) and values.shape == (batch,)
+        for b in range(batch):
+            scores = node[b][np.arange(length), labelings].sum(axis=1)
+            if length > 1:
+                scores = scores + trans[b][labelings[:, :-1], labelings[:, 1:]].sum(axis=1)
+            optimal = labelings[scores == scores.max()]
+            want = min(optimal.tolist(), key=lambda y: y[::-1])
+            assert labels[b].tolist() == want
+            assert values[b] == scores.max()
+
+    def test_batched_decode_and_features_equal_single_row_calls(self):
+        rng = np.random.default_rng(13)
+        spec = FeatureSpec(d=3, m=3)
+        weights = rng.standard_normal((5, spec.K))
+        x = rng.standard_normal((7, 3))
+        xs = rng.standard_normal((3, 7, 3))
+        rows = decode_rows(spec, weights, xs)
+        assert rows.shape == (5, 3, 7)
+        for w, labels in zip(weights, rows):
+            for x, y in zip(xs, labels):
+                assert np.array_equal(y, decode(ChainModel(spec, w), x))
+        feats = feature_vectors(spec, xs[0], rows[:, 0])
+        for y, f in zip(rows[:, 0], feats):
+            assert np.array_equal(f, feature_vector(spec, xs[0], y))
 
 
 class TestLossAugmentedDecode:

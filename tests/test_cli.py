@@ -1,6 +1,7 @@
 """End-to-end command-line workflows."""
 
 import csv
+import hashlib
 import json
 import math
 
@@ -9,8 +10,9 @@ import pytest
 
 from medn import FeatureSpec, SequenceInstance
 from medn.cli import DEFAULT_BETA_GRID, DEFAULT_LAMBDA_GRID, build_parser, main
+from medn import cli
 from medn.dataio import ModelFile, read_model_file, write_dataset, write_model_file
-from oracles import make_signal_instances
+from oracles import make_mixed_instances, make_signal_instances
 
 
 def _read_csv(path):
@@ -222,6 +224,28 @@ class TestCrossValidation:
         assert tuple(args.lambdas) == DEFAULT_LAMBDA_GRID == (9.0, 16.0, 25.0, 36.0, 49.0, 64.0)
         assert tuple(args.betas) == DEFAULT_BETA_GRID == (1.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--models", "m3n,lapmdn"], "error: unknown model 'lapmdn'\n"),
+            (["--models", "m3n,lapmedn", "--lambdas", ""], "error: lapmedn requires nonempty --lambdas"),
+        ],
+    )
+    def test_sweep_is_validated_before_any_training(self, tmp_path, capsys, monkeypatch, flags, message):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the sweep was validated")
+
+        monkeypatch.setattr(cli, "_train_grid", no_training)
+        data = tmp_path / "cv.jsonl"
+        _write_signal_dataset(data, n=6, seed=90)
+        code = main(
+            ["cv", "--data", str(data), "--folds", "2", "--betas", "1", "--iters", "2",
+             "--out", str(tmp_path / "o.csv"), *flags]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+
     def test_more_folds_than_instances_rejected(self, tmp_path):
         data = tmp_path / "cv.jsonl"
         _write_signal_dataset(data, n=3, seed=89)
@@ -232,6 +256,48 @@ class TestCrossValidation:
             )
             == 2
         )
+
+
+def _write_mixed_dataset(path):
+    """Twelve instances of lengths 1..7 over three labels and three features."""
+    rng = np.random.default_rng(91)
+    instances = make_mixed_instances(rng, n=12, d=3, m=3)
+    write_dataset(path, instances, FeatureSpec(3, 3), meta={"seed": 91})
+
+
+# sha256 of files written by the per-config trainers that preceded the
+# lockstep kernel.  cv trains each fold's grid of a family in one lockstep
+# call, train runs it with one row; both must keep these bytes.
+PINNED_CV = "afe4d52cf23f40001a223a5aecf132e3f19ba42303dae3815432a72e94a8d678"
+PINNED_TRAIN = [
+    (["--model", "m3n", "--beta", "2"],
+     "db1497fefeeae894979a2c1f7fda051432f24f0698a32cb6304c55298e7fa978"),
+    (["--model", "lapmedn", "--lambda", "9", "--outer-iters", "3"],
+     "4ff6bfe52a15fe6832c9318940483c1e7da03f070206319aa472dafb7e682f4c"),
+    (["--model", "l1m3n", "--radius", "2"],
+     "5211e44996fbcfcbbfddf8af9b46d91be13ce98decb69596d74a4a0438e38705"),
+]
+
+
+def test_cv_bytes_are_pinned(tmp_path):
+    data, out = tmp_path / "mixed.jsonl", tmp_path / "cv.csv"
+    _write_mixed_dataset(data)
+    code = main(
+        ["cv", "--data", str(data), "--folds", "3", "--models", "m3n,lapmedn,l1m3n",
+         "--lambdas", "4,16", "--betas", "1,10", "--radii", "3", "--iters", "4",
+         "--outer-iters", "3", "--seed", "2", "--out", str(out)]
+    )
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CV
+
+
+@pytest.mark.parametrize("flags, digest", PINNED_TRAIN)
+def test_train_bytes_are_pinned(tmp_path, flags, digest):
+    data, out = tmp_path / "mixed.jsonl", tmp_path / "model.json"
+    _write_mixed_dataset(data)
+    code = main(["train", "--data", str(data), *flags, "--iters", "6", "--seed", "3", "--out", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestCurveCommands:
@@ -288,6 +354,12 @@ class TestPacBoundCommand:
 
     def test_invalid_inputs_exit_nonzero(self):
         assert main(["pac-bound", "--n", "0", "--y-card", "4", "--kl", "1"]) == 2
+
+    @pytest.mark.parametrize("flags", [["--c", "1e200"], ["--c", "1e150", "--gamma", "1e-10"]])
+    def test_sample_count_overflow_is_a_one_line_error(self, capsys, flags):
+        assert main(["pac-bound", "--n", "100", "--y-card", "4", "--kl", "1", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sample count m") and err.count("\n") == 1
 
     def test_huge_label_set_cardinality(self, capsys):
         """|Y| = 2**1024 overflows a float; the bound is computed in log space

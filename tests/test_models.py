@@ -27,7 +27,6 @@ from medn import (
     shrinkage_mean,
     subgradient_train,
     train_gaussian,
-    train_l1m3n,
     train_laplace,
 )
 from medn.models import VARIANCE_FLOOR
@@ -362,20 +361,11 @@ class TestKlNorm:
 
 
 class TestL1M3N:
-    def test_delegates_to_the_constrained_trainer(self):
-        rng = np.random.default_rng(54)
-        spec = FeatureSpec(d=2, m=2)
-        data = make_signal_instances(rng, n=4, length=4, d=2)
-        cfg = _cfg(iterations=15)
-        via_family = train_l1m3n(data, spec, 2.0, cfg)
-        direct = l1_constrained_train(data, spec, 2.0, cfg)
-        np.testing.assert_array_equal(via_family.weights, direct.weights)
-
     def test_tiny_radius_is_feasible(self):
         rng = np.random.default_rng(55)
         spec = FeatureSpec(d=2, m=2)
         data = make_signal_instances(rng, n=3, length=4, d=2)
-        model = train_l1m3n(data, spec, 1e-9, _cfg(iterations=5))
+        model = l1_constrained_train(data, spec, 1e-9, _cfg(iterations=5))
         assert np.abs(model.weights).sum() <= 1e-9 + 1e-12
 
     def test_sparse_toy_prefers_relevant_features(self):
@@ -384,7 +374,7 @@ class TestL1M3N:
         data = make_signal_instances(rng, n=8, length=5, d=3)
         for inst in data:
             inst.features[:, 1:] = rng.standard_normal((len(inst), 2))
-        model = train_l1m3n(data, spec, 1.0, _cfg(iterations=60))
+        model = l1_constrained_train(data, spec, 1.0, _cfg(iterations=60))
         state = np.abs(spec.state_view(model.weights))
         assert state[1:].sum() < state[0].sum()
 

@@ -1,6 +1,7 @@
 """Subgradient trainers and the L1-ball projection."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from medn import (
     ChainModel,
     FeatureSpec,
+    LaplaceConfig,
     QuadRegularizer,
     SequenceInstance,
     SubgradConfig,
@@ -16,11 +18,21 @@ from medn import (
     feature_vector,
     l1_ball_project,
     l1_constrained_train,
+    lockstep_train,
     loss_augmented_decode,
     structured_hinge_objective,
     subgradient_train,
+    train_laplace_grid,
 )
-from oracles import l1_projection_oracle, make_signal_instances
+from medn.optimize import DIVERGENCE_LIMIT
+from oracles import (
+    l1_projection_oracle,
+    make_mixed_instances,
+    make_signal_instances,
+    reference_l1_constrained_train,
+    reference_subgradient_train,
+    reference_train_laplace,
+)
 
 
 class TestL1BallProject:
@@ -57,6 +69,13 @@ class TestL1BallProject:
             np.testing.assert_allclose(
                 l1_ball_project(v, radius), l1_projection_oracle(v, radius), atol=1e-8
             )
+
+    def test_entries_far_beyond_the_radius_project_into_the_ball(self):
+        """At 1e17 times the radius, u_1 - radius rounds to u_1; the largest
+        entry must still count as clearing the threshold."""
+        for v in (np.array([1.3e17, -2.0, 5.0]), np.array([-4e18, 4e18, 1.0])):
+            u = l1_ball_project(v, 1.0)
+            assert np.abs(u).sum() <= 1.0 + 1e-12
 
     def test_signs_preserved(self):
         out = l1_ball_project(np.array([-2.0, 1.0, -0.5]), 1.0)
@@ -143,12 +162,29 @@ class TestSubgradientTrain:
         np.testing.assert_array_equal(first.weights, second.weights)
 
     def test_divergent_step_size_raises(self):
+        """The error names the epoch, the update, the row's beta and its norm."""
         rng = np.random.default_rng(26)
         spec = FeatureSpec(d=2, m=2)
         data = make_signal_instances(rng, n=2, length=3, d=2)
         cfg = SubgradConfig(beta=1e-12, iterations=50, C=1e6, seed=0)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError) as info:
             subgradient_train(data, spec, QuadRegularizer.identity(spec.K), cfg)
+        fields = re.search(
+            r"epoch (\d+) at update t=(\d+): beta=(\S+) reached L2 norm (\S+);", str(info.value)
+        )
+        assert fields is not None, str(info.value)
+        assert (fields[1], fields[2], fields[3]) == ("1", "1", "1e-12")
+        assert float(fields[4]) > DIVERGENCE_LIMIT
+        # In lockstep, the error names the diverging row, not the first one.
+        stable = SubgradConfig(beta=1.0, iterations=50, C=1.0, seed=0)
+        risky = SubgradConfig(beta=0.01, iterations=50, C=1.0, seed=0)
+        with pytest.raises(RuntimeError) as info:
+            lockstep_train(data, spec, [stable, risky], inv_diag=np.ones((2, spec.K)))
+        fields = re.search(
+            r"epoch (\d+) at update t=(\d+): beta=(\S+) reached L2 norm (\S+);", str(info.value)
+        )
+        assert (fields[1], fields[2], fields[3]) == ("4", "7", "0.01")
+        assert float(fields[4]) > DIVERGENCE_LIMIT
 
     def test_empty_data_raises(self):
         spec = FeatureSpec(d=2, m=2)
@@ -216,3 +252,79 @@ class TestL1ConstrainedTrain:
         data = make_signal_instances(rng, n=2, length=3, d=2)
         with pytest.raises(ValueError):
             l1_constrained_train(data, spec, 0.0, _identity_cfg())
+
+
+def _lockstep_problem(seed, m):
+    rng = np.random.default_rng(seed)
+    spec = FeatureSpec(d=3, m=m)
+    return spec, make_mixed_instances(rng, n=7, d=3, m=m, max_length=6)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+class TestLockstepEqualsPerConfigLoops:
+    """Every row of the lockstep kernel is bit-equal to the per-config loop
+    it replaced, on instances of mixed lengths."""
+
+    def test_m3n_rows(self, m):
+        spec, data = _lockstep_problem(100 + m, m)
+        cfgs = [
+            SubgradConfig(beta=beta, iterations=4, C=c, seed=m)
+            for beta, c in ((1.0, 200.0), (0.5, 1.0), (10.0, 3.0))
+        ]
+        inv = np.ones((len(cfgs), spec.K))
+        inv[1] = np.linspace(0.5, 4.0, spec.K)
+        rows = lockstep_train(data, spec, cfgs, inv_diag=inv)
+        for row, cfg, inv_row in zip(rows, cfgs, inv):
+            want = reference_subgradient_train(data, spec, QuadRegularizer(inv_row), cfg)
+            assert np.array_equal(row, want.weights)
+
+    def test_lapmedn_every_round(self, m):
+        spec, data = _lockstep_problem(110 + m, m)
+        cfgs = [
+            LaplaceConfig(
+                lam=lam, inner=SubgradConfig(beta=beta, iterations=3, C=1.0, seed=m), outer_iters=4
+            )
+            for lam in (4.0, 36.0)
+            for beta in (1.0, 10.0)
+        ]
+        for rounds in (1, 2, 3):
+            grid = [LaplaceConfig(c.lam, c.inner, c.C, outer_iters=rounds + 1) for c in cfgs]
+            posts = train_laplace_grid(data, spec, grid)
+            for post, cfg in zip(posts, cfgs):
+                mean, var = reference_train_laplace(data, spec, cfg)[rounds - 1]
+                assert np.array_equal(post.mean, mean)
+                assert np.array_equal(post.var_diag, var)
+
+    def test_l1m3n_rows(self, m):
+        spec, data = _lockstep_problem(120 + m, m)
+        cfgs = [SubgradConfig(beta=beta, iterations=4, C=1.0, seed=m) for beta in (1.0, 10.0)]
+        grid = [(radius, cfg) for radius in (0.5, 3.0, 1e6) for cfg in cfgs]
+        rows = lockstep_train(
+            data, spec, [cfg for _, cfg in grid], radii=[radius for radius, _ in grid]
+        )
+        for row, (radius, cfg) in zip(rows, grid):
+            want = reference_l1_constrained_train(data, spec, radius, cfg)
+            # compare signs too: the projection leaves -0.0 entries
+            assert np.array_equal(row, want.weights)
+            assert np.array_equal(np.signbit(row), np.signbit(want.weights))
+
+
+class TestLockstepValidation:
+    def test_configs_must_share_the_instance_order(self):
+        spec, data = _lockstep_problem(130, 2)
+        a = SubgradConfig(beta=1.0, iterations=3, C=1.0, seed=0)
+        for b in (SubgradConfig(1.0, 3, 1.0, seed=1), SubgradConfig(1.0, 4, 1.0, seed=0)):
+            with pytest.raises(ValueError):
+                lockstep_train(data, spec, [a, b], inv_diag=np.ones((2, spec.K)))
+
+    def test_exactly_one_step_rule(self):
+        spec, data = _lockstep_problem(131, 2)
+        cfg = SubgradConfig(beta=1.0, iterations=3, C=1.0)
+        with pytest.raises(ValueError):
+            lockstep_train(data, spec, [cfg])
+        with pytest.raises(ValueError):
+            lockstep_train(data, spec, [cfg], inv_diag=np.ones((1, spec.K)), radii=[1.0])
+        with pytest.raises(ValueError):
+            lockstep_train(data, spec, [cfg], inv_diag=np.ones((2, spec.K)))
+        with pytest.raises(ValueError):
+            lockstep_train(data, spec, [cfg], radii=[0.0])
