@@ -12,6 +12,7 @@ from .chain import (
     FeatureSpec,
     SequenceInstance,
     decode,
+    decode_instances,
     feature_vector,
     hamming_loss,
     loss_augmented_decode,
@@ -29,7 +30,6 @@ from .models import (
     predict_mean,
     shrinkage_mean,
     train_gaussian,
-    train_gaussian_grid,
     train_laplace,
     train_laplace_grid,
 )
@@ -68,6 +68,7 @@ __all__ = [
     "SyntheticDataset",
     "TrueCrf",
     "decode",
+    "decode_instances",
     "evaluate_weight_rows",
     "evaluate_weights",
     "feature_vector",
@@ -94,7 +95,6 @@ __all__ = [
     "structured_hinge_objective",
     "subgradient_train",
     "train_gaussian",
-    "train_gaussian_grid",
     "train_laplace",
     "train_laplace_grid",
 ]

@@ -9,7 +9,8 @@ The ``*_rows`` functions and :func:`feature_vectors` work on a batch: B
 weight vectors as a (B, K) array, or B labelings of one input as a (B, L)
 array.  They skip input checks, so trainers validate their data once and
 then call them on every update; the single-model functions check their
-inputs and call them with B = 1.
+inputs and call them with B = 1.  :func:`decode_instances` decodes a whole
+dataset that way: one check of the weights, one DP call per length.
 """
 
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ __all__ = [
     "hamming_loss",
     "feature_vectors",
     "decode_rows",
+    "decode_instances",
     "loss_augmented_decode_rows",
 ]
 
@@ -110,15 +112,6 @@ class ChainModel:
             raise ValueError("weights must be finite")
 
 
-def _check_labels(spec: FeatureSpec, y: np.ndarray) -> np.ndarray:
-    y = np.asarray(y, dtype=np.int64)
-    if y.ndim != 1:
-        raise ValueError("labels must be one-dimensional")
-    if np.any(y < 0) or np.any(y >= spec.m):
-        raise ValueError(f"label indices must lie in [0, {spec.m})")
-    return y
-
-
 def _check_inputs(spec: FeatureSpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -128,6 +121,19 @@ def _check_inputs(spec: FeatureSpec, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _check_instance(spec: FeatureSpec, x: np.ndarray, y: np.ndarray):
+    """(x, y) as a float (L, d) matrix and L int labels in [0, m), or ValueError."""
+    x = _check_inputs(spec, x)
+    y = np.asarray(y, dtype=np.int64)
+    if y.ndim != 1:
+        raise ValueError("labels must be one-dimensional")
+    if np.any(y < 0) or np.any(y >= spec.m):
+        raise ValueError(f"label indices must lie in [0, {spec.m})")
+    if y.shape[0] != x.shape[0]:
+        raise ValueError("labels and inputs disagree on sequence length")
+    return x, y
+
+
 def feature_vector(spec: FeatureSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Joint feature map of a labeled sequence.
 
@@ -135,10 +141,7 @@ def feature_vector(spec: FeatureSpec, x: np.ndarray, y: np.ndarray) -> np.ndarra
     transition feature (c, c') counts adjacent pairs (y[l], y[l+1]) == (c, c').
     Additive over positions, deterministic.
     """
-    x = _check_inputs(spec, x)
-    y = _check_labels(spec, y)
-    if y.shape[0] != x.shape[0]:
-        raise ValueError("labels and inputs disagree on sequence length")
+    x, y = _check_instance(spec, x, y)
     return feature_vectors(spec, x, y[None])[0]
 
 
@@ -219,6 +222,32 @@ def decode(model: ChainModel, x: np.ndarray) -> np.ndarray:
     return decode_rows(model.spec, model.weights[None], x[None])[0, 0]
 
 
+def decode_instances(spec: FeatureSpec, weights, instances) -> list:
+    """Highest-scoring labelings of every instance under each row of (B, K) ``weights``.
+
+    Returns one (B, L_i) array per instance, in input order.  The weights
+    and each instance's d are checked once; then the instances of one
+    length are decoded under all B rows in one :func:`decode_rows` call, so
+    each labeling is bit-equal to :func:`decode` of that instance alone.
+    """
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 2 or weights.shape[1] != spec.K:
+        raise ValueError(f"expected rows of {spec.K} weights, got shape {weights.shape}")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("weights must be finite")
+    by_length = {}
+    for i, inst in enumerate(instances):
+        if inst.features.shape[1] != spec.d:
+            raise ValueError(f"expected {spec.d} input features, got {inst.features.shape[1]}")
+        by_length.setdefault(len(inst), []).append(i)
+    preds = [None] * len(instances)
+    for group in by_length.values():
+        labels = decode_rows(spec, weights, np.stack([instances[i].features for i in group]))
+        for g, i in enumerate(group):
+            preds[i] = labels[:, g]
+    return preds
+
+
 def loss_augmented_decode_rows(
     spec: FeatureSpec, weights: np.ndarray, x: np.ndarray, gold: np.ndarray
 ):
@@ -240,10 +269,7 @@ def loss_augmented_decode(model: ChainModel, instance: SequenceInstance):
     exact chain DP with the same tie-breaking as :func:`decode`.  Used to
     find the most violated margin constraint during training.
     """
-    x = _check_inputs(model.spec, instance.features)
-    gold = _check_labels(model.spec, instance.labels)
-    if gold.shape[0] != x.shape[0]:
-        raise ValueError("gold labels and inputs disagree on sequence length")
+    x, gold = _check_instance(model.spec, instance.features, instance.labels)
     labels, values = loss_augmented_decode_rows(model.spec, model.weights[None], x, gold)
     return labels[0], float(values[0])
 

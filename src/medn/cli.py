@@ -16,10 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import BoundInputs, margin_sample_count, pac_bound
-from .chain import ChainModel, FeatureSpec, decode
+from .chain import ChainModel, FeatureSpec, decode_instances
 from .curves import (
     identity_points,
-    kl_norm_2d,
     l1_unit_ball,
     l2_unit_ball,
     norm_ball_boundary,
@@ -29,7 +28,7 @@ from .curves import (
 )
 from .dataio import ModelFile, read_dataset, read_model_file, write_dataset, write_model_file
 from .metrics import evaluate_weight_rows, evaluate_weights, mean_std
-from .models import LaplaceConfig, train_gaussian_grid, train_laplace_grid
+from .models import LaplaceConfig, train_laplace_grid
 from .optimize import SubgradConfig, lockstep_train, structured_hinge_objective
 from .synth import GeneratorConfig, gen_dataset
 
@@ -128,14 +127,13 @@ def _train_grid(model_name, instances, spec, grid, *, c, iters, outer_iters, see
     if model_name == "l1m3n":
         return lockstep_train(instances, spec, cfgs, radii=[r for _, _, r in grid]), None, c_eff
     if model_name == "m3n":
-        posts = train_gaussian_grid(instances, spec, cfgs)
-    else:
-        lcfgs = [
-            LaplaceConfig(lam=lam, inner=cfg, C=cfg.C, outer_iters=outer_iters)
-            for (lam, _, _), cfg in zip(grid, cfgs)
-        ]
-        posts = train_laplace_grid(instances, spec, lcfgs)
-    return np.array([p.mean for p in posts]), np.array([p.var_diag for p in posts]), c_eff
+        ones = np.ones((len(cfgs), spec.K))
+        return lockstep_train(instances, spec, cfgs, inv_diag=ones), ones, c_eff
+    lcfgs = [
+        LaplaceConfig(lam=lam, inner=cfg, C=cfg.C, outer_iters=outer_iters)
+        for (lam, _, _), cfg in zip(grid, cfgs)
+    ]
+    return (*train_laplace_grid(instances, spec, lcfgs), c_eff)
 
 
 def _cmd_train(args) -> int:
@@ -197,11 +195,8 @@ def _cmd_predict(args) -> int:
     model = read_model_file(args.model_file)
     instances, spec, _ = read_dataset(args.data)
     _check_compatible(model, spec)
-    chain = ChainModel(spec, model.weights)
-    rows = []
-    for i, inst in enumerate(instances):
-        pred = decode(chain, inst.features)
-        rows.append([i, " ".join(str(int(v)) for v in pred)])
+    preds = decode_instances(spec, model.weights[None], instances)
+    rows = [[i, " ".join(str(int(v)) for v in pred[0])] for i, pred in enumerate(preds)]
     _write_csv(args.out, ["index", "y_pred"], rows)
     print(f"wrote predictions for {len(rows)} instances to {args.out}")
     return 0
@@ -327,6 +322,8 @@ def _parse_eta_grid(text: str) -> np.ndarray:
 
 
 def _cmd_shrinkage_curve(args) -> int:
+    if not args.lambdas:
+        raise ValueError("shrinkage-curve requires nonempty --lambdas")
     rows = []
     explicit = _parse_eta_grid(args.eta_grid) if args.eta_grid else None
     widest = None

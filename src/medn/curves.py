@@ -38,6 +38,8 @@ def shrinkage_eta_grid(lam: float, n_points: int = 50, frac: float = 0.9) -> np.
         raise ValueError("lam must be positive")
     if not 0.0 < frac < 1.0:
         raise ValueError("frac must lie strictly inside (0, 1)")
+    if n_points < 1:
+        raise ValueError(f"need at least 1 grid point, got {n_points}")
     half_width = frac * math.sqrt(lam)
     return np.linspace(-half_width, half_width, n_points)
 

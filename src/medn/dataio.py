@@ -143,6 +143,8 @@ class ModelFile:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.shape != (self.spec.K,):
             raise ValueError("weights length disagrees with spec")
+        if not np.all(np.isfinite(self.weights)):
+            raise ValueError("weights must be finite")
         if self.var_diag is not None:
             self.var_diag = np.asarray(self.var_diag, dtype=float)
             if self.var_diag.shape != (self.spec.K,):

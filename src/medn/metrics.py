@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import FeatureSpec, decode_rows
+from .chain import FeatureSpec, decode_instances
 
 __all__ = ["MetricsReport", "evaluate_weights", "evaluate_weight_rows", "mean_std"]
 
@@ -34,30 +34,14 @@ def evaluate_weights(spec: FeatureSpec, weights, instances) -> MetricsReport:
 
 
 def evaluate_weight_rows(spec: FeatureSpec, weights, instances) -> list:
-    """:func:`evaluate_weights` for each row of (B, K) ``weights``.
-
-    Instances of one length are decoded under all B rows in one batched DP
-    call.
-    """
+    """:func:`evaluate_weights` for each row of (B, K) ``weights``, decoded
+    with :func:`medn.chain.decode_instances`."""
     if not instances:
         raise ValueError("evaluation set must be nonempty")
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 2 or weights.shape[1] != spec.K:
-        raise ValueError(f"expected rows of {spec.K} weights, got shape {weights.shape}")
-    if not np.all(np.isfinite(weights)):
-        raise ValueError("weights must be finite")
-    by_length = {}
-    for inst in instances:
-        if inst.features.shape[1] != spec.d:
-            raise ValueError(f"expected {spec.d} input features, got {inst.features.shape[1]}")
-        by_length.setdefault(len(inst), []).append(inst)
-    wrong_positions = np.zeros(len(weights), dtype=np.int64)
-    wrong_sequences = np.zeros(len(weights), dtype=np.int64)
-    for group in by_length.values():
-        preds = decode_rows(spec, weights, np.stack([inst.features for inst in group]))
-        mismatches = (preds != np.stack([inst.labels for inst in group])).sum(axis=2)  # (B, G)
-        wrong_positions += mismatches.sum(axis=1)
-        wrong_sequences += (mismatches > 0).sum(axis=1)
+    preds = decode_instances(spec, weights, instances)
+    mismatches = np.array([(p != inst.labels).sum(axis=1) for p, inst in zip(preds, instances)])
+    wrong_positions = mismatches.sum(axis=0)  # (B,)
+    wrong_sequences = (mismatches > 0).sum(axis=0)
     total_positions = sum(len(inst) for inst in instances)
     return [
         MetricsReport(

@@ -8,11 +8,12 @@
 * L1-constrained max-margin training, which is
   :func:`medn.optimize.l1_constrained_train` itself.
 
-The Gaussian and Laplace trainers also take a whole grid of configs that
-share one instance order (``train_gaussian_grid``, ``train_laplace_grid``)
-and train it in lockstep, one kernel call per solve; the single-config
-trainers are the grid trainers with one config.  An L1 grid is one
-:func:`medn.optimize.lockstep_train` call with one radius per config.
+A grid of configs that share one instance order trains in lockstep and
+comes back as arrays: an m3n grid is one
+:func:`medn.optimize.lockstep_train` call with an identity penalty per
+config, an L1 grid one call with a radius per config, and a Laplace grid
+is ``train_laplace_grid``, one kernel call per round.  Only the
+single-config trainers wrap their result in a :class:`Posterior`.
 
 Also provides the analysis functions for the Laplace posterior: the
 entropic shrinkage map, the closed-form log-normalizer and its gradient,
@@ -25,13 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import (
-    ChainModel,
-    FeatureSpec,
-    decode,
-    feature_vector,
-    hamming_loss,
-)
+from .chain import ChainModel, FeatureSpec, _check_instance, decode, feature_vectors
 from .optimize import SubgradConfig, lockstep_train
 
 __all__ = [
@@ -40,7 +35,6 @@ __all__ = [
     "DualWeights",
     "VARIANCE_FLOOR",
     "train_gaussian",
-    "train_gaussian_grid",
     "train_laplace",
     "train_laplace_grid",
     "predict_mean",
@@ -134,23 +128,34 @@ class DualWeights:
                 a = float(a)
                 if a < 0:
                     raise ValueError("dual weights must be nonnegative")
-                row[tuple(int(v) for v in y)] = a
+                y = tuple(int(v) for v in y)
+                if not all(0 <= v < self.spec.m for v in y):
+                    raise ValueError(f"label indices must lie in [0, {self.spec.m})")
+                row[y] = a
             cleaned.append(row)
         self.alphas = cleaned
 
     def _accumulate(self, data):
-        """Weighted feature-difference vector and weighted total loss."""
+        """Weighted feature-difference vector, weighted total loss, and per
+        instance the (A, K) gold-minus-alternative deltas and A Hamming
+        losses of its A labelings, in ``alphas`` order."""
         if len(data) != len(self.alphas):
             raise ValueError("dual weights and data disagree on instance count")
         eta = np.zeros(self.spec.K)
         loss_sum = 0.0
+        terms = []
         for inst, amap in zip(data, self.alphas):
-            gold = feature_vector(self.spec, inst.features, inst.labels)
-            for y, a in amap.items():
-                y_arr = np.asarray(y, dtype=np.int64)
-                eta += a * (gold - feature_vector(self.spec, inst.features, y_arr))
-                loss_sum += a * hamming_loss(inst.labels, y_arr)
-        return eta, loss_sum
+            x, gold = _check_instance(self.spec, inst.features, inst.labels)
+            if any(len(y) != len(gold) for y in amap):
+                raise ValueError("labelings and inputs disagree on sequence length")
+            ys = np.array(list(amap), dtype=np.int64).reshape(len(amap), len(gold))
+            feats = feature_vectors(self.spec, x, np.vstack([gold[None], ys]))
+            deltas, losses = feats[0] - feats[1:], (ys != gold).sum(axis=1).tolist()
+            for a, delta, loss in zip(amap.values(), deltas, losses):
+                eta += a * delta
+                loss_sum += a * loss
+            terms.append((deltas, losses))
+        return eta, loss_sum, terms
 
     def eta(self, data) -> np.ndarray:
         """Sum over instances and labelings of alpha * (gold - alternative) features."""
@@ -165,21 +170,8 @@ def train_gaussian(data: list, spec: FeatureSpec, cfg: SubgradConfig) -> Posteri
     with unit variances.  Averaged prediction with this posterior therefore
     coincides with decoding under the point weights.
     """
-    return train_gaussian_grid(data, spec, [cfg])[0]
-
-
-def train_gaussian_grid(data: list, spec: FeatureSpec, cfgs) -> list:
-    """:func:`train_gaussian` for every config, in one lockstep solve.
-
-    The configs must share ``seed`` and ``iterations``; each result is
-    bit-equal to training its config alone.
-    """
-    cfgs = list(cfgs)
-    means = lockstep_train(data, spec, cfgs, inv_diag=np.ones((len(cfgs), spec.K)))
-    return [
-        Posterior(spec=spec, mean=mean, var_diag=np.ones(spec.K), prior="gaussian")
-        for mean in means
-    ]
+    mean = lockstep_train(data, spec, [cfg], inv_diag=np.ones((1, spec.K)))[0]
+    return Posterior(spec=spec, mean=mean, var_diag=np.ones(spec.K), prior="gaussian")
 
 
 def train_laplace(data: list, spec: FeatureSpec, cfg: LaplaceConfig) -> Posterior:
@@ -194,16 +186,18 @@ def train_laplace(data: list, spec: FeatureSpec, cfg: LaplaceConfig) -> Posterio
     and their variances contract toward the prior scale, which is what
     drives the shrinkage of irrelevant-feature weights.
     """
-    return train_laplace_grid(data, spec, [cfg])[0]
+    mean, var = train_laplace_grid(data, spec, [cfg])
+    return Posterior(spec=spec, mean=mean[0], var_diag=var[0], prior="laplace", lam=cfg.lam)
 
 
-def train_laplace_grid(data: list, spec: FeatureSpec, cfgs) -> list:
+def train_laplace_grid(data: list, spec: FeatureSpec, cfgs):
     """:func:`train_laplace` for every config, all rounds in lockstep.
 
+    Returns the (B, K) posterior means and variances, one row per config.
     The configs must share ``outer_iters`` and their inner ``seed`` and
     ``iterations``; ``lam``, ``C`` and the inner ``beta`` may differ.  Each
     round is one lockstep solve over every config, followed by each
-    config's variance refresh, so each result is bit-equal to training its
+    config's variance refresh, so each row is bit-equal to training its
     config alone.
     """
     cfgs = list(cfgs)
@@ -219,10 +213,7 @@ def train_laplace_grid(data: list, spec: FeatureSpec, cfgs) -> list:
         mean = lockstep_train(data, spec, inners, inv_diag=1.0 / var)
         second_moment = var + mean**2
         var = np.maximum(np.sqrt(second_moment / lams), VARIANCE_FLOOR)
-    return [
-        Posterior(spec=spec, mean=mu, var_diag=v, prior="laplace", lam=cfg.lam)
-        for mu, v, cfg in zip(mean, var, cfgs)
-    ]
+    return mean, var
 
 
 def predict_mean(post: Posterior, x: np.ndarray) -> np.ndarray:
@@ -263,7 +254,7 @@ def laplace_log_z(dual: DualWeights, data: list, lam: float) -> float:
     + sum_k log(lam / (lam - eta_k**2)) with eta from :meth:`DualWeights.eta`.
     Requires eta_k**2 < lam for every coordinate.
     """
-    eta, loss_sum = dual._accumulate(data)
+    eta, loss_sum, _ = dual._accumulate(data)
     _check_eta_domain(eta, lam)
     return float(-loss_sum + np.sum(np.log(lam / (lam - eta**2))))
 
@@ -276,19 +267,13 @@ def laplace_log_z_grad(dual: DualWeights, data: list, lam: float) -> list:
     shrunken posterior mean.  Returned as one dict per instance, keyed like
     ``dual.alphas``.
     """
-    eta = dual.eta(data)
+    eta, _, terms = dual._accumulate(data)
     _check_eta_domain(eta, lam)
     v = 2.0 * eta / (lam - eta**2)
-    out = []
-    for inst, amap in zip(data, dual.alphas):
-        gold = feature_vector(dual.spec, inst.features, inst.labels)
-        row = {}
-        for y in amap:
-            y_arr = np.asarray(y, dtype=np.int64)
-            delta = gold - feature_vector(dual.spec, inst.features, y_arr)
-            row[y] = float(np.dot(v, delta)) - hamming_loss(inst.labels, y_arr)
-        out.append(row)
-    return out
+    return [
+        {y: float(np.dot(v, delta)) - loss for y, delta, loss in zip(amap, deltas, losses)}
+        for amap, (deltas, losses) in zip(dual.alphas, terms)
+    ]
 
 
 def kl_norm(mu, lam: float) -> float:

@@ -17,10 +17,9 @@ import numpy as np
 from .chain import (
     ChainModel,
     FeatureSpec,
+    _check_instance,
     feature_vectors,
-    loss_augmented_decode,
     loss_augmented_decode_rows,
-    score,
 )
 
 __all__ = [
@@ -83,10 +82,7 @@ def _check_data(data, spec: FeatureSpec):
     if not data:
         raise ValueError("training data must be nonempty")
     for inst in data:
-        if inst.features.shape[1] != spec.d:
-            raise ValueError("instance feature dimension disagrees with spec")
-        if np.any(inst.labels >= spec.m):
-            raise ValueError("instance label out of range for spec")
+        _check_instance(spec, inst.features, inst.labels)
 
 
 def lockstep_train(
@@ -258,13 +254,16 @@ def structured_hinge_objective(
     """Objective value 0.5 w' diag(inv_diag) w + C * sum_i hinge_i(w).
 
     Pass ``inv_diag=None`` for the unregularized hinge total (the quantity
-    constrained trainers minimize inside their feasible set).
+    constrained trainers minimize inside their feasible set).  Each
+    instance is checked once; empty ``data`` gives the penalty term alone.
     """
+    spec, w = model.spec, model.weights
+    checked = [_check_instance(spec, inst.features, inst.labels) for inst in data]
     reg = 0.0
     if inv_diag is not None:
-        reg = 0.5 * float(np.dot(model.weights, np.asarray(inv_diag) * model.weights))
+        reg = 0.5 * float(np.dot(w, np.asarray(inv_diag) * w))
     hinge = 0.0
-    for inst in data:
-        _, value = loss_augmented_decode(model, inst)
-        hinge += value - score(model, inst.features, inst.labels)
+    for x, y in checked:
+        _, value = loss_augmented_decode_rows(spec, w[None], x, y)
+        hinge += float(value[0]) - float(np.dot(w, feature_vectors(spec, x, y[None])[0]))
     return reg + C * hinge

@@ -19,7 +19,6 @@ from medn import (
     LaplaceConfig,
     SequenceInstance,
     SubgradConfig,
-    TrueCrf,
     decode,
     evaluate_weights,
     gen_crf,

@@ -17,8 +17,8 @@ from medn import (
     loss_augmented_decode,
     score,
 )
-from medn.chain import _viterbi, decode_rows, feature_vectors
-from oracles import chain_scores, enumerate_labelings, manual_score
+from medn.chain import _viterbi, decode_instances, decode_rows, feature_vectors
+from oracles import chain_scores, enumerate_labelings, make_mixed_instances, manual_score
 
 
 class TestFeatureSpec:
@@ -34,7 +34,29 @@ class TestFeatureSpec:
             FeatureSpec(d=3, m=1)
 
 
+@st.composite
+def _split_sequences(draw):
+    """A labeled sequence with quarter-integer features, so that every
+    feature sum is exact, and a split point 0 < l < L."""
+    d, m, length = draw(st.integers(1, 3)), draw(st.integers(2, 3)), draw(st.integers(2, 6))
+    quarters = st.integers(-8, 8).map(lambda k: k / 4.0)
+    x = np.array(draw(st.lists(quarters, min_size=length * d, max_size=length * d)))
+    y = np.array(draw(st.lists(st.integers(0, m - 1), min_size=length, max_size=length)))
+    return FeatureSpec(d, m), x.reshape(length, d), y, draw(st.integers(1, length - 1))
+
+
 class TestFeatureVector:
+    @settings(max_examples=150, deadline=None)
+    @given(_split_sequences())
+    def test_additive_across_a_split(self, case):
+        """f(x, y) = f(x[:l], y[:l]) + f(x[l:], y[l:]) + the one (y[l-1], y[l])
+        transition that crosses the split."""
+        spec, x, y, l = case
+        seam = np.zeros(spec.K)
+        seam[spec.n_state + y[l - 1] * spec.m + y[l]] = 1.0
+        parts = feature_vector(spec, x[:l], y[:l]) + feature_vector(spec, x[l:], y[l:]) + seam
+        assert np.array_equal(feature_vector(spec, x, y), parts)
+
     def test_hand_enumerated_two_positions(self):
         """d=1, m=2, x=[[1],[1]], y=[0,0]: state block (2, 0), one (0,0) transition."""
         spec = FeatureSpec(d=1, m=2)
@@ -219,6 +241,31 @@ class TestBatchedViterbi:
         feats = feature_vectors(spec, xs[0], rows[:, 0])
         for y, f in zip(rows[:, 0], feats):
             assert np.array_equal(f, feature_vector(spec, xs[0], y))
+
+
+    def test_decode_instances_equals_per_instance_decode_in_input_order(self):
+        rng = np.random.default_rng(14)
+        spec = FeatureSpec(d=3, m=3)
+        weights = rng.standard_normal((2, spec.K))
+        instances = make_mixed_instances(rng, n=9, d=3, m=3)
+        preds = decode_instances(spec, weights, instances)
+        assert len(preds) == len(instances)
+        for inst, pred in zip(instances, preds):
+            assert pred.shape == (2, len(inst))
+            for w, labels in zip(weights, pred):
+                assert np.array_equal(labels, decode(ChainModel(spec, w), inst.features))
+        assert decode_instances(spec, weights, []) == []
+
+    def test_decode_instances_checks_weights_and_width(self):
+        rng = np.random.default_rng(15)
+        spec = FeatureSpec(d=3, m=3)
+        instances = make_mixed_instances(rng, n=3, d=3, m=3)
+        for bad in (np.zeros(spec.K), np.zeros((2, spec.K + 1)), np.full((1, spec.K), np.nan)):
+            with pytest.raises(ValueError):
+                decode_instances(spec, bad, instances)
+        narrow = FeatureSpec(d=2, m=3)
+        with pytest.raises(ValueError, match="input features"):
+            decode_instances(narrow, np.zeros((1, narrow.K)), instances)
 
 
 class TestLossAugmentedDecode:

@@ -300,6 +300,35 @@ def test_train_bytes_are_pinned(tmp_path, flags, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# The objective line train prints for each pinned model and the sha256 of
+# the predictions it makes on the mixed file, recorded when predict decoded
+# one instance per call and the objective decoded and scored one checked
+# instance at a time.
+PINNED_OBJECTIVE_AND_PREDICT = [
+    ("final objective: 139179.414422\n",
+     "5f1f1791fdac92a14ca0d16dc452f3094abe20c3bcfb5b4a2f2011ecdadcd15a"),
+    ("final objective: 19.658521\n",
+     "bdc4ecf89c0e1c2a6891c0f9d537892c07253dd3ec977a6c3908d9621b6cde3c"),
+    ("final objective: 29.785218\n",
+     "1c0ce4051ee6c13b838e85d840a7d9f421d67b2da30da28d3f4f1b7dcef3ad43"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, objective, digest",
+    [(flags, *pins) for (flags, _), pins in zip(PINNED_TRAIN, PINNED_OBJECTIVE_AND_PREDICT)],
+    ids=["m3n", "lapmedn", "l1m3n"],
+)
+def test_objective_and_predict_bytes_are_pinned(tmp_path, capsys, flags, objective, digest):
+    data, model, preds = tmp_path / "mixed.jsonl", tmp_path / "model.json", tmp_path / "p.csv"
+    _write_mixed_dataset(data)
+    assert main(["train", "--data", str(data), *flags, "--iters", "6", "--seed", "3",
+                 "--out", str(model)]) == 0
+    assert objective in capsys.readouterr().out
+    assert main(["predict", "--model-file", str(model), "--data", str(data), "--out", str(preds)]) == 0
+    assert hashlib.sha256(preds.read_bytes()).hexdigest() == digest
+
+
 class TestCurveCommands:
     def test_shrinkage_curve_rows(self, tmp_path):
         out = tmp_path / "shrink.csv"
@@ -320,6 +349,19 @@ class TestCurveCommands:
             main(["shrinkage-curve", "--lambdas", "4", "--eta-grid=-2:2:5", "--out", str(out)])
             == 2
         )
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--points", "0"], "error: need at least 1 grid point"),
+            (["--lambdas", ""], "error: shrinkage-curve requires nonempty --lambdas"),
+        ],
+        ids=["zero-points", "empty-lambdas"],
+    )
+    def test_empty_grid_is_a_one_line_error(self, tmp_path, capsys, flags, message):
+        assert main(["shrinkage-curve", *flags, "--out", str(tmp_path / "s.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
 
     def test_norm_ball_rows(self, tmp_path):
         out = tmp_path / "ball.csv"
@@ -397,6 +439,7 @@ _GOOD_LINE = '{"x":[[1.0,0.0]],"y":[0]}'
         ("data", 3, '{"x":[[1.0,0.0]],"y":[-1]}'),
         ("data", 1, '{"kind":"sequence-dataset","format":1,"d":"two","m":2}'),
         ("model", 1, {"weights": None}),
+        ("model", 1, {"weights": [float("nan")] * 8}),
         ("model", 1, {"var_diag": [0.0] * 8}),
         ("model", 1, {"var_diag": [float("nan")] * 8}),
         ("model", 1, {"d": 3}),

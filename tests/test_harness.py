@@ -1,10 +1,13 @@
 """File formats, metrics, the bound calculator, and curve generation."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from medn import (
@@ -81,6 +84,41 @@ class TestDatasetFiles:
             fh.write('{"x":[[1.0]],"y":[2]}\n')
         with pytest.raises(ValueError):
             read_dataset(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        edits=st.lists(
+            st.tuples(
+                st.integers(0, 10**6),
+                st.sampled_from(["delete", "insert", "replace"]),
+                st.sampled_from(list('{}[]",:-+.0123456789eExydm \n')),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_mutated_file_parses_or_fails_with_one_located_line(self, tmp_path_factory, edits):
+        """Deleting, inserting or replacing up to three characters of a valid
+        file either leaves it readable or gives a one-line ``ValueError``
+        that starts with ``path:line:``."""
+        path = tmp_path_factory.getbasetemp() / "mutated.jsonl"
+        write_dataset(
+            path,
+            [SequenceInstance([[0.5, -1.0], [2.0, 0.0]], [1, 2]), SequenceInstance([[1.0, 3.0]], [0])],
+            FeatureSpec(2, 3),
+        )
+        text = path.read_text()
+        for pos, op, char in edits:
+            i = pos % (len(text) + (op == "insert"))
+            tail = text[i:] if op == "insert" else text[i + 1 :]
+            text = text[:i] + ("" if op == "delete" else char) + tail
+        path.write_text(text)
+        try:
+            read_dataset(path)
+        except ValueError as exc:
+            message = str(exc)
+            assert re.match(rf"{re.escape(str(path))}:\d+: ", message), message
+            assert "\n" not in message
 
 
 class TestModelFiles:

@@ -34,6 +34,7 @@ from oracles import (
     enumerate_labelings,
     inverse_variance_expectation,
     laplace_tilted_mean,
+    make_mixed_instances,
     make_signal_instances,
 )
 
@@ -336,6 +337,32 @@ class TestLaplaceLogZ:
         spec, data, rivals, _ = _tiny_dual_problem()
         with pytest.raises(ValueError):
             DualWeights(spec=spec, C=1.0, alphas=[{rivals[0]: -0.1}])
+
+    def test_bad_labelings_rejected(self):
+        spec, data, rivals, _ = _tiny_dual_problem()
+        with pytest.raises(ValueError, match="label indices"):
+            DualWeights(spec=spec, C=1.0, alphas=[{(0, 2): 0.1}])
+        with pytest.raises(ValueError, match="sequence length"):
+            laplace_log_z(DualWeights(spec=spec, C=1.0, alphas=[{(0, 1, 1): 0.1}]), data, 4.0)
+
+    def test_values_are_pinned(self):
+        """Recorded when each labeling's features were recomputed, one checked
+        feature map at a time, for the value and again for the gradient."""
+        rng = np.random.default_rng(150)
+        spec = FeatureSpec(d=2, m=3)
+        data = make_mixed_instances(rng, n=3, d=2, m=3, max_length=3)
+        alphas = []
+        for inst in data:
+            ys = [tuple(rng.integers(0, 3, len(inst)).tolist()) for _ in range(3)]
+            alphas.append({y: float(rng.uniform(0, 0.1)) for y in ys})
+        dual = DualWeights(spec, 1.0, alphas)
+        assert laplace_log_z(dual, data, 9.0) == -0.5177917886031935
+        assert laplace_log_z_grad(dual, data, 9.0) == [
+            {(1, 0): -1.7231053981515418, (1, 2): -1.770331923738206, (2, 0): -1.739317965753064},
+            {(2, 2, 0): -0.9888094001256699, (1, 0, 0): -2.9156221815266092,
+             (2, 1, 1): -0.9468023568337971},
+            {(0,): 0.0, (1,): -0.8411066013057018},
+        ]
 
 
 class TestKlNorm:

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medn import (
     ChainModel,
@@ -35,7 +37,34 @@ from oracles import (
 )
 
 
+@st.composite
+def _projection_cases(draw):
+    dim = draw(st.integers(1, 8))
+    entries = st.floats(-100.0, 100.0, allow_subnormal=False)
+    return np.array(draw(st.lists(entries, min_size=dim, max_size=dim))), draw(st.floats(1e-3, 100.0))
+
+
 class TestL1BallProject:
+    @settings(max_examples=200, deadline=None)
+    @given(_projection_cases())
+    def test_kkt_conditions(self, case):
+        """The result is feasible.  A point inside the ball comes back
+        unchanged; any other lands on the boundary as
+        sign(v) * max(|v| - theta, 0) for one threshold theta >= 0."""
+        v, radius = case
+        u = l1_ball_project(v, radius)
+        mag = np.abs(v)
+        tol = 1e-9 * max(radius, mag.max())
+        assert np.abs(u).sum() <= radius + tol
+        if mag.sum() <= radius:
+            assert np.array_equal(u, v)
+            return
+        assert abs(np.abs(u).sum() - radius) <= tol
+        support = u != 0.0
+        theta = float(np.max(mag[support] - np.abs(u[support])))
+        assert theta >= -tol
+        np.testing.assert_allclose(u, np.sign(v) * np.maximum(mag - theta, 0.0), rtol=0, atol=tol)
+
     def test_inside_ball_unchanged(self):
         v = np.array([0.5, 0.5])
         np.testing.assert_array_equal(l1_ball_project(v, 1.0), v)
@@ -254,6 +283,42 @@ class TestL1ConstrainedTrain:
             l1_constrained_train(data, spec, 0.0, _identity_cfg())
 
 
+class TestStructuredHingeObjective:
+    def _problem(self):
+        rng = np.random.default_rng(145)
+        spec = FeatureSpec(d=3, m=3)
+        data = make_mixed_instances(rng, n=30, d=3, m=3)
+        return spec, data, 3.0 * rng.standard_normal(spec.K), rng.uniform(0.5, 2.0, spec.K)
+
+    def test_values_are_pinned(self):
+        """Recorded when every instance was decoded and scored one checked
+        call at a time.  On this data, summing the hinge terms in any other
+        order (reversed, values and scores apart, or by np.sum) changes the
+        last bit."""
+        spec, data, w, inv = self._problem()
+        model = ChainModel(spec, w)
+        assert structured_hinge_objective(data, model, 2.5, inv_diag=inv) == 1356.239719678744
+        assert structured_hinge_objective(data, model, 2.5) == 1253.972226518211
+
+    def test_empty_data_gives_the_penalty_term(self):
+        spec, _, w, inv = self._problem()
+        model = ChainModel(spec, w)
+        assert structured_hinge_objective([], model, 2.5, inv_diag=inv) == 0.5 * float(
+            np.dot(w, inv * w)
+        )
+        assert structured_hinge_objective([], model, 2.5) == 0.0
+
+    def test_bad_instances_raise(self):
+        spec, data, w, _ = self._problem()
+        model = ChainModel(spec, w)
+        wide = SequenceInstance(np.zeros((2, 4)), [0, 1])
+        with pytest.raises(ValueError, match="input features"):
+            structured_hinge_objective(data + [wide], model, 1.0)
+        out_of_range = SequenceInstance(np.zeros((2, 3)), [0, 3])
+        with pytest.raises(ValueError, match="label"):
+            structured_hinge_objective([out_of_range] + data, model, 1.0)
+
+
 def _lockstep_problem(seed, m):
     rng = np.random.default_rng(seed)
     spec = FeatureSpec(d=3, m=m)
@@ -289,11 +354,11 @@ class TestLockstepEqualsPerConfigLoops:
         ]
         for rounds in (1, 2, 3):
             grid = [LaplaceConfig(c.lam, c.inner, c.C, outer_iters=rounds + 1) for c in cfgs]
-            posts = train_laplace_grid(data, spec, grid)
-            for post, cfg in zip(posts, cfgs):
+            means, variances = train_laplace_grid(data, spec, grid)
+            for got_mean, got_var, cfg in zip(means, variances, cfgs):
                 mean, var = reference_train_laplace(data, spec, cfg)[rounds - 1]
-                assert np.array_equal(post.mean, mean)
-                assert np.array_equal(post.var_diag, var)
+                assert np.array_equal(got_mean, mean)
+                assert np.array_equal(got_var, var)
 
     def test_l1m3n_rows(self, m):
         spec, data = _lockstep_problem(120 + m, m)
