@@ -18,29 +18,22 @@ from .chain import (
     loss_augmented_decode,
     score,
 )
-from .metrics import MetricsReport, evaluate_weight_rows, evaluate_weights, mean_std
+from .metrics import MetricsReport, evaluate_weight_rows, mean_std
 from .models import (
     DualWeights,
     LaplaceConfig,
-    Posterior,
     kl_norm,
     l1m3n_dual_check,
     laplace_log_z,
     laplace_log_z_grad,
-    predict_mean,
     shrinkage_mean,
-    train_gaussian,
-    train_laplace,
     train_laplace_grid,
 )
 from .optimize import (
-    QuadRegularizer,
     SubgradConfig,
     l1_ball_project,
-    l1_constrained_train,
     lockstep_train,
     structured_hinge_objective,
-    subgradient_train,
 )
 from .synth import (
     GeneratorConfig,
@@ -61,8 +54,6 @@ __all__ = [
     "GeneratorConfig",
     "LaplaceConfig",
     "MetricsReport",
-    "Posterior",
-    "QuadRegularizer",
     "SequenceInstance",
     "SubgradConfig",
     "SyntheticDataset",
@@ -70,7 +61,6 @@ __all__ = [
     "decode",
     "decode_instances",
     "evaluate_weight_rows",
-    "evaluate_weights",
     "feature_vector",
     "gen_crf",
     "gen_dataset",
@@ -80,7 +70,6 @@ __all__ = [
     "hamming_loss",
     "kl_norm",
     "l1_ball_project",
-    "l1_constrained_train",
     "l1m3n_dual_check",
     "laplace_log_z",
     "laplace_log_z_grad",
@@ -89,13 +78,9 @@ __all__ = [
     "margin_sample_count",
     "mean_std",
     "pac_bound",
-    "predict_mean",
     "score",
     "shrinkage_mean",
     "structured_hinge_objective",
-    "subgradient_train",
-    "train_gaussian",
-    "train_laplace",
     "train_laplace_grid",
 ]
 

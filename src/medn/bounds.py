@@ -8,6 +8,7 @@ the divergence between learned and prior weight distributions.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 __all__ = ["BoundInputs", "margin_sample_count", "pac_bound"]
 
@@ -36,12 +37,12 @@ class BoundInputs:
             raise ValueError("n must be at least 1")
         if self.y_card < 2:
             raise ValueError("y_card must be at least 2")
-        if not self.c > 0:
-            raise ValueError("c must be positive")
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-        if self.kl < 0:
-            raise ValueError("kl must be nonnegative")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError("c must be positive and finite")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
+        if not 0.0 <= self.kl < math.inf:
+            raise ValueError("kl must be nonnegative and finite")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 <= self.empirical_margin_rate <= 1.0:
@@ -52,16 +53,22 @@ def margin_sample_count(inputs: BoundInputs) -> int:
     """Discretization size ceil(16 c^2 gamma^-2 ln(n y_card^2 / (kl + 1))).
 
     Clamped below at 1 (the derivation needs a natural number).  The log
-    is taken term by term, so ``y_card`` may exceed the float range.
-    Raises ``ValueError`` when m is not finite, as for a huge c / gamma.
+    is taken term by term, so ``n`` and ``y_card`` may exceed the float
+    range; below 2 the ratio is exact and its log is log1p(ratio - 1),
+    since c^2 / gamma^2 would magnify the cancellation of two nearly equal
+    logs.  Raises ``ValueError`` when m is not finite, as for a huge c / gamma.
     """
-    log_ratio = (
-        math.log(inputs.n) + 2.0 * math.log(inputs.y_card) - math.log(inputs.kl + 1.0)
-    )
-    try:
-        value = 16.0 * inputs.c**2 / inputs.gamma**2 * log_ratio
-    except (OverflowError, ZeroDivisionError):  # c**2 overflowed or gamma**2 underflowed
-        value = math.inf
+    ratio = Fraction(inputs.n * inputs.y_card**2) / (Fraction(inputs.kl) + 1)
+    if ratio <= 1:
+        return 1
+    if ratio < 2:
+        log_ratio = math.log1p(float(ratio - 1))
+    else:
+        log_ratio = (
+            math.log(inputs.n) + 2.0 * math.log(inputs.y_card) - math.log(inputs.kl + 1.0)
+        )
+    scale = inputs.c / inputs.gamma  # a float product overflows to inf, never raises
+    value = 16.0 * scale * scale * log_ratio
     if not math.isfinite(value):
         raise ValueError(
             "sample count m = 16 c^2 / gamma^2 * ln(n y_card^2 / (kl + 1)) is not finite "
@@ -78,13 +85,24 @@ def pac_bound(inputs: BoundInputs) -> float:
       + sqrt((m kl + ln n + 3 ln((m + 1) / delta) + 2) / (2n - 1))
 
     with m from :func:`margin_sample_count`.  May exceed 1; vacuous bounds
-    are returned as computed, not clipped.  The tail is evaluated in log
-    space, so ``y_card`` may exceed the float range.
+    are returned as computed, not clipped.  The tail, and the complexity
+    term once 2n - 1 is past the float range, are evaluated in log space, so
+    ``n`` and ``y_card`` may exceed it.  Raises ``ValueError`` when m * kl
+    overflows.
     """
     m = margin_sample_count(inputs)
-    tail = math.exp(math.log(inputs.y_card) - m * inputs.gamma**2 / (32.0 * inputs.c**2))
-    complexity = math.sqrt(
-        (m * inputs.kl + math.log(inputs.n) + 3.0 * math.log((m + 1) / inputs.delta) + 2.0)
-        / (2.0 * inputs.n - 1.0)
+    inv_scale = inputs.gamma / inputs.c
+    tail = math.exp(math.log(inputs.y_card) - m * inv_scale * inv_scale / 32.0)
+    numerator = (
+        m * inputs.kl
+        + math.log(inputs.n)
+        + 3.0 * (math.log(m + 1) - math.log(inputs.delta))
+        + 2.0
     )
+    if not math.isfinite(numerator):
+        raise ValueError(f"complexity term m * kl is not finite (m={m}, kl={inputs.kl:g})")
+    try:
+        complexity = math.sqrt(numerator / (2 * inputs.n - 1))
+    except OverflowError:  # 2n - 1 is past the float range
+        complexity = math.exp(0.5 * (math.log(numerator) - math.log(2 * inputs.n - 1)))
     return inputs.empirical_margin_rate + tail + complexity

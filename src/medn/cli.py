@@ -27,7 +27,7 @@ from .curves import (
     shrinkage_points,
 )
 from .dataio import ModelFile, read_dataset, read_model_file, write_dataset, write_model_file
-from .metrics import evaluate_weight_rows, evaluate_weights, mean_std
+from .metrics import evaluate_weight_rows, mean_std
 from .models import LaplaceConfig, train_laplace_grid
 from .optimize import SubgradConfig, lockstep_train, structured_hinge_objective
 from .synth import GeneratorConfig, gen_dataset
@@ -206,7 +206,7 @@ def _cmd_eval(args) -> int:
     model = read_model_file(args.model_file)
     instances, spec, _ = read_dataset(args.data)
     _check_compatible(model, spec)
-    report = evaluate_weights(spec, model.weights, instances)
+    report = evaluate_weight_rows(spec, model.weights[None], instances)[0]
     row = [
         model.kind,
         Path(args.data).name,
@@ -341,6 +341,8 @@ def _cmd_shrinkage_curve(args) -> int:
 
 
 def _cmd_norm_ball(args) -> int:
+    if args.angles < 0:
+        raise ValueError(f"--angles must be nonnegative, got {args.angles}")
     rows = []
     for lam in args.lambdas:
         level = norm_ball_level(lam)

@@ -12,14 +12,13 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import brentq
 
-from .models import kl_norm, shrinkage_mean
+from .models import _check_lam, kl_norm, shrinkage_mean
 
 __all__ = [
     "CurvePoint",
     "shrinkage_eta_grid",
     "shrinkage_points",
     "identity_points",
-    "kl_norm_2d",
     "norm_ball_level",
     "norm_ball_boundary",
     "l1_unit_ball",
@@ -34,8 +33,7 @@ class CurvePoint(NamedTuple):
 
 def shrinkage_eta_grid(lam: float, n_points: int = 50, frac: float = 0.9) -> np.ndarray:
     """Symmetric grid of eta values strictly inside (-sqrt(lam), sqrt(lam))."""
-    if not lam > 0:
-        raise ValueError("lam must be positive")
+    _check_lam(lam)
     if not 0.0 < frac < 1.0:
         raise ValueError("frac must lie strictly inside (0, 1)")
     if n_points < 1:
@@ -58,25 +56,22 @@ def identity_points(etas) -> list[CurvePoint]:
     return [CurvePoint(float(e), float(e)) for e in np.asarray(etas, dtype=float)]
 
 
-def kl_norm_2d(w1: float, w2: float, lam: float) -> float:
-    """Two-coordinate weight penalty, used for boundary tracing."""
-    return kl_norm(np.array([w1, w2]), lam)
-
-
 def norm_ball_level(lam: float) -> float:
     """Level at which the 2-D penalty boundary passes through (0, 1):
     sqrt(1/lam) + sqrt(1 + 1/lam) - log(sqrt(lam + 1)/2 + 1/2) / sqrt(lam)."""
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    return (
+    _check_lam(lam)
+    level = (
         math.sqrt(1.0 / lam)
         + math.sqrt(1.0 + 1.0 / lam)
         - math.log(math.sqrt(lam + 1.0) / 2.0 + 0.5) / math.sqrt(lam)
     )
+    if not math.isfinite(level):  # 1 / lam overflowed
+        raise ValueError(f"penalty-ball level is not finite at lam={lam:g}")
+    return level
 
 
 def norm_ball_boundary(lam: float, n_angles: int = 360) -> np.ndarray:
-    """(n_angles, 2) points with kl_norm_2d(w1, w2) equal to the ball level.
+    """(n_angles, 2) points w with kl_norm(w, lam) equal to the ball level.
 
     One bracketed root-find per ray; the penalty is strictly increasing
     along every ray, so the root is unique.  Raises RuntimeError naming the
@@ -88,7 +83,7 @@ def norm_ball_boundary(lam: float, n_angles: int = 360) -> np.ndarray:
         cx, cy = math.cos(theta), math.sin(theta)
 
         def gap(r: float) -> float:
-            return kl_norm_2d(r * cx, r * cy, lam) - level
+            return kl_norm(np.array([r * cx, r * cy]), lam) - level
 
         hi = 1.0
         doublings = 0

@@ -67,6 +67,14 @@ def _located(path, lineno, exc) -> ValueError:
     return ValueError(f"{path}:{lineno}: {what}")
 
 
+def _json_int(obj: dict, key: str) -> int:
+    """``obj[key]`` if it is a JSON integer; booleans, floats and strings are not."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
 def _json_object(line: str) -> dict:
     obj = json.loads(line)
     if not isinstance(obj, dict):
@@ -78,9 +86,9 @@ def _parse_header(line: str) -> tuple[FeatureSpec, dict]:
     header = _json_object(line)
     if header.get("kind") != _DATASET_KIND:
         raise ValueError("not a dataset file")
-    if header.get("format") != DATASET_FORMAT:
-        raise ValueError(f"unsupported dataset format {header.get('format')}")
-    return FeatureSpec(int(header["d"]), int(header["m"])), header.get("meta", {})
+    if _json_int(header, "format") != DATASET_FORMAT:
+        raise ValueError(f"unsupported dataset format {header['format']}")
+    return FeatureSpec(_json_int(header, "d"), _json_int(header, "m")), header.get("meta", {})
 
 
 def _parse_instance(line: str, spec: FeatureSpec) -> SequenceInstance:
@@ -176,12 +184,12 @@ def read_model_file(path) -> ModelFile:
         text = fh.read()
     try:
         payload = _json_object(text)
-        if payload.get("format") != MODEL_FORMAT:
-            raise ValueError(f"unsupported model format {payload.get('format')}")
+        if _json_int(payload, "format") != MODEL_FORMAT:
+            raise ValueError(f"unsupported model format {payload['format']}")
         var = payload.get("var_diag")
         return ModelFile(
             kind=payload["kind"],
-            spec=FeatureSpec(int(payload["d"]), int(payload["m"])),
+            spec=FeatureSpec(_json_int(payload, "d"), _json_int(payload, "m")),
             weights=np.asarray(payload["weights"], dtype=float),
             var_diag=None if var is None else np.asarray(var, dtype=float),
             hyper=payload.get("hyper", {}),

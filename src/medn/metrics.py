@@ -6,7 +6,7 @@ import numpy as np
 
 from .chain import FeatureSpec, decode_instances
 
-__all__ = ["MetricsReport", "evaluate_weights", "evaluate_weight_rows", "mean_std"]
+__all__ = ["MetricsReport", "evaluate_weight_rows", "mean_std"]
 
 
 @dataclass(frozen=True)
@@ -28,14 +28,10 @@ class MetricsReport:
                 raise ValueError("error rates must lie in [0, 1]")
 
 
-def evaluate_weights(spec: FeatureSpec, weights, instances) -> MetricsReport:
-    """Decode every instance and count per-position and whole-sequence errors."""
-    return evaluate_weight_rows(spec, np.asarray(weights, dtype=float)[None], instances)[0]
-
-
 def evaluate_weight_rows(spec: FeatureSpec, weights, instances) -> list:
-    """:func:`evaluate_weights` for each row of (B, K) ``weights``, decoded
-    with :func:`medn.chain.decode_instances`."""
+    """One :class:`MetricsReport` per row of (B, K) ``weights``: decode every
+    instance with :func:`medn.chain.decode_instances` and count
+    per-position and whole-sequence errors."""
     if not instances:
         raise ValueError("evaluation set must be nonempty")
     preds = decode_instances(spec, weights, instances)

@@ -1,19 +1,12 @@
-"""The three model families behind one training interface.
+"""The Laplace-prior trainer and the Laplace-posterior analysis.
 
-* quadratic-penalty max-margin training (``train_gaussian``), whose point
-  weights double as the mean of a unit-variance Gaussian weight posterior;
-* the Laplace-prior variational trainer (``train_laplace``), which
-  alternates a variance-weighted max-margin solve with a coordinatewise
-  variance refresh and yields a shrunken, near-sparse posterior mean;
-* L1-constrained max-margin training, which is
-  :func:`medn.optimize.l1_constrained_train` itself.
-
-A grid of configs that share one instance order trains in lockstep and
-comes back as arrays: an m3n grid is one
-:func:`medn.optimize.lockstep_train` call with an identity penalty per
-config, an L1 grid one call with a radius per config, and a Laplace grid
-is ``train_laplace_grid``, one kernel call per round.  Only the
-single-config trainers wrap their result in a :class:`Posterior`.
+Each model family trains a grid of configs in lockstep and returns arrays,
+one row per config; one model is a grid of one.  m3n is
+:func:`medn.optimize.lockstep_train` with an identity penalty per config
+(its weights are the mean of a unit-variance Gaussian posterior, and
+averaged prediction under it is decoding under the mean, because the
+score is linear in the weights); l1m3n is the same kernel with a radius
+per config; lapmedn is :func:`train_laplace_grid`.
 
 Also provides the analysis functions for the Laplace posterior: the
 entropic shrinkage map, the closed-form log-normalizer and its gradient,
@@ -26,18 +19,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import ChainModel, FeatureSpec, _check_instance, decode, feature_vectors
+from .chain import FeatureSpec, _check_instance, feature_vectors
 from .optimize import SubgradConfig, lockstep_train
 
 __all__ = [
-    "Posterior",
     "LaplaceConfig",
     "DualWeights",
     "VARIANCE_FLOOR",
-    "train_gaussian",
-    "train_laplace",
     "train_laplace_grid",
-    "predict_mean",
     "shrinkage_mean",
     "laplace_log_z",
     "laplace_log_z_grad",
@@ -50,35 +39,10 @@ __all__ = [
 VARIANCE_FLOOR = 1e-12
 
 
-@dataclass
-class Posterior:
-    """Diagonal-Gaussian distribution over chain weights.
-
-    ``prior`` records which prior produced it ("gaussian" or "laplace",
-    with ``lam`` set for the latter).  Carries its FeatureSpec so the
-    posterior alone suffices for prediction.
-    """
-
-    spec: FeatureSpec
-    mean: np.ndarray
-    var_diag: np.ndarray
-    prior: str
-    lam: float | None = None
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.var_diag = np.asarray(self.var_diag, dtype=float)
-        k = self.spec.K
-        if self.mean.shape != (k,) or self.var_diag.shape != (k,):
-            raise ValueError("mean and var_diag must have one entry per weight")
-        if not np.all(np.isfinite(self.mean)):
-            raise ValueError("mean must be finite")
-        if not np.all(np.isfinite(self.var_diag)) or np.any(self.var_diag <= 0):
-            raise ValueError("variances must be positive and finite")
-        if self.prior not in ("gaussian", "laplace"):
-            raise ValueError(f"unknown prior tag {self.prior!r}")
-        if self.prior == "laplace" and (self.lam is None or self.lam <= 0):
-            raise ValueError("laplace prior requires a positive lam")
+def _check_lam(lam: float):
+    """Reject a Laplace prior scale that is not a positive finite number."""
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam:g}")
 
 
 @dataclass(frozen=True)
@@ -97,8 +61,7 @@ class LaplaceConfig:
     outer_iters: int = 4
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
+        _check_lam(self.lam)
         if not self.C > 0:
             raise ValueError("C must be positive")
         if self.outer_iters < 2:
@@ -162,19 +125,7 @@ class DualWeights:
         return self._accumulate(data)[0]
 
 
-def train_gaussian(data: list, spec: FeatureSpec, cfg: SubgradConfig) -> Posterior:
-    """Identity-penalty max-margin training, reported as a weight posterior.
-
-    The returned mean is exactly the point estimate of the max-margin
-    problem (same solver, identity penalty); the posterior is that mean
-    with unit variances.  Averaged prediction with this posterior therefore
-    coincides with decoding under the point weights.
-    """
-    mean = lockstep_train(data, spec, [cfg], inv_diag=np.ones((1, spec.K)))[0]
-    return Posterior(spec=spec, mean=mean, var_diag=np.ones(spec.K), prior="gaussian")
-
-
-def train_laplace(data: list, spec: FeatureSpec, cfg: LaplaceConfig) -> Posterior:
+def train_laplace_grid(data: list, spec: FeatureSpec, cfgs):
     """Variational trainer for the Laplace-prior weight posterior.
 
     Starting from mean 0 and unit variances, each of the T - 1 rounds
@@ -185,20 +136,14 @@ def train_laplace(data: list, spec: FeatureSpec, cfg: LaplaceConfig) -> Posterio
     the next penalty stays finite.  Unsupported coordinates keep mean zero
     and their variances contract toward the prior scale, which is what
     drives the shrinkage of irrelevant-feature weights.
-    """
-    mean, var = train_laplace_grid(data, spec, [cfg])
-    return Posterior(spec=spec, mean=mean[0], var_diag=var[0], prior="laplace", lam=cfg.lam)
-
-
-def train_laplace_grid(data: list, spec: FeatureSpec, cfgs):
-    """:func:`train_laplace` for every config, all rounds in lockstep.
 
     Returns the (B, K) posterior means and variances, one row per config.
     The configs must share ``outer_iters`` and their inner ``seed`` and
     ``iterations``; ``lam``, ``C`` and the inner ``beta`` may differ.  Each
     round is one lockstep solve over every config, followed by each
     config's variance refresh, so each row is bit-equal to training its
-    config alone.
+    config alone.  Raises ``ValueError`` naming the round and lam when a
+    variance overflows, as for a subnormal lam.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -209,21 +154,18 @@ def train_laplace_grid(data: list, spec: FeatureSpec, cfgs):
     lams = np.array([[cfg.lam] for cfg in cfgs])
     var = np.ones((len(cfgs), spec.K))
     mean = np.zeros((len(cfgs), spec.K))
-    for _ in range(cfgs[0].outer_iters - 1):
+    for round_ in range(1, cfgs[0].outer_iters):
         mean = lockstep_train(data, spec, inners, inv_diag=1.0 / var)
         second_moment = var + mean**2
-        var = np.maximum(np.sqrt(second_moment / lams), VARIANCE_FLOOR)
+        with np.errstate(over="ignore"):
+            var = np.maximum(np.sqrt(second_moment / lams), VARIANCE_FLOOR)
+        bad = np.flatnonzero(~np.isfinite(var).all(axis=1))
+        if bad.size:
+            raise ValueError(
+                f"variance refresh overflowed in round {round_} at lam={lams[bad[0], 0]:g}; "
+                "use a larger lam"
+            )
     return mean, var
-
-
-def predict_mean(post: Posterior, x: np.ndarray) -> np.ndarray:
-    """Averaged prediction: argmax over labelings of the expected score.
-
-    The sequence score is linear in the weights, so its posterior
-    expectation is the score under the posterior mean; the averaged
-    predictor is exactly the mean-weight decoder.
-    """
-    return decode(ChainModel(post.spec, post.mean), x)
 
 
 def shrinkage_mean(eta: float, lam: float) -> float:
@@ -233,16 +175,14 @@ def shrinkage_mean(eta: float, lam: float) -> float:
     normalizer diverges.  Odd in eta, and for fixed eta the output shrinks
     toward zero as lam grows.
     """
-    if not lam > 0:
-        raise ValueError("lam must be positive")
+    _check_lam(lam)
     if eta * eta >= lam:
         raise ValueError("eta**2 must be < lam (normalizer diverges)")
     return 2.0 * eta / (lam - eta * eta)
 
 
 def _check_eta_domain(eta: np.ndarray, lam: float):
-    if not lam > 0:
-        raise ValueError("lam must be positive")
+    _check_lam(lam)
     if np.any(eta * eta >= lam):
         raise ValueError("eta_k**2 must be < lam for every coordinate")
 
@@ -285,8 +225,7 @@ def kl_norm(mu, lam: float) -> float:
     divergence equals sqrt(lam) * kl_norm(mu, lam) - K, which is
     nonnegative and vanishes only at mu = 0.
     """
-    if not lam > 0:
-        raise ValueError("lam must be positive")
+    _check_lam(lam)
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     root = np.sqrt(lam * mu**2 + 1.0)
     return float(

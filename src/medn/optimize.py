@@ -5,8 +5,8 @@ trajectories in lockstep over one shared per-epoch shuffled instance
 order.  Each trajectory has its own step size ``1 / (2 * beta * sqrt(t))``,
 where t counts individual updates, and its own hinge weight C.  Its step
 either shrinks toward zero and preconditions by a diagonal quadratic
-penalty, or projects onto an L1 ball.  The two single-model trainers are
-the kernel with B = 1, and every trainer returns the final iterate.
+penalty, or projects onto an L1 ball.  A single model is the kernel with
+one config (B = 1); it returns the final iterates as a (B, K) array.
 """
 
 import math
@@ -24,10 +24,7 @@ from .chain import (
 
 __all__ = [
     "SubgradConfig",
-    "QuadRegularizer",
     "lockstep_train",
-    "subgradient_train",
-    "l1_constrained_train",
     "l1_ball_project",
     "structured_hinge_objective",
 ]
@@ -58,24 +55,6 @@ class SubgradConfig:
             raise ValueError("iterations must be at least 1")
         if self.C < 0 or not math.isfinite(self.C):
             raise ValueError("C must be finite and nonnegative")
-
-
-@dataclass
-class QuadRegularizer:
-    """Diagonal quadratic penalty 0.5 * w' diag(inv_diag) w."""
-
-    inv_diag: np.ndarray
-
-    def __post_init__(self):
-        self.inv_diag = np.asarray(self.inv_diag, dtype=float)
-        if self.inv_diag.ndim != 1:
-            raise ValueError("inv_diag must be a vector")
-        if not np.all(np.isfinite(self.inv_diag)) or np.any(self.inv_diag <= 0):
-            raise ValueError("inv_diag entries must be positive and finite")
-
-    @classmethod
-    def identity(cls, k: int) -> "QuadRegularizer":
-        return cls(np.ones(k))
 
 
 def _check_data(data, spec: FeatureSpec):
@@ -178,19 +157,6 @@ def _check_iterates(w: np.ndarray, betas: np.ndarray, epoch: int, t: int):
         )
 
 
-def subgradient_train(
-    data: list, spec: FeatureSpec, reg: QuadRegularizer, cfg: SubgradConfig
-) -> ChainModel:
-    """Approximately minimize 0.5 w' diag(inv) w + C * sum_i hinge_i(w).
-
-    :func:`lockstep_train` with one trajectory and the penalty step: bit-
-    reproducible for a fixed seed.  With an identity penalty this is the
-    plain subgradient step.
-    """
-    w = lockstep_train(data, spec, [cfg], inv_diag=reg.inv_diag[None])
-    return ChainModel(spec, w[0])
-
-
 def _project_rows(v: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Project each row of (B, K) ``v`` onto the L1 ball of its radius.
 
@@ -234,18 +200,6 @@ def l1_ball_project(v: np.ndarray, radius: float) -> np.ndarray:
     if not radius > 0:
         raise ValueError("radius must be positive")
     return _project_rows(v[None], np.array([float(radius)]))[0]
-
-
-def l1_constrained_train(
-    data: list, spec: FeatureSpec, radius: float, cfg: SubgradConfig
-) -> ChainModel:
-    """Minimize C * sum_i hinge_i(w) subject to ||w||_1 <= radius.
-
-    :func:`lockstep_train` with one trajectory and the projection step, so
-    all iterates (and the result) are feasible.
-    """
-    w = lockstep_train(data, spec, [cfg], radii=[radius])
-    return ChainModel(spec, w[0])
 
 
 def structured_hinge_objective(

@@ -14,6 +14,7 @@ the order a lone chain would, so batching changes no labeling, and
 :func:`gibbs_label` and :func:`gibbs_samples` are that kernel with one chain.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,8 @@ class GeneratorConfig:
             raise ValueError("gibbs_iters must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if not math.isfinite(self.noise_sd):
+            raise ValueError(f"noise_sd must be finite, got {self.noise_sd:g}")
         if self.correlated:
             if self.group_size < 1 or self.d_rel % self.group_size != 0:
                 raise ValueError("group_size must divide d_rel in correlated mode")

@@ -9,12 +9,12 @@ import itertools
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
 from medn import (
     ChainModel,
-    QuadRegularizer,
     SequenceInstance,
     feature_vector,
     l1_ball_project,
@@ -113,6 +113,21 @@ def inverse_variance_expectation(second_moment: float, lam: float) -> float:
     return num / den
 
 
+def pac_bound_oracle(n, y_card, c, gamma, kl, delta, rate=0.0):
+    """(unclamped m, m, bound) of the documented margin bound in 50-digit
+    arithmetic.  Float arguments are taken at their exact binary value."""
+    with mpmath.workdps(50):
+        n, y_card = mpmath.mpf(n), mpmath.mpf(y_card)
+        c, gamma, kl, delta, rate = (mpmath.mpf(v) for v in (c, gamma, kl, delta, rate))
+        value = 16 * c**2 / gamma**2 * mpmath.log(n * y_card**2 / (kl + 1))
+        m = max(1, int(mpmath.ceil(value)))
+        tail = y_card * mpmath.exp(-m * gamma**2 / (32 * c**2))
+        slack = mpmath.sqrt(
+            (m * kl + mpmath.log(n) + 3 * mpmath.log((m + 1) / delta) + 2) / (2 * n - 1)
+        )
+        return value, m, rate + tail + slack
+
+
 def make_signal_instances(rng, n: int, length: int, d: int) -> list:
     """Separable toy data: column 0 carries +-1 signs that determine labels."""
     instances = []
@@ -164,12 +179,12 @@ def _check_iterate(w):
         )
 
 
-def reference_subgradient_train(data, spec, reg, cfg):
+def reference_subgradient_train(data, spec, inv_diag, cfg):
     _check_data(data, spec)
-    if reg.inv_diag.shape != (spec.K,):
+    if inv_diag.shape != (spec.K,):
         raise ValueError("regularizer dimension disagrees with spec")
     n = len(data)
-    scale = 1.0 / reg.inv_diag
+    scale = 1.0 / inv_diag
     gold_feats = [feature_vector(spec, inst.features, inst.labels) for inst in data]
     rng = np.random.default_rng(cfg.seed)
     w = np.zeros(spec.K)
@@ -217,8 +232,7 @@ def reference_train_laplace(data, spec, cfg):
     var = np.ones(spec.K)
     rounds = []
     for _ in range(cfg.outer_iters - 1):
-        reg = QuadRegularizer(1.0 / var)
-        mean = reference_subgradient_train(data, spec, reg, inner).weights
+        mean = reference_subgradient_train(data, spec, 1.0 / var, inner).weights
         second_moment = var + mean**2
         var = np.maximum(np.sqrt(second_moment / cfg.lam), VARIANCE_FLOOR)
         rounds.append((mean, var))

@@ -20,7 +20,8 @@ from medn import (
     SequenceInstance,
     SubgradConfig,
     decode,
-    evaluate_weights,
+    decode_instances,
+    evaluate_weight_rows,
     gen_crf,
     gen_dataset,
     gen_features,
@@ -29,14 +30,14 @@ from medn import (
     l1_ball_project,
     laplace_log_z,
     laplace_log_z_grad,
+    lockstep_train,
     loss_augmented_decode,
     margin_sample_count,
     pac_bound,
-    predict_mean,
     shrinkage_mean,
-    train_gaussian,
-    train_laplace,
+    train_laplace_grid,
 )
+from medn.chain import feature_vectors
 from medn.cli import main
 from oracles import (
     chain_scores,
@@ -147,14 +148,17 @@ def test_04_averaged_and_point_predictions_coincide():
         cfg = GeneratorConfig(d=20, d_rel=5, L=8, m=2, n_samples=250, gibbs_iters=200, seed=1004)
         dataset = gen_dataset(cfg)
         spec = dataset.crf.model.spec
-        post = train_gaussian(
-            dataset.instances[:50], spec, SubgradConfig(beta=1.0, iterations=30, C=1.0, seed=0)
-        )
-        point = ChainModel(spec, post.mean)
-        agreements = sum(
-            int(np.array_equal(predict_mean(post, inst.features), decode(point, inst.features)))
-            for inst in dataset.instances
-        )
+        cfg = SubgradConfig(beta=1.0, iterations=30, C=1.0, seed=0)
+        mean = lockstep_train(dataset.instances[:50], spec, [cfg], inv_diag=np.ones((1, spec.K)))
+        decoded = decode_instances(spec, mean, dataset.instances)
+        # The score is linear in the weights, so its posterior expectation
+        # is exactly the score under the mean: feats @ mean.
+        labelings = enumerate_labelings(2, 8)
+        agreements = 0
+        for inst, pred in zip(dataset.instances, decoded):
+            expected_scores = feature_vectors(spec, inst.features, labelings) @ mean[0]
+            best = labelings[int(np.argmax(expected_scores))]
+            agreements += int(np.array_equal(best, pred[0]))
         elapsed = time.perf_counter() - started
         assert agreements == 250
         assert elapsed < 30.0
@@ -192,14 +196,15 @@ def test_06_desk_scale_trend_quadratic_vs_laplace_prior():
             train_set = dataset.instances[:50]
             test_set = dataset.instances[50:]
             inner = SubgradConfig(beta=1.0, iterations=30, C=1.0, seed=seed)
-            gauss = train_gaussian(train_set, spec, inner)
-            lap = train_laplace(
-                train_set, spec, LaplaceConfig(lam=36.0, inner=inner, C=1.0, outer_iters=4)
-            )
-            m3n_errs.append(evaluate_weights(spec, gauss.mean, test_set).per_label_err)
-            lap_errs.append(evaluate_weights(spec, lap.mean, test_set).per_label_err)
-            m3n_weights.append(gauss.mean)
-            lap_weights.append(lap.mean)
+            gauss = lockstep_train(train_set, spec, [inner], inv_diag=np.ones((1, spec.K)))[0]
+            lap = train_laplace_grid(
+                train_set, spec, [LaplaceConfig(lam=36.0, inner=inner, C=1.0, outer_iters=4)]
+            )[0][0]
+            m3n_report, lap_report = evaluate_weight_rows(spec, np.stack([gauss, lap]), test_set)
+            m3n_errs.append(m3n_report.per_label_err)
+            lap_errs.append(lap_report.per_label_err)
+            m3n_weights.append(gauss)
+            lap_weights.append(lap)
         pooled_std = float(np.std(np.concatenate([m3n_errs, lap_errs])))
 
         def irrelevant_to_relevant_ratio(weight_list):

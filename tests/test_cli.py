@@ -2,22 +2,46 @@
 
 import csv
 import hashlib
+import io
 import json
 import math
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from medn import FeatureSpec, SequenceInstance
 from medn.cli import DEFAULT_BETA_GRID, DEFAULT_LAMBDA_GRID, build_parser, main
 from medn import cli
 from medn.dataio import ModelFile, read_model_file, write_dataset, write_model_file
-from oracles import make_mixed_instances, make_signal_instances
+from oracles import make_mixed_instances, make_signal_instances, pac_bound_oracle
 
 
 def _read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def _run_quietly(argv):
+    """Exit code, stdout and stderr of one ``main`` call, and every warning
+    it raised (pytest would otherwise swallow them)."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
+
+
+def _assert_clean_exit(code, err, caught):
+    """Exit 0 with a silent stderr, or exit 2 with one ``error:`` line."""
+    assert not caught
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def _write_signal_dataset(path, n=10, length=5, d=3, seed=80, noise_cols=True):
@@ -91,6 +115,27 @@ class TestTrainPredictEval:
         assert "final objective" in printed
         assert main(["eval", "--model-file", str(model), "--data", str(data)]) == 0
         assert "per-label error 0.0000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--lambda", "1e-320", "--outer-iters", "2"],
+             "error: variance refresh overflowed in round 1 at lam=9.99989e-321"),
+            (["--lambda", "1e-320"], "error: variance refresh overflowed in round 1"),
+            (["--lambda", "inf"], "error: lam must be positive and finite, got inf"),
+        ],
+        ids=["subnormal-two-rounds", "subnormal", "inf"],
+    )
+    def test_lapmedn_lambda_past_the_float_range_is_one_line(self, tmp_path, flags, message):
+        data = tmp_path / "train.jsonl"
+        _write_signal_dataset(data, n=4, seed=84)
+        code, _, err, caught = _run_quietly(
+            ["train", "--model", "lapmedn", "--data", str(data), "--iters", "3", *flags,
+             "--out", str(tmp_path / "m.json")]
+        )
+        assert (code, caught) == (2, [])
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not (tmp_path / "m.json").exists()
 
     def test_model_file_round_trip_preserves_predictions(self, tmp_path):
         data = tmp_path / "train.jsonl"
@@ -363,6 +408,47 @@ class TestCurveCommands:
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["norm-ball", "--lambdas", "inf"], "error: lam must be positive and finite, got inf"),
+            (["norm-ball", "--lambdas", "4,nan"],
+             "error: lam must be positive and finite, got nan"),
+            (["shrinkage-curve", "--lambdas", "inf"], "error: lam must be positive and finite"),
+            (["gen-synth", "--correlated", "--d-rel", "2", "--group-size", "2",
+              "--noise-sd", "inf"], "error: noise_sd must be finite, got inf"),
+        ],
+        ids=["norm-ball-inf", "norm-ball-nan", "shrinkage-inf", "gen-synth-noise-inf"],
+    )
+    def test_non_finite_parameter_is_one_line(self, tmp_path, argv, message):
+        code, _, err, caught = _run_quietly([*argv, "--out", str(tmp_path / "out")])
+        assert (code, caught) == (2, [])
+        assert err.startswith(message) and err.count("\n") == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lambdas=st.lists(
+            st.sampled_from([math.inf, math.nan, 5e-324, 1e308, 1e-300, 4.0]) | st.floats(),
+            min_size=1,
+            max_size=3,
+        ),
+        count=st.integers(-2, 8),
+    )
+    @example(lambdas=[5e-324], count=4)
+    @example(lambdas=[1e308], count=8)
+    def test_extreme_flags_exit_cleanly(self, tmp_path_factory, lambdas, count):
+        """norm-ball and shrinkage-curve on any float lambdas and small or
+        negative point counts: exit 0, or exit 2 with one ``error:`` line,
+        and nothing else on stderr."""
+        out = tmp_path_factory.getbasetemp() / "curve.csv"
+        joined = ",".join(repr(lam) for lam in lambdas)
+        for argv in (
+            ["norm-ball", f"--lambdas={joined}", f"--angles={count}"],
+            ["shrinkage-curve", f"--lambdas={joined}", f"--points={count}"],
+        ):
+            code, _, err, caught = _run_quietly([*argv, "--out", str(out)])
+            _assert_clean_exit(code, err, caught)
+
     def test_norm_ball_rows(self, tmp_path):
         out = tmp_path / "ball.csv"
         assert main(["norm-ball", "--lambdas", "4", "--angles", "24", "--out", str(out)]) == 0
@@ -370,12 +456,13 @@ class TestCurveCommands:
         assert rows[0] == ["curve", "lambda", "w1", "w2", "level"]
         kinds = {row[0] for row in rows[1:]}
         assert kinds == {"kl", "l1", "l2"}
-        from medn.curves import kl_norm_2d, norm_ball_level
+        from medn import kl_norm
+        from medn.curves import norm_ball_level
 
         level = norm_ball_level(4.0)
         for row in rows[1:]:
             if row[0] == "kl":
-                assert abs(kl_norm_2d(float(row[2]), float(row[3]), 4.0) - level) <= 1e-8
+                assert abs(kl_norm(np.array([float(row[2]), float(row[3])]), 4.0) - level) <= 1e-8
 
 
 class TestPacBoundCommand:
@@ -402,6 +489,62 @@ class TestPacBoundCommand:
         assert main(["pac-bound", "--n", "100", "--y-card", "4", "--kl", "1", *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: sample count m") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "n, c, gamma, delta, m",
+        [
+            (10**400, 1.0, 1.0, 0.1, 14770),
+            (100, 1.0, 1.0, 1e-320, 107),
+            (100, 1e-200, 1.0, 0.1, 1),
+            (100, 1e-300, 1e-300, 0.1, 107),
+        ],
+        ids=["n-1e400", "delta-1e-320", "c-1e-200", "c-gamma-1e-300"],
+    )
+    def test_extreme_valid_flags_match_the_oracle(self, tmp_path, n, c, gamma, delta, m):
+        """Valid input past the float range of a naive evaluation: 2n - 1
+        overflows, (m + 1) / delta overflows, c**2 underflows, and c**2 and
+        gamma**2 both underflow.  The oracle takes delta at its float value,
+        which for 1e-320 is a subnormal 2.4e-4 relative off the decimal."""
+        out = tmp_path / "bound.csv"
+        code, printed, err, caught = _run_quietly(
+            ["pac-bound", "--n", str(n), "--y-card", "4", "--kl", "1", "--c", repr(c),
+             "--gamma", repr(gamma), "--delta", repr(delta), "--out", str(out)]
+        )
+        assert (code, err, caught) == (0, "", [])
+        _, want_m, want = pac_bound_oracle(n, 4, c, gamma, 1.0, delta)
+        assert want_m == m and f"m = {m}\n" in printed
+        bound = float(_read_csv(out)[1][-1])
+        assert bound == pytest.approx(float(want), rel=1e-9)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 10**400),
+        y_card=st.integers(2, 2**1024),
+        c=st.floats(0.0, exclude_min=True, allow_infinity=False),
+        gamma=st.floats(0.0, exclude_min=True, allow_infinity=False),
+        kl=st.floats(0.0, allow_infinity=False),
+        delta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    # n |Y|^2 / (kl + 1) = 1 + 1.1e-16, magnified by (c / gamma)^2 = 1e20
+    @example(n=1, y_card=2, c=1e10, gamma=1.0, kl=2.9999999999999996, delta=0.1)
+    def test_extreme_flags_give_the_oracle_bound_or_one_error_line(
+        self, tmp_path_factory, n, y_card, c, gamma, kl, delta
+    ):
+        """Any n, |Y|, c, gamma, kl and delta the flags accept: the bound is
+        within 1e-9 relative of the 50-digit oracle, or, only where m or
+        m * kl is past the float range, one ``error:`` line."""
+        out = tmp_path_factory.getbasetemp() / "bound.csv"
+        code, _, err, caught = _run_quietly(
+            ["pac-bound", f"--n={n}", f"--y-card={y_card}", f"--c={c!r}", f"--gamma={gamma!r}",
+             f"--kl={kl!r}", f"--delta={delta!r}", "--out", str(out)]
+        )
+        _assert_clean_exit(code, err, caught)
+        value, m, want = pac_bound_oracle(n, y_card, c, gamma, kl, delta)
+        if code == 2:
+            assert value > 1e307 or m * kl > 1e307, err
+            return
+        bound = float(_read_csv(out)[1][-1])
+        assert bound == pytest.approx(float(want), rel=1e-9)
 
     def test_huge_label_set_cardinality(self, capsys):
         """|Y| = 2**1024 overflows a float; the bound is computed in log space
@@ -444,6 +587,14 @@ _GOOD_LINE = '{"x":[[1.0,0.0]],"y":[0]}'
         ("model", 1, {"var_diag": [float("nan")] * 8}),
         ("model", 1, {"d": 3}),
         ("model", 1, {"hyper": [1]}),
+        ("model", 1, {"d": 4.7}),
+        ("model", 1, {"d": "4"}),
+        ("model", 1, {"m": 2.5}),
+        ("model", 1, {"format": True}),
+        ("data", 1, '{"kind":"sequence-dataset","format":1,"d":4.7,"m":2}'),
+        ("data", 1, '{"kind":"sequence-dataset","format":1,"d":"4","m":2}'),
+        ("data", 1, '{"kind":"sequence-dataset","format":1,"d":2,"m":2.5}'),
+        ("data", 1, '{"kind":"sequence-dataset","format":true,"d":2,"m":2}'),
     ],
 )
 def test_malformed_input_fails_with_one_line_error(tmp_path, capsys, target, line, content):

@@ -17,15 +17,15 @@ from medn import (
     GeneratorConfig,
     SequenceInstance,
     TrueCrf,
-    evaluate_weights,
+    evaluate_weight_rows,
     gen_dataset,
+    kl_norm,
     margin_sample_count,
     mean_std,
     pac_bound,
 )
 from medn.curves import (
     identity_points,
-    kl_norm_2d,
     l1_unit_ball,
     l2_unit_ball,
     norm_ball_boundary,
@@ -41,6 +41,36 @@ from medn.dataio import (
     write_model_file,
 )
 from oracles import laplace_tilted_mean
+
+
+# Up to three single-character edits: (position, operation, character).
+_EDITS = st.lists(
+    st.tuples(
+        st.integers(0, 10**6),
+        st.sampled_from(["delete", "insert", "replace"]),
+        st.sampled_from(list('{}[]",:-+.0123456789eExydm \n')),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _mutate(path, edits):
+    text = path.read_text()
+    for pos, op, char in edits:
+        i = pos % (len(text) + (op == "insert"))
+        tail = text[i:] if op == "insert" else text[i + 1 :]
+        text = text[:i] + ("" if op == "delete" else char) + tail
+    path.write_text(text)
+
+
+def _assert_parses_or_fails_in_one_located_line(reader, path):
+    try:
+        reader(path)
+    except ValueError as exc:
+        message = str(exc)
+        assert re.match(rf"{re.escape(str(path))}:\d+: ", message), message
+        assert "\n" not in message
 
 
 class TestDatasetFiles:
@@ -86,17 +116,7 @@ class TestDatasetFiles:
             read_dataset(path)
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        edits=st.lists(
-            st.tuples(
-                st.integers(0, 10**6),
-                st.sampled_from(["delete", "insert", "replace"]),
-                st.sampled_from(list('{}[]",:-+.0123456789eExydm \n')),
-            ),
-            min_size=1,
-            max_size=3,
-        )
-    )
+    @given(edits=_EDITS)
     def test_mutated_file_parses_or_fails_with_one_located_line(self, tmp_path_factory, edits):
         """Deleting, inserting or replacing up to three characters of a valid
         file either leaves it readable or gives a one-line ``ValueError``
@@ -107,18 +127,8 @@ class TestDatasetFiles:
             [SequenceInstance([[0.5, -1.0], [2.0, 0.0]], [1, 2]), SequenceInstance([[1.0, 3.0]], [0])],
             FeatureSpec(2, 3),
         )
-        text = path.read_text()
-        for pos, op, char in edits:
-            i = pos % (len(text) + (op == "insert"))
-            tail = text[i:] if op == "insert" else text[i + 1 :]
-            text = text[:i] + ("" if op == "delete" else char) + tail
-        path.write_text(text)
-        try:
-            read_dataset(path)
-        except ValueError as exc:
-            message = str(exc)
-            assert re.match(rf"{re.escape(str(path))}:\d+: ", message), message
-            assert "\n" not in message
+        _mutate(path, edits)
+        _assert_parses_or_fails_in_one_located_line(read_dataset, path)
 
 
 class TestModelFiles:
@@ -145,6 +155,22 @@ class TestModelFiles:
             decode(ChainModel(spec, weights), x), decode(ChainModel(spec, loaded.weights), x)
         )
 
+    @settings(max_examples=200, deadline=None)
+    @given(edits=_EDITS)
+    def test_mutated_file_parses_or_fails_with_one_located_line(self, tmp_path_factory, edits):
+        """Deleting, inserting or replacing up to three characters of a valid
+        model file either leaves it readable or gives a one-line
+        ``ValueError`` that starts with ``path:line:``."""
+        path = tmp_path_factory.getbasetemp() / "mutated.json"
+        spec = FeatureSpec(1, 2)
+        write_model_file(
+            path,
+            ModelFile(kind="lapmedn", spec=spec, weights=np.linspace(-1.0, 2.0, spec.K),
+                      var_diag=np.full(spec.K, 0.5), hyper={"lambda": 4.0, "seed": 1}),
+        )
+        _mutate(path, edits)
+        _assert_parses_or_fails_in_one_located_line(read_model_file, path)
+
     def test_unknown_kind_rejected(self):
         spec = FeatureSpec(2, 2)
         with pytest.raises(ValueError):
@@ -160,7 +186,7 @@ class TestMetrics:
             SequenceInstance(np.zeros((4, 2)), [0, 0, 1, 1]),
             SequenceInstance(np.zeros((4, 2)), [0, 0, 0, 0]),
         ]
-        report = evaluate_weights(spec, np.zeros(spec.K), instances)
+        report = evaluate_weight_rows(spec, np.zeros((1, spec.K)), instances)[0]
         assert report.per_label_err == pytest.approx(2 / 8)
         assert report.seq_err == pytest.approx(1 / 2)
         assert report.n_sequences == 2 and report.n_positions == 8
@@ -175,7 +201,7 @@ class TestMetrics:
             SequenceInstance(rng.standard_normal((8, 2)), rng.integers(0, 2, size=8))
             for _ in range(250)
         ]
-        report = evaluate_weights(spec, crf.model.weights, instances)
+        report = evaluate_weight_rows(spec, crf.model.weights[None], instances)[0]
         assert abs(report.per_label_err - 0.5) <= 0.05
 
     def test_mean_std_aggregation(self):
@@ -274,13 +300,15 @@ class TestShrinkageCurves:
 class TestNormBall:
     def test_level_equals_the_two_coordinate_penalty_at_unit_point(self):
         for lam in (1.0, 4.0, 36.0):
-            assert norm_ball_level(lam) == pytest.approx(kl_norm_2d(0.0, 1.0, lam), abs=1e-12)
+            assert norm_ball_level(lam) == pytest.approx(
+                kl_norm(np.array([0.0, 1.0]), lam), abs=1e-12
+            )
 
     def test_boundary_points_satisfy_the_level_equation(self):
         for lam in (1.0, 16.0):
             level = norm_ball_level(lam)
             for w1, w2 in norm_ball_boundary(lam, 90):
-                assert abs(kl_norm_2d(w1, w2, lam) - level) <= 1e-8
+                assert abs(kl_norm(np.array([w1, w2]), lam) - level) <= 1e-8
 
     def test_boundary_passes_the_unit_axis_points(self):
         points = norm_ball_boundary(4.0, 360)

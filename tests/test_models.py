@@ -1,7 +1,10 @@
 """Model-family trainers and the Laplace-posterior analysis functions."""
 
 import itertools
+import json
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,24 +14,21 @@ from medn import (
     DualWeights,
     FeatureSpec,
     LaplaceConfig,
-    Posterior,
-    QuadRegularizer,
     SequenceInstance,
     SubgradConfig,
     decode,
     feature_vector,
     hamming_loss,
     kl_norm,
-    l1_constrained_train,
     l1m3n_dual_check,
     laplace_log_z,
     laplace_log_z_grad,
-    predict_mean,
+    lockstep_train,
     shrinkage_mean,
-    subgradient_train,
-    train_gaussian,
-    train_laplace,
+    train_laplace_grid,
 )
+from medn.cli import main
+from medn.dataio import write_dataset
 from medn.models import VARIANCE_FLOOR
 from oracles import (
     enumerate_labelings,
@@ -46,48 +46,28 @@ def _cfg(**kw):
 
 
 class TestTrainGaussian:
-    def test_untrained_baseline_is_the_prior(self):
-        """C = 0 leaves the weights at zero, so the posterior is N(0, I)."""
+    def test_untrained_baseline_is_the_prior(self, tmp_path):
+        """C = 0 leaves the weights at zero, so the m3n model file records
+        the posterior N(0, I)."""
         rng = np.random.default_rng(40)
         spec = FeatureSpec(d=2, m=2)
-        data = make_signal_instances(rng, n=3, length=4, d=2)
-        post = train_gaussian(data, spec, _cfg(C=0.0))
-        np.testing.assert_array_equal(post.mean, np.zeros(spec.K))
-        np.testing.assert_array_equal(post.var_diag, np.ones(spec.K))
-        assert post.prior == "gaussian"
+        data_path, model_path = tmp_path / "data.jsonl", tmp_path / "m3n.json"
+        write_dataset(data_path, make_signal_instances(rng, n=3, length=4, d=2), spec)
+        flags = ["--data", str(data_path), "--c", "0", "--iters", "30", "--out", str(model_path)]
+        assert main(["train", "--model", "m3n", *flags]) == 0
+        payload = json.loads(model_path.read_text())
+        assert payload["weights"] == [0.0] * spec.K
+        assert payload["var_diag"] == [1.0] * spec.K
 
     def test_separable_toy_zero_training_error(self):
         rng = np.random.default_rng(41)
         spec = FeatureSpec(d=2, m=2)
         data = make_signal_instances(rng, n=4, length=5, d=2)
-        post = train_gaussian(data, spec, _cfg(iterations=100))
-        errors = sum(
-            hamming_loss(predict_mean(post, inst.features), inst.labels) for inst in data
-        )
+        cfg = _cfg(iterations=100)
+        w = lockstep_train(data, spec, [cfg], inv_diag=np.ones((1, spec.K)))[0]
+        point = ChainModel(spec, w)
+        errors = sum(hamming_loss(decode(point, inst.features), inst.labels) for inst in data)
         assert errors == 0
-
-    def test_mean_equals_direct_identity_penalty_run(self):
-        """Regression guard: the posterior mean must be bit-identical to the
-        plain identity-penalty subgradient solve with the same seed."""
-        rng = np.random.default_rng(42)
-        spec = FeatureSpec(d=3, m=2)
-        data = make_signal_instances(rng, n=5, length=4, d=3)
-        cfg = _cfg(iterations=25, seed=9)
-        post = train_gaussian(data, spec, cfg)
-        direct = subgradient_train(data, spec, QuadRegularizer.identity(spec.K), cfg)
-        np.testing.assert_array_equal(post.mean, direct.weights)
-
-    def test_argmax_invariance_over_a_dataset(self):
-        """Averaged prediction and point decoding agree on every instance."""
-        rng = np.random.default_rng(43)
-        spec = FeatureSpec(d=3, m=2)
-        data = make_signal_instances(rng, n=10, length=5, d=3)
-        post = train_gaussian(data, spec, _cfg(iterations=20))
-        point = ChainModel(spec, post.mean)
-        for inst in data:
-            np.testing.assert_array_equal(
-                predict_mean(post, inst.features), decode(point, inst.features)
-            )
 
 
 def _zero_column_data(rng, n=4, length=4, d=2, dead_col=1):
@@ -106,14 +86,15 @@ class TestTrainLaplace:
         spec = FeatureSpec(d=2, m=2)
         data = _zero_column_data(rng)
         lam = 4.0
-        post = train_laplace(
-            data, spec, LaplaceConfig(lam=lam, inner=_cfg(), C=1.0, outer_iters=2)
+        means, variances = train_laplace_grid(
+            data, spec, [LaplaceConfig(lam=lam, inner=_cfg(), C=1.0, outer_iters=2)]
         )
+        mean, var = means[0], variances[0]
         # state indices of dead input column 1 under the k*m + c layout
         dead_idx = [1 * spec.m + c for c in range(spec.m)]
-        np.testing.assert_array_equal(post.mean[dead_idx], np.zeros(2))
+        np.testing.assert_array_equal(mean[dead_idx], np.zeros(2))
         # second moment is 1 (prior variance) + 0, so the update is sqrt(1/4)
-        np.testing.assert_allclose(post.var_diag[dead_idx], [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(var[dead_idx], [0.5, 0.5], atol=1e-15)
 
     def test_variance_update_matches_quadrature(self):
         """The coordinatewise refresh sqrt(second_moment / lam) agrees with
@@ -132,20 +113,19 @@ class TestTrainLaplace:
         data = make_signal_instances(rng, n=4, length=4, d=2)
         lam = 9.0
         inner = _cfg(iterations=20, C=0.5)
-        post = train_laplace(
-            data, spec, LaplaceConfig(lam=lam, inner=inner, C=2.0, outer_iters=2)
+        means, variances = train_laplace_grid(
+            data, spec, [LaplaceConfig(lam=lam, inner=inner, C=2.0, outer_iters=2)]
         )
+        mean, var = means[0], variances[0]
         # manual replay: one penalty solve at unit variances with C = 2, then
         # one variance refresh from the diagonal second moment
-        from dataclasses import replace
-
-        solved = subgradient_train(
-            data, spec, QuadRegularizer.identity(spec.K), replace(inner, C=2.0)
-        )
-        second_moment = np.ones(spec.K) + solved.weights**2
-        np.testing.assert_array_equal(post.mean, solved.weights)
+        solved = lockstep_train(
+            data, spec, [replace(inner, C=2.0)], inv_diag=np.ones((1, spec.K))
+        )[0]
+        second_moment = np.ones(spec.K) + solved**2
+        np.testing.assert_array_equal(mean, solved)
         np.testing.assert_array_equal(
-            post.var_diag, np.maximum(np.sqrt(second_moment / lam), VARIANCE_FLOOR)
+            var, np.maximum(np.sqrt(second_moment / lam), VARIANCE_FLOOR)
         )
 
     def test_dead_coordinate_variance_non_increasing(self):
@@ -158,12 +138,12 @@ class TestTrainLaplace:
         lam = 4.0
         previous = np.ones(2)
         for total in range(2, 7):
-            post = train_laplace(
+            _, variances = train_laplace_grid(
                 data,
                 spec,
-                LaplaceConfig(lam=lam, inner=_cfg(), C=1.0, outer_iters=total),
+                [LaplaceConfig(lam=lam, inner=_cfg(), C=1.0, outer_iters=total)],
             )
-            current = post.var_diag[dead_idx]
+            current = variances[0, dead_idx]
             assert np.all(current > 0)
             assert np.all(current <= previous + 1e-15)
             previous = current
@@ -174,14 +154,33 @@ class TestTrainLaplace:
         rng = np.random.default_rng(47)
         spec = FeatureSpec(d=3, m=2)
         data = make_signal_instances(rng, n=5, length=4, d=3)
-        post = train_laplace(
-            data, spec, LaplaceConfig(lam=1e12, inner=_cfg(), C=1.0, outer_iters=5)
+        _, variances = train_laplace_grid(
+            data, spec, [LaplaceConfig(lam=1e12, inner=_cfg(), C=1.0, outer_iters=5)]
         )
-        assert np.all(post.var_diag >= VARIANCE_FLOOR)
+        assert np.all(variances >= VARIANCE_FLOOR)
+
+    def test_overflowing_variance_names_the_round_and_lam(self):
+        """A subnormal lam overflows sqrt(second_moment / lam) in the first
+        refresh: one ValueError, and no overflow warning."""
+        rng = np.random.default_rng(48)
+        spec = FeatureSpec(d=2, m=2)
+        data = make_signal_instances(rng, n=3, length=4, d=2)
+        cfgs = [
+            LaplaceConfig(lam=lam, inner=_cfg(iterations=3), C=1.0, outer_iters=4)
+            for lam in (4.0, 1e-320)
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                train_laplace_grid(data, spec, cfgs)
+        message = str(info.value)
+        assert "round 1" in message and "lam=9.99989e-321" in message
+        assert "\n" not in message
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            LaplaceConfig(lam=0.0, inner=_cfg())
+        for lam in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="lam must be positive and finite"):
+                LaplaceConfig(lam=lam, inner=_cfg())
         with pytest.raises(ValueError):
             LaplaceConfig(lam=1.0, inner=_cfg(), outer_iters=1)
         with pytest.raises(ValueError):
@@ -191,12 +190,10 @@ class TestTrainLaplace:
 class TestPredictMean:
     def test_zero_mean_gives_all_zeros(self):
         spec = FeatureSpec(d=2, m=3)
-        post = Posterior(
-            spec=spec, mean=np.zeros(spec.K), var_diag=np.ones(spec.K), prior="gaussian"
-        )
         rng = np.random.default_rng(48)
         np.testing.assert_array_equal(
-            predict_mean(post, rng.standard_normal((4, 2))), np.zeros(4, dtype=np.int64)
+            decode(ChainModel(spec, np.zeros(spec.K)), rng.standard_normal((4, 2))),
+            np.zeros(4, dtype=np.int64),
         )
 
     def test_matches_monte_carlo_score_averaging(self):
@@ -204,22 +201,17 @@ class TestPredictMean:
         must reproduce the mean-weight decoder (score is linear in w)."""
         spec = FeatureSpec(d=2, m=2)
         rng = np.random.default_rng(77)
-        post = Posterior(
-            spec=spec,
-            mean=rng.standard_normal(spec.K),
-            var_diag=np.full(spec.K, 0.5),
-            prior="gaussian",
-        )
+        mean, var_diag = rng.standard_normal(spec.K), np.full(spec.K, 0.5)
         x = rng.standard_normal((3, 2))
         labelings = enumerate_labelings(2, 3)
         feats = np.stack([feature_vector(spec, x, y) for y in labelings])
-        draws = rng.standard_normal((100_000, spec.K)) * np.sqrt(post.var_diag) + post.mean
+        draws = rng.standard_normal((100_000, spec.K)) * np.sqrt(var_diag) + mean
         mc_scores = (draws @ feats.T).mean(axis=0)
-        exact_scores = feats @ post.mean
+        exact_scores = feats @ mean
         gap = np.sort(exact_scores)[-1] - np.sort(exact_scores)[-2]
         assert gap > 0.5  # the argmax is identifiable at this sample size
         np.testing.assert_array_equal(
-            labelings[int(np.argmax(mc_scores))], predict_mean(post, x)
+            labelings[int(np.argmax(mc_scores))], decode(ChainModel(spec, mean), x)
         )
 
 
@@ -392,8 +384,8 @@ class TestL1M3N:
         rng = np.random.default_rng(55)
         spec = FeatureSpec(d=2, m=2)
         data = make_signal_instances(rng, n=3, length=4, d=2)
-        model = l1_constrained_train(data, spec, 1e-9, _cfg(iterations=5))
-        assert np.abs(model.weights).sum() <= 1e-9 + 1e-12
+        w = lockstep_train(data, spec, [_cfg(iterations=5)], radii=[1e-9])[0]
+        assert np.abs(w).sum() <= 1e-9 + 1e-12
 
     def test_sparse_toy_prefers_relevant_features(self):
         rng = np.random.default_rng(56)
@@ -401,8 +393,8 @@ class TestL1M3N:
         data = make_signal_instances(rng, n=8, length=5, d=3)
         for inst in data:
             inst.features[:, 1:] = rng.standard_normal((len(inst), 2))
-        model = l1_constrained_train(data, spec, 1.0, _cfg(iterations=60))
-        state = np.abs(spec.state_view(model.weights))
+        w = lockstep_train(data, spec, [_cfg(iterations=60)], radii=[1.0])[0]
+        state = np.abs(spec.state_view(w))
         assert state[1:].sum() < state[0].sum()
 
 

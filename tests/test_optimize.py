@@ -12,18 +12,15 @@ from medn import (
     ChainModel,
     FeatureSpec,
     LaplaceConfig,
-    QuadRegularizer,
     SequenceInstance,
     SubgradConfig,
     decode,
     hamming_loss,
     feature_vector,
     l1_ball_project,
-    l1_constrained_train,
     lockstep_train,
     loss_augmented_decode,
     structured_hinge_objective,
-    subgradient_train,
     train_laplace_grid,
 )
 from medn.optimize import DIVERGENCE_LIMIT
@@ -128,9 +125,9 @@ class TestSubgradientTrain:
         rng = np.random.default_rng(22)
         spec = FeatureSpec(d=2, m=2)
         data = make_signal_instances(rng, n=2, length=3, d=2)
-        model = subgradient_train(
-            data, spec, QuadRegularizer.identity(spec.K), _identity_cfg(iterations=200)
-        )
+        cfg = _identity_cfg(iterations=200)
+        w = lockstep_train(data, spec, [cfg], inv_diag=np.ones((1, spec.K)))[0]
+        model = ChainModel(spec, w)
         errors = sum(
             hamming_loss(decode(model, inst.features), inst.labels) for inst in data
         )
@@ -141,10 +138,8 @@ class TestSubgradientTrain:
         rng = np.random.default_rng(23)
         spec = FeatureSpec(d=2, m=2)
         data = make_signal_instances(rng, n=3, length=4, d=2)
-        model = subgradient_train(
-            data, spec, QuadRegularizer.identity(spec.K), _identity_cfg(C=0.0)
-        )
-        np.testing.assert_array_equal(model.weights, np.zeros(spec.K))
+        w = lockstep_train(data, spec, [_identity_cfg(C=0.0)], inv_diag=np.ones((1, spec.K)))[0]
+        np.testing.assert_array_equal(w, np.zeros(spec.K))
 
     def test_single_position_matches_grid_search_minimizer(self):
         """One instance, one position, two labels: the regularized hinge
@@ -153,7 +148,8 @@ class TestSubgradientTrain:
         spec = FeatureSpec(d=1, m=2)
         data = [SequenceInstance([[1.0]], [0])]
         cfg = _identity_cfg(iterations=3000, C=2.0)
-        model = subgradient_train(data, spec, QuadRegularizer.identity(spec.K), cfg)
+        w = lockstep_train(data, spec, [cfg], inv_diag=np.ones((1, spec.K)))[0]
+        model = ChainModel(spec, w)
         gaps = np.linspace(0.0, 3.0, 300001)
         objective = gaps**2 / 4.0 + 2.0 * np.maximum(0.0, 1.0 - gaps)
         best_gap = gaps[int(np.argmin(objective))]
@@ -170,15 +166,14 @@ class TestSubgradientTrain:
         rng = np.random.default_rng(24)
         spec = FeatureSpec(d=3, m=2)
         data = make_signal_instances(rng, n=6, length=5, d=3)
-        reg = QuadRegularizer.identity(spec.K)
+        inv = np.ones(spec.K)
         cfg = _identity_cfg(iterations=20)
-        model = subgradient_train(data, spec, reg, cfg)
+        w = lockstep_train(data, spec, [cfg], inv_diag=np.ones((1, spec.K)))[0]
+        model = ChainModel(spec, w)
         at_zero = structured_hinge_objective(
-            data, ChainModel(spec, np.zeros(spec.K)), cfg.C, inv_diag=reg.inv_diag
+            data, ChainModel(spec, np.zeros(spec.K)), cfg.C, inv_diag=inv
         )
-        at_final = structured_hinge_objective(
-            data, model, cfg.C, inv_diag=reg.inv_diag
-        )
+        at_final = structured_hinge_objective(data, model, cfg.C, inv_diag=inv)
         assert at_final <= at_zero
 
     def test_bit_reproducible_for_fixed_seed(self):
@@ -186,9 +181,9 @@ class TestSubgradientTrain:
         spec = FeatureSpec(d=2, m=2)
         data = make_signal_instances(rng, n=4, length=4, d=2)
         cfg = _identity_cfg(iterations=15, seed=77)
-        first = subgradient_train(data, spec, QuadRegularizer.identity(spec.K), cfg)
-        second = subgradient_train(data, spec, QuadRegularizer.identity(spec.K), cfg)
-        np.testing.assert_array_equal(first.weights, second.weights)
+        first = lockstep_train(data, spec, [cfg], inv_diag=np.ones((1, spec.K)))[0]
+        second = lockstep_train(data, spec, [cfg], inv_diag=np.ones((1, spec.K)))[0]
+        np.testing.assert_array_equal(first, second)
 
     def test_divergent_step_size_raises(self):
         """The error names the epoch, the update, the row's beta and its norm."""
@@ -197,7 +192,7 @@ class TestSubgradientTrain:
         data = make_signal_instances(rng, n=2, length=3, d=2)
         cfg = SubgradConfig(beta=1e-12, iterations=50, C=1e6, seed=0)
         with pytest.raises(RuntimeError) as info:
-            subgradient_train(data, spec, QuadRegularizer.identity(spec.K), cfg)
+            lockstep_train(data, spec, [cfg], inv_diag=np.ones((1, spec.K)))
         fields = re.search(
             r"epoch (\d+) at update t=(\d+): beta=(\S+) reached L2 norm (\S+);", str(info.value)
         )
@@ -218,7 +213,7 @@ class TestSubgradientTrain:
     def test_empty_data_raises(self):
         spec = FeatureSpec(d=2, m=2)
         with pytest.raises(ValueError):
-            subgradient_train([], spec, QuadRegularizer.identity(spec.K), _identity_cfg())
+            lockstep_train([], spec, [_identity_cfg()], inv_diag=np.ones((1, spec.K)))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -227,8 +222,14 @@ class TestSubgradientTrain:
             SubgradConfig(beta=1.0, iterations=0, C=1.0)
         with pytest.raises(ValueError):
             SubgradConfig(beta=1.0, iterations=10, C=-1.0)
-        with pytest.raises(ValueError):
-            QuadRegularizer(np.array([1.0, 0.0]))
+        # a zero (or non-finite) penalty entry would divide the step by zero
+        spec = FeatureSpec(d=1, m=2)
+        data = [SequenceInstance([[1.0]], [0])]
+        for bad in (0.0, np.inf, np.nan):
+            inv = np.ones((1, spec.K))
+            inv[0, 1] = bad
+            with pytest.raises(ValueError, match="inv_diag entries"):
+                lockstep_train(data, spec, [_identity_cfg()], inv_diag=inv)
 
 
 class TestL1ConstrainedTrain:
@@ -236,8 +237,8 @@ class TestL1ConstrainedTrain:
         rng = np.random.default_rng(27)
         spec = FeatureSpec(d=2, m=2)
         data = make_signal_instances(rng, n=3, length=4, d=2)
-        model = l1_constrained_train(data, spec, 1e-9, _identity_cfg(iterations=10))
-        assert np.abs(model.weights).sum() <= 1e-9 + 1e-12
+        w = lockstep_train(data, spec, [_identity_cfg(iterations=10)], radii=[1e-9])[0]
+        assert np.abs(w).sum() <= 1e-9 + 1e-12
 
     def test_huge_radius_matches_unprojected_iterates(self):
         """With the ball too large to touch, the trajectory must equal a
@@ -246,7 +247,7 @@ class TestL1ConstrainedTrain:
         spec = FeatureSpec(d=2, m=2)
         data = make_signal_instances(rng, n=3, length=4, d=2)
         cfg = _identity_cfg(iterations=12, seed=5)
-        trained = l1_constrained_train(data, spec, 1e6, cfg)
+        trained = lockstep_train(data, spec, [cfg], radii=[1e6])[0]
 
         gold = [feature_vector(spec, inst.features, inst.labels) for inst in data]
         loop_rng = np.random.default_rng(cfg.seed)
@@ -262,7 +263,7 @@ class TestL1ConstrainedTrain:
                     delta = gold[idx] - feature_vector(spec, inst.features, y_star)
                     w = w + alpha * cfg.C * delta
         assert np.abs(w).sum() < 1e6  # the ball really was inactive
-        np.testing.assert_array_equal(trained.weights, w)
+        np.testing.assert_array_equal(trained, w)
 
     def test_noise_feature_gets_little_weight(self):
         rng = np.random.default_rng(29)
@@ -271,8 +272,8 @@ class TestL1ConstrainedTrain:
         # Column 1 is pure noise; replace the mild 0.1-scaled noise with unit noise.
         for inst in data:
             inst.features[:, 1] = rng.standard_normal(len(inst))
-        model = l1_constrained_train(data, spec, 1.0, _identity_cfg(iterations=60))
-        state = np.abs(spec.state_view(model.weights))
+        w = lockstep_train(data, spec, [_identity_cfg(iterations=60)], radii=[1.0])[0]
+        state = np.abs(spec.state_view(w))
         assert state[1].sum() < 0.1 * state[0].sum()
 
     def test_invalid_radius_raises(self):
@@ -280,7 +281,7 @@ class TestL1ConstrainedTrain:
         spec = FeatureSpec(d=2, m=2)
         data = make_signal_instances(rng, n=2, length=3, d=2)
         with pytest.raises(ValueError):
-            l1_constrained_train(data, spec, 0.0, _identity_cfg())
+            lockstep_train(data, spec, [_identity_cfg()], radii=[0.0])
 
 
 class TestStructuredHingeObjective:
@@ -340,7 +341,7 @@ class TestLockstepEqualsPerConfigLoops:
         inv[1] = np.linspace(0.5, 4.0, spec.K)
         rows = lockstep_train(data, spec, cfgs, inv_diag=inv)
         for row, cfg, inv_row in zip(rows, cfgs, inv):
-            want = reference_subgradient_train(data, spec, QuadRegularizer(inv_row), cfg)
+            want = reference_subgradient_train(data, spec, inv_row, cfg)
             assert np.array_equal(row, want.weights)
 
     def test_lapmedn_every_round(self, m):
