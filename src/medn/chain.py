@@ -6,8 +6,9 @@ per adjacent label pair).  Decoding is exact max-sum dynamic programming.
 Everything in this module is a pure function of its inputs.
 
 The ``*_rows`` functions and :func:`feature_vectors` work on a batch: B
-weight vectors as a (B, K) array, or B labelings of one input as a (B, L)
-array.  They skip input checks, so trainers validate their data once and
+weight vectors as a (B, K) array, or B labelings as a (B, L) array; each
+row may bring its own same-length input, or all rows share one.  They
+skip input checks, so trainers validate their data once and
 then call them on every update; the single-model functions check their
 inputs and call them with B = 1.  :func:`decode_instances` decodes a whole
 dataset that way: one check of the weights, one DP call per length.
@@ -145,25 +146,29 @@ def feature_vector(spec: FeatureSpec, x: np.ndarray, y: np.ndarray) -> np.ndarra
     return feature_vectors(spec, x, y[None])[0]
 
 
-def feature_vectors(spec: FeatureSpec, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """(B, K) feature vectors of the B labelings ``ys`` (B, L) of one input.
+def feature_vectors(spec: FeatureSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """(B, K) feature vectors of the B labelings ``ys`` (B, L).
 
-    Unchecked: ``x`` must be a finite float (L, d) matrix and ``ys`` hold
-    labels in [0, m).  Each state feature (k, c) is ``x[y == c, k].sum()``
-    to the bit, so rows never depend on which other rows share the call.
+    ``xs`` holds each row's input as a (B, L, d) array, or one (L, d) input
+    shared by every row.  Unchecked: inputs must be finite floats and
+    ``ys`` hold labels in [0, m).  Each state feature (k, c) is
+    ``x[y == c, k].sum()`` to the bit, so rows never depend on which other
+    rows share the call.
     """
     batch, length = ys.shape
     m = spec.m
+    xs = xs.reshape(-1, length, spec.d)  # (B, L, d), or (1, L, d) when shared
     f = np.zeros((batch, spec.K))
     picked = ys[:, None, :] == np.arange(m)[:, None]  # (B, m, L)
     if spec.d == 1:
         # numpy sums a one-column selection pairwise, not in position order.
-        sums = np.array([[x[mask].sum(axis=0) for mask in masks] for masks in picked])
+        rows = [xs[b % len(xs)] for b in range(batch)]
+        sums = np.array([[x[mask].sum(axis=0) for mask in masks] for x, masks in zip(rows, picked)])
     else:
         # numpy sums the rows of a (count, d) selection in position order;
         # unselected positions add -0.0, which changes no sum, and a label
         # that never occurs gets +0.0.
-        sums = np.where(picked[..., None], x, -0.0).sum(axis=2)  # (B, m, d)
+        sums = np.where(picked[..., None], xs[:, None], -0.0).sum(axis=2)  # (B, m, d)
         sums = np.where(picked.any(axis=2)[..., None], sums, 0.0)
     spec.state_view(f)[:] = sums.transpose(0, 2, 1)
     pairs = ys[:, :-1] * m + ys[:, 1:] + (m * m) * np.arange(batch)[:, None]
@@ -249,15 +254,21 @@ def decode_instances(spec: FeatureSpec, weights, instances) -> list:
 
 
 def loss_augmented_decode_rows(
-    spec: FeatureSpec, weights: np.ndarray, x: np.ndarray, gold: np.ndarray
+    spec: FeatureSpec, weights: np.ndarray, xs: np.ndarray, golds: np.ndarray
 ):
     """Loss-augmented Viterbi under each (B, K) weight row.
 
-    Returns (B, L) labelings and their (B,) values.  Unchecked: ``x`` must
-    be a finite float (L, d) matrix and ``gold`` L labels in [0, m).
+    Row b decodes its own input against its own gold labels: ``xs`` is
+    (B, L, d) and ``golds`` (B, L), or one (L, d) input and (L,) labels
+    shared by every row.  Returns (B, L) labelings and their (B,) values.
+    numpy runs one matrix product per row, so each row is bit-equal to
+    decoding it alone.  Unchecked: inputs must be finite floats and labels
+    lie in [0, m).
     """
-    node = x @ spec.state_view(weights) + 1.0  # (B, L, m)
-    node[:, np.arange(len(gold)), gold] -= 1.0
+    node = xs @ spec.state_view(weights) + 1.0  # (B, L, m)
+    # Subtracting 1.0 back at the gold labels, and 0.0 elsewhere, leaves the
+    # plain score there: (s + 1) - 1, to the bit.
+    node -= golds[..., None] == np.arange(spec.m)
     return _viterbi(node, spec.transition_view(weights))
 
 

@@ -4,12 +4,20 @@ Subcommands: gen-synth, train, predict, eval, cv, shrinkage-curve,
 norm-ball, pac-bound.  Every command is deterministic given its flags and
 seed; all tabular output is CSV with a header row, and files are written
 with "\\n" newlines so reruns are byte-identical.
+
+``train`` and ``cv`` share one training entry point, ``_train_grid``:
+``train`` gives it one row, and ``cv`` builds every (family, fold, config)
+row up front, which checks all of them before training starts, and trains
+them together: T - 1 lockstep kernel calls for the whole sweep.  It then
+evaluates each fold's rows in one decode of the other folds.
 """
 
 import argparse
 import csv
+import math
 import sys
 import time
+from collections import namedtuple
 from dataclasses import asdict
 from pathlib import Path
 
@@ -29,10 +37,12 @@ from .curves import (
 from .dataio import ModelFile, read_dataset, read_model_file, write_dataset, write_model_file
 from .metrics import evaluate_weight_rows, mean_std
 from .models import LaplaceConfig, train_laplace_grid
-from .optimize import SubgradConfig, lockstep_train, structured_hinge_objective
+from .optimize import SubgradConfig, structured_hinge_objective
 from .synth import GeneratorConfig, gen_dataset
 
 __all__ = ["main", "build_parser"]
+
+MODELS = ("m3n", "lapmedn", "l1m3n")
 
 # Default hyperparameter grids for cross-validation sweeps.
 DEFAULT_LAMBDA_GRID = (9.0, 16.0, 25.0, 36.0, 49.0, 64.0)
@@ -112,28 +122,51 @@ def _cmd_gen_synth(args) -> int:
 # train
 
 
-def _train_grid(model_name, instances, spec, grid, *, c, iters, outer_iters, seed):
-    """Train one family on every (lam, beta, radius) of ``grid`` in lockstep.
+def _check_betas(flag, betas):
+    for beta in betas:
+        if not 0.0 < beta < math.inf:
+            raise ValueError(f"{flag} must be positive and finite, got {beta:g}")
 
-    Returns the (B, K) weights, the (B, K) posterior variances (None for
-    l1m3n) and each row's slack penalty C, which defaults to 200 * beta for
-    m3n and to 1 otherwise.
+
+# One training of a sweep: ``lam`` is None but for lapmedn and ``radius``
+# None but for l1m3n; it trains on ``instances[i] for i in subset``.
+TrainingRow = namedtuple("TrainingRow", "model lam beta radius subset seed")
+
+
+def _train_grid(instances, spec, rows, *, c, iters, outer_iters):
+    """Train every :class:`TrainingRow` of ``rows`` in lockstep.
+
+    Every row's config is built, and so checked, before training starts.
+    The lapmedn rows run every round of :func:`train_laplace_grid`; the
+    m3n and l1m3n rows ride in its first round's kernel call.  Returns the
+    (B, K) weights, the (B, K) posterior variances (1 for m3n, and for
+    l1m3n, which has none) and each row's slack penalty C, which defaults
+    to 200 * beta for m3n and to 1 otherwise.
     """
     cfgs = []
-    for _, beta, _ in grid:
-        c_row = c if c is not None else 200.0 * beta if model_name == "m3n" else 1.0
-        cfgs.append(SubgradConfig(beta=beta, iterations=iters, C=c_row, seed=seed))
-    c_eff = [cfg.C for cfg in cfgs]
-    if model_name == "l1m3n":
-        return lockstep_train(instances, spec, cfgs, radii=[r for _, _, r in grid]), None, c_eff
-    if model_name == "m3n":
-        ones = np.ones((len(cfgs), spec.K))
-        return lockstep_train(instances, spec, cfgs, inv_diag=ones), ones, c_eff
+    for row in rows:
+        c_row = c if c is not None else 200.0 * row.beta if row.model == "m3n" else 1.0
+        cfgs.append(SubgradConfig(beta=row.beta, iterations=iters, C=c_row, seed=row.seed))
+    family = {name: [b for b, row in enumerate(rows) if row.model == name] for name in MODELS}
+    lapmedn, riders = family["lapmedn"], family["m3n"] + family["l1m3n"]
     lcfgs = [
-        LaplaceConfig(lam=lam, inner=cfg, C=cfg.C, outer_iters=outer_iters)
-        for (lam, _, _), cfg in zip(grid, cfgs)
+        LaplaceConfig(lam=rows[b].lam, inner=cfgs[b], C=cfgs[b].C, outer_iters=outer_iters)
+        for b in lapmedn
     ]
-    return (*train_laplace_grid(instances, spec, lcfgs), c_eff)
+    mean, var, ridden = train_laplace_grid(
+        instances,
+        spec,
+        lcfgs,
+        subsets=[rows[b].subset for b in lapmedn],
+        riders=(
+            [cfgs[b] for b in riders],
+            [rows[b].subset for b in riders],
+            [rows[b].radius for b in family["l1m3n"]],
+        ),
+    )
+    weights, variances = np.empty((len(rows), spec.K)), np.ones((len(rows), spec.K))
+    weights[lapmedn], variances[lapmedn], weights[riders] = mean, var, ridden
+    return weights, variances, [cfg.C for cfg in cfgs]
 
 
 def _cmd_train(args) -> int:
@@ -141,20 +174,17 @@ def _cmd_train(args) -> int:
         raise ValueError("lapmedn requires --lambda")
     if args.model == "l1m3n" and args.radius is None:
         raise ValueError("l1m3n requires --radius")
+    _check_betas("--beta", [args.beta])
     instances, spec, _ = read_dataset(args.data)
     started = time.perf_counter()
-    weights, var_diag, (c_eff,) = _train_grid(
-        args.model,
-        instances,
-        spec,
-        [(args.lam, args.beta, args.radius)],
-        c=args.c,
-        iters=args.iters,
-        outer_iters=args.outer_iters,
-        seed=args.seed,
+    row = TrainingRow(
+        args.model, args.lam, args.beta, args.radius, np.arange(len(instances)), args.seed
+    )
+    weights, variances, (c_eff,) = _train_grid(
+        instances, spec, [row], c=args.c, iters=args.iters, outer_iters=args.outer_iters
     )
     weights = weights[0]
-    var_diag = None if var_diag is None else var_diag[0]
+    var_diag = None if args.model == "l1m3n" else variances[0]
     objective = structured_hinge_objective(
         instances,
         ChainModel(spec, weights),
@@ -255,38 +285,39 @@ def _cmd_cv(args) -> int:
         raise ValueError("more folds than instances")
     models = [name.strip() for name in args.models.split(",") if name.strip()]
     grids = [_hyper_grid(name, args.lambdas, args.betas, args.radii) for name in models]
+    _check_betas("--betas", args.betas)
     rng = np.random.default_rng(args.seed)
     folds = np.array_split(rng.permutation(n), args.folds)
-    # reports[family][fold][row]: every config of a family trains on a fold
-    # in one lockstep call, because they all share the fold's seed.
-    reports = [[] for _ in models]
-    for fold_idx, fold in enumerate(folds):
-        # Inverted split: train on the single fold, test on the rest.
+    # Inverted split: every (family, fold, config) row trains on its single
+    # fold with seed + fold, all of them in one lockstep training, and is
+    # tested on the other folds.
+    keys = [
+        (k, f, g)
+        for k, grid in enumerate(grids)
+        for f in range(len(folds))
+        for g in range(len(grid))
+    ]
+    rows = [TrainingRow(models[k], *grids[k][g], folds[f], args.seed + f) for k, f, g in keys]
+    weights, _, _ = _train_grid(
+        instances, spec, rows, c=args.c, iters=args.iters, outer_iters=args.outer_iters
+    )
+    reports = {}
+    for f, fold in enumerate(folds):
         held = set(fold.tolist())
-        train_set = [instances[i] for i in fold]
         test_set = [instances[i] for i in range(n) if i not in held]
-        for name, grid, family_reports in zip(models, grids, reports):
-            weights, _, _ = _train_grid(
-                name,
-                train_set,
-                spec,
-                grid,
-                c=args.c,
-                iters=args.iters,
-                outer_iters=args.outer_iters,
-                seed=args.seed + fold_idx,
-            )
-            family_reports.append(evaluate_weight_rows(spec, weights, test_set))
+        tested = [b for b, key in enumerate(keys) if key[1] == f]
+        for b, report in zip(tested, evaluate_weight_rows(spec, weights[tested], test_set)):
+            reports[keys[b]] = report
     rows = []
-    for name, grid, family_reports in zip(models, grids, reports):
-        for row, (lam, beta, radius) in enumerate(grid):
+    for k, (name, grid) in enumerate(zip(models, grids)):
+        for g, (lam, beta, radius) in enumerate(grid):
             config = [
                 name,
                 "" if lam is None else _fmt(lam),
                 _fmt(beta),
                 "" if radius is None else _fmt(radius),
             ]
-            per_fold = [fold_reports[row] for fold_reports in family_reports]
+            per_fold = [reports[k, f, g] for f in range(len(folds))]
             for fold_idx, (fold, report) in enumerate(zip(folds, per_fold)):
                 rows.append(
                     config
@@ -421,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen_synth)
 
     p = sub.add_parser("train", help="train a model and write a model file")
-    p.add_argument("--model", choices=("m3n", "lapmedn", "l1m3n"), required=True)
+    p.add_argument("--model", choices=MODELS, required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=None, help="prior scale (lapmedn)")
     p.add_argument("--beta", type=float, default=1.0, help="step-size scale")

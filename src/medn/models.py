@@ -6,7 +6,10 @@ one row per config; one model is a grid of one.  m3n is
 (its weights are the mean of a unit-variance Gaussian posterior, and
 averaged prediction under it is decoding under the mean, because the
 score is linear in the weights); l1m3n is the same kernel with a radius
-per config; lapmedn is :func:`train_laplace_grid`.
+per config; lapmedn is :func:`train_laplace_grid`.  Its first round's
+kernel call can carry m3n and l1m3n rows as riders, and every row may
+train on its own subset with its own seed, so a cross-validation sweep of
+all three families over every fold takes T - 1 kernel calls.
 
 Also provides the analysis functions for the Laplace posterior: the
 entropic shrinkage map, the closed-form log-normalizer and its gradient,
@@ -125,7 +128,7 @@ class DualWeights:
         return self._accumulate(data)[0]
 
 
-def train_laplace_grid(data: list, spec: FeatureSpec, cfgs):
+def train_laplace_grid(data: list, spec: FeatureSpec, cfgs, *, subsets=None, riders=None):
     """Variational trainer for the Laplace-prior weight posterior.
 
     Starting from mean 0 and unit variances, each of the T - 1 rounds
@@ -138,34 +141,64 @@ def train_laplace_grid(data: list, spec: FeatureSpec, cfgs):
     drives the shrinkage of irrelevant-feature weights.
 
     Returns the (B, K) posterior means and variances, one row per config.
-    The configs must share ``outer_iters`` and their inner ``seed`` and
-    ``iterations``; ``lam``, ``C`` and the inner ``beta`` may differ.  Each
-    round is one lockstep solve over every config, followed by each
-    config's variance refresh, so each row is bit-equal to training its
-    config alone.  Raises ``ValueError`` naming the round and lam when a
-    variance overflows, as for a subnormal lam.
+    The configs must share ``outer_iters`` and their inner ``iterations``;
+    ``lam``, ``C`` and the inner ``beta`` and ``seed`` may differ.  Config
+    b trains on ``data[i] for i in subsets[b]`` (all of ``data`` when
+    ``subsets`` is None).  Each round is one :func:`lockstep_train` call
+    over every config, followed by each config's variance refresh, so each
+    row is bit-equal to training its config alone.
+
+    ``riders``, a tuple (cfgs, subsets, radii) of R subgradient configs,
+    their R training sets and P radii, adds rows to round 1's kernel call
+    only.  Round 1's penalty is the identity, so the first R - P riders
+    train m3n and the last P project onto their L1 balls (l1m3n); their
+    (R, K) final iterates come back as a third value.  ``cfgs`` may then be
+    empty, and the riders' call is the only one.
+
+    Raises ``ValueError`` naming the round and lam when a variance
+    overflows, as for a subnormal lam.
     """
     cfgs = list(cfgs)
-    if not cfgs:
+    rider_cfgs, rider_subsets, radii = riders if riders is not None else ([], [], [])
+    if not cfgs and not rider_cfgs:
         raise ValueError("need at least one configuration")
     if any(cfg.outer_iters != cfgs[0].outer_iters for cfg in cfgs):
         raise ValueError("lockstep configurations must share outer_iters")
+    if subsets is None:
+        subsets = [np.arange(len(data))] * len(cfgs)
     inners = [replace(cfg.inner, C=cfg.C) for cfg in cfgs]
-    lams = np.array([[cfg.lam] for cfg in cfgs])
-    var = np.ones((len(cfgs), spec.K))
-    mean = np.zeros((len(cfgs), spec.K))
-    for round_ in range(1, cfgs[0].outer_iters):
-        mean = lockstep_train(data, spec, inners, inv_diag=1.0 / var)
-        second_moment = var + mean**2
-        with np.errstate(over="ignore"):
-            var = np.maximum(np.sqrt(second_moment / lams), VARIANCE_FLOOR)
-        bad = np.flatnonzero(~np.isfinite(var).all(axis=1))
-        if bad.size:
-            raise ValueError(
-                f"variance refresh overflowed in round {round_} at lam={lams[bad[0], 0]:g}; "
-                "use a larger lam"
-            )
-    return mean, var
+    lams = np.array([cfg.lam for cfg in cfgs])[:, None]
+    # Round 1's penalty 1 / var is the identity for every lapmedn row, so
+    # the m3n riders share it; the projecting riders come last.
+    first = lockstep_train(
+        data,
+        spec,
+        inners + list(rider_cfgs),
+        inv_diag=np.ones((len(cfgs) + len(rider_cfgs) - len(radii), spec.K)),
+        radii=radii,
+        subsets=list(subsets) + list(rider_subsets),
+    )
+    mean = first[: len(cfgs)]
+    var = _refresh_variances(np.ones((len(cfgs), spec.K)), mean, lams, 1)
+    for round_ in range(2, cfgs[0].outer_iters if cfgs else 2):
+        mean = lockstep_train(data, spec, inners, inv_diag=1.0 / var, subsets=subsets)
+        var = _refresh_variances(var, mean, lams, round_)
+    if riders is None:
+        return mean, var
+    return mean, var, first[len(cfgs) :]
+
+
+def _refresh_variances(var, mean, lams, round_):
+    """sqrt((var + mean**2) / lam), floored; ValueError if one overflows."""
+    with np.errstate(over="ignore"):
+        var = np.maximum(np.sqrt((var + mean**2) / lams), VARIANCE_FLOOR)
+    bad = np.flatnonzero(~np.isfinite(var).all(axis=1))
+    if bad.size:
+        raise ValueError(
+            f"variance refresh overflowed in round {round_} at lam={lams[bad[0], 0]:g}; "
+            "use a larger lam"
+        )
+    return var
 
 
 def shrinkage_mean(eta: float, lam: float) -> float:

@@ -1,12 +1,15 @@
 """Optimization kernels for structured hinge objectives.
 
 One stochastic subgradient kernel, :func:`lockstep_train`, advances B
-trajectories in lockstep over one shared per-epoch shuffled instance
-order.  Each trajectory has its own step size ``1 / (2 * beta * sqrt(t))``,
-where t counts individual updates, and its own hinge weight C.  Its step
-either shrinks toward zero and preconditions by a diagonal quadratic
-penalty, or projects onto an L1 ball.  A single model is the kernel with
-one config (B = 1); it returns the final iterates as a (B, K) array.
+trajectories in lockstep.  Each trajectory trains on its own subset of the
+data in its own per-epoch shuffled order, drawn from its own seed, with
+its own step size ``1 / (2 * beta * sqrt(t))``, where t counts its
+individual updates, and its own hinge weight C.  Its step either shrinks
+toward zero and preconditions by a diagonal quadratic penalty, or projects
+onto an L1 ball.  At each step the trajectories whose current instances
+share a length are decoded in one DP call.  A single model is the kernel
+with one config (B = 1); cross-validation runs every fold's configs in
+one call.  It returns the final iterates as a (B, K) array.
 """
 
 import math
@@ -38,9 +41,9 @@ class SubgradConfig:
     """Schedule for the subgradient trainers.
 
     ``beta`` scales the step size ``alpha_t = 1 / (2 * beta * sqrt(t))``;
-    ``iterations`` is the number of full passes over the data; ``C`` weights
-    the hinge term (C == 0 degenerates to the penalty-only problem); ``seed``
-    drives the per-epoch instance shuffle.
+    ``iterations`` is the number of full passes over the training set;
+    ``C`` weights the hinge term (C == 0 degenerates to the penalty-only
+    problem); ``seed`` drives the per-epoch instance shuffle.
     """
 
     beta: float
@@ -57,11 +60,11 @@ class SubgradConfig:
             raise ValueError("C must be finite and nonnegative")
 
 
-def _check_data(data, spec: FeatureSpec):
+def _check_data(data, spec: FeatureSpec) -> list:
+    """Each instance as a checked (x, y) pair; ValueError if ``data`` is empty."""
     if not data:
         raise ValueError("training data must be nonempty")
-    for inst in data:
-        _check_instance(spec, inst.features, inst.labels)
+    return [_check_instance(spec, inst.features, inst.labels) for inst in data]
 
 
 def lockstep_train(
@@ -71,89 +74,177 @@ def lockstep_train(
     *,
     inv_diag: np.ndarray | None = None,
     radii=None,
+    subsets=None,
 ) -> np.ndarray:
     """Run one subgradient trajectory per config in lockstep; (B, K) final iterates.
 
-    The configs must share ``seed`` and ``iterations``, so every trajectory
-    visits the instances in the same order; each keeps its own ``beta`` and
-    ``C``.  Give exactly one step rule:
+    Row b trains on the instances ``data[i] for i in subsets[b]`` (all of
+    ``data`` when ``subsets`` is None).  Each epoch it visits them in the
+    order a generator seeded ``cfgs[b].seed`` draws, keeping its own
+    update count t, epoch and training-set size n, so rows of different
+    training sets run side by side; a row stops after ``iterations``
+    epochs, which the configs must share.  Each row keeps its own ``beta``
+    and ``C``.  The step rule goes by position: ``inv_diag`` (S, K) covers
+    the first S rows and ``radii`` (P,) the last P, with S + P = B.
 
-    * ``inv_diag`` (B, K): approximately minimize
+    * an ``inv_diag`` row approximately minimizes
       0.5 w' diag(inv) w + C * sum_i hinge_i(w).  Each update shrinks w by
       (1 - alpha / n), then adds alpha * C times the subgradient
       preconditioned by 1 / inv, so stiff coordinates (tiny penalty
       variance) stay numerically stable;
-    * ``radii`` (B,): minimize C * sum_i hinge_i(w) subject to
+    * a ``radii`` row minimizes C * sum_i hinge_i(w) subject to
       ||w||_1 <= radius.  Each update adds alpha * C times the subgradient,
       then projects onto the ball, so all iterates are feasible.
 
     hinge_i(w) = max_y [w'f(x_i, y) + hamming(y, y_i)] - w'f(x_i, y_i), with
     the inner maximum found by loss-augmented decoding; when the winner
-    equals the gold labeling the instance adds no data term.  Starts from
-    w = 0.  Every row is bit-equal to running its config alone.  Raises
-    ``RuntimeError`` as soon as a row stops being finite or its L2 norm
+    equals the gold labeling the instance adds no data term.  At each step
+    the rows whose current instances share a length are decoded in one DP
+    call, and the gold feature vectors are computed once for all of
+    ``data``.  Starts from w = 0.  Every row is bit-equal to running its
+    config alone on its training set.  Raises ``RuntimeError`` naming the
+    row's seed and beta as soon as a row stops being finite or its L2 norm
     exceeds ``DIVERGENCE_LIMIT``.
     """
-    _check_data(data, spec)
+    checked = _check_data(data, spec)
     cfgs = list(cfgs)
     if not cfgs:
         raise ValueError("need at least one configuration")
-    seed, iterations = cfgs[0].seed, cfgs[0].iterations
-    if any((cfg.seed, cfg.iterations) != (seed, iterations) for cfg in cfgs):
-        raise ValueError("lockstep configurations must share seed and iterations")
-    if (inv_diag is None) == (radii is None):
-        raise ValueError("give exactly one of inv_diag and radii")
-    batch = len(cfgs)
-    if inv_diag is not None:
-        inv_diag = np.asarray(inv_diag, dtype=float)
-        if inv_diag.shape != (batch, spec.K):
-            raise ValueError("regularizer dimension disagrees with spec")
-        if not np.all(np.isfinite(inv_diag)) or np.any(inv_diag <= 0):
-            raise ValueError("inv_diag entries must be positive and finite")
-        scale = 1.0 / inv_diag
-    else:
-        radii = np.asarray(radii, dtype=float)
-        if radii.shape != (batch,):
-            raise ValueError("need one radius per configuration")
-        if not np.all(radii > 0):
-            raise ValueError("radius must be positive")
-    betas = np.array([cfg.beta for cfg in cfgs])
-    hinge_weights = np.array([cfg.C for cfg in cfgs])
-    n = len(data)
-    gold_feats = [feature_vectors(spec, inst.features, inst.labels[None])[0] for inst in data]
-    rng = np.random.default_rng(seed)
+    iterations = cfgs[0].iterations
+    if any(cfg.iterations != iterations for cfg in cfgs):
+        raise ValueError("lockstep configurations must share iterations")
+    batch, n = len(cfgs), len(data)
+    inv_diag = np.ones((0, spec.K)) if inv_diag is None else np.asarray(inv_diag, dtype=float)
+    radii = np.ones(0) if radii is None else np.asarray(radii, dtype=float)
+    if inv_diag.ndim != 2 or inv_diag.shape[1] != spec.K:
+        raise ValueError("regularizer dimension disagrees with spec")
+    if radii.ndim != 1 or len(inv_diag) + len(radii) != batch:
+        raise ValueError("need one step rule per configuration: inv_diag rows, then radii")
+    if not np.all(np.isfinite(inv_diag)) or np.any(inv_diag <= 0):
+        raise ValueError("inv_diag entries must be positive and finite")
+    if not np.all(radii > 0):
+        raise ValueError("radius must be positive")
+    subsets = [np.arange(n)] * batch if subsets is None else [np.asarray(s) for s in subsets]
+    if len(subsets) != batch:
+        raise ValueError("need one training set per configuration")
+    for subset in subsets:
+        if subset.ndim != 1 or not subset.size or subset.dtype.kind not in "iu":
+            raise ValueError("a training set must be a nonempty vector of instance indices")
+        if subset.min() < 0 or subset.max() >= n:
+            raise ValueError(f"training set indices must lie in [0, {n})")
+
+    # Rows of one seed and training set form a group: they visit the same
+    # instances, drawn once.  order[s, g] is group g's instance at step s,
+    # or -1 once the group has run its epochs.
+    groups = {}
+    row_group = np.array(
+        [groups.setdefault((cfg.seed, s.tobytes()), (len(groups), cfg.seed, s))[0]
+         for cfg, s in zip(cfgs, subsets)]
+    )
+    sizes = np.array([len(s) for _, _, s in groups.values()])
+    order = np.full((iterations * sizes.max(), len(groups)), -1)
+    for g, seed, subset in groups.values():
+        rng = np.random.default_rng(seed)
+        draws = [subset[rng.permutation(len(subset))] for _ in range(iterations)]
+        order[: iterations * len(subset), g] = np.concatenate(draws)
+
+    # Every instance's input, labels and gold features, stacked by length;
+    # slot[i] is instance i's place in its stack.
+    lengths = [len(y) for _, y in checked]
+    stacks, slot = {}, np.empty(n, dtype=np.int64)
+    for length in set(lengths):
+        members = [i for i in range(n) if lengths[i] == length]
+        slot[members] = np.arange(len(members))
+        xs = np.stack([checked[i][0] for i in members])
+        ys = np.stack([checked[i][1] for i in members])
+        stacks[length] = (xs, ys, feature_vectors(spec, xs, ys))
+
+    def make_bucket(live):
+        rows = np.flatnonzero(np.isin(row_group, live))
+        s = int(np.searchsorted(rows, len(inv_diag)))
+        return _Bucket(
+            rows,
+            row_group[rows],
+            np.array([cfgs[b].beta for b in rows]),
+            np.array([cfgs[b].C for b in rows]),
+            sizes[row_group[rows]],
+            # A projecting row's subgradient is scaled by 1, which is exact.
+            np.vstack([1.0 / inv_diag[rows[:s]], np.ones((len(rows) - s, spec.K))]),
+            radii[rows[s:] - len(inv_diag)],
+        )
+
+    buckets = {}
     w = np.zeros((batch, spec.K))
-    t = 0
-    for epoch in range(1, iterations + 1):
-        for idx in rng.permutation(n):
-            t += 1
-            alpha = 1.0 / (2.0 * betas * math.sqrt(t))
-            inst = data[idx]
-            y_star, _ = loss_augmented_decode_rows(spec, w, inst.features, inst.labels)
-            if inv_diag is not None:
-                w = (1.0 - alpha / n)[:, None] * w
-            rows = np.flatnonzero((y_star != inst.labels).any(axis=1))
-            if rows.size:
-                delta = gold_feats[idx] - feature_vectors(spec, inst.features, y_star[rows])
-                step = (alpha[rows] * hinge_weights[rows])[:, None]
-                if inv_diag is not None:
-                    delta = scale[rows] * delta
-                w[rows] = w[rows] + step * delta
-            if radii is not None:
-                w = _project_rows(w, radii)
-            _check_iterates(w, betas, epoch, t)
+    # A row that overflows fails _check_iterates; numpy's warnings about it
+    # would only precede that error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step, current in enumerate(order):
+            by_length = {}
+            for g, i in enumerate(current.tolist()):
+                if i >= 0:
+                    by_length.setdefault(lengths[i], []).append(g)
+            for length, live in by_length.items():
+                key = tuple(live)
+                if key not in buckets:
+                    buckets[key] = make_bucket(live)
+                bucket = buckets[key]
+                # One group: its rows share an input.  Several: one per row.
+                at = slot[current[live[0]] if len(live) == 1 else current[bucket.groups]]
+                xs, ys, gold = stacks[length]
+                updated = bucket.step(w, spec, step + 1, xs[at], ys[at], gold[at])
+                _check_iterates(updated, bucket, step + 1, cfgs)
     return w
 
 
-def _check_iterates(w: np.ndarray, betas: np.ndarray, epoch: int, t: int):
-    norms = np.linalg.norm(w, axis=1)
-    bad = np.flatnonzero(~(norms <= DIVERGENCE_LIMIT))
-    if bad.size:
-        row = bad[0]
+@dataclass
+class _Bucket:
+    """Rows decoded in one call: those of the groups whose current instances
+    share a length, in row order, so the shrinking rows come first.  Holds
+    their fixed per-row arrays."""
+
+    rows: np.ndarray
+    groups: np.ndarray
+    betas: np.ndarray
+    hinge_weights: np.ndarray
+    sizes: np.ndarray
+    scale: np.ndarray  # inverse penalties; 1 for the projecting rows
+    radii: np.ndarray  # balls of the projecting rows, which come last
+
+    def step(self, w, spec, t, x, y, gold):
+        """One update of these rows of ``w`` at instance(s) ``x``, ``y`` with
+        gold features ``gold``; returns the updated rows."""
+        whole = len(self.rows) == len(w)
+        block = w if whole else w[self.rows]
+        shrinking = len(self.rows) - len(self.radii)
+        alpha = 1.0 / (2.0 * self.betas * math.sqrt(t))
+        y_star, _ = loss_augmented_decode_rows(spec, block, x, y)
+        shrink = (1.0 - alpha[:shrinking] / self.sizes[:shrinking])[:, None]
+        block[:shrinking] = shrink * block[:shrinking]
+        hit = np.flatnonzero((y_star != y).any(axis=1))
+        if hit.size:
+            if x.ndim == 3:
+                x, gold = x[hit], gold[hit]
+            delta = self.scale[hit] * (gold - feature_vectors(spec, x, y_star[hit]))
+            block[hit] = block[hit] + (alpha[hit] * self.hinge_weights[hit])[:, None] * delta
+        if len(self.radii):
+            block[shrinking:] = _project_rows(block[shrinking:], self.radii)
+        if not whole:
+            w[self.rows] = block
+        return block
+
+
+def _check_iterates(updated, bucket, t: int, cfgs):
+    """Raise if an updated row is not finite or its L2 norm passes
+    ``DIVERGENCE_LIMIT``; the error names the first such row."""
+    within = (updated * updated).sum(axis=1) <= DIVERGENCE_LIMIT**2
+    if not within.all():
+        bad = np.flatnonzero(~within)
+        cfg = cfgs[bucket.rows[bad[0]]]
+        epoch = (t - 1) // bucket.sizes[bad[0]] + 1
         raise RuntimeError(
-            f"subgradient iterate diverged in epoch {epoch} at update t={t}: "
-            f"beta={betas[row]:g} reached L2 norm {norms[row]:.6g}; "
-            "decrease the step size (raise beta)"
+            f"subgradient iterate with seed={cfg.seed} diverged in epoch {epoch} "
+            f"at update t={t}: beta={cfg.beta:g} reached L2 norm "
+            f"{np.linalg.norm(updated[bad[0]]):.6g}; decrease the step size (raise beta)"
         )
 
 

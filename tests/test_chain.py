@@ -17,7 +17,13 @@ from medn import (
     loss_augmented_decode,
     score,
 )
-from medn.chain import _viterbi, decode_instances, decode_rows, feature_vectors
+from medn.chain import (
+    _viterbi,
+    decode_instances,
+    decode_rows,
+    feature_vectors,
+    loss_augmented_decode_rows,
+)
 from oracles import chain_scores, enumerate_labelings, make_mixed_instances, manual_score
 
 
@@ -241,6 +247,23 @@ class TestBatchedViterbi:
         feats = feature_vectors(spec, xs[0], rows[:, 0])
         for y, f in zip(rows[:, 0], feats):
             assert np.array_equal(f, feature_vector(spec, xs[0], y))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_per_row_inputs_equal_single_row_calls(self, d):
+        """Each row may bring its own input and gold labels; every row is
+        bit-equal to its own call with B = 1."""
+        rng = np.random.default_rng(16)
+        spec = FeatureSpec(d=d, m=3)
+        weights = rng.standard_normal((6, spec.K))
+        xs = rng.standard_normal((6, 5, d))
+        golds = rng.integers(0, 3, (6, 5))
+        labels, values = loss_augmented_decode_rows(spec, weights, xs, golds)
+        feats = feature_vectors(spec, xs, labels)
+        for b in range(6):
+            model = ChainModel(spec, weights[b])
+            want_labels, want_value = loss_augmented_decode(model, SequenceInstance(xs[b], golds[b]))
+            assert np.array_equal(labels[b], want_labels) and values[b] == want_value
+            assert np.array_equal(feats[b], feature_vector(spec, xs[b], labels[b]))
 
 
     def test_decode_instances_equals_per_instance_decode_in_input_order(self):

@@ -13,11 +13,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from medn import FeatureSpec, SequenceInstance
+from medn import FeatureSpec, LaplaceConfig, SequenceInstance, SubgradConfig
 from medn.cli import DEFAULT_BETA_GRID, DEFAULT_LAMBDA_GRID, build_parser, main
-from medn import cli
+from medn import cli, optimize
 from medn.dataio import ModelFile, read_model_file, write_dataset, write_model_file
-from oracles import make_mixed_instances, make_signal_instances, pac_bound_oracle
+from oracles import (
+    make_mixed_instances,
+    make_signal_instances,
+    pac_bound_oracle,
+    reference_l1_constrained_train,
+    reference_subgradient_train,
+    reference_train_laplace,
+)
 
 
 def _read_csv(path):
@@ -136,6 +143,43 @@ class TestTrainPredictEval:
         assert (code, caught) == (2, [])
         assert err.startswith(message) and err.count("\n") == 1
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train", "--model", "m3n", "--beta", "1e-300"],
+             "error: subgradient iterate with seed=0 diverged in epoch 1 at update t=2: "
+             "beta=1e-300 reached L2 norm "),
+            (["train", "--model", "m3n", "--c", "1e308"],
+             "error: subgradient iterate with seed=0 diverged in epoch 1 at update t=1: "
+             "beta=1 reached L2 norm inf;"),
+            (["cv", "--folds", "2", "--betas", "1,1e-300", "--seed", "5"],
+             "error: subgradient iterate with seed=5 diverged in epoch 1 at update t=1: "
+             "beta=1e-300 reached L2 norm "),
+        ],
+        ids=["tiny-beta", "huge-c", "cv-tiny-beta"],
+    )
+    def test_divergence_is_one_error_line_without_warnings(self, tmp_path, argv, message):
+        """The error names the row's seed (in cv, seed + fold) and beta, and
+        no numpy overflow warning precedes it."""
+        data = tmp_path / "train.jsonl"
+        _write_signal_dataset(data, n=4, seed=85)
+        code, _, err, caught = _run_quietly(
+            [*argv, "--data", str(data), "--iters", "3", "--out", str(tmp_path / "o")]
+        )
+        assert (code, caught) == (2, [])
+        assert err.startswith(message) and err.count("\n") == 1, err
+
+    def test_infinite_beta_names_its_flag(self, tmp_path):
+        """The m3n default --c is 200 * beta; the error names the flag the
+        user passed, not the C derived from it."""
+        data = tmp_path / "train.jsonl"
+        _write_signal_dataset(data, n=4, seed=86)
+        code, _, err, caught = _run_quietly(
+            ["train", "--model", "m3n", "--data", str(data), "--beta", "inf",
+             "--out", str(tmp_path / "m.json")]
+        )
+        assert (code, err, caught) == (2, "error: --beta must be positive and finite, got inf\n", [])
 
     def test_model_file_round_trip_preserves_predictions(self, tmp_path):
         data = tmp_path / "train.jsonl"
@@ -290,6 +334,79 @@ class TestCrossValidation:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--models", "m3n,lapmedn", "--lambdas", "0"],
+             "error: lam must be positive and finite, got 0\n"),
+            (["--models", "l1m3n,m3n", "--betas", "1,inf"],
+             "error: --betas must be positive and finite, got inf\n"),
+            (["--models", "m3n,l1m3n", "--c", "-1"], "error: C must be finite and nonnegative\n"),
+        ],
+        ids=["lambda", "beta", "c"],
+    )
+    def test_every_row_is_checked_before_the_kernel_starts(
+        self, tmp_path, monkeypatch, flags, message
+    ):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a kernel step ran before every row was checked")
+
+        monkeypatch.setattr(optimize, "loss_augmented_decode_rows", no_step)
+        data = tmp_path / "cv.jsonl"
+        _write_signal_dataset(data, n=6, seed=92)
+        code, _, err, caught = _run_quietly(
+            ["cv", "--data", str(data), "--folds", "2", "--betas", "1", "--iters", "2",
+             "--out", str(tmp_path / "o.csv"), *flags]
+        )
+        assert (code, err, caught) == (2, message, [])
+
+    @pytest.mark.parametrize("outer_iters", [2, 3, 4])
+    def test_every_row_equals_training_its_config_alone_on_its_fold(
+        self, tmp_path, monkeypatch, outer_iters
+    ):
+        """One lockstep training runs every family, fold and config of the
+        sweep: rows of unequal folds (4, 4 and 3 instances of mixed lengths)
+        and their own seeds side by side.  Each row must equal the per-config
+        reference loop on its fold with seed + fold, lapmedn after each
+        number of rounds; signs too, for the -0.0 the projection leaves."""
+        trainings = []
+
+        def recording(instances, spec, rows, **kwargs):
+            out = real(instances, spec, rows, **kwargs)
+            trainings.append((instances, spec, rows, out))
+            return out
+
+        real = cli._train_grid
+        monkeypatch.setattr(cli, "_train_grid", recording)
+        rng = np.random.default_rng(93)
+        data = tmp_path / "mixed.jsonl"
+        write_dataset(data, make_mixed_instances(rng, n=11, d=3, m=3), FeatureSpec(3, 3), meta={})
+        code = main(
+            ["cv", "--data", str(data), "--folds", "3", "--models", "m3n,lapmedn,l1m3n",
+             "--lambdas", "4,36", "--betas", "1,10", "--radii", "0.5,1e6", "--iters", "3",
+             "--outer-iters", str(outer_iters), "--seed", "7", "--out", str(tmp_path / "cv.csv")]
+        )
+        assert code == 0
+        ((instances, spec, rows, (weights, _, hinge_weights)),) = trainings
+        folds = np.array_split(np.random.default_rng(7).permutation(11), 3)
+        assert [len(fold) for fold in folds] == [4, 4, 3]
+        assert len({len(inst) for inst in instances}) > 1
+        assert len(rows) == (2 + 4 + 4) * 3
+        for (name, lam, beta, radius, fold, seed), w, c in zip(rows, weights, hinge_weights):
+            (f,) = [f for f, want in enumerate(folds) if np.array_equal(fold, want)]
+            assert seed == 7 + f
+            train_set = [instances[i] for i in fold]
+            cfg = SubgradConfig(beta=beta, iterations=3, C=c, seed=seed)
+            if name == "m3n":
+                want = reference_subgradient_train(train_set, spec, np.ones(spec.K), cfg).weights
+            elif name == "lapmedn":
+                lcfg = LaplaceConfig(lam=lam, inner=cfg, C=c, outer_iters=outer_iters)
+                want = reference_train_laplace(train_set, spec, lcfg)[-1][0]
+            else:
+                want = reference_l1_constrained_train(train_set, spec, radius, cfg).weights
+            assert np.array_equal(w, want), (name, lam, beta, radius, f)
+            assert np.array_equal(np.signbit(w), np.signbit(want))
 
     def test_more_folds_than_instances_rejected(self, tmp_path):
         data = tmp_path / "cv.jsonl"

@@ -377,11 +377,21 @@ class TestLockstepEqualsPerConfigLoops:
 
 class TestLockstepValidation:
     def test_configs_must_share_the_instance_order(self):
+        """Each row draws its own order from its seed, but every row runs
+        the same number of epochs."""
         spec, data = _lockstep_problem(130, 2)
         a = SubgradConfig(beta=1.0, iterations=3, C=1.0, seed=0)
-        for b in (SubgradConfig(1.0, 3, 1.0, seed=1), SubgradConfig(1.0, 4, 1.0, seed=0)):
+        b = SubgradConfig(1.0, 4, 1.0, seed=0)
+        with pytest.raises(ValueError, match="share iterations"):
+            lockstep_train(data, spec, [a, b], inv_diag=np.ones((2, spec.K)))
+
+    def test_training_sets_are_checked(self):
+        spec, data = _lockstep_problem(132, 2)
+        cfg = SubgradConfig(beta=1.0, iterations=3, C=1.0)
+        ones = np.ones((1, spec.K))
+        for subsets in ([], [[0], [1]], [[]], [[0, 7]], [[-1, 0]], [[0.0]], [[[0]]]):
             with pytest.raises(ValueError):
-                lockstep_train(data, spec, [a, b], inv_diag=np.ones((2, spec.K)))
+                lockstep_train(data, spec, [cfg], inv_diag=ones, subsets=subsets)
 
     def test_exactly_one_step_rule(self):
         spec, data = _lockstep_problem(131, 2)
