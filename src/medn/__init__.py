@@ -7,17 +7,7 @@ generalization-bound calculator, and a CLI harness.
 """
 
 from .bounds import BoundInputs, margin_sample_count, pac_bound
-from .chain import (
-    ChainModel,
-    FeatureSpec,
-    SequenceInstance,
-    decode,
-    decode_instances,
-    feature_vector,
-    hamming_loss,
-    loss_augmented_decode,
-    score,
-)
+from .chain import FeatureSpec, SequenceInstance, decode_instances
 from .metrics import MetricsReport, evaluate_weight_rows, mean_std
 from .models import (
     DualWeights,
@@ -48,7 +38,6 @@ from .synth import (
 
 __all__ = [
     "BoundInputs",
-    "ChainModel",
     "DualWeights",
     "FeatureSpec",
     "GeneratorConfig",
@@ -58,27 +47,22 @@ __all__ = [
     "SubgradConfig",
     "SyntheticDataset",
     "TrueCrf",
-    "decode",
     "decode_instances",
     "evaluate_weight_rows",
-    "feature_vector",
     "gen_crf",
     "gen_dataset",
     "gen_features",
     "gibbs_label",
     "gibbs_samples",
-    "hamming_loss",
     "kl_norm",
     "l1_ball_project",
     "l1m3n_dual_check",
     "laplace_log_z",
     "laplace_log_z_grad",
     "lockstep_train",
-    "loss_augmented_decode",
     "margin_sample_count",
     "mean_std",
     "pac_bound",
-    "score",
     "shrinkage_mean",
     "structured_hinge_objective",
     "train_laplace_grid",

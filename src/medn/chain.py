@@ -8,9 +8,8 @@ Everything in this module is a pure function of its inputs.
 The ``*_rows`` functions and :func:`feature_vectors` work on a batch: B
 weight vectors as a (B, K) array, or B labelings as a (B, L) array; each
 row may bring its own same-length input, or all rows share one.  They
-skip input checks, so trainers validate their data once and
-then call them on every update; the single-model functions check their
-inputs and call them with B = 1.  :func:`decode_instances` decodes a whole
+skip input checks, so the entry points validate their data once and
+then call them on every update.  :func:`decode_instances` decodes a whole
 dataset that way: one check of the weights, one DP call per length.
 """
 
@@ -21,12 +20,6 @@ import numpy as np
 __all__ = [
     "FeatureSpec",
     "SequenceInstance",
-    "ChainModel",
-    "feature_vector",
-    "score",
-    "decode",
-    "loss_augmented_decode",
-    "hamming_loss",
     "feature_vectors",
     "decode_rows",
     "decode_instances",
@@ -96,35 +89,23 @@ class SequenceInstance:
         return self.features.shape[0]
 
 
-@dataclass
-class ChainModel:
-    """A feature specification plus one weight per feature."""
-
-    spec: FeatureSpec
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.shape != (self.spec.K,):
-            raise ValueError(
-                f"expected {self.spec.K} weights, got shape {self.weights.shape}"
-            )
-        if not np.all(np.isfinite(self.weights)):
-            raise ValueError("weights must be finite")
+def _check_weights(spec: FeatureSpec, weights) -> np.ndarray:
+    """``weights`` as a finite float (K,) vector, or ValueError."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (spec.K,):
+        raise ValueError(f"expected {spec.K} weights, got shape {weights.shape}")
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("weights must be finite")
+    return weights
 
 
-def _check_inputs(spec: FeatureSpec, x: np.ndarray) -> np.ndarray:
+def _check_instance(spec: FeatureSpec, x: np.ndarray, y: np.ndarray):
+    """(x, y) as a float (L, d) matrix and L int labels in [0, m), or ValueError."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("inputs must be a nonempty (L, d) matrix")
     if x.shape[1] != spec.d:
         raise ValueError(f"expected {spec.d} input features, got {x.shape[1]}")
-    return x
-
-
-def _check_instance(spec: FeatureSpec, x: np.ndarray, y: np.ndarray):
-    """(x, y) as a float (L, d) matrix and L int labels in [0, m), or ValueError."""
-    x = _check_inputs(spec, x)
     y = np.asarray(y, dtype=np.int64)
     if y.ndim != 1:
         raise ValueError("labels must be one-dimensional")
@@ -135,17 +116,6 @@ def _check_instance(spec: FeatureSpec, x: np.ndarray, y: np.ndarray):
     return x, y
 
 
-def feature_vector(spec: FeatureSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Joint feature map of a labeled sequence.
-
-    State feature (k, c) accumulates ``x[l, k]`` over positions with label c;
-    transition feature (c, c') counts adjacent pairs (y[l], y[l+1]) == (c, c').
-    Additive over positions, deterministic.
-    """
-    x, y = _check_instance(spec, x, y)
-    return feature_vectors(spec, x, y[None])[0]
-
-
 def feature_vectors(spec: FeatureSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """(B, K) feature vectors of the B labelings ``ys`` (B, L).
 
@@ -153,7 +123,8 @@ def feature_vectors(spec: FeatureSpec, xs: np.ndarray, ys: np.ndarray) -> np.nda
     shared by every row.  Unchecked: inputs must be finite floats and
     ``ys`` hold labels in [0, m).  Each state feature (k, c) is
     ``x[y == c, k].sum()`` to the bit, so rows never depend on which other
-    rows share the call.
+    rows share the call; transition feature (c, c') counts the adjacent
+    label pairs (c, c').
     """
     batch, length = ys.shape
     m = spec.m
@@ -174,11 +145,6 @@ def feature_vectors(spec: FeatureSpec, xs: np.ndarray, ys: np.ndarray) -> np.nda
     pairs = ys[:, :-1] * m + ys[:, 1:] + (m * m) * np.arange(batch)[:, None]
     f[:, spec.n_state :] = np.bincount(pairs.ravel(), minlength=batch * m * m).reshape(batch, m * m)
     return f
-
-
-def score(model: ChainModel, x: np.ndarray, y: np.ndarray) -> float:
-    """Linear sequence score: dot(weights, feature_vector(spec, x, y))."""
-    return float(np.dot(model.weights, feature_vector(model.spec, x, y)))
 
 
 def _viterbi(node: np.ndarray, trans: np.ndarray):
@@ -221,19 +187,13 @@ def decode_rows(spec: FeatureSpec, weights: np.ndarray, xs: np.ndarray) -> np.nd
     return labels.reshape(batch, group, length)
 
 
-def decode(model: ChainModel, x: np.ndarray) -> np.ndarray:
-    """Highest-scoring labeling of ``x`` under the model (exact Viterbi)."""
-    x = _check_inputs(model.spec, x)
-    return decode_rows(model.spec, model.weights[None], x[None])[0, 0]
-
-
 def decode_instances(spec: FeatureSpec, weights, instances) -> list:
     """Highest-scoring labelings of every instance under each row of (B, K) ``weights``.
 
     Returns one (B, L_i) array per instance, in input order.  The weights
     and each instance's d are checked once; then the instances of one
     length are decoded under all B rows in one :func:`decode_rows` call, so
-    each labeling is bit-equal to :func:`decode` of that instance alone.
+    each labeling is bit-equal to decoding that instance under that row alone.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 2 or weights.shape[1] != spec.K:
@@ -260,7 +220,8 @@ def loss_augmented_decode_rows(
 
     Row b decodes its own input against its own gold labels: ``xs`` is
     (B, L, d) and ``golds`` (B, L), or one (L, d) input and (L,) labels
-    shared by every row.  Returns (B, L) labelings and their (B,) values.
+    shared by every row; one (1, K) weight row may likewise be shared by
+    B inputs.  Returns (B, L) labelings and their (B,) values.
     numpy runs one matrix product per row, so each row is bit-equal to
     decoding it alone.  Unchecked: inputs must be finite floats and labels
     lie in [0, m).
@@ -270,25 +231,3 @@ def loss_augmented_decode_rows(
     # plain score there: (s + 1) - 1, to the bit.
     node -= golds[..., None] == np.arange(spec.m)
     return _viterbi(node, spec.transition_view(weights))
-
-
-def loss_augmented_decode(model: ChainModel, instance: SequenceInstance):
-    """Labeling maximizing model score plus Hamming distance to the gold labels.
-
-    Returns ``(labels, value)`` where value is the attained maximum.  The
-    per-position loss folds into the node scores, so the search stays an
-    exact chain DP with the same tie-breaking as :func:`decode`.  Used to
-    find the most violated margin constraint during training.
-    """
-    x, gold = _check_instance(model.spec, instance.features, instance.labels)
-    labels, values = loss_augmented_decode_rows(model.spec, model.weights[None], x, gold)
-    return labels[0], float(values[0])
-
-
-def hamming_loss(a, b) -> int:
-    """Number of positions where two equal-length labelings differ."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError("labelings must have equal length")
-    return int(np.sum(a != b))

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import BoundInputs, margin_sample_count, pac_bound
-from .chain import ChainModel, FeatureSpec, decode_instances
+from .chain import FeatureSpec, decode_instances
 from .curves import (
     identity_points,
     l1_unit_ball,
@@ -103,7 +103,7 @@ def _cmd_gen_synth(args) -> int:
         "relevant": dataset.crf.relevant.tolist(),
     }
     write_dataset(args.out, dataset.instances, spec, meta=meta)
-    weights = dataset.crf.model.weights
+    weights = dataset.crf.weights
     state_norm = float(np.linalg.norm(spec.state_view(weights)))
     trans_norm = float(np.linalg.norm(spec.transition_view(weights)))
     print(f"wrote {cfg.n_samples} instances to {args.out}")
@@ -187,7 +187,8 @@ def _cmd_train(args) -> int:
     var_diag = None if args.model == "l1m3n" else variances[0]
     objective = structured_hinge_objective(
         instances,
-        ChainModel(spec, weights),
+        spec,
+        weights,
         c_eff,
         inv_diag=None if var_diag is None else 1.0 / var_diag,
     )

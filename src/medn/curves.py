@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import brentq
 
-from .models import _check_lam, kl_norm, shrinkage_mean
+from .models import _check_lam, _kl_excess, shrinkage_mean
 
 __all__ = [
     "CurvePoint",
@@ -74,16 +74,19 @@ def norm_ball_boundary(lam: float, n_angles: int = 360) -> np.ndarray:
     """(n_angles, 2) points w with kl_norm(w, lam) equal to the ball level.
 
     One bracketed root-find per ray; the penalty is strictly increasing
-    along every ray, so the root is unique.  Raises RuntimeError naming the
-    angle if a ray cannot be bracketed.
+    along every ray, so the root is unique.  Both sides are compared as
+    excesses over the penalty at 0, which keeps small lam free of
+    cancellation.  Raises RuntimeError naming the angle if a ray cannot be
+    bracketed.
     """
-    level = norm_ball_level(lam)
+    norm_ball_level(lam)  # rejects lam whose level overflows
+    target = _kl_excess(np.array([0.0, 1.0]), lam)
     points = np.empty((n_angles, 2))
     for i, theta in enumerate(np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)):
         cx, cy = math.cos(theta), math.sin(theta)
 
         def gap(r: float) -> float:
-            return kl_norm(np.array([r * cx, r * cy]), lam) - level
+            return _kl_excess(np.array([r * cx, r * cy]), lam) - target
 
         hi = 1.0
         doublings = 0

@@ -266,6 +266,21 @@ def kl_norm(mu, lam: float) -> float:
     )
 
 
+def _kl_excess(mu, lam: float) -> float:
+    """kl_norm(mu, lam) - kl_norm(0, lam) without cancellation.
+
+    Each term's excess over its value at 0 is computed directly:
+    sqrt(mu**2 + 1/lam) - 1/sqrt(lam) = mu**2 / (sqrt(mu**2 + 1/lam) + 1/sqrt(lam))
+    and log((root + 1) / 2) = log1p(lam mu**2 / (root + 1) / 2).  Subtracting
+    the two sides instead loses every digit once 1/sqrt(lam) dwarfs them.
+    """
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    root = np.sqrt(lam * mu**2 + 1.0)
+    inv_sqrt = 1.0 / math.sqrt(lam)
+    radial = mu**2 / (np.sqrt(mu**2 + 1.0 / lam) + inv_sqrt)
+    return float(np.sum(radial - np.log1p(lam * mu**2 / (root + 1.0) / 2.0) * inv_sqrt))
+
+
 def l1m3n_dual_check(dual: DualWeights, data: list, tol: float = 1e-9) -> bool:
     """Feasibility of dual weights for the L1-constrained problem.
 

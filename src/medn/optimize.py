@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import (
-    ChainModel,
     FeatureSpec,
     _check_instance,
+    _check_weights,
     feature_vectors,
     loss_augmented_decode_rows,
 )
@@ -152,11 +152,8 @@ def lockstep_train(
     # slot[i] is instance i's place in its stack.
     lengths = [len(y) for _, y in checked]
     stacks, slot = {}, np.empty(n, dtype=np.int64)
-    for length in set(lengths):
-        members = [i for i in range(n) if lengths[i] == length]
+    for length, (members, xs, ys) in _stack_by_length(checked).items():
         slot[members] = np.arange(len(members))
-        xs = np.stack([checked[i][0] for i in members])
-        ys = np.stack([checked[i][1] for i in members])
         stacks[length] = (xs, ys, feature_vectors(spec, xs, ys))
 
     def make_bucket(live):
@@ -194,6 +191,23 @@ def lockstep_train(
                 updated = bucket.step(w, spec, step + 1, xs[at], ys[at], gold[at])
                 _check_iterates(updated, bucket, step + 1, cfgs)
     return w
+
+
+def _stack_by_length(checked) -> dict:
+    """Checked (x, y) pairs grouped by length: {L: (members, xs, ys)}, where
+    ``members`` lists the instance indices of length L in input order and
+    ``xs`` (G, L, d) and ``ys`` (G, L) stack their inputs and labels."""
+    groups = {}
+    for i, (_, y) in enumerate(checked):
+        groups.setdefault(len(y), []).append(i)
+    return {
+        length: (
+            members,
+            np.stack([checked[i][0] for i in members]),
+            np.stack([checked[i][1] for i in members]),
+        )
+        for length, members in groups.items()
+    }
 
 
 @dataclass
@@ -294,21 +308,28 @@ def l1_ball_project(v: np.ndarray, radius: float) -> np.ndarray:
 
 
 def structured_hinge_objective(
-    data: list, model: ChainModel, C: float, inv_diag: np.ndarray | None = None
+    data: list, spec: FeatureSpec, weights, C: float, inv_diag: np.ndarray | None = None
 ) -> float:
-    """Objective value 0.5 w' diag(inv_diag) w + C * sum_i hinge_i(w).
+    """Objective value 0.5 w' diag(inv_diag) w + C * sum_i hinge_i(w) at (K,) ``weights``.
 
     Pass ``inv_diag=None`` for the unregularized hinge total (the quantity
     constrained trainers minimize inside their feasible set).  Each
-    instance is checked once; empty ``data`` gives the penalty term alone.
+    instance is checked once, and the instances of one length are decoded
+    in one DP call; the hinge terms are summed in instance order.  Empty
+    ``data`` gives the penalty term alone.
     """
-    spec, w = model.spec, model.weights
+    w = _check_weights(spec, weights)
     checked = [_check_instance(spec, inst.features, inst.labels) for inst in data]
     reg = 0.0
     if inv_diag is not None:
         reg = 0.5 * float(np.dot(w, np.asarray(inv_diag) * w))
+    terms = [0.0] * len(checked)
+    for members, xs, ys in _stack_by_length(checked).values():
+        _, values = loss_augmented_decode_rows(spec, w[None], xs, ys)
+        golds = feature_vectors(spec, xs, ys)
+        for g, i in enumerate(members):
+            terms[i] = float(values[g]) - float(np.dot(w, golds[g]))
     hinge = 0.0
-    for x, y in checked:
-        _, value = loss_augmented_decode_rows(spec, w[None], x, y)
-        hinge += float(value[0]) - float(np.dot(w, feature_vectors(spec, x, y[None])[0]))
+    for term in terms:  # any other order or summation changes the last bits
+        hinge += term
     return reg + C * hinge

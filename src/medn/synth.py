@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainModel, FeatureSpec, SequenceInstance
+from .chain import FeatureSpec, SequenceInstance, _check_weights
 
 __all__ = [
     "GeneratorConfig",
@@ -87,10 +87,15 @@ class GeneratorConfig:
 
 @dataclass
 class TrueCrf:
-    """Generating chain model; state weights vanish off the relevant features."""
+    """Generating chain model: (K,) weights over ``spec``, whose state
+    weights vanish off the relevant features."""
 
-    model: ChainModel
+    spec: FeatureSpec
+    weights: np.ndarray
     relevant: np.ndarray
+
+    def __post_init__(self):
+        self.weights = _check_weights(self.spec, self.weights)
 
 
 @dataclass
@@ -113,7 +118,7 @@ def gen_crf(cfg: GeneratorConfig) -> TrueCrf:
     w = np.zeros(spec.K)
     spec.state_view(w)[: cfg.d_rel] = rng.standard_normal((cfg.d_rel, cfg.m))
     spec.transition_view(w)[:] = rng.standard_normal((cfg.m, cfg.m))
-    return TrueCrf(model=ChainModel(spec, w), relevant=np.arange(cfg.d_rel))
+    return TrueCrf(spec, w, relevant=np.arange(cfg.d_rel))
 
 
 def gen_features(cfg: GeneratorConfig, rng=None) -> np.ndarray:
@@ -149,9 +154,9 @@ def _run_chains(crf: TrueCrf, xs, rngs, burn_in: int, n_record: int):
     labels as (n, L) and the states after each post-burn-in sweep as
     (n_record, n, L).
     """
-    spec = crf.model.spec
-    state = spec.state_view(crf.model.weights)
-    trans = spec.transition_view(crf.model.weights)
+    spec = crf.spec
+    state = spec.state_view(crf.weights)
+    trans = spec.transition_view(crf.weights)
     trans_t = np.ascontiguousarray(trans.T)
     m = spec.m
     # Position-major (L, n, m): one chain matmul each, as a scalar chain would.

@@ -13,13 +13,8 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
-from medn import (
-    ChainModel,
-    SequenceInstance,
-    feature_vector,
-    l1_ball_project,
-    loss_augmented_decode,
-)
+from medn import SequenceInstance, l1_ball_project
+from medn.chain import feature_vectors, loss_augmented_decode_rows
 from medn.models import VARIANCE_FLOOR
 
 
@@ -39,6 +34,19 @@ def chain_scores(d: int, m: int, weights, x, labelings) -> np.ndarray:
     if length > 1:
         scores = scores + trans[labelings[:, :-1], labelings[:, 1:]].sum(axis=1)
     return scores
+
+
+def manual_feature_vector(d: int, m: int, x, y) -> np.ndarray:
+    """Joint feature map accumulated position by position with python loops:
+    state feature (k, c) sums x[l][k] over positions labeled c, transition
+    feature (c, c') counts adjacent label pairs."""
+    f = np.zeros(d * m + m * m)
+    for l, label in enumerate(y):
+        for k in range(d):
+            f[k * m + label] += x[l][k]
+    for l in range(len(y) - 1):
+        f[d * m + y[l] * m + y[l + 1]] += 1.0
+    return f
 
 
 def manual_score(d: int, m: int, weights, x, y) -> float:
@@ -128,6 +136,35 @@ def pac_bound_oracle(n, y_card, c, gamma, kl, delta, rate=0.0):
         return value, m, rate + tail + slack
 
 
+def norm_ball_radius_oracle(lam: float, theta: float) -> float:
+    """Distance from the origin, along angle ``theta``, at which the 2-D
+    penalty sum_k sqrt(mu_k**2 + 1/lam) - log((sqrt(lam mu_k**2 + 1) + 1) / 2) / sqrt(lam)
+    reaches its value at (0, 1).  Bisects the defining difference itself in
+    400-digit arithmetic, enough to resolve it down to lam = 1e-300, where
+    the two sides agree in their first 300 digits."""
+    with mpmath.workdps(400):
+        lam = mpmath.mpf(lam)
+
+        def penalty(mu1, mu2):
+            return sum(
+                mpmath.sqrt(mu**2 + 1 / lam)
+                - mpmath.log((mpmath.sqrt(lam * mu**2 + 1) + 1) / 2) / mpmath.sqrt(lam)
+                for mu in (mu1, mu2)
+            )
+
+        level = penalty(mpmath.mpf(0), mpmath.mpf(1))
+        c, s = mpmath.cos(theta), mpmath.sin(theta)
+        lo, hi = mpmath.mpf(0), mpmath.mpf(2)
+        assert penalty(hi * c, hi * s) > level
+        for _ in range(56):
+            mid = (lo + hi) / 2
+            if penalty(mid * c, mid * s) < level:
+                lo = mid
+            else:
+                hi = mid
+        return float((lo + hi) / 2)
+
+
 def make_signal_instances(rng, n: int, length: int, d: int) -> list:
     """Separable toy data: column 0 carries +-1 signs that determine labels."""
     instances = []
@@ -154,10 +191,13 @@ def make_mixed_instances(rng, n: int, d: int, m: int, max_length: int = 7) -> li
 
 
 # The per-config trainer loops the lockstep kernel replaced, kept as the
-# reference its rows must equal bit for bit: one trajectory, one
-# ChainModel and one feature map per update.  They use the package's
-# single-model chain primitives, so they check the batching of the
-# trainers, not the DP or the feature map.
+# reference its rows must equal bit for bit: one trajectory, one decode and
+# one feature map per update.  They call the package's batched chain
+# primitives with a single row, ``feature_vectors(spec, x, y[None])[0]`` and
+# ``loss_augmented_decode_rows(spec, w[None], x, y)``, which is exactly what
+# the removed single-instance wrappers ran.  So they check the batching of
+# the trainers, not the DP or the feature map; those have the brute-force
+# oracles above.
 
 DIVERGENCE_LIMIT = 1e8
 
@@ -185,7 +225,7 @@ def reference_subgradient_train(data, spec, inv_diag, cfg):
         raise ValueError("regularizer dimension disagrees with spec")
     n = len(data)
     scale = 1.0 / inv_diag
-    gold_feats = [feature_vector(spec, inst.features, inst.labels) for inst in data]
+    gold_feats = [feature_vectors(spec, inst.features, inst.labels[None])[0] for inst in data]
     rng = np.random.default_rng(cfg.seed)
     w = np.zeros(spec.K)
     t = 0
@@ -194,13 +234,13 @@ def reference_subgradient_train(data, spec, inv_diag, cfg):
             t += 1
             alpha = 1.0 / (2.0 * cfg.beta * math.sqrt(t))
             inst = data[idx]
-            y_star, _ = loss_augmented_decode(ChainModel(spec, w), inst)
+            y_star = loss_augmented_decode_rows(spec, w[None], inst.features, inst.labels)[0][0]
             w = (1.0 - alpha / n) * w
             if not np.array_equal(y_star, inst.labels):
-                delta = gold_feats[idx] - feature_vector(spec, inst.features, y_star)
+                delta = gold_feats[idx] - feature_vectors(spec, inst.features, y_star[None])[0]
                 w = w + (alpha * cfg.C) * (scale * delta)
             _check_iterate(w)
-    return ChainModel(spec, w)
+    return w
 
 
 def reference_l1_constrained_train(data, spec, radius, cfg):
@@ -208,7 +248,7 @@ def reference_l1_constrained_train(data, spec, radius, cfg):
     if not radius > 0:
         raise ValueError("radius must be positive")
     n = len(data)
-    gold_feats = [feature_vector(spec, inst.features, inst.labels) for inst in data]
+    gold_feats = [feature_vectors(spec, inst.features, inst.labels[None])[0] for inst in data]
     rng = np.random.default_rng(cfg.seed)
     w = np.zeros(spec.K)
     t = 0
@@ -217,13 +257,13 @@ def reference_l1_constrained_train(data, spec, radius, cfg):
             t += 1
             alpha = 1.0 / (2.0 * cfg.beta * math.sqrt(t))
             inst = data[idx]
-            y_star, _ = loss_augmented_decode(ChainModel(spec, w), inst)
+            y_star = loss_augmented_decode_rows(spec, w[None], inst.features, inst.labels)[0][0]
             if not np.array_equal(y_star, inst.labels):
-                delta = gold_feats[idx] - feature_vector(spec, inst.features, y_star)
+                delta = gold_feats[idx] - feature_vectors(spec, inst.features, y_star[None])[0]
                 w = w + (alpha * cfg.C) * delta
             w = l1_ball_project(w, radius)
             _check_iterate(w)
-    return ChainModel(spec, w)
+    return w
 
 
 def reference_train_laplace(data, spec, cfg):
@@ -232,7 +272,7 @@ def reference_train_laplace(data, spec, cfg):
     var = np.ones(spec.K)
     rounds = []
     for _ in range(cfg.outer_iters - 1):
-        mean = reference_subgradient_train(data, spec, 1.0 / var, inner).weights
+        mean = reference_subgradient_train(data, spec, 1.0 / var, inner)
         second_moment = var + mean**2
         var = np.maximum(np.sqrt(second_moment / cfg.lam), VARIANCE_FLOOR)
         rounds.append((mean, var))

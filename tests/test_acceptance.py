@@ -12,14 +12,12 @@ import numpy as np
 
 from medn import (
     BoundInputs,
-    ChainModel,
     DualWeights,
     FeatureSpec,
     GeneratorConfig,
     LaplaceConfig,
     SequenceInstance,
     SubgradConfig,
-    decode,
     decode_instances,
     evaluate_weight_rows,
     gen_crf,
@@ -31,13 +29,12 @@ from medn import (
     laplace_log_z,
     laplace_log_z_grad,
     lockstep_train,
-    loss_augmented_decode,
     margin_sample_count,
     pac_bound,
     shrinkage_mean,
     train_laplace_grid,
 )
-from medn.chain import feature_vectors
+from medn.chain import feature_vectors, loss_augmented_decode_rows
 from medn.cli import main
 from oracles import (
     chain_scores,
@@ -67,18 +64,19 @@ def test_01_exact_decoding_matches_enumeration():
             m = int(rng.integers(2, 4))
             d = int(rng.integers(1, 4))
             spec = FeatureSpec(d=d, m=m)
-            model = ChainModel(spec, rng.standard_normal(spec.K))
+            w = rng.standard_normal(spec.K)
             x = rng.standard_normal((length, d))
             gold = rng.integers(0, m, size=length)
             labelings = enumerate_labelings(m, length)
-            scores = chain_scores(d, m, model.weights, x, labelings)
-            if not np.array_equal(decode(model, x), labelings[int(np.argmax(scores))]):
+            scores = chain_scores(d, m, w, x, labelings)
+            (decoded,) = decode_instances(spec, w[None], [SequenceInstance(x, gold)])
+            if not np.array_equal(decoded[0], labelings[int(np.argmax(scores))]):
                 mismatches += 1
             augmented = scores + (labelings != gold).sum(axis=1)
-            labels, value = loss_augmented_decode(model, SequenceInstance(x, gold))
-            if not np.array_equal(labels, labelings[int(np.argmax(augmented))]):
+            labels, values = loss_augmented_decode_rows(spec, w[None], x, gold)
+            if not np.array_equal(labels[0], labelings[int(np.argmax(augmented))]):
                 mismatches += 1
-            if abs(value - float(augmented.max())) > 1e-9:
+            if abs(values[0] - float(augmented.max())) > 1e-9:
                 mismatches += 1
         elapsed = time.perf_counter() - started
         assert mismatches == 0
@@ -147,7 +145,7 @@ def test_04_averaged_and_point_predictions_coincide():
         started = time.perf_counter()
         cfg = GeneratorConfig(d=20, d_rel=5, L=8, m=2, n_samples=250, gibbs_iters=200, seed=1004)
         dataset = gen_dataset(cfg)
-        spec = dataset.crf.model.spec
+        spec = dataset.crf.spec
         cfg = SubgradConfig(beta=1.0, iterations=30, C=1.0, seed=0)
         mean = lockstep_train(dataset.instances[:50], spec, [cfg], inv_diag=np.ones((1, spec.K)))
         decoded = decode_instances(spec, mean, dataset.instances)
@@ -247,9 +245,9 @@ def test_08_gibbs_sampler_matches_enumerated_distribution():
         crf = gen_crf(cfg)
         x = gen_features(cfg, rng=np.random.default_rng(18))
         samples = gibbs_samples(crf, x, n_samples=100_000, burn_in=100, seed=19)
-        spec = crf.model.spec
-        node = x @ spec.state_view(crf.model.weights)
-        trans = spec.transition_view(crf.model.weights)
+        spec = crf.spec
+        node = x @ spec.state_view(crf.weights)
+        trans = spec.transition_view(crf.weights)
         exact = {}
         for y in itertools.product(range(2), repeat=3):
             exact[y] = (

@@ -1,6 +1,8 @@
-"""Feature map, scoring, exact decoding, and Hamming loss."""
+"""Feature map, exact decoding, loss-augmented decoding, and the input
+checks at the entry points that run them."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,14 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medn import (
-    ChainModel,
     FeatureSpec,
     SequenceInstance,
-    decode,
-    feature_vector,
-    hamming_loss,
-    loss_augmented_decode,
-    score,
+    SubgradConfig,
+    evaluate_weight_rows,
+    lockstep_train,
+    structured_hinge_objective,
 )
 from medn.chain import (
     _viterbi,
@@ -24,7 +24,13 @@ from medn.chain import (
     feature_vectors,
     loss_augmented_decode_rows,
 )
-from oracles import chain_scores, enumerate_labelings, make_mixed_instances, manual_score
+from oracles import (
+    chain_scores,
+    enumerate_labelings,
+    make_mixed_instances,
+    manual_feature_vector,
+    manual_score,
+)
 
 
 class TestFeatureSpec:
@@ -56,34 +62,40 @@ class TestFeatureVector:
     @given(_split_sequences())
     def test_additive_across_a_split(self, case):
         """f(x, y) = f(x[:l], y[:l]) + f(x[l:], y[l:]) + the one (y[l-1], y[l])
-        transition that crosses the split."""
+        transition that crosses the split, and f is the position-by-position
+        oracle's map."""
         spec, x, y, l = case
         seam = np.zeros(spec.K)
         seam[spec.n_state + y[l - 1] * spec.m + y[l]] = 1.0
-        parts = feature_vector(spec, x[:l], y[:l]) + feature_vector(spec, x[l:], y[l:]) + seam
-        assert np.array_equal(feature_vector(spec, x, y), parts)
+        whole = feature_vectors(spec, x, y[None])[0]
+        head = feature_vectors(spec, x[:l], y[None, :l])[0]
+        tail = feature_vectors(spec, x[l:], y[None, l:])[0]
+        assert np.array_equal(whole, head + tail + seam)
+        assert np.array_equal(whole, manual_feature_vector(spec.d, spec.m, x, y))
 
     def test_hand_enumerated_two_positions(self):
         """d=1, m=2, x=[[1],[1]], y=[0,0]: state block (2, 0), one (0,0) transition."""
         spec = FeatureSpec(d=1, m=2)
-        f = feature_vector(spec, [[1.0], [1.0]], [0, 0])
+        f = feature_vectors(spec, np.ones((2, 1)), np.array([[0, 0]]))[0]
         np.testing.assert_array_equal(f, [2.0, 0.0, 1.0, 0.0, 0.0, 0.0])
 
     def test_single_position_has_no_transition_counts(self):
         rng = np.random.default_rng(0)
         spec = FeatureSpec(d=3, m=3)
         for label in range(3):
-            f = feature_vector(spec, rng.standard_normal((1, 3)), [label])
+            f = feature_vectors(spec, rng.standard_normal((1, 3)), np.array([[label]]))[0]
             np.testing.assert_array_equal(spec.transition_view(f), np.zeros((3, 3)))
 
     def test_self_difference_is_zero(self):
+        """Two rows of one labeling in one call are the same map, to the bit,
+        and both are the oracle's."""
         rng = np.random.default_rng(1)
         spec = FeatureSpec(d=2, m=3)
         x = rng.standard_normal((5, 2))
         y = rng.integers(0, 3, size=5)
-        np.testing.assert_array_equal(
-            feature_vector(spec, x, y) - feature_vector(spec, x, y), np.zeros(spec.K)
-        )
+        first, second = feature_vectors(spec, x, np.stack([y, y]))
+        np.testing.assert_array_equal(first - second, np.zeros(spec.K))
+        np.testing.assert_allclose(first, manual_feature_vector(2, 3, x, y), atol=1e-12)
 
     def test_state_block_additive_under_concatenation(self):
         rng = np.random.default_rng(2)
@@ -91,8 +103,8 @@ class TestFeatureVector:
         x1, x2 = rng.standard_normal((3, 2)), rng.standard_normal((4, 2))
         y1 = rng.integers(0, 2, size=3)
         y2 = rng.integers(0, 2, size=4)
-        joint = feature_vector(spec, np.vstack([x1, x2]), np.concatenate([y1, y2]))
-        parts = feature_vector(spec, x1, y1) + feature_vector(spec, x2, y2)
+        joint = feature_vectors(spec, np.vstack([x1, x2]), np.concatenate([y1, y2])[None])[0]
+        parts = feature_vectors(spec, x1, y1[None])[0] + feature_vectors(spec, x2, y2[None])[0]
         np.testing.assert_allclose(
             spec.state_view(joint), spec.state_view(parts), atol=1e-12
         )
@@ -105,66 +117,58 @@ class TestFeatureVector:
 
     def test_repeated_transitions_accumulate(self):
         spec = FeatureSpec(d=1, m=2)
-        f = feature_vector(spec, np.zeros((4, 1)), [1, 1, 1, 0])
+        f = feature_vectors(spec, np.zeros((4, 1)), np.array([[1, 1, 1, 0]]))[0]
         trans = spec.transition_view(f)
         assert trans[1, 1] == 2.0
         assert trans[1, 0] == 1.0
         assert trans.sum() == 3.0
 
     def test_dimension_mismatch_raises(self):
+        """The feature map is unchecked; training and the objective check each
+        instance's width and length before they reach it."""
         spec = FeatureSpec(d=2, m=2)
-        with pytest.raises(ValueError):
-            feature_vector(spec, np.zeros((3, 1)), [0, 0, 0])
-        with pytest.raises(ValueError):
-            feature_vector(spec, np.zeros((3, 2)), [0, 0])
+        cfg = SubgradConfig(beta=1.0, iterations=1, C=1.0)
+        narrow = SequenceInstance(np.zeros((3, 1)), [0, 0, 0])
+        short_labels = SimpleNamespace(features=np.zeros((3, 2)), labels=np.array([0, 0]))
+        for bad, message in ((narrow, "input features"), (short_labels, "length")):
+            with pytest.raises(ValueError, match=message):
+                lockstep_train([bad], spec, [cfg], inv_diag=np.ones((1, spec.K)))
+            with pytest.raises(ValueError, match=message):
+                structured_hinge_objective([bad], spec, np.zeros(spec.K), 1.0)
 
     def test_label_out_of_range_raises(self):
         spec = FeatureSpec(d=2, m=2)
-        with pytest.raises(ValueError):
-            feature_vector(spec, np.zeros((2, 2)), [0, 2])
+        cfg = SubgradConfig(beta=1.0, iterations=1, C=1.0)
+        bad = SequenceInstance(np.zeros((2, 2)), [0, 2])
+        with pytest.raises(ValueError, match="label"):
+            lockstep_train([bad], spec, [cfg], radii=[1.0])
+        with pytest.raises(ValueError, match="label"):
+            structured_hinge_objective([bad], spec, np.zeros(spec.K), 1.0)
 
 
 class TestScore:
-    def test_zero_weights_score_zero(self):
-        rng = np.random.default_rng(3)
-        spec = FeatureSpec(d=2, m=3)
-        model = ChainModel(spec, np.zeros(spec.K))
-        for _ in range(5):
-            x = rng.standard_normal((4, 2))
-            y = rng.integers(0, 3, size=4)
-            assert score(model, x, y) == 0.0
-
-    def test_linear_in_weights(self):
-        rng = np.random.default_rng(4)
-        spec = FeatureSpec(d=2, m=2)
-        w1, w2 = rng.standard_normal(spec.K), rng.standard_normal(spec.K)
-        x = rng.standard_normal((3, 2))
-        y = rng.integers(0, 2, size=3)
-        a, b = 0.7, -2.3
-        combo = score(ChainModel(spec, a * w1 + b * w2), x, y)
-        separate = a * score(ChainModel(spec, w1), x, y) + b * score(
-            ChainModel(spec, w2), x, y
-        )
-        assert combo == pytest.approx(separate, abs=1e-10)
-
     def test_matches_manual_accumulation(self):
+        """The score w . f(x, y) with the package's feature map equals the
+        term-by-term sum over positions."""
         rng = np.random.default_rng(5)
         spec = FeatureSpec(d=3, m=2)
-        model = ChainModel(spec, rng.standard_normal(spec.K))
+        w = rng.standard_normal(spec.K)
         x = rng.standard_normal((3, 3))
         y = rng.integers(0, 2, size=3)
-        expected = manual_score(3, 2, model.weights, x.tolist(), y.tolist())
-        assert score(model, x, y) == pytest.approx(expected, abs=1e-10)
+        expected = manual_score(3, 2, w, x.tolist(), y.tolist())
+        assert float(w @ feature_vectors(spec, x, y[None])[0]) == pytest.approx(
+            expected, abs=1e-10
+        )
 
 
 class TestDecode:
     def test_zero_weights_gives_all_zeros(self):
         """Every labeling ties at score 0, so tie-breaking forces label 0."""
         spec = FeatureSpec(d=2, m=3)
-        model = ChainModel(spec, np.zeros(spec.K))
         rng = np.random.default_rng(6)
-        labels = decode(model, rng.standard_normal((6, 2)))
-        np.testing.assert_array_equal(labels, np.zeros(6, dtype=np.int64))
+        instances = [SequenceInstance(rng.standard_normal((6, 2)), np.ones(6, dtype=np.int64))]
+        (labels,) = decode_instances(spec, np.zeros((1, spec.K)), instances)
+        np.testing.assert_array_equal(labels, np.zeros((1, 6), dtype=np.int64))
 
     def test_matches_enumeration_on_random_instances(self):
         rng = np.random.default_rng(7)
@@ -173,12 +177,12 @@ class TestDecode:
             m = int(rng.integers(2, 4))
             d = int(rng.integers(1, 4))
             spec = FeatureSpec(d=d, m=m)
-            model = ChainModel(spec, rng.standard_normal(spec.K))
+            w = rng.standard_normal(spec.K)
             x = rng.standard_normal((length, d))
             labelings = enumerate_labelings(m, length)
-            scores = chain_scores(d, m, model.weights, x, labelings)
+            scores = chain_scores(d, m, w, x, labelings)
             np.testing.assert_array_equal(
-                decode(model, x), labelings[int(np.argmax(scores))]
+                decode_rows(spec, w[None], x[None])[0, 0], labelings[int(np.argmax(scores))]
             )
 
     def test_single_position_is_state_argmax(self):
@@ -186,16 +190,19 @@ class TestDecode:
         spec = FeatureSpec(d=4, m=3)
         w = np.zeros(spec.K)
         spec.state_view(w)[:] = rng.standard_normal((4, 3))
-        model = ChainModel(spec, w)
         x = rng.standard_normal((1, 4))
         expected = int(np.argmax(x @ spec.state_view(w)))
-        assert decode(model, x)[0] == expected
+        assert decode_rows(spec, w[None], x[None])[0, 0, 0] == expected
 
     def test_empty_input_raises(self):
+        """An empty sequence is rejected where instances enter: by
+        SequenceInstance, and by the entry points that take duck-typed ones."""
         spec = FeatureSpec(d=2, m=2)
-        model = ChainModel(spec, np.zeros(spec.K))
-        with pytest.raises(ValueError):
-            decode(model, np.zeros((0, 2)))
+        with pytest.raises(ValueError, match="nonempty"):
+            SequenceInstance(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+        empty = SimpleNamespace(features=np.zeros((0, 2)), labels=np.zeros(0, dtype=np.int64))
+        with pytest.raises(ValueError, match="nonempty"):
+            structured_hinge_objective([empty], spec, np.zeros(spec.K), 1.0)
 
 
 @st.composite
@@ -243,10 +250,10 @@ class TestBatchedViterbi:
         assert rows.shape == (5, 3, 7)
         for w, labels in zip(weights, rows):
             for x, y in zip(xs, labels):
-                assert np.array_equal(y, decode(ChainModel(spec, w), x))
+                assert np.array_equal(y, decode_rows(spec, w[None], x[None])[0, 0])
         feats = feature_vectors(spec, xs[0], rows[:, 0])
         for y, f in zip(rows[:, 0], feats):
-            assert np.array_equal(f, feature_vector(spec, xs[0], y))
+            assert np.array_equal(f, feature_vectors(spec, xs[0], y[None])[0])
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_per_row_inputs_equal_single_row_calls(self, d):
@@ -260,11 +267,11 @@ class TestBatchedViterbi:
         labels, values = loss_augmented_decode_rows(spec, weights, xs, golds)
         feats = feature_vectors(spec, xs, labels)
         for b in range(6):
-            model = ChainModel(spec, weights[b])
-            want_labels, want_value = loss_augmented_decode(model, SequenceInstance(xs[b], golds[b]))
-            assert np.array_equal(labels[b], want_labels) and values[b] == want_value
-            assert np.array_equal(feats[b], feature_vector(spec, xs[b], labels[b]))
-
+            want_labels, want_values = loss_augmented_decode_rows(
+                spec, weights[b][None], xs[b], golds[b]
+            )
+            assert np.array_equal(labels[b], want_labels[0]) and values[b] == want_values[0]
+            assert np.array_equal(feats[b], feature_vectors(spec, xs[b], labels[b][None])[0])
 
     def test_decode_instances_equals_per_instance_decode_in_input_order(self):
         rng = np.random.default_rng(14)
@@ -276,7 +283,7 @@ class TestBatchedViterbi:
         for inst, pred in zip(instances, preds):
             assert pred.shape == (2, len(inst))
             for w, labels in zip(weights, pred):
-                assert np.array_equal(labels, decode(ChainModel(spec, w), inst.features))
+                assert np.array_equal(labels, decode_rows(spec, w[None], inst.features[None])[0, 0])
         assert decode_instances(spec, weights, []) == []
 
     def test_decode_instances_checks_weights_and_width(self):
@@ -296,12 +303,11 @@ class TestLossAugmentedDecode:
         """With no model signal the loss term dominates: value equals L and
         the winner disagrees with the gold labels everywhere."""
         spec = FeatureSpec(d=2, m=2)
-        model = ChainModel(spec, np.zeros(spec.K))
         rng = np.random.default_rng(9)
-        inst = SequenceInstance(rng.standard_normal((5, 2)), rng.integers(0, 2, size=5))
-        labels, value = loss_augmented_decode(model, inst)
-        assert value == pytest.approx(5.0)
-        assert hamming_loss(labels, inst.labels) == 5
+        x, gold = rng.standard_normal((5, 2)), rng.integers(0, 2, size=5)
+        labels, values = loss_augmented_decode_rows(spec, np.zeros((1, spec.K)), x, gold)
+        assert values[0] == pytest.approx(5.0)
+        assert np.sum(labels[0] != gold) == 5
 
     def test_matches_enumeration_on_random_instances(self):
         rng = np.random.default_rng(10)
@@ -310,29 +316,27 @@ class TestLossAugmentedDecode:
             m = int(rng.integers(2, 4))
             d = int(rng.integers(1, 4))
             spec = FeatureSpec(d=d, m=m)
-            model = ChainModel(spec, rng.standard_normal(spec.K))
+            w = rng.standard_normal(spec.K)
             x = rng.standard_normal((length, d))
             gold = rng.integers(0, m, size=length)
             labelings = enumerate_labelings(m, length)
-            augmented = chain_scores(d, m, model.weights, x, labelings)
+            augmented = chain_scores(d, m, w, x, labelings)
             augmented = augmented + (labelings != gold).sum(axis=1)
-            labels, value = loss_augmented_decode(
-                model, SequenceInstance(features=x, labels=gold)
-            )
-            np.testing.assert_array_equal(labels, labelings[int(np.argmax(augmented))])
-            assert value == pytest.approx(float(augmented.max()), abs=1e-9)
+            labels, values = loss_augmented_decode_rows(spec, w[None], x, gold)
+            np.testing.assert_array_equal(labels[0], labelings[int(np.argmax(augmented))])
+            assert values[0] == pytest.approx(float(augmented.max()), abs=1e-9)
 
     def test_value_dominates_random_labelings(self):
         rng = np.random.default_rng(11)
         spec = FeatureSpec(d=2, m=3)
-        model = ChainModel(spec, rng.standard_normal(spec.K))
+        w = rng.standard_normal(spec.K)
         x = rng.standard_normal((6, 2))
         gold = rng.integers(0, 3, size=6)
-        _, value = loss_augmented_decode(model, SequenceInstance(x, gold))
+        _, values = loss_augmented_decode_rows(spec, w[None], x, gold)
         for _ in range(100):
             y = rng.integers(0, 3, size=6)
-            lower = score(model, x, y) + hamming_loss(y, gold)
-            assert value >= lower - 1e-9
+            lower = manual_score(2, 3, w, x, y) + np.sum(y != gold)
+            assert values[0] >= lower - 1e-9
 
     def test_large_margin_model_returns_gold(self):
         """When every margin exceeds the Hamming loss, the gold labeling is
@@ -340,7 +344,6 @@ class TestLossAugmentedDecode:
         spec = FeatureSpec(d=2, m=2)
         w = np.zeros(spec.K)
         spec.state_view(w)[:] = np.array([[30.0, -30.0], [0.0, 0.0]])
-        model = ChainModel(spec, w)
         rng = np.random.default_rng(12)
         x = rng.standard_normal((4, 2))
         x[:, 0] = np.array([1.0, -1.0, 1.0, 1.0])
@@ -351,20 +354,38 @@ class TestLossAugmentedDecode:
         # Confirm the construction: margin over every rival exceeds its loss.
         losses = (labelings != gold).sum(axis=1)
         assert np.all(gold_score - scores >= losses - 1e-9)
-        labels, value = loss_augmented_decode(model, SequenceInstance(x, gold))
-        np.testing.assert_array_equal(labels, gold)
-        assert value == pytest.approx(float(gold_score), abs=1e-9)
+        labels, values = loss_augmented_decode_rows(spec, w[None], x, gold)
+        np.testing.assert_array_equal(labels[0], gold)
+        assert values[0] == pytest.approx(float(gold_score), abs=1e-9)
+
+
+def _per_label_errors(predicted, gold) -> int:
+    """Wrong positions that evaluation counts when the model decodes to
+    ``predicted`` and the instance's labels are ``gold``.  The model reads a
+    one-hot input column per label (d = m, identity state weights), so its
+    Viterbi labeling is ``predicted`` exactly."""
+    predicted = np.asarray(predicted)
+    m = 3
+    spec = FeatureSpec(d=m, m=m)
+    w = np.zeros(spec.K)
+    spec.state_view(w)[:] = np.eye(m)
+    x = 4.0 * np.eye(m)[predicted]
+    report = evaluate_weight_rows(spec, w[None], [SequenceInstance(x, gold)])[0]
+    return round(report.per_label_err * report.n_positions)
 
 
 class TestHammingLoss:
+    """The Hamming loss as evaluation counts it: the positions where the
+    decoded labeling differs from the gold one."""
+
     def test_equal_sequences_zero(self):
-        assert hamming_loss([1, 2, 0], [1, 2, 0]) == 0
+        assert _per_label_errors([1, 2, 0], [1, 2, 0]) == 0
 
     def test_all_positions_differ(self):
-        assert hamming_loss([0] * 8, [1] * 8) == 8
+        assert _per_label_errors([0] * 8, [1] * 8) == 8
 
     def test_direct_count(self):
-        assert hamming_loss([0, 1, 0, 1], [0, 0, 0, 0]) == 2
+        assert _per_label_errors([0, 1, 0, 1], [0, 0, 0, 0]) == 2
 
     def test_symmetric_and_bounded(self):
         rng = np.random.default_rng(13)
@@ -372,10 +393,12 @@ class TestHammingLoss:
             length = int(rng.integers(1, 10))
             a = rng.integers(0, 3, size=length)
             b = rng.integers(0, 3, size=length)
-            loss = hamming_loss(a, b)
-            assert loss == hamming_loss(b, a)
+            loss = _per_label_errors(a, b)
+            assert loss == _per_label_errors(b, a) == np.sum(a != b)
             assert 0 <= loss <= length
 
     def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            hamming_loss([0, 1], [0, 1, 2])
+        """Each gold label pairs with one position: an instance whose labels
+        and positions disagree in number is rejected before evaluation."""
+        with pytest.raises(ValueError, match="one entry per position"):
+            SequenceInstance(np.zeros((2, 3)), [0, 1, 2])

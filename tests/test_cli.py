@@ -399,12 +399,12 @@ class TestCrossValidation:
             train_set = [instances[i] for i in fold]
             cfg = SubgradConfig(beta=beta, iterations=3, C=c, seed=seed)
             if name == "m3n":
-                want = reference_subgradient_train(train_set, spec, np.ones(spec.K), cfg).weights
+                want = reference_subgradient_train(train_set, spec, np.ones(spec.K), cfg)
             elif name == "lapmedn":
                 lcfg = LaplaceConfig(lam=lam, inner=cfg, C=c, outer_iters=outer_iters)
                 want = reference_train_laplace(train_set, spec, lcfg)[-1][0]
             else:
-                want = reference_l1_constrained_train(train_set, spec, radius, cfg).weights
+                want = reference_l1_constrained_train(train_set, spec, radius, cfg)
             assert np.array_equal(w, want), (name, lam, beta, radius, f)
             assert np.array_equal(np.signbit(w), np.signbit(want))
 

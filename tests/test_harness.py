@@ -12,11 +12,11 @@ from scipy.spatial.distance import cdist
 
 from medn import (
     BoundInputs,
-    ChainModel,
     FeatureSpec,
     GeneratorConfig,
     SequenceInstance,
     TrueCrf,
+    decode_instances,
     evaluate_weight_rows,
     gen_dataset,
     kl_norm,
@@ -40,7 +40,7 @@ from medn.dataio import (
     write_dataset,
     write_model_file,
 )
-from oracles import laplace_tilted_mean
+from oracles import laplace_tilted_mean, norm_ball_radius_oracle
 
 
 # Up to three single-character edits: (position, operation, character).
@@ -77,7 +77,7 @@ class TestDatasetFiles:
     def test_round_trip_is_byte_stable(self, tmp_path):
         cfg = GeneratorConfig(d=3, d_rel=2, L=4, m=2, n_samples=6, gibbs_iters=30, seed=2)
         dataset = gen_dataset(cfg)
-        spec = dataset.crf.model.spec
+        spec = dataset.crf.spec
         path_a = tmp_path / "a.jsonl"
         path_b = tmp_path / "b.jsonl"
         write_dataset(path_a, dataset.instances, spec, meta={"seed": 2})
@@ -148,12 +148,9 @@ class TestModelFiles:
         np.testing.assert_array_equal(loaded.weights, weights)
         np.testing.assert_array_equal(loaded.var_diag, var)
         assert loaded.hyper["lambda"] == 4.0
-        x = rng.standard_normal((5, 3))
-        from medn import decode
-
-        np.testing.assert_array_equal(
-            decode(ChainModel(spec, weights), x), decode(ChainModel(spec, loaded.weights), x)
-        )
+        instances = [SequenceInstance(rng.standard_normal((5, 3)), np.zeros(5, dtype=np.int64))]
+        (preds,) = decode_instances(spec, np.stack([weights, loaded.weights]), instances)
+        np.testing.assert_array_equal(preds[0], preds[1])
 
     @settings(max_examples=200, deadline=None)
     @given(edits=_EDITS)
@@ -195,13 +192,13 @@ class TestMetrics:
         """Uniformly sampled binary labels: predicting all zeros is wrong on
         about half the positions."""
         spec = FeatureSpec(2, 2)
-        crf = TrueCrf(model=ChainModel(spec, np.zeros(spec.K)), relevant=np.arange(0))
+        crf = TrueCrf(spec, np.zeros(spec.K), relevant=np.arange(0))
         rng = np.random.default_rng(71)
         instances = [
             SequenceInstance(rng.standard_normal((8, 2)), rng.integers(0, 2, size=8))
             for _ in range(250)
         ]
-        report = evaluate_weight_rows(spec, crf.model.weights[None], instances)[0]
+        report = evaluate_weight_rows(spec, crf.weights[None], instances)[0]
         assert abs(report.per_label_err - 0.5) <= 0.05
 
     def test_mean_std_aggregation(self):
@@ -315,6 +312,15 @@ class TestNormBall:
         for target in ([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]):
             distance = np.min(np.linalg.norm(points - np.array(target), axis=1))
             assert distance <= 1e-6
+
+    def test_boundary_radii_match_high_precision_oracle(self):
+        """Down to lam = 1e-300, where the penalty and its level agree in
+        their first 300 digits and the ball is the unit circle."""
+        thetas = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+        for lam in (1e-300, 1e-100, 1e-12, 1e-6, 1.0, 16.0, 1e6):
+            radii = np.hypot(*norm_ball_boundary(lam, 8).T)
+            for radius, theta in zip(radii, thetas):
+                assert abs(radius - norm_ball_radius_oracle(lam, theta)) <= 1e-12, (lam, theta)
 
     def test_large_lam_boundary_approaches_the_l1_diamond(self):
         points = norm_ball_boundary(1e6, 720)

@@ -10,15 +10,13 @@ import numpy as np
 import pytest
 
 from medn import (
-    ChainModel,
     DualWeights,
     FeatureSpec,
     LaplaceConfig,
     SequenceInstance,
     SubgradConfig,
-    decode,
-    feature_vector,
-    hamming_loss,
+    decode_instances,
+    evaluate_weight_rows,
     kl_norm,
     l1m3n_dual_check,
     laplace_log_z,
@@ -36,6 +34,7 @@ from oracles import (
     laplace_tilted_mean,
     make_mixed_instances,
     make_signal_instances,
+    manual_feature_vector,
 )
 
 
@@ -65,9 +64,7 @@ class TestTrainGaussian:
         data = make_signal_instances(rng, n=4, length=5, d=2)
         cfg = _cfg(iterations=100)
         w = lockstep_train(data, spec, [cfg], inv_diag=np.ones((1, spec.K)))[0]
-        point = ChainModel(spec, w)
-        errors = sum(hamming_loss(decode(point, inst.features), inst.labels) for inst in data)
-        assert errors == 0
+        assert evaluate_weight_rows(spec, w[None], data)[0].per_label_err == 0.0
 
 
 def _zero_column_data(rng, n=4, length=4, d=2, dead_col=1):
@@ -191,9 +188,10 @@ class TestPredictMean:
     def test_zero_mean_gives_all_zeros(self):
         spec = FeatureSpec(d=2, m=3)
         rng = np.random.default_rng(48)
+        instances = [SequenceInstance(rng.standard_normal((4, 2)), np.ones(4, dtype=np.int64))]
         np.testing.assert_array_equal(
-            decode(ChainModel(spec, np.zeros(spec.K)), rng.standard_normal((4, 2))),
-            np.zeros(4, dtype=np.int64),
+            decode_instances(spec, np.zeros((1, spec.K)), instances)[0],
+            np.zeros((1, 4), dtype=np.int64),
         )
 
     def test_matches_monte_carlo_score_averaging(self):
@@ -204,15 +202,14 @@ class TestPredictMean:
         mean, var_diag = rng.standard_normal(spec.K), np.full(spec.K, 0.5)
         x = rng.standard_normal((3, 2))
         labelings = enumerate_labelings(2, 3)
-        feats = np.stack([feature_vector(spec, x, y) for y in labelings])
+        feats = np.stack([manual_feature_vector(2, 2, x, y) for y in labelings])
         draws = rng.standard_normal((100_000, spec.K)) * np.sqrt(var_diag) + mean
         mc_scores = (draws @ feats.T).mean(axis=0)
         exact_scores = feats @ mean
         gap = np.sort(exact_scores)[-1] - np.sort(exact_scores)[-2]
         assert gap > 0.5  # the argmax is identifiable at this sample size
-        np.testing.assert_array_equal(
-            labelings[int(np.argmax(mc_scores))], decode(ChainModel(spec, mean), x)
-        )
+        (decoded,) = decode_instances(spec, mean[None], [SequenceInstance(x, labelings[0])])
+        np.testing.assert_array_equal(labelings[int(np.argmax(mc_scores))], decoded[0])
 
 
 class TestShrinkageMean:
@@ -412,14 +409,14 @@ class TestL1M3NDualCheck:
     def test_matches_brute_force_constraint_evaluation(self):
         spec, data, rivals, rng = _tiny_dual_problem(seed=57)
         inst = data[0]
-        gold_f = feature_vector(spec, inst.features, inst.labels)
+        gold_f = manual_feature_vector(spec.d, spec.m, inst.features, inst.labels)
         for _ in range(50):
             raw = {y: float(rng.uniform(0.0, 0.6)) for y in rivals}
             dual = DualWeights(spec=spec, C=1.0, alphas=[raw])
             # direct recomputation of both constraint families
             eta = np.zeros(spec.K)
             for y, a in raw.items():
-                eta += a * (gold_f - feature_vector(spec, inst.features, np.array(y)))
+                eta += a * (gold_f - manual_feature_vector(spec.d, spec.m, inst.features, y))
             expected = bool(
                 np.all(np.abs(eta) <= 0.5 + 1e-9) and sum(raw.values()) <= 1.0 + 1e-9
             )

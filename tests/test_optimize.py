@@ -9,20 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medn import (
-    ChainModel,
     FeatureSpec,
     LaplaceConfig,
     SequenceInstance,
     SubgradConfig,
-    decode,
-    hamming_loss,
-    feature_vector,
+    evaluate_weight_rows,
     l1_ball_project,
     lockstep_train,
-    loss_augmented_decode,
     structured_hinge_objective,
     train_laplace_grid,
 )
+from medn.chain import feature_vectors, loss_augmented_decode_rows
 from medn.optimize import DIVERGENCE_LIMIT
 from oracles import (
     l1_projection_oracle,
@@ -127,11 +124,7 @@ class TestSubgradientTrain:
         data = make_signal_instances(rng, n=2, length=3, d=2)
         cfg = _identity_cfg(iterations=200)
         w = lockstep_train(data, spec, [cfg], inv_diag=np.ones((1, spec.K)))[0]
-        model = ChainModel(spec, w)
-        errors = sum(
-            hamming_loss(decode(model, inst.features), inst.labels) for inst in data
-        )
-        assert errors == 0
+        assert evaluate_weight_rows(spec, w[None], data)[0].per_label_err == 0.0
 
     def test_zero_hinge_weight_returns_zero_vector(self):
         """With C = 0 only the quadratic penalty remains, whose minimum is 0."""
@@ -149,18 +142,13 @@ class TestSubgradientTrain:
         data = [SequenceInstance([[1.0]], [0])]
         cfg = _identity_cfg(iterations=3000, C=2.0)
         w = lockstep_train(data, spec, [cfg], inv_diag=np.ones((1, spec.K)))[0]
-        model = ChainModel(spec, w)
         gaps = np.linspace(0.0, 3.0, 300001)
         objective = gaps**2 / 4.0 + 2.0 * np.maximum(0.0, 1.0 - gaps)
         best_gap = gaps[int(np.argmin(objective))]
-        np.testing.assert_allclose(
-            model.weights[:2], [best_gap / 2.0, -best_gap / 2.0], atol=0.02
-        )
-        trained_obj = structured_hinge_objective(
-            data, model, 2.0, inv_diag=np.ones(spec.K)
-        )
+        np.testing.assert_allclose(w[:2], [best_gap / 2.0, -best_gap / 2.0], atol=0.02)
+        trained_obj = structured_hinge_objective(data, spec, w, 2.0, inv_diag=np.ones(spec.K))
         assert trained_obj <= objective.min() + 0.01
-        np.testing.assert_array_equal(model.weights[2:], np.zeros(spec.K - 2))
+        np.testing.assert_array_equal(w[2:], np.zeros(spec.K - 2))
 
     def test_final_objective_no_worse_than_zero_vector(self):
         rng = np.random.default_rng(24)
@@ -169,11 +157,8 @@ class TestSubgradientTrain:
         inv = np.ones(spec.K)
         cfg = _identity_cfg(iterations=20)
         w = lockstep_train(data, spec, [cfg], inv_diag=np.ones((1, spec.K)))[0]
-        model = ChainModel(spec, w)
-        at_zero = structured_hinge_objective(
-            data, ChainModel(spec, np.zeros(spec.K)), cfg.C, inv_diag=inv
-        )
-        at_final = structured_hinge_objective(data, model, cfg.C, inv_diag=inv)
+        at_zero = structured_hinge_objective(data, spec, np.zeros(spec.K), cfg.C, inv_diag=inv)
+        at_final = structured_hinge_objective(data, spec, w, cfg.C, inv_diag=inv)
         assert at_final <= at_zero
 
     def test_bit_reproducible_for_fixed_seed(self):
@@ -249,7 +234,7 @@ class TestL1ConstrainedTrain:
         cfg = _identity_cfg(iterations=12, seed=5)
         trained = lockstep_train(data, spec, [cfg], radii=[1e6])[0]
 
-        gold = [feature_vector(spec, inst.features, inst.labels) for inst in data]
+        gold = [feature_vectors(spec, inst.features, inst.labels[None])[0] for inst in data]
         loop_rng = np.random.default_rng(cfg.seed)
         w = np.zeros(spec.K)
         t = 0
@@ -258,9 +243,9 @@ class TestL1ConstrainedTrain:
                 t += 1
                 alpha = 1.0 / (2.0 * cfg.beta * math.sqrt(t))
                 inst = data[idx]
-                y_star, _ = loss_augmented_decode(ChainModel(spec, w), inst)
+                y_star = loss_augmented_decode_rows(spec, w[None], inst.features, inst.labels)[0][0]
                 if not np.array_equal(y_star, inst.labels):
-                    delta = gold[idx] - feature_vector(spec, inst.features, y_star)
+                    delta = gold[idx] - feature_vectors(spec, inst.features, y_star[None])[0]
                     w = w + alpha * cfg.C * delta
         assert np.abs(w).sum() < 1e6  # the ball really was inactive
         np.testing.assert_array_equal(trained, w)
@@ -297,27 +282,35 @@ class TestStructuredHingeObjective:
         order (reversed, values and scores apart, or by np.sum) changes the
         last bit."""
         spec, data, w, inv = self._problem()
-        model = ChainModel(spec, w)
-        assert structured_hinge_objective(data, model, 2.5, inv_diag=inv) == 1356.239719678744
-        assert structured_hinge_objective(data, model, 2.5) == 1253.972226518211
+        assert structured_hinge_objective(data, spec, w, 2.5, inv_diag=inv) == 1356.239719678744
+        assert structured_hinge_objective(data, spec, w, 2.5) == 1253.972226518211
 
     def test_empty_data_gives_the_penalty_term(self):
         spec, _, w, inv = self._problem()
-        model = ChainModel(spec, w)
-        assert structured_hinge_objective([], model, 2.5, inv_diag=inv) == 0.5 * float(
+        assert structured_hinge_objective([], spec, w, 2.5, inv_diag=inv) == 0.5 * float(
             np.dot(w, inv * w)
         )
-        assert structured_hinge_objective([], model, 2.5) == 0.0
+        assert structured_hinge_objective([], spec, w, 2.5) == 0.0
 
     def test_bad_instances_raise(self):
         spec, data, w, _ = self._problem()
-        model = ChainModel(spec, w)
         wide = SequenceInstance(np.zeros((2, 4)), [0, 1])
         with pytest.raises(ValueError, match="input features"):
-            structured_hinge_objective(data + [wide], model, 1.0)
+            structured_hinge_objective(data + [wide], spec, w, 1.0)
         out_of_range = SequenceInstance(np.zeros((2, 3)), [0, 3])
         with pytest.raises(ValueError, match="label"):
-            structured_hinge_objective([out_of_range] + data, model, 1.0)
+            structured_hinge_objective([out_of_range] + data, spec, w, 1.0)
+
+    def test_bad_weights_raise(self):
+        spec, data, w, _ = self._problem()
+        for bad in (w[:-1], w[None], np.append(w, 0.0)):
+            with pytest.raises(ValueError, match=f"expected {spec.K} weights"):
+                structured_hinge_objective(data, spec, bad, 1.0)
+        for value in (np.nan, np.inf):
+            bad = w.copy()
+            bad[2] = value
+            with pytest.raises(ValueError, match="finite"):
+                structured_hinge_objective(data, spec, bad, 1.0)
 
 
 def _lockstep_problem(seed, m):
@@ -342,7 +335,7 @@ class TestLockstepEqualsPerConfigLoops:
         rows = lockstep_train(data, spec, cfgs, inv_diag=inv)
         for row, cfg, inv_row in zip(rows, cfgs, inv):
             want = reference_subgradient_train(data, spec, inv_row, cfg)
-            assert np.array_equal(row, want.weights)
+            assert np.array_equal(row, want)
 
     def test_lapmedn_every_round(self, m):
         spec, data = _lockstep_problem(110 + m, m)
@@ -371,8 +364,8 @@ class TestLockstepEqualsPerConfigLoops:
         for row, (radius, cfg) in zip(rows, grid):
             want = reference_l1_constrained_train(data, spec, radius, cfg)
             # compare signs too: the projection leaves -0.0 entries
-            assert np.array_equal(row, want.weights)
-            assert np.array_equal(np.signbit(row), np.signbit(want.weights))
+            assert np.array_equal(row, want)
+            assert np.array_equal(np.signbit(row), np.signbit(want))
 
 
 class TestLockstepValidation:

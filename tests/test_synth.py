@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from medn import (
-    ChainModel,
     FeatureSpec,
     GeneratorConfig,
     TrueCrf,
@@ -44,15 +43,15 @@ class TestGeneratorConfig:
 class TestGenCrf:
     def test_no_relevant_features_means_zero_state_weights(self):
         crf = gen_crf(_cfg(d_rel=0))
-        spec = crf.model.spec
-        np.testing.assert_array_equal(spec.state_view(crf.model.weights), np.zeros((4, 2)))
+        spec = crf.spec
+        np.testing.assert_array_equal(spec.state_view(crf.weights), np.zeros((4, 2)))
 
     def test_sparsity_pattern_counts(self):
         cfg = _cfg(d=100, d_rel=10, m=2)
         crf = gen_crf(cfg)
-        spec = crf.model.spec
-        state = spec.state_view(crf.model.weights)
-        trans = spec.transition_view(crf.model.weights)
+        spec = crf.spec
+        state = spec.state_view(crf.weights)
+        trans = spec.transition_view(crf.weights)
         assert np.count_nonzero(state) == 20
         assert np.count_nonzero(state[10:]) == 0
         assert np.count_nonzero(trans) == 4
@@ -62,8 +61,17 @@ class TestGenCrf:
         a = gen_crf(_cfg(seed=5))
         b = gen_crf(_cfg(seed=5))
         c = gen_crf(_cfg(seed=6))
-        np.testing.assert_array_equal(a.model.weights, b.model.weights)
-        assert not np.array_equal(a.model.weights, c.model.weights)
+        np.testing.assert_array_equal(a.weights, b.weights)
+        assert not np.array_equal(a.weights, c.weights)
+
+    def test_weights_are_checked(self):
+        spec = FeatureSpec(2, 2)
+        for bad in (np.zeros(spec.K - 1), np.zeros((1, spec.K))):
+            with pytest.raises(ValueError, match=f"expected {spec.K} weights"):
+                TrueCrf(spec, bad, relevant=np.arange(0))
+        for value in (np.nan, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                TrueCrf(spec, np.full(spec.K, value), relevant=np.arange(0))
 
 
 class TestGenFeatures:
@@ -92,7 +100,7 @@ class TestGenFeatures:
 
 def _uniform_crf(d=2, m=2):
     spec = FeatureSpec(d, m)
-    return TrueCrf(model=ChainModel(spec, np.zeros(spec.K)), relevant=np.arange(0))
+    return TrueCrf(spec, np.zeros(spec.K), relevant=np.arange(0))
 
 
 class TestGibbs:
@@ -113,9 +121,9 @@ class TestGibbs:
         crf = gen_crf(cfg)
         x = gen_features(cfg, rng=np.random.default_rng(3))
         samples = gibbs_samples(crf, x, n_samples=20_000, burn_in=100, seed=4)
-        spec = crf.model.spec
-        node = x @ spec.state_view(crf.model.weights)
-        trans = spec.transition_view(crf.model.weights)
+        spec = crf.spec
+        node = x @ spec.state_view(crf.weights)
+        trans = spec.transition_view(crf.weights)
         scores = {}
         for y in itertools.product(range(2), repeat=3):
             scores[y] = (
@@ -133,7 +141,7 @@ class TestGibbs:
         spec = FeatureSpec(2, 2)
         w = np.zeros(spec.K)
         spec.transition_view(w)[:] = np.array([[10.0, 0.0], [0.0, 10.0]])
-        crf = TrueCrf(model=ChainModel(spec, w), relevant=np.arange(0))
+        crf = TrueCrf(spec, w, relevant=np.arange(0))
         x = np.zeros((3, 2))
         constant = 0
         for seed in range(200):
@@ -154,12 +162,12 @@ class TestGibbs:
         """Every recorded state equals the one-site-at-a-time python loop's."""
         cfg = _cfg(d=3, d_rel=3, L=length, m=m, seed=21)
         crf = gen_crf(cfg)
-        spec = crf.model.spec
+        spec = crf.spec
         x = gen_features(cfg, rng=np.random.default_rng(5))
         got = gibbs_samples(crf, x, n_samples=150, burn_in=0, seed=6)
         want = scalar_gibbs_states(
-            x @ spec.state_view(crf.model.weights),
-            spec.transition_view(crf.model.weights),
+            x @ spec.state_view(crf.weights),
+            spec.transition_view(crf.weights),
             np.random.default_rng(6),
             sweeps=150,
         )
@@ -190,7 +198,7 @@ class TestGenDataset:
         cfg = _cfg(n_samples=5, seed=13)
         first = gen_dataset(cfg)
         second = gen_dataset(cfg)
-        np.testing.assert_array_equal(first.crf.model.weights, second.crf.model.weights)
+        np.testing.assert_array_equal(first.crf.weights, second.crf.weights)
         for a, b in zip(first.instances, second.instances):
             np.testing.assert_array_equal(a.features, b.features)
             np.testing.assert_array_equal(a.labels, b.labels)
