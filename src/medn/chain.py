@@ -139,11 +139,13 @@ def feature_vectors(spec: FeatureSpec, xs: np.ndarray, ys: np.ndarray) -> np.nda
         # numpy sums the rows of a (count, d) selection in position order;
         # unselected positions add -0.0, which changes no sum, and a label
         # that never occurs gets +0.0.
-        sums = np.where(picked[..., None], xs[:, None], -0.0).sum(axis=2)  # (B, m, d)
-        sums = np.where(picked.any(axis=2)[..., None], sums, 0.0)
+        sums = np.add.reduce(np.where(picked[..., None], xs[:, None], -0.0), axis=2)  # (B, m, d)
+        sums = np.where(np.logical_or.reduce(picked, axis=2)[..., None], sums, 0.0)
     spec.state_view(f)[:] = sums.transpose(0, 2, 1)
-    pairs = ys[:, :-1] * m + ys[:, 1:] + (m * m) * np.arange(batch)[:, None]
-    f[:, spec.n_state :] = np.bincount(pairs.ravel(), minlength=batch * m * m).reshape(batch, m * m)
+    # Pair (c, c') counts as the product of the label indicators at l and
+    # l + 1: sums of 0s and 1s, exact in any order.
+    picked = picked.astype(float)
+    spec.transition_view(f)[:] = picked[:, :, :-1] @ picked[:, :, 1:].transpose(0, 2, 1)
     return f
 
 
@@ -226,8 +228,15 @@ def loss_augmented_decode_rows(
     decoding it alone.  Unchecked: inputs must be finite floats and labels
     lie in [0, m).
     """
-    node = xs @ spec.state_view(weights) + 1.0  # (B, L, m)
+    node = _loss_augmented_scores(spec, weights, xs, golds[..., None] == np.arange(spec.m))
+    return _viterbi(node, spec.transition_view(weights))
+
+
+def _loss_augmented_scores(spec: FeatureSpec, weights, xs, gold_onehot) -> np.ndarray:
+    """(B, L, m) node scores plus the Hamming loss of each label: 1 off the
+    gold labels that ``gold_onehot`` (..., L, m) marks with 1 (or True)."""
+    node = xs @ spec.state_view(weights) + 1.0
     # Subtracting 1.0 back at the gold labels, and 0.0 elsewhere, leaves the
     # plain score there: (s + 1) - 1, to the bit.
-    node -= golds[..., None] == np.arange(spec.m)
-    return _viterbi(node, spec.transition_view(weights))
+    node -= gold_onehot
+    return node

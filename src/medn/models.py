@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chain import FeatureSpec, _check_instance, feature_vectors
-from .optimize import SubgradConfig, lockstep_train
+from .optimize import SubgradConfig, _KernelData, _lockstep
 
 __all__ = [
     "LaplaceConfig",
@@ -146,7 +146,8 @@ def train_laplace_grid(data: list, spec: FeatureSpec, cfgs, *, subsets=None, rid
     b trains on ``data[i] for i in subsets[b]`` (all of ``data`` when
     ``subsets`` is None).  Each round is one :func:`lockstep_train` call
     over every config, followed by each config's variance refresh, so each
-    row is bit-equal to training its config alone.
+    row is bit-equal to training its config alone.  The rounds share one
+    check of ``data``, its stacks and gold features, and the instance orders.
 
     ``riders``, a tuple (cfgs, subsets, radii) of R subgradient configs,
     their R training sets and P radii, adds rows to round 1's kernel call
@@ -168,11 +169,13 @@ def train_laplace_grid(data: list, spec: FeatureSpec, cfgs, *, subsets=None, rid
         subsets = [np.arange(len(data))] * len(cfgs)
     inners = [replace(cfg.inner, C=cfg.C) for cfg in cfgs]
     lams = np.array([cfg.lam for cfg in cfgs])[:, None]
-    # Round 1's penalty 1 / var is the identity for every lapmedn row, so
-    # the m3n riders share it; the projecting riders come last.
-    first = lockstep_train(
-        data,
-        spec,
+    # Every round trains on the same data: check it, stack it and draw the
+    # instance orders once.  Round 1's penalty 1 / var is the identity for
+    # every lapmedn row, so the m3n riders share it; the projecting riders
+    # come last.
+    kernel = _KernelData(data, spec)
+    first = _lockstep(
+        kernel,
         inners + list(rider_cfgs),
         inv_diag=np.ones((len(cfgs) + len(rider_cfgs) - len(radii), spec.K)),
         radii=radii,
@@ -181,7 +184,7 @@ def train_laplace_grid(data: list, spec: FeatureSpec, cfgs, *, subsets=None, rid
     mean = first[: len(cfgs)]
     var = _refresh_variances(np.ones((len(cfgs), spec.K)), mean, lams, 1)
     for round_ in range(2, cfgs[0].outer_iters if cfgs else 2):
-        mean = lockstep_train(data, spec, inners, inv_diag=1.0 / var, subsets=subsets)
+        mean = _lockstep(kernel, inners, inv_diag=1.0 / var, subsets=subsets)
         var = _refresh_variances(var, mean, lams, round_)
     if riders is None:
         return mean, var

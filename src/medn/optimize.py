@@ -10,6 +10,17 @@ onto an L1 ball.  At each step the trajectories whose current instances
 share a length are decoded in one DP call.  A single model is the kernel
 with one config (B = 1); cross-validation runs every fold's configs in
 one call.  It returns the final iterates as a (B, K) array.
+
+A kernel call prepares once whatever the weights do not change: it checks
+each instance, stacks the instances by length with their gold feature
+vectors and gold one-hots, draws each seed's instance order, and gives each
+bucket of rows decoded together its ``2 * beta``, hinge weights, penalty
+scales and shrink sizes.  lapmedn's rounds share one preparation.  An
+update then does only what depends on the weights: the loss-augmented DP,
+the in-place shrink, the hit test, one feature map of the hit rows'
+winners and the in-place step (with no row gathers when every row of the
+bucket is hit), the projection of the projecting rows, and a divergence
+test that builds its per-row mask only when it is about to raise.
 """
 
 import math
@@ -21,6 +32,8 @@ from .chain import (
     FeatureSpec,
     _check_instance,
     _check_weights,
+    _loss_augmented_scores,
+    _viterbi,
     feature_vectors,
     loss_augmented_decode_rows,
 )
@@ -106,22 +119,77 @@ def lockstep_train(
     row's seed and beta as soon as a row stops being finite or its L2 norm
     exceeds ``DIVERGENCE_LIMIT``.
     """
-    checked = _check_data(data, spec)
+    kernel = _KernelData(data, spec)
+    return _lockstep(kernel, cfgs, inv_diag=inv_diag, radii=radii, subsets=subsets)
+
+
+def _check_inv_diag(spec: FeatureSpec, inv_diag, ndim: int) -> np.ndarray:
+    """``inv_diag`` as a float array of ``ndim`` dimensions with K entries
+    along the last, every one positive and finite; ValueError otherwise."""
+    inv_diag = np.asarray(inv_diag, dtype=float)
+    if inv_diag.ndim != ndim or inv_diag.shape[-1] != spec.K:
+        want = f"({spec.K},)" if ndim == 1 else f"(rows, {spec.K})"
+        raise ValueError(
+            f"regularizer dimension disagrees with spec: need inv_diag of shape {want}, "
+            f"got {inv_diag.shape}"
+        )
+    if not np.all(np.isfinite(inv_diag)) or np.any(inv_diag <= 0):
+        raise ValueError("inv_diag entries must be positive and finite")
+    return inv_diag
+
+
+class _KernelData:
+    """What a kernel call needs of its data that no iterate changes, prepared
+    once and shared by every call on the same data (lapmedn's rounds).
+
+    Each instance is checked once.  ``stacks[L]`` holds the inputs, labels,
+    float gold one-hots (L, m) and gold feature vectors of the instances of
+    length L, and ``slot[i]`` is instance i's place there; ``instances[i]``
+    is that slice of each stack.  Each (seed, training set) draws its
+    instance order once.
+    """
+
+    def __init__(self, data, spec: FeatureSpec):
+        checked = _check_data(data, spec)
+        self.spec, self.n = spec, len(checked)
+        self.lengths = [len(y) for _, y in checked]
+        self.slot = np.empty(self.n, dtype=np.int64)
+        self.stacks = {}
+        for length, (members, xs, ys) in _stack_by_length(checked).items():
+            self.slot[members] = np.arange(len(members))
+            onehot = (ys[..., None] == np.arange(spec.m)).astype(float)
+            self.stacks[length] = (xs, ys, onehot, feature_vectors(spec, xs, ys))
+        self.instances = [
+            tuple(a[at] for a in self.stacks[length])
+            for length, at in zip(self.lengths, self.slot.tolist())
+        ]
+        self._orders = {}
+
+    def draws(self, seed: int, subset: np.ndarray, iterations: int) -> np.ndarray:
+        """The instances of ``subset`` visited over ``iterations`` epochs, each
+        epoch in the order a generator seeded ``seed`` draws."""
+        key = (seed, subset.tobytes(), iterations)
+        if key not in self._orders:
+            rng = np.random.default_rng(seed)
+            draws = [subset[rng.permutation(len(subset))] for _ in range(iterations)]
+            self._orders[key] = np.concatenate(draws)
+        return self._orders[key]
+
+
+def _lockstep(kernel: _KernelData, cfgs, *, inv_diag=None, radii=None, subsets=None):
+    """:func:`lockstep_train` on prepared data."""
+    spec, n = kernel.spec, kernel.n
     cfgs = list(cfgs)
     if not cfgs:
         raise ValueError("need at least one configuration")
     iterations = cfgs[0].iterations
     if any(cfg.iterations != iterations for cfg in cfgs):
         raise ValueError("lockstep configurations must share iterations")
-    batch, n = len(cfgs), len(data)
-    inv_diag = np.ones((0, spec.K)) if inv_diag is None else np.asarray(inv_diag, dtype=float)
+    batch = len(cfgs)
+    inv_diag = np.ones((0, spec.K)) if inv_diag is None else _check_inv_diag(spec, inv_diag, 2)
     radii = np.ones(0) if radii is None else np.asarray(radii, dtype=float)
-    if inv_diag.ndim != 2 or inv_diag.shape[1] != spec.K:
-        raise ValueError("regularizer dimension disagrees with spec")
     if radii.ndim != 1 or len(inv_diag) + len(radii) != batch:
         raise ValueError("need one step rule per configuration: inv_diag rows, then radii")
-    if not np.all(np.isfinite(inv_diag)) or np.any(inv_diag <= 0):
-        raise ValueError("inv_diag entries must be positive and finite")
     if not np.all(radii > 0):
         raise ValueError("radius must be positive")
     subsets = [np.arange(n)] * batch if subsets is None else [np.asarray(s) for s in subsets]
@@ -132,6 +200,8 @@ def lockstep_train(
             raise ValueError("a training set must be a nonempty vector of instance indices")
         if subset.min() < 0 or subset.max() >= n:
             raise ValueError(f"training set indices must lie in [0, {n})")
+    # One dtype, so that equal training sets, and only they, have equal bytes.
+    subsets = [subset.astype(np.int64) for subset in subsets]
 
     # Rows of one seed and training set form a group: they visit the same
     # instances, drawn once.  order[s, g] is group g's instance at step s,
@@ -144,17 +214,7 @@ def lockstep_train(
     sizes = np.array([len(s) for _, _, s in groups.values()])
     order = np.full((iterations * sizes.max(), len(groups)), -1)
     for g, seed, subset in groups.values():
-        rng = np.random.default_rng(seed)
-        draws = [subset[rng.permutation(len(subset))] for _ in range(iterations)]
-        order[: iterations * len(subset), g] = np.concatenate(draws)
-
-    # Every instance's input, labels and gold features, stacked by length;
-    # slot[i] is instance i's place in its stack.
-    lengths = [len(y) for _, y in checked]
-    stacks, slot = {}, np.empty(n, dtype=np.int64)
-    for length, (members, xs, ys) in _stack_by_length(checked).items():
-        slot[members] = np.arange(len(members))
-        stacks[length] = (xs, ys, feature_vectors(spec, xs, ys))
+        order[: iterations * len(subset), g] = kernel.draws(seed, subset, iterations)
 
     def make_bucket(live):
         rows = np.flatnonzero(np.isin(row_group, live))
@@ -162,12 +222,15 @@ def lockstep_train(
         return _Bucket(
             rows,
             row_group[rows],
-            np.array([cfgs[b].beta for b in rows]),
+            np.array([2.0 * cfgs[b].beta for b in rows]),
             np.array([cfgs[b].C for b in rows]),
             sizes[row_group[rows]],
             # A projecting row's subgradient is scaled by 1, which is exact.
             np.vstack([1.0 / inv_diag[rows[:s]], np.ones((len(rows) - s, spec.K))]),
             radii[rows[s:] - len(inv_diag)],
+            whole=len(rows) == batch,
+            shrinking=s,
+            shrink_sizes=sizes[row_group[rows[:s]]].astype(float),
         )
 
     buckets = {}
@@ -175,21 +238,23 @@ def lockstep_train(
     # A row that overflows fails _check_iterates; numpy's warnings about it
     # would only precede that error.
     with np.errstate(over="ignore", invalid="ignore"):
-        for step, current in enumerate(order):
+        for t, current in enumerate(order.tolist(), 1):
             by_length = {}
-            for g, i in enumerate(current.tolist()):
+            for g, i in enumerate(current):
                 if i >= 0:
-                    by_length.setdefault(lengths[i], []).append(g)
+                    by_length.setdefault(kernel.lengths[i], []).append(g)
             for length, live in by_length.items():
                 key = tuple(live)
-                if key not in buckets:
-                    buckets[key] = make_bucket(live)
-                bucket = buckets[key]
-                # One group: its rows share an input.  Several: one per row.
-                at = slot[current[live[0]] if len(live) == 1 else current[bucket.groups]]
-                xs, ys, gold = stacks[length]
-                updated = bucket.step(w, spec, step + 1, xs[at], ys[at], gold[at])
-                _check_iterates(updated, bucket, step + 1, cfgs)
+                bucket = buckets.get(key)
+                if bucket is None:
+                    bucket = buckets[key] = make_bucket(live)
+                if len(live) == 1:  # one group: its rows share an instance
+                    inputs = kernel.instances[current[live[0]]]
+                else:  # one instance per row
+                    at = kernel.slot[order[t - 1, bucket.groups]]
+                    inputs = [a[at] for a in kernel.stacks[length]]
+                updated = bucket.step(w, spec, t, *inputs)
+                _check_iterates(updated, bucket, t, cfgs)
     return w
 
 
@@ -213,36 +278,44 @@ def _stack_by_length(checked) -> dict:
 @dataclass
 class _Bucket:
     """Rows decoded in one call: those of the groups whose current instances
-    share a length, in row order, so the shrinking rows come first.  Holds
-    their fixed per-row arrays."""
+    share a length, in row order, so the ``shrinking`` rows come first.
+    Holds their fixed per-row arrays."""
 
     rows: np.ndarray
     groups: np.ndarray
-    betas: np.ndarray
+    twice_betas: np.ndarray  # 2 * beta, the step size's fixed factor
     hinge_weights: np.ndarray
-    sizes: np.ndarray
+    sizes: np.ndarray  # training-set sizes
     scale: np.ndarray  # inverse penalties; 1 for the projecting rows
     radii: np.ndarray  # balls of the projecting rows, which come last
+    whole: bool  # the bucket holds every row of w
+    shrinking: int
+    shrink_sizes: np.ndarray  # float training-set sizes of the shrinking rows
 
-    def step(self, w, spec, t, x, y, gold):
+    def step(self, w, spec, t, x, y, onehot, gold):
         """One update of these rows of ``w`` at instance(s) ``x``, ``y`` with
-        gold features ``gold``; returns the updated rows."""
-        whole = len(self.rows) == len(w)
-        block = w if whole else w[self.rows]
-        shrinking = len(self.rows) - len(self.radii)
-        alpha = 1.0 / (2.0 * self.betas * math.sqrt(t))
-        y_star, _ = loss_augmented_decode_rows(spec, block, x, y)
-        shrink = (1.0 - alpha[:shrinking] / self.sizes[:shrinking])[:, None]
-        block[:shrinking] = shrink * block[:shrinking]
-        hit = np.flatnonzero((y_star != y).any(axis=1))
-        if hit.size:
+        gold one-hot ``onehot`` and gold features ``gold``; returns the
+        updated rows."""
+        block = w if self.whole else w[self.rows]
+        alpha = 1.0 / (self.twice_betas * math.sqrt(t))
+        node = _loss_augmented_scores(spec, block, x, onehot)
+        y_star, _ = _viterbi(node, spec.transition_view(block))
+        if self.shrinking:
+            block[: self.shrinking] *= (1.0 - alpha[: self.shrinking] / self.shrink_sizes)[:, None]
+        hit = np.logical_or.reduce(y_star != y, axis=1)
+        hits = np.count_nonzero(hit)
+        if hits == len(block):  # every row moves: no gathers, no scatter
+            delta = self.scale * (gold - feature_vectors(spec, x, y_star))
+            block += (alpha * self.hinge_weights)[:, None] * delta
+        elif hits:
+            hit = np.flatnonzero(hit)
             if x.ndim == 3:
                 x, gold = x[hit], gold[hit]
             delta = self.scale[hit] * (gold - feature_vectors(spec, x, y_star[hit]))
-            block[hit] = block[hit] + (alpha[hit] * self.hinge_weights[hit])[:, None] * delta
+            block[hit] += (alpha[hit] * self.hinge_weights[hit])[:, None] * delta
         if len(self.radii):
-            block[shrinking:] = _project_rows(block[shrinking:], self.radii)
-        if not whole:
+            block[self.shrinking :] = _project_rows(block[self.shrinking :], self.radii)
+        if not self.whole:
             w[self.rows] = block
         return block
 
@@ -250,9 +323,13 @@ class _Bucket:
 def _check_iterates(updated, bucket, t: int, cfgs):
     """Raise if an updated row is not finite or its L2 norm passes
     ``DIVERGENCE_LIMIT``; the error names the first such row."""
-    within = (updated * updated).sum(axis=1) <= DIVERGENCE_LIMIT**2
-    if not within.all():
-        bad = np.flatnonzero(~within)
+    squares = np.add.reduce(updated * updated, axis=1)
+    # Adding a nonnegative float never lowers a partial sum, so the total
+    # bounds every row's squared norm, rounding included, and a NaN fails it.
+    if np.add.reduce(squares) <= DIVERGENCE_LIMIT**2:
+        return
+    bad = np.flatnonzero(~(squares <= DIVERGENCE_LIMIT**2))
+    if bad.size:
         cfg = cfgs[bucket.rows[bad[0]]]
         epoch = (t - 1) // bucket.sizes[bad[0]] + 1
         raise RuntimeError(
@@ -272,7 +349,7 @@ def _project_rows(v: np.ndarray, radii: np.ndarray) -> np.ndarray:
     mag = np.abs(v)
     # Relative slack keeps re-projection an exact no-op despite the float
     # error (~K ulp) left on the boundary by a previous projection.
-    outside = np.flatnonzero(mag.sum(axis=1) > radii * (1.0 + 1e-12))
+    outside = np.flatnonzero(np.add.reduce(mag, axis=1) > radii * (1.0 + 1e-12))
     if not outside.size:
         return v.copy()
     mag_out, radius = mag[outside], radii[outside]
@@ -313,16 +390,18 @@ def structured_hinge_objective(
     """Objective value 0.5 w' diag(inv_diag) w + C * sum_i hinge_i(w) at (K,) ``weights``.
 
     Pass ``inv_diag=None`` for the unregularized hinge total (the quantity
-    constrained trainers minimize inside their feasible set).  Each
-    instance is checked once, and the instances of one length are decoded
-    in one DP call; the hinge terms are summed in instance order.  Empty
-    ``data`` gives the penalty term alone.
+    constrained trainers minimize inside their feasible set); any other
+    ``inv_diag`` is checked as :func:`lockstep_train` checks its rows: K
+    entries, each positive and finite.  Each instance is checked once, and
+    the instances of one length are decoded in one DP call; the hinge terms
+    are summed in instance order.  Empty ``data`` gives the penalty term
+    alone.
     """
     w = _check_weights(spec, weights)
     checked = [_check_instance(spec, inst.features, inst.labels) for inst in data]
     reg = 0.0
     if inv_diag is not None:
-        reg = 0.5 * float(np.dot(w, np.asarray(inv_diag) * w))
+        reg = 0.5 * float(np.dot(w, _check_inv_diag(spec, inv_diag, 1) * w))
     terms = [0.0] * len(checked)
     for members, xs, ys in _stack_by_length(checked).values():
         _, values = loss_augmented_decode_rows(spec, w[None], xs, ys)

@@ -352,7 +352,7 @@ class TestCrossValidation:
         def no_step(*args, **kwargs):
             raise AssertionError("a kernel step ran before every row was checked")
 
-        monkeypatch.setattr(optimize, "loss_augmented_decode_rows", no_step)
+        monkeypatch.setattr(optimize, "_viterbi", no_step)
         data = tmp_path / "cv.jsonl"
         _write_signal_dataset(data, n=6, seed=92)
         code, _, err, caught = _run_quietly(
@@ -418,6 +418,76 @@ class TestCrossValidation:
             )
             == 2
         )
+
+
+# Any float or small count, with usable values drawn often enough that
+# training runs.
+_ANY_FLOAT = st.one_of(
+    st.floats(0.01, 100.0),
+    st.sampled_from([math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, 1e308, -1e308, -0.0]),
+    st.floats(),
+)
+
+
+def _small_count(low):
+    return st.integers(low, 4) | st.integers(-1, 5)
+
+
+
+class TestTrainingFlags:
+    """train and cv on a tiny file under any float hyperparameters and small
+    counts: exit 0 and write the output file, or exit 2 with exactly one
+    ``error:`` line and nothing else on stderr."""
+
+    @staticmethod
+    def _run(tmp_path_factory, argv):
+        base = tmp_path_factory.getbasetemp()
+        data, out = base / "tiny-flags.jsonl", base / "tiny-flags.out"
+        if not data.exists():
+            rng = np.random.default_rng(93)
+            instances = make_mixed_instances(rng, n=4, d=2, m=2, max_length=3)
+            write_dataset(data, instances, FeatureSpec(2, 2))
+        out.unlink(missing_ok=True)
+        code, _, err, caught = _run_quietly([*argv, f"--data={data}", f"--out={out}"])
+        _assert_clean_exit(code, err, caught)
+        assert out.exists() == (code == 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        model=st.sampled_from(["m3n", "lapmedn", "l1m3n"]),
+        beta=_ANY_FLOAT,
+        c=st.none() | _ANY_FLOAT,
+        lam=_ANY_FLOAT,
+        radius=_ANY_FLOAT,
+        iters=_small_count(1),
+        outer_iters=_small_count(2),
+    )
+    @example(model="m3n", beta=1e308, c=None, lam=1.0, radius=1.0, iters=2, outer_iters=2)
+    @example(model="lapmedn", beta=1.0, c=None, lam=5e-324, radius=1.0, iters=2, outer_iters=3)
+    @example(model="l1m3n", beta=5e-324, c=1e308, lam=1.0, radius=math.inf, iters=2, outer_iters=2)
+    def test_train(self, tmp_path_factory, model, beta, c, lam, radius, iters, outer_iters):
+        argv = ["train", f"--model={model}", f"--beta={beta!r}", f"--lambda={lam!r}",
+                f"--radius={radius!r}", f"--iters={iters}", f"--outer-iters={outer_iters}"]
+        self._run(tmp_path_factory, argv + ([] if c is None else [f"--c={c!r}"]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        models=st.sampled_from(["m3n", "lapmedn", "l1m3n", "m3n,lapmedn,l1m3n"]),
+        beta=_ANY_FLOAT,
+        c=st.none() | _ANY_FLOAT,
+        lam=_ANY_FLOAT,
+        radius=_ANY_FLOAT,
+        iters=_small_count(1),
+        outer_iters=_small_count(2),
+        folds=_small_count(2),
+    )
+    @example(models="lapmedn", beta=1.0, c=None, lam=5e-324, radius=1.0, iters=2, outer_iters=3,
+             folds=2)
+    def test_cv(self, tmp_path_factory, models, beta, c, lam, radius, iters, outer_iters, folds):
+        argv = ["cv", f"--models={models}", f"--betas={beta!r}", f"--lambdas={lam!r}",
+                f"--radii={radius!r}", f"--iters={iters}", f"--outer-iters={outer_iters}",
+                f"--folds={folds}"]
+        self._run(tmp_path_factory, argv + ([] if c is None else [f"--c={c!r}"]))
 
 
 def _write_mixed_dataset(path):

@@ -2,6 +2,7 @@
 
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from medn import (
     structured_hinge_objective,
     train_laplace_grid,
 )
+from medn import optimize
 from medn.chain import feature_vectors, loss_augmented_decode_rows
 from medn.optimize import DIVERGENCE_LIMIT
+import oracles
 from oracles import (
     l1_projection_oracle,
     make_mixed_instances,
@@ -195,6 +198,20 @@ class TestSubgradientTrain:
         assert (fields[1], fields[2], fields[3]) == ("4", "7", "0.01")
         assert float(fields[4]) > DIVERGENCE_LIMIT
 
+    def test_divergence_test_goes_by_row(self):
+        """Rows whose squared norms add up past the limit pass while each is
+        within it; the first row past it, or not finite, raises."""
+        cfgs = [SubgradConfig(beta=1.0, iterations=1, C=1.0, seed=3), SubgradConfig(2.0, 1, 1.0, seed=4)]
+        bucket = SimpleNamespace(rows=np.array([0, 1]), sizes=np.array([5, 5]))
+        near = np.zeros((2, 4))
+        near[:, 0] = 0.9 * DIVERGENCE_LIMIT
+        optimize._check_iterates(near, bucket, 7, cfgs)
+        for value in (0.5 * DIVERGENCE_LIMIT, np.nan, np.inf):
+            rows = near.copy()
+            rows[1, 2] = value
+            with pytest.raises(RuntimeError, match="seed=4 diverged in epoch 2 at update t=7: beta=2 "):
+                optimize._check_iterates(rows, bucket, 7, cfgs)
+
     def test_empty_data_raises(self):
         spec = FeatureSpec(d=2, m=2)
         with pytest.raises(ValueError):
@@ -312,6 +329,20 @@ class TestStructuredHingeObjective:
             with pytest.raises(ValueError, match="finite"):
                 structured_hinge_objective(data, spec, bad, 1.0)
 
+    def test_bad_inv_diag_raises(self):
+        """The penalty is checked as the kernel checks it: a length-1 array
+        used to broadcast, and a negative one gave a negative objective."""
+        spec, data, w, inv = self._problem()
+        for bad in (np.full(1, 2.0), inv[None], inv[:-1], np.float64(2.0)):
+            with pytest.raises(ValueError, match=rf"need inv_diag of shape \({spec.K},\)"):
+                structured_hinge_objective(data, spec, w, 1.0, inv_diag=bad)
+        for value in (-1.0, 0.0, np.nan, np.inf):
+            one_bad = inv.copy()
+            one_bad[3] = value
+            for bad in (one_bad, np.full(spec.K, value)):
+                with pytest.raises(ValueError, match="inv_diag entries must be positive"):
+                    structured_hinge_objective(data, spec, w, 1.0, inv_diag=bad)
+
 
 def _lockstep_problem(seed, m):
     rng = np.random.default_rng(seed)
@@ -386,6 +417,20 @@ class TestLockstepValidation:
             with pytest.raises(ValueError):
                 lockstep_train(data, spec, [cfg], inv_diag=ones, subsets=subsets)
 
+    def test_training_sets_of_any_integer_dtype(self):
+        """[5, 0] as int32 has the bytes of [5] as int64; each row must still
+        train on its own training set."""
+        spec, data = _lockstep_problem(133, 2)
+        cfg = SubgradConfig(beta=1.0, iterations=3, C=1.0, seed=4)
+        subsets = [np.array([5], dtype=np.int64), np.array([5, 0], dtype=np.int32)]
+        rows = lockstep_train(
+            data, spec, [cfg, cfg], inv_diag=np.ones((2, spec.K)), subsets=subsets
+        )
+        for row, subset in zip(rows, subsets):
+            fold = [data[i] for i in subset]
+            want = reference_subgradient_train(fold, spec, np.ones(spec.K), cfg)
+            assert np.array_equal(row, want)
+
     def test_exactly_one_step_rule(self):
         spec, data = _lockstep_problem(131, 2)
         cfg = SubgradConfig(beta=1.0, iterations=3, C=1.0)
@@ -397,3 +442,132 @@ class TestLockstepValidation:
             lockstep_train(data, spec, [cfg], inv_diag=np.ones((2, spec.K)))
         with pytest.raises(ValueError):
             lockstep_train(data, spec, [cfg], radii=[0.0])
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Patch ``module.name`` to record the arguments of every call."""
+    calls, real = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _same_bits(got, want) -> bool:
+    """Equal values and equal sign bits (the projection leaves -0.0 entries)."""
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _label_signal_instances(rng, n, d, m, max_length):
+    """Instances of lengths 1..max_length whose feature 0 is the label
+    centered on 0 plus a little noise, which a single feature can learn."""
+    instances = []
+    for _ in range(n):
+        length = int(rng.integers(1, max_length + 1))
+        y = rng.integers(0, m, size=length)
+        x = 0.1 * rng.standard_normal((length, d))
+        x[:, 0] += y - (m - 1) / 2
+        instances.append(SequenceInstance(x, y))
+    return instances
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("m", [2, 3])
+class TestKernelBranches:
+    """Every branch of the update against the per-config loops, bit for bit
+    and sign bits included.  A bucket whose rows are all hit updates them
+    without gathering rows; one where only some are hit gathers those."""
+
+    def test_one_row_under_each_step_rule(self, monkeypatch, d, m):
+        rng = np.random.default_rng(150 + 10 * d + m)
+        spec = FeatureSpec(d=d, m=m)
+        data = _label_signal_instances(rng, n=6, d=d, m=m, max_length=3)
+        cfg = SubgradConfig(beta=1.0, iterations=6, C=2.0, seed=d + m)
+        ones, inv = np.ones(spec.K), np.linspace(0.5, 4.0, spec.K)
+        rules = [
+            ({"inv_diag": ones[None]}, lambda: reference_subgradient_train(data, spec, ones, cfg)),
+            ({"inv_diag": inv[None]}, lambda: reference_subgradient_train(data, spec, inv, cfg)),
+            ({"radii": [3.0]}, lambda: reference_l1_constrained_train(data, spec, 3.0, cfg)),
+        ]
+        maps = _count_calls(monkeypatch, optimize, "feature_vectors")
+        lengths = len({len(inst) for inst in data})
+        for rule, reference in rules:
+            maps.clear()
+            row = lockstep_train(data, spec, [cfg], **rule)[0]
+            assert _same_bits(row, reference())
+            # one feature map per length for the golds, then one per hit update
+            hits = len(maps) - lengths
+            assert 0 < hits < cfg.iterations * len(data)
+
+    @pytest.mark.parametrize("seeds", [(0, 0, 0, 0), (0, 1, 0, 1)], ids=["shared", "per-row"])
+    def test_bucket_with_hit_and_missed_rows(self, monkeypatch, d, m, seeds):
+        """Equal-length instances, so every step decodes all four rows in one
+        bucket; with one seed they share an input, with two each row brings
+        its own.  Rows differ in C and step rule, so their hits differ."""
+        rng = np.random.default_rng(160 + 10 * d + m)
+        spec = FeatureSpec(d=d, m=m)
+        data = [
+            SequenceInstance(np.tile(inst.features, (3, 1)), np.tile(inst.labels, 3))
+            for inst in _label_signal_instances(rng, n=5, d=d, m=m, max_length=1)
+        ]
+        hinge_weights = (4.0, 1e-3, 2.0, 30.0)
+        cfgs = [
+            SubgradConfig(beta=1.0, iterations=5, C=c, seed=seed)
+            for c, seed in zip(hinge_weights, seeds)
+        ]
+        inv = np.vstack([np.ones(spec.K), np.linspace(0.5, 4.0, spec.K)])
+        radii = [2.0, 1e6]
+        maps = _count_calls(monkeypatch, optimize, "feature_vectors")
+        rows = lockstep_train(data, spec, cfgs, inv_diag=inv, radii=radii)
+        for b, cfg in enumerate(cfgs):
+            if b < len(inv):
+                want = reference_subgradient_train(data, spec, inv[b], cfg)
+            else:
+                want = reference_l1_constrained_train(data, spec, radii[b - len(inv)], cfg)
+            assert _same_bits(rows[b], want)
+        mapped = [len(args[2]) for args in maps[1:]]  # after the golds' one call
+        assert len(cfgs) in mapped  # every row hit: no gathers
+        assert any(0 < rows_hit < len(cfgs) for rows_hit in mapped)  # some rows hit
+
+
+class TestLayerCounts:
+    """What one kernel call costs, layer by layer: one DP call per update,
+    one feature map per length for the golds plus one per hit update, and
+    one check per instance.  The reference loop maps each gold once and
+    then once per hit, which counts the hits independently."""
+
+    def test_one_row_kernel_call(self, monkeypatch):
+        spec, data = _lockstep_problem(140, 3)
+        cfg = SubgradConfig(beta=1.0, iterations=4, C=2.0, seed=3)
+        reference_maps = _count_calls(monkeypatch, oracles, "feature_vectors")
+        want = reference_subgradient_train(data, spec, np.ones(spec.K), cfg)
+        hits = len(reference_maps) - len(data)
+        decodes = _count_calls(monkeypatch, optimize, "_viterbi")
+        maps = _count_calls(monkeypatch, optimize, "feature_vectors")
+        checks = _count_calls(monkeypatch, optimize, "_check_instance")
+        row = lockstep_train(data, spec, [cfg], inv_diag=np.ones((1, spec.K)))[0]
+        assert np.array_equal(row, want)
+        assert 0 < hits < cfg.iterations * len(data)
+        assert len(decodes) == cfg.iterations * len(data)
+        assert len(maps) == hits + len({len(inst) for inst in data})
+        assert len(checks) == len(data)
+
+    def test_lapmedn_rounds_check_and_map_the_golds_once(self, monkeypatch):
+        spec, data = _lockstep_problem(141, 2)
+        inner = SubgradConfig(beta=1.0, iterations=3, C=1.0, seed=2)
+        cfg = LaplaceConfig(lam=4.0, inner=inner, outer_iters=4)
+        reference_maps = _count_calls(monkeypatch, oracles, "feature_vectors")
+        want_mean, want_var = reference_train_laplace(data, spec, cfg)[-1]
+        rounds = cfg.outer_iters - 1
+        hits = len(reference_maps) - rounds * len(data)
+        decodes = _count_calls(monkeypatch, optimize, "_viterbi")
+        maps = _count_calls(monkeypatch, optimize, "feature_vectors")
+        checks = _count_calls(monkeypatch, optimize, "_check_instance")
+        means, variances = train_laplace_grid(data, spec, [cfg])
+        assert np.array_equal(means[0], want_mean) and np.array_equal(variances[0], want_var)
+        assert len(decodes) == rounds * inner.iterations * len(data)
+        assert len(maps) == hits + len({len(inst) for inst in data})
+        assert len(checks) == len(data)
