@@ -75,13 +75,14 @@ class SequenceInstance:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if self.features.ndim != 2 or self.features.shape[0] < 1:
             raise ValueError("features must be a nonempty (L, d) matrix")
-        if self.labels.shape != (self.features.shape[0],):
+        if labels.shape != (self.features.shape[0],):
             raise ValueError("labels must be a vector with one entry per position")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("features must be finite")
+        self.labels = _integer_labels(labels)
         if np.any(self.labels < 0):
             raise ValueError("label indices must be nonnegative")
 
@@ -99,6 +100,16 @@ def _check_weights(spec: FeatureSpec, weights) -> np.ndarray:
     return weights
 
 
+def _integer_labels(labels: np.ndarray) -> np.ndarray:
+    """``labels`` as int64, or ValueError unless their dtype is an integer one.
+
+    Casting floats or strings would truncate 1.7 to 1 and parse '1' as 1.
+    """
+    if labels.dtype.kind not in "iu":
+        raise ValueError("labels must be integer indices")
+    return np.asarray(labels, dtype=np.int64)
+
+
 def _check_instance(spec: FeatureSpec, x: np.ndarray, y: np.ndarray):
     """(x, y) as a float (L, d) matrix and L int labels in [0, m), or ValueError."""
     x = np.asarray(x, dtype=float)
@@ -106,13 +117,14 @@ def _check_instance(spec: FeatureSpec, x: np.ndarray, y: np.ndarray):
         raise ValueError("inputs must be a nonempty (L, d) matrix")
     if x.shape[1] != spec.d:
         raise ValueError(f"expected {spec.d} input features, got {x.shape[1]}")
-    y = np.asarray(y, dtype=np.int64)
+    y = np.asarray(y)
     if y.ndim != 1:
         raise ValueError("labels must be one-dimensional")
-    if np.any(y < 0) or np.any(y >= spec.m):
-        raise ValueError(f"label indices must lie in [0, {spec.m})")
     if y.shape[0] != x.shape[0]:
         raise ValueError("labels and inputs disagree on sequence length")
+    y = _integer_labels(y)
+    if np.any(y < 0) or np.any(y >= spec.m):
+        raise ValueError(f"label indices must lie in [0, {spec.m})")
     return x, y
 
 

@@ -3,14 +3,14 @@
 Emits plain (x, y) rows so plotting stays in external tools.  The 2-D
 penalty ball is traced by 1-D root finding along rays from the origin; its
 level is chosen so the boundary passes through (0, 1), which makes it
-directly comparable to the unit L1 and L2 balls.
+directly comparable to the unit L1 and L2 balls.  scipy's root finder is
+imported on the first :func:`norm_ball_boundary` call, not with the module.
 """
 
 import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .models import _check_lam, _kl_excess, shrinkage_mean
 
@@ -79,6 +79,9 @@ def norm_ball_boundary(lam: float, n_angles: int = 360) -> np.ndarray:
     cancellation.  Raises RuntimeError naming the angle if a ray cannot be
     bracketed.
     """
+    # Imported here, so that every command but norm-ball starts without scipy.
+    from scipy.optimize import brentq
+
     norm_ball_level(lam)  # rejects lam whose level overflows
     target = _kl_excess(np.array([0.0, 1.0]), lam)
     points = np.empty((n_angles, 2))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import FeatureSpec, SequenceInstance
+from .chain import FeatureSpec, SequenceInstance, _integer_labels
 
 __all__ = [
     "DATASET_FORMAT",
@@ -94,11 +94,9 @@ def _parse_header(line: str) -> tuple[FeatureSpec, dict]:
 def _parse_instance(line: str, spec: FeatureSpec) -> SequenceInstance:
     obj = _json_object(line)
     x = np.asarray(obj["x"], dtype=float)
-    y = np.asarray(obj["y"])
     if x.ndim != 2 or x.shape[1] != spec.d:
         raise ValueError("feature row width disagrees with header d")
-    if y.dtype.kind not in "iu":
-        raise ValueError("labels must be integer indices")
+    y = _integer_labels(np.asarray(obj["y"]))
     if np.any(y >= spec.m):
         raise ValueError("label index exceeds header m")
     return SequenceInstance(features=x, labels=y)

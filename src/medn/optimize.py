@@ -24,6 +24,7 @@ test that builds its per-row mask only when it is about to raise.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,8 @@ class SubgradConfig:
     def __post_init__(self):
         if not self.beta > 0:
             raise ValueError("beta must be positive")
+        if not isinstance(self.iterations, numbers.Integral) or isinstance(self.iterations, bool):
+            raise ValueError("iterations must be an integer")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         if self.C < 0 or not math.isfinite(self.C):
@@ -212,7 +215,13 @@ def _lockstep(kernel: _KernelData, cfgs, *, inv_diag=None, radii=None, subsets=N
          for cfg, s in zip(cfgs, subsets)]
     )
     sizes = np.array([len(s) for _, _, s in groups.values()])
-    order = np.full((iterations * sizes.max(), len(groups)), -1)
+    steps = int(iterations) * int(sizes.max())
+    if steps > np.iinfo(np.intp).max:
+        raise ValueError(
+            f"{iterations} iterations over {sizes.max()} instances are more steps"
+            " than the kernel can schedule"
+        )
+    order = np.full((steps, len(groups)), -1)
     for g, seed, subset in groups.values():
         order[: iterations * len(subset), g] = kernel.draws(seed, subset, iterations)
 

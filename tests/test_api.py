@@ -1,14 +1,18 @@
-"""The public surface: every exported name resolves, and the README's
-Python examples run against the package as it is."""
+"""The public surface: every exported name resolves, the README's Python
+examples run against the package as it is, and the CLI starts without
+scipy."""
 
 import importlib
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import medn
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 PUBLIC = {
     "BoundInputs",
@@ -63,3 +67,27 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {"__name__": "readme"})
+
+
+# Runs in a fresh interpreter: this test process has scipy loaded already.
+_COLD_START = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import medn, medn.cli
+assert medn.cli.main(["pac-bound", "--n", "100", "--y-card", "256", "--kl", "1"]) == 0
+loaded = sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+assert not loaded, loaded
+assert medn.cli.main(["norm-ball", "--lambdas", "4", "--angles", "8", "--out", sys.argv[2]]) == 0
+"""
+
+
+def test_cli_starts_without_scipy(tmp_path):
+    """Importing medn and running a command other than norm-ball loads no
+    scipy module; norm-ball imports its root finder when it runs."""
+    out = tmp_path / "ball.csv"
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", _COLD_START, str(ROOT / "src"), str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text().startswith("curve,")

@@ -2,6 +2,7 @@
 checks at the entry points that run them."""
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -203,6 +204,24 @@ class TestDecode:
         empty = SimpleNamespace(features=np.zeros((0, 2)), labels=np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError, match="nonempty"):
             structured_hinge_objective([empty], spec, np.zeros(spec.K), 1.0)
+
+    @pytest.mark.parametrize(
+        "labels", [[0.5, 1.7], ["1", "0"], [1e20, 0.0]], ids=["fractions", "strings", "huge"]
+    )
+    def test_non_integer_labels_raise(self, labels):
+        """Labels must have an integer dtype where instances enter, as in a
+        dataset file: no truncation to [0, 1], no parsing of strings, and no
+        numpy cast warning before the error."""
+        spec = FeatureSpec(d=3, m=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^labels must be integer indices$"):
+                SequenceInstance(np.zeros((2, 3)), labels)
+            duck = SimpleNamespace(features=np.zeros((2, 3)), labels=np.array(labels))
+            with pytest.raises(ValueError, match="^labels must be integer indices$"):
+                structured_hinge_objective([duck], spec, np.zeros(spec.K), 1.0)
+            with pytest.raises(ValueError, match="^labels must be integer indices$"):
+                lockstep_train([duck], spec, [SubgradConfig(1.0, 1, 1.0)], radii=[1.0])
 
 
 @st.composite

@@ -452,6 +452,24 @@ class TestTrainingFlags:
         _assert_clean_exit(code, err, caught)
         assert out.exists() == (code == 0)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["train", "--model=m3n"], ["train", "--model=lapmedn", "--lambda=1"],
+         ["train", "--model=l1m3n", "--radius=1"], ["cv", "--folds=2"]],
+        ids=["m3n", "lapmedn", "l1m3n", "cv"],
+    )
+    def test_iters_past_what_the_kernel_can_schedule(self, tmp_path, argv):
+        """An epoch count whose steps no array index can hold is one error
+        line, checked before the kernel allocates its schedule."""
+        data, out = tmp_path / "train.jsonl", tmp_path / "o"
+        _write_signal_dataset(data, n=4, seed=87)
+        code, _, err, caught = _run_quietly(
+            [*argv, f"--data={data}", "--iters=100000000000000000000", f"--out={out}"]
+        )
+        _assert_clean_exit(code, err, caught)
+        assert code == 2 and "more steps than the kernel can schedule" in err
+        assert not out.exists()
+
     @settings(max_examples=100, deadline=None)
     @given(
         model=st.sampled_from(["m3n", "lapmedn", "l1m3n"]),

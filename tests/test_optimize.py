@@ -431,6 +431,13 @@ class TestLockstepValidation:
             want = reference_subgradient_train(fold, spec, np.ones(spec.K), cfg)
             assert np.array_equal(row, want)
 
+    def test_iterations_must_be_an_integer(self):
+        """A fractional or bool epoch count is rejected with the config, not
+        inside the kernel."""
+        for iterations in (2.5, True):
+            with pytest.raises(ValueError, match="^iterations must be an integer$"):
+                SubgradConfig(beta=1.0, iterations=iterations, C=1.0)
+
     def test_exactly_one_step_rule(self):
         spec, data = _lockstep_problem(131, 2)
         cfg = SubgradConfig(beta=1.0, iterations=3, C=1.0)
