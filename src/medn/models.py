@@ -18,6 +18,7 @@ the L1-constrained problem.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -67,6 +68,8 @@ class LaplaceConfig:
         _check_lam(self.lam)
         if not self.C > 0:
             raise ValueError("C must be positive")
+        if not isinstance(self.outer_iters, numbers.Integral) or isinstance(self.outer_iters, bool):
+            raise ValueError("outer_iters must be an integer")
         if self.outer_iters < 2:
             raise ValueError("outer_iters must be at least 2")
 

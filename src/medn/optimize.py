@@ -216,14 +216,19 @@ def _lockstep(kernel: _KernelData, cfgs, *, inv_diag=None, radii=None, subsets=N
     )
     sizes = np.array([len(s) for _, _, s in groups.values()])
     steps = int(iterations) * int(sizes.max())
-    if steps > np.iinfo(np.intp).max:
+    try:
+        # numpy's own errors for a schedule this large name neither the
+        # flag nor the kernel.
+        if steps * len(groups) * np.dtype(np.int64).itemsize > np.iinfo(np.intp).max:
+            raise MemoryError
+        order = np.full((steps, len(groups)), -1, dtype=np.int64)
+        for g, seed, subset in groups.values():
+            order[: iterations * len(subset), g] = kernel.draws(seed, subset, iterations)
+    except MemoryError:
         raise ValueError(
             f"{iterations} iterations over {sizes.max()} instances are more steps"
             " than the kernel can schedule"
-        )
-    order = np.full((steps, len(groups)), -1)
-    for g, seed, subset in groups.values():
-        order[: iterations * len(subset), g] = kernel.draws(seed, subset, iterations)
+        ) from None
 
     def make_bucket(live):
         rows = np.flatnonzero(np.isin(row_group, live))

@@ -1,13 +1,16 @@
 """The public surface: every exported name resolves, the README's Python
-examples run against the package as it is, and the CLI starts without
-scipy."""
+examples run against the package as it is, the CLI starts without scipy,
+and every third-party import is a declared dependency."""
 
+import ast
 import importlib
 import pkgutil
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import medn
 
@@ -91,3 +94,22 @@ def test_cli_starts_without_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().startswith("curve,")
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    """An installed but undeclared package passes every other test and then
+    fails for anyone who installs medn as ``pyproject.toml`` says."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        requirements = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", r)[0].lower().replace("-", "_") for r in requirements}
+    imported = set()
+    for path in sorted((ROOT / "src" / "medn").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"medn"}
+    assert {"numpy", "orjson", "scipy"} <= third_party
+    assert third_party <= declared, sorted(third_party - declared)

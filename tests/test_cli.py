@@ -453,19 +453,21 @@ class TestTrainingFlags:
         assert out.exists() == (code == 0)
 
     @pytest.mark.parametrize(
-        "argv",
-        [["train", "--model=m3n"], ["train", "--model=lapmedn", "--lambda=1"],
-         ["train", "--model=l1m3n", "--radius=1"], ["cv", "--folds=2"]],
-        ids=["m3n", "lapmedn", "l1m3n", "cv"],
+        "argv, n, iters",
+        [(["train", "--model=m3n"], 4, 10**20),
+         (["train", "--model=lapmedn", "--lambda=1"], 4, 10**20),
+         (["train", "--model=l1m3n", "--radius=1"], 4, 10**20),
+         (["cv", "--folds=2"], 4, 10**20),
+         # The steps fit an array index; the schedule's bytes do not.
+         (["train", "--model=m3n"], 50, 184467440737095516)],
+        ids=["m3n", "lapmedn", "l1m3n", "cv", "m3n-schedule-bytes"],
     )
-    def test_iters_past_what_the_kernel_can_schedule(self, tmp_path, argv):
-        """An epoch count whose steps no array index can hold is one error
-        line, checked before the kernel allocates its schedule."""
+    def test_iters_past_what_the_kernel_can_schedule(self, tmp_path, argv, n, iters):
+        """An epoch count whose schedule no array can hold is one error
+        line, checked before the kernel allocates it."""
         data, out = tmp_path / "train.jsonl", tmp_path / "o"
-        _write_signal_dataset(data, n=4, seed=87)
-        code, _, err, caught = _run_quietly(
-            [*argv, f"--data={data}", "--iters=100000000000000000000", f"--out={out}"]
-        )
+        _write_signal_dataset(data, n=n, seed=87)
+        code, _, err, caught = _run_quietly([*argv, f"--data={data}", f"--iters={iters}", f"--out={out}"])
         _assert_clean_exit(code, err, caught)
         assert code == 2 and "more steps than the kernel can schedule" in err
         assert not out.exists()
@@ -773,6 +775,7 @@ class TestPacBoundCommand:
 
 
 _GOOD_LINE = '{"x":[[1.0,0.0]],"y":[0]}'
+_DEEP = b"[" * 100_000 + b"]" * 100_000
 
 
 @pytest.mark.parametrize(
@@ -800,11 +803,17 @@ _GOOD_LINE = '{"x":[[1.0,0.0]],"y":[0]}'
         ("data", 1, '{"kind":"sequence-dataset","format":1,"d":"4","m":2}'),
         ("data", 1, '{"kind":"sequence-dataset","format":1,"d":2,"m":2.5}'),
         ("data", 1, '{"kind":"sequence-dataset","format":true,"d":2,"m":2}'),
+        pytest.param("data", 3, b'{"x":[[1.0,0.0]],"y":[0],"note":"\xff"}', id="data-invalid-utf8"),
+        pytest.param("model", 1, b'{"kind":"lapmedn","hyper":{"note":"\xff"}}', id="model-invalid-utf8"),
+        pytest.param("data", 3, b'{"x":' + _DEEP + b',"y":[0]}', id="data-deep-nesting"),
+        pytest.param("model", 1, b'{"format":1,"kind":"lapmedn","d":2,"m":2,"weights":' + _DEEP + b"}",
+                     id="model-deep-nesting"),
     ],
 )
 def test_malformed_input_fails_with_one_line_error(tmp_path, capsys, target, line, content):
     """A malformed dataset line or model file ends the command with exit
-    code 2 and one ``error: path:line: ...`` line, never a traceback."""
+    code 2 and one ``error: path:line: ...`` line, never a traceback.  A
+    bytes ``content`` is the raw line or model file."""
     spec = FeatureSpec(2, 2)
     data = tmp_path / "data.jsonl"
     write_dataset(data, [SequenceInstance([[1.0, 0.0]], [0])], spec)
@@ -814,10 +823,13 @@ def test_malformed_input_fails_with_one_line_error(tmp_path, capsys, target, lin
                          var_diag=np.ones(spec.K), hyper={})
     )
     if target == "data":
-        lines = data.read_text().splitlines() + [_GOOD_LINE]
-        lines[line - 1] = content
-        data.write_text("\n".join(lines) + "\n")
+        lines = data.read_bytes().splitlines() + [_GOOD_LINE.encode()]
+        lines[line - 1] = content if isinstance(content, bytes) else content.encode()
+        data.write_bytes(b"\n".join(lines) + b"\n")
         bad = data
+    elif isinstance(content, bytes):
+        model.write_bytes(content)
+        bad = model
     else:
         payload = json.loads(model.read_text())
         payload.update(content)

@@ -1,12 +1,14 @@
 """File formats, metrics, the bound calculator, and curve generation."""
 
+import json
 import math
 import re
+from decimal import Decimal, localcontext
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
@@ -73,6 +75,50 @@ def _assert_parses_or_fails_in_one_located_line(reader, path):
         assert "\n" not in message
 
 
+_ONE_FEATURE_HEADER = '{"d":1,"format":1,"kind":"sequence-dataset","m":2,"meta":{}}'
+
+
+@st.composite
+def _decimal_literals(draw):
+    """A JSON number with up to 25 mantissa digits and an exponent in
+    [-330, 310]."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=25))
+    point = draw(st.integers(1, len(digits)))
+    whole, fraction = digits[:point].lstrip("0") or "0", digits[point:]
+    sign = draw(st.sampled_from(["", "-"]))
+    exponent = draw(st.integers(-330, 310))
+    return f"{sign}{whole}{'.' + fraction if fraction else ''}e{exponent}"
+
+
+def _halfway_literals():
+    """About 800 significant digits at and just beside the exact midpoint of
+    two neighbouring doubles, where only correct rounding picks the right
+    neighbour (ties go to the even one)."""
+    literals = []
+    with localcontext() as ctx:
+        ctx.prec = 2000
+        for low in (5e-324, 2.225073858507201e-308, 1.0, 1.7976931348623155e308):
+            mid = (Decimal(low) + Decimal(float(np.nextafter(low, math.inf)))) / 2
+            nudge = Decimal(10) ** (mid.adjusted() - 800)
+            for suffix, value in [("-minus", mid - nudge), ("", mid), ("-plus", mid + nudge)]:
+                literals.append(pytest.param(f"{value:e}", id=f"midpoint-after-{low!r}{suffix}"))
+    return literals
+
+
+_HARD_LITERALS = [
+    "2.2250738585072011e-308",
+    "4.9406564584124654e-324",
+    "2.4703282292062327e-324",
+    "2.4703282292062328e-324",
+    "1.7976931348623157e308",
+    "1.7976931348623159e308",
+    "-1e400",
+    "1e-400",
+    "-0.0",
+    *_halfway_literals(),
+]
+
+
 class TestDatasetFiles:
     def test_round_trip_is_byte_stable(self, tmp_path):
         cfg = GeneratorConfig(d=3, d_rel=2, L=4, m=2, n_samples=6, gibbs_iters=30, seed=2)
@@ -129,6 +175,74 @@ class TestDatasetFiles:
         )
         _mutate(path, edits)
         _assert_parses_or_fails_in_one_located_line(read_dataset, path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12))
+    @example(values=[-0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308,
+                     -1.7976931348623157e308])
+    def test_any_finite_double_round_trips_bit_for_bit(self, tmp_path_factory, values):
+        path = tmp_path_factory.getbasetemp() / "doubles.jsonl"
+        x = np.array(values).reshape(-1, 1)
+        write_dataset(path, [SequenceInstance(x, np.zeros(len(values), dtype=np.int64))],
+                      FeatureSpec(1, 2))
+        (back,), _, _ = read_dataset(path)
+        assert back.features.tobytes() == x.tobytes()
+
+    @staticmethod
+    def _assert_reads_as_float(path, literal):
+        """The file's one feature reads as ``float(literal)`` bit for bit, or
+        fails with one located line where that is infinite."""
+        path.write_text(f'{_ONE_FEATURE_HEADER}\n{{"x":[[{literal}]],"y":[0]}}\n')
+        expected = float(literal)
+        if math.isinf(expected):
+            with pytest.raises(ValueError) as info:
+                read_dataset(path)
+            assert re.fullmatch(rf"{re.escape(str(path))}:2: invalid JSON: [^\n]*", str(info.value))
+        else:
+            (inst,), _, _ = read_dataset(path)
+            assert inst.features.tobytes() == np.array([[expected]]).tobytes()
+
+    @pytest.mark.parametrize("literal", _HARD_LITERALS)
+    def test_hard_decimal_literals_read_exactly(self, tmp_path, literal):
+        self._assert_reads_as_float(tmp_path / "literal.jsonl", literal)
+
+    @settings(max_examples=500, deadline=None)
+    @given(literal=_decimal_literals())
+    def test_decimal_literals_read_exactly(self, tmp_path_factory, literal):
+        self._assert_reads_as_float(tmp_path_factory.getbasetemp() / "literal.jsonl", literal)
+
+    def test_raw_line_separator_in_a_string_is_kept(self, tmp_path):
+        """U+2028 may stand unescaped in a JSON string; only newlines end a line."""
+        path = tmp_path / "separator.jsonl"
+        header = {"d": 1, "format": 1, "kind": "sequence-dataset", "m": 2, "meta": {"note": "a\u2028b"}}
+        path.write_text(json.dumps(header, ensure_ascii=False) + '\n{"x":[[1.5]],"y":[1]}\n',
+                        encoding="utf-8")
+        instances, spec, meta = read_dataset(path)
+        assert meta == {"note": "a\u2028b"}
+        assert spec == FeatureSpec(1, 2) and len(instances) == 1
+
+    @pytest.mark.parametrize(
+        "meta, message",
+        [
+            ("[" * 999 + "]" * 999, None),
+            ('{"note":"' + "[" * 5000 + '"}', None),
+            ("[" * 1000 + "]" * 1000, "JSON nested deeper than 1000 levels"),
+            ('{"note":"' + "]" * 5000 + '","deep":' + "[" * 10**6 + "]" * 10**6 + "}",
+             "JSON nested deeper than 1000 levels"),
+        ],
+        ids=["1000-levels", "brackets-in-a-string", "1001-levels", "a-million-levels"],
+    )
+    def test_nesting_is_bounded(self, tmp_path, meta, message):
+        """Values nest up to 1000 levels, counting the header object;
+        deeper text is one located error, however deep, and brackets in
+        strings do not count."""
+        path = tmp_path / "deep.jsonl"
+        path.write_text(f'{{"d":1,"format":1,"kind":"sequence-dataset","m":2,"meta":{meta}}}\n')
+        if message is None:
+            read_dataset(path)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: {message}$"):
+                read_dataset(path)
 
 
 class TestModelFiles:

@@ -182,6 +182,10 @@ class TestTrainLaplace:
             LaplaceConfig(lam=1.0, inner=_cfg(), outer_iters=1)
         with pytest.raises(ValueError):
             LaplaceConfig(lam=1.0, inner=_cfg(), C=0.0)
+        # Rejected here, not by range() inside the trainer.
+        for outer_iters in (2.5, True):
+            with pytest.raises(ValueError, match="^outer_iters must be an integer$"):
+                LaplaceConfig(lam=1.0, inner=_cfg(), outer_iters=outer_iters)
 
 
 class TestPredictMean:

@@ -438,6 +438,22 @@ class TestLockstepValidation:
             with pytest.raises(ValueError, match="^iterations must be an integer$"):
                 SubgradConfig(beta=1.0, iterations=iterations, C=1.0)
 
+    @pytest.mark.parametrize("where, name", [(np, "full"), (optimize._KernelData, "draws")],
+                             ids=["schedule", "draws"])
+    def test_schedule_out_of_memory_is_one_error(self, monkeypatch, where, name):
+        """A schedule or instance order the machine cannot allocate is the
+        same ``ValueError`` as one past the index range."""
+        spec, data = _lockstep_problem(133, 2)
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(where, name, out_of_memory)
+        cfg = SubgradConfig(beta=1.0, iterations=3, C=1.0)
+        message = "^3 iterations over 7 instances are more steps than the kernel can schedule$"
+        with pytest.raises(ValueError, match=message):
+            lockstep_train(data, spec, [cfg], inv_diag=np.ones((1, spec.K)))
+
     def test_exactly_one_step_rule(self):
         spec, data = _lockstep_problem(131, 2)
         cfg = SubgradConfig(beta=1.0, iterations=3, C=1.0)
