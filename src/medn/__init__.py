@@ -32,8 +32,7 @@ from .synth import (
     gen_crf,
     gen_dataset,
     gen_features,
-    gibbs_label,
-    gibbs_samples,
+    gibbs_chains,
 )
 
 __all__ = [
@@ -52,8 +51,7 @@ __all__ = [
     "gen_crf",
     "gen_dataset",
     "gen_features",
-    "gibbs_label",
-    "gibbs_samples",
+    "gibbs_chains",
     "kl_norm",
     "l1_ball_project",
     "l1m3n_dual_check",

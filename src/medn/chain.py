@@ -133,26 +133,25 @@ def feature_vectors(spec: FeatureSpec, xs: np.ndarray, ys: np.ndarray) -> np.nda
 
     ``xs`` holds each row's input as a (B, L, d) array, or one (L, d) input
     shared by every row.  Unchecked: inputs must be finite floats and
-    ``ys`` hold labels in [0, m).  Each state feature (k, c) is
-    ``x[y == c, k].sum()`` to the bit, so rows never depend on which other
-    rows share the call; transition feature (c, c') counts the adjacent
-    label pairs (c, c').
+    ``ys`` hold labels in [0, m).  Each state feature (k, c) sums
+    ``x[y == c, k]`` in position order, for every d, so rows never depend
+    on which other rows share the call; transition feature (c, c') counts
+    the adjacent label pairs (c, c').
     """
     batch, length = ys.shape
-    m = spec.m
-    xs = xs.reshape(-1, length, spec.d)  # (B, L, d), or (1, L, d) when shared
+    m, d = spec.m, spec.d
+    xs = xs.reshape(-1, length, d)  # (B, L, d), or (1, L, d) when shared
+    if d == 1:
+        # numpy sums a lone column pairwise; beside a zero column it sums
+        # every column in position order.
+        xs = np.concatenate((xs, np.zeros_like(xs)), axis=2)
     f = np.zeros((batch, spec.K))
     picked = ys[:, None, :] == np.arange(m)[:, None]  # (B, m, L)
-    if spec.d == 1:
-        # numpy sums a one-column selection pairwise, not in position order.
-        rows = [xs[b % len(xs)] for b in range(batch)]
-        sums = np.array([[x[mask].sum(axis=0) for mask in masks] for x, masks in zip(rows, picked)])
-    else:
-        # numpy sums the rows of a (count, d) selection in position order;
-        # unselected positions add -0.0, which changes no sum, and a label
-        # that never occurs gets +0.0.
-        sums = np.add.reduce(np.where(picked[..., None], xs[:, None], -0.0), axis=2)  # (B, m, d)
-        sums = np.where(np.logical_or.reduce(picked, axis=2)[..., None], sums, 0.0)
+    # numpy sums the rows of a (count, d) selection in position order;
+    # unselected positions add -0.0, which changes no sum, and a label that
+    # never occurs gets +0.0.
+    sums = np.add.reduce(np.where(picked[..., None], xs[:, None], -0.0), axis=2)[..., :d]
+    sums = np.where(np.logical_or.reduce(picked, axis=2)[..., None], sums, 0.0)
     spec.state_view(f)[:] = sums.transpose(0, 2, 1)
     # Pair (c, c') counts as the product of the label indicators at l and
     # l + 1: sums of 0s and 1s, exact in any order.

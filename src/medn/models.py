@@ -147,10 +147,11 @@ def train_laplace_grid(data: list, spec: FeatureSpec, cfgs, *, subsets=None, rid
     The configs must share ``outer_iters`` and their inner ``iterations``;
     ``lam``, ``C`` and the inner ``beta`` and ``seed`` may differ.  Config
     b trains on ``data[i] for i in subsets[b]`` (all of ``data`` when
-    ``subsets`` is None).  Each round is one :func:`lockstep_train` call
-    over every config, followed by each config's variance refresh, so each
-    row is bit-equal to training its config alone.  The rounds share one
-    check of ``data``, its stacks and gold features, and the instance orders.
+    ``subsets`` is None).  Each round is one ``_lockstep`` call (the kernel of
+    :func:`lockstep_train`) over every config, followed by each config's
+    variance refresh, so each row is bit-equal to training its config
+    alone.  The rounds share one preparation of ``data``: one check of each
+    instance, its stacks and gold features, and the instance orders.
 
     ``riders``, a tuple (cfgs, subsets, radii) of R subgradient configs,
     their R training sets and P radii, adds rows to round 1's kernel call

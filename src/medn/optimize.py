@@ -36,7 +36,6 @@ from .chain import (
     _loss_augmented_scores,
     _viterbi,
     feature_vectors,
-    loss_augmented_decode_rows,
 )
 
 __all__ = [
@@ -143,7 +142,8 @@ def _check_inv_diag(spec: FeatureSpec, inv_diag, ndim: int) -> np.ndarray:
 
 class _KernelData:
     """What a kernel call needs of its data that no iterate changes, prepared
-    once and shared by every call on the same data (lapmedn's rounds).
+    once and shared by every call on the same data (lapmedn's rounds); the
+    objective decodes and scores its data from the same preparation.
 
     Each instance is checked once.  ``stacks[L]`` holds the inputs, labels,
     float gold one-hots (L, m) and gold feature vectors of the instances of
@@ -156,10 +156,15 @@ class _KernelData:
         checked = _check_data(data, spec)
         self.spec, self.n = spec, len(checked)
         self.lengths = [len(y) for _, y in checked]
+        members = {}
+        for i, length in enumerate(self.lengths):
+            members.setdefault(length, []).append(i)
         self.slot = np.empty(self.n, dtype=np.int64)
         self.stacks = {}
-        for length, (members, xs, ys) in _stack_by_length(checked).items():
-            self.slot[members] = np.arange(len(members))
+        for length, group in members.items():
+            self.slot[group] = np.arange(len(group))
+            xs = np.stack([checked[i][0] for i in group])
+            ys = np.stack([checked[i][1] for i in group])
             onehot = (ys[..., None] == np.arange(spec.m)).astype(float)
             self.stacks[length] = (xs, ys, onehot, feature_vectors(spec, xs, ys))
         self.instances = [
@@ -270,23 +275,6 @@ def _lockstep(kernel: _KernelData, cfgs, *, inv_diag=None, radii=None, subsets=N
                 updated = bucket.step(w, spec, t, *inputs)
                 _check_iterates(updated, bucket, t, cfgs)
     return w
-
-
-def _stack_by_length(checked) -> dict:
-    """Checked (x, y) pairs grouped by length: {L: (members, xs, ys)}, where
-    ``members`` lists the instance indices of length L in input order and
-    ``xs`` (G, L, d) and ``ys`` (G, L) stack their inputs and labels."""
-    groups = {}
-    for i, (_, y) in enumerate(checked):
-        groups.setdefault(len(y), []).append(i)
-    return {
-        length: (
-            members,
-            np.stack([checked[i][0] for i in members]),
-            np.stack([checked[i][1] for i in members]),
-        )
-        for length, members in groups.items()
-    }
 
 
 @dataclass
@@ -406,23 +394,25 @@ def structured_hinge_objective(
     Pass ``inv_diag=None`` for the unregularized hinge total (the quantity
     constrained trainers minimize inside their feasible set); any other
     ``inv_diag`` is checked as :func:`lockstep_train` checks its rows: K
-    entries, each positive and finite.  Each instance is checked once, and
-    the instances of one length are decoded in one DP call; the hinge terms
-    are summed in instance order.  Empty ``data`` gives the penalty term
-    alone.
+    entries, each positive and finite.  The data is prepared as for a
+    kernel call: each instance is checked once, and the instances of one
+    length are decoded in one DP call.  Each hinge term is that value minus
+    ``w`` dotted with the gold features, summed in instance order.  Empty
+    ``data`` gives the penalty term alone.
     """
     w = _check_weights(spec, weights)
-    checked = [_check_instance(spec, inst.features, inst.labels) for inst in data]
+    kernel = _KernelData(data, spec) if data else None
     reg = 0.0
     if inv_diag is not None:
         reg = 0.5 * float(np.dot(w, _check_inv_diag(spec, inv_diag, 1) * w))
-    terms = [0.0] * len(checked)
-    for members, xs, ys in _stack_by_length(checked).values():
-        _, values = loss_augmented_decode_rows(spec, w[None], xs, ys)
-        golds = feature_vectors(spec, xs, ys)
-        for g, i in enumerate(members):
-            terms[i] = float(values[g]) - float(np.dot(w, golds[g]))
     hinge = 0.0
-    for term in terms:  # any other order or summation changes the last bits
-        hinge += term
+    if kernel is not None:
+        trans = spec.transition_view(w[None])
+        values = {
+            length: _viterbi(_loss_augmented_scores(spec, w[None], xs, onehot), trans)[1]
+            for length, (xs, _, onehot, _) in kernel.stacks.items()
+        }
+        # Any other order or summation changes the last bits.
+        for length, at, (_, _, _, gold) in zip(kernel.lengths, kernel.slot, kernel.instances):
+            hinge += float(values[length][at]) - float(np.dot(w, gold))
     return reg + C * hinge

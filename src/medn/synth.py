@@ -7,14 +7,15 @@ Every draw is keyed off the config seed through independent named streams,
 one per instance for features and one per instance for its Gibbs chain, so
 a config fully determines its dataset.
 
-One kernel runs every Gibbs chain: a systematic scan that, at each (sweep,
-position) step, redraws that position in all chains at once with numpy
-array operations.  Each chain still draws only from its own stream and in
-the order a lone chain would, so batching changes no labeling, and
-:func:`gibbs_label` and :func:`gibbs_samples` are that kernel with one chain.
+One kernel, :func:`gibbs_chains`, runs every Gibbs chain: a systematic scan
+that, at each (sweep, position) step, redraws that position in all chains
+at once with numpy array operations.  Each chain still draws only from its
+own stream and in the order a lone chain would, so batching changes no
+labeling: a chain run with others draws what it draws alone.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,7 @@ __all__ = [
     "SyntheticDataset",
     "gen_crf",
     "gen_features",
-    "gibbs_label",
-    "gibbs_samples",
+    "gibbs_chains",
     "gen_dataset",
 ]
 
@@ -121,16 +121,14 @@ def gen_crf(cfg: GeneratorConfig) -> TrueCrf:
     return TrueCrf(spec, w, relevant=np.arange(cfg.d_rel))
 
 
-def gen_features(cfg: GeneratorConfig, rng=None) -> np.ndarray:
-    """One (L, d) input-feature matrix.
+def gen_features(cfg: GeneratorConfig, rng) -> np.ndarray:
+    """One (L, d) input-feature matrix drawn from the numpy Generator ``rng``.
 
     Default: i.i.d. standard normal entries.  In correlated mode each
     relevant group shares one standard-normal base draw per position,
     corrupted per member by independent N(0, noise_sd**2) noise; irrelevant
     features stay i.i.d.
     """
-    if rng is None:
-        rng = np.random.default_rng([_STREAM_FEATURES, cfg.seed])
     if not cfg.correlated:
         return rng.standard_normal((cfg.L, cfg.d))
     x = np.empty((cfg.L, cfg.d))
@@ -142,29 +140,60 @@ def gen_features(cfg: GeneratorConfig, rng=None) -> np.ndarray:
     return x
 
 
-def _run_chains(crf: TrueCrf, xs, rngs, burn_in: int, n_record: int):
-    """Advance one Gibbs chain per feature matrix in ``xs``, all in lockstep.
+def _is_count(value) -> bool:
+    """``value`` is a nonnegative integer; a bool is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
 
-    Chain ``i`` draws only from ``rngs[i]``: its start labels as
+
+def gibbs_chains(crf: TrueCrf, xs, seeds, burn_in: int, n_record: int):
+    """Run one Gibbs chain per (L, d) input in ``xs``, all in lockstep.
+
+    Returns the (n, L) labels after ``burn_in + n_record`` sweeps and the
+    (n_record, n, L) states after each of the last ``n_record`` sweeps.
+    Each sweep redraws every position in order from its exact conditional
+    given its neighbors and its state scores.  Chain ``i`` draws only from
+    ``seeds[i]``, an int or a numpy Generator: its start labels as
     ``integers(0, m, L)``, then one uniform per site in scan order, drawn in
     blocks of ``_SWEEP_BLOCK`` sweeps (a block ``random((k, L))`` yields the
-    same values as ``k * L`` single draws).  Each (sweep, position) step
-    redraws that position of every chain with one set of array operations,
-    by inverse CDF over the unnormalized conditional.  Returns the final
-    labels as (n, L) and the states after each post-burn-in sweep as
-    (n_record, n, L).
+    same values as ``k * L`` single draws), so a chain run with others draws
+    what it draws alone.  Checked once, on the stacked inputs: at least one
+    chain, one seed per input, finite nonempty inputs of one shared L with
+    ``crf.spec.d`` features, and integer sweep counts ``>= 0`` that add up
+    to at least one sweep.
     """
     spec = crf.spec
+    if not len(xs):
+        raise ValueError("need at least one chain")
+    if len(seeds) != len(xs):
+        raise ValueError(f"need one seed per input: {len(xs)} inputs, {len(seeds)} seeds")
+    if not all(isinstance(seed, np.random.Generator) or _is_count(seed) for seed in seeds):
+        raise ValueError("each seed must be a nonnegative int or a numpy Generator")
+    try:
+        xs = np.asarray(xs, dtype=float)
+    except ValueError:
+        raise ValueError("inputs must be numeric (L, d) matrices of one shared length") from None
+    if xs.ndim != 3 or not xs.shape[1]:
+        raise ValueError("each input must be a nonempty (L, d) matrix")
+    if xs.shape[2] != spec.d:
+        raise ValueError(f"expected {spec.d} input features, got {xs.shape[2]}")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("features must be finite")
+    for name, value in (("burn_in", burn_in), ("n_record", n_record)):
+        if not _is_count(value):
+            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    total = int(burn_in) + int(n_record)
+    if not total:
+        raise ValueError("need at least one sweep: burn_in + n_record is 0")
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     state = spec.state_view(crf.weights)
     trans = spec.transition_view(crf.weights)
     trans_t = np.ascontiguousarray(trans.T)
     m = spec.m
-    # Position-major (L, n, m): one chain matmul each, as a scalar chain would.
-    node = np.stack([np.asarray(x, dtype=float) @ state for x in xs], axis=1)
+    # Position-major (L, n, m): one chain matmul each, as a lone chain would.
+    node = np.stack([x @ state for x in xs], axis=1)
     length, n = node.shape[:2]
     y = np.stack([rng.integers(0, m, size=length) for rng in rngs], axis=1)
     out = np.empty((n_record, n, length), dtype=np.int64)
-    total = burn_in + n_record
     # (block, L, n): the uniforms of one (sweep, position) are contiguous.
     uniforms = np.empty((min(_SWEEP_BLOCK, total), length, n))
     for block_start in range(0, total, _SWEEP_BLOCK):
@@ -190,55 +219,25 @@ def _run_chains(crf: TrueCrf, xs, rngs, burn_in: int, n_record: int):
     return np.ascontiguousarray(y.T), out
 
 
-def gibbs_label(crf: TrueCrf, x: np.ndarray, sweeps: int, seed) -> np.ndarray:
-    """Labeling after ``sweeps`` systematic single-site resampling passes.
-
-    Each position is redrawn in order from its exact conditional given its
-    neighbors and local state scores; the chain starts from a uniform random
-    labeling.  ``seed`` may be an int or a numpy Generator.  Runs the
-    lockstep kernel of :func:`gen_dataset` with a single chain, so a
-    labeling drawn here from a given generator equals the one
-    :func:`gen_dataset` draws from that generator.
-    """
-    if sweeps < 1:
-        raise ValueError("sweeps must be at least 1")
-    y, _ = _run_chains(crf, [x], [np.random.default_rng(seed)], burn_in=sweeps, n_record=0)
-    return y[0]
-
-
-def gibbs_samples(
-    crf: TrueCrf, x: np.ndarray, n_samples: int, burn_in: int, seed
-) -> np.ndarray:
-    """States after each post-burn-in sweep of one chain, as (n_samples, L).
-
-    Same single-chain kernel and draw order as :func:`gibbs_label`.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    rng = np.random.default_rng(seed)
-    _, out = _run_chains(crf, [x], [rng], burn_in=burn_in, n_record=n_samples)
-    return out[:, 0]
-
-
 def gen_dataset(cfg: GeneratorConfig) -> SyntheticDataset:
     """``n_samples`` instances from one randomly generated model.
 
     Instance ``i`` gets fresh input features from the stream
     ``[_STREAM_FEATURES, seed, i]`` and a labeling sampled by a
     ``gibbs_iters``-sweep chain drawing from ``[_STREAM_GIBBS, seed, i]``.
-    All chains advance together in one lockstep kernel; because each keeps
-    its own stream, instance ``i``'s labeling equals
-    ``gibbs_label(crf, x_i, gibbs_iters, default_rng([_STREAM_GIBBS, seed, i]))``
+    All chains advance together in one :func:`gibbs_chains` call; because
+    each keeps its own stream, instance ``i``'s labeling equals
+    ``gibbs_chains(crf, [x_i], [default_rng([_STREAM_GIBBS, seed, i])], gibbs_iters, 0)``
     and the dataset is a pure function of the config.
     """
     crf = gen_crf(cfg)
     if cfg.n_samples == 0:
         return SyntheticDataset(crf=crf, instances=[])
     xs = [
-        gen_features(cfg, rng=np.random.default_rng([_STREAM_FEATURES, cfg.seed, i]))
+        gen_features(cfg, np.random.default_rng([_STREAM_FEATURES, cfg.seed, i]))
         for i in range(cfg.n_samples)
     ]
     rngs = [np.random.default_rng([_STREAM_GIBBS, cfg.seed, i]) for i in range(cfg.n_samples)]
-    labels, _ = _run_chains(crf, xs, rngs, burn_in=cfg.gibbs_iters, n_record=0)
+    labels, _ = gibbs_chains(crf, xs, rngs, cfg.gibbs_iters, 0)
     instances = [SequenceInstance(features=x, labels=y) for x, y in zip(xs, labels)]
     return SyntheticDataset(crf=crf, instances=instances)

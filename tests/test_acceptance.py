@@ -23,7 +23,7 @@ from medn import (
     gen_crf,
     gen_dataset,
     gen_features,
-    gibbs_samples,
+    gibbs_chains,
     kl_norm,
     l1_ball_project,
     laplace_log_z,
@@ -244,7 +244,8 @@ def test_08_gibbs_sampler_matches_enumerated_distribution():
         cfg = GeneratorConfig(d=2, d_rel=2, L=3, m=2, n_samples=1, gibbs_iters=1, seed=1008)
         crf = gen_crf(cfg)
         x = gen_features(cfg, rng=np.random.default_rng(18))
-        samples = gibbs_samples(crf, x, n_samples=100_000, burn_in=100, seed=19)
+        _, samples = gibbs_chains(crf, [x], [19], burn_in=100, n_record=100_000)
+        samples = samples[:, 0]
         spec = crf.spec
         node = x @ spec.state_view(crf.weights)
         trans = spec.transition_view(crf.weights)

@@ -33,8 +33,7 @@ PUBLIC = {
     "gen_crf",
     "gen_dataset",
     "gen_features",
-    "gibbs_label",
-    "gibbs_samples",
+    "gibbs_chains",
     "kl_norm",
     "l1_ball_project",
     "l1m3n_dual_check",
@@ -49,8 +48,18 @@ PUBLIC = {
     "train_laplace_grid",
 }
 # The single-instance chain layer that decode_instances, lockstep_train and
-# structured_hinge_objective replaced.
-REMOVED = {"ChainModel", "feature_vector", "score", "decode", "loss_augmented_decode", "hamming_loss"}
+# structured_hinge_objective replaced, and the single-chain Gibbs wrappers
+# that gibbs_chains replaced.
+REMOVED = {
+    "ChainModel",
+    "feature_vector",
+    "score",
+    "decode",
+    "loss_augmented_decode",
+    "hamming_loss",
+    "gibbs_label",
+    "gibbs_samples",
+}
 
 
 def test_every_exported_name_resolves():
@@ -61,7 +70,7 @@ def test_every_exported_name_resolves():
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.{name}"
         assert REMOVED.isdisjoint(vars(module)), module.__name__
-    assert len(medn.__all__) == len(set(medn.__all__)) == 29
+    assert len(medn.__all__) == len(set(medn.__all__)) == 28
     assert set(medn.__all__) == PUBLIC
 
 

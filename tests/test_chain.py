@@ -74,6 +74,21 @@ class TestFeatureVector:
         assert np.array_equal(whole, head + tail + seam)
         assert np.array_equal(whole, manual_feature_vector(spec.d, spec.m, x, y))
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_standard_normal_features_equal_the_oracle_to_the_bit(self, d):
+        """Every state feature is summed in position order, for every d, so
+        each row equals the position-by-position oracle bit for bit, with
+        per-row or shared inputs."""
+        rng = np.random.default_rng(60 + d)
+        spec = FeatureSpec(d=d, m=2)
+        for length in range(1, 61):
+            xs = rng.standard_normal((4, length, d))
+            ys = rng.integers(0, 2, (4, length))
+            for got, x, y in zip(feature_vectors(spec, xs, ys), xs, ys):
+                assert np.array_equal(got, manual_feature_vector(d, 2, x, y))
+            for got, y in zip(feature_vectors(spec, xs[0], ys), ys):
+                assert np.array_equal(got, manual_feature_vector(d, 2, xs[0], y))
+
     def test_hand_enumerated_two_positions(self):
         """d=1, m=2, x=[[1],[1]], y=[0,0]: state block (2, 0), one (0,0) transition."""
         spec = FeatureSpec(d=1, m=2)

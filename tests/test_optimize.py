@@ -302,6 +302,20 @@ class TestStructuredHingeObjective:
         assert structured_hinge_objective(data, spec, w, 2.5, inv_diag=inv) == 1356.239719678744
         assert structured_hinge_objective(data, spec, w, 2.5) == 1253.972226518211
 
+    def test_desk_size_values_are_pinned(self):
+        """250 instances with d = 20 and lengths 1 to 12, recorded when each
+        length was decoded in one DP call and each hinge term formed as
+        ``value - w . gold`` in instance order.  Scoring the golds of a
+        length by one ``golds @ w`` product changes the last bit here."""
+        rng = np.random.default_rng(250)
+        spec = FeatureSpec(d=20, m=2)
+        data = make_mixed_instances(rng, n=250, d=20, m=2, max_length=12)
+        w = rng.standard_normal(spec.K)
+        inv = rng.uniform(0.5, 2.0, spec.K)
+        with_penalty = structured_hinge_objective(data, spec, w, 2.5, inv_diag=inv)
+        assert repr(with_penalty) == "6636.783854911485"
+        assert repr(structured_hinge_objective(data, spec, w, 2.5)) == "6610.456089421349"
+
     def test_empty_data_gives_the_penalty_term(self):
         spec, _, w, inv = self._problem()
         assert structured_hinge_objective([], spec, w, 2.5, inv_diag=inv) == 0.5 * float(

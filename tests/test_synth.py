@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -14,8 +15,7 @@ from medn import (
     gen_crf,
     gen_dataset,
     gen_features,
-    gibbs_label,
-    gibbs_samples,
+    gibbs_chains,
 )
 from medn.cli import main
 from medn.synth import _STREAM_FEATURES, _STREAM_GIBBS
@@ -93,10 +93,6 @@ class TestGenFeatures:
         for i, j in [(0, 2), (1, 3), (4, 5), (5, 6), (0, 5)]:
             assert abs(np.corrcoef(x[:, i], x[:, j])[0, 1]) <= 0.05
 
-    def test_default_stream_is_deterministic(self):
-        cfg = _cfg(seed=9)
-        np.testing.assert_array_equal(gen_features(cfg), gen_features(cfg))
-
 
 def _uniform_crf(d=2, m=2):
     spec = FeatureSpec(d, m)
@@ -107,10 +103,7 @@ class TestGibbs:
     def test_zero_weights_sample_uniformly(self):
         """Symmetric potentials: label 0 frequency is 1/2 at every position."""
         crf = _uniform_crf()
-        x = np.zeros((3, 2))
-        draws = np.stack(
-            [gibbs_label(crf, x, sweeps=1, seed=seed) for seed in range(10_000)]
-        )
+        draws, _ = gibbs_chains(crf, [np.zeros((3, 2))] * 10_000, range(10_000), 1, 0)
         freqs = (draws == 0).mean(axis=0)
         assert np.all(np.abs(freqs - 0.5) <= 0.02)
 
@@ -120,7 +113,8 @@ class TestGibbs:
         cfg = _cfg(d=2, d_rel=2, L=3, m=2, seed=3)
         crf = gen_crf(cfg)
         x = gen_features(cfg, rng=np.random.default_rng(3))
-        samples = gibbs_samples(crf, x, n_samples=20_000, burn_in=100, seed=4)
+        _, samples = gibbs_chains(crf, [x], [4], burn_in=100, n_record=20_000)
+        samples = samples[:, 0]
         spec = crf.spec
         node = x @ spec.state_view(crf.weights)
         trans = spec.transition_view(crf.weights)
@@ -142,11 +136,8 @@ class TestGibbs:
         w = np.zeros(spec.K)
         spec.transition_view(w)[:] = np.array([[10.0, 0.0], [0.0, 10.0]])
         crf = TrueCrf(spec, w, relevant=np.arange(0))
-        x = np.zeros((3, 2))
-        constant = 0
-        for seed in range(200):
-            y = gibbs_label(crf, x, sweeps=50, seed=seed)
-            constant += int(np.all(y == y[0]))
+        labels, _ = gibbs_chains(crf, [np.zeros((3, 2))] * 200, range(200), 50, 0)
+        constant = np.count_nonzero(np.all(labels == labels[:, :1], axis=1))
         assert constant / 200 >= 0.95
 
     def test_deterministic_per_seed(self):
@@ -154,7 +145,7 @@ class TestGibbs:
         crf = gen_crf(cfg)
         x = gen_features(cfg, rng=np.random.default_rng(0))
         np.testing.assert_array_equal(
-            gibbs_label(crf, x, sweeps=20, seed=42), gibbs_label(crf, x, sweeps=20, seed=42)
+            gibbs_chains(crf, [x], [42], 20, 0)[0], gibbs_chains(crf, [x], [42], 20, 0)[0]
         )
 
     @pytest.mark.parametrize("m, length", [(2, 1), (3, 5), (4, 4)])
@@ -164,19 +155,71 @@ class TestGibbs:
         crf = gen_crf(cfg)
         spec = crf.spec
         x = gen_features(cfg, rng=np.random.default_rng(5))
-        got = gibbs_samples(crf, x, n_samples=150, burn_in=0, seed=6)
+        _, got = gibbs_chains(crf, [x], [6], burn_in=0, n_record=150)
         want = scalar_gibbs_states(
             x @ spec.state_view(crf.weights),
             spec.transition_view(crf.weights),
             np.random.default_rng(6),
             sweeps=150,
         )
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got[:, 0], want)
 
     def test_sweeps_must_be_positive(self):
         crf = _uniform_crf()
-        with pytest.raises(ValueError):
-            gibbs_label(crf, np.zeros((2, 2)), sweeps=0, seed=0)
+        with pytest.raises(ValueError, match="at least one sweep"):
+            gibbs_chains(crf, [np.zeros((2, 2))], [0], 0, 0)
+
+    def test_shapes_and_stacked_inputs(self):
+        """(n, L) final labels and (n_record, n, L) recorded states; an
+        (n, L, d) array draws what the list of its matrices draws."""
+        crf = gen_crf(_cfg(d=2, d_rel=2, L=4, m=3, seed=8))
+        xs = np.random.default_rng(9).standard_normal((5, 4, 2))
+        labels, states = gibbs_chains(crf, xs, range(5), 3, 7)
+        assert labels.shape == (5, 4) and states.shape == (7, 5, 4)
+        np.testing.assert_array_equal(labels, states[-1])
+        again = gibbs_chains(crf, list(xs), [np.random.default_rng(s) for s in range(5)], 3, 7)
+        np.testing.assert_array_equal(again[0], labels)
+        np.testing.assert_array_equal(again[1], states)
+
+
+_X = np.zeros((3, 2))
+
+
+class TestGibbsChainsChecks:
+    """Each input gibbs_chains rejects gives one ValueError and no numpy
+    warning, not labels drawn from uninitialised memory (a negative burn_in),
+    from NaN scores, or from a 1-D input read as m positions."""
+
+    @pytest.mark.parametrize(
+        "xs, seeds, burn_in, n_record, match",
+        [
+            ([], [], 1, 0, "at least one chain"),
+            ([_X, _X], [0], 1, 0, "one seed per input"),
+            ([_X], [0, 1], 1, 0, "one seed per input"),
+            ([_X], [1.5], 1, 0, "seed"),
+            ([_X], [None], 1, 0, "seed"),
+            ([_X], [-1], 1, 0, "seed"),
+            ([_X], [True], 1, 0, "seed"),
+            ([np.zeros(2)], [0], 1, 0, r"\(L, d\)"),
+            ([np.zeros((2, 2, 2))], [0], 1, 0, r"\(L, d\)"),
+            ([np.zeros((0, 2))], [0], 1, 0, "nonempty"),
+            ([np.full((3, 2), np.nan)], [0], 1, 0, "finite"),
+            ([np.full((3, 2), np.inf)], [0], 1, 0, "finite"),
+            ([np.zeros((3, 3))], [0], 1, 0, "expected 2 input features"),
+            ([_X, np.zeros((4, 2))], [0, 1], 1, 0, "one shared"),
+            ([[["a", "b"]]], [0], 1, 0, "numeric"),
+            ([_X], [0], -4, 5, "burn_in"),
+            ([_X], [0], 2.5, 0, "burn_in"),
+            ([_X], [0], True, 0, "burn_in"),
+            ([_X], [0], 1, -1, "n_record"),
+            ([_X], [0], 1, 1.0, "n_record"),
+        ],
+    )
+    def test_bad_input_is_one_value_error(self, xs, seeds, burn_in, n_record, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                gibbs_chains(_uniform_crf(), xs, seeds, burn_in, n_record)
 
 
 class TestGenDataset:
@@ -211,13 +254,14 @@ class TestGenDataset:
         for i, inst in enumerate(dataset.instances):
             x = gen_features(cfg, rng=np.random.default_rng([_STREAM_FEATURES, cfg.seed, i]))
             np.testing.assert_array_equal(inst.features, x)
-            alone = gibbs_label(
+            alone, _ = gibbs_chains(
                 dataset.crf,
-                x,
+                [x],
+                [np.random.default_rng([_STREAM_GIBBS, cfg.seed, i])],
                 cfg.gibbs_iters,
-                seed=np.random.default_rng([_STREAM_GIBBS, cfg.seed, i]),
+                0,
             )
-            np.testing.assert_array_equal(inst.labels, alone)
+            np.testing.assert_array_equal(inst.labels, alone[0])
 
     def test_instances_differ_from_each_other(self):
         dataset = gen_dataset(_cfg(n_samples=3, seed=14))
