@@ -90,11 +90,13 @@ class SequenceInstance:
         return self.features.shape[0]
 
 
-def _check_weights(spec: FeatureSpec, weights) -> np.ndarray:
-    """``weights`` as a finite float (K,) vector, or ValueError."""
+def _check_weights(spec: FeatureSpec, weights, ndim: int) -> np.ndarray:
+    """``weights`` as a finite float array of ``ndim`` dimensions with K
+    entries along the last: a (K,) vector or (B, K) rows; ValueError otherwise."""
     weights = np.asarray(weights, dtype=float)
-    if weights.shape != (spec.K,):
-        raise ValueError(f"expected {spec.K} weights, got shape {weights.shape}")
+    if weights.ndim != ndim or weights.shape[-1] != spec.K:
+        want = f"{spec.K} weights" if ndim == 1 else f"rows of {spec.K} weights"
+        raise ValueError(f"expected {want}, got shape {weights.shape}")
     if not np.all(np.isfinite(weights)):
         raise ValueError("weights must be finite")
     return weights
@@ -208,11 +210,7 @@ def decode_instances(spec: FeatureSpec, weights, instances) -> list:
     length are decoded under all B rows in one :func:`decode_rows` call, so
     each labeling is bit-equal to decoding that instance under that row alone.
     """
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 2 or weights.shape[1] != spec.K:
-        raise ValueError(f"expected rows of {spec.K} weights, got shape {weights.shape}")
-    if not np.all(np.isfinite(weights)):
-        raise ValueError("weights must be finite")
+    weights = _check_weights(spec, weights, 2)
     by_length = {}
     for i, inst in enumerate(instances):
         if inst.features.shape[1] != spec.d:

@@ -7,9 +7,13 @@ with "\\n" newlines so reruns are byte-identical.
 
 ``train`` and ``cv`` share one training entry point, ``_train_grid``:
 ``train`` gives it one row, and ``cv`` builds every (family, fold, config)
-row up front, which checks all of them before training starts, and trains
-them together: T - 1 lockstep kernel calls for the whole sweep.  It then
-evaluates each fold's rows in one decode of the other folds.
+row up front.  Each row becomes one config, which checks it before
+training starts, and one :func:`medn.models.train_laplace_grid` call
+trains them all: T - 1 lockstep kernel calls for the whole sweep.  ``cv``
+then evaluates each fold's rows in one decode of the other folds.
+``train`` reports the objective under the trained penalty 1 / var; for
+l1m3n it passes ``inv_diag=None``, which to the objective means no
+penalty term (to the kernel it means the identity).
 """
 
 import argparse
@@ -37,7 +41,7 @@ from .curves import (
 from .dataio import ModelFile, read_dataset, read_model_file, write_dataset, write_model_file
 from .metrics import evaluate_weight_rows, mean_std
 from .models import LaplaceConfig, train_laplace_grid
-from .optimize import SubgradConfig, structured_hinge_objective
+from .optimize import SubgradConfig, _check_seed, structured_hinge_objective
 from .synth import GeneratorConfig, gen_dataset
 
 __all__ = ["main", "build_parser"]
@@ -128,45 +132,33 @@ def _check_betas(flag, betas):
             raise ValueError(f"{flag} must be positive and finite, got {beta:g}")
 
 
-# One training of a sweep: ``lam`` is None but for lapmedn and ``radius``
-# None but for l1m3n; it trains on ``instances[i] for i in subset``.
+# One training of a sweep: ``lam`` counts only for lapmedn and ``radius``
+# only for l1m3n; it trains on ``instances[i] for i in subset``.
 TrainingRow = namedtuple("TrainingRow", "model lam beta radius subset seed")
 
 
 def _train_grid(instances, spec, rows, *, c, iters, outer_iters):
     """Train every :class:`TrainingRow` of ``rows`` in lockstep.
 
-    Every row's config is built, and so checked, before training starts.
-    The lapmedn rows run every round of :func:`train_laplace_grid`; the
-    m3n and l1m3n rows ride in its first round's kernel call.  Returns the
-    (B, K) weights, the (B, K) posterior variances (1 for m3n, and for
-    l1m3n, which has none) and each row's slack penalty C, which defaults
-    to 200 * beta for m3n and to 1 otherwise.
+    Each row becomes one config, and so is checked, before training starts:
+    a :class:`LaplaceConfig` for lapmedn, a :class:`SubgradConfig` for m3n
+    and, with its radius, for l1m3n.  One :func:`train_laplace_grid` call
+    trains them all.  Returns the (B, K) weights, the (B, K) posterior
+    variances (1 for m3n, and for l1m3n, which has none) and each row's
+    slack penalty C, which defaults to 200 * beta for m3n and to 1
+    otherwise.
     """
-    cfgs = []
+    cfgs, hinge_weights = [], []
     for row in rows:
         c_row = c if c is not None else 200.0 * row.beta if row.model == "m3n" else 1.0
-        cfgs.append(SubgradConfig(beta=row.beta, iterations=iters, C=c_row, seed=row.seed))
-    family = {name: [b for b, row in enumerate(rows) if row.model == name] for name in MODELS}
-    lapmedn, riders = family["lapmedn"], family["m3n"] + family["l1m3n"]
-    lcfgs = [
-        LaplaceConfig(lam=rows[b].lam, inner=cfgs[b], C=cfgs[b].C, outer_iters=outer_iters)
-        for b in lapmedn
-    ]
-    mean, var, ridden = train_laplace_grid(
-        instances,
-        spec,
-        lcfgs,
-        subsets=[rows[b].subset for b in lapmedn],
-        riders=(
-            [cfgs[b] for b in riders],
-            [rows[b].subset for b in riders],
-            [rows[b].radius for b in family["l1m3n"]],
-        ),
+        radius = row.radius if row.model == "l1m3n" else None
+        cfg = SubgradConfig(row.beta, iters, c_row, seed=row.seed, radius=radius)
+        cfgs.append(LaplaceConfig(row.lam, cfg, outer_iters) if row.model == "lapmedn" else cfg)
+        hinge_weights.append(c_row)
+    weights, variances = train_laplace_grid(
+        instances, spec, cfgs, subsets=[row.subset for row in rows]
     )
-    weights, variances = np.empty((len(rows), spec.K)), np.ones((len(rows), spec.K))
-    weights[lapmedn], variances[lapmedn], weights[riders] = mean, var, ridden
-    return weights, variances, [cfg.C for cfg in cfgs]
+    return weights, variances, hinge_weights
 
 
 def _cmd_train(args) -> int:
@@ -285,8 +277,11 @@ def _cmd_cv(args) -> int:
     if args.folds > n:
         raise ValueError("more folds than instances")
     models = [name.strip() for name in args.models.split(",") if name.strip()]
+    if not models:
+        raise ValueError("cv requires nonempty --models")
     grids = [_hyper_grid(name, args.lambdas, args.betas, args.radii) for name in models]
     _check_betas("--betas", args.betas)
+    _check_seed(args.seed)  # fold f trains with seed + f
     rng = np.random.default_rng(args.seed)
     folds = np.array_split(rng.permutation(n), args.folds)
     # Inverted split: every (family, fold, config) row trains on its single

@@ -1,15 +1,15 @@
 """The Laplace-prior trainer and the Laplace-posterior analysis.
 
-Each model family trains a grid of configs in lockstep and returns arrays,
-one row per config; one model is a grid of one.  m3n is
-:func:`medn.optimize.lockstep_train` with an identity penalty per config
-(its weights are the mean of a unit-variance Gaussian posterior, and
-averaged prediction under it is decoding under the mean, because the
-score is linear in the weights); l1m3n is the same kernel with a radius
-per config; lapmedn is :func:`train_laplace_grid`.  Its first round's
-kernel call can carry m3n and l1m3n rows as riders, and every row may
-train on its own subset with its own seed, so a cross-validation sweep of
-all three families over every fold takes T - 1 kernel calls.
+The three families differ only in a row's config.  m3n is a
+:class:`medn.optimize.SubgradConfig` without a radius under the kernel's
+``inv_diag=None``, the identity penalty (its weights are the mean of a
+unit-variance Gaussian posterior, and averaged prediction under it is
+decoding under the mean, because the score is linear in the weights);
+l1m3n is one with a radius; lapmedn is a :class:`LaplaceConfig` around
+one without.  :func:`train_laplace_grid` trains any mix of them and
+returns arrays, one row per config; one model is a grid of one.  Every
+row may train on its own subset with its own seed, so a cross-validation
+sweep of all three families over every fold takes T - 1 kernel calls.
 
 Also provides the analysis functions for the Laplace posterior: the
 entropic shrinkage map, the closed-form log-normalizer and its gradient,
@@ -19,7 +19,7 @@ the L1-constrained problem.
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,21 +53,22 @@ def _check_lam(lam: float):
 class LaplaceConfig:
     """Hyperparameters for the variational Laplace trainer.
 
-    ``lam`` is the prior scale; ``C`` the slack penalty of the inner solve
-    (overrides the inner config's C); ``outer_iters`` the loop bound T,
-    giving T - 1 alternations; ``inner`` the subgradient schedule for each
-    inner solve.
+    ``lam`` is the prior scale; ``inner`` the subgradient schedule of each
+    inner solve, whose ``C`` is the hinge weight and must be positive, and
+    which may not have a radius; ``outer_iters`` the loop bound T, giving
+    T - 1 alternations.
     """
 
     lam: float
     inner: SubgradConfig
-    C: float = 1.0
     outer_iters: int = 4
 
     def __post_init__(self):
         _check_lam(self.lam)
-        if not self.C > 0:
+        if not self.inner.C > 0:
             raise ValueError("C must be positive")
+        if self.inner.radius is not None:
+            raise ValueError("a lapmedn inner config takes no radius")
         if not isinstance(self.outer_iters, numbers.Integral) or isinstance(self.outer_iters, bool):
             raise ValueError("outer_iters must be an integer")
         if self.outer_iters < 2:
@@ -131,8 +132,9 @@ class DualWeights:
         return self._accumulate(data)[0]
 
 
-def train_laplace_grid(data: list, spec: FeatureSpec, cfgs, *, subsets=None, riders=None):
-    """Variational trainer for the Laplace-prior weight posterior.
+def train_laplace_grid(data: list, spec: FeatureSpec, cfgs, *, subsets=None):
+    """Variational trainer for the Laplace-prior weight posterior, over any
+    mix of :class:`LaplaceConfig` and :class:`~medn.optimize.SubgradConfig` rows.
 
     Starting from mean 0 and unit variances, each of the T - 1 rounds
     (1) re-solves the max-margin problem under the quadratic penalty
@@ -143,56 +145,43 @@ def train_laplace_grid(data: list, spec: FeatureSpec, cfgs, *, subsets=None, rid
     and their variances contract toward the prior scale, which is what
     drives the shrinkage of irrelevant-feature weights.
 
-    Returns the (B, K) posterior means and variances, one row per config.
-    The configs must share ``outer_iters`` and their inner ``iterations``;
-    ``lam``, ``C`` and the inner ``beta`` and ``seed`` may differ.  Config
-    b trains on ``data[i] for i in subsets[b]`` (all of ``data`` when
-    ``subsets`` is None).  Each round is one ``_lockstep`` call (the kernel of
-    :func:`lockstep_train`) over every config, followed by each config's
-    variance refresh, so each row is bit-equal to training its config
-    alone.  The rounds share one preparation of ``data``: one check of each
-    instance, its stacks and gold features, and the instance orders.
-
-    ``riders``, a tuple (cfgs, subsets, radii) of R subgradient configs,
-    their R training sets and P radii, adds rows to round 1's kernel call
-    only.  Round 1's penalty is the identity, so the first R - P riders
-    train m3n and the last P project onto their L1 balls (l1m3n); their
-    (R, K) final iterates come back as a third value.  ``cfgs`` may then be
-    empty, and the riders' call is the only one.
+    Returns the (B, K) posterior means and variances, one row per config,
+    in config order.  ``LaplaceConfig`` rows run every round; they must
+    share ``outer_iters``.  Round 1's penalty is the identity for every
+    row, so ``SubgradConfig`` rows train in round 1 only: m3n, or l1m3n if
+    they have a radius; their variances are 1.  Every row's config must
+    share the inner ``iterations``; ``lam``, ``C``, ``beta`` and ``seed``
+    may differ.  Row b trains on ``data[i] for i in subsets[b]`` (all of
+    ``data`` when ``subsets`` is None).  Each round is one ``_lockstep``
+    call (the kernel of :func:`lockstep_train`) over its rows, followed by
+    each lapmedn row's variance refresh, so each row is bit-equal to
+    training its config alone.  The rounds share one preparation of
+    ``data``: one check of each instance, its stacks and gold features, and
+    the instance orders.
 
     Raises ``ValueError`` naming the round and lam when a variance
     overflows, as for a subnormal lam.
     """
     cfgs = list(cfgs)
-    rider_cfgs, rider_subsets, radii = riders if riders is not None else ([], [], [])
-    if not cfgs and not rider_cfgs:
-        raise ValueError("need at least one configuration")
-    if any(cfg.outer_iters != cfgs[0].outer_iters for cfg in cfgs):
+    laplace = [b for b, cfg in enumerate(cfgs) if isinstance(cfg, LaplaceConfig)]
+    rounds = {cfgs[b].outer_iters for b in laplace}
+    if len(rounds) > 1:
         raise ValueError("lockstep configurations must share outer_iters")
-    if subsets is None:
-        subsets = [np.arange(len(data))] * len(cfgs)
-    inners = [replace(cfg.inner, C=cfg.C) for cfg in cfgs]
-    lams = np.array([cfg.lam for cfg in cfgs])[:, None]
+    inners = [cfg.inner if isinstance(cfg, LaplaceConfig) else cfg for cfg in cfgs]
+    subsets = [np.arange(len(data))] * len(cfgs) if subsets is None else list(subsets)
+    lams = np.array([cfgs[b].lam for b in laplace])[:, None]
     # Every round trains on the same data: check it, stack it and draw the
-    # instance orders once.  Round 1's penalty 1 / var is the identity for
-    # every lapmedn row, so the m3n riders share it; the projecting riders
-    # come last.
+    # instance orders once.
     kernel = _KernelData(data, spec)
-    first = _lockstep(
-        kernel,
-        inners + list(rider_cfgs),
-        inv_diag=np.ones((len(cfgs) + len(rider_cfgs) - len(radii), spec.K)),
-        radii=radii,
-        subsets=list(subsets) + list(rider_subsets),
-    )
-    mean = first[: len(cfgs)]
-    var = _refresh_variances(np.ones((len(cfgs), spec.K)), mean, lams, 1)
-    for round_ in range(2, cfgs[0].outer_iters if cfgs else 2):
-        mean = _lockstep(kernel, inners, inv_diag=1.0 / var, subsets=subsets)
-        var = _refresh_variances(var, mean, lams, round_)
-    if riders is None:
-        return mean, var
-    return mean, var, first[len(cfgs) :]
+    mean = _lockstep(kernel, inners, subsets=subsets)
+    var = np.ones_like(mean)
+    var[laplace] = _refresh_variances(var[laplace], mean[laplace], lams, 1)
+    # Rounds 2 to T - 1 carry the lapmedn rows alone.
+    inners, subsets = [inners[b] for b in laplace], [subsets[b] for b in laplace]
+    for round_ in range(2, max(rounds, default=2)):
+        mean[laplace] = _lockstep(kernel, inners, inv_diag=1.0 / var[laplace], subsets=subsets)
+        var[laplace] = _refresh_variances(var[laplace], mean[laplace], lams, round_)
+    return mean, var
 
 
 def _refresh_variances(var, mean, lams, round_):

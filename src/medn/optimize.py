@@ -4,12 +4,16 @@ One stochastic subgradient kernel, :func:`lockstep_train`, advances B
 trajectories in lockstep.  Each trajectory trains on its own subset of the
 data in its own per-epoch shuffled order, drawn from its own seed, with
 its own step size ``1 / (2 * beta * sqrt(t))``, where t counts its
-individual updates, and its own hinge weight C.  Its step either shrinks
-toward zero and preconditions by a diagonal quadratic penalty, or projects
-onto an L1 ball.  At each step the trajectories whose current instances
-share a length are decoded in one DP call.  A single model is the kernel
-with one config (B = 1); cross-validation runs every fold's configs in
-one call.  It returns the final iterates as a (B, K) array.
+individual updates, and its own hinge weight C.  Each config carries its
+own step rule: without a ``radius`` the step shrinks toward zero under a
+diagonal quadratic penalty (m3n), with one it projects onto that L1 ball
+(l1m3n).  Every row's subgradient is preconditioned by ``1 / inv_diag``;
+the kernel's ``inv_diag=None`` is the identity, while
+:func:`structured_hinge_objective`'s ``inv_diag=None`` means no penalty
+term at all.  At each step the trajectories whose current instances share
+a length are decoded in one DP call.  A single model is the kernel with
+one config (B = 1); cross-validation runs every fold's configs in one
+call.  It returns the final iterates as a (B, K) array, in config order.
 
 A kernel call prepares once whatever the weights do not change: it checks
 each instance, stacks the instances by length with their gold feature
@@ -51,18 +55,22 @@ DIVERGENCE_LIMIT = 1e8
 
 @dataclass(frozen=True)
 class SubgradConfig:
-    """Schedule for the subgradient trainers.
+    """Schedule and step rule of one subgradient trajectory.
 
     ``beta`` scales the step size ``alpha_t = 1 / (2 * beta * sqrt(t))``;
     ``iterations`` is the number of full passes over the training set;
     ``C`` weights the hinge term (C == 0 degenerates to the penalty-only
-    problem); ``seed`` drives the per-epoch instance shuffle.
+    problem); ``seed``, a nonnegative integer, drives the per-epoch
+    instance shuffle.  ``radius`` picks the step rule: None shrinks toward
+    zero under a quadratic penalty (m3n), a positive radius projects onto
+    that L1 ball (l1m3n).
     """
 
     beta: float
     iterations: int
     C: float
     seed: int = 0
+    radius: float | None = None
 
     def __post_init__(self):
         if not self.beta > 0:
@@ -73,6 +81,15 @@ class SubgradConfig:
             raise ValueError("iterations must be at least 1")
         if self.C < 0 or not math.isfinite(self.C):
             raise ValueError("C must be finite and nonnegative")
+        _check_seed(self.seed)
+        if self.radius is not None and not self.radius > 0:
+            raise ValueError("radius must be positive")
+
+
+def _check_seed(seed):
+    """Reject a seed that is not a nonnegative integer; a bool is not one."""
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def _check_data(data, spec: FeatureSpec) -> list:
@@ -83,13 +100,7 @@ def _check_data(data, spec: FeatureSpec) -> list:
 
 
 def lockstep_train(
-    data: list,
-    spec: FeatureSpec,
-    cfgs,
-    *,
-    inv_diag: np.ndarray | None = None,
-    radii=None,
-    subsets=None,
+    data: list, spec: FeatureSpec, cfgs, *, inv_diag: np.ndarray | None = None, subsets=None
 ) -> np.ndarray:
     """Run one subgradient trajectory per config in lockstep; (B, K) final iterates.
 
@@ -99,17 +110,19 @@ def lockstep_train(
     update count t, epoch and training-set size n, so rows of different
     training sets run side by side; a row stops after ``iterations``
     epochs, which the configs must share.  Each row keeps its own ``beta``
-    and ``C``.  The step rule goes by position: ``inv_diag`` (S, K) covers
-    the first S rows and ``radii`` (P,) the last P, with S + P = B.
+    and ``C``, and its config's ``radius`` sets its step rule.  Row b's
+    subgradient is scaled by ``1 / inv_diag[b]``; ``inv_diag`` (B, K) is
+    the identity when None.
 
-    * an ``inv_diag`` row approximately minimizes
+    * a row without a radius approximately minimizes
       0.5 w' diag(inv) w + C * sum_i hinge_i(w).  Each update shrinks w by
       (1 - alpha / n), then adds alpha * C times the subgradient
       preconditioned by 1 / inv, so stiff coordinates (tiny penalty
       variance) stay numerically stable;
-    * a ``radii`` row minimizes C * sum_i hinge_i(w) subject to
-      ||w||_1 <= radius.  Each update adds alpha * C times the subgradient,
-      then projects onto the ball, so all iterates are feasible.
+    * a row with a radius minimizes C * sum_i hinge_i(w) subject to
+      ||w||_1 <= radius.  Each update adds alpha * C times the scaled
+      subgradient, then projects onto the ball, so all iterates are
+      feasible.
 
     hinge_i(w) = max_y [w'f(x_i, y) + hamming(y, y_i)] - w'f(x_i, y_i), with
     the inner maximum found by loss-augmented decoding; when the winner
@@ -121,8 +134,7 @@ def lockstep_train(
     row's seed and beta as soon as a row stops being finite or its L2 norm
     exceeds ``DIVERGENCE_LIMIT``.
     """
-    kernel = _KernelData(data, spec)
-    return _lockstep(kernel, cfgs, inv_diag=inv_diag, radii=radii, subsets=subsets)
+    return _lockstep(_KernelData(data, spec), cfgs, inv_diag=inv_diag, subsets=subsets)
 
 
 def _check_inv_diag(spec: FeatureSpec, inv_diag, ndim: int) -> np.ndarray:
@@ -184,7 +196,7 @@ class _KernelData:
         return self._orders[key]
 
 
-def _lockstep(kernel: _KernelData, cfgs, *, inv_diag=None, radii=None, subsets=None):
+def _lockstep(kernel: _KernelData, cfgs, *, inv_diag=None, subsets=None):
     """:func:`lockstep_train` on prepared data."""
     spec, n = kernel.spec, kernel.n
     cfgs = list(cfgs)
@@ -194,12 +206,9 @@ def _lockstep(kernel: _KernelData, cfgs, *, inv_diag=None, radii=None, subsets=N
     if any(cfg.iterations != iterations for cfg in cfgs):
         raise ValueError("lockstep configurations must share iterations")
     batch = len(cfgs)
-    inv_diag = np.ones((0, spec.K)) if inv_diag is None else _check_inv_diag(spec, inv_diag, 2)
-    radii = np.ones(0) if radii is None else np.asarray(radii, dtype=float)
-    if radii.ndim != 1 or len(inv_diag) + len(radii) != batch:
-        raise ValueError("need one step rule per configuration: inv_diag rows, then radii")
-    if not np.all(radii > 0):
-        raise ValueError("radius must be positive")
+    inv_diag = np.ones((batch, spec.K)) if inv_diag is None else _check_inv_diag(spec, inv_diag, 2)
+    if len(inv_diag) != batch:
+        raise ValueError("need one inv_diag row per configuration")
     subsets = [np.arange(n)] * batch if subsets is None else [np.asarray(s) for s in subsets]
     if len(subsets) != batch:
         raise ValueError("need one training set per configuration")
@@ -208,8 +217,15 @@ def _lockstep(kernel: _KernelData, cfgs, *, inv_diag=None, radii=None, subsets=N
             raise ValueError("a training set must be a nonempty vector of instance indices")
         if subset.min() < 0 or subset.max() >= n:
             raise ValueError(f"training set indices must lie in [0, {n})")
+    # Rows are independent, so the kernel may run them in any order: the
+    # shrinking rows first, then the projecting ones, each in config order.
+    perm = sorted(range(batch), key=lambda b: cfgs[b].radius is not None)
+    cfgs = [cfgs[b] for b in perm]
     # One dtype, so that equal training sets, and only they, have equal bytes.
-    subsets = [subset.astype(np.int64) for subset in subsets]
+    subsets = [subsets[b].astype(np.int64) for b in perm]
+    scale = 1.0 / inv_diag[perm]
+    shrinking = sum(cfg.radius is None for cfg in cfgs)
+    radii = np.array([cfg.radius for cfg in cfgs[shrinking:]], dtype=float)
 
     # Rows of one seed and training set form a group: they visit the same
     # instances, drawn once.  order[s, g] is group g's instance at step s,
@@ -237,16 +253,15 @@ def _lockstep(kernel: _KernelData, cfgs, *, inv_diag=None, radii=None, subsets=N
 
     def make_bucket(live):
         rows = np.flatnonzero(np.isin(row_group, live))
-        s = int(np.searchsorted(rows, len(inv_diag)))
+        s = int(np.searchsorted(rows, shrinking))
         return _Bucket(
             rows,
             row_group[rows],
             np.array([2.0 * cfgs[b].beta for b in rows]),
             np.array([cfgs[b].C for b in rows]),
             sizes[row_group[rows]],
-            # A projecting row's subgradient is scaled by 1, which is exact.
-            np.vstack([1.0 / inv_diag[rows[:s]], np.ones((len(rows) - s, spec.K))]),
-            radii[rows[s:] - len(inv_diag)],
+            scale[rows],
+            radii[rows[s:] - shrinking],
             whole=len(rows) == batch,
             shrinking=s,
             shrink_sizes=sizes[row_group[rows[:s]]].astype(float),
@@ -274,7 +289,7 @@ def _lockstep(kernel: _KernelData, cfgs, *, inv_diag=None, radii=None, subsets=N
                     inputs = [a[at] for a in kernel.stacks[length]]
                 updated = bucket.step(w, spec, t, *inputs)
                 _check_iterates(updated, bucket, t, cfgs)
-    return w
+    return w[np.argsort(perm)]  # config order
 
 
 @dataclass
@@ -288,7 +303,7 @@ class _Bucket:
     twice_betas: np.ndarray  # 2 * beta, the step size's fixed factor
     hinge_weights: np.ndarray
     sizes: np.ndarray  # training-set sizes
-    scale: np.ndarray  # inverse penalties; 1 for the projecting rows
+    scale: np.ndarray  # 1 / inv_diag: the preconditioner of every row
     radii: np.ndarray  # balls of the projecting rows, which come last
     whole: bool  # the bucket holds every row of w
     shrinking: int
@@ -400,7 +415,7 @@ def structured_hinge_objective(
     ``w`` dotted with the gold features, summed in instance order.  Empty
     ``data`` gives the penalty term alone.
     """
-    w = _check_weights(spec, weights)
+    w = _check_weights(spec, weights, 1)
     kernel = _KernelData(data, spec) if data else None
     reg = 0.0
     if inv_diag is not None:

@@ -95,7 +95,7 @@ class TrueCrf:
     relevant: np.ndarray
 
     def __post_init__(self):
-        self.weights = _check_weights(self.spec, self.weights)
+        self.weights = _check_weights(self.spec, self.weights, 1)
 
 
 @dataclass

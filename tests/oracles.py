@@ -7,7 +7,6 @@ dynamic programs or solvers under test.
 
 import itertools
 import math
-from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -268,11 +267,10 @@ def reference_l1_constrained_train(data, spec, radius, cfg):
 
 def reference_train_laplace(data, spec, cfg):
     """(mean, variances) after each of the T - 1 outer rounds."""
-    inner = replace(cfg.inner, C=cfg.C)
     var = np.ones(spec.K)
     rounds = []
     for _ in range(cfg.outer_iters - 1):
-        mean = reference_subgradient_train(data, spec, 1.0 / var, inner)
+        mean = reference_subgradient_train(data, spec, 1.0 / var, cfg.inner)
         second_moment = var + mean**2
         var = np.maximum(np.sqrt(second_moment / cfg.lam), VARIANCE_FLOOR)
         rounds.append((mean, var))

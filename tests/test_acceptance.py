@@ -196,7 +196,7 @@ def test_06_desk_scale_trend_quadratic_vs_laplace_prior():
             inner = SubgradConfig(beta=1.0, iterations=30, C=1.0, seed=seed)
             gauss = lockstep_train(train_set, spec, [inner], inv_diag=np.ones((1, spec.K)))[0]
             lap = train_laplace_grid(
-                train_set, spec, [LaplaceConfig(lam=36.0, inner=inner, C=1.0, outer_iters=4)]
+                train_set, spec, [LaplaceConfig(lam=36.0, inner=inner, outer_iters=4)]
             )[0][0]
             m3n_report, lap_report = evaluate_weight_rows(spec, np.stack([gauss, lap]), test_set)
             m3n_errs.append(m3n_report.per_label_err)

@@ -1,6 +1,7 @@
 """The public surface: every exported name resolves, the README's Python
-examples run against the package as it is, the CLI starts without scipy,
-and every third-party import is a declared dependency."""
+examples run against the package as it is and the names it cites exist,
+the CLI starts without scipy, and every third-party import is a declared
+dependency."""
 
 import ast
 import importlib
@@ -79,6 +80,19 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {"__name__": "readme"})
+
+
+def test_readme_names_resolve():
+    """Every backticked ``module.name`` in the README whose module is a medn
+    submodule names something that module has, so a rename or deletion
+    cannot leave the README pointing at code that is gone."""
+    submodules = {info.name for info in pkgutil.iter_modules(medn.__path__)}
+    spans = re.findall(r"`([^`\n]+)`", README.read_text())
+    names = [re.match(r"(?:medn\.)?(\w+)\.(\w+)", span) for span in spans]
+    cited = [found.groups() for found in names if found and found[1] in submodules]
+    assert cited
+    for module, name in cited:
+        assert hasattr(importlib.import_module(f"medn.{module}"), name), f"{module}.{name}"
 
 
 # Runs in a fresh interpreter: this test process has scipy loaded already.

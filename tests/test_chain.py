@@ -154,10 +154,10 @@ class TestFeatureVector:
 
     def test_label_out_of_range_raises(self):
         spec = FeatureSpec(d=2, m=2)
-        cfg = SubgradConfig(beta=1.0, iterations=1, C=1.0)
+        cfg = SubgradConfig(beta=1.0, iterations=1, C=1.0, radius=1.0)
         bad = SequenceInstance(np.zeros((2, 2)), [0, 2])
         with pytest.raises(ValueError, match="label"):
-            lockstep_train([bad], spec, [cfg], radii=[1.0])
+            lockstep_train([bad], spec, [cfg])
         with pytest.raises(ValueError, match="label"):
             structured_hinge_objective([bad], spec, np.zeros(spec.K), 1.0)
 
@@ -236,7 +236,7 @@ class TestDecode:
             with pytest.raises(ValueError, match="^labels must be integer indices$"):
                 structured_hinge_objective([duck], spec, np.zeros(spec.K), 1.0)
             with pytest.raises(ValueError, match="^labels must be integer indices$"):
-                lockstep_train([duck], spec, [SubgradConfig(1.0, 1, 1.0)], radii=[1.0])
+                lockstep_train([duck], spec, [SubgradConfig(1.0, 1, 1.0, radius=1.0)])
 
 
 @st.composite

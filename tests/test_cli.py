@@ -170,6 +170,30 @@ class TestTrainPredictEval:
         assert (code, caught) == (2, [])
         assert err.startswith(message) and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train", "--model", "m3n", "--seed", "-1"],
+             "error: seed must be a nonnegative integer, got -1\n"),
+            (["cv", "--folds", "2", "--seed", "-3"],
+             "error: seed must be a nonnegative integer, got -3\n"),
+        ],
+        ids=["train", "cv"],
+    )
+    def test_negative_seed_names_the_seed(self, tmp_path, monkeypatch, argv, message):
+        """numpy's own error named neither the seed nor its value."""
+        def no_step(*args, **kwargs):
+            raise AssertionError("a kernel step ran with a bad seed")
+
+        monkeypatch.setattr(optimize, "_viterbi", no_step)
+        data = tmp_path / "train.jsonl"
+        _write_signal_dataset(data, n=4, seed=86)
+        code, _, err, caught = _run_quietly(
+            [*argv, "--data", str(data), "--iters", "2", "--out", str(tmp_path / "o")]
+        )
+        assert (code, err, caught) == (2, message, [])
+        assert not (tmp_path / "o").exists()
+
     def test_infinite_beta_names_its_flag(self, tmp_path):
         """The m3n default --c is 200 * beta; the error names the flag the
         user passed, not the C derived from it."""
@@ -318,6 +342,8 @@ class TestCrossValidation:
         [
             (["--models", "m3n,lapmdn"], "error: unknown model 'lapmdn'\n"),
             (["--models", "m3n,lapmedn", "--lambdas", ""], "error: lapmedn requires nonempty --lambdas"),
+            (["--models", ""], "error: cv requires nonempty --models\n"),
+            (["--models", ","], "error: cv requires nonempty --models\n"),
         ],
     )
     def test_sweep_is_validated_before_any_training(self, tmp_path, capsys, monkeypatch, flags, message):
@@ -343,8 +369,9 @@ class TestCrossValidation:
             (["--models", "l1m3n,m3n", "--betas", "1,inf"],
              "error: --betas must be positive and finite, got inf\n"),
             (["--models", "m3n,l1m3n", "--c", "-1"], "error: C must be finite and nonnegative\n"),
+            (["--models", "m3n,l1m3n", "--radii", "0"], "error: radius must be positive\n"),
         ],
-        ids=["lambda", "beta", "c"],
+        ids=["lambda", "beta", "c", "radius"],
     )
     def test_every_row_is_checked_before_the_kernel_starts(
         self, tmp_path, monkeypatch, flags, message
@@ -401,7 +428,7 @@ class TestCrossValidation:
             if name == "m3n":
                 want = reference_subgradient_train(train_set, spec, np.ones(spec.K), cfg)
             elif name == "lapmedn":
-                lcfg = LaplaceConfig(lam=lam, inner=cfg, C=c, outer_iters=outer_iters)
+                lcfg = LaplaceConfig(lam=lam, inner=cfg, outer_iters=outer_iters)
                 want = reference_train_laplace(train_set, spec, lcfg)[-1][0]
             else:
                 want = reference_l1_constrained_train(train_set, spec, radius, cfg)

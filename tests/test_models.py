@@ -4,7 +4,6 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,7 +83,7 @@ class TestTrainLaplace:
         data = _zero_column_data(rng)
         lam = 4.0
         means, variances = train_laplace_grid(
-            data, spec, [LaplaceConfig(lam=lam, inner=_cfg(), C=1.0, outer_iters=2)]
+            data, spec, [LaplaceConfig(lam=lam, inner=_cfg(), outer_iters=2)]
         )
         mean, var = means[0], variances[0]
         # state indices of dead input column 1 under the k*m + c layout
@@ -109,16 +108,14 @@ class TestTrainLaplace:
         spec = FeatureSpec(d=2, m=2)
         data = make_signal_instances(rng, n=4, length=4, d=2)
         lam = 9.0
-        inner = _cfg(iterations=20, C=0.5)
+        inner = _cfg(iterations=20, C=2.0)
         means, variances = train_laplace_grid(
-            data, spec, [LaplaceConfig(lam=lam, inner=inner, C=2.0, outer_iters=2)]
+            data, spec, [LaplaceConfig(lam=lam, inner=inner, outer_iters=2)]
         )
         mean, var = means[0], variances[0]
         # manual replay: one penalty solve at unit variances with C = 2, then
         # one variance refresh from the diagonal second moment
-        solved = lockstep_train(
-            data, spec, [replace(inner, C=2.0)], inv_diag=np.ones((1, spec.K))
-        )[0]
+        solved = lockstep_train(data, spec, [inner])[0]
         second_moment = np.ones(spec.K) + solved**2
         np.testing.assert_array_equal(mean, solved)
         np.testing.assert_array_equal(
@@ -138,7 +135,7 @@ class TestTrainLaplace:
             _, variances = train_laplace_grid(
                 data,
                 spec,
-                [LaplaceConfig(lam=lam, inner=_cfg(), C=1.0, outer_iters=total)],
+                [LaplaceConfig(lam=lam, inner=_cfg(), outer_iters=total)],
             )
             current = variances[0, dead_idx]
             assert np.all(current > 0)
@@ -152,7 +149,7 @@ class TestTrainLaplace:
         spec = FeatureSpec(d=3, m=2)
         data = make_signal_instances(rng, n=5, length=4, d=3)
         _, variances = train_laplace_grid(
-            data, spec, [LaplaceConfig(lam=1e12, inner=_cfg(), C=1.0, outer_iters=5)]
+            data, spec, [LaplaceConfig(lam=1e12, inner=_cfg(), outer_iters=5)]
         )
         assert np.all(variances >= VARIANCE_FLOOR)
 
@@ -163,7 +160,7 @@ class TestTrainLaplace:
         spec = FeatureSpec(d=2, m=2)
         data = make_signal_instances(rng, n=3, length=4, d=2)
         cfgs = [
-            LaplaceConfig(lam=lam, inner=_cfg(iterations=3), C=1.0, outer_iters=4)
+            LaplaceConfig(lam=lam, inner=_cfg(iterations=3), outer_iters=4)
             for lam in (4.0, 1e-320)
         ]
         with warnings.catch_warnings():
@@ -180,8 +177,11 @@ class TestTrainLaplace:
                 LaplaceConfig(lam=lam, inner=_cfg())
         with pytest.raises(ValueError):
             LaplaceConfig(lam=1.0, inner=_cfg(), outer_iters=1)
-        with pytest.raises(ValueError):
-            LaplaceConfig(lam=1.0, inner=_cfg(), C=0.0)
+        # The inner config's C is the hinge weight, and a lapmedn row has no ball.
+        with pytest.raises(ValueError, match="^C must be positive$"):
+            LaplaceConfig(lam=1.0, inner=_cfg(C=0.0))
+        with pytest.raises(ValueError, match="^a lapmedn inner config takes no radius$"):
+            LaplaceConfig(lam=1.0, inner=_cfg(radius=1.0))
         # Rejected here, not by range() inside the trainer.
         for outer_iters in (2.5, True):
             with pytest.raises(ValueError, match="^outer_iters must be an integer$"):
@@ -385,7 +385,7 @@ class TestL1M3N:
         rng = np.random.default_rng(55)
         spec = FeatureSpec(d=2, m=2)
         data = make_signal_instances(rng, n=3, length=4, d=2)
-        w = lockstep_train(data, spec, [_cfg(iterations=5)], radii=[1e-9])[0]
+        w = lockstep_train(data, spec, [_cfg(iterations=5, radius=1e-9)])[0]
         assert np.abs(w).sum() <= 1e-9 + 1e-12
 
     def test_sparse_toy_prefers_relevant_features(self):
@@ -394,7 +394,7 @@ class TestL1M3N:
         data = make_signal_instances(rng, n=8, length=5, d=3)
         for inst in data:
             inst.features[:, 1:] = rng.standard_normal((len(inst), 2))
-        w = lockstep_train(data, spec, [_cfg(iterations=60)], radii=[1.0])[0]
+        w = lockstep_train(data, spec, [_cfg(iterations=60, radius=1.0)])[0]
         state = np.abs(spec.state_view(w))
         assert state[1:].sum() < state[0].sum()
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +21,7 @@ from medn import (
     structured_hinge_objective,
     train_laplace_grid,
 )
-from medn import optimize
+from medn import models, optimize
 from medn.chain import feature_vectors, loss_augmented_decode_rows
 from medn.optimize import DIVERGENCE_LIMIT
 import oracles
@@ -224,6 +225,15 @@ class TestSubgradientTrain:
             SubgradConfig(beta=1.0, iterations=0, C=1.0)
         with pytest.raises(ValueError):
             SubgradConfig(beta=1.0, iterations=10, C=-1.0)
+        # numpy would reject these seeds only inside the kernel, naming neither.
+        for seed, shown in ((-1, "-1"), (1.5, "1.5"), (True, "True"), ("3", "'3'")):
+            message = f"^seed must be a nonnegative integer, got {shown}$"
+            with pytest.raises(ValueError, match=message):
+                SubgradConfig(beta=1.0, iterations=10, C=1.0, seed=seed)
+        assert SubgradConfig(1.0, 10, 1.0, seed=np.int64(3)).seed == 3
+        for radius in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="^radius must be positive$"):
+                SubgradConfig(beta=1.0, iterations=10, C=1.0, radius=radius)
         # a zero (or non-finite) penalty entry would divide the step by zero
         spec = FeatureSpec(d=1, m=2)
         data = [SequenceInstance([[1.0]], [0])]
@@ -239,7 +249,7 @@ class TestL1ConstrainedTrain:
         rng = np.random.default_rng(27)
         spec = FeatureSpec(d=2, m=2)
         data = make_signal_instances(rng, n=3, length=4, d=2)
-        w = lockstep_train(data, spec, [_identity_cfg(iterations=10)], radii=[1e-9])[0]
+        w = lockstep_train(data, spec, [_identity_cfg(iterations=10, radius=1e-9)])[0]
         assert np.abs(w).sum() <= 1e-9 + 1e-12
 
     def test_huge_radius_matches_unprojected_iterates(self):
@@ -248,8 +258,8 @@ class TestL1ConstrainedTrain:
         rng = np.random.default_rng(28)
         spec = FeatureSpec(d=2, m=2)
         data = make_signal_instances(rng, n=3, length=4, d=2)
-        cfg = _identity_cfg(iterations=12, seed=5)
-        trained = lockstep_train(data, spec, [cfg], radii=[1e6])[0]
+        cfg = _identity_cfg(iterations=12, seed=5, radius=1e6)
+        trained = lockstep_train(data, spec, [cfg])[0]
 
         gold = [feature_vectors(spec, inst.features, inst.labels[None])[0] for inst in data]
         loop_rng = np.random.default_rng(cfg.seed)
@@ -274,7 +284,7 @@ class TestL1ConstrainedTrain:
         # Column 1 is pure noise; replace the mild 0.1-scaled noise with unit noise.
         for inst in data:
             inst.features[:, 1] = rng.standard_normal(len(inst))
-        w = lockstep_train(data, spec, [_identity_cfg(iterations=60)], radii=[1.0])[0]
+        w = lockstep_train(data, spec, [_identity_cfg(iterations=60, radius=1.0)])[0]
         state = np.abs(spec.state_view(w))
         assert state[1].sum() < 0.1 * state[0].sum()
 
@@ -283,7 +293,7 @@ class TestL1ConstrainedTrain:
         spec = FeatureSpec(d=2, m=2)
         data = make_signal_instances(rng, n=2, length=3, d=2)
         with pytest.raises(ValueError):
-            lockstep_train(data, spec, [_identity_cfg()], radii=[0.0])
+            lockstep_train(data, spec, [_identity_cfg(radius=0.0)])
 
 
 class TestStructuredHingeObjective:
@@ -392,7 +402,7 @@ class TestLockstepEqualsPerConfigLoops:
             for beta in (1.0, 10.0)
         ]
         for rounds in (1, 2, 3):
-            grid = [LaplaceConfig(c.lam, c.inner, c.C, outer_iters=rounds + 1) for c in cfgs]
+            grid = [LaplaceConfig(c.lam, c.inner, outer_iters=rounds + 1) for c in cfgs]
             means, variances = train_laplace_grid(data, spec, grid)
             for got_mean, got_var, cfg in zip(means, variances, cfgs):
                 mean, var = reference_train_laplace(data, spec, cfg)[rounds - 1]
@@ -403,14 +413,49 @@ class TestLockstepEqualsPerConfigLoops:
         spec, data = _lockstep_problem(120 + m, m)
         cfgs = [SubgradConfig(beta=beta, iterations=4, C=1.0, seed=m) for beta in (1.0, 10.0)]
         grid = [(radius, cfg) for radius in (0.5, 3.0, 1e6) for cfg in cfgs]
-        rows = lockstep_train(
-            data, spec, [cfg for _, cfg in grid], radii=[radius for radius, _ in grid]
-        )
+        rows = lockstep_train(data, spec, [replace(cfg, radius=radius) for radius, cfg in grid])
         for row, (radius, cfg) in zip(rows, grid):
             want = reference_l1_constrained_train(data, spec, radius, cfg)
             # compare signs too: the projection leaves -0.0 entries
             assert np.array_equal(row, want)
             assert np.array_equal(np.signbit(row), np.signbit(want))
+
+
+def test_train_laplace_grid_over_mixed_families(monkeypatch):
+    """Rows of all three families, interleaved out of family order, each on
+    its own subset of mixed lengths with its own seed, in one call: every
+    row is bit-equal, sign bits included, to its reference loop run alone
+    on its subset.  Only the lapmedn rows run past round 1."""
+    spec, data = _lockstep_problem(170, 3)
+
+    def inner(beta, c, seed, radius=None):
+        return SubgradConfig(beta=beta, iterations=4, C=c, seed=seed, radius=radius)
+
+    cfgs = [
+        inner(1.0, 2.0, 1, radius=0.5),
+        LaplaceConfig(lam=4.0, inner=inner(10.0, 1.0, 2), outer_iters=4),
+        inner(0.5, 3.0, 3),
+        LaplaceConfig(lam=36.0, inner=inner(1.0, 0.5, 4), outer_iters=4),
+        inner(10.0, 1.0, 5, radius=1e6),
+    ]
+    subsets = [np.array(s) for s in ([0, 1, 2, 3], [2, 3, 4, 5, 6], range(7), [1, 3, 5], [6, 0, 4])]
+    assert all(len({len(data[i]) for i in subset}) > 1 for subset in subsets)
+    kernel_calls = _count_calls(monkeypatch, models, "_lockstep")
+    means, variances = train_laplace_grid(data, spec, cfgs, subsets=subsets)
+    for mean, var, cfg, subset in zip(means, variances, cfgs, subsets):
+        fold = [data[i] for i in subset]
+        if isinstance(cfg, LaplaceConfig):
+            want, want_var = reference_train_laplace(fold, spec, cfg)[-1]
+        elif cfg.radius is None:
+            want = reference_subgradient_train(fold, spec, np.ones(spec.K), cfg)
+            want_var = np.ones(spec.K)
+        else:
+            want = reference_l1_constrained_train(fold, spec, cfg.radius, cfg)
+            want_var = np.ones(spec.K)
+        assert _same_bits(mean, want), cfg
+        assert np.array_equal(var, want_var), cfg
+    assert np.abs(means[0]).sum() == 0.5 and np.signbit(means[0]).any()  # the ball binds
+    assert [len(args[1]) for args in kernel_calls] == [5, 2, 2]
 
 
 class TestLockstepValidation:
@@ -469,16 +514,13 @@ class TestLockstepValidation:
             lockstep_train(data, spec, [cfg], inv_diag=np.ones((1, spec.K)))
 
     def test_exactly_one_step_rule(self):
+        """Each config brings its own rule; ``inv_diag`` needs one row per config."""
         spec, data = _lockstep_problem(131, 2)
         cfg = SubgradConfig(beta=1.0, iterations=3, C=1.0)
         with pytest.raises(ValueError):
-            lockstep_train(data, spec, [cfg])
-        with pytest.raises(ValueError):
-            lockstep_train(data, spec, [cfg], inv_diag=np.ones((1, spec.K)), radii=[1.0])
-        with pytest.raises(ValueError):
             lockstep_train(data, spec, [cfg], inv_diag=np.ones((2, spec.K)))
         with pytest.raises(ValueError):
-            lockstep_train(data, spec, [cfg], radii=[0.0])
+            lockstep_train(data, spec, [SubgradConfig(beta=1.0, iterations=3, C=1.0, radius=0.0)])
 
 
 def _count_calls(monkeypatch, module, name) -> list:
@@ -524,16 +566,17 @@ class TestKernelBranches:
         data = _label_signal_instances(rng, n=6, d=d, m=m, max_length=3)
         cfg = SubgradConfig(beta=1.0, iterations=6, C=2.0, seed=d + m)
         ones, inv = np.ones(spec.K), np.linspace(0.5, 4.0, spec.K)
+        ball = replace(cfg, radius=3.0)
         rules = [
-            ({"inv_diag": ones[None]}, lambda: reference_subgradient_train(data, spec, ones, cfg)),
-            ({"inv_diag": inv[None]}, lambda: reference_subgradient_train(data, spec, inv, cfg)),
-            ({"radii": [3.0]}, lambda: reference_l1_constrained_train(data, spec, 3.0, cfg)),
+            (cfg, {"inv_diag": ones[None]}, lambda: reference_subgradient_train(data, spec, ones, cfg)),
+            (cfg, {"inv_diag": inv[None]}, lambda: reference_subgradient_train(data, spec, inv, cfg)),
+            (ball, {}, lambda: reference_l1_constrained_train(data, spec, 3.0, cfg)),
         ]
         maps = _count_calls(monkeypatch, optimize, "feature_vectors")
         lengths = len({len(inst) for inst in data})
-        for rule, reference in rules:
+        for row_cfg, rule, reference in rules:
             maps.clear()
-            row = lockstep_train(data, spec, [cfg], **rule)[0]
+            row = lockstep_train(data, spec, [row_cfg], **rule)[0]
             assert _same_bits(row, reference())
             # one feature map per length for the golds, then one per hit update
             hits = len(maps) - lengths
@@ -557,8 +600,10 @@ class TestKernelBranches:
         ]
         inv = np.vstack([np.ones(spec.K), np.linspace(0.5, 4.0, spec.K)])
         radii = [2.0, 1e6]
+        cfgs[len(inv):] = [replace(cfg, radius=r) for cfg, r in zip(cfgs[len(inv):], radii)]
         maps = _count_calls(monkeypatch, optimize, "feature_vectors")
-        rows = lockstep_train(data, spec, cfgs, inv_diag=inv, radii=radii)
+        ones = np.ones((len(radii), spec.K))  # a projecting row's scale of 1 is exact
+        rows = lockstep_train(data, spec, cfgs, inv_diag=np.vstack([inv, ones]))
         for b, cfg in enumerate(cfgs):
             if b < len(inv):
                 want = reference_subgradient_train(data, spec, inv[b], cfg)
