@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import orjson
 
-from .chain import FeatureSpec, SequenceInstance, _integer_labels
+from .chain import FeatureSpec, SequenceInstance, _check_weights, _integer_labels
 
 __all__ = [
     "DATASET_FORMAT",
@@ -177,11 +177,7 @@ class ModelFile:
     def __post_init__(self):
         if self.kind not in _MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.shape != (self.spec.K,):
-            raise ValueError("weights length disagrees with spec")
-        if not np.all(np.isfinite(self.weights)):
-            raise ValueError("weights must be finite")
+        self.weights = _check_weights(self.spec, self.weights, 1)
         if self.var_diag is not None:
             self.var_diag = np.asarray(self.var_diag, dtype=float)
             if self.var_diag.shape != (self.spec.K,):

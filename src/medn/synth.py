@@ -11,7 +11,8 @@ One kernel, :func:`gibbs_chains`, runs every Gibbs chain: a systematic scan
 that, at each (sweep, position) step, redraws that position in all chains
 at once with numpy array operations.  Each chain still draws only from its
 own stream and in the order a lone chain would, so batching changes no
-labeling: a chain run with others draws what it draws alone.
+labeling: a chain run with others draws what it draws alone.  Scores are
+label-major, so a step's reductions over labels are elementwise across chains.
 """
 
 import math
@@ -66,16 +67,16 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("d", "d_rel", "L", "m", "n_samples", "gibbs_iters", "group_size", "seed"):
+            value = getattr(self, name)
+            if not _is_count(value):
+                raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
         if self.d < 1 or self.L < 1 or self.m < 2:
             raise ValueError("need d >= 1, L >= 1, m >= 2")
-        if not 0 <= self.d_rel <= self.d:
+        if self.d_rel > self.d:
             raise ValueError("d_rel must lie in [0, d]")
-        if self.n_samples < 0:
-            raise ValueError("n_samples must be nonnegative")
         if self.gibbs_iters < 1:
             raise ValueError("gibbs_iters must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
         if not math.isfinite(self.noise_sd):
             raise ValueError(f"noise_sd must be finite, got {self.noise_sd:g}")
         if self.correlated:
@@ -160,6 +161,13 @@ def gibbs_chains(crf: TrueCrf, xs, seeds, burn_in: int, n_record: int):
     chain, one seed per input, finite nonempty inputs of one shared L with
     ``crf.spec.d`` features, and integer sweep counts ``>= 0`` that add up
     to at least one sweep.
+
+    Scores are label-major, (L, m, n): the max, exp, cumsum and pick count
+    over labels run along axis 0, elementwise over contiguous rows of chains.
+    A site's logits add its node score, then the previous neighbor's
+    transition, then the next one's; addition does not associate, so another
+    order would round some logits differently and flip draws near a
+    cumulative boundary, changing generated datasets.
     """
     spec = crf.spec
     if not len(xs):
@@ -189,9 +197,9 @@ def gibbs_chains(crf: TrueCrf, xs, seeds, burn_in: int, n_record: int):
     trans = spec.transition_view(crf.weights)
     trans_t = np.ascontiguousarray(trans.T)
     m = spec.m
-    # Position-major (L, n, m): one chain matmul each, as a lone chain would.
-    node = np.stack([x @ state for x in xs], axis=1)
-    length, n = node.shape[:2]
+    # Label-major (L, m, n); one chain matmul each, as a lone chain would.
+    node = np.stack([x @ state for x in xs], axis=2)
+    length, _, n = node.shape
     y = np.stack([rng.integers(0, m, size=length) for rng in rngs], axis=1)
     out = np.empty((n_record, n, length), dtype=np.int64)
     # (block, L, n): the uniforms of one (sweep, position) are contiguous.
@@ -207,12 +215,11 @@ def gibbs_chains(crf: TrueCrf, xs, seeds, burn_in: int, n_record: int):
                 # gen-synth digests in the tests depend on its rounding.
                 logits = node[l]
                 if l > 0:
-                    logits = logits + trans[y[l - 1]]
+                    logits = logits + trans_t.take(y[l - 1], axis=1)
                 if l + 1 < length:
-                    logits = logits + trans_t[y[l + 1]]
-                cdf = np.exp(logits - logits.max(axis=1, keepdims=True)).cumsum(axis=1)
-                u = r[l] * cdf[:, -1]
-                pick = (u[:, None] >= cdf).sum(axis=1)
+                    logits = logits + trans.take(y[l + 1], axis=1)
+                cdf = np.exp(logits - logits.max(axis=0)).cumsum(axis=0)
+                pick = (r[l] * cdf[-1] >= cdf).sum(axis=0)
                 y[l] = np.minimum(pick, m - 1)
             if sweep >= burn_in:
                 out[sweep - burn_in] = y.T

@@ -818,6 +818,8 @@ _DEEP = b"[" * 100_000 + b"]" * 100_000
         ("data", 1, '{"kind":"sequence-dataset","format":1,"d":"two","m":2}'),
         ("model", 1, {"weights": None}),
         ("model", 1, {"weights": [float("nan")] * 8}),
+        ("model", 1, {"weights": [0.0] * 7}),
+        ("model", 1, {"weights": [[0.0] * 8]}),
         ("model", 1, {"var_diag": [0.0] * 8}),
         ("model", 1, {"var_diag": [float("nan")] * 8}),
         ("model", 1, {"d": 3}),

@@ -7,6 +7,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from medn import (
     FeatureSpec,
@@ -38,6 +40,13 @@ class TestGeneratorConfig:
             _cfg(correlated=True, group_size=3)  # does not divide d_rel=2
         with pytest.raises(ValueError):
             _cfg(correlated=True, noise_sd=0.0)
+        # A float, a bool, a negative or a non-number count is one ValueError
+        # that names its field, not numpy's TypeError later or a bool read as 1.
+        for name in ("d", "d_rel", "L", "m", "n_samples", "gibbs_iters", "group_size", "seed"):
+            for value in (1.5, 2.0, True, -1, None, "3"):
+                with pytest.raises(ValueError, match=f"^{name} must be a nonnegative integer"):
+                    _cfg(**{name: value})
+        assert len(gen_dataset(_cfg(n_samples=np.int64(2), seed=np.uint32(7))).instances) == 2
 
 
 class TestGenCrf:
@@ -164,6 +173,40 @@ class TestGibbs:
         )
         np.testing.assert_array_equal(got[:, 0], want)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(2, 5),
+        length=st.integers(1, 6),
+        n=st.integers(1, 4),
+        burn_in=st.integers(0, 70),
+        n_record=st.integers(1, 8),
+        draw_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_of_several_chains_matches_scalar_reference(
+        self, m, length, n, burn_in, n_record, draw_seed
+    ):
+        """Run together, every chain records what the one-site-at-a-time
+        python loop records for it alone: distinct inputs and seeds, and
+        asymmetric transitions, so a swapped neighbour term or a chain read
+        from another's column shows."""
+        rng = np.random.default_rng(draw_seed)
+        spec = FeatureSpec(3, m)
+        weights = 2.0 * rng.standard_normal(spec.K)
+        spec.transition_view(weights)[:] += np.triu(np.full((m, m), 1.5), 1)
+        crf = TrueCrf(spec, weights, relevant=np.arange(3))
+        xs = rng.standard_normal((n, length, 3))
+        seeds = [int(s) for s in rng.choice(2**31, size=n, replace=False)]
+        _, got = gibbs_chains(crf, xs, seeds, burn_in, n_record)
+        assert got.shape == (n_record, n, length)
+        for i, seed in enumerate(seeds):
+            want = scalar_gibbs_states(
+                xs[i] @ spec.state_view(crf.weights),
+                spec.transition_view(crf.weights),
+                np.random.default_rng(seed),
+                sweeps=burn_in + n_record,
+            )
+            np.testing.assert_array_equal(got[:, i], want[burn_in:])
+
     def test_sweeps_must_be_positive(self):
         crf = _uniform_crf()
         with pytest.raises(ValueError, match="at least one sweep"):
@@ -281,6 +324,13 @@ PINNED_GEN_SYNTH = [
     (
         ["--m", "4", "--length", "12", "--n", "80", "--gibbs-iters", "50", "--seed", "5"],
         "56b1a2a425d70d0b2f1ca9744e0b3eda111134d98e417f6f86e13575998f1cc9",
+    ),
+    # The benchmark's synth workload at seed 0, recorded from the chain-major
+    # lockstep kernel.
+    (
+        ["--d", "20", "--d-rel", "5", "--length", "8", "--m", "2", "--n", "250",
+         "--gibbs-iters", "100", "--seed", "0"],
+        "4ca630e6cd6d510280a3b8041d63f235ca513d9d34ef34ebba80a5736badcba9",
     ),
 ]
 
