@@ -22,7 +22,6 @@ from .models import (
 from .optimize import (
     SubgradConfig,
     l1_ball_project,
-    lockstep_train,
     structured_hinge_objective,
 )
 from .synth import (
@@ -57,7 +56,6 @@ __all__ = [
     "l1m3n_dual_check",
     "laplace_log_z",
     "laplace_log_z_grad",
-    "lockstep_train",
     "margin_sample_count",
     "mean_std",
     "pac_bound",

@@ -11,9 +11,8 @@ row up front.  Each row becomes one config, which checks it before
 training starts, and one :func:`medn.models.train_laplace_grid` call
 trains them all: T - 1 lockstep kernel calls for the whole sweep.  ``cv``
 then evaluates each fold's rows in one decode of the other folds.
-``train`` reports the objective under the trained penalty 1 / var; for
-l1m3n it passes ``inv_diag=None``, which to the objective means no
-penalty term (to the kernel it means the identity).
+``train`` reports the objective under the trained penalty 1 / var, and
+for l1m3n the hinge total alone.  It rejects a flag of another family.
 """
 
 import argparse
@@ -52,6 +51,7 @@ MODELS = ("m3n", "lapmedn", "l1m3n")
 DEFAULT_LAMBDA_GRID = (9.0, 16.0, 25.0, 36.0, 49.0, 64.0)
 DEFAULT_BETA_GRID = (1.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
 DEFAULT_RADIUS_GRID = (10.0,)
+DEFAULT_OUTER_ITERS = 4
 
 EVAL_COLUMNS = ["model", "dataset", "n_train", "per_label_err", "seq_err", "seed"]
 CV_COLUMNS = [
@@ -161,19 +161,28 @@ def _train_grid(instances, spec, rows, *, c, iters, outer_iters):
     return weights, variances, hinge_weights
 
 
+# The train flags that only one family reads, by their argparse dest.
+FAMILY_FLAGS = {"lam": ("--lambda", "lapmedn"), "radius": ("--radius", "l1m3n"),
+                "outer_iters": ("--outer-iters", "lapmedn")}
+
+
 def _cmd_train(args) -> int:
+    for dest, (flag, family) in FAMILY_FLAGS.items():
+        if getattr(args, dest) is not None and args.model != family:
+            raise ValueError(f"{flag} is for {family} only, not {args.model}")
     if args.model == "lapmedn" and args.lam is None:
         raise ValueError("lapmedn requires --lambda")
     if args.model == "l1m3n" and args.radius is None:
         raise ValueError("l1m3n requires --radius")
     _check_betas("--beta", [args.beta])
+    outer_iters = DEFAULT_OUTER_ITERS if args.outer_iters is None else args.outer_iters
     instances, spec, _ = read_dataset(args.data)
     started = time.perf_counter()
     row = TrainingRow(
         args.model, args.lam, args.beta, args.radius, np.arange(len(instances)), args.seed
     )
     weights, variances, (c_eff,) = _train_grid(
-        instances, spec, [row], c=args.c, iters=args.iters, outer_iters=args.outer_iters
+        instances, spec, [row], c=args.c, iters=args.iters, outer_iters=outer_iters
     )
     weights = weights[0]
     var_diag = None if args.model == "l1m3n" else variances[0]
@@ -190,7 +199,7 @@ def _cmd_train(args) -> int:
         hyper["radius"] = args.radius
     hyper.update(beta=args.beta, c=c_eff, iters=args.iters)
     if args.model == "lapmedn":
-        hyper["outer_iters"] = args.outer_iters
+        hyper["outer_iters"] = outer_iters
     hyper.update(seed=args.seed, n_train=len(instances))
     write_model_file(
         args.out,
@@ -454,7 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=1.0, help="step-size scale")
     p.add_argument("--c", type=float, default=None, help="slack penalty (default 200*beta for m3n, 1 otherwise)")
     p.add_argument("--iters", type=int, default=50, help="epochs per subgradient solve")
-    p.add_argument("--outer-iters", type=int, default=4, help="outer loop bound T (lapmedn)")
+    p.add_argument("--outer-iters", type=int, default=None,
+                   help=f"outer loop bound T (lapmedn, default {DEFAULT_OUTER_ITERS})")
     p.add_argument("--radius", type=float, default=None, help="L1 ball radius (l1m3n)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -481,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", type=_float_list, default=list(DEFAULT_RADIUS_GRID))
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--iters", type=int, default=50)
-    p.add_argument("--outer-iters", type=int, default=4)
+    p.add_argument("--outer-iters", type=int, default=DEFAULT_OUTER_ITERS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_cv)

@@ -10,11 +10,13 @@ Strict JSON in, canonical ``json.dumps`` out.  The readers split the file's
 bytes at "\\n", "\\r\\n" and "\\r" and parse each line with ``orjson``,
 which rounds every number exactly as ``float`` does but several times
 faster; NaN, infinities, numbers past the double range, invalid UTF-8 and
-lone surrogates are invalid JSON, and values nest at most 1000 levels.  The
-writers keep the standard library, because ``orjson.dumps`` prints some
-floats differently (``-0.00006420707435172087`` for
-``-6.420707435172087e-05``): they emit sorted keys, fixed separators and
-"\\n" newlines, so identical inputs produce byte-identical files.
+lone surrogates are invalid JSON, and values nest at most 1000 levels.
+Booleans and strings where numbers belong are errors too, though numpy
+would read them as numbers.  The writers keep the standard library,
+because ``orjson.dumps`` prints some floats differently
+(``-0.00006420707435172087`` for ``-6.420707435172087e-05``): they emit
+sorted keys, fixed separators and "\\n" newlines, so identical inputs
+produce byte-identical files.
 """
 
 import json
@@ -113,6 +115,34 @@ def _json_object(line: bytes) -> dict:
     return obj
 
 
+def _json_numbers(value, key: str):
+    """``value``, nested lists of JSON numbers; a boolean or a string among
+    them is a ValueError naming ``key``."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(item)
+        elif isinstance(item, (bool, str)):
+            raise ValueError(f"{key} must hold JSON numbers, got {item!r}")
+    return value
+
+
+def _may_hold_non_numbers(line: bytes) -> bool:
+    """Whether a dataset line has a true, a false, or a string besides its
+    keys "x" and "y"; no other line can hold a non-number, so the others
+    skip :func:`_json_numbers`.  Each test is a memchr scan: no number or
+    key has a "t" or an "f", and the two keys take four quotes."""
+    if b"t" in line or b"f" in line:
+        return True
+    at = -1
+    for _ in range(5):
+        at = line.find(b'"', at + 1)
+        if at < 0:
+            return False
+    return True
+
+
 def _parse_header(line: bytes) -> tuple[FeatureSpec, dict]:
     header = _json_object(line)
     if header.get("kind") != _DATASET_KIND:
@@ -124,6 +154,9 @@ def _parse_header(line: bytes) -> tuple[FeatureSpec, dict]:
 
 def _parse_instance(line: bytes, spec: FeatureSpec) -> SequenceInstance:
     obj = _json_object(line)
+    if _may_hold_non_numbers(line):
+        _json_numbers(obj["x"], "x")
+        _json_numbers(obj["y"], "y")
     x = np.asarray(obj["x"], dtype=float)
     if x.ndim != 2 or x.shape[1] != spec.d:
         raise ValueError("feature row width disagrees with header d")
@@ -211,11 +244,11 @@ def read_model_file(path) -> ModelFile:
         payload = _json_object(content)
         if _json_int(payload, "format") != MODEL_FORMAT:
             raise ValueError(f"unsupported model format {payload['format']}")
-        var = payload.get("var_diag")
+        var = _json_numbers(payload.get("var_diag"), "var_diag")
         return ModelFile(
             kind=payload["kind"],
             spec=FeatureSpec(_json_int(payload, "d"), _json_int(payload, "m")),
-            weights=np.asarray(payload["weights"], dtype=float),
+            weights=np.asarray(_json_numbers(payload["weights"], "weights"), dtype=float),
             var_diag=None if var is None else np.asarray(var, dtype=float),
             hyper=payload.get("hyper", {}),
         )

@@ -1,15 +1,15 @@
-"""The Laplace-prior trainer and the Laplace-posterior analysis.
+"""The one trainer and the Laplace-posterior analysis.
 
 The three families differ only in a row's config.  m3n is a
-:class:`medn.optimize.SubgradConfig` without a radius under the kernel's
-``inv_diag=None``, the identity penalty (its weights are the mean of a
-unit-variance Gaussian posterior, and averaged prediction under it is
-decoding under the mean, because the score is linear in the weights);
-l1m3n is one with a radius; lapmedn is a :class:`LaplaceConfig` around
-one without.  :func:`train_laplace_grid` trains any mix of them and
-returns arrays, one row per config; one model is a grid of one.  Every
-row may train on its own subset with its own seed, so a cross-validation
-sweep of all three families over every fold takes T - 1 kernel calls.
+:class:`medn.optimize.SubgradConfig` without a radius, trained under the
+identity penalty (its weights are the mean of a unit-variance Gaussian
+posterior, and averaged prediction under it is decoding under the mean,
+because the score is linear in the weights); l1m3n is one with a radius;
+lapmedn is a :class:`LaplaceConfig` around one without.
+:func:`train_laplace_grid` trains any mix of them and returns arrays, one
+row per config; one model is a grid of one.  Every row may train on its
+own subset with its own seed, so a cross-validation sweep of all three
+families over every fold takes T - 1 kernel calls.
 
 Also provides the analysis functions for the Laplace posterior: the
 entropic shrinkage map, the closed-form log-normalizer and its gradient,
@@ -152,10 +152,10 @@ def train_laplace_grid(data: list, spec: FeatureSpec, cfgs, *, subsets=None):
     they have a radius; their variances are 1.  Every row's config must
     share the inner ``iterations``; ``lam``, ``C``, ``beta`` and ``seed``
     may differ.  Row b trains on ``data[i] for i in subsets[b]`` (all of
-    ``data`` when ``subsets`` is None).  Each round is one ``_lockstep``
-    call (the kernel of :func:`lockstep_train`) over its rows, followed by
-    each lapmedn row's variance refresh, so each row is bit-equal to
-    training its config alone.  The rounds share one preparation of
+    ``data`` when ``subsets`` is None).  Each round is one call of the
+    kernel, ``optimize._lockstep``, over its rows, followed by each lapmedn
+    row's variance refresh, so each row is bit-equal to training its
+    config alone.  The rounds share one preparation of
     ``data``: one check of each instance, its stacks and gold features, and
     the instance orders.
 
@@ -173,13 +173,13 @@ def train_laplace_grid(data: list, spec: FeatureSpec, cfgs, *, subsets=None):
     # Every round trains on the same data: check it, stack it and draw the
     # instance orders once.
     kernel = _KernelData(data, spec)
-    mean = _lockstep(kernel, inners, subsets=subsets)
+    mean = _lockstep(kernel, inners, subsets)
     var = np.ones_like(mean)
     var[laplace] = _refresh_variances(var[laplace], mean[laplace], lams, 1)
     # Rounds 2 to T - 1 carry the lapmedn rows alone.
     inners, subsets = [inners[b] for b in laplace], [subsets[b] for b in laplace]
     for round_ in range(2, max(rounds, default=2)):
-        mean[laplace] = _lockstep(kernel, inners, inv_diag=1.0 / var[laplace], subsets=subsets)
+        mean[laplace] = _lockstep(kernel, inners, subsets, inv_diag=1.0 / var[laplace])
         var[laplace] = _refresh_variances(var[laplace], mean[laplace], lams, round_)
     return mean, var
 

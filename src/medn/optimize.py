@@ -1,19 +1,17 @@
 """Optimization kernels for structured hinge objectives.
 
-One stochastic subgradient kernel, :func:`lockstep_train`, advances B
-trajectories in lockstep.  Each trajectory trains on its own subset of the
-data in its own per-epoch shuffled order, drawn from its own seed, with
-its own step size ``1 / (2 * beta * sqrt(t))``, where t counts its
-individual updates, and its own hinge weight C.  Each config carries its
-own step rule: without a ``radius`` the step shrinks toward zero under a
-diagonal quadratic penalty (m3n), with one it projects onto that L1 ball
-(l1m3n).  Every row's subgradient is preconditioned by ``1 / inv_diag``;
-the kernel's ``inv_diag=None`` is the identity, while
-:func:`structured_hinge_objective`'s ``inv_diag=None`` means no penalty
-term at all.  At each step the trajectories whose current instances share
-a length are decoded in one DP call.  A single model is the kernel with
-one config (B = 1); cross-validation runs every fold's configs in one
-call.  It returns the final iterates as a (B, K) array, in config order.
+One stochastic subgradient kernel, :func:`_lockstep`, advances B
+trajectories in lockstep; :func:`medn.models.train_laplace_grid` is its one
+public entry point.  Each trajectory trains on its own subset of the data
+in its own per-epoch shuffled order, drawn from its own seed, with its own
+step size ``1 / (2 * beta * sqrt(t))``, where t counts its individual
+updates, and its own hinge weight C.  Each config carries its own step
+rule: without a ``radius`` the step shrinks toward zero under a diagonal
+quadratic penalty (m3n), with one it projects onto that L1 ball (l1m3n).
+At each step the trajectories whose current instances share a length are
+decoded in one DP call.  A single model is the kernel with one config
+(B = 1); cross-validation runs every fold's configs in one call.  It
+returns the final iterates as a (B, K) array, in config order.
 
 A kernel call prepares once whatever the weights do not change: it checks
 each instance, stacks the instances by length with their gold feature
@@ -44,7 +42,6 @@ from .chain import (
 
 __all__ = [
     "SubgradConfig",
-    "lockstep_train",
     "l1_ball_project",
     "structured_hinge_objective",
 ]
@@ -99,52 +96,13 @@ def _check_data(data, spec: FeatureSpec) -> list:
     return [_check_instance(spec, inst.features, inst.labels) for inst in data]
 
 
-def lockstep_train(
-    data: list, spec: FeatureSpec, cfgs, *, inv_diag: np.ndarray | None = None, subsets=None
-) -> np.ndarray:
-    """Run one subgradient trajectory per config in lockstep; (B, K) final iterates.
-
-    Row b trains on the instances ``data[i] for i in subsets[b]`` (all of
-    ``data`` when ``subsets`` is None).  Each epoch it visits them in the
-    order a generator seeded ``cfgs[b].seed`` draws, keeping its own
-    update count t, epoch and training-set size n, so rows of different
-    training sets run side by side; a row stops after ``iterations``
-    epochs, which the configs must share.  Each row keeps its own ``beta``
-    and ``C``, and its config's ``radius`` sets its step rule.  Row b's
-    subgradient is scaled by ``1 / inv_diag[b]``; ``inv_diag`` (B, K) is
-    the identity when None.
-
-    * a row without a radius approximately minimizes
-      0.5 w' diag(inv) w + C * sum_i hinge_i(w).  Each update shrinks w by
-      (1 - alpha / n), then adds alpha * C times the subgradient
-      preconditioned by 1 / inv, so stiff coordinates (tiny penalty
-      variance) stay numerically stable;
-    * a row with a radius minimizes C * sum_i hinge_i(w) subject to
-      ||w||_1 <= radius.  Each update adds alpha * C times the scaled
-      subgradient, then projects onto the ball, so all iterates are
-      feasible.
-
-    hinge_i(w) = max_y [w'f(x_i, y) + hamming(y, y_i)] - w'f(x_i, y_i), with
-    the inner maximum found by loss-augmented decoding; when the winner
-    equals the gold labeling the instance adds no data term.  At each step
-    the rows whose current instances share a length are decoded in one DP
-    call, and the gold feature vectors are computed once for all of
-    ``data``.  Starts from w = 0.  Every row is bit-equal to running its
-    config alone on its training set.  Raises ``RuntimeError`` naming the
-    row's seed and beta as soon as a row stops being finite or its L2 norm
-    exceeds ``DIVERGENCE_LIMIT``.
-    """
-    return _lockstep(_KernelData(data, spec), cfgs, inv_diag=inv_diag, subsets=subsets)
-
-
-def _check_inv_diag(spec: FeatureSpec, inv_diag, ndim: int) -> np.ndarray:
-    """``inv_diag`` as a float array of ``ndim`` dimensions with K entries
-    along the last, every one positive and finite; ValueError otherwise."""
+def _check_inv_diag(spec: FeatureSpec, inv_diag) -> np.ndarray:
+    """``inv_diag`` as a (K,) float array, every entry positive and finite;
+    ValueError otherwise."""
     inv_diag = np.asarray(inv_diag, dtype=float)
-    if inv_diag.ndim != ndim or inv_diag.shape[-1] != spec.K:
-        want = f"({spec.K},)" if ndim == 1 else f"(rows, {spec.K})"
+    if inv_diag.shape != (spec.K,):
         raise ValueError(
-            f"regularizer dimension disagrees with spec: need inv_diag of shape {want}, "
+            f"regularizer dimension disagrees with spec: need inv_diag of shape ({spec.K},), "
             f"got {inv_diag.shape}"
         )
     if not np.all(np.isfinite(inv_diag)) or np.any(inv_diag <= 0):
@@ -196,8 +154,33 @@ class _KernelData:
         return self._orders[key]
 
 
-def _lockstep(kernel: _KernelData, cfgs, *, inv_diag=None, subsets=None):
-    """:func:`lockstep_train` on prepared data."""
+def _lockstep(kernel: _KernelData, cfgs, subsets, *, inv_diag=None) -> np.ndarray:
+    """Run one subgradient trajectory per config in lockstep; (B, K) final iterates.
+
+    Row b trains on the instances ``subsets[b]`` of the prepared data.  Each
+    epoch it visits them in the order a generator seeded ``cfgs[b].seed``
+    draws, keeping its own update count t, epoch and training-set size n; a
+    row stops after ``iterations`` epochs, which the configs must share.
+    Each row keeps its own ``beta`` and ``C``, and its config's ``radius``
+    sets its step rule.  Row b's subgradient is scaled by
+    ``1 / inv_diag[b]``: lapmedn's later rounds pass their (B, K) inverse
+    variances, already floored, and every other call the identity (None).
+
+    * a row without a radius approximately minimizes
+      0.5 w' diag(inv) w + C * sum_i hinge_i(w): each update shrinks w by
+      (1 - alpha / n), then adds alpha * C times the preconditioned
+      subgradient, so stiff coordinates stay numerically stable;
+    * a row with a radius minimizes C * sum_i hinge_i(w) subject to
+      ||w||_1 <= radius: each update adds alpha * C times the subgradient,
+      then projects onto the ball, so all iterates are feasible.
+
+    hinge_i(w) = max_y [w'f(x_i, y) + hamming(y, y_i)] - w'f(x_i, y_i); an
+    instance whose maximizer is its gold labeling adds no data term.
+    Starts from w = 0.  Every row is bit-equal to running its config alone
+    on its training set.  Raises ``RuntimeError`` naming the row's seed and
+    beta as soon as a row stops being finite or its L2 norm exceeds
+    ``DIVERGENCE_LIMIT``.
+    """
     spec, n = kernel.spec, kernel.n
     cfgs = list(cfgs)
     if not cfgs:
@@ -206,10 +189,8 @@ def _lockstep(kernel: _KernelData, cfgs, *, inv_diag=None, subsets=None):
     if any(cfg.iterations != iterations for cfg in cfgs):
         raise ValueError("lockstep configurations must share iterations")
     batch = len(cfgs)
-    inv_diag = np.ones((batch, spec.K)) if inv_diag is None else _check_inv_diag(spec, inv_diag, 2)
-    if len(inv_diag) != batch:
-        raise ValueError("need one inv_diag row per configuration")
-    subsets = [np.arange(n)] * batch if subsets is None else [np.asarray(s) for s in subsets]
+    inv_diag = np.ones((batch, spec.K)) if inv_diag is None else inv_diag
+    subsets = [np.asarray(s) for s in subsets]
     if len(subsets) != batch:
         raise ValueError("need one training set per configuration")
     for subset in subsets:
@@ -408,10 +389,9 @@ def structured_hinge_objective(
 
     Pass ``inv_diag=None`` for the unregularized hinge total (the quantity
     constrained trainers minimize inside their feasible set); any other
-    ``inv_diag`` is checked as :func:`lockstep_train` checks its rows: K
-    entries, each positive and finite.  The data is prepared as for a
-    kernel call: each instance is checked once, and the instances of one
-    length are decoded in one DP call.  Each hinge term is that value minus
+    ``inv_diag`` must have K entries, each positive and finite.  The data
+    is prepared as for a kernel call: each instance is checked once, and
+    the instances of one length are decoded in one DP call.  Each hinge term is that value minus
     ``w`` dotted with the gold features, summed in instance order.  Empty
     ``data`` gives the penalty term alone.
     """
@@ -419,7 +399,7 @@ def structured_hinge_objective(
     kernel = _KernelData(data, spec) if data else None
     reg = 0.0
     if inv_diag is not None:
-        reg = 0.5 * float(np.dot(w, _check_inv_diag(spec, inv_diag, 1) * w))
+        reg = 0.5 * float(np.dot(w, _check_inv_diag(spec, inv_diag) * w))
     hinge = 0.0
     if kernel is not None:
         trans = spec.transition_view(w[None])

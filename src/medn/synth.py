@@ -77,6 +77,10 @@ class GeneratorConfig:
             raise ValueError("d_rel must lie in [0, d]")
         if self.gibbs_iters < 1:
             raise ValueError("gibbs_iters must be at least 1")
+        if not isinstance(self.correlated, bool):
+            raise ValueError(f"correlated must be a bool, got {self.correlated!r}")
+        if not isinstance(self.noise_sd, numbers.Real) or isinstance(self.noise_sd, bool):
+            raise ValueError(f"noise_sd must be a real number, got {self.noise_sd!r}")
         if not math.isfinite(self.noise_sd):
             raise ValueError(f"noise_sd must be finite, got {self.noise_sd:g}")
         if self.correlated:

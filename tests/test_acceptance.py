@@ -28,7 +28,6 @@ from medn import (
     l1_ball_project,
     laplace_log_z,
     laplace_log_z_grad,
-    lockstep_train,
     margin_sample_count,
     pac_bound,
     shrinkage_mean,
@@ -147,7 +146,7 @@ def test_04_averaged_and_point_predictions_coincide():
         dataset = gen_dataset(cfg)
         spec = dataset.crf.spec
         cfg = SubgradConfig(beta=1.0, iterations=30, C=1.0, seed=0)
-        mean = lockstep_train(dataset.instances[:50], spec, [cfg], inv_diag=np.ones((1, spec.K)))
+        mean = train_laplace_grid(dataset.instances[:50], spec, [cfg])[0]
         decoded = decode_instances(spec, mean, dataset.instances)
         # The score is linear in the weights, so its posterior expectation
         # is exactly the score under the mean: feats @ mean.
@@ -194,7 +193,7 @@ def test_06_desk_scale_trend_quadratic_vs_laplace_prior():
             train_set = dataset.instances[:50]
             test_set = dataset.instances[50:]
             inner = SubgradConfig(beta=1.0, iterations=30, C=1.0, seed=seed)
-            gauss = lockstep_train(train_set, spec, [inner], inv_diag=np.ones((1, spec.K)))[0]
+            gauss = train_laplace_grid(train_set, spec, [inner])[0][0]
             lap = train_laplace_grid(
                 train_set, spec, [LaplaceConfig(lam=36.0, inner=inner, outer_iters=4)]
             )[0][0]

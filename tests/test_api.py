@@ -1,12 +1,13 @@
 """The public surface: every exported name resolves, the README's Python
-examples run against the package as it is and the names it cites exist,
-the CLI starts without scipy, and every third-party import is a declared
+examples run against the package as it is, its command lines parse and the
+names it cites exist, the CLI starts without scipy, and every third-party import is a declared
 dependency."""
 
 import ast
 import importlib
 import pkgutil
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import medn
+from medn import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -40,7 +42,6 @@ PUBLIC = {
     "l1m3n_dual_check",
     "laplace_log_z",
     "laplace_log_z_grad",
-    "lockstep_train",
     "margin_sample_count",
     "mean_std",
     "pac_bound",
@@ -48,9 +49,10 @@ PUBLIC = {
     "structured_hinge_objective",
     "train_laplace_grid",
 }
-# The single-instance chain layer that decode_instances, lockstep_train and
-# structured_hinge_objective replaced, and the single-chain Gibbs wrappers
-# that gibbs_chains replaced.
+# The single-instance chain layer that decode_instances, the training
+# kernel and structured_hinge_objective replaced, the single-chain Gibbs
+# wrappers that gibbs_chains replaced, and the second trainer entry point
+# that train_laplace_grid absorbed.
 REMOVED = {
     "ChainModel",
     "feature_vector",
@@ -60,6 +62,7 @@ REMOVED = {
     "hamming_loss",
     "gibbs_label",
     "gibbs_samples",
+    "lockstep_train",
 }
 
 
@@ -71,7 +74,7 @@ def test_every_exported_name_resolves():
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.{name}"
         assert REMOVED.isdisjoint(vars(module)), module.__name__
-    assert len(medn.__all__) == len(set(medn.__all__)) == 28
+    assert len(medn.__all__) == len(set(medn.__all__)) == 27
     assert set(medn.__all__) == PUBLIC
 
 
@@ -80,6 +83,21 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {"__name__": "readme"})
+
+
+def test_readme_command_lines_parse():
+    """Every ``medn`` line in the README's sh blocks parses, and each
+    ``train`` line passes its family no flag of another family, which
+    ``train`` would reject."""
+    blocks = re.findall(r"^```sh\n(.*?)^```$", README.read_text(), flags=re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("medn ")]
+    assert lines
+    parser = cli.build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        if args.command == "train":
+            for dest, (flag, family) in cli.FAMILY_FLAGS.items():
+                assert getattr(args, dest) is None or args.model == family, (flag, line)
 
 
 def test_readme_names_resolve():

@@ -15,8 +15,8 @@ from medn import (
     SequenceInstance,
     SubgradConfig,
     evaluate_weight_rows,
-    lockstep_train,
     structured_hinge_objective,
+    train_laplace_grid,
 )
 from medn.chain import (
     _viterbi,
@@ -148,7 +148,7 @@ class TestFeatureVector:
         short_labels = SimpleNamespace(features=np.zeros((3, 2)), labels=np.array([0, 0]))
         for bad, message in ((narrow, "input features"), (short_labels, "length")):
             with pytest.raises(ValueError, match=message):
-                lockstep_train([bad], spec, [cfg], inv_diag=np.ones((1, spec.K)))
+                train_laplace_grid([bad], spec, [cfg])
             with pytest.raises(ValueError, match=message):
                 structured_hinge_objective([bad], spec, np.zeros(spec.K), 1.0)
 
@@ -157,7 +157,7 @@ class TestFeatureVector:
         cfg = SubgradConfig(beta=1.0, iterations=1, C=1.0, radius=1.0)
         bad = SequenceInstance(np.zeros((2, 2)), [0, 2])
         with pytest.raises(ValueError, match="label"):
-            lockstep_train([bad], spec, [cfg])
+            train_laplace_grid([bad], spec, [cfg])
         with pytest.raises(ValueError, match="label"):
             structured_hinge_objective([bad], spec, np.zeros(spec.K), 1.0)
 
@@ -236,7 +236,7 @@ class TestDecode:
             with pytest.raises(ValueError, match="^labels must be integer indices$"):
                 structured_hinge_objective([duck], spec, np.zeros(spec.K), 1.0)
             with pytest.raises(ValueError, match="^labels must be integer indices$"):
-                lockstep_train([duck], spec, [SubgradConfig(1.0, 1, 1.0, radius=1.0)])
+                train_laplace_grid([duck], spec, [SubgradConfig(1.0, 1, 1.0, radius=1.0)])
 
 
 @st.composite

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from medn import FeatureSpec, LaplaceConfig, SequenceInstance, SubgradConfig
 from medn.cli import DEFAULT_BETA_GRID, DEFAULT_LAMBDA_GRID, build_parser, main
 from medn import cli, optimize
-from medn.dataio import ModelFile, read_model_file, write_dataset, write_model_file
+from medn.dataio import ModelFile, read_dataset, read_model_file, write_dataset, write_model_file
 from oracles import (
     make_mixed_instances,
     make_signal_instances,
@@ -513,9 +513,31 @@ class TestTrainingFlags:
     @example(model="lapmedn", beta=1.0, c=None, lam=5e-324, radius=1.0, iters=2, outer_iters=3)
     @example(model="l1m3n", beta=5e-324, c=1e308, lam=1.0, radius=math.inf, iters=2, outer_iters=2)
     def test_train(self, tmp_path_factory, model, beta, c, lam, radius, iters, outer_iters):
-        argv = ["train", f"--model={model}", f"--beta={beta!r}", f"--lambda={lam!r}",
-                f"--radius={radius!r}", f"--iters={iters}", f"--outer-iters={outer_iters}"]
+        own = {"m3n": [], "l1m3n": [f"--radius={radius!r}"],
+               "lapmedn": [f"--lambda={lam!r}", f"--outer-iters={outer_iters}"]}[model]
+        argv = ["train", f"--model={model}", f"--beta={beta!r}", f"--iters={iters}", *own]
         self._run(tmp_path_factory, argv + ([] if c is None else [f"--c={c!r}"]))
+
+    @pytest.mark.parametrize(
+        "model, flag, message",
+        [("m3n", "--lambda=4", "error: --lambda is for lapmedn only, not m3n\n"),
+         ("l1m3n", "--lambda=4", "error: --lambda is for lapmedn only, not l1m3n\n"),
+         ("m3n", "--radius=0.001", "error: --radius is for l1m3n only, not m3n\n"),
+         ("lapmedn", "--radius=1", "error: --radius is for l1m3n only, not lapmedn\n"),
+         ("m3n", "--outer-iters=4", "error: --outer-iters is for lapmedn only, not m3n\n"),
+         ("l1m3n", "--outer-iters=3", "error: --outer-iters is for lapmedn only, not l1m3n\n")],
+    )
+    def test_train_rejects_another_familys_flag(self, tmp_path, monkeypatch, model, flag, message):
+        """A flag that the chosen family would ignore is one error line,
+        given before the data is read; its family's required flag is there."""
+        monkeypatch.setattr(cli, "read_dataset", None)
+        required = {"m3n": [], "lapmedn": ["--lambda=4"], "l1m3n": ["--radius=1"]}[model]
+        out = tmp_path / "o"
+        code, _, err, caught = _run_quietly(
+            ["train", f"--model={model}", *required, flag, "--data=missing.jsonl", f"--out={out}"]
+        )
+        assert (code, err, caught) == (2, message, [])
+        assert not out.exists()
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -816,6 +838,15 @@ _DEEP = b"[" * 100_000 + b"]" * 100_000
         ("data", 3, '{"x":[[1.0,0.0]],"y":[0.5]}'),
         ("data", 3, '{"x":[[1.0,0.0]],"y":[-1]}'),
         ("data", 1, '{"kind":"sequence-dataset","format":1,"d":"two","m":2}'),
+        # numpy reads true as 1.0 and "2" as 2.0, and [0, true] as int64
+        ("data", 3, '{"x":[[1.0,true]],"y":[0]}'),
+        ("data", 3, '{"x":[[1.0,"2"]],"y":[0]}'),
+        ("data", 3, '{"x":[[1.0,0.0],[0.0,1.0]],"y":[0,true]}'),
+        ("data", 3, '{"x":[[1.0,0.0]],"y":["0"]}'),
+        ("model", 1, {"weights": [0.0] * 7 + [True]}),
+        ("model", 1, {"weights": [0.0] * 7 + ["1"]}),
+        ("model", 1, {"var_diag": [1.0] * 7 + [False]}),
+        ("model", 1, {"var_diag": ["1"] * 8}),
         ("model", 1, {"weights": None}),
         ("model", 1, {"weights": [float("nan")] * 8}),
         ("model", 1, {"weights": [0.0] * 7}),
@@ -868,3 +899,17 @@ def test_malformed_input_fails_with_one_line_error(tmp_path, capsys, target, lin
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}:{line}: ")
     assert err.count("\n") == 1
+
+
+def test_strings_and_booleans_beside_the_numbers_are_read(tmp_path):
+    """Keys beyond "x" and "y" may hold any JSON value; only the numbers of
+    "x" and "y" must be JSON numbers."""
+    spec = FeatureSpec(2, 2)
+    data = tmp_path / "data.jsonl"
+    write_dataset(data, [SequenceInstance([[1.0, 0.0]], [0])], spec)
+    lines = data.read_bytes().splitlines()
+    lines.append(b'{"x":[[1.0,0.0],[0.5,2.0]],"y":[0,1],"note":"true \\" false","ok":true}')
+    data.write_bytes(b"\n".join(lines) + b"\n")
+    instances, _, _ = read_dataset(data)
+    assert [inst.labels.tolist() for inst in instances] == [[0], [0, 1]]
+    np.testing.assert_array_equal(instances[1].features, [[1.0, 0.0], [0.5, 2.0]])

@@ -20,7 +20,6 @@ from medn import (
     l1m3n_dual_check,
     laplace_log_z,
     laplace_log_z_grad,
-    lockstep_train,
     shrinkage_mean,
     train_laplace_grid,
 )
@@ -62,7 +61,7 @@ class TestTrainGaussian:
         spec = FeatureSpec(d=2, m=2)
         data = make_signal_instances(rng, n=4, length=5, d=2)
         cfg = _cfg(iterations=100)
-        w = lockstep_train(data, spec, [cfg], inv_diag=np.ones((1, spec.K)))[0]
+        w = train_laplace_grid(data, spec, [cfg])[0][0]
         assert evaluate_weight_rows(spec, w[None], data)[0].per_label_err == 0.0
 
 
@@ -115,7 +114,7 @@ class TestTrainLaplace:
         mean, var = means[0], variances[0]
         # manual replay: one penalty solve at unit variances with C = 2, then
         # one variance refresh from the diagonal second moment
-        solved = lockstep_train(data, spec, [inner])[0]
+        solved = train_laplace_grid(data, spec, [inner])[0][0]
         second_moment = np.ones(spec.K) + solved**2
         np.testing.assert_array_equal(mean, solved)
         np.testing.assert_array_equal(
@@ -385,7 +384,7 @@ class TestL1M3N:
         rng = np.random.default_rng(55)
         spec = FeatureSpec(d=2, m=2)
         data = make_signal_instances(rng, n=3, length=4, d=2)
-        w = lockstep_train(data, spec, [_cfg(iterations=5, radius=1e-9)])[0]
+        w = train_laplace_grid(data, spec, [_cfg(iterations=5, radius=1e-9)])[0][0]
         assert np.abs(w).sum() <= 1e-9 + 1e-12
 
     def test_sparse_toy_prefers_relevant_features(self):
@@ -394,7 +393,7 @@ class TestL1M3N:
         data = make_signal_instances(rng, n=8, length=5, d=3)
         for inst in data:
             inst.features[:, 1:] = rng.standard_normal((len(inst), 2))
-        w = lockstep_train(data, spec, [_cfg(iterations=60, radius=1.0)])[0]
+        w = train_laplace_grid(data, spec, [_cfg(iterations=60, radius=1.0)])[0][0]
         state = np.abs(spec.state_view(w))
         assert state[1:].sum() < state[0].sum()
 

@@ -17,7 +17,6 @@ from medn import (
     SubgradConfig,
     evaluate_weight_rows,
     l1_ball_project,
-    lockstep_train,
     structured_hinge_objective,
     train_laplace_grid,
 )
@@ -127,7 +126,7 @@ class TestSubgradientTrain:
         spec = FeatureSpec(d=2, m=2)
         data = make_signal_instances(rng, n=2, length=3, d=2)
         cfg = _identity_cfg(iterations=200)
-        w = lockstep_train(data, spec, [cfg], inv_diag=np.ones((1, spec.K)))[0]
+        w = train_laplace_grid(data, spec, [cfg])[0][0]
         assert evaluate_weight_rows(spec, w[None], data)[0].per_label_err == 0.0
 
     def test_zero_hinge_weight_returns_zero_vector(self):
@@ -135,7 +134,7 @@ class TestSubgradientTrain:
         rng = np.random.default_rng(23)
         spec = FeatureSpec(d=2, m=2)
         data = make_signal_instances(rng, n=3, length=4, d=2)
-        w = lockstep_train(data, spec, [_identity_cfg(C=0.0)], inv_diag=np.ones((1, spec.K)))[0]
+        w = train_laplace_grid(data, spec, [_identity_cfg(C=0.0)])[0][0]
         np.testing.assert_array_equal(w, np.zeros(spec.K))
 
     def test_single_position_matches_grid_search_minimizer(self):
@@ -145,7 +144,7 @@ class TestSubgradientTrain:
         spec = FeatureSpec(d=1, m=2)
         data = [SequenceInstance([[1.0]], [0])]
         cfg = _identity_cfg(iterations=3000, C=2.0)
-        w = lockstep_train(data, spec, [cfg], inv_diag=np.ones((1, spec.K)))[0]
+        w = train_laplace_grid(data, spec, [cfg])[0][0]
         gaps = np.linspace(0.0, 3.0, 300001)
         objective = gaps**2 / 4.0 + 2.0 * np.maximum(0.0, 1.0 - gaps)
         best_gap = gaps[int(np.argmin(objective))]
@@ -160,7 +159,7 @@ class TestSubgradientTrain:
         data = make_signal_instances(rng, n=6, length=5, d=3)
         inv = np.ones(spec.K)
         cfg = _identity_cfg(iterations=20)
-        w = lockstep_train(data, spec, [cfg], inv_diag=np.ones((1, spec.K)))[0]
+        w = train_laplace_grid(data, spec, [cfg])[0][0]
         at_zero = structured_hinge_objective(data, spec, np.zeros(spec.K), cfg.C, inv_diag=inv)
         at_final = structured_hinge_objective(data, spec, w, cfg.C, inv_diag=inv)
         assert at_final <= at_zero
@@ -170,8 +169,8 @@ class TestSubgradientTrain:
         spec = FeatureSpec(d=2, m=2)
         data = make_signal_instances(rng, n=4, length=4, d=2)
         cfg = _identity_cfg(iterations=15, seed=77)
-        first = lockstep_train(data, spec, [cfg], inv_diag=np.ones((1, spec.K)))[0]
-        second = lockstep_train(data, spec, [cfg], inv_diag=np.ones((1, spec.K)))[0]
+        first = train_laplace_grid(data, spec, [cfg])[0][0]
+        second = train_laplace_grid(data, spec, [cfg])[0][0]
         np.testing.assert_array_equal(first, second)
 
     def test_divergent_step_size_raises(self):
@@ -181,7 +180,7 @@ class TestSubgradientTrain:
         data = make_signal_instances(rng, n=2, length=3, d=2)
         cfg = SubgradConfig(beta=1e-12, iterations=50, C=1e6, seed=0)
         with pytest.raises(RuntimeError) as info:
-            lockstep_train(data, spec, [cfg], inv_diag=np.ones((1, spec.K)))
+            train_laplace_grid(data, spec, [cfg])
         fields = re.search(
             r"epoch (\d+) at update t=(\d+): beta=(\S+) reached L2 norm (\S+);", str(info.value)
         )
@@ -192,7 +191,7 @@ class TestSubgradientTrain:
         stable = SubgradConfig(beta=1.0, iterations=50, C=1.0, seed=0)
         risky = SubgradConfig(beta=0.01, iterations=50, C=1.0, seed=0)
         with pytest.raises(RuntimeError) as info:
-            lockstep_train(data, spec, [stable, risky], inv_diag=np.ones((2, spec.K)))
+            train_laplace_grid(data, spec, [stable, risky])
         fields = re.search(
             r"epoch (\d+) at update t=(\d+): beta=(\S+) reached L2 norm (\S+);", str(info.value)
         )
@@ -216,7 +215,7 @@ class TestSubgradientTrain:
     def test_empty_data_raises(self):
         spec = FeatureSpec(d=2, m=2)
         with pytest.raises(ValueError):
-            lockstep_train([], spec, [_identity_cfg()], inv_diag=np.ones((1, spec.K)))
+            train_laplace_grid([], spec, [_identity_cfg()])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -234,14 +233,6 @@ class TestSubgradientTrain:
         for radius in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError, match="^radius must be positive$"):
                 SubgradConfig(beta=1.0, iterations=10, C=1.0, radius=radius)
-        # a zero (or non-finite) penalty entry would divide the step by zero
-        spec = FeatureSpec(d=1, m=2)
-        data = [SequenceInstance([[1.0]], [0])]
-        for bad in (0.0, np.inf, np.nan):
-            inv = np.ones((1, spec.K))
-            inv[0, 1] = bad
-            with pytest.raises(ValueError, match="inv_diag entries"):
-                lockstep_train(data, spec, [_identity_cfg()], inv_diag=inv)
 
 
 class TestL1ConstrainedTrain:
@@ -249,7 +240,7 @@ class TestL1ConstrainedTrain:
         rng = np.random.default_rng(27)
         spec = FeatureSpec(d=2, m=2)
         data = make_signal_instances(rng, n=3, length=4, d=2)
-        w = lockstep_train(data, spec, [_identity_cfg(iterations=10, radius=1e-9)])[0]
+        w = train_laplace_grid(data, spec, [_identity_cfg(iterations=10, radius=1e-9)])[0][0]
         assert np.abs(w).sum() <= 1e-9 + 1e-12
 
     def test_huge_radius_matches_unprojected_iterates(self):
@@ -259,7 +250,7 @@ class TestL1ConstrainedTrain:
         spec = FeatureSpec(d=2, m=2)
         data = make_signal_instances(rng, n=3, length=4, d=2)
         cfg = _identity_cfg(iterations=12, seed=5, radius=1e6)
-        trained = lockstep_train(data, spec, [cfg])[0]
+        trained = train_laplace_grid(data, spec, [cfg])[0][0]
 
         gold = [feature_vectors(spec, inst.features, inst.labels[None])[0] for inst in data]
         loop_rng = np.random.default_rng(cfg.seed)
@@ -284,7 +275,7 @@ class TestL1ConstrainedTrain:
         # Column 1 is pure noise; replace the mild 0.1-scaled noise with unit noise.
         for inst in data:
             inst.features[:, 1] = rng.standard_normal(len(inst))
-        w = lockstep_train(data, spec, [_identity_cfg(iterations=60, radius=1.0)])[0]
+        w = train_laplace_grid(data, spec, [_identity_cfg(iterations=60, radius=1.0)])[0][0]
         state = np.abs(spec.state_view(w))
         assert state[1].sum() < 0.1 * state[0].sum()
 
@@ -293,7 +284,7 @@ class TestL1ConstrainedTrain:
         spec = FeatureSpec(d=2, m=2)
         data = make_signal_instances(rng, n=2, length=3, d=2)
         with pytest.raises(ValueError):
-            lockstep_train(data, spec, [_identity_cfg(radius=0.0)])
+            train_laplace_grid(data, spec, [_identity_cfg(radius=0.0)])
 
 
 class TestStructuredHingeObjective:
@@ -368,6 +359,13 @@ class TestStructuredHingeObjective:
                     structured_hinge_objective(data, spec, w, 1.0, inv_diag=bad)
 
 
+def _kernel(data, spec, cfgs, inv_diag):
+    """The kernel's rows on all of ``data`` under the (B, K) preconditioner
+    ``inv_diag``, which only lapmedn's later rounds set (None: the identity)."""
+    subsets = [np.arange(len(data))] * len(cfgs)
+    return optimize._lockstep(optimize._KernelData(data, spec), cfgs, subsets, inv_diag=inv_diag)
+
+
 def _lockstep_problem(seed, m):
     rng = np.random.default_rng(seed)
     spec = FeatureSpec(d=3, m=m)
@@ -387,7 +385,7 @@ class TestLockstepEqualsPerConfigLoops:
         ]
         inv = np.ones((len(cfgs), spec.K))
         inv[1] = np.linspace(0.5, 4.0, spec.K)
-        rows = lockstep_train(data, spec, cfgs, inv_diag=inv)
+        rows = _kernel(data, spec, cfgs, inv)
         for row, cfg, inv_row in zip(rows, cfgs, inv):
             want = reference_subgradient_train(data, spec, inv_row, cfg)
             assert np.array_equal(row, want)
@@ -413,7 +411,8 @@ class TestLockstepEqualsPerConfigLoops:
         spec, data = _lockstep_problem(120 + m, m)
         cfgs = [SubgradConfig(beta=beta, iterations=4, C=1.0, seed=m) for beta in (1.0, 10.0)]
         grid = [(radius, cfg) for radius in (0.5, 3.0, 1e6) for cfg in cfgs]
-        rows = lockstep_train(data, spec, [replace(cfg, radius=radius) for radius, cfg in grid])
+        balls = [replace(cfg, radius=radius) for radius, cfg in grid]
+        rows = train_laplace_grid(data, spec, balls)[0]
         for row, (radius, cfg) in zip(rows, grid):
             want = reference_l1_constrained_train(data, spec, radius, cfg)
             # compare signs too: the projection leaves -0.0 entries
@@ -466,15 +465,14 @@ class TestLockstepValidation:
         a = SubgradConfig(beta=1.0, iterations=3, C=1.0, seed=0)
         b = SubgradConfig(1.0, 4, 1.0, seed=0)
         with pytest.raises(ValueError, match="share iterations"):
-            lockstep_train(data, spec, [a, b], inv_diag=np.ones((2, spec.K)))
+            train_laplace_grid(data, spec, [a, b])
 
     def test_training_sets_are_checked(self):
         spec, data = _lockstep_problem(132, 2)
         cfg = SubgradConfig(beta=1.0, iterations=3, C=1.0)
-        ones = np.ones((1, spec.K))
         for subsets in ([], [[0], [1]], [[]], [[0, 7]], [[-1, 0]], [[0.0]], [[[0]]]):
             with pytest.raises(ValueError):
-                lockstep_train(data, spec, [cfg], inv_diag=ones, subsets=subsets)
+                train_laplace_grid(data, spec, [cfg], subsets=subsets)
 
     def test_training_sets_of_any_integer_dtype(self):
         """[5, 0] as int32 has the bytes of [5] as int64; each row must still
@@ -482,9 +480,7 @@ class TestLockstepValidation:
         spec, data = _lockstep_problem(133, 2)
         cfg = SubgradConfig(beta=1.0, iterations=3, C=1.0, seed=4)
         subsets = [np.array([5], dtype=np.int64), np.array([5, 0], dtype=np.int32)]
-        rows = lockstep_train(
-            data, spec, [cfg, cfg], inv_diag=np.ones((2, spec.K)), subsets=subsets
-        )
+        rows = train_laplace_grid(data, spec, [cfg, cfg], subsets=subsets)[0]
         for row, subset in zip(rows, subsets):
             fold = [data[i] for i in subset]
             want = reference_subgradient_train(fold, spec, np.ones(spec.K), cfg)
@@ -511,16 +507,7 @@ class TestLockstepValidation:
         cfg = SubgradConfig(beta=1.0, iterations=3, C=1.0)
         message = "^3 iterations over 7 instances are more steps than the kernel can schedule$"
         with pytest.raises(ValueError, match=message):
-            lockstep_train(data, spec, [cfg], inv_diag=np.ones((1, spec.K)))
-
-    def test_exactly_one_step_rule(self):
-        """Each config brings its own rule; ``inv_diag`` needs one row per config."""
-        spec, data = _lockstep_problem(131, 2)
-        cfg = SubgradConfig(beta=1.0, iterations=3, C=1.0)
-        with pytest.raises(ValueError):
-            lockstep_train(data, spec, [cfg], inv_diag=np.ones((2, spec.K)))
-        with pytest.raises(ValueError):
-            lockstep_train(data, spec, [SubgradConfig(beta=1.0, iterations=3, C=1.0, radius=0.0)])
+            train_laplace_grid(data, spec, [cfg])
 
 
 def _count_calls(monkeypatch, module, name) -> list:
@@ -568,15 +555,15 @@ class TestKernelBranches:
         ones, inv = np.ones(spec.K), np.linspace(0.5, 4.0, spec.K)
         ball = replace(cfg, radius=3.0)
         rules = [
-            (cfg, {"inv_diag": ones[None]}, lambda: reference_subgradient_train(data, spec, ones, cfg)),
-            (cfg, {"inv_diag": inv[None]}, lambda: reference_subgradient_train(data, spec, inv, cfg)),
-            (ball, {}, lambda: reference_l1_constrained_train(data, spec, 3.0, cfg)),
+            (cfg, None, lambda: reference_subgradient_train(data, spec, ones, cfg)),
+            (cfg, inv[None], lambda: reference_subgradient_train(data, spec, inv, cfg)),
+            (ball, None, lambda: reference_l1_constrained_train(data, spec, 3.0, cfg)),
         ]
         maps = _count_calls(monkeypatch, optimize, "feature_vectors")
         lengths = len({len(inst) for inst in data})
-        for row_cfg, rule, reference in rules:
+        for row_cfg, inv_diag, reference in rules:
             maps.clear()
-            row = lockstep_train(data, spec, [row_cfg], **rule)[0]
+            row = _kernel(data, spec, [row_cfg], inv_diag)[0]
             assert _same_bits(row, reference())
             # one feature map per length for the golds, then one per hit update
             hits = len(maps) - lengths
@@ -603,7 +590,7 @@ class TestKernelBranches:
         cfgs[len(inv):] = [replace(cfg, radius=r) for cfg, r in zip(cfgs[len(inv):], radii)]
         maps = _count_calls(monkeypatch, optimize, "feature_vectors")
         ones = np.ones((len(radii), spec.K))  # a projecting row's scale of 1 is exact
-        rows = lockstep_train(data, spec, cfgs, inv_diag=np.vstack([inv, ones]))
+        rows = _kernel(data, spec, cfgs, np.vstack([inv, ones]))
         for b, cfg in enumerate(cfgs):
             if b < len(inv):
                 want = reference_subgradient_train(data, spec, inv[b], cfg)
@@ -630,7 +617,7 @@ class TestLayerCounts:
         decodes = _count_calls(monkeypatch, optimize, "_viterbi")
         maps = _count_calls(monkeypatch, optimize, "feature_vectors")
         checks = _count_calls(monkeypatch, optimize, "_check_instance")
-        row = lockstep_train(data, spec, [cfg], inv_diag=np.ones((1, spec.K)))[0]
+        row = train_laplace_grid(data, spec, [cfg])[0][0]
         assert np.array_equal(row, want)
         assert 0 < hits < cfg.iterations * len(data)
         assert len(decodes) == cfg.iterations * len(data)

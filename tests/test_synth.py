@@ -46,6 +46,15 @@ class TestGeneratorConfig:
             for value in (1.5, 2.0, True, -1, None, "3"):
                 with pytest.raises(ValueError, match=f"^{name} must be a nonnegative integer"):
                     _cfg(**{name: value})
+        # A truthy string used to switch correlated mode on, and a noise_sd
+        # of None or a string ended in math.isfinite's TypeError.
+        for value in ("no", 1, None, np.bool_(True)):
+            with pytest.raises(ValueError, match="^correlated must be a bool, got "):
+                _cfg(correlated=value)
+        for value in (None, "0.1", True, np.bool_(False), [0.1]):
+            with pytest.raises(ValueError, match="^noise_sd must be a real number, got "):
+                _cfg(noise_sd=value)
+        assert _cfg(noise_sd=np.float32(0.5), correlated=False).noise_sd == 0.5
         assert len(gen_dataset(_cfg(n_samples=np.int64(2), seed=np.uint32(7))).instances) == 2
 
 
