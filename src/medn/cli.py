@@ -5,14 +5,15 @@ norm-ball, pac-bound.  Every command is deterministic given its flags and
 seed; all tabular output is CSV with a header row, and files are written
 with "\\n" newlines so reruns are byte-identical.
 
-``train`` and ``cv`` share one training entry point, ``_train_grid``:
-``train`` gives it one row, and ``cv`` builds every (family, fold, config)
-row up front.  Each row becomes one config, which checks it before
-training starts, and one :func:`medn.models.train_laplace_grid` call
-trains them all: T - 1 lockstep kernel calls for the whole sweep.  ``cv``
-then evaluates each fold's rows in one decode of the other folds.
+``train`` and ``cv`` reject a flag that only a family they do not train
+reads (``FAMILY_FLAGS``) before any data is read, and build the config of
+each training row with one helper, ``_config``; a config checks itself
+when it is built, so every row is checked before training starts.  One
+:func:`medn.models.train_laplace_grid` call trains them all: T - 1
+lockstep kernel calls for the whole ``cv`` sweep, which then evaluates
+each fold's rows in one decode of the other folds.
 ``train`` reports the objective under the trained penalty 1 / var, and
-for l1m3n the hinge total alone.  It rejects a flag of another family.
+for l1m3n the hinge total alone.
 """
 
 import argparse
@@ -20,7 +21,6 @@ import csv
 import math
 import sys
 import time
-from collections import namedtuple
 from dataclasses import asdict
 from pathlib import Path
 
@@ -132,74 +132,76 @@ def _check_betas(flag, betas):
             raise ValueError(f"{flag} must be positive and finite, got {beta:g}")
 
 
-# One training of a sweep: ``lam`` counts only for lapmedn and ``radius``
-# only for l1m3n; it trains on ``instances[i] for i in subset``.
-TrainingRow = namedtuple("TrainingRow", "model lam beta radius subset seed")
-
-
-def _train_grid(instances, spec, rows, *, c, iters, outer_iters):
-    """Train every :class:`TrainingRow` of ``rows`` in lockstep.
-
-    Each row becomes one config, and so is checked, before training starts:
-    a :class:`LaplaceConfig` for lapmedn, a :class:`SubgradConfig` for m3n
-    and, with its radius, for l1m3n.  One :func:`train_laplace_grid` call
-    trains them all.  Returns the (B, K) weights, the (B, K) posterior
-    variances (1 for m3n, and for l1m3n, which has none) and each row's
-    slack penalty C, which defaults to 200 * beta for m3n and to 1
-    otherwise.
-    """
-    cfgs, hinge_weights = [], []
-    for row in rows:
-        c_row = c if c is not None else 200.0 * row.beta if row.model == "m3n" else 1.0
-        radius = row.radius if row.model == "l1m3n" else None
-        cfg = SubgradConfig(row.beta, iters, c_row, seed=row.seed, radius=radius)
-        cfgs.append(LaplaceConfig(row.lam, cfg, outer_iters) if row.model == "lapmedn" else cfg)
-        hinge_weights.append(c_row)
-    weights, variances = train_laplace_grid(
-        instances, spec, cfgs, subsets=[row.subset for row in rows]
-    )
-    return weights, variances, hinge_weights
-
-
-# The train flags that only one family reads, by their argparse dest.
-FAMILY_FLAGS = {"lam": ("--lambda", "lapmedn"), "radius": ("--radius", "l1m3n"),
+# The flags that only one family reads, by their argparse dest: train's
+# single values and cv's sweeps.
+FAMILY_FLAGS = {"lam": ("--lambda", "lapmedn"), "lambdas": ("--lambdas", "lapmedn"),
+                "radius": ("--radius", "l1m3n"), "radii": ("--radii", "l1m3n"),
                 "outer_iters": ("--outer-iters", "lapmedn")}
 
 
-def _cmd_train(args) -> int:
+def _families(args) -> list[str]:
+    """The families that a ``train`` or ``cv`` command trains.
+
+    Rejects an unknown or repeated family in ``cv``'s ``--models``, and a
+    family-only flag given when none of the families reads it.
+    """
+    if args.command == "train":
+        models = [args.model]
+    else:
+        models = [name.strip() for name in args.models.split(",") if name.strip()]
+        if not models:
+            raise ValueError("cv requires nonempty --models")
+        for name in models:
+            if name not in MODELS:
+                raise ValueError(f"unknown model {name!r}")
+            if models.count(name) > 1:
+                raise ValueError(f"--models lists {name} twice")
     for dest, (flag, family) in FAMILY_FLAGS.items():
-        if getattr(args, dest) is not None and args.model != family:
-            raise ValueError(f"{flag} is for {family} only, not {args.model}")
+        if getattr(args, dest, None) is not None and family not in models:
+            raise ValueError(f"{flag} is for {family} only, not {','.join(models)}")
+    return models
+
+
+def _config(model, lam, beta, radius, seed, args):
+    """The checked config of one training row: a :class:`LaplaceConfig` for
+    lapmedn, else a :class:`SubgradConfig`, with ``radius`` for l1m3n
+    (None otherwise).  The slack penalty C defaults to 200 * beta for m3n
+    and to 1 otherwise."""
+    c = args.c if args.c is not None else 200.0 * beta if model == "m3n" else 1.0
+    cfg = SubgradConfig(beta, args.iters, c, seed=seed, radius=radius)
+    if model != "lapmedn":
+        return cfg
+    outer_iters = DEFAULT_OUTER_ITERS if args.outer_iters is None else args.outer_iters
+    return LaplaceConfig(lam, cfg, outer_iters)
+
+
+def _cmd_train(args) -> int:
+    _families(args)
     if args.model == "lapmedn" and args.lam is None:
         raise ValueError("lapmedn requires --lambda")
     if args.model == "l1m3n" and args.radius is None:
         raise ValueError("l1m3n requires --radius")
     _check_betas("--beta", [args.beta])
-    outer_iters = DEFAULT_OUTER_ITERS if args.outer_iters is None else args.outer_iters
+    cfg = _config(args.model, args.lam, args.beta, args.radius, args.seed, args)
+    c = cfg.inner.C if args.model == "lapmedn" else cfg.C
     instances, spec, _ = read_dataset(args.data)
     started = time.perf_counter()
-    row = TrainingRow(
-        args.model, args.lam, args.beta, args.radius, np.arange(len(instances)), args.seed
-    )
-    weights, variances, (c_eff,) = _train_grid(
-        instances, spec, [row], c=args.c, iters=args.iters, outer_iters=outer_iters
-    )
-    weights = weights[0]
-    var_diag = None if args.model == "l1m3n" else variances[0]
+    (weights,), (variances,) = train_laplace_grid(instances, spec, [cfg])
+    var_diag = None if args.model == "l1m3n" else variances
     objective = structured_hinge_objective(
         instances,
         spec,
         weights,
-        c_eff,
+        c,
         inv_diag=None if var_diag is None else 1.0 / var_diag,
     )
     elapsed = time.perf_counter() - started
     hyper = {"lambda": args.lam} if args.model == "lapmedn" else {}
     if args.model == "l1m3n":
         hyper["radius"] = args.radius
-    hyper.update(beta=args.beta, c=c_eff, iters=args.iters)
+    hyper.update(beta=args.beta, c=c, iters=args.iters)
     if args.model == "lapmedn":
-        hyper["outer_iters"] = outer_iters
+        hyper["outer_iters"] = cfg.outer_iters
     hyper.update(seed=args.seed, n_train=len(instances))
     write_model_file(
         args.out,
@@ -268,76 +270,59 @@ def _hyper_grid(model_name, lambdas, betas, radii):
     elif model_name == "lapmedn":
         grid = [(lam, beta, None) for lam in lambdas for beta in betas]
         flags = "--lambdas and --betas"
-    elif model_name == "l1m3n":
+    else:
         grid = [(None, beta, radius) for radius in radii for beta in betas]
         flags = "--radii and --betas"
-    else:
-        raise ValueError(f"unknown model {model_name!r}")
     if not grid:
         raise ValueError(f"{model_name} requires nonempty {flags}")
     return grid
 
 
 def _cmd_cv(args) -> int:
-    instances, spec, _ = read_dataset(args.data)
-    n = len(instances)
-    if args.folds < 2:
-        raise ValueError("need at least 2 folds")
-    if args.folds > n:
-        raise ValueError("more folds than instances")
-    models = [name.strip() for name in args.models.split(",") if name.strip()]
-    if not models:
-        raise ValueError("cv requires nonempty --models")
-    grids = [_hyper_grid(name, args.lambdas, args.betas, args.radii) for name in models]
+    lambdas = DEFAULT_LAMBDA_GRID if args.lambdas is None else args.lambdas
+    radii = DEFAULT_RADIUS_GRID if args.radii is None else args.radii
+    table = [
+        (name, *hyper)
+        for name in _families(args)
+        for hyper in _hyper_grid(name, lambdas, args.betas, radii)
+    ]
     _check_betas("--betas", args.betas)
     _check_seed(args.seed)  # fold f trains with seed + f
-    rng = np.random.default_rng(args.seed)
-    folds = np.array_split(rng.permutation(n), args.folds)
-    # Inverted split: every (family, fold, config) row trains on its single
-    # fold with seed + fold, all of them in one lockstep training, and is
-    # tested on the other folds.
-    keys = [
-        (k, f, g)
-        for k, grid in enumerate(grids)
-        for f in range(len(folds))
-        for g in range(len(grid))
-    ]
-    rows = [TrainingRow(models[k], *grids[k][g], folds[f], args.seed + f) for k, f, g in keys]
-    weights, _, _ = _train_grid(
-        instances, spec, rows, c=args.c, iters=args.iters, outer_iters=args.outer_iters
-    )
-    reports = {}
+    if args.folds < 2:
+        raise ValueError("need at least 2 folds")
+    instances, spec, _ = read_dataset(args.data)
+    n = len(instances)
+    if args.folds > n:
+        raise ValueError("more folds than instances")
+    folds = np.array_split(np.random.default_rng(args.seed).permutation(n), args.folds)
+    # Inverted split: each config of the table trains on every single fold
+    # with seed + fold, all of them in one lockstep training, and is tested
+    # on the other folds.
+    cfgs = [_config(*row, args.seed + f, args) for row in table for f in range(len(folds))]
+    weights, _ = train_laplace_grid(instances, spec, cfgs, subsets=folds * len(table))
+    weights = weights.reshape(len(table), len(folds), -1)
+    reports = []
     for f, fold in enumerate(folds):
         held = set(fold.tolist())
         test_set = [instances[i] for i in range(n) if i not in held]
-        tested = [b for b, key in enumerate(keys) if key[1] == f]
-        for b, report in zip(tested, evaluate_weight_rows(spec, weights[tested], test_set)):
-            reports[keys[b]] = report
+        reports.append(evaluate_weight_rows(spec, weights[:, f], test_set))
     rows = []
-    for k, (name, grid) in enumerate(zip(models, grids)):
-        for g, (lam, beta, radius) in enumerate(grid):
-            config = [
-                name,
-                "" if lam is None else _fmt(lam),
-                _fmt(beta),
-                "" if radius is None else _fmt(radius),
-            ]
-            per_fold = [reports[k, f, g] for f in range(len(folds))]
-            for fold_idx, (fold, report) in enumerate(zip(folds, per_fold)):
-                rows.append(
-                    config
-                    + [
-                        fold_idx,
-                        len(fold),
-                        _fmt(report.per_label_err),
-                        _fmt(report.seq_err),
-                        args.seed + fold_idx,
-                    ]
-                )
-            label_stats = mean_std([r.per_label_err for r in per_fold])
-            seq_stats = mean_std([r.seq_err for r in per_fold])
-            for stat_name, label_stat, seq_stat in zip(("mean", "std"), label_stats, seq_stats):
-                rows.append(config + [stat_name, "", _fmt(label_stat), _fmt(seq_stat), args.seed])
+    for (name, lam, beta, radius), per_fold in zip(table, zip(*reports)):
+        config = [
+            name,
+            "" if lam is None else _fmt(lam),
+            _fmt(beta),
+            "" if radius is None else _fmt(radius),
+        ]
+        for f, (fold, report) in enumerate(zip(folds, per_fold)):
+            rows.append(
+                config
+                + [f, len(fold), _fmt(report.per_label_err), _fmt(report.seq_err), args.seed + f]
+            )
+        label_stats = mean_std([r.per_label_err for r in per_fold])
+        seq_stats = mean_std([r.seq_err for r in per_fold])
+        for stat_name, label_stat, seq_stat in zip(("mean", "std"), label_stats, seq_stats):
+            rows.append(config + [stat_name, "", _fmt(label_stat), _fmt(seq_stat), args.seed])
     _write_csv(args.out, CV_COLUMNS, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
@@ -486,12 +471,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--folds", type=int, required=True)
     p.add_argument("--models", default="m3n,lapmedn", help="comma-separated model list")
-    p.add_argument("--lambdas", type=_float_list, default=list(DEFAULT_LAMBDA_GRID))
+    p.add_argument("--lambdas", type=_float_list, default=None, help="prior scales (lapmedn)")
     p.add_argument("--betas", type=_float_list, default=list(DEFAULT_BETA_GRID))
-    p.add_argument("--radii", type=_float_list, default=list(DEFAULT_RADIUS_GRID))
+    p.add_argument("--radii", type=_float_list, default=None, help="L1 ball radii (l1m3n)")
     p.add_argument("--c", type=float, default=None)
     p.add_argument("--iters", type=int, default=50)
-    p.add_argument("--outer-iters", type=int, default=DEFAULT_OUTER_ITERS)
+    p.add_argument("--outer-iters", type=int, default=None, help="outer loop bound T (lapmedn)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_cv)

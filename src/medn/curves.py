@@ -31,14 +31,17 @@ class CurvePoint(NamedTuple):
     y: float
 
 
-def shrinkage_eta_grid(lam: float, n_points: int = 50, frac: float = 0.9) -> np.ndarray:
-    """Symmetric grid of eta values strictly inside (-sqrt(lam), sqrt(lam))."""
+# The shrinkage-curve grid spans this fraction of the (-sqrt(lam), sqrt(lam))
+# domain, where the shrinkage map has its poles.
+_ETA_GRID_FRACTION = 0.9
+
+
+def shrinkage_eta_grid(lam: float, n_points: int = 50) -> np.ndarray:
+    """Symmetric grid of eta values over 0.9 of (-sqrt(lam), sqrt(lam))."""
     _check_lam(lam)
-    if not 0.0 < frac < 1.0:
-        raise ValueError("frac must lie strictly inside (0, 1)")
     if n_points < 1:
         raise ValueError(f"need at least 1 grid point, got {n_points}")
-    half_width = frac * math.sqrt(lam)
+    half_width = _ETA_GRID_FRACTION * math.sqrt(lam)
     return np.linspace(-half_width, half_width, n_points)
 
 

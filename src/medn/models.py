@@ -277,17 +277,21 @@ def _kl_excess(mu, lam: float) -> float:
     return float(np.sum(radial - np.log1p(lam * mu**2 / (root + 1.0) / 2.0) * inv_sqrt))
 
 
-def l1m3n_dual_check(dual: DualWeights, data: list, tol: float = 1e-9) -> bool:
+# Slack of the dual feasibility test, for the rounding in eta's sums.
+_DUAL_TOL = 1e-9
+
+
+def l1m3n_dual_check(dual: DualWeights, data: list) -> bool:
     """Feasibility of dual weights for the L1-constrained problem.
 
     True iff every coordinate of eta has magnitude at most 1/2 and every
-    per-instance total weight is at most C, both within ``tol``.
+    per-instance total weight is at most C, both within 1e-9.
     Diagnostic only; no dual solver is shipped.
     """
     eta = dual.eta(data)
-    if np.any(np.abs(eta) > 0.5 + tol):
+    if np.any(np.abs(eta) > 0.5 + _DUAL_TOL):
         return False
     for amap in dual.alphas:
-        if sum(amap.values()) > dual.C + tol:
+        if sum(amap.values()) > dual.C + _DUAL_TOL:
             return False
     return True

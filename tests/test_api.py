@@ -87,17 +87,19 @@ def test_readme_python_blocks_run():
 
 def test_readme_command_lines_parse():
     """Every ``medn`` line in the README's sh blocks parses, and each
-    ``train`` line passes its family no flag of another family, which
-    ``train`` would reject."""
+    ``train`` or ``cv`` line passes only flags of the families it trains,
+    as the commands' own check (``cli._families``) requires."""
     blocks = re.findall(r"^```sh\n(.*?)^```$", README.read_text(), flags=re.M | re.S)
     lines = [line for block in blocks for line in block.splitlines() if line.startswith("medn ")]
     assert lines
     parser = cli.build_parser()
+    checked = set()
     for line in lines:
         args = parser.parse_args(shlex.split(line)[1:])
-        if args.command == "train":
-            for dest, (flag, family) in cli.FAMILY_FLAGS.items():
-                assert getattr(args, dest) is None or args.model == family, (flag, line)
+        if args.command in ("train", "cv"):
+            cli._families(args)
+            checked.add(args.command)
+    assert checked == {"train", "cv"}
 
 
 def test_readme_names_resolve():

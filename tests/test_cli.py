@@ -6,6 +6,7 @@ import io
 import json
 import math
 import warnings
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -13,8 +14,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from medn import FeatureSpec, LaplaceConfig, SequenceInstance, SubgradConfig
-from medn.cli import DEFAULT_BETA_GRID, DEFAULT_LAMBDA_GRID, build_parser, main
+from medn import FeatureSpec, LaplaceConfig, SequenceInstance
+from medn.cli import (
+    DEFAULT_BETA_GRID,
+    DEFAULT_LAMBDA_GRID,
+    DEFAULT_OUTER_ITERS,
+    DEFAULT_RADIUS_GRID,
+    main,
+)
 from medn import cli, optimize
 from medn.dataio import ModelFile, read_dataset, read_model_file, write_dataset, write_model_file
 from oracles import (
@@ -331,11 +338,40 @@ class TestCrossValidation:
             mean_row = float(groups["mean"][0][err_col])
             assert mean_row == pytest.approx(np.mean(fold_errs), abs=1e-9)
 
-    def test_default_sweep_grids(self):
-        parser = build_parser()
-        args = parser.parse_args(["cv", "--data", "x", "--folds", "2", "--out", "y"])
-        assert tuple(args.lambdas) == DEFAULT_LAMBDA_GRID == (9.0, 16.0, 25.0, 36.0, 49.0, 64.0)
-        assert tuple(args.betas) == DEFAULT_BETA_GRID == (1.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
+    def test_default_sweep_grids(self, tmp_path, monkeypatch):
+        """Without sweep flags, cv trains every family over the default grids
+        on every fold, lapmedn with T = 4."""
+
+        class Swept(Exception):
+            pass
+
+        def recording(instances, spec, cfgs, *, subsets):
+            swept.extend(cfgs)
+            raise Swept
+
+        swept = []
+        monkeypatch.setattr(cli, "train_laplace_grid", recording)
+        data = tmp_path / "cv.jsonl"
+        _write_signal_dataset(data, n=4, seed=94)
+        with pytest.raises(Swept):
+            main(["cv", "--data", str(data), "--folds", "2", "--models", "m3n,lapmedn,l1m3n",
+                  "--out", str(tmp_path / "o.csv")])
+        rows = Counter(
+            ("lapmedn", cfg.lam, cfg.inner.beta, None, cfg.outer_iters)
+            if isinstance(cfg, LaplaceConfig)
+            else ("m3n" if cfg.radius is None else "l1m3n", None, cfg.beta, cfg.radius, None)
+            for cfg in swept
+        )
+        assert DEFAULT_LAMBDA_GRID == (9.0, 16.0, 25.0, 36.0, 49.0, 64.0)
+        assert DEFAULT_BETA_GRID == (1.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
+        assert (DEFAULT_RADIUS_GRID, DEFAULT_OUTER_ITERS) == ((10.0,), 4)
+        want = (
+            [("m3n", None, beta, None, None) for beta in DEFAULT_BETA_GRID]
+            + [("lapmedn", lam, beta, None, 4) for lam in DEFAULT_LAMBDA_GRID
+               for beta in DEFAULT_BETA_GRID]
+            + [("l1m3n", None, beta, 10.0, None) for beta in DEFAULT_BETA_GRID]
+        )
+        assert rows == Counter(want * 2)
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -344,13 +380,14 @@ class TestCrossValidation:
             (["--models", "m3n,lapmedn", "--lambdas", ""], "error: lapmedn requires nonempty --lambdas"),
             (["--models", ""], "error: cv requires nonempty --models\n"),
             (["--models", ","], "error: cv requires nonempty --models\n"),
+            (["--models", "m3n,lapmedn,m3n"], "error: --models lists m3n twice\n"),
         ],
     )
     def test_sweep_is_validated_before_any_training(self, tmp_path, capsys, monkeypatch, flags, message):
         def no_training(*args, **kwargs):
             raise AssertionError("trained before the sweep was validated")
 
-        monkeypatch.setattr(cli, "_train_grid", no_training)
+        monkeypatch.setattr(cli, "train_laplace_grid", no_training)
         data = tmp_path / "cv.jsonl"
         _write_signal_dataset(data, n=6, seed=90)
         code = main(
@@ -399,13 +436,13 @@ class TestCrossValidation:
         number of rounds; signs too, for the -0.0 the projection leaves."""
         trainings = []
 
-        def recording(instances, spec, rows, **kwargs):
-            out = real(instances, spec, rows, **kwargs)
-            trainings.append((instances, spec, rows, out))
+        def recording(instances, spec, cfgs, *, subsets):
+            out = real(instances, spec, cfgs, subsets=subsets)
+            trainings.append((instances, spec, cfgs, subsets, out))
             return out
 
-        real = cli._train_grid
-        monkeypatch.setattr(cli, "_train_grid", recording)
+        real = cli.train_laplace_grid
+        monkeypatch.setattr(cli, "train_laplace_grid", recording)
         rng = np.random.default_rng(93)
         data = tmp_path / "mixed.jsonl"
         write_dataset(data, make_mixed_instances(rng, n=11, d=3, m=3), FeatureSpec(3, 3), meta={})
@@ -415,24 +452,25 @@ class TestCrossValidation:
              "--outer-iters", str(outer_iters), "--seed", "7", "--out", str(tmp_path / "cv.csv")]
         )
         assert code == 0
-        ((instances, spec, rows, (weights, _, hinge_weights)),) = trainings
+        ((instances, spec, cfgs, subsets, (weights, _)),) = trainings
         folds = np.array_split(np.random.default_rng(7).permutation(11), 3)
         assert [len(fold) for fold in folds] == [4, 4, 3]
         assert len({len(inst) for inst in instances}) > 1
-        assert len(rows) == (2 + 4 + 4) * 3
-        for (name, lam, beta, radius, fold, seed), w, c in zip(rows, weights, hinge_weights):
-            (f,) = [f for f, want in enumerate(folds) if np.array_equal(fold, want)]
-            assert seed == 7 + f
-            train_set = [instances[i] for i in fold]
-            cfg = SubgradConfig(beta=beta, iterations=3, C=c, seed=seed)
-            if name == "m3n":
+        assert len(cfgs) == len(subsets) == (2 + 4 + 4) * 3
+        for cfg, subset, w in zip(cfgs, subsets, weights):
+            (f,) = [f for f, want in enumerate(folds) if np.array_equal(subset, want)]
+            inner = cfg.inner if isinstance(cfg, LaplaceConfig) else cfg
+            assert (inner.iterations, inner.seed) == (3, 7 + f)
+            train_set = [instances[i] for i in subset]
+            if isinstance(cfg, LaplaceConfig):
+                assert cfg.outer_iters == outer_iters
+                want = reference_train_laplace(train_set, spec, cfg)[-1][0]
+            elif cfg.radius is None:
+                assert cfg.C == 200.0 * cfg.beta
                 want = reference_subgradient_train(train_set, spec, np.ones(spec.K), cfg)
-            elif name == "lapmedn":
-                lcfg = LaplaceConfig(lam=lam, inner=cfg, outer_iters=outer_iters)
-                want = reference_train_laplace(train_set, spec, lcfg)[-1][0]
             else:
-                want = reference_l1_constrained_train(train_set, spec, radius, cfg)
-            assert np.array_equal(w, want), (name, lam, beta, radius, f)
+                want = reference_l1_constrained_train(train_set, spec, cfg.radius, cfg)
+            assert np.array_equal(w, want), (cfg, f)
             assert np.array_equal(np.signbit(w), np.signbit(want))
 
     def test_more_folds_than_instances_rejected(self, tmp_path):
@@ -539,6 +577,26 @@ class TestTrainingFlags:
         assert (code, err, caught) == (2, message, [])
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "models, flag, message",
+        [("m3n", "--radii=5", "error: --radii is for l1m3n only, not m3n\n"),
+         ("lapmedn", "--radii=1", "error: --radii is for l1m3n only, not lapmedn\n"),
+         ("m3n", "--lambdas=4", "error: --lambdas is for lapmedn only, not m3n\n"),
+         ("m3n,l1m3n", "--lambdas=9,16", "error: --lambdas is for lapmedn only, not m3n,l1m3n\n"),
+         ("m3n", "--outer-iters=4", "error: --outer-iters is for lapmedn only, not m3n\n"),
+         ("l1m3n", "--outer-iters=3", "error: --outer-iters is for lapmedn only, not l1m3n\n")],
+    )
+    def test_cv_rejects_another_familys_flag(self, tmp_path, monkeypatch, models, flag, message):
+        """A sweep flag that no family of ``--models`` reads is one error
+        line, given before the data is read, as in train."""
+        monkeypatch.setattr(cli, "read_dataset", None)
+        out = tmp_path / "o"
+        code, _, err, caught = _run_quietly(
+            ["cv", f"--models={models}", flag, "--folds=2", "--data=missing.jsonl", f"--out={out}"]
+        )
+        assert (code, err, caught) == (2, message, [])
+        assert not out.exists()
+
     @settings(max_examples=100, deadline=None)
     @given(
         models=st.sampled_from(["m3n", "lapmedn", "l1m3n", "m3n,lapmedn,l1m3n"]),
@@ -553,9 +611,10 @@ class TestTrainingFlags:
     @example(models="lapmedn", beta=1.0, c=None, lam=5e-324, radius=1.0, iters=2, outer_iters=3,
              folds=2)
     def test_cv(self, tmp_path_factory, models, beta, c, lam, radius, iters, outer_iters, folds):
-        argv = ["cv", f"--models={models}", f"--betas={beta!r}", f"--lambdas={lam!r}",
-                f"--radii={radius!r}", f"--iters={iters}", f"--outer-iters={outer_iters}",
-                f"--folds={folds}"]
+        own = {"m3n": [], "l1m3n": [f"--radii={radius!r}"],
+               "lapmedn": [f"--lambdas={lam!r}", f"--outer-iters={outer_iters}"]}
+        argv = ["cv", f"--models={models}", f"--betas={beta!r}", f"--iters={iters}",
+                f"--folds={folds}", *[flag for name in models.split(",") for flag in own[name]]]
         self._run(tmp_path_factory, argv + ([] if c is None else [f"--c={c!r}"]))
 
 
