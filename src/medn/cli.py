@@ -6,9 +6,10 @@ seed; all tabular output is CSV with a header row, and files are written
 with "\\n" newlines so reruns are byte-identical.
 
 ``train`` and ``cv`` reject a flag that only a family they do not train
-reads (``FAMILY_FLAGS``) before any data is read, and build the config of
-each training row with one helper, ``_config``; a config checks itself
-when it is built, so every row is checked before training starts.  One
+reads (``FAMILY_FLAGS``), and ``cv`` a family or a sweep value listed
+twice, before any data is read.  They build the config of each training
+row with one helper, ``_config``; a config checks itself when it is
+built, so every row is checked before training starts.  One
 :func:`medn.models.train_laplace_grid` call trains them all: T - 1
 lockstep kernel calls for the whole ``cv`` sweep, which then evaluates
 each fold's rows in one decode of the other folds.
@@ -130,6 +131,14 @@ def _check_betas(flag, betas):
     for beta in betas:
         if not 0.0 < beta < math.inf:
             raise ValueError(f"{flag} must be positive and finite, got {beta:g}")
+
+
+def _check_distinct(flag, values):
+    """Rejects a sweep value listed twice; values compare as floats, so 1
+    and 1.0 are one value."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{flag} lists {value:g} twice")
 
 
 # The flags that only one family reads, by their argparse dest: train's
@@ -287,6 +296,8 @@ def _cmd_cv(args) -> int:
         for hyper in _hyper_grid(name, lambdas, args.betas, radii)
     ]
     _check_betas("--betas", args.betas)
+    for flag, values in (("--lambdas", lambdas), ("--betas", args.betas), ("--radii", radii)):
+        _check_distinct(flag, values)
     _check_seed(args.seed)  # fold f trains with seed + f
     if args.folds < 2:
         raise ValueError("need at least 2 folds")

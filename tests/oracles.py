@@ -6,13 +6,15 @@ dynamic programs or solvers under test.
 """
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 from scipy.integrate import quad
 
-from medn import SequenceInstance, l1_ball_project
+from medn import FeatureSpec, SequenceInstance, l1_ball_project
 from medn.chain import feature_vectors, loss_augmented_decode_rows
 from medn.models import VARIANCE_FLOOR
 
@@ -187,6 +189,25 @@ def make_mixed_instances(rng, n: int, d: int, m: int, max_length: int = 7) -> li
         x[np.arange(length), y % d] += 1.0
         instances.append(SequenceInstance(x, y))
     return instances
+
+
+def reference_read_dataset(path):
+    """A dataset file read by its definition: the whole file's bytes split
+    with ``bytes.splitlines()``, the first line the header, blank and
+    whitespace-only lines skipped, each other line one ``json.loads``
+    object.  Invalid JSON raises ``ValueError`` starting ``path:line:``."""
+    lines = Path(path).read_bytes().splitlines()
+    header = json.loads(lines[0])
+    instances = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
+        instances.append(SequenceInstance(np.array(obj["x"], dtype=float), np.array(obj["y"])))
+    return instances, FeatureSpec(header["d"], header["m"]), header["meta"]
 
 
 # The per-config trainer loops the lockstep kernel replaced, kept as the

@@ -381,6 +381,9 @@ class TestCrossValidation:
             (["--models", ""], "error: cv requires nonempty --models\n"),
             (["--models", ","], "error: cv requires nonempty --models\n"),
             (["--models", "m3n,lapmedn,m3n"], "error: --models lists m3n twice\n"),
+            (["--models", "m3n", "--betas", "1,1.0"], "error: --betas lists 1 twice\n"),
+            (["--models", "lapmedn", "--lambdas", "4,9,4"], "error: --lambdas lists 4 twice\n"),
+            (["--models", "m3n,l1m3n", "--radii", "2.5,2.50"], "error: --radii lists 2.5 twice\n"),
         ],
     )
     def test_sweep_is_validated_before_any_training(self, tmp_path, capsys, monkeypatch, flags, message):

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import mpmath
@@ -35,6 +36,7 @@ from medn.curves import (
     shrinkage_eta_grid,
     shrinkage_points,
 )
+from medn import dataio
 from medn.dataio import (
     ModelFile,
     read_dataset,
@@ -42,7 +44,7 @@ from medn.dataio import (
     write_dataset,
     write_model_file,
 )
-from oracles import laplace_tilted_mean, norm_ball_radius_oracle
+from oracles import laplace_tilted_mean, norm_ball_radius_oracle, reference_read_dataset
 
 
 # Up to three single-character edits: (position, operation, character).
@@ -76,6 +78,41 @@ def _assert_parses_or_fails_in_one_located_line(reader, path):
 
 
 _ONE_FEATURE_HEADER = '{"d":1,"format":1,"kind":"sequence-dataset","m":2,"meta":{}}'
+_TWO_FEATURE_HEADER = '{"d":2,"format":1,"kind":"sequence-dataset","m":3,"meta":{"n":1}}'
+
+
+@st.composite
+def _dataset_lines(draw):
+    """The lines of a valid d = 2, m = 3 dataset file: the header, then up
+    to five instance lines with blank and whitespace-only lines among them."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        length = draw(st.integers(1, 3))
+        x = draw(st.lists(st.lists(finite, min_size=2, max_size=2), min_size=length, max_size=length))
+        y = draw(st.lists(st.integers(0, 2), min_size=length, max_size=length))
+        lines.append(json.dumps({"x": x, "y": y}))
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t", " \t\x0b\x0c "])))
+    return [_TWO_FEATURE_HEADER, *lines]
+
+
+def _joined(draw, lines) -> bytes:
+    """``lines``, each ended by "\\n", "\\r\\n" or "\\r", the last one's
+    ending sometimes dropped."""
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text[: -len(ends[-1])]
+    return text.encode()
+
+
+def _assert_same_instances(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.features.shape == b.features.shape
+        assert a.features.tobytes() == b.features.tobytes()
+        np.testing.assert_array_equal(a.labels, b.labels)
 
 
 @st.composite
@@ -243,6 +280,71 @@ class TestDatasetFiles:
         else:
             with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: {message}$"):
                 read_dataset(path)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_lines_end_as_bytes_splitlines_ends_them(self, tmp_path_factory, data):
+        """Lines end at "\\n", "\\r\\n" or "\\r", with or without a final
+        line break, exactly as ``bytes.splitlines()`` splits the whole file."""
+        path = tmp_path_factory.getbasetemp() / "endings.jsonl"
+        path.write_bytes(_joined(data.draw, data.draw(_dataset_lines())))
+        (got, spec, meta), (want, want_spec, want_meta) = read_dataset(path), reference_read_dataset(path)
+        assert (spec, meta) == (want_spec, want_meta)
+        _assert_same_instances(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), bad=st.sampled_from(['{"x":[[1.0,2.0]],"y":[0]', '{"x":[],"y":[],}', "nope"]))
+    def test_invalid_json_is_located_at_the_line_splitlines_gives(self, tmp_path_factory, data, bad):
+        lines = data.draw(_dataset_lines())
+        at = data.draw(st.integers(1, len(lines)))
+        lines[at : at + 1] = [bad]
+        path = tmp_path_factory.getbasetemp() / "bad-line.jsonl"
+        path.write_bytes(_joined(data.draw, lines))
+        with pytest.raises(ValueError) as want:
+            reference_read_dataset(path)
+        with pytest.raises(ValueError) as got:
+            read_dataset(path)
+        located = rf"{re.escape(str(path))}:\d+: invalid JSON: "
+        assert re.match(located, str(got.value)) and re.match(located, str(want.value))
+        assert str(got.value).split(": ")[0] == str(want.value).split(": ")[0]
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_a_line_longer_than_the_read_buffer_reads_bit_for_bit(self, tmp_path, end):
+        rng = np.random.default_rng(16)
+        instances = [SequenceInstance(rng.standard_normal((60_000, 1)), rng.integers(0, 2, 60_000)),
+                     SequenceInstance([[0.25]], [1])]
+        path = tmp_path / "long.jsonl"
+        write_dataset(path, instances, FeatureSpec(1, 2))
+        lines = path.read_bytes().splitlines()
+        assert len(lines[1]) > dataio._READ_BUFFER
+        path.write_bytes(b"".join(line + end.encode() for line in lines))
+        back, _, _ = read_dataset(path)
+        _assert_same_instances(back, instances)
+
+    def test_a_read_holds_about_one_line_beyond_what_it_returns(self, tmp_path):
+        """The reader streams: at its peak it holds what it returns plus its
+        read buffer and about one line, under a quarter of a 6 MB file.  A
+        reader that holds the file's bytes, or its lines, needs more than
+        the file's size."""
+        rng = np.random.default_rng(17)
+        instances = [SequenceInstance(rng.standard_normal((40, 50)), rng.integers(0, 4, 40))
+                     for _ in range(150)]
+        path = tmp_path / "wide.jsonl"
+        write_dataset(path, instances, FeatureSpec(50, 4))
+        size = path.stat().st_size
+        assert size > 4e6
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            back, _, _ = read_dataset(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(back) == 150
+        assert peak - held < size / 4
 
 
 class TestModelFiles:
