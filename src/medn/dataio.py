@@ -7,12 +7,14 @@ object carrying a format version, the model kind, weights, optional
 variances, and hyperparameters.
 
 Strict JSON in, canonical ``json.dumps`` out.  ``read_dataset`` streams the
-file one line at a time, ending lines at "\\n", "\\r\\n" and "\\r", so it
-holds one line of text and the arrays it returns, never the whole file.
-The readers parse each line with ``orjson``, which rounds every number
-exactly as ``float`` does but several times faster; NaN, infinities,
-numbers past the double range, invalid UTF-8 and lone surrogates are
-invalid JSON, and values nest at most 1000 levels.
+file one "\\n"-terminated read at a time and ends lines at "\\n", "\\r\\n"
+and "\\r", as ``bytes.splitlines()`` does, so it holds one line of text
+and the arrays it returns, not the whole file; a file whose lines all end
+in a bare "\\r" has no "\\n" and is still read whole.  The readers
+parse each line with ``orjson``, which rounds every number exactly as
+``float`` does but several times faster; NaN, infinities, numbers past
+the double range, invalid UTF-8 and lone surrogates are invalid JSON, and
+values nest at most 1000 levels.
 Booleans and strings where numbers belong are errors too, though numpy
 would read them as numbers.  The writers keep the standard library,
 because ``orjson.dumps`` prints some floats differently
@@ -105,17 +107,25 @@ def _depth(text: bytes) -> int:
     return int(np.cumsum(steps).max(initial=0))
 
 
-def _json_object(line: bytes, end: int) -> dict:
-    """The JSON object in ``line[:end]``, parsed without copying it."""
+def _json_object(text) -> dict:
+    """The JSON object in ``text``, bytes or a memoryview of them."""
     # Text with at most _MAX_DEPTH opening brackets cannot nest deeper; "["
     # and "{" differ only in bit 0x20.
-    opening = np.count_nonzero((np.frombuffer(line, dtype=np.uint8, count=end) | 0x20) == ord("{"))
-    if opening > _MAX_DEPTH and _depth(line[:end]) > _MAX_DEPTH:
+    opening = np.count_nonzero((np.frombuffer(text, dtype=np.uint8) | 0x20) == ord("{"))
+    if opening > _MAX_DEPTH and _depth(bytes(text)) > _MAX_DEPTH:
         raise ValueError(f"JSON nested deeper than {_MAX_DEPTH} levels")
-    obj = orjson.loads(memoryview(line)[:end])
+    obj = orjson.loads(text)
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     return obj
+
+
+def _line_object(line: bytes) -> dict:
+    """The JSON object on dataset line ``line``, which may end in "\\n".
+    orjson reads a view of the line without it: with the "\\n", some
+    errors read differently (a cut string is "unexpected control character
+    in string", not "unexpected end of data")."""
+    return _json_object(memoryview(line)[: len(line) - line.endswith(b"\n")])
 
 
 def _json_numbers(value, key: str):
@@ -131,23 +141,23 @@ def _json_numbers(value, key: str):
     return value
 
 
-def _may_hold_non_numbers(line: bytes, end: int) -> bool:
-    """Whether dataset line ``line[:end]`` has a true, a false, or a string
-    besides its keys "x" and "y"; no other line can hold a non-number, so
-    the others skip :func:`_json_numbers`.  Each test is a memchr scan: no
-    number or key has a "t" or an "f", and the two keys take four quotes."""
-    if line.find(b"t", 0, end) >= 0 or line.find(b"f", 0, end) >= 0:
+def _may_hold_non_numbers(line: bytes) -> bool:
+    """Whether a dataset line has a true, a false, or a string besides its
+    keys "x" and "y"; no other line can hold a non-number, so the others
+    skip :func:`_json_numbers`.  Each test is a memchr scan: no number or
+    key has a "t" or an "f", and the two keys take four quotes."""
+    if b"t" in line or b"f" in line:
         return True
     at = -1
     for _ in range(5):
-        at = line.find(b'"', at + 1, end)
+        at = line.find(b'"', at + 1)
         if at < 0:
             return False
     return True
 
 
-def _parse_header(line: bytes, end: int) -> tuple[FeatureSpec, dict]:
-    header = _json_object(line, end)
+def _parse_header(line: bytes) -> tuple[FeatureSpec, dict]:
+    header = _line_object(line)
     if header.get("kind") != _DATASET_KIND:
         raise ValueError("not a dataset file")
     if _json_int(header, "format") != DATASET_FORMAT:
@@ -155,9 +165,9 @@ def _parse_header(line: bytes, end: int) -> tuple[FeatureSpec, dict]:
     return FeatureSpec(_json_int(header, "d"), _json_int(header, "m")), header.get("meta", {})
 
 
-def _parse_instance(line: bytes, end: int, spec: FeatureSpec) -> SequenceInstance:
-    obj = _json_object(line, end)
-    if _may_hold_non_numbers(line, end):
+def _parse_instance(line: bytes, spec: FeatureSpec) -> SequenceInstance:
+    obj = _line_object(line)
+    if _may_hold_non_numbers(line):
         _json_numbers(obj["x"], "x")
         _json_numbers(obj["y"], "y")
     x = np.asarray(obj["x"], dtype=float)
@@ -176,26 +186,26 @@ _READ_BUFFER = 1 << 20
 
 
 def _lines(fh):
-    """The lines of binary file ``fh``, exactly as ``bytes.splitlines()``
-    splits the whole file, as ``(line, end)`` pairs: ``line[:end]`` is the
-    line without its line break."""
-    for line in fh:
-        if b"\r" in line:
+    """The lines of binary file ``fh`` as ``bytes.splitlines()`` splits the
+    whole file, except that a line without "\\r" keeps its "\\n":
+    ``splitlines()`` would scan it byte by byte and copy it."""
+    for read in fh:
+        if b"\r" in read:
             # Every read ends at a "\n", so no "\r\n" straddles two.
-            for piece in line.splitlines():
-                yield piece, len(piece)
+            yield from read.splitlines()
         else:
-            yield line, len(line) - line.endswith(b"\n")
+            yield read
 
 
 def read_dataset(path):
     """Parse a dataset file; returns (instances, spec, meta).
 
-    The file is read one line at a time, so a read holds one line of text
-    besides the instances it has parsed.  Every line must parse and agree
-    with the header's d and m; blank and whitespace-only lines after the
-    header are skipped, and any malformed line raises ``ValueError``
-    naming ``path:line``.
+    The file is read one "\\n"-terminated piece at a time, so a read holds
+    one line of text besides the instances it has parsed; a file with no
+    "\\n" (bare "\\r" line endings) is one piece and is read whole.  Every
+    line must parse and agree with the header's d and m; blank and
+    whitespace-only lines after the header are skipped, and any malformed
+    line raises ``ValueError`` naming ``path:line``.
     """
     with open(path, "rb", buffering=_READ_BUFFER) as fh:
         lines = _lines(fh)
@@ -203,15 +213,15 @@ def read_dataset(path):
         if first is None:
             raise ValueError(f"{path}: empty dataset file")
         try:
-            spec, meta = _parse_header(*first)
+            spec, meta = _parse_header(first)
         except _PARSE_ERRORS as exc:
             raise _located(path, 1, exc) from None
         instances = []
-        for lineno, (line, end) in enumerate(lines, start=2):
-            if end == 0 or line.isspace():  # a line's "\n" is whitespace too
+        for lineno, line in enumerate(lines, start=2):
+            if not line or line.isspace():  # a kept "\n" is whitespace too
                 continue
             try:
-                instances.append(_parse_instance(line, end, spec))
+                instances.append(_parse_instance(line, spec))
             except _PARSE_ERRORS as exc:
                 raise _located(path, lineno, exc) from None
     return instances, spec, meta
@@ -267,7 +277,7 @@ def read_model_file(path) -> ModelFile:
     with open(path, "rb") as fh:
         content = fh.read()
     try:
-        payload = _json_object(content, len(content))
+        payload = _json_object(content)
         if _json_int(payload, "format") != MODEL_FORMAT:
             raise ValueError(f"unsupported model format {payload['format']}")
         var = _json_numbers(payload.get("var_diag"), "var_diag")
