@@ -13,7 +13,6 @@ from .models import (
     DualWeights,
     LaplaceConfig,
     kl_norm,
-    l1m3n_dual_check,
     laplace_log_z,
     laplace_log_z_grad,
     shrinkage_mean,
@@ -53,7 +52,6 @@ __all__ = [
     "gibbs_chains",
     "kl_norm",
     "l1_ball_project",
-    "l1m3n_dual_check",
     "laplace_log_z",
     "laplace_log_z_grad",
     "margin_sample_count",

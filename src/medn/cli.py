@@ -205,13 +205,18 @@ def _cmd_train(args) -> int:
         inv_diag=None if var_diag is None else 1.0 / var_diag,
     )
     elapsed = time.perf_counter() - started
-    hyper = {"lambda": args.lam} if args.model == "lapmedn" else {}
-    if args.model == "l1m3n":
-        hyper["radius"] = args.radius
-    hyper.update(beta=args.beta, c=c, iters=args.iters)
-    if args.model == "lapmedn":
-        hyper["outer_iters"] = cfg.outer_iters
-    hyper.update(seed=args.seed, n_train=len(instances))
+    hyper = {
+        "lambda": args.lam,
+        "radius": args.radius,
+        "beta": args.beta,
+        "c": c,
+        "iters": args.iters,
+        "outer_iters": getattr(cfg, "outer_iters", None),
+        "seed": args.seed,
+        "n_train": len(instances),
+    }
+    # A family's model file records only the flags that family reads.
+    hyper = {key: value for key, value in hyper.items() if value is not None}
     write_model_file(
         args.out,
         ModelFile(kind=args.model, spec=spec, weights=weights, var_diag=var_diag, hyper=hyper),
@@ -356,6 +361,7 @@ def _parse_eta_grid(text: str) -> np.ndarray:
 def _cmd_shrinkage_curve(args) -> int:
     if not args.lambdas:
         raise ValueError("shrinkage-curve requires nonempty --lambdas")
+    _check_distinct("--lambdas", args.lambdas)
     rows = []
     explicit = _parse_eta_grid(args.eta_grid) if args.eta_grid else None
     widest = None
@@ -375,6 +381,7 @@ def _cmd_shrinkage_curve(args) -> int:
 def _cmd_norm_ball(args) -> int:
     if args.angles < 0:
         raise ValueError(f"--angles must be nonnegative, got {args.angles}")
+    _check_distinct("--lambdas", args.lambdas)
     rows = []
     for lam in args.lambdas:
         level = norm_ball_level(lam)

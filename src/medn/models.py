@@ -35,7 +35,6 @@ __all__ = [
     "laplace_log_z",
     "laplace_log_z_grad",
     "kl_norm",
-    "l1m3n_dual_check",
 ]
 
 # Floor on posterior variances: keeps the next round's inverse-variance
@@ -79,18 +78,14 @@ class LaplaceConfig:
 class DualWeights:
     """Per-instance nonnegative weights over alternative labelings.
 
-    ``alphas[i]`` maps a labeling tuple to its weight for instance i; ``C``
-    caps the per-instance totals in the feasibility check.  Sparse: only
-    labelings with nonzero weight need appear.
+    ``alphas[i]`` maps a labeling tuple to its weight for instance i.
+    Sparse: only labelings with nonzero weight need appear.
     """
 
     spec: FeatureSpec
-    C: float
     alphas: list
 
     def __post_init__(self):
-        if not self.C > 0:
-            raise ValueError("C must be positive")
         cleaned = []
         for amap in self.alphas:
             row = {}
@@ -276,22 +271,3 @@ def _kl_excess(mu, lam: float) -> float:
     radial = mu**2 / (np.sqrt(mu**2 + 1.0 / lam) + inv_sqrt)
     return float(np.sum(radial - np.log1p(lam * mu**2 / (root + 1.0) / 2.0) * inv_sqrt))
 
-
-# Slack of the dual feasibility test, for the rounding in eta's sums.
-_DUAL_TOL = 1e-9
-
-
-def l1m3n_dual_check(dual: DualWeights, data: list) -> bool:
-    """Feasibility of dual weights for the L1-constrained problem.
-
-    True iff every coordinate of eta has magnitude at most 1/2 and every
-    per-instance total weight is at most C, both within 1e-9.
-    Diagnostic only; no dual solver is shipped.
-    """
-    eta = dual.eta(data)
-    if np.any(np.abs(eta) > 0.5 + _DUAL_TOL):
-        return False
-    for amap in dual.alphas:
-        if sum(amap.values()) > dual.C + _DUAL_TOL:
-            return False
-    return True

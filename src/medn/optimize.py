@@ -59,8 +59,8 @@ class SubgradConfig:
     ``C`` weights the hinge term (C == 0 degenerates to the penalty-only
     problem); ``seed``, a nonnegative integer, drives the per-epoch
     instance shuffle.  ``radius`` picks the step rule: None shrinks toward
-    zero under a quadratic penalty (m3n), a positive radius projects onto
-    that L1 ball (l1m3n).
+    zero under a quadratic penalty (m3n), a positive finite radius projects
+    onto that L1 ball (l1m3n).
     """
 
     beta: float
@@ -81,6 +81,8 @@ class SubgradConfig:
         _check_seed(self.seed)
         if self.radius is not None and not self.radius > 0:
             raise ValueError("radius must be positive")
+        if self.radius == math.inf:
+            raise ValueError("radius must be finite")
 
 
 def _check_seed(seed):

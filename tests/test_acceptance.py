@@ -115,13 +115,11 @@ def test_03_log_normalizer_gradient_matches_finite_differences():
             total = sum(raw.values())
             if total > 1.0:
                 raw = {y: a / total for y, a in raw.items()}
-            dual = DualWeights(spec=spec, C=1.0, alphas=[raw])
+            dual = DualWeights(spec=spec, alphas=[raw])
             peak = float(np.abs(dual.eta(data)).max())
             if peak >= 0.7 * math.sqrt(lam):
                 factor = 0.7 * math.sqrt(lam) / peak
-                dual = DualWeights(
-                    spec=spec, C=1.0, alphas=[{y: a * factor for y, a in raw.items()}]
-                )
+                dual = DualWeights(spec=spec, alphas=[{y: a * factor for y, a in raw.items()}])
             grads = laplace_log_z_grad(dual, data, lam)[0]
             for y in rivals:
                 up, dn = dict(dual.alphas[0]), dict(dual.alphas[0])
@@ -129,8 +127,8 @@ def test_03_log_normalizer_gradient_matches_finite_differences():
                 dn[y] -= step
                 if dn[y] < 0:
                     continue
-                plus = laplace_log_z(DualWeights(spec, 1.0, [up]), data, lam)
-                minus = laplace_log_z(DualWeights(spec, 1.0, [dn]), data, lam)
+                plus = laplace_log_z(DualWeights(spec, [up]), data, lam)
+                minus = laplace_log_z(DualWeights(spec, [dn]), data, lam)
                 fd = (plus - minus) / (2.0 * step)
                 assert abs(fd - grads[y]) <= 1e-4 * max(1.0, abs(grads[y]))
                 checked += 1

@@ -410,8 +410,9 @@ class TestCrossValidation:
              "error: --betas must be positive and finite, got inf\n"),
             (["--models", "m3n,l1m3n", "--c", "-1"], "error: C must be finite and nonnegative\n"),
             (["--models", "m3n,l1m3n", "--radii", "0"], "error: radius must be positive\n"),
+            (["--models", "m3n,l1m3n", "--radii", "inf"], "error: radius must be finite\n"),
         ],
-        ids=["lambda", "beta", "c", "radius"],
+        ids=["lambda", "beta", "c", "radius", "radius-inf"],
     )
     def test_every_row_is_checked_before_the_kernel_starts(
         self, tmp_path, monkeypatch, flags, message
@@ -519,6 +520,7 @@ class TestTrainingFlags:
         code, _, err, caught = _run_quietly([*argv, f"--data={data}", f"--out={out}"])
         _assert_clean_exit(code, err, caught)
         assert out.exists() == (code == 0)
+        return out
 
     @pytest.mark.parametrize(
         "argv, n, iters",
@@ -553,11 +555,14 @@ class TestTrainingFlags:
     @example(model="m3n", beta=1e308, c=None, lam=1.0, radius=1.0, iters=2, outer_iters=2)
     @example(model="lapmedn", beta=1.0, c=None, lam=5e-324, radius=1.0, iters=2, outer_iters=3)
     @example(model="l1m3n", beta=5e-324, c=1e308, lam=1.0, radius=math.inf, iters=2, outer_iters=2)
+    @example(model="l1m3n", beta=1.0, c=None, lam=1.0, radius=math.inf, iters=2, outer_iters=2)
     def test_train(self, tmp_path_factory, model, beta, c, lam, radius, iters, outer_iters):
         own = {"m3n": [], "l1m3n": [f"--radius={radius!r}"],
                "lapmedn": [f"--lambda={lam!r}", f"--outer-iters={outer_iters}"]}[model]
         argv = ["train", f"--model={model}", f"--beta={beta!r}", f"--iters={iters}", *own]
-        self._run(tmp_path_factory, argv + ([] if c is None else [f"--c={c!r}"]))
+        out = self._run(tmp_path_factory, argv + ([] if c is None else [f"--c={c!r}"]))
+        # What train writes, predict and eval can read back.
+        assert not out.exists() or read_model_file(out).kind == model
 
     @pytest.mark.parametrize(
         "model, flag, message",
@@ -735,8 +740,11 @@ class TestCurveCommands:
             (["shrinkage-curve", "--lambdas", "inf"], "error: lam must be positive and finite"),
             (["gen-synth", "--correlated", "--d-rel", "2", "--group-size", "2",
               "--noise-sd", "inf"], "error: noise_sd must be finite, got inf"),
+            (["norm-ball", "--lambdas", "1,1"], "error: --lambdas lists 1 twice"),
+            (["shrinkage-curve", "--lambdas", "4,4.0"], "error: --lambdas lists 4 twice"),
         ],
-        ids=["norm-ball-inf", "norm-ball-nan", "shrinkage-inf", "gen-synth-noise-inf"],
+        ids=["norm-ball-inf", "norm-ball-nan", "shrinkage-inf", "gen-synth-noise-inf",
+             "norm-ball-repeat", "shrinkage-repeat"],
     )
     def test_non_finite_parameter_is_one_line(self, tmp_path, argv, message):
         code, _, err, caught = _run_quietly([*argv, "--out", str(tmp_path / "out")])
