@@ -14,7 +14,8 @@ built, so every row is checked before training starts.  One
 lockstep kernel calls for the whole ``cv`` sweep, which then evaluates
 each fold's rows in one decode of the other folds.
 ``train`` reports the objective under the trained penalty 1 / var, and
-for l1m3n the hinge total alone.
+for l1m3n the hinge total alone, evaluated on the same preparation of the
+data that trained it.
 """
 
 import argparse
@@ -40,8 +41,8 @@ from .curves import (
 )
 from .dataio import ModelFile, read_dataset, read_model_file, write_dataset, write_model_file
 from .metrics import evaluate_weight_rows, mean_std
-from .models import LaplaceConfig, train_laplace_grid
-from .optimize import SubgradConfig, _check_seed, structured_hinge_objective
+from .models import LaplaceConfig, _train_rounds, train_laplace_grid
+from .optimize import SubgradConfig, _check_seed, _KernelData, _objective
 from .synth import GeneratorConfig, gen_dataset
 
 __all__ = ["main", "build_parser"]
@@ -195,15 +196,10 @@ def _cmd_train(args) -> int:
     c = cfg.inner.C if args.model == "lapmedn" else cfg.C
     instances, spec, _ = read_dataset(args.data)
     started = time.perf_counter()
-    (weights,), (variances,) = train_laplace_grid(instances, spec, [cfg])
+    kernel = _KernelData(instances, spec)
+    (weights,), (variances,) = _train_rounds(kernel, [cfg], [np.arange(kernel.n)])
     var_diag = None if args.model == "l1m3n" else variances
-    objective = structured_hinge_objective(
-        instances,
-        spec,
-        weights,
-        c,
-        inv_diag=None if var_diag is None else 1.0 / var_diag,
-    )
+    objective = _objective(kernel, weights, c, None if var_diag is None else 1.0 / var_diag)
     elapsed = time.perf_counter() - started
     hyper = {
         "lambda": args.lam,

@@ -13,8 +13,7 @@ families over every fold takes T - 1 kernel calls.
 
 Also provides the analysis functions for the Laplace posterior: the
 entropic shrinkage map, the closed-form log-normalizer and its gradient,
-the KL-induced weight penalty, and a feasibility check for dual weights of
-the L1-constrained problem.
+and the KL-induced weight penalty.
 """
 
 import math
@@ -76,7 +75,7 @@ class LaplaceConfig:
 
 @dataclass
 class DualWeights:
-    """Per-instance nonnegative weights over alternative labelings.
+    """Per-instance finite, nonnegative weights over alternative labelings.
 
     ``alphas[i]`` maps a labeling tuple to its weight for instance i.
     Sparse: only labelings with nonzero weight need appear.
@@ -91,8 +90,8 @@ class DualWeights:
             row = {}
             for y, a in amap.items():
                 a = float(a)
-                if a < 0:
-                    raise ValueError("dual weights must be nonnegative")
+                if not 0 <= a < math.inf:
+                    raise ValueError("dual weights must be finite and nonnegative")
                 y = tuple(int(v) for v in y)
                 if not all(0 <= v < self.spec.m for v in y):
                     raise ValueError(f"label indices must lie in [0, {self.spec.m})")
@@ -154,26 +153,45 @@ def train_laplace_grid(data: list, spec: FeatureSpec, cfgs, *, subsets=None):
     ``data``: one check of each instance, its stacks and gold features, and
     the instance orders.
 
-    Raises ``ValueError`` naming the round and lam when a variance
-    overflows, as for a subnormal lam.
+    Checks the configs and training sets, which the kernel trusts.  Raises
+    ``ValueError`` naming the round and lam when a variance overflows, as
+    for a subnormal lam.
     """
     cfgs = list(cfgs)
-    laplace = [b for b, cfg in enumerate(cfgs) if isinstance(cfg, LaplaceConfig)]
-    rounds = {cfgs[b].outer_iters for b in laplace}
-    if len(rounds) > 1:
+    if not cfgs:
+        raise ValueError("need at least one configuration")
+    if len({getattr(cfg, "inner", cfg).iterations for cfg in cfgs}) > 1:
+        raise ValueError("lockstep configurations must share iterations")
+    if len({cfg.outer_iters for cfg in cfgs if isinstance(cfg, LaplaceConfig)}) > 1:
         raise ValueError("lockstep configurations must share outer_iters")
-    inners = [cfg.inner if isinstance(cfg, LaplaceConfig) else cfg for cfg in cfgs]
-    subsets = [np.arange(len(data))] * len(cfgs) if subsets is None else list(subsets)
-    lams = np.array([cfgs[b].lam for b in laplace])[:, None]
     # Every round trains on the same data: check it, stack it and draw the
     # instance orders once.
     kernel = _KernelData(data, spec)
+    n, batch = kernel.n, len(cfgs)
+    subsets = [np.arange(n)] * batch if subsets is None else [np.asarray(s) for s in subsets]
+    if len(subsets) != batch:
+        raise ValueError("need one training set per configuration")
+    for subset in subsets:
+        if subset.ndim != 1 or not subset.size or subset.dtype.kind not in "iu":
+            raise ValueError("a training set must be a nonempty vector of instance indices")
+        if subset.min() < 0 or subset.max() >= n:
+            raise ValueError(f"training set indices must lie in [0, {n})")
+    # One dtype, so that equal training sets, and only they, have equal bytes.
+    return _train_rounds(kernel, cfgs, [subset.astype(np.int64) for subset in subsets])
+
+
+def _train_rounds(kernel: _KernelData, cfgs: list, subsets: list):
+    """:func:`train_laplace_grid`'s rounds over checked configs and training
+    sets and the prepared data; (B, K) means and variances."""
+    laplace = [b for b, cfg in enumerate(cfgs) if isinstance(cfg, LaplaceConfig)]
+    inners = [getattr(cfg, "inner", cfg) for cfg in cfgs]
+    lams = np.array([cfgs[b].lam for b in laplace])[:, None]
     mean = _lockstep(kernel, inners, subsets)
     var = np.ones_like(mean)
     var[laplace] = _refresh_variances(var[laplace], mean[laplace], lams, 1)
     # Rounds 2 to T - 1 carry the lapmedn rows alone.
     inners, subsets = [inners[b] for b in laplace], [subsets[b] for b in laplace]
-    for round_ in range(2, max(rounds, default=2)):
+    for round_ in range(2, max((cfgs[b].outer_iters for b in laplace), default=2)):
         mean[laplace] = _lockstep(kernel, inners, subsets, inv_diag=1.0 / var[laplace])
         var[laplace] = _refresh_variances(var[laplace], mean[laplace], lams, round_)
     return mean, var
@@ -200,14 +218,14 @@ def shrinkage_mean(eta: float, lam: float) -> float:
     toward zero as lam grows.
     """
     _check_lam(lam)
-    if eta * eta >= lam:
+    if not eta * eta < lam:  # a NaN eta fails too
         raise ValueError("eta**2 must be < lam (normalizer diverges)")
     return 2.0 * eta / (lam - eta * eta)
 
 
 def _check_eta_domain(eta: np.ndarray, lam: float):
     _check_lam(lam)
-    if np.any(eta * eta >= lam):
+    if not np.all(eta * eta < lam):
         raise ValueError("eta_k**2 must be < lam for every coordinate")
 
 
@@ -251,6 +269,8 @@ def kl_norm(mu, lam: float) -> float:
     """
     _check_lam(lam)
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    if not np.all(np.isfinite(mu)):
+        raise ValueError("mu must be finite")
     root = np.sqrt(lam * mu**2 + 1.0)
     return float(
         np.sum(np.sqrt(mu**2 + 1.0 / lam) - np.log((root + 1.0) / 2.0) / math.sqrt(lam))

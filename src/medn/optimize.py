@@ -13,11 +13,16 @@ decoded in one DP call.  A single model is the kernel with one config
 (B = 1); cross-validation runs every fold's configs in one call.  It
 returns the final iterates as a (B, K) array, in config order.
 
-A kernel call prepares once whatever the weights do not change: it checks
-each instance, stacks the instances by length with their gold feature
-vectors and gold one-hots, draws each seed's instance order, and gives each
-bucket of rows decoded together its ``2 * beta``, hinge weights, penalty
-scales and shrink sizes.  lapmedn's rounds share one preparation.  An
+The kernel trusts its arguments: ``train_laplace_grid`` checks the configs
+and training sets at the public edge.  A preparation of the data,
+:class:`_KernelData`, holds whatever the weights do not change: each
+instance checked once, the instances stacked by length with their gold
+feature vectors and gold one-hots, and each seed's instance order.
+lapmedn's rounds share one preparation, and the objective evaluator,
+:func:`_objective`, decodes and scores the data from the same one, so
+``train`` prepares its data once for training and objective alike.  A
+kernel call gives each bucket of rows decoded together its
+``2 * beta``, hinge weights, penalty scales and shrink sizes.  An
 update then does only what depends on the weights: the loss-augmented DP,
 the in-place shrink, the hit test, one feature map of the hit rows'
 winners and the in-place step (with no row gathers when every row of the
@@ -76,8 +81,7 @@ class SubgradConfig:
             raise ValueError("iterations must be an integer")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
-        if self.C < 0 or not math.isfinite(self.C):
-            raise ValueError("C must be finite and nonnegative")
+        _check_hinge_weight(self.C)
         _check_seed(self.seed)
         if self.radius is not None and not self.radius > 0:
             raise ValueError("radius must be positive")
@@ -89,6 +93,12 @@ def _check_seed(seed):
     """Reject a seed that is not a nonnegative integer; a bool is not one."""
     if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
+def _check_hinge_weight(C):
+    """Reject a hinge weight C that is not a finite, nonnegative number."""
+    if not isinstance(C, numbers.Real) or not 0 <= C < math.inf:
+        raise ValueError("C must be finite and nonnegative")
 
 
 def _check_data(data, spec: FeatureSpec) -> list:
@@ -114,8 +124,9 @@ def _check_inv_diag(spec: FeatureSpec, inv_diag) -> np.ndarray:
 
 class _KernelData:
     """What a kernel call needs of its data that no iterate changes, prepared
-    once and shared by every call on the same data (lapmedn's rounds); the
-    objective decodes and scores its data from the same preparation.
+    once and shared by every call on the same data (lapmedn's rounds) and by
+    the objective evaluator, :func:`_objective`, which decodes and scores
+    the data from the same preparation.
 
     Each instance is checked once.  ``stacks[L]`` holds the inputs, labels,
     float gold one-hots (L, m) and gold feature vectors of the instances of
@@ -167,6 +178,10 @@ def _lockstep(kernel: _KernelData, cfgs, subsets, *, inv_diag=None) -> np.ndarra
     sets its step rule.  Row b's subgradient is scaled by
     ``1 / inv_diag[b]``: lapmedn's later rounds pass their (B, K) inverse
     variances, already floored, and every other call the identity (None).
+    The kernel trusts its arguments, as the ``*_rows`` primitives do:
+    :func:`medn.models.train_laplace_grid` checks them at the edge, so
+    there is at least one config and each training set is a nonempty int64
+    vector of indices into the prepared data.
 
     * a row without a radius approximately minimizes
       0.5 w' diag(inv) w + C * sum_i hinge_i(w): each update shrinks w by
@@ -183,29 +198,15 @@ def _lockstep(kernel: _KernelData, cfgs, subsets, *, inv_diag=None) -> np.ndarra
     beta as soon as a row stops being finite or its L2 norm exceeds
     ``DIVERGENCE_LIMIT``.
     """
-    spec, n = kernel.spec, kernel.n
-    cfgs = list(cfgs)
-    if not cfgs:
-        raise ValueError("need at least one configuration")
+    spec = kernel.spec
     iterations = cfgs[0].iterations
-    if any(cfg.iterations != iterations for cfg in cfgs):
-        raise ValueError("lockstep configurations must share iterations")
     batch = len(cfgs)
     inv_diag = np.ones((batch, spec.K)) if inv_diag is None else inv_diag
-    subsets = [np.asarray(s) for s in subsets]
-    if len(subsets) != batch:
-        raise ValueError("need one training set per configuration")
-    for subset in subsets:
-        if subset.ndim != 1 or not subset.size or subset.dtype.kind not in "iu":
-            raise ValueError("a training set must be a nonempty vector of instance indices")
-        if subset.min() < 0 or subset.max() >= n:
-            raise ValueError(f"training set indices must lie in [0, {n})")
     # Rows are independent, so the kernel may run them in any order: the
     # shrinking rows first, then the projecting ones, each in config order.
     perm = sorted(range(batch), key=lambda b: cfgs[b].radius is not None)
     cfgs = [cfgs[b] for b in perm]
-    # One dtype, so that equal training sets, and only they, have equal bytes.
-    subsets = [subsets[b].astype(np.int64) for b in perm]
+    subsets = [subsets[b] for b in perm]
     scale = 1.0 / inv_diag[perm]
     shrinking = sum(cfg.radius is None for cfg in cfgs)
     radii = np.array([cfg.radius for cfg in cfgs[shrinking:]], dtype=float)
@@ -391,22 +392,32 @@ def structured_hinge_objective(
 
     Pass ``inv_diag=None`` for the unregularized hinge total (the quantity
     constrained trainers minimize inside their feasible set); any other
-    ``inv_diag`` must have K entries, each positive and finite.  The data
-    is prepared as for a kernel call: each instance is checked once, and
-    the instances of one length are decoded in one DP call.  Each hinge term is that value minus
-    ``w`` dotted with the gold features, summed in instance order.  Empty
-    ``data`` gives the penalty term alone.
+    ``inv_diag`` must have K entries, each positive and finite.  C must be
+    finite and nonnegative.  The data is prepared as for a kernel call and
+    evaluated by :func:`_objective`.  Empty ``data`` gives the penalty term
+    alone.
     """
     w = _check_weights(spec, weights, 1)
-    kernel = _KernelData(data, spec) if data else None
-    reg = 0.0
-    if inv_diag is not None:
-        reg = 0.5 * float(np.dot(w, _check_inv_diag(spec, inv_diag) * w))
+    _check_hinge_weight(C)
+    inv_diag = None if inv_diag is None else _check_inv_diag(spec, inv_diag)
+    return _objective(_KernelData(data, spec) if data else None, w, C, inv_diag)
+
+
+def _objective(kernel: _KernelData | None, w: np.ndarray, C: float, inv_diag=None) -> float:
+    """0.5 w' diag(inv_diag) w + C * sum_i hinge_i(w) over the prepared data
+    (None: no data), at checked (K,) ``w`` and (K,) ``inv_diag`` (None: no
+    penalty term).
+
+    The instances of one length are decoded in one DP call.  Each hinge
+    term is that value minus ``w`` dotted with the gold features, summed in
+    instance order.
+    """
+    reg = 0.0 if inv_diag is None else 0.5 * float(np.dot(w, inv_diag * w))
     hinge = 0.0
     if kernel is not None:
-        trans = spec.transition_view(w[None])
+        trans = kernel.spec.transition_view(w[None])
         values = {
-            length: _viterbi(_loss_augmented_scores(spec, w[None], xs, onehot), trans)[1]
+            length: _viterbi(_loss_augmented_scores(kernel.spec, w[None], xs, onehot), trans)[1]
             for length, (xs, _, onehot, _) in kernel.stacks.items()
         }
         # Any other order or summation changes the last bits.

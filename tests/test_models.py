@@ -247,10 +247,13 @@ class TestShrinkageMean:
             assert shrinkage_mean(eta, 6.0) < shrinkage_mean(eta, 4.0)
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            shrinkage_mean(2.0, 4.0)
-        with pytest.raises(ValueError):
-            shrinkage_mean(2.5, 4.0)
+        for eta in (2.0, 2.5, np.nan):
+            with pytest.raises(ValueError):
+                shrinkage_mean(eta, 4.0)
+        # kl_norm's penalty is undefined there too; numpy gave NaN with a warning.
+        for mu in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="^mu must be finite$"):
+                kl_norm([0.5, mu], 4.0)
 
 
 def _tiny_dual_problem(seed=0):
@@ -328,8 +331,9 @@ class TestLaplaceLogZ:
 
     def test_negative_duals_rejected(self):
         spec, data, rivals, _ = _tiny_dual_problem()
-        with pytest.raises(ValueError):
-            DualWeights(spec=spec, alphas=[{rivals[0]: -0.1}])
+        for bad in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="^dual weights must be finite and nonnegative$"):
+                DualWeights(spec=spec, alphas=[{rivals[0]: bad}])
 
     def test_bad_labelings_rejected(self):
         spec, data, rivals, _ = _tiny_dual_problem()

@@ -22,6 +22,8 @@ from medn import (
 )
 from medn import models, optimize
 from medn.chain import feature_vectors, loss_augmented_decode_rows
+from medn.cli import main
+from medn.dataio import write_dataset
 from medn.optimize import DIVERGENCE_LIMIT
 import oracles
 from oracles import (
@@ -358,6 +360,14 @@ class TestStructuredHingeObjective:
                 with pytest.raises(ValueError, match="inv_diag entries must be positive"):
                     structured_hinge_objective(data, spec, w, 1.0, inv_diag=bad)
 
+    def test_bad_hinge_weight_raises(self):
+        """C is checked as a config checks it: a negative one used to give a
+        negative objective, and a non-finite one a non-finite value."""
+        spec, data, _, inv = self._problem()
+        for c in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="^C must be finite and nonnegative$"):
+                structured_hinge_objective(data, spec, np.zeros(spec.K), c, inv_diag=inv)
+
 
 def _kernel(data, spec, cfgs, inv_diag):
     """The kernel's rows on all of ``data`` under the (B, K) preconditioner
@@ -640,3 +650,20 @@ class TestLayerCounts:
         assert len(decodes) == rounds * inner.iterations * len(data)
         assert len(maps) == hits + len({len(inst) for inst in data})
         assert len(checks) == len(data)
+
+    @pytest.mark.parametrize("flags", [["m3n"], ["lapmedn", "--lambda", "4"], ["l1m3n", "--radius", "2"]],
+                             ids=["m3n", "lapmedn", "l1m3n"])
+    def test_train_command_prepares_its_data_once(self, monkeypatch, tmp_path, capsys, flags):
+        """A whole ``train`` command checks each instance once: one
+        preparation trains the model and evaluates its final objective."""
+        spec, data = _lockstep_problem(142, 3)
+        path = tmp_path / "train.jsonl"
+        write_dataset(path, data, spec, meta={})
+        checks = _count_calls(monkeypatch, optimize, "_check_instance")
+        preparations = _count_calls(monkeypatch, optimize._KernelData, "__init__")
+        argv = ["train", "--model", *flags, "--data", str(path), "--iters", "2",
+                "--out", str(tmp_path / "model.json")]
+        assert main(argv) == 0
+        assert "final objective: " in capsys.readouterr().out
+        assert len(checks) == len(data)
+        assert len(preparations) == 1
