@@ -187,18 +187,27 @@ def _viterbi(node: np.ndarray, trans: np.ndarray):
     return labels, value
 
 
-def decode_rows(spec: FeatureSpec, weights: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def decode_rows(spec: FeatureSpec, weights: np.ndarray, xs) -> np.ndarray:
     """(B, G, L) highest-scoring labelings of G same-length inputs under B weight rows.
 
-    ``weights`` is (B, K) and ``xs`` (G, L, d); all B * G chains go through
-    one DP.  numpy runs one matrix product per (row, input) pair, so each
-    labeling is bit-equal to decoding that input under that row alone.
-    Unchecked: ``xs`` must be finite floats.
+    ``weights`` is (B, K) and ``xs`` a list of G (L, d) inputs or a
+    (G, L, d) array; all B * G chains go through one DP.  The inputs are
+    never copied together: each is scored on its own, through a
+    C-contiguous (L, d) operand, into one (B, G, L, m) node array.  numpy
+    runs one matrix product per (row, input) pair, so each labeling is
+    bit-equal to decoding that input under that row alone.  Unchecked:
+    ``xs`` must be finite floats.
     """
-    node = xs @ spec.state_view(weights)[:, None]  # (B, G, L, m)
-    batch, group, length, m = node.shape
+    batch, group = weights.shape[0], len(xs)
+    length = xs[0].shape[0] if group else xs.shape[1]
+    state = spec.state_view(weights)
+    # (B, G, ...) keeps the reshape to (B * G, L, m) below a view.
+    node = np.empty((batch, group, length, spec.m))
+    for g, x in enumerate(xs):
+        # A strided operand can multiply to other last bits than a contiguous one.
+        node[:, g] = np.ascontiguousarray(x) @ state
     trans = np.repeat(spec.transition_view(weights), group, axis=0)
-    labels, _ = _viterbi(node.reshape(batch * group, length, m), trans)
+    labels, _ = _viterbi(node.reshape(batch * group, length, spec.m), trans)
     return labels.reshape(batch, group, length)
 
 
@@ -207,8 +216,9 @@ def decode_instances(spec: FeatureSpec, weights, instances) -> list:
 
     Returns one (B, L_i) array per instance, in input order.  The weights
     and each instance's d are checked once; then the instances of one
-    length are decoded under all B rows in one :func:`decode_rows` call, so
-    each labeling is bit-equal to decoding that instance under that row alone.
+    length are decoded under all B rows in one :func:`decode_rows` call,
+    which takes their features as they are, without copying them, so each
+    labeling is bit-equal to decoding that instance under that row alone.
     """
     weights = _check_weights(spec, weights, 2)
     by_length = {}
@@ -218,7 +228,7 @@ def decode_instances(spec: FeatureSpec, weights, instances) -> list:
         by_length.setdefault(len(inst), []).append(i)
     preds = [None] * len(instances)
     for group in by_length.values():
-        labels = decode_rows(spec, weights, np.stack([instances[i].features for i in group]))
+        labels = decode_rows(spec, weights, [instances[i].features for i in group])
         for g, i in enumerate(group):
             preds[i] = labels[:, g]
     return preds

@@ -240,7 +240,7 @@ def _cmd_predict(args) -> int:
     instances, spec, _ = read_dataset(args.data)
     _check_compatible(model, spec)
     preds = decode_instances(spec, model.weights[None], instances)
-    rows = [[i, " ".join(str(int(v)) for v in pred[0])] for i, pred in enumerate(preds)]
+    rows = [[i, " ".join(map(str, pred[0].tolist()))] for i, pred in enumerate(preds)]
     _write_csv(args.out, ["index", "y_pred"], rows)
     print(f"wrote predictions for {len(rows)} instances to {args.out}")
     return 0

@@ -35,10 +35,13 @@ def evaluate_weight_rows(spec: FeatureSpec, weights, instances) -> list:
     if not instances:
         raise ValueError("evaluation set must be nonempty")
     preds = decode_instances(spec, weights, instances)
-    mismatches = np.array([(p != inst.labels).sum(axis=1) for p, inst in zip(preds, instances)])
-    wrong_positions = mismatches.sum(axis=0)  # (B,)
-    wrong_sequences = (mismatches > 0).sum(axis=0)
-    total_positions = sum(len(inst) for inst in instances)
+    wrong = np.concatenate(preds, axis=1) != np.concatenate([inst.labels for inst in instances])
+    lengths = [len(inst) for inst in instances]
+    # Every instance holds at least one position, so the starts increase.
+    starts = np.cumsum([0] + lengths[:-1])
+    wrong_positions = wrong.sum(axis=1)  # (B,)
+    wrong_sequences = np.logical_or.reduceat(wrong, starts, axis=1).sum(axis=1)
+    total_positions = sum(lengths)
     return [
         MetricsReport(
             per_label_err=int(wp) / total_positions,

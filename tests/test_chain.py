@@ -18,6 +18,7 @@ from medn import (
     structured_hinge_objective,
     train_laplace_grid,
 )
+from medn import chain
 from medn.chain import (
     _viterbi,
     decode_instances,
@@ -319,6 +320,37 @@ class TestBatchedViterbi:
             for w, labels in zip(weights, pred):
                 assert np.array_equal(labels, decode_rows(spec, w[None], inst.features[None])[0, 0])
         assert decode_instances(spec, weights, []) == []
+
+    def test_decode_rows_of_a_list_scores_as_the_stacked_array(self, monkeypatch):
+        """A list of inputs decodes to the labels of their (G, L, d) stack,
+        bit for bit, and the DP sees the node scores of the stacked product,
+        strided views and Fortran-ordered inputs among them.  An empty
+        (0, L, d) array decodes to (B, 0, L)."""
+        seen = []
+
+        def recording_viterbi(node, trans):
+            seen.append(node.copy())
+            return _viterbi(node, trans)
+
+        monkeypatch.setattr(chain, "_viterbi", recording_viterbi)
+        rng = np.random.default_rng(18)
+        for _ in range(100):
+            d, m, length = (int(v) for v in rng.integers(1, 9, 3))
+            spec = FeatureSpec(d=d, m=m + 1)
+            weights = rng.standard_normal((int(rng.integers(1, 4)), spec.K))
+            xs = [
+                rng.standard_normal((length, 2 * d))[:, ::2],
+                np.asfortranarray(rng.standard_normal((length, d))),
+                rng.standard_normal((length, d)),
+            ]
+            stacked = np.stack(xs)
+            assert np.array_equal(decode_rows(spec, weights, xs),
+                                  decode_rows(spec, weights, stacked))
+            want = (stacked @ spec.state_view(weights)[:, None]).reshape(-1, length, spec.m)
+            for node in seen[-2:]:
+                assert np.array_equal(node, want)
+        spec = FeatureSpec(d=3, m=2)
+        assert decode_rows(spec, np.zeros((2, spec.K)), np.empty((0, 5, 3))).shape == (2, 0, 5)
 
     def test_decode_instances_checks_weights_and_width(self):
         rng = np.random.default_rng(15)

@@ -424,6 +424,52 @@ class TestMetrics:
         report = evaluate_weight_rows(spec, crf.weights[None], instances)[0]
         assert abs(report.per_label_err - 0.5) <= 0.05
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 5), min_size=1, max_size=8),
+        batch=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_counts_equal_a_per_instance_count(self, lengths, batch, seed):
+        """One comparison over all positions counts what one comparison per
+        instance and weight row counts, for lengths 1 and up in any order."""
+        rng = np.random.default_rng(seed)
+        spec = FeatureSpec(2, 3)
+        instances = [SequenceInstance(rng.standard_normal((n, 2)), rng.integers(0, 3, n))
+                     for n in lengths]
+        weights = rng.standard_normal((batch, spec.K))
+        reports = evaluate_weight_rows(spec, weights, instances)
+        for w, report in zip(weights, reports):
+            wrong = [int((decode_instances(spec, w[None], [inst])[0][0] != inst.labels).sum())
+                     for inst in instances]
+            assert report.per_label_err == sum(wrong) / sum(lengths)
+            assert report.seq_err == sum(map(bool, wrong)) / len(instances)
+            assert (report.n_sequences, report.n_positions) == (len(instances), sum(lengths))
+
+    @pytest.mark.parametrize("evaluate", [decode_instances, evaluate_weight_rows])
+    def test_decoding_holds_scores_not_a_copy_of_the_inputs(self, evaluate):
+        """Decoding 250 wide instances under one weight row peaks below half
+        the 3.8 MB of their features: it holds node scores and labels, about
+        a twelfth of the inputs at d = 50 and m = 4.  A decoder that stacks
+        each length's inputs needs more than their size."""
+        rng = np.random.default_rng(72)
+        spec = FeatureSpec(50, 4)
+        instances = [SequenceInstance(rng.standard_normal((40, 50)), rng.integers(0, 4, 40))
+                     for _ in range(250)]
+        weights = rng.standard_normal((1, spec.K))
+        size = sum(inst.features.nbytes for inst in instances)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            evaluate(spec, weights, instances)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak - before < size / 2
+
     def test_mean_std_aggregation(self):
         mean, std = mean_std([0.1, 0.2, 0.3])
         assert mean == pytest.approx(0.2)
