@@ -11,6 +11,13 @@ row may bring its own same-length input, or all rows share one.  They
 skip input checks, so the entry points validate their data once and
 then call them on every update.  :func:`decode_instances` decodes a whole
 dataset that way: one check of the weights, one DP call per length.
+
+An instance is checked in one place: a :class:`SequenceInstance` checks
+its own shape, dtype and values when it is built, and is frozen, so it
+stays checked.  The entry points (the dataset reader, the trainer, the
+objective, decoding and ``DualWeights``) pass each instance through
+:func:`_check_instance`, which checks only its agreement with a
+:class:`FeatureSpec`: d input features and labels below m.
 """
 
 from dataclasses import dataclass
@@ -66,25 +73,40 @@ class FeatureSpec:
         return weights[..., self.n_state :].reshape(*weights.shape[:-1], self.m, self.m)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SequenceInstance:
-    """One observed sequence: an (L, d) feature matrix and L gold labels."""
+    """One observed sequence: an (L, d) feature matrix and L gold labels.
+
+    Checks itself when built: ``features`` becomes a nonempty, finite
+    float (L, d) matrix and ``labels`` an int64 vector of L nonnegative
+    indices; labels of any other dtype are rejected, since casting would
+    truncate 1.7 to 1 and parse '1' as 1.  Frozen, so a built instance
+    stays checked.  Its agreement with a :class:`FeatureSpec` (d and m) is
+    checked where it meets one, by :func:`_check_instance`.
+    """
 
     features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
+        features = np.asarray(self.features, dtype=float)
         labels = np.asarray(self.labels)
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
+        if features.ndim != 2 or features.shape[0] < 1:
             raise ValueError("features must be a nonempty (L, d) matrix")
-        if labels.shape != (self.features.shape[0],):
-            raise ValueError("labels must be a vector with one entry per position")
-        if not np.all(np.isfinite(self.features)):
+        if labels.shape != (features.shape[0],):
+            raise ValueError(
+                "labels must be a vector with one entry per position: "
+                f"sequence length {features.shape[0]}, labels of shape {labels.shape}"
+            )
+        if not np.all(np.isfinite(features)):
             raise ValueError("features must be finite")
-        self.labels = _integer_labels(labels)
-        if np.any(self.labels < 0):
+        if labels.dtype.kind not in "iu":
+            raise ValueError("labels must be integer indices")
+        labels = np.asarray(labels, dtype=np.int64)
+        if np.any(labels < 0):
             raise ValueError("label indices must be nonnegative")
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -102,32 +124,21 @@ def _check_weights(spec: FeatureSpec, weights, ndim: int) -> np.ndarray:
     return weights
 
 
-def _integer_labels(labels: np.ndarray) -> np.ndarray:
-    """``labels`` as int64, or ValueError unless their dtype is an integer one.
+def _check_instance(spec: FeatureSpec, inst) -> SequenceInstance:
+    """``inst`` as a :class:`SequenceInstance` with d input features and
+    labels below m; ValueError otherwise.
 
-    Casting floats or strings would truncate 1.7 to 1 and parse '1' as 1.
+    Any object with ``features`` and ``labels`` is built into a
+    ``SequenceInstance`` once, which checks its shape, dtype and values; a
+    ``SequenceInstance`` is already checked and is returned as it is.
     """
-    if labels.dtype.kind not in "iu":
-        raise ValueError("labels must be integer indices")
-    return np.asarray(labels, dtype=np.int64)
-
-
-def _check_instance(spec: FeatureSpec, x: np.ndarray, y: np.ndarray):
-    """(x, y) as a float (L, d) matrix and L int labels in [0, m), or ValueError."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ValueError("inputs must be a nonempty (L, d) matrix")
-    if x.shape[1] != spec.d:
-        raise ValueError(f"expected {spec.d} input features, got {x.shape[1]}")
-    y = np.asarray(y)
-    if y.ndim != 1:
-        raise ValueError("labels must be one-dimensional")
-    if y.shape[0] != x.shape[0]:
-        raise ValueError("labels and inputs disagree on sequence length")
-    y = _integer_labels(y)
-    if np.any(y < 0) or np.any(y >= spec.m):
+    if not isinstance(inst, SequenceInstance):
+        inst = SequenceInstance(inst.features, inst.labels)
+    if inst.features.shape[1] != spec.d:
+        raise ValueError(f"expected {spec.d} input features, got {inst.features.shape[1]}")
+    if inst.labels.max() >= spec.m:
         raise ValueError(f"label indices must lie in [0, {spec.m})")
-    return x, y
+    return inst
 
 
 def feature_vectors(spec: FeatureSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -215,16 +226,16 @@ def decode_instances(spec: FeatureSpec, weights, instances) -> list:
     """Highest-scoring labelings of every instance under each row of (B, K) ``weights``.
 
     Returns one (B, L_i) array per instance, in input order.  The weights
-    and each instance's d are checked once; then the instances of one
-    length are decoded under all B rows in one :func:`decode_rows` call,
-    which takes their features as they are, without copying them, so each
-    labeling is bit-equal to decoding that instance under that row alone.
+    are checked once and each instance by :func:`_check_instance`; then the
+    instances of one length are decoded under all B rows in one
+    :func:`decode_rows` call, which takes their features as they are,
+    without copying them, so each labeling is bit-equal to decoding that
+    instance under that row alone.
     """
     weights = _check_weights(spec, weights, 2)
+    instances = [_check_instance(spec, inst) for inst in instances]
     by_length = {}
     for i, inst in enumerate(instances):
-        if inst.features.shape[1] != spec.d:
-            raise ValueError(f"expected {spec.d} input features, got {inst.features.shape[1]}")
         by_length.setdefault(len(inst), []).append(i)
     preds = [None] * len(instances)
     for group in by_length.values():

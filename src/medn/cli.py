@@ -9,7 +9,8 @@ with "\\n" newlines so reruns are byte-identical.
 reads (``FAMILY_FLAGS``), and ``cv`` a family or a sweep value listed
 twice, before any data is read.  They build the config of each training
 row with one helper, ``_config``; a config checks itself when it is
-built, so every row is checked before training starts.  One
+built, and each command builds every row's config (``cv`` with fold 0's
+seed) before it reads the data, so every row is checked first.  One
 :func:`medn.models.train_laplace_grid` call trains them all: T - 1
 lockstep kernel calls for the whole ``cv`` sweep, which then evaluates
 each fold's rows in one decode of the other folds.
@@ -42,7 +43,7 @@ from .curves import (
 from .dataio import ModelFile, read_dataset, read_model_file, write_dataset, write_model_file
 from .metrics import evaluate_weight_rows, mean_std
 from .models import LaplaceConfig, _train_rounds, train_laplace_grid
-from .optimize import SubgradConfig, _check_seed, _KernelData, _objective
+from .optimize import SubgradConfig, _KernelData, _objective
 from .synth import GeneratorConfig, gen_dataset
 
 __all__ = ["main", "build_parser"]
@@ -299,7 +300,10 @@ def _cmd_cv(args) -> int:
     _check_betas("--betas", args.betas)
     for flag, values in (("--lambdas", lambdas), ("--betas", args.betas), ("--radii", radii)):
         _check_distinct(flag, values)
-    _check_seed(args.seed)  # fold f trains with seed + f
+    # Each row's config checks itself; fold f trains with seed + f, which is
+    # valid if fold 0's seed is.
+    for row in table:
+        _config(*row, args.seed, args)
     if args.folds < 2:
         raise ValueError("need at least 2 folds")
     instances, spec, _ = read_dataset(args.data)
@@ -345,10 +349,11 @@ def _cmd_cv(args) -> int:
 
 
 def _parse_eta_grid(text: str) -> np.ndarray:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError("--eta-grid must look like MIN:MAX:COUNT")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, count = text.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
+    except ValueError:
+        raise ValueError("--eta-grid must look like MIN:MAX:COUNT") from None
     if count < 2 or not lo < hi:
         raise ValueError("--eta-grid needs MIN < MAX and COUNT >= 2")
     return np.linspace(lo, hi, count)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import orjson
 
-from .chain import FeatureSpec, SequenceInstance, _check_weights, _integer_labels
+from .chain import FeatureSpec, SequenceInstance, _check_instance, _check_weights
 
 __all__ = [
     "DATASET_FORMAT",
@@ -170,13 +170,7 @@ def _parse_instance(line: bytes, spec: FeatureSpec) -> SequenceInstance:
     if _may_hold_non_numbers(line):
         _json_numbers(obj["x"], "x")
         _json_numbers(obj["y"], "y")
-    x = np.asarray(obj["x"], dtype=float)
-    if x.ndim != 2 or x.shape[1] != spec.d:
-        raise ValueError("feature row width disagrees with header d")
-    y = _integer_labels(np.asarray(obj["y"]))
-    if np.any(y >= spec.m):
-        raise ValueError("label index exceeds header m")
-    return SequenceInstance(features=x, labels=y)
+    return _check_instance(spec, SequenceInstance(obj["x"], obj["y"]))
 
 
 # Dataset files are read this many bytes at a time.  A wide line, tens of

@@ -36,7 +36,7 @@ def evaluate_weight_rows(spec: FeatureSpec, weights, instances) -> list:
         raise ValueError("evaluation set must be nonempty")
     preds = decode_instances(spec, weights, instances)
     wrong = np.concatenate(preds, axis=1) != np.concatenate([inst.labels for inst in instances])
-    lengths = [len(inst) for inst in instances]
+    lengths = [pred.shape[1] for pred in preds]
     # Every instance holds at least one position, so the starts increase.
     starts = np.cumsum([0] + lengths[:-1])
     wrong_positions = wrong.sum(axis=1)  # (B,)

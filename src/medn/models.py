@@ -109,7 +109,8 @@ class DualWeights:
         loss_sum = 0.0
         terms = []
         for inst, amap in zip(data, self.alphas):
-            x, gold = _check_instance(self.spec, inst.features, inst.labels)
+            inst = _check_instance(self.spec, inst)
+            x, gold = inst.features, inst.labels
             if any(len(y) != len(gold) for y in amap):
                 raise ValueError("labelings and inputs disagree on sequence length")
             ys = np.array(list(amap), dtype=np.int64).reshape(len(amap), len(gold))

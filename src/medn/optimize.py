@@ -101,13 +101,6 @@ def _check_hinge_weight(C):
         raise ValueError("C must be finite and nonnegative")
 
 
-def _check_data(data, spec: FeatureSpec) -> list:
-    """Each instance as a checked (x, y) pair; ValueError if ``data`` is empty."""
-    if not data:
-        raise ValueError("training data must be nonempty")
-    return [_check_instance(spec, inst.features, inst.labels) for inst in data]
-
-
 def _check_inv_diag(spec: FeatureSpec, inv_diag) -> np.ndarray:
     """``inv_diag`` as a (K,) float array, every entry positive and finite;
     ValueError otherwise."""
@@ -128,17 +121,20 @@ class _KernelData:
     the objective evaluator, :func:`_objective`, which decodes and scores
     the data from the same preparation.
 
-    Each instance is checked once.  ``stacks[L]`` holds the inputs, labels,
-    float gold one-hots (L, m) and gold feature vectors of the instances of
-    length L, and ``slot[i]`` is instance i's place there; ``instances[i]``
-    is that slice of each stack.  Each (seed, training set) draws its
-    instance order once.
+    ``data`` must be nonempty, and each instance passes
+    :func:`medn.chain._check_instance` once.  ``stacks[L]`` holds the
+    inputs, labels, float gold one-hots (L, m) and gold feature vectors of
+    the instances of length L, and ``slot[i]`` is instance i's place there;
+    ``instances[i]`` is that slice of each stack.  Each (seed, training
+    set) draws its instance order once.
     """
 
     def __init__(self, data, spec: FeatureSpec):
-        checked = _check_data(data, spec)
+        if not data:
+            raise ValueError("training data must be nonempty")
+        checked = [_check_instance(spec, inst) for inst in data]
         self.spec, self.n = spec, len(checked)
-        self.lengths = [len(y) for _, y in checked]
+        self.lengths = [len(inst) for inst in checked]
         members = {}
         for i, length in enumerate(self.lengths):
             members.setdefault(length, []).append(i)
@@ -146,8 +142,8 @@ class _KernelData:
         self.stacks = {}
         for length, group in members.items():
             self.slot[group] = np.arange(len(group))
-            xs = np.stack([checked[i][0] for i in group])
-            ys = np.stack([checked[i][1] for i in group])
+            xs = np.stack([checked[i].features for i in group])
+            ys = np.stack([checked[i].labels for i in group])
             onehot = (ys[..., None] == np.arange(spec.m)).astype(float)
             self.stacks[length] = (xs, ys, onehot, feature_vectors(spec, xs, ys))
         self.instances = [

@@ -1,6 +1,7 @@
 """Feature map, exact decoding, loss-augmented decoding, and the input
 checks at the entry points that run them."""
 
+import dataclasses
 import math
 import warnings
 from types import SimpleNamespace
@@ -238,6 +239,47 @@ class TestDecode:
                 structured_hinge_objective([duck], spec, np.zeros(spec.K), 1.0)
             with pytest.raises(ValueError, match="^labels must be integer indices$"):
                 train_laplace_grid([duck], spec, [SubgradConfig(1.0, 1, 1.0, radius=1.0)])
+
+    @pytest.mark.parametrize("entry", ["train", "objective", "decode", "evaluate"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_features_raise(self, entry, value):
+        """Every entry point builds a duck-typed instance into a checked
+        SequenceInstance: a NaN or infinite feature is named, not trained
+        into a divergence error, scored to nan or decoded."""
+        spec = FeatureSpec(d=3, m=2)
+        features = np.zeros((2, 3))
+        features[1, 2] = value
+        data = [SimpleNamespace(features=features, labels=np.array([0, 1]))]
+        run = {
+            "train": lambda: train_laplace_grid(data, spec, [SubgradConfig(1.0, 1, 1.0)]),
+            "objective": lambda: structured_hinge_objective(data, spec, np.zeros(spec.K), 1.0),
+            "decode": lambda: decode_instances(spec, np.zeros((1, spec.K)), data),
+            "evaluate": lambda: evaluate_weight_rows(spec, np.zeros((1, spec.K)), data),
+        }[entry]
+        with pytest.raises(ValueError, match="^features must be finite$"):
+            run()
+
+    def test_duck_typed_instances_decode_and_evaluate_alike(self):
+        """Any object with ``features`` and ``labels``, here nested lists,
+        decodes and evaluates as the SequenceInstance built from it."""
+        rng = np.random.default_rng(14)
+        spec = FeatureSpec(d=3, m=3)
+        instances = make_mixed_instances(rng, n=6, d=3, m=3, max_length=4)
+        ducks = [
+            SimpleNamespace(features=inst.features.tolist(), labels=inst.labels.tolist())
+            for inst in instances
+        ]
+        w = rng.standard_normal((2, spec.K))
+        for got, want in zip(decode_instances(spec, w, ducks), decode_instances(spec, w, instances)):
+            np.testing.assert_array_equal(got, want)
+        assert evaluate_weight_rows(spec, w, ducks) == evaluate_weight_rows(spec, w, instances)
+
+    @pytest.mark.parametrize("field", ["features", "labels"])
+    def test_instance_is_frozen(self, field):
+        """A built instance stays checked: its fields cannot be rebound."""
+        inst = SequenceInstance(np.zeros((2, 3)), [0, 1])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(inst, field, np.full((2, 3), np.nan))
 
 
 @st.composite

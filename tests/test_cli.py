@@ -429,6 +429,34 @@ class TestCrossValidation:
         )
         assert (code, err, caught) == (2, message, [])
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--c", "-1"], "error: C must be finite and nonnegative\n"),
+            (["--iters", "0"], "error: iterations must be at least 1\n"),
+            (["--outer-iters", "1"], "error: outer_iters must be at least 2\n"),
+            (["--seed", "-3"], "error: seed must be a nonnegative integer, got -3\n"),
+        ],
+        ids=["c", "iters", "outer-iters", "seed"],
+    )
+    def test_every_row_is_checked_before_the_data_is_read(self, tmp_path, flags, message):
+        """A bad row is reported, not the missing file it would train on."""
+        code, _, err, caught = _run_quietly(
+            ["cv", "--data", str(tmp_path / "missing.jsonl"), "--folds", "2", "--iters", "2",
+             "--out", str(tmp_path / "o.csv"), *flags]
+        )
+        assert (code, err, caught) == (2, message, [])
+
+    def test_more_folds_than_instances_fails_before_any_fold_config(self, tmp_path):
+        """The per-fold configs are built only once the folds fit the data."""
+        data = tmp_path / "cv.jsonl"
+        _write_signal_dataset(data, n=6, seed=93)
+        code, _, err, caught = _run_quietly(
+            ["cv", "--data", str(data), "--folds", "1000000000000", "--iters", "2",
+             "--out", str(tmp_path / "o.csv")]
+        )
+        assert (code, err, caught) == (2, "error: more folds than instances\n", [])
+
     @pytest.mark.parametrize("outer_iters", [2, 3, 4])
     def test_every_row_equals_training_its_config_alone_on_its_fold(
         self, tmp_path, monkeypatch, outer_iters
@@ -723,8 +751,12 @@ class TestCurveCommands:
         [
             (["--points", "0"], "error: need at least 1 grid point"),
             (["--lambdas", ""], "error: shrinkage-curve requires nonempty --lambdas"),
+            (["--eta-grid", "0:1:2.5"], "error: --eta-grid must look like MIN:MAX:COUNT\n"),
+            (["--eta-grid", "a:1:3"], "error: --eta-grid must look like MIN:MAX:COUNT\n"),
+            (["--eta-grid", "0:1:x"], "error: --eta-grid must look like MIN:MAX:COUNT\n"),
         ],
-        ids=["zero-points", "empty-lambdas"],
+        ids=["zero-points", "empty-lambdas", "eta-grid-fractional-count", "eta-grid-text-min",
+             "eta-grid-text-count"],
     )
     def test_empty_grid_is_a_one_line_error(self, tmp_path, capsys, flags, message):
         assert main(["shrinkage-curve", *flags, "--out", str(tmp_path / "s.csv")]) == 2

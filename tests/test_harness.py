@@ -188,7 +188,8 @@ class TestDatasetFiles:
         lines = path.read_text().splitlines()
         lines.append('{"x":[[1.0]],"y":[0]}')
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError):
+        message = f"{path}:3: expected 2 input features, got 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_dataset(path)
 
     def test_label_exceeding_arity_rejected(self, tmp_path):
@@ -196,7 +197,8 @@ class TestDatasetFiles:
         write_dataset(path, [], FeatureSpec(1, 2))
         with open(path, "a") as fh:
             fh.write('{"x":[[1.0]],"y":[2]}\n')
-        with pytest.raises(ValueError):
+        message = f"{path}:2: label indices must lie in [0, 2)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_dataset(path)
 
     @settings(max_examples=200, deadline=None)
