@@ -80,9 +80,10 @@ class SequenceInstance:
     Checks itself when built: ``features`` becomes a nonempty, finite
     float (L, d) matrix and ``labels`` an int64 vector of L nonnegative
     indices; labels of any other dtype are rejected, since casting would
-    truncate 1.7 to 1 and parse '1' as 1.  Frozen, so a built instance
-    stays checked.  Its agreement with a :class:`FeatureSpec` (d and m) is
-    checked where it meets one, by :func:`_check_instance`.
+    truncate 1.7 to 1 and parse '1' as 1.  Frozen, and its arrays are its
+    own and read-only, so a built instance stays checked.  Its agreement
+    with a :class:`FeatureSpec` (d and m) is checked where it meets one, by
+    :func:`_check_instance`.
     """
 
     features: np.ndarray
@@ -105,8 +106,14 @@ class SequenceInstance:
         labels = np.asarray(labels, dtype=np.int64)
         if np.any(labels < 0):
             raise ValueError("label indices must be nonnegative")
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
+        # The instance owns read-only arrays: the caller's array, or a view
+        # of one, is copied, so writing into it later cannot reach a checked
+        # instance; arrays built from lists are not.
+        for name, array in (("features", features), ("labels", labels)):
+            if array is getattr(self, name) or array.base is not None:
+                array = array.copy()
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -145,30 +152,26 @@ def feature_vectors(spec: FeatureSpec, xs: np.ndarray, ys: np.ndarray) -> np.nda
     """(B, K) feature vectors of the B labelings ``ys`` (B, L).
 
     ``xs`` holds each row's input as a (B, L, d) array, or one (L, d) input
-    shared by every row.  Unchecked: inputs must be finite floats and
-    ``ys`` hold labels in [0, m).  Each state feature (k, c) sums
-    ``x[y == c, k]`` in position order, for every d, so rows never depend
-    on which other rows share the call; transition feature (c, c') counts
-    the adjacent label pairs (c, c').
+    shared by every row, in any memory layout.  Unchecked: inputs must be
+    finite floats and ``ys`` hold labels in [0, m).  Each state feature
+    (k, c) sums ``x[y == c, k]`` in position order, for every d and every
+    memory layout, so rows never depend on which other rows share the call;
+    transition feature (c, c') counts the adjacent label pairs (c, c').
     """
     batch, length = ys.shape
     m, d = spec.m, spec.d
-    xs = xs.reshape(-1, length, d)  # (B, L, d), or (1, L, d) when shared
+    # einsum sums over the positions of a C-contiguous (B, L, d) operand,
+    # or (1, L, d) when shared, in position order; a strided one may not.
+    xs = np.ascontiguousarray(xs).reshape(-1, length, d)
     if d == 1:
-        # numpy sums a lone column pairwise; beside a zero column it sums
-        # every column in position order.
+        # einsum sums a lone column, contiguous along positions, out of order;
+        # beside a zero column it sums it in position order.
         xs = np.concatenate((xs, np.zeros_like(xs)), axis=2)
+    picked = (ys[:, None, :] == np.arange(m)[:, None]).astype(float)  # (B, m, L)
     f = np.zeros((batch, spec.K))
-    picked = ys[:, None, :] == np.arange(m)[:, None]  # (B, m, L)
-    # numpy sums the rows of a (count, d) selection in position order;
-    # unselected positions add -0.0, which changes no sum, and a label that
-    # never occurs gets +0.0.
-    sums = np.add.reduce(np.where(picked[..., None], xs[:, None], -0.0), axis=2)[..., :d]
-    sums = np.where(np.logical_or.reduce(picked, axis=2)[..., None], sums, 0.0)
-    spec.state_view(f)[:] = sums.transpose(0, 2, 1)
+    spec.state_view(f)[:] = np.einsum("...ml,...ld->...dm", picked, xs)[:, :d]
     # Pair (c, c') counts as the product of the label indicators at l and
     # l + 1: sums of 0s and 1s, exact in any order.
-    picked = picked.astype(float)
     spec.transition_view(f)[:] = picked[:, :, :-1] @ picked[:, :, 1:].transpose(0, 2, 1)
     return f
 

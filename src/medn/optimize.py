@@ -21,13 +21,15 @@ feature vectors and gold one-hots, and each seed's instance order.
 lapmedn's rounds share one preparation, and the objective evaluator,
 :func:`_objective`, decodes and scores the data from the same one, so
 ``train`` prepares its data once for training and objective alike.  A
-kernel call gives each bucket of rows decoded together its
-``2 * beta``, hinge weights, penalty scales and shrink sizes.  An
-update then does only what depends on the weights: the loss-augmented DP,
-the in-place shrink, the hit test, one feature map of the hit rows'
-winners and the in-place step (with no row gathers when every row of the
-bucket is hit), the projection of the projecting rows, and a divergence
-test that builds its per-row mask only when it is about to raise.
+kernel call keeps its rows in config order and gives each bucket of rows
+decoded together its ``2 * beta``, hinge weights, penalty scales and L1
+balls; a shrinking row's ball is infinite, so the projection never moves
+it.  An update then does only what depends on the weights: the
+loss-augmented DP, the in-place shrink of the shrinking rows, the hit
+test, one feature map of the hit rows' winners and the in-place step
+(with no row gathers when every row of the bucket is hit), the projection
+onto each row's ball, and a divergence test that builds its per-row mask
+only when it is about to raise.
 """
 
 import math
@@ -122,11 +124,13 @@ class _KernelData:
     the data from the same preparation.
 
     ``data`` must be nonempty, and each instance passes
-    :func:`medn.chain._check_instance` once.  ``stacks[L]`` holds the
-    inputs, labels, float gold one-hots (L, m) and gold feature vectors of
-    the instances of length L, and ``slot[i]`` is instance i's place there;
-    ``instances[i]`` is that slice of each stack.  Each (seed, training
-    set) draws its instance order once.
+    :func:`medn.chain._check_instance` once; finite features can still sum
+    past the float range, so a ValueError names the first instance, in
+    data order, whose gold feature vector is not finite.  ``stacks[L]``
+    holds the inputs, labels, float gold one-hots (L, m) and gold feature
+    vectors of the instances of length L, and ``slot[i]`` is instance i's
+    place there; ``instances[i]`` is that slice of each stack.  Each (seed,
+    training set) draws its instance order once.
     """
 
     def __init__(self, data, spec: FeatureSpec):
@@ -140,12 +144,18 @@ class _KernelData:
             members.setdefault(length, []).append(i)
         self.slot = np.empty(self.n, dtype=np.int64)
         self.stacks = {}
+        finite = np.empty(self.n, dtype=bool)
         for length, group in members.items():
             self.slot[group] = np.arange(len(group))
             xs = np.stack([checked[i].features for i in group])
             ys = np.stack([checked[i].labels for i in group])
             onehot = (ys[..., None] == np.arange(spec.m)).astype(float)
-            self.stacks[length] = (xs, ys, onehot, feature_vectors(spec, xs, ys))
+            gold = feature_vectors(spec, xs, ys)
+            # Finite features can still sum past the float range.
+            finite[group] = np.isfinite(gold).all(axis=1)
+            self.stacks[length] = (xs, ys, onehot, gold)
+        if not finite.all():
+            raise ValueError(f"instance {np.argmin(finite)}: its features sum past the float range")
         self.instances = [
             tuple(a[at] for a in self.stacks[length])
             for length, at in zip(self.lengths, self.slot.tolist())
@@ -182,7 +192,8 @@ def _lockstep(kernel: _KernelData, cfgs, subsets, *, inv_diag=None) -> np.ndarra
     * a row without a radius approximately minimizes
       0.5 w' diag(inv) w + C * sum_i hinge_i(w): each update shrinks w by
       (1 - alpha / n), then adds alpha * C times the preconditioned
-      subgradient, so stiff coordinates stay numerically stable;
+      subgradient, so stiff coordinates stay numerically stable; its ball
+      is infinite, so the projection never moves it;
     * a row with a radius minimizes C * sum_i hinge_i(w) subject to
       ||w||_1 <= radius: each update adds alpha * C times the subgradient,
       then projects onto the ball, so all iterates are feasible.
@@ -197,15 +208,9 @@ def _lockstep(kernel: _KernelData, cfgs, subsets, *, inv_diag=None) -> np.ndarra
     spec = kernel.spec
     iterations = cfgs[0].iterations
     batch = len(cfgs)
-    inv_diag = np.ones((batch, spec.K)) if inv_diag is None else inv_diag
-    # Rows are independent, so the kernel may run them in any order: the
-    # shrinking rows first, then the projecting ones, each in config order.
-    perm = sorted(range(batch), key=lambda b: cfgs[b].radius is not None)
-    cfgs = [cfgs[b] for b in perm]
-    subsets = [subsets[b] for b in perm]
-    scale = 1.0 / inv_diag[perm]
-    shrinking = sum(cfg.radius is None for cfg in cfgs)
-    radii = np.array([cfg.radius for cfg in cfgs[shrinking:]], dtype=float)
+    scale = 1.0 / (np.ones((batch, spec.K)) if inv_diag is None else inv_diag)
+    # A shrinking row's ball is infinite, so projecting onto it never moves it.
+    radii = np.array([math.inf if cfg.radius is None else cfg.radius for cfg in cfgs])
 
     # Rows of one seed and training set form a group: they visit the same
     # instances, drawn once.  order[s, g] is group g's instance at step s,
@@ -233,7 +238,6 @@ def _lockstep(kernel: _KernelData, cfgs, subsets, *, inv_diag=None) -> np.ndarra
 
     def make_bucket(live):
         rows = np.flatnonzero(np.isin(row_group, live))
-        s = int(np.searchsorted(rows, shrinking))
         return _Bucket(
             rows,
             row_group[rows],
@@ -241,10 +245,10 @@ def _lockstep(kernel: _KernelData, cfgs, subsets, *, inv_diag=None) -> np.ndarra
             np.array([cfgs[b].C for b in rows]),
             sizes[row_group[rows]],
             scale[rows],
-            radii[rows[s:] - shrinking],
+            radii[rows],
             whole=len(rows) == batch,
-            shrinking=s,
-            shrink_sizes=sizes[row_group[rows[:s]]].astype(float),
+            shrinks=np.flatnonzero(radii[rows] == math.inf),
+            projects=bool(np.any(radii[rows] < math.inf)),
         )
 
     buckets = {}
@@ -269,14 +273,13 @@ def _lockstep(kernel: _KernelData, cfgs, subsets, *, inv_diag=None) -> np.ndarra
                     inputs = [a[at] for a in kernel.stacks[length]]
                 updated = bucket.step(w, spec, t, *inputs)
                 _check_iterates(updated, bucket, t, cfgs)
-    return w[np.argsort(perm)]  # config order
+    return w
 
 
 @dataclass
 class _Bucket:
     """Rows decoded in one call: those of the groups whose current instances
-    share a length, in row order, so the ``shrinking`` rows come first.
-    Holds their fixed per-row arrays."""
+    share a length, in config order.  Holds their fixed per-row arrays."""
 
     rows: np.ndarray
     groups: np.ndarray
@@ -284,10 +287,10 @@ class _Bucket:
     hinge_weights: np.ndarray
     sizes: np.ndarray  # training-set sizes
     scale: np.ndarray  # 1 / inv_diag: the preconditioner of every row
-    radii: np.ndarray  # balls of the projecting rows, which come last
+    radii: np.ndarray  # L1 balls, infinite for the shrinking rows
     whole: bool  # the bucket holds every row of w
-    shrinking: int
-    shrink_sizes: np.ndarray  # float training-set sizes of the shrinking rows
+    shrinks: np.ndarray  # places of the shrinking rows in the bucket
+    projects: bool  # some row has a finite ball
 
     def step(self, w, spec, t, x, y, onehot, gold):
         """One update of these rows of ``w`` at instance(s) ``x``, ``y`` with
@@ -297,8 +300,8 @@ class _Bucket:
         alpha = 1.0 / (self.twice_betas * math.sqrt(t))
         node = _loss_augmented_scores(spec, block, x, onehot)
         y_star, _ = _viterbi(node, spec.transition_view(block))
-        if self.shrinking:
-            block[: self.shrinking] *= (1.0 - alpha[: self.shrinking] / self.shrink_sizes)[:, None]
+        if len(self.shrinks):
+            block[self.shrinks] *= (1.0 - alpha[self.shrinks] / self.sizes[self.shrinks])[:, None]
         hit = np.logical_or.reduce(y_star != y, axis=1)
         hits = np.count_nonzero(hit)
         if hits == len(block):  # every row moves: no gathers, no scatter
@@ -310,8 +313,8 @@ class _Bucket:
                 x, gold = x[hit], gold[hit]
             delta = self.scale[hit] * (gold - feature_vectors(spec, x, y_star[hit]))
             block[hit] += (alpha[hit] * self.hinge_weights[hit])[:, None] * delta
-        if len(self.radii):
-            block[self.shrinking :] = _project_rows(block[self.shrinking :], self.radii)
+        if self.projects:
+            block[:] = _project_rows(block, self.radii)
         if not self.whole:
             w[self.rows] = block
         return block

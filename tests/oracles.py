@@ -166,6 +166,20 @@ def norm_ball_radius_oracle(lam: float, theta: float) -> float:
         return float((lo + hi) / 2)
 
 
+def overflowing_gold_instances() -> list:
+    """Four finite d = 2, m = 2 instances; instances 2 and 3 each label two
+    1e308 features 0, so their gold feature vectors overflow.  Instance 3's
+    length comes first in data order, instance 2 first of the two."""
+    short, long = [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    huge = [[1e308, 0.0], [1e308, 1.0]]
+    return [
+        SequenceInstance(long, [0, 1, 0]),
+        SequenceInstance(short, [0, 1]),
+        SequenceInstance(huge, [0, 0]),
+        SequenceInstance([*huge, [1.0, 1.0]], [0, 0, 1]),
+    ]
+
+
 def make_signal_instances(rng, n: int, length: int, d: int) -> list:
     """Separable toy data: column 0 carries +-1 signs that determine labels."""
     instances = []

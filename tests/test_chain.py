@@ -60,7 +60,46 @@ def _split_sequences(draw):
     return FeatureSpec(d, m), x.reshape(length, d), y, draw(st.integers(1, length - 1))
 
 
+@st.composite
+def _feature_map_calls(draw):
+    """One feature-map call: per-row (B, L, d) or shared (L, d) inputs in C
+    order, Fortran order, or as a view of every other position of a larger
+    array; values among +-0.0, +-1, +-1e16 and 1e-300 (signed zeros,
+    cancellation, underflow) or scaled standard normals."""
+    d, m = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    batch, length = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    shape = (length, d) if draw(st.booleans()) else (batch, length, d)
+    size = math.prod(shape)
+    if draw(st.booleans()):
+        values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -1e16, 1e-300])
+        xs = np.array(draw(st.lists(values, min_size=size, max_size=size))).reshape(shape)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        xs = rng.standard_normal(shape) * 10.0 ** draw(st.integers(-3, 3))
+    layout = draw(st.sampled_from(["C", "Fortran", "strided"]))
+    if layout == "Fortran":
+        xs = np.asfortranarray(xs)
+    elif layout == "strided":
+        wide = np.zeros((*shape[:-2], 2 * length, d))
+        wide[..., ::2, :] = xs
+        xs = wide[..., ::2, :]
+    labels = st.lists(st.integers(0, m - 1), min_size=batch * length, max_size=batch * length)
+    return FeatureSpec(d, m), xs, np.array(draw(labels)).reshape(batch, length)
+
+
 class TestFeatureVector:
+    @settings(max_examples=300, deadline=None)
+    @given(_feature_map_calls())
+    def test_every_memory_layout_equals_the_oracle_to_the_bit(self, call):
+        """Each state feature is summed in position order whatever the
+        input's memory layout, so every row equals the position-by-position
+        oracle bit for bit, sign of zero included."""
+        spec, xs, ys = call
+        inputs = np.broadcast_to(xs, (len(ys), *xs.shape[-2:]))
+        for got, x, y in zip(feature_vectors(spec, xs, ys), inputs, ys):
+            want = manual_feature_vector(spec.d, spec.m, x, y)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (got, want)
+
     @settings(max_examples=150, deadline=None)
     @given(_split_sequences())
     def test_additive_across_a_split(self, case):
@@ -273,6 +312,22 @@ class TestDecode:
         for got, want in zip(decode_instances(spec, w, ducks), decode_instances(spec, w, instances)):
             np.testing.assert_array_equal(got, want)
         assert evaluate_weight_rows(spec, w, ducks) == evaluate_weight_rows(spec, w, instances)
+
+    def test_instance_owns_read_only_arrays(self):
+        """Writing into the caller's arrays after the build cannot reach a
+        checked instance: an array passed in, or a view of one, is copied,
+        and the instance's own arrays are read-only."""
+        spec = FeatureSpec(3, 2)
+        x, y = np.zeros((2, 3)), np.array([0, 1])
+        inst = SequenceInstance(x, y)
+        viewed = SequenceInstance(x.view(type("Subclass", (np.ndarray,), {})), [0, 1])
+        before = structured_hinge_objective([inst, viewed], spec, np.zeros(spec.K), 1.0)
+        x[1, 2] = np.nan
+        y[0] = 5
+        assert structured_hinge_objective([inst, viewed], spec, np.zeros(spec.K), 1.0) == before
+        for array in (inst.features, inst.labels, viewed.features):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
 
     @pytest.mark.parametrize("field", ["features", "labels"])
     def test_instance_is_frozen(self, field):

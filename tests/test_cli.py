@@ -27,6 +27,7 @@ from medn.dataio import ModelFile, read_dataset, read_model_file, write_dataset,
 from oracles import (
     make_mixed_instances,
     make_signal_instances,
+    overflowing_gold_instances,
     pac_bound_oracle,
     reference_l1_constrained_train,
     reference_subgradient_train,
@@ -63,8 +64,10 @@ def _write_signal_dataset(path, n=10, length=5, d=3, seed=80, noise_cols=True):
     spec = FeatureSpec(d, 2)
     instances = make_signal_instances(rng, n=n, length=length, d=d)
     if noise_cols and d > 1:
-        for inst in instances:
-            inst.features[:, 1:] = rng.standard_normal((length, d - 1))
+        for i, inst in enumerate(instances):
+            x = inst.features.copy()
+            x[:, 1:] = rng.standard_normal((length, d - 1))
+            instances[i] = SequenceInstance(x, inst.labels)
     write_dataset(path, instances, spec, meta={"seed": seed})
     return instances, spec
 
@@ -176,6 +179,23 @@ class TestTrainPredictEval:
         )
         assert (code, caught) == (2, [])
         assert err.startswith(message) and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["train", "--model", "m3n"], ["cv", "--folds", "2", "--models", "m3n,l1m3n"]],
+        ids=["train", "cv"],
+    )
+    def test_overflowing_gold_features_are_one_error_line(self, tmp_path, argv):
+        """Features of 1e308 are finite, but their sum is not: the error names
+        the instance, where a divergence error blamed the step size after a
+        numpy overflow warning."""
+        data = tmp_path / "huge.jsonl"
+        write_dataset(data, overflowing_gold_instances(), FeatureSpec(2, 2))
+        code, _, err, caught = _run_quietly(
+            [*argv, "--data", str(data), "--iters", "2", "--out", str(tmp_path / "o")]
+        )
+        assert (code, caught) == (2, [])
+        assert err == "error: instance 2: its features sum past the float range\n"
 
     @pytest.mark.parametrize(
         "argv, message",

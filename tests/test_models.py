@@ -69,8 +69,10 @@ class TestTrainGaussian:
 def _zero_column_data(rng, n=4, length=4, d=2, dead_col=1):
     """Toy data whose dead column is identically zero in every instance."""
     data = make_signal_instances(rng, n=n, length=length, d=d)
-    for inst in data:
-        inst.features[:, dead_col] = 0.0
+    for i, inst in enumerate(data):
+        x = inst.features.copy()
+        x[:, dead_col] = 0.0
+        data[i] = SequenceInstance(x, inst.labels)
     return data
 
 
@@ -396,8 +398,10 @@ class TestL1M3N:
         rng = np.random.default_rng(56)
         spec = FeatureSpec(d=3, m=2)
         data = make_signal_instances(rng, n=8, length=5, d=3)
-        for inst in data:
-            inst.features[:, 1:] = rng.standard_normal((len(inst), 2))
+        for i, inst in enumerate(data):
+            x = inst.features.copy()
+            x[:, 1:] = rng.standard_normal((len(inst), 2))
+            data[i] = SequenceInstance(x, inst.labels)
         w = train_laplace_grid(data, spec, [_cfg(iterations=60, radius=1.0)])[0][0]
         state = np.abs(spec.state_view(w))
         assert state[1:].sum() < state[0].sum()

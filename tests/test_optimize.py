@@ -30,6 +30,7 @@ from oracles import (
     l1_projection_oracle,
     make_mixed_instances,
     make_signal_instances,
+    overflowing_gold_instances,
     reference_l1_constrained_train,
     reference_subgradient_train,
     reference_train_laplace,
@@ -275,8 +276,10 @@ class TestL1ConstrainedTrain:
         spec = FeatureSpec(d=2, m=2)
         data = make_signal_instances(rng, n=10, length=5, d=2)
         # Column 1 is pure noise; replace the mild 0.1-scaled noise with unit noise.
-        for inst in data:
-            inst.features[:, 1] = rng.standard_normal(len(inst))
+        for i, inst in enumerate(data):
+            x = inst.features.copy()
+            x[:, 1] = rng.standard_normal(len(inst))
+            data[i] = SequenceInstance(x, inst.labels)
         w = train_laplace_grid(data, spec, [_identity_cfg(iterations=60, radius=1.0)])[0][0]
         state = np.abs(spec.state_view(w))
         assert state[1].sum() < 0.1 * state[0].sum()
@@ -325,6 +328,18 @@ class TestStructuredHingeObjective:
             np.dot(w, inv * w)
         )
         assert structured_hinge_objective([], spec, w, 2.5) == 0.0
+
+    def test_overflowing_gold_features_name_the_first_instance(self):
+        """Finite features whose gold feature vector overflows are one error
+        when the data is prepared, naming the first such instance in data
+        order, for the objective and the trainer alike."""
+        spec = FeatureSpec(2, 2)
+        data = overflowing_gold_instances()
+        message = "^instance 2: its features sum past the float range$"
+        with pytest.raises(ValueError, match=message):
+            structured_hinge_objective(data, spec, np.zeros(spec.K), 1.0)
+        with pytest.raises(ValueError, match=message):
+            train_laplace_grid(data, spec, [SubgradConfig(1.0, 1, 1.0)])
 
     def test_bad_instances_raise(self):
         spec, data, w, _ = self._problem()
