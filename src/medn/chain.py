@@ -201,6 +201,35 @@ def _viterbi(node: np.ndarray, trans: np.ndarray):
     return labels, value
 
 
+def _decode_rows(spec: FeatureSpec, weights: np.ndarray, xs):
+    """:func:`decode_rows`' (B, G, L) labelings, unchecked, and a (G,) mask
+    of the inputs whose node scores and attained maxima are finite under
+    every row."""
+    batch, group = weights.shape[0], len(xs)
+    length = xs[0].shape[0] if group else xs.shape[1]
+    state = spec.state_view(weights)
+    # (B, G, ...) keeps the reshape to (B * G, L, m) below a view.
+    node = np.empty((batch, group, length, spec.m))
+    trans = np.repeat(spec.transition_view(weights), group, axis=0)
+    # Finite inputs and weights can still score past the float range; the
+    # masks below catch that, so numpy's warnings about it would only
+    # precede the error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g, x in enumerate(xs):
+            # A strided operand can multiply to other last bits than a contiguous one.
+            node[:, g] = np.ascontiguousarray(x) @ state
+        labels, value = _viterbi(node.reshape(batch * group, length, spec.m), trans)
+    finite = np.isfinite(node).all(axis=(0, 2, 3))
+    finite &= np.isfinite(value).reshape(batch, group).all(axis=0)
+    return labels.reshape(batch, group, length), finite
+
+
+def _check_scores(finite: np.ndarray):
+    """ValueError naming the first instance whose ``finite`` entry is False."""
+    if not finite.all():
+        raise ValueError(f"instance {np.argmin(finite)}: its scores pass the float range")
+
+
 def decode_rows(spec: FeatureSpec, weights: np.ndarray, xs) -> np.ndarray:
     """(B, G, L) highest-scoring labelings of G same-length inputs under B weight rows.
 
@@ -210,19 +239,13 @@ def decode_rows(spec: FeatureSpec, weights: np.ndarray, xs) -> np.ndarray:
     C-contiguous (L, d) operand, into one (B, G, L, m) node array.  numpy
     runs one matrix product per (row, input) pair, so each labeling is
     bit-equal to decoding that input under that row alone.  Unchecked:
-    ``xs`` must be finite floats.
+    ``xs`` must be finite floats.  Finite inputs and weights whose node
+    scores or Viterbi maxima pass the float range raise ``ValueError``
+    naming the first such input.
     """
-    batch, group = weights.shape[0], len(xs)
-    length = xs[0].shape[0] if group else xs.shape[1]
-    state = spec.state_view(weights)
-    # (B, G, ...) keeps the reshape to (B * G, L, m) below a view.
-    node = np.empty((batch, group, length, spec.m))
-    for g, x in enumerate(xs):
-        # A strided operand can multiply to other last bits than a contiguous one.
-        node[:, g] = np.ascontiguousarray(x) @ state
-    trans = np.repeat(spec.transition_view(weights), group, axis=0)
-    labels, _ = _viterbi(node.reshape(batch * group, length, spec.m), trans)
-    return labels.reshape(batch, group, length)
+    labels, finite = _decode_rows(spec, weights, xs)
+    _check_scores(finite)
+    return labels
 
 
 def decode_instances(spec: FeatureSpec, weights, instances) -> list:
@@ -230,10 +253,11 @@ def decode_instances(spec: FeatureSpec, weights, instances) -> list:
 
     Returns one (B, L_i) array per instance, in input order.  The weights
     are checked once and each instance by :func:`_check_instance`; then the
-    instances of one length are decoded under all B rows in one
-    :func:`decode_rows` call, which takes their features as they are,
-    without copying them, so each labeling is bit-equal to decoding that
-    instance under that row alone.
+    instances of one length are decoded under all B rows in one DP call,
+    as :func:`decode_rows` decodes them, taking their features as they
+    are, without copying them, so each labeling is bit-equal to decoding
+    that instance under that row alone.  Scores past the float range raise
+    ``ValueError`` naming the first such instance in input order.
     """
     weights = _check_weights(spec, weights, 2)
     instances = [_check_instance(spec, inst) for inst in instances]
@@ -241,10 +265,12 @@ def decode_instances(spec: FeatureSpec, weights, instances) -> list:
     for i, inst in enumerate(instances):
         by_length.setdefault(len(inst), []).append(i)
     preds = [None] * len(instances)
+    finite = np.ones(len(instances), dtype=bool)
     for group in by_length.values():
-        labels = decode_rows(spec, weights, [instances[i].features for i in group])
+        labels, finite[group] = _decode_rows(spec, weights, [instances[i].features for i in group])
         for g, i in enumerate(group):
             preds[i] = labels[:, g]
+    _check_scores(finite)
     return preds
 
 

@@ -180,6 +180,24 @@ def overflowing_gold_instances() -> list:
     ]
 
 
+# d = 2, m = 2 weights under which a feature row (1, 0) scores +-1e308 and
+# a row (1, -1) scores +-2e308, past the float range.
+HUGE_WEIGHTS = np.array([1e308, -1e308, -1e308, 1e308, 0.0, 0.0, 0.0, 0.0])
+
+
+def overflowing_score_instances() -> list:
+    """Four finite d = 2, m = 2 instances; under :data:`HUGE_WEIGHTS`
+    instance 2's Viterbi maximum (1e308 twice) and instance 3's node scores
+    pass the float range.  Instance 3's length comes first in data order,
+    instance 2 first of the two."""
+    return [
+        SequenceInstance([[0.0, 0.0]], [0]),
+        SequenceInstance([[0.25, 0.0], [0.0, 0.25]], [0, 1]),
+        SequenceInstance([[1.0, 0.0], [0.0, 1.0]], [0, 1]),
+        SequenceInstance([[1.0, -1.0]], [1]),
+    ]
+
+
 def make_signal_instances(rng, n: int, length: int, d: int) -> list:
     """Separable toy data: column 0 carries +-1 signs that determine labels."""
     instances = []
@@ -222,6 +240,17 @@ def reference_read_dataset(path):
             raise ValueError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
         instances.append(SequenceInstance(np.array(obj["x"], dtype=float), np.array(obj["y"])))
     return instances, FeatureSpec(header["d"], header["m"]), header["meta"]
+
+
+def reference_write_dataset(path, instances, spec, meta=None):
+    """A dataset file written by its definition: the header line, then one
+    ``json.dumps`` line per instance, each with sorted keys, compact
+    separators and a "\\n" end."""
+    header = {"format": 1, "kind": "sequence-dataset", "d": spec.d, "m": spec.m, "meta": meta or {}}
+    objects = [header]
+    objects += ({"x": inst.features.tolist(), "y": inst.labels.tolist()} for inst in instances)
+    lines = (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n" for obj in objects)
+    Path(path).write_bytes("".join(lines).encode())
 
 
 # The per-config trainer loops the lockstep kernel replaced, kept as the

@@ -28,11 +28,14 @@ from medn.chain import (
     loss_augmented_decode_rows,
 )
 from oracles import (
+    HUGE_WEIGHTS,
     chain_scores,
     enumerate_labelings,
     make_mixed_instances,
     manual_feature_vector,
     manual_score,
+    overflowing_gold_instances,
+    overflowing_score_instances,
 )
 
 
@@ -448,6 +451,25 @@ class TestBatchedViterbi:
                 assert np.array_equal(node, want)
         spec = FeatureSpec(d=3, m=2)
         assert decode_rows(spec, np.zeros((2, spec.K)), np.empty((0, 5, 3))).shape == (2, 0, 5)
+
+    @pytest.mark.parametrize(
+        "instances, weights",
+        [(overflowing_gold_instances(), np.ones(8)), (overflowing_score_instances(), HUGE_WEIGHTS)],
+        ids=["huge-features", "huge-weights"],
+    )
+    def test_scores_past_the_float_range_name_the_first_instance(self, instances, weights):
+        """Finite features and weights can still score past the float range:
+        decoding names the first such instance in input order, without a
+        numpy warning, where it decoded labels from NaN scores."""
+        spec = FeatureSpec(d=2, m=2)
+        rows = np.stack([np.zeros(spec.K), weights])
+        with pytest.raises(ValueError, match="^instance 2: its scores pass the float range$"):
+            decode_instances(spec, rows, instances)
+        # decode_rows names inputs by their place in its own list.
+        xs = [inst.features for inst in instances if len(inst) == 2]
+        with pytest.raises(ValueError, match="^instance 1: its scores pass the float range$"):
+            decode_rows(spec, rows, xs)
+        assert decode_rows(spec, rows[:1], xs).shape == (1, len(xs), 2)
 
     def test_decode_instances_checks_weights_and_width(self):
         rng = np.random.default_rng(15)

@@ -25,9 +25,11 @@ from medn.cli import (
 from medn import cli, optimize
 from medn.dataio import ModelFile, read_dataset, read_model_file, write_dataset, write_model_file
 from oracles import (
+    HUGE_WEIGHTS,
     make_mixed_instances,
     make_signal_instances,
     overflowing_gold_instances,
+    overflowing_score_instances,
     pac_bound_oracle,
     reference_l1_constrained_train,
     reference_subgradient_train,
@@ -196,6 +198,28 @@ class TestTrainPredictEval:
         )
         assert (code, caught) == (2, [])
         assert err == "error: instance 2: its features sum past the float range\n"
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize(
+        "instances, weights",
+        [(overflowing_gold_instances(), np.ones(8)), (overflowing_score_instances(), HUGE_WEIGHTS)],
+        ids=["huge-features", "huge-weights"],
+    )
+    def test_overflowing_scores_are_one_error_line(self, tmp_path, command, instances, weights):
+        """Features of 1e308, or weights of +-1e308, are finite, but the
+        scores they form are not: the error names the first such instance,
+        where predict and eval printed numpy warnings, decoded labels from
+        NaN scores and exited 0."""
+        spec = FeatureSpec(2, 2)
+        data, model, out = tmp_path / "data.jsonl", tmp_path / "model.json", tmp_path / "out.csv"
+        write_dataset(data, instances, spec)
+        write_model_file(model, ModelFile("m3n", spec, weights, None, {}))
+        code, _, err, caught = _run_quietly(
+            [command, "--model-file", str(model), "--data", str(data), "--out", str(out)]
+        )
+        assert (code, caught) == (2, [])
+        assert err == "error: instance 2: its scores pass the float range\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -45,7 +45,12 @@ from medn.dataio import (
     write_dataset,
     write_model_file,
 )
-from oracles import laplace_tilted_mean, norm_ball_radius_oracle, reference_read_dataset
+from oracles import (
+    laplace_tilted_mean,
+    norm_ball_radius_oracle,
+    reference_read_dataset,
+    reference_write_dataset,
+)
 
 
 # Up to three single-character edits: (position, operation, character).
@@ -76,6 +81,36 @@ def _assert_parses_or_fails_in_one_located_line(reader, path):
         message = str(exc)
         assert re.match(rf"{re.escape(str(path))}:\d+: ", message), message
         assert "\n" not in message
+
+
+# Doubles at the edges where orjson and json.dumps print differently: an
+# exponent, or a value below 1e-4, and the neighbours on either side.
+_WRITER_EDGES = [
+    0.0, 5e-324, 9.99e-5, 1e21, 1.7976931348623157e308,
+    *(math.nextafter(edge, toward)
+      for edge in (1e-5, 1e-4, 1e16) for toward in (0.0, edge, math.inf)),
+]
+# Instances of d = 2 and m = 3: one (feature, feature, label) triple per position.
+_WRITER_INSTANCES = st.lists(
+    st.lists(
+        st.tuples(
+            st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_WRITER_EDGES),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.integers(0, 2),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _with_writer_edges(test):
+    """One @example per edge double, a file of one line holding it and its negation."""
+    for value in _WRITER_EDGES:
+        test = example(rows=[[(value, -value, 1)]])(test)
+    return test
 
 
 _ONE_FEATURE_HEADER = '{"d":1,"format":1,"kind":"sequence-dataset","m":2,"meta":{}}'
@@ -215,6 +250,24 @@ class TestDatasetFiles:
         )
         _mutate(path, edits)
         _assert_parses_or_fails_in_one_located_line(read_dataset, path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=_WRITER_INSTANCES)
+    @_with_writer_edges
+    @example(rows=[[(0.5, -1.0, 0)], [(1e-7, 2.0, 1), (3.0, 0.25, 2)], [(1e16, 0.1, 0)],
+                   [(123.456, 1e-4, 1)]])
+    def test_written_bytes_are_those_of_json_dumps(self, tmp_path_factory, rows):
+        """Lines printed by orjson, and the ones that fall back to
+        ``json.dumps``, are byte for byte the lines ``json.dumps`` writes."""
+        instances = [
+            SequenceInstance([position[:2] for position in row], [position[2] for position in row])
+            for row in rows
+        ]
+        base = tmp_path_factory.getbasetemp()
+        written, reference = base / "written.jsonl", base / "reference.jsonl"
+        write_dataset(written, instances, FeatureSpec(2, 3), meta={"seed": 7})
+        reference_write_dataset(reference, instances, FeatureSpec(2, 3), meta={"seed": 7})
+        assert written.read_bytes() == reference.read_bytes()
 
     @settings(max_examples=200, deadline=None)
     @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12))
