@@ -10,11 +10,8 @@ from .bounds import BoundInputs, margin_sample_count, pac_bound
 from .chain import FeatureSpec, SequenceInstance, decode_instances
 from .metrics import MetricsReport, evaluate_weight_rows, mean_std
 from .models import (
-    DualWeights,
     LaplaceConfig,
     kl_norm,
-    laplace_log_z,
-    laplace_log_z_grad,
     shrinkage_mean,
     train_laplace_grid,
 )
@@ -35,7 +32,6 @@ from .synth import (
 
 __all__ = [
     "BoundInputs",
-    "DualWeights",
     "FeatureSpec",
     "GeneratorConfig",
     "LaplaceConfig",
@@ -52,8 +48,6 @@ __all__ = [
     "gibbs_chains",
     "kl_norm",
     "l1_ball_project",
-    "laplace_log_z",
-    "laplace_log_z_grad",
     "margin_sample_count",
     "mean_std",
     "pac_bound",

@@ -15,7 +15,7 @@ dataset that way: one check of the weights, one DP call per length.
 An instance is checked in one place: a :class:`SequenceInstance` checks
 its own shape, dtype and values when it is built, and is frozen, so it
 stays checked.  The entry points (the dataset reader, the trainer, the
-objective, decoding and ``DualWeights``) pass each instance through
+objective and decoding) pass each instance through
 :func:`_check_instance`, which checks only its agreement with a
 :class:`FeatureSpec`: d input features and labels below m.
 """

@@ -12,8 +12,11 @@ own subset with its own seed, so a cross-validation sweep of all three
 families over every fold takes T - 1 kernel calls.
 
 Also provides the analysis functions for the Laplace posterior: the
-entropic shrinkage map, the closed-form log-normalizer and its gradient,
-and the KL-induced weight penalty.
+entropic shrinkage map from the dual vector eta to the posterior mean, and
+the KL-induced weight penalty of the primal.  The closed-form
+log-normalizer, the dual objective, is not here: no command computes it,
+since the trainer solves the variational primal; the test oracle keeps it
+to certify the exact optimum.
 """
 
 import math
@@ -22,17 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import FeatureSpec, _check_instance, feature_vectors
+from .chain import FeatureSpec
 from .optimize import SubgradConfig, _KernelData, _lockstep
 
 __all__ = [
     "LaplaceConfig",
-    "DualWeights",
     "VARIANCE_FLOOR",
     "train_laplace_grid",
     "shrinkage_mean",
-    "laplace_log_z",
-    "laplace_log_z_grad",
     "kl_norm",
 ]
 
@@ -71,60 +71,6 @@ class LaplaceConfig:
             raise ValueError("outer_iters must be an integer")
         if self.outer_iters < 2:
             raise ValueError("outer_iters must be at least 2")
-
-
-@dataclass
-class DualWeights:
-    """Per-instance finite, nonnegative weights over alternative labelings.
-
-    ``alphas[i]`` maps a labeling tuple to its weight for instance i.
-    Sparse: only labelings with nonzero weight need appear.
-    """
-
-    spec: FeatureSpec
-    alphas: list
-
-    def __post_init__(self):
-        cleaned = []
-        for amap in self.alphas:
-            row = {}
-            for y, a in amap.items():
-                a = float(a)
-                if not 0 <= a < math.inf:
-                    raise ValueError("dual weights must be finite and nonnegative")
-                y = tuple(int(v) for v in y)
-                if not all(0 <= v < self.spec.m for v in y):
-                    raise ValueError(f"label indices must lie in [0, {self.spec.m})")
-                row[y] = a
-            cleaned.append(row)
-        self.alphas = cleaned
-
-    def _accumulate(self, data):
-        """Weighted feature-difference vector, weighted total loss, and per
-        instance the (A, K) gold-minus-alternative deltas and A Hamming
-        losses of its A labelings, in ``alphas`` order."""
-        if len(data) != len(self.alphas):
-            raise ValueError("dual weights and data disagree on instance count")
-        eta = np.zeros(self.spec.K)
-        loss_sum = 0.0
-        terms = []
-        for inst, amap in zip(data, self.alphas):
-            inst = _check_instance(self.spec, inst)
-            x, gold = inst.features, inst.labels
-            if any(len(y) != len(gold) for y in amap):
-                raise ValueError("labelings and inputs disagree on sequence length")
-            ys = np.array(list(amap), dtype=np.int64).reshape(len(amap), len(gold))
-            feats = feature_vectors(self.spec, x, np.vstack([gold[None], ys]))
-            deltas, losses = feats[0] - feats[1:], (ys != gold).sum(axis=1).tolist()
-            for a, delta, loss in zip(amap.values(), deltas, losses):
-                eta += a * delta
-                loss_sum += a * loss
-            terms.append((deltas, losses))
-        return eta, loss_sum, terms
-
-    def eta(self, data) -> np.ndarray:
-        """Sum over instances and labelings of alpha * (gold - alternative) features."""
-        return self._accumulate(data)[0]
 
 
 def train_laplace_grid(data: list, spec: FeatureSpec, cfgs, *, subsets=None):
@@ -224,41 +170,6 @@ def shrinkage_mean(eta: float, lam: float) -> float:
     return 2.0 * eta / (lam - eta * eta)
 
 
-def _check_eta_domain(eta: np.ndarray, lam: float):
-    _check_lam(lam)
-    if not np.all(eta * eta < lam):
-        raise ValueError("eta_k**2 must be < lam for every coordinate")
-
-
-def laplace_log_z(dual: DualWeights, data: list, lam: float) -> float:
-    """Closed-form log-normalizer of the Laplace posterior at given duals.
-
-    Equals -sum_{i,y} alpha_i(y) * hamming(y, y_i)
-    + sum_k log(lam / (lam - eta_k**2)) with eta from :meth:`DualWeights.eta`.
-    Requires eta_k**2 < lam for every coordinate.
-    """
-    eta, loss_sum, _ = dual._accumulate(data)
-    _check_eta_domain(eta, lam)
-    return float(-loss_sum + np.sum(np.log(lam / (lam - eta**2))))
-
-
-def laplace_log_z_grad(dual: DualWeights, data: list, lam: float) -> list:
-    """Partial derivatives of :func:`laplace_log_z` in each stored dual weight.
-
-    The derivative in alpha_i(y) is v' (gold - alternative features) minus
-    the Hamming loss of y, where v_k = 2 * eta_k / (lam - eta_k**2) is the
-    shrunken posterior mean.  Returned as one dict per instance, keyed like
-    ``dual.alphas``.
-    """
-    eta, _, terms = dual._accumulate(data)
-    _check_eta_domain(eta, lam)
-    v = 2.0 * eta / (lam - eta**2)
-    return [
-        {y: float(np.dot(v, delta)) - loss for y, delta, loss in zip(amap, deltas, losses)}
-        for amap, (deltas, losses) in zip(dual.alphas, terms)
-    ]
-
-
 def kl_norm(mu, lam: float) -> float:
     """Weight penalty induced by a Laplace(lam) prior.
 
@@ -267,15 +178,18 @@ def kl_norm(mu, lam: float) -> float:
     the penalty interpolates toward the L1 norm.  The posterior KL
     divergence equals sqrt(lam) * kl_norm(mu, lam) - K, which is
     nonnegative and vanishes only at mu = 0.
+
+    Computed without squaring mu, so every finite mu has a finite term:
+    with s = sqrt(lam) and r = hypot(mu_k, 1/s), the term is
+    r - (log s + log(r + 1/s) - log 2) / s.
     """
     _check_lam(lam)
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     if not np.all(np.isfinite(mu)):
         raise ValueError("mu must be finite")
-    root = np.sqrt(lam * mu**2 + 1.0)
-    return float(
-        np.sum(np.sqrt(mu**2 + 1.0 / lam) - np.log((root + 1.0) / 2.0) / math.sqrt(lam))
-    )
+    s = math.sqrt(lam)
+    r = np.hypot(mu, 1.0 / s)
+    return float(np.sum(r - (math.log(s) + np.log(r + 1.0 / s) - math.log(2.0)) / s))
 
 
 def _kl_excess(mu, lam: float) -> float:

@@ -3,11 +3,17 @@
 Everything here recomputes expected values from first principles
 (exhaustive enumeration, bisection, quadrature) without touching the
 dynamic programs or solvers under test.
+
+It also holds the LapMEDN dual evaluator (:class:`DualWeights`,
+:func:`laplace_log_z` and its gradient).  No command computes the dual:
+the trainer solves the variational primal, and the tests use the dual to
+certify the exact LapMEDN optimum.
 """
 
 import itertools
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import mpmath
@@ -15,8 +21,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from medn import FeatureSpec, SequenceInstance, l1_ball_project
-from medn.chain import feature_vectors, loss_augmented_decode_rows
-from medn.models import VARIANCE_FLOOR
+from medn.chain import _check_instance, feature_vectors, loss_augmented_decode_rows
+from medn.models import VARIANCE_FLOOR, _check_lam
 
 
 def enumerate_labelings(m: int, length: int) -> np.ndarray:
@@ -120,6 +126,95 @@ def inverse_variance_expectation(second_moment: float, lam: float) -> float:
     num = quad(lambda t: dens(t) / t, 0.0, np.inf)[0]
     den = quad(dens, 0.0, np.inf)[0]
     return num / den
+
+
+@dataclass
+class DualWeights:
+    """Per-instance finite, nonnegative weights over alternative labelings.
+
+    ``alphas[i]`` maps a labeling tuple to its weight for instance i.
+    Sparse: only labelings with nonzero weight need appear.
+    """
+
+    spec: FeatureSpec
+    alphas: list
+
+    def __post_init__(self):
+        cleaned = []
+        for amap in self.alphas:
+            row = {}
+            for y, a in amap.items():
+                a = float(a)
+                if not 0 <= a < math.inf:
+                    raise ValueError("dual weights must be finite and nonnegative")
+                y = tuple(int(v) for v in y)
+                if not all(0 <= v < self.spec.m for v in y):
+                    raise ValueError(f"label indices must lie in [0, {self.spec.m})")
+                row[y] = a
+            cleaned.append(row)
+        self.alphas = cleaned
+
+    def _accumulate(self, data):
+        """Weighted feature-difference vector, weighted total loss, and per
+        instance the (A, K) gold-minus-alternative deltas and A Hamming
+        losses of its A labelings, in ``alphas`` order."""
+        if len(data) != len(self.alphas):
+            raise ValueError("dual weights and data disagree on instance count")
+        eta = np.zeros(self.spec.K)
+        loss_sum = 0.0
+        terms = []
+        for inst, amap in zip(data, self.alphas):
+            inst = _check_instance(self.spec, inst)
+            x, gold = inst.features, inst.labels
+            if any(len(y) != len(gold) for y in amap):
+                raise ValueError("labelings and inputs disagree on sequence length")
+            ys = np.array(list(amap), dtype=np.int64).reshape(len(amap), len(gold))
+            feats = feature_vectors(self.spec, x, np.vstack([gold[None], ys]))
+            deltas, losses = feats[0] - feats[1:], (ys != gold).sum(axis=1).tolist()
+            for a, delta, loss in zip(amap.values(), deltas, losses):
+                eta += a * delta
+                loss_sum += a * loss
+            terms.append((deltas, losses))
+        return eta, loss_sum, terms
+
+    def eta(self, data) -> np.ndarray:
+        """Sum over instances and labelings of alpha * (gold - alternative) features."""
+        return self._accumulate(data)[0]
+
+
+def _check_eta_domain(eta: np.ndarray, lam: float):
+    _check_lam(lam)
+    if not np.all(eta * eta < lam):
+        raise ValueError("eta_k**2 must be < lam for every coordinate")
+
+
+def laplace_log_z(dual: DualWeights, data: list, lam: float) -> float:
+    """Closed-form log-normalizer of the Laplace posterior at given duals.
+
+    Equals -sum_{i,y} alpha_i(y) * hamming(y, y_i)
+    + sum_k log(lam / (lam - eta_k**2)) with eta from :meth:`DualWeights.eta`.
+    Requires eta_k**2 < lam for every coordinate.
+    """
+    eta, loss_sum, _ = dual._accumulate(data)
+    _check_eta_domain(eta, lam)
+    return float(-loss_sum + np.sum(np.log(lam / (lam - eta**2))))
+
+
+def laplace_log_z_grad(dual: DualWeights, data: list, lam: float) -> list:
+    """Partial derivatives of :func:`laplace_log_z` in each stored dual weight.
+
+    The derivative in alpha_i(y) is v' (gold - alternative features) minus
+    the Hamming loss of y, where v_k = 2 * eta_k / (lam - eta_k**2) is the
+    shrunken posterior mean.  Returned as one dict per instance, keyed like
+    ``dual.alphas``.
+    """
+    eta, _, terms = dual._accumulate(data)
+    _check_eta_domain(eta, lam)
+    v = 2.0 * eta / (lam - eta**2)
+    return [
+        {y: float(np.dot(v, delta)) - loss for y, delta, loss in zip(amap, deltas, losses)}
+        for amap, (deltas, losses) in zip(dual.alphas, terms)
+    ]
 
 
 def pac_bound_oracle(n, y_card, c, gamma, kl, delta, rate=0.0):

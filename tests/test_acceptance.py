@@ -12,7 +12,6 @@ import numpy as np
 
 from medn import (
     BoundInputs,
-    DualWeights,
     FeatureSpec,
     GeneratorConfig,
     LaplaceConfig,
@@ -26,8 +25,6 @@ from medn import (
     gibbs_chains,
     kl_norm,
     l1_ball_project,
-    laplace_log_z,
-    laplace_log_z_grad,
     margin_sample_count,
     pac_bound,
     shrinkage_mean,
@@ -36,9 +33,12 @@ from medn import (
 from medn.chain import feature_vectors, loss_augmented_decode_rows
 from medn.cli import main
 from oracles import (
+    DualWeights,
     chain_scores,
     enumerate_labelings,
     l1_projection_oracle,
+    laplace_log_z,
+    laplace_log_z_grad,
     laplace_tilted_mean,
 )
 
