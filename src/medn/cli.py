@@ -3,7 +3,16 @@
 Subcommands: gen-synth, train, predict, eval, cv, shrinkage-curve,
 norm-ball, pac-bound.  Every command is deterministic given its flags and
 seed; all tabular output is CSV with a header row, and files are written
-with "\\n" newlines so reruns are byte-identical.
+with "\\n" newlines so reruns are byte-identical.  A failure, running out
+of memory among them, ends in one ``error:`` line and exit code 2.
+
+``gen-synth`` and ``pac-bound`` build their library object (a
+:class:`~medn.synth.GeneratorConfig`, a :class:`~medn.bounds.BoundInputs`)
+from the flags whose argparse dests are the object's field names, with
+``_from_flags``, and a flag whose field has a default takes it from the
+object; ``pac-bound``'s CSV columns are those fields, then m and the
+bound.  The model family names are :mod:`medn.dataio`'s, which checks a
+model file's kind.
 
 ``train`` and ``cv`` reject a flag that only a family they do not train
 reads (``FAMILY_FLAGS``), and ``cv`` a family or a sweep value listed
@@ -24,7 +33,7 @@ import csv
 import math
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +49,8 @@ from .curves import (
     shrinkage_eta_grid,
     shrinkage_points,
 )
-from .dataio import ModelFile, read_dataset, read_model_file, write_dataset, write_model_file
+from .dataio import (ModelFile, _MODEL_KINDS, read_dataset, read_model_file, write_dataset,
+                     write_model_file)
 from .metrics import evaluate_weight_rows, mean_std
 from .models import LaplaceConfig, _train_rounds, train_laplace_grid
 from .optimize import SubgradConfig, _KernelData, _objective
@@ -48,13 +58,11 @@ from .synth import GeneratorConfig, gen_dataset
 
 __all__ = ["main", "build_parser"]
 
-MODELS = ("m3n", "lapmedn", "l1m3n")
-
 # Default hyperparameter grids for cross-validation sweeps.
 DEFAULT_LAMBDA_GRID = (9.0, 16.0, 25.0, 36.0, 49.0, 64.0)
 DEFAULT_BETA_GRID = (1.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
 DEFAULT_RADIUS_GRID = (10.0,)
-DEFAULT_OUTER_ITERS = 4
+DEFAULT_OUTER_ITERS = LaplaceConfig.outer_iters
 
 EVAL_COLUMNS = ["model", "dataset", "n_train", "per_label_err", "seq_err", "seed"]
 CV_COLUMNS = [
@@ -86,23 +94,17 @@ def _float_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip()]
 
 
+def _from_flags(cls, args):
+    """A ``cls`` dataclass built from the flags whose dests are its field names."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+
+
 # ----------------------------------------------------------------------
 # gen-synth
 
 
 def _cmd_gen_synth(args) -> int:
-    cfg = GeneratorConfig(
-        d=args.d,
-        d_rel=args.d_rel,
-        L=args.length,
-        m=args.m,
-        n_samples=args.n,
-        gibbs_iters=args.gibbs_iters,
-        correlated=args.correlated,
-        group_size=args.group_size,
-        noise_sd=args.noise_sd,
-        seed=args.seed,
-    )
+    cfg = _from_flags(GeneratorConfig, args)
     dataset = gen_dataset(cfg)
     spec = FeatureSpec(cfg.d, cfg.m)
     meta = {
@@ -163,7 +165,7 @@ def _families(args) -> list[str]:
         if not models:
             raise ValueError("cv requires nonempty --models")
         for name in models:
-            if name not in MODELS:
+            if name not in _MODEL_KINDS:
                 raise ValueError(f"unknown model {name!r}")
             if models.count(name) > 1:
                 raise ValueError(f"--models lists {name} twice")
@@ -402,37 +404,14 @@ def _cmd_norm_ball(args) -> int:
 
 
 def _cmd_pac_bound(args) -> int:
-    inputs = BoundInputs(
-        n=args.n,
-        y_card=args.y_card,
-        c=args.c,
-        gamma=args.gamma,
-        kl=args.kl,
-        delta=args.delta,
-        empirical_margin_rate=args.margin_rate,
-    )
+    inputs = _from_flags(BoundInputs, args)
     m = margin_sample_count(inputs)
     bound = pac_bound(inputs)
     print(f"m = {m}")
     print(f"bound = {bound:.10f}")
     if args.out:
-        _write_csv(
-            args.out,
-            ["n", "y_card", "c", "gamma", "kl", "delta", "empirical_margin_rate", "m", "bound"],
-            [
-                [
-                    args.n,
-                    args.y_card,
-                    _fmt(args.c),
-                    _fmt(args.gamma),
-                    _fmt(args.kl),
-                    _fmt(args.delta),
-                    _fmt(args.margin_rate),
-                    m,
-                    _fmt(bound),
-                ]
-            ],
-        )
+        row = [v if isinstance(v, int) else _fmt(v) for v in astuple(inputs)] + [m, _fmt(bound)]
+        _write_csv(args.out, [f.name for f in fields(BoundInputs)] + ["m", "bound"], [row])
     return 0
 
 
@@ -449,19 +428,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-synth", help="generate a synthetic dataset file")
     p.add_argument("--d", type=int, default=20, help="input features per position")
     p.add_argument("--d-rel", type=int, default=5, help="relevant input features")
-    p.add_argument("--length", "--L", dest="length", type=int, default=8, help="sequence length")
+    p.add_argument("--length", "--L", dest="L", metavar="LENGTH", type=int, default=8, help="sequence length")
     p.add_argument("--m", type=int, default=2, help="label arity")
-    p.add_argument("--n", type=int, default=250, help="number of instances")
-    p.add_argument("--gibbs-iters", type=int, default=500, help="labeling sweeps per instance")
+    p.add_argument("--n", dest="n_samples", metavar="N", type=int, default=250, help="number of instances")
+    p.add_argument("--gibbs-iters", type=int, default=GeneratorConfig.gibbs_iters,
+                   help="labeling sweeps per instance")
     p.add_argument("--correlated", action="store_true", help="group-correlated relevant features")
-    p.add_argument("--group-size", type=int, default=1)
-    p.add_argument("--noise-sd", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--group-size", type=int, default=GeneratorConfig.group_size)
+    p.add_argument("--noise-sd", type=float, default=GeneratorConfig.noise_sd)
+    p.add_argument("--seed", type=int, default=GeneratorConfig.seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_synth)
 
     p = sub.add_parser("train", help="train a model and write a model file")
-    p.add_argument("--model", choices=MODELS, required=True)
+    p.add_argument("--model", choices=_MODEL_KINDS, required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=None, help="prior scale (lapmedn)")
     p.add_argument("--beta", type=float, default=1.0, help="step-size scale")
@@ -520,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--kl", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--margin-rate", type=float, default=0.0)
+    p.add_argument("--margin-rate", dest="empirical_margin_rate", metavar="MARGIN_RATE", type=float, default=0.0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_pac_bound)
 
@@ -534,6 +514,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # A bare MemoryError has no message.
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
 
 

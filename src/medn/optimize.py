@@ -79,6 +79,8 @@ class SubgradConfig:
     def __post_init__(self):
         if not self.beta > 0:
             raise ValueError("beta must be positive")
+        if self.beta == math.inf:
+            raise ValueError("beta must be finite")
         if not isinstance(self.iterations, numbers.Integral) or isinstance(self.iterations, bool):
             raise ValueError("iterations must be an integer")
         if self.iterations < 1:
@@ -256,7 +258,10 @@ def _lockstep(kernel: _KernelData, cfgs, subsets, *, inv_diag=None) -> np.ndarra
     # A row that overflows fails _check_iterates; numpy's warnings about it
     # would only precede that error.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, current in enumerate(order.tolist(), 1):
+        # One row of the schedule at a time: a list of the whole schedule
+        # would hold about 64 bytes per step more than the matrix.
+        for t, row in enumerate(order, 1):
+            current = row.tolist()
             by_length = {}
             for g, i in enumerate(current):
                 if i >= 0:
@@ -269,7 +274,7 @@ def _lockstep(kernel: _KernelData, cfgs, subsets, *, inv_diag=None) -> np.ndarra
                 if len(live) == 1:  # one group: its rows share an instance
                     inputs = kernel.instances[current[live[0]]]
                 else:  # one instance per row
-                    at = kernel.slot[order[t - 1, bucket.groups]]
+                    at = kernel.slot[row[bucket.groups]]
                     inputs = [a[at] for a in kernel.stacks[length]]
                 updated = bucket.step(w, spec, t, *inputs)
                 _check_iterates(updated, bucket, t, cfgs)

@@ -5,16 +5,22 @@ import hashlib
 import io
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from medn import FeatureSpec, LaplaceConfig, SequenceInstance
+from medn import BoundInputs, FeatureSpec, GeneratorConfig, LaplaceConfig, SequenceInstance
 from medn.cli import (
     DEFAULT_BETA_GRID,
     DEFAULT_LAMBDA_GRID,
@@ -35,6 +41,9 @@ from oracles import (
     reference_subgradient_train,
     reference_train_laplace,
 )
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _read_csv(path):
@@ -883,6 +892,11 @@ class TestPacBoundCommand:
         assert rows[0][-2:] == ["m", "bound"]
         assert float(rows[1][-1]) == pytest.approx(1.3041554627, abs=1e-9)
 
+    def test_csv_columns_are_the_bound_inputs_then_m_and_bound(self, tmp_path):
+        out = tmp_path / "bound.csv"
+        assert main(["pac-bound", "--n", "100", "--y-card", "256", "--kl", "1", "--out", str(out)]) == 0
+        assert _read_csv(out)[0] == [f.name for f in fields(BoundInputs)] + ["m", "bound"]
+
     def test_invalid_inputs_exit_nonzero(self):
         assert main(["pac-bound", "--n", "0", "--y-card", "4", "--kl", "1"]) == 2
 
@@ -1059,3 +1073,61 @@ def test_strings_and_booleans_beside_the_numbers_are_read(tmp_path):
     instances, _, _ = read_dataset(data)
     assert [inst.labels.tolist() for inst in instances] == [[0], [0, 1]]
     np.testing.assert_array_equal(instances[1].features, [[1.0, 0.0], [0.5, 2.0]])
+
+
+@pytest.mark.parametrize(
+    "command, cls, required",
+    [("gen-synth", GeneratorConfig, ["--out", "x"]),
+     ("pac-bound", BoundInputs, ["--n", "1", "--y-card", "2", "--kl", "0"])],
+)
+def test_each_field_has_a_flag_named_after_it(command, cls, required):
+    """A command builds its library object from the flags whose dests are
+    the object's field names, so each field needs one."""
+    args = cli.build_parser().parse_args([command, *required])
+    assert {f.name for f in fields(cls)} <= set(vars(args))
+
+
+# Address space for one command: room for the interpreter and numpy to
+# start, far below any allocation below.
+_ADDRESS_SPACE = 4_000_000_000
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE, _ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["shrinkage-curve", "--points", "1000000000000"],
+        ["shrinkage-curve", "--eta-grid", "0:1:1000000000000"],
+        ["norm-ball", "--angles", "1000000000000"],
+        ["gen-synth", "--length", "1000000000000", "--n", "1"],
+        ["gen-synth", "--length", "100000000", "--n", "1"],
+    ],
+)
+def test_out_of_memory_is_one_error_line(tmp_path, flags):
+    """Valid sizes that the machine cannot hold end in exit 2 and one
+    ``error:`` line, not numpy's traceback, and write no output.  Each runs
+    in a child process whose address space is limited, so the allocation
+    fails at once instead of taking the machine's memory."""
+    out = tmp_path / "out.txt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "medn.cli", *flags, "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+def test_bare_memory_error_has_its_own_text(monkeypatch, capsys):
+    def out_of_memory(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_pac_bound", out_of_memory)
+    assert main(["pac-bound", "--n", "1", "--y-card", "2", "--kl", "0"]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"

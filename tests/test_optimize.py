@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -233,6 +234,9 @@ class TestSubgradientTrain:
             with pytest.raises(ValueError, match=message):
                 SubgradConfig(beta=1.0, iterations=10, C=1.0, seed=seed)
         assert SubgradConfig(1.0, 10, 1.0, seed=np.int64(3)).seed == 3
+        # An infinite beta is a zero step size: the weights would stay 0.
+        with pytest.raises(ValueError, match="^beta must be finite$"):
+            SubgradConfig(beta=math.inf, iterations=10, C=1.0)
         for radius in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError, match="^radius must be positive$"):
                 SubgradConfig(beta=1.0, iterations=10, C=1.0, radius=radius)
@@ -533,6 +537,35 @@ class TestLockstepValidation:
         message = "^3 iterations over 7 instances are more steps than the kernel can schedule$"
         with pytest.raises(ValueError, match=message):
             train_laplace_grid(data, spec, [cfg])
+
+    def test_schedule_memory_per_step_before_the_first_update(self, monkeypatch):
+        """The kernel walks its schedule one row at a time.  Stopped at its
+        first update, one row over 50 desk-shaped instances for 2,000 epochs
+        (100,000 steps) peaked at 26.6 traced bytes per step: the int64
+        schedule, the cached instance order and the epochs' permutations
+        while they are joined.  A list of the whole schedule made it 88.1."""
+
+        class FirstUpdate(Exception):
+            pass
+
+        def first_update(*args):
+            raise FirstUpdate
+
+        rng = np.random.default_rng(0)
+        spec = FeatureSpec(20, 2)
+        data = [SequenceInstance(rng.standard_normal((8, 20)), rng.integers(0, 2, 8))
+                for _ in range(50)]
+        monkeypatch.setattr(optimize._Bucket, "step", first_update)
+        cfg = SubgradConfig(beta=1.0, iterations=2000, C=1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstUpdate):
+                train_laplace_grid(data, spec, [cfg])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 50 % above the measured 26.6 bytes per step.
+        assert peak / (50 * 2000) < 40.0
 
 
 def _count_calls(monkeypatch, module, name) -> list:
