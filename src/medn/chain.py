@@ -179,25 +179,28 @@ def feature_vectors(spec: FeatureSpec, xs: np.ndarray, ys: np.ndarray) -> np.nda
 def _viterbi(node: np.ndarray, trans: np.ndarray):
     """Max-sum DP over (B, L, m) node and (B, m, m) transition scores.
 
-    Returns (B, L) labels and the (B,) attained maxima.  Ties are resolved
-    toward the lowest label index at the final argmax and at every
-    backpointer, so the result is deterministic.
+    Returns (B, L) int64 labels, C-contiguous, and the (B,) attained
+    maxima.  Ties are resolved toward the lowest label index at the final
+    argmax and at every backpointer, so the result is deterministic.
+    Backpointers are stored position-major, as an (L, B, m) array: the
+    argmax writes position l's slice in place, and the backtrack gathers
+    from that contiguous slice.  Each maximum is the candidate gathered at
+    its argmax, so it keeps that candidate's bits, sign of zero included.
     """
     batch, length, m = node.shape
     rows, cols = np.arange(batch)[:, None], np.arange(m)
-    back = np.zeros((batch, length, m), dtype=np.int64)
+    back = np.empty((length, batch, m), dtype=np.intp)
     v = node[:, 0]
     for l in range(1, length):
         cand = v[:, :, None] + trans  # (batch, previous, current)
-        best = cand.argmax(axis=1)  # first maximum = lowest index
-        back[:, l] = best
+        best = cand.argmax(axis=1, out=back[l])  # first maximum = lowest index
         v = cand[rows, best, cols] + node[:, l]
-    labels = np.zeros((batch, length), dtype=np.int64)
-    labels[:, -1] = v.argmax(axis=1)
+    labels = np.empty((batch, length), dtype=np.int64)
     rows = rows[:, 0]
-    value = v[rows, labels[:, -1]]
+    label = labels[:, -1] = v.argmax(axis=1)
+    value = v[rows, label]
     for l in range(length - 1, 0, -1):
-        labels[:, l - 1] = back[rows, l, labels[:, l]]
+        label = labels[:, l - 1] = back[l][rows, label]
     return labels, value
 
 

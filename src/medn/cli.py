@@ -10,9 +10,10 @@ of memory among them, ends in one ``error:`` line and exit code 2.
 :class:`~medn.synth.GeneratorConfig`, a :class:`~medn.bounds.BoundInputs`)
 from the flags whose argparse dests are the object's field names, with
 ``_from_flags``, and a flag whose field has a default takes it from the
-object; ``pac-bound``'s CSV columns are those fields, then m and the
-bound.  The model family names are :mod:`medn.dataio`'s, which checks a
-model file's kind.
+object; an error that the object raises about one field names its flag.
+``pac-bound``'s CSV columns are those fields, then m and the bound.  The
+model family names are :mod:`medn.dataio`'s, which checks a model file's
+kind.
 
 ``train`` and ``cv`` reject a flag that only a family they do not train
 reads (``FAMILY_FLAGS``), and ``cv`` a family or a sweep value listed
@@ -94,9 +95,25 @@ def _float_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip()]
 
 
+# The flags not spelled as their field's name with "-" for "_".
+_FIELD_FLAGS = {"L": "--length", "n_samples": "--n", "empirical_margin_rate": "--margin-rate"}
+
+
 def _from_flags(cls, args):
-    """A ``cls`` dataclass built from the flags whose dests are its field names."""
-    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+    """A ``cls`` dataclass built from the flags whose dests are its field names.
+
+    An error message that starts with a field's name, then a space, names
+    that field's flag instead; the library's own message names the field.
+    """
+    names = [f.name for f in fields(cls)]
+    try:
+        return cls(**{name: getattr(args, name) for name in names})
+    except ValueError as exc:
+        name, space, rest = str(exc).partition(" ")
+        if not space or name not in names:
+            raise
+        flag = _FIELD_FLAGS.get(name, "--" + name.replace("_", "-"))
+        raise ValueError(f"{flag} {rest}") from exc
 
 
 # ----------------------------------------------------------------------

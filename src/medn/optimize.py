@@ -22,14 +22,17 @@ lapmedn's rounds share one preparation, and the objective evaluator,
 :func:`_objective`, decodes and scores the data from the same one, so
 ``train`` prepares its data once for training and objective alike.  A
 kernel call keeps its rows in config order and gives each bucket of rows
-decoded together its ``2 * beta``, hinge weights, penalty scales and L1
-balls; a shrinking row's ball is infinite, so the projection never moves
-it.  An update then does only what depends on the weights: the
-loss-augmented DP, the in-place shrink of the shrinking rows, the hit
+decoded together its ``2 * beta``, hinge weights, penalty scales, L1
+balls and shrink sizes; a shrinking row's ball is infinite, so the
+projection never moves it, and a projecting row's shrink size is
+infinite, so its shrink factor is exactly 1.0.  An update then does only
+what depends on the weights: the loss-augmented DP, one in-place multiply
+that shrinks the whole bucket (skipped when no row shrinks), the hit
 test, one feature map of the hit rows' winners and the in-place step
-(with no row gathers when every row of the bucket is hit), the projection
-onto each row's ball, and a divergence test that builds its per-row mask
-only when it is about to raise.
+(with no row gathers when every row of the bucket is hit), the in-place
+projection onto each row's ball, which writes only the rows outside
+theirs, and a divergence test that builds its per-row mask only when it
+is about to raise.
 """
 
 import math
@@ -240,17 +243,20 @@ def _lockstep(kernel: _KernelData, cfgs, subsets, *, inv_diag=None) -> np.ndarra
 
     def make_bucket(live):
         rows = np.flatnonzero(np.isin(row_group, live))
+        row_sizes, shrinking = sizes[row_group[rows]], radii[rows] == math.inf
         return _Bucket(
             rows,
             row_group[rows],
             np.array([2.0 * cfgs[b].beta for b in rows]),
             np.array([cfgs[b].C for b in rows]),
-            sizes[row_group[rows]],
+            row_sizes,
             scale[rows],
             radii[rows],
+            # A projecting row's infinite size makes its shrink factor exactly 1.0.
+            np.where(shrinking, row_sizes, math.inf),
             whole=len(rows) == batch,
-            shrinks=np.flatnonzero(radii[rows] == math.inf),
-            projects=bool(np.any(radii[rows] < math.inf)),
+            shrinks=bool(shrinking.any()),
+            projects=not shrinking.all(),
         )
 
     buckets = {}
@@ -293,8 +299,9 @@ class _Bucket:
     sizes: np.ndarray  # training-set sizes
     scale: np.ndarray  # 1 / inv_diag: the preconditioner of every row
     radii: np.ndarray  # L1 balls, infinite for the shrinking rows
+    shrink_sizes: np.ndarray  # training-set sizes, infinite for the projecting rows
     whole: bool  # the bucket holds every row of w
-    shrinks: np.ndarray  # places of the shrinking rows in the bucket
+    shrinks: bool  # some row has an infinite ball
     projects: bool  # some row has a finite ball
 
     def step(self, w, spec, t, x, y, onehot, gold):
@@ -305,8 +312,8 @@ class _Bucket:
         alpha = 1.0 / (self.twice_betas * math.sqrt(t))
         node = _loss_augmented_scores(spec, block, x, onehot)
         y_star, _ = _viterbi(node, spec.transition_view(block))
-        if len(self.shrinks):
-            block[self.shrinks] *= (1.0 - alpha[self.shrinks] / self.sizes[self.shrinks])[:, None]
+        if self.shrinks:
+            block *= (1.0 - alpha / self.shrink_sizes)[:, None]
         hit = np.logical_or.reduce(y_star != y, axis=1)
         hits = np.count_nonzero(hit)
         if hits == len(block):  # every row moves: no gathers, no scatter
@@ -319,7 +326,7 @@ class _Bucket:
             delta = self.scale[hit] * (gold - feature_vectors(spec, x, y_star[hit]))
             block[hit] += (alpha[hit] * self.hinge_weights[hit])[:, None] * delta
         if self.projects:
-            block[:] = _project_rows(block, self.radii)
+            _project_rows(block, self.radii)
         if not self.whole:
             w[self.rows] = block
         return block
@@ -344,19 +351,20 @@ def _check_iterates(updated, bucket, t: int, cfgs):
         )
 
 
-def _project_rows(v: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """Project each row of (B, K) ``v`` onto the L1 ball of its radius.
+def _project_rows(v: np.ndarray, radii: np.ndarray):
+    """Project each row of (B, K) ``v`` onto the L1 ball of its radius, in place.
 
-    Sort-and-threshold algorithm: rows already inside their ball are
-    returned unchanged, otherwise every entry shrinks toward zero by the
-    threshold that makes the row land on the ball boundary.
+    Sort-and-threshold algorithm: rows already inside their ball are not
+    written, so they keep their bits; in every other row each entry
+    shrinks toward zero by the threshold that makes the row land on the
+    ball boundary.
     """
     mag = np.abs(v)
     # Relative slack keeps re-projection an exact no-op despite the float
     # error (~K ulp) left on the boundary by a previous projection.
     outside = np.flatnonzero(np.add.reduce(mag, axis=1) > radii * (1.0 + 1e-12))
     if not outside.size:
-        return v.copy()
+        return
     mag_out, radius = mag[outside], radii[outside]
     u = np.sort(mag_out, axis=1)[:, ::-1]
     cssv = np.cumsum(u, axis=1)
@@ -367,26 +375,26 @@ def _project_rows(v: np.ndarray, radii: np.ndarray) -> np.ndarray:
     # rho: one past the last index where the sorted entry clears the threshold.
     rho = v.shape[1] - above[:, ::-1].argmax(axis=1)
     theta = (cssv[np.arange(len(outside)), rho - 1] - radius) / rho
-    out = v.copy()
-    out[outside] = np.sign(v[outside]) * np.maximum(mag_out - theta[:, None], 0.0)
-    return out
+    v[outside] = np.sign(v[outside]) * np.maximum(mag_out - theta[:, None], 0.0)
 
 
 def l1_ball_project(v: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection of ``v`` onto {u : ||u||_1 <= radius}.
 
-    Vectors already inside the ball are returned unchanged, otherwise every
-    entry shrinks toward zero by the threshold that makes the result land
-    on the ball boundary.
+    Returns a new array, never ``v`` or a view of it.  Vectors already
+    inside the ball come back unchanged, otherwise every entry shrinks
+    toward zero by the threshold that makes the result land on the ball
+    boundary.
     """
-    v = np.asarray(v, dtype=float)
+    v = np.array(v, dtype=float)
     if v.ndim != 1:
         raise ValueError("input must be a vector")
     if not np.all(np.isfinite(v)):
         raise ValueError("input must be finite")
     if not radius > 0:
         raise ValueError("radius must be positive")
-    return _project_rows(v[None], np.array([float(radius)]))[0]
+    _project_rows(v[None], np.array([float(radius)]))
+    return v
 
 
 def structured_hinge_objective(

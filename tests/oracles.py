@@ -2,7 +2,8 @@
 
 Everything here recomputes expected values from first principles
 (exhaustive enumeration, bisection, quadrature) without touching the
-dynamic programs or solvers under test.
+dynamic programs or solvers under test.  :func:`reference_viterbi` is the
+Viterbi DP's earlier layout, kept as its bit-level reference.
 
 It also holds the LapMEDN dual evaluator (:class:`DualWeights`,
 :func:`laplace_log_z` and its gradient).  No command computes the dual:
@@ -41,6 +42,31 @@ def chain_scores(d: int, m: int, weights, x, labelings) -> np.ndarray:
     if length > 1:
         scores = scores + trans[labelings[:, :-1], labelings[:, 1:]].sum(axis=1)
     return scores
+
+
+def reference_viterbi(node: np.ndarray, trans: np.ndarray):
+    """Max-sum DP over (B, L, m) node and (B, m, m) transition scores, as
+    :func:`medn.chain._viterbi` computed it before its backpointers moved to
+    a position-major array: batch-major backpointers stored after each
+    argmax, and a three-index gather in the backtrack.  The same float
+    operations in the same order, so its labels and maxima are the DP's to
+    the bit.  Returns (B, L) labels and the (B,) attained maxima."""
+    batch, length, m = node.shape
+    rows, cols = np.arange(batch)[:, None], np.arange(m)
+    back = np.zeros((batch, length, m), dtype=np.int64)
+    v = node[:, 0]
+    for l in range(1, length):
+        cand = v[:, :, None] + trans  # (batch, previous, current)
+        best = cand.argmax(axis=1)  # first maximum = lowest index
+        back[:, l] = best
+        v = cand[rows, best, cols] + node[:, l]
+    labels = np.zeros((batch, length), dtype=np.int64)
+    labels[:, -1] = v.argmax(axis=1)
+    rows = rows[:, 0]
+    value = v[rows, labels[:, -1]]
+    for l in range(length - 1, 0, -1):
+        labels[:, l - 1] = back[rows, l, labels[:, l]]
+    return labels, value
 
 
 def manual_feature_vector(d: int, m: int, x, y) -> np.ndarray:

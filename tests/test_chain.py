@@ -36,6 +36,7 @@ from oracles import (
     manual_score,
     overflowing_gold_instances,
     overflowing_score_instances,
+    reference_viterbi,
 )
 
 
@@ -354,7 +355,55 @@ def _dyadic_chains(draw):
     return node.reshape(batch, length, m), trans.reshape(batch, m, m)
 
 
+# Scores whose sums round (0.1 + 0.2 is not 0.3), both zeros, and scores
+# whose sums overflow; a few of them fill many entries, so exact ties and
+# ties between 0.0 and -0.0 are common.
+_ROUNDING_SCORES = (0.1, 0.2, 0.3, 1 / 3, -2 / 3, -0.7, 0.0, -0.0, 1e308, -1e308)
+
+
+@st.composite
+def _rounding_chains(draw):
+    """(B, L, m) node and (B, m, m) transition scores at the batch sizes,
+    lengths and arities that training and decoding meet, drawn from
+    non-dyadic normals and a few of ``_ROUNDING_SCORES``."""
+    batch = draw(st.sampled_from([1, 3, 60]))
+    length = draw(st.sampled_from([1, 2, 8, 40]))
+    m = draw(st.sampled_from([2, 3, 26]))
+    picks = draw(
+        st.lists(st.integers(0, len(_ROUNDING_SCORES) - 1), min_size=1, max_size=4, unique=True)
+    )
+    share = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.array(_ROUNDING_SCORES)[picks]
+
+    def scores(*shape):
+        out = rng.standard_normal(shape) * 3.0
+        fixed = rng.random(shape) < share
+        out[fixed] = rng.choice(values, np.count_nonzero(fixed))
+        return out
+
+    return scores(batch, length, m), scores(batch, m, m)
+
+
 class TestBatchedViterbi:
+    @settings(max_examples=200, deadline=None)
+    @given(_rounding_chains())
+    def test_equals_the_reference_layout_bit_for_bit(self, chains):
+        """The DP's labels and maxima equal the reference DP's, the maxima
+        compared as bits, so the sign of a zero and the last bit of a
+        rounded sum count.  The enumeration test below draws dyadic halves,
+        whose sums are exact, so it cannot see either.  Labels are a
+        C-contiguous int64 (B, L) array."""
+        node, trans = chains
+        with np.errstate(over="ignore", invalid="ignore"):
+            labels, values = _viterbi(node, trans)
+            want_labels, want_values = reference_viterbi(node, trans)
+        assert labels.shape == node.shape[:2] and labels.dtype == np.int64
+        assert labels.flags.c_contiguous
+        assert np.array_equal(labels, want_labels)
+        assert values.dtype == np.float64
+        assert np.array_equal(values.view(np.int64), want_values.view(np.int64))
+
     @settings(max_examples=300, deadline=None)
     @given(_dyadic_chains())
     def test_rows_match_enumeration_with_ties_to_the_lowest_label(self, chains):

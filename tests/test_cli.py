@@ -824,7 +824,7 @@ class TestCurveCommands:
              "error: lam must be positive and finite, got nan"),
             (["shrinkage-curve", "--lambdas", "inf"], "error: lam must be positive and finite"),
             (["gen-synth", "--correlated", "--d-rel", "2", "--group-size", "2",
-              "--noise-sd", "inf"], "error: noise_sd must be finite, got inf"),
+              "--noise-sd", "inf"], "error: --noise-sd must be finite, got inf"),
             (["norm-ball", "--lambdas", "1,1"], "error: --lambdas lists 1 twice"),
             (["shrinkage-curve", "--lambdas", "4,4.0"], "error: --lambdas lists 4 twice"),
         ],
@@ -1085,6 +1085,51 @@ def test_each_field_has_a_flag_named_after_it(command, cls, required):
     the object's field names, so each field needs one."""
     args = cli.build_parser().parse_args([command, *required])
     assert {f.name for f in fields(cls)} <= set(vars(args))
+
+
+_PAC_BOUND = ["pac-bound", "--n", "10", "--y-card", "4", "--kl", "1"]
+# Each single-field check of GeneratorConfig and BoundInputs, as a command
+# line that fails it (argparse keeps the last value of a repeated flag; the
+# default d_rel of 5 is not divisible by 2), and the flag its error names.
+_FIELD_ERRORS = [
+    (["gen-synth", "--d", "-1"], "--d"),
+    (["gen-synth", "--d-rel", "-1"], "--d-rel"),
+    (["gen-synth", "--d-rel", "21"], "--d-rel"),
+    (["gen-synth", "--length", "-1"], "--length"),
+    (["gen-synth", "--L", "-2"], "--length"),
+    (["gen-synth", "--m", "-1"], "--m"),
+    (["gen-synth", "--n", "-1"], "--n"),
+    (["gen-synth", "--gibbs-iters", "-1"], "--gibbs-iters"),
+    (["gen-synth", "--gibbs-iters", "0"], "--gibbs-iters"),
+    (["gen-synth", "--group-size", "-1"], "--group-size"),
+    (["gen-synth", "--correlated", "--group-size", "2"], "--group-size"),
+    (["gen-synth", "--noise-sd", "nan"], "--noise-sd"),
+    (["gen-synth", "--correlated", "--noise-sd", "0"], "--noise-sd"),
+    (["gen-synth", "--seed", "-1"], "--seed"),
+    ([*_PAC_BOUND, "--n", "0"], "--n"),
+    ([*_PAC_BOUND, "--y-card", "1"], "--y-card"),
+    ([*_PAC_BOUND, "--c", "0"], "--c"),
+    ([*_PAC_BOUND, "--gamma", "inf"], "--gamma"),
+    ([*_PAC_BOUND, "--kl", "-1"], "--kl"),
+    ([*_PAC_BOUND, "--delta", "1"], "--delta"),
+    ([*_PAC_BOUND, "--margin-rate", "nan"], "--margin-rate"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    _FIELD_ERRORS,
+    ids=[" ".join([argv[0], *argv[-2:]]) for argv, _ in _FIELD_ERRORS],
+)
+def test_single_field_error_names_its_flag(tmp_path, argv, flag):
+    """A check of one field of ``GeneratorConfig`` or ``BoundInputs`` fails
+    with one error line that names the field's flag, where the library
+    names the field; nothing is written."""
+    out = tmp_path / "out.csv"
+    code, _, err, caught = _run_quietly([*argv, "--out", str(out)])
+    assert (code, caught) == (2, [])
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 # Address space for one command: room for the interpreter and numpy to

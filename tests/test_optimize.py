@@ -111,6 +111,17 @@ class TestL1BallProject:
         out = l1_ball_project(np.array([-2.0, 1.0, -0.5]), 1.0)
         assert out[0] <= 0 and out[1] >= 0 and out[2] <= 0
 
+    @pytest.mark.parametrize("radius", [10.0, 1.0], ids=["inside", "outside"])
+    def test_returns_a_new_array(self, radius):
+        """The result is never the input or a view of it: writing into it
+        leaves the caller's array as it was."""
+        v = np.array([2.0, -0.0, -1.5, 0.1])
+        before = v.copy()
+        u = l1_ball_project(v, radius)
+        assert u is not v and not np.shares_memory(u, v)
+        u[:] = 7.0
+        assert np.array_equal(v.view(np.int64), before.view(np.int64))
+
     def test_invalid_inputs_raise(self):
         with pytest.raises(ValueError):
             l1_ball_project(np.array([1.0, np.inf]), 1.0)
@@ -658,6 +669,42 @@ class TestKernelBranches:
         mapped = [len(args[2]) for args in maps[1:]]  # after the golds' one call
         assert len(cfgs) in mapped  # every row hit: no gathers
         assert any(0 < rows_hit < len(cfgs) for rows_hit in mapped)  # some rows hit
+
+
+@pytest.mark.parametrize("whole", [True, False], ids=["whole", "some-rows"])
+def test_row_inside_its_ball_keeps_its_bits_when_another_row_projects(whole):
+    """One update of three rows at one instance.  Row 0 (l1m3n) decodes to
+    the gold labels and lies inside its ball; row 1 (l1m3n) is hit and
+    steps outside its ball; row 2 (m3n) shrinks and is hit.  Row 0's shrink
+    factor is exactly 1.0 and the projection does not write it, so its
+    bits stay, zeros' signs included; row 1 lands on its boundary."""
+    spec = FeatureSpec(d=1, m=2)
+    x, y = np.ones((1, 1)), np.zeros(1, dtype=np.int64)
+    onehot = np.array([[1.0, 0.0]])
+    gold = feature_vectors(spec, x, y[None])[0]
+    inside = np.array([5.0, -0.0, -0.0, 0.1, -0.0, 1 / 3])
+    # Without ``whole`` the bucket holds rows 0 to 2 of four.
+    w = np.vstack([inside, np.zeros((2, spec.K)), np.full(spec.K, 9.0)])[: 3 if whole else 4]
+    bucket = optimize._Bucket(
+        rows=np.arange(3),
+        groups=np.zeros(3, dtype=np.int64),
+        twice_betas=np.ones(3),
+        hinge_weights=np.array([1.0, 10.0, 1.0]),
+        sizes=np.array([1, 1, 4]),
+        scale=np.ones((3, spec.K)),
+        radii=np.array([10.0, 0.5, math.inf]),
+        shrink_sizes=np.array([math.inf, math.inf, 4.0]),
+        whole=whole,
+        shrinks=True,
+        projects=True,
+    )
+    updated = bucket.step(w, spec, 1, x, y, onehot, gold)
+    assert np.array_equal(w[0].view(np.int64), inside.view(np.int64))
+    np.testing.assert_allclose(w[1], [0.25, -0.25, 0.0, 0.0, 0.0, 0.0], rtol=0, atol=1e-15)
+    assert np.array_equal(w[2], [1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(updated, w[:3])
+    if not whole:
+        assert np.array_equal(w[3], np.full(spec.K, 9.0))
 
 
 class TestLayerCounts:
