@@ -179,28 +179,37 @@ def feature_vectors(spec: FeatureSpec, xs: np.ndarray, ys: np.ndarray) -> np.nda
 def _viterbi(node: np.ndarray, trans: np.ndarray):
     """Max-sum DP over (B, L, m) node and (B, m, m) transition scores.
 
-    Returns (B, L) int64 labels, C-contiguous, and the (B,) attained
-    maxima.  Ties are resolved toward the lowest label index at the final
-    argmax and at every backpointer, so the result is deterministic.
-    Backpointers are stored position-major, as an (L, B, m) array: the
-    argmax writes position l's slice in place, and the backtrack gathers
-    from that contiguous slice.  Each maximum is the candidate gathered at
-    its argmax, so it keeps that candidate's bits, sign of zero included.
+    One (1, m, m) transition block may be shared by every row.  Returns
+    (B, L) int64 labels, C-contiguous, and the (B,) attained maxima.  Ties
+    are resolved toward the lowest label index at the final argmax and at
+    every backpointer, so the result is deterministic.
+
+    Each position's candidates lie in one (B, current, previous) buffer,
+    the transitions transposed once per call, so the argmax runs along the
+    contiguous last axis and writes position l's (B, m) slice of the
+    position-major (L, B, m) backpointers in place.  The forward maxima,
+    the final value and every backpointer step are read with one flat
+    ``take`` each.  Each maximum is the candidate taken at its argmax, so
+    it keeps that candidate's bits, sign of zero included.
     """
     batch, length, m = node.shape
-    rows, cols = np.arange(batch)[:, None], np.arange(m)
+    trans_t = np.ascontiguousarray(trans.transpose(0, 2, 1))  # (batch or 1, current, previous)
+    cand = np.empty((batch, m, m))
+    # Flat index of cand[b, c, 0], so adding a previous label p reads cand[b, c, p].
+    offsets = np.arange(0, batch * m * m, m).reshape(batch, m)
     back = np.empty((length, batch, m), dtype=np.intp)
     v = node[:, 0]
     for l in range(1, length):
-        cand = v[:, :, None] + trans  # (batch, previous, current)
-        best = cand.argmax(axis=1, out=back[l])  # first maximum = lowest index
-        v = cand[rows, best, cols] + node[:, l]
+        np.add(v[:, None, :], trans_t, out=cand)
+        best = cand.argmax(axis=2, out=back[l])  # first maximum = lowest index
+        v = cand.take(best + offsets)
+        v += node[:, l]
     labels = np.empty((batch, length), dtype=np.int64)
-    rows = rows[:, 0]
+    rows = np.arange(0, batch * m, m)  # flat index of row b's label 0 in a (B, m) array
     label = labels[:, -1] = v.argmax(axis=1)
-    value = v[rows, label]
+    value = v.take(rows + label)
     for l in range(length - 1, 0, -1):
-        label = labels[:, l - 1] = back[l][rows, label]
+        label = labels[:, l - 1] = back[l].take(rows + label)
     return labels, value
 
 

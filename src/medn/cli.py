@@ -3,8 +3,9 @@
 Subcommands: gen-synth, train, predict, eval, cv, shrinkage-curve,
 norm-ball, pac-bound.  Every command is deterministic given its flags and
 seed; all tabular output is CSV with a header row, and files are written
-with "\\n" newlines so reruns are byte-identical.  A failure, running out
-of memory among them, ends in one ``error:`` line and exit code 2.
+with "\\n" newlines so reruns are byte-identical.  A failure, a command
+line that argparse rejects and running out of memory among them, ends in
+one ``error:`` line and exit code 2.
 
 ``gen-synth`` and ``pac-bound`` build their library object (a
 :class:`~medn.synth.GeneratorConfig`, a :class:`~medn.bounds.BoundInputs`)
@@ -92,7 +93,14 @@ def _write_csv(path, columns, rows):
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+    values = []
+    for part in text.split(","):
+        if part.strip():
+            try:
+                values.append(float(part))
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"not a number: {part!r}") from None
+    return values
 
 
 # The flags not spelled as their field's name with "-" for "_".
@@ -436,8 +444,18 @@ def _cmd_pac_bound(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a bad command line as one ``error:``
+    line and exit code 2, as every other failure is reported; ``--help``
+    and the usage it prints are argparse's own.  Subparsers are built from
+    the same class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="medn", description="Max-margin chain models: data, training, analysis."
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -10,7 +10,8 @@ rule: without a ``radius`` the step shrinks toward zero under a diagonal
 quadratic penalty (m3n), with one it projects onto that L1 ball (l1m3n).
 At each step the trajectories whose current instances share a length are
 decoded in one DP call.  A single model is the kernel with one config
-(B = 1); cross-validation runs every fold's configs in one call.  It
+(B = 1); cross-validation runs every fold's configs in one call, and
+rows that share a config, a training set and a penalty train once.  It
 returns the final iterates as a (B, K) array, in config order.
 
 The kernel trusts its arguments: ``train_laplace_grid`` checks the configs
@@ -206,11 +207,27 @@ def _lockstep(kernel: _KernelData, cfgs, subsets, *, inv_diag=None) -> np.ndarra
     hinge_i(w) = max_y [w'f(x_i, y) + hamming(y, y_i)] - w'f(x_i, y_i); an
     instance whose maximizer is its gold labeling adds no data term.
     Starts from w = 0.  Every row is bit-equal to running its config alone
-    on its training set.  Raises ``RuntimeError`` naming the row's seed and
-    beta as soon as a row stops being finite or its L2 norm exceeds
-    ``DIVERGENCE_LIMIT``.
+    on its training set; rows that share a config, a training set and an
+    ``inv_diag`` row run one trajectory, trained once.  Raises
+    ``RuntimeError`` naming the row's seed and beta as soon as a row stops
+    being finite or its L2 norm exceeds ``DIVERGENCE_LIMIT``.
     """
     spec = kernel.spec
+    # Rows of one config, training set and penalty run one trajectory: train
+    # each distinct row once, in first-occurrence order, and copy it back to
+    # its config order at the end.
+    distinct = {}
+    inverse = [
+        distinct.setdefault(
+            (cfg, s.tobytes(), None if inv_diag is None else inv_diag[b].tobytes()),
+            (len(distinct), b),
+        )[0]
+        for b, (cfg, s) in enumerate(zip(cfgs, subsets))
+    ]
+    first = [b for _, b in distinct.values()]
+    cfgs, subsets = [cfgs[b] for b in first], [subsets[b] for b in first]
+    if inv_diag is not None:
+        inv_diag = inv_diag[first]
     iterations = cfgs[0].iterations
     batch = len(cfgs)
     scale = 1.0 / (np.ones((batch, spec.K)) if inv_diag is None else inv_diag)
@@ -284,7 +301,7 @@ def _lockstep(kernel: _KernelData, cfgs, subsets, *, inv_diag=None) -> np.ndarra
                     inputs = [a[at] for a in kernel.stacks[length]]
                 updated = bucket.step(w, spec, t, *inputs)
                 _check_iterates(updated, bucket, t, cfgs)
-    return w
+    return w[inverse]
 
 
 @dataclass

@@ -46,11 +46,13 @@ def chain_scores(d: int, m: int, weights, x, labelings) -> np.ndarray:
 
 def reference_viterbi(node: np.ndarray, trans: np.ndarray):
     """Max-sum DP over (B, L, m) node and (B, m, m) transition scores, as
-    :func:`medn.chain._viterbi` computed it before its backpointers moved to
-    a position-major array: batch-major backpointers stored after each
-    argmax, and a three-index gather in the backtrack.  The same float
-    operations in the same order, so its labels and maxima are the DP's to
-    the bit.  Returns (B, L) labels and the (B,) attained maxima."""
+    :func:`medn.chain._viterbi` computed it before it changed its layouts.
+    It differs from the DP only in candidate layout and gathers: candidates
+    lie as (B, previous, current), batch-major backpointers are stored after
+    each argmax, and the forward maxima and the backtrack are read with
+    three-index gathers.  It runs the same float operations in the same
+    order, so its labels and maxima are the DP's to the bit.  Returns (B, L)
+    labels and the (B,) attained maxima."""
     batch, length, m = node.shape
     rows, cols = np.arange(batch)[:, None], np.arange(m)
     back = np.zeros((batch, length, m), dtype=np.int64)

@@ -424,6 +424,73 @@ class TestBatchedViterbi:
             assert labels[b].tolist() == want
             assert values[b] == scores.max()
 
+    @staticmethod
+    def _assert_reference_bits(node, trans, reference_trans):
+        """``_viterbi(node, trans)`` equals the reference DP on contiguous
+        copies of ``node`` and ``reference_trans``: labels equal, maxima equal
+        as bits.  Neither input is written."""
+        node_bits, trans_bits = node.copy(), trans.copy()
+        labels, values = _viterbi(node, trans)
+        want_labels, want_values = reference_viterbi(
+            np.ascontiguousarray(node), np.ascontiguousarray(reference_trans)
+        )
+        assert labels.dtype == np.int64 and labels.flags.c_contiguous
+        assert np.array_equal(labels, want_labels)
+        assert np.array_equal(values.view(np.int64), want_values.view(np.int64))
+        assert np.array_equal(node.view(np.int64), node_bits.view(np.int64))
+        assert np.array_equal(trans.view(np.int64), trans_bits.view(np.int64))
+
+    @staticmethod
+    def _planted_scores(rng, *shape):
+        """Normals with about half the entries replaced by 0.0, -0.0, 0.5
+        and 1.0, so that candidates tie exactly; the first row holds zeros
+        of both signs alone."""
+        out = rng.standard_normal(shape)
+        planted = rng.random(shape) < 0.5
+        out[planted] = rng.choice([0.0, -0.0, 0.5, 1.0], np.count_nonzero(planted))
+        out[0] = rng.choice([0.0, -0.0], out[0].shape)
+        return out
+
+    def _planted_chain(self, rng, batch, length, m, trans_rows):
+        """(B, L, m) node and (trans_rows, m, m) transition scores with
+        planted ties.  Row 0's node is -0.0 throughout and its transitions
+        are zeros of both signs, so each of its candidates is a zero with its
+        transition's sign, and each maximum keeps the sign bit of the
+        candidate the argmax picked."""
+        node = self._planted_scores(rng, batch, length, m)
+        node[0] = -0.0
+        return node, self._planted_scores(rng, trans_rows, m, m)
+
+    @pytest.mark.parametrize("group, length, m", [(1, 8, 2), (5, 3, 3), (60, 8, 2), (250, 40, 4)])
+    def test_one_shared_transition_block_broadcasts(self, group, length, m):
+        """(1, m, m) transitions against a (G, L, m) node, as the objective
+        calls the DP, equal the reference with the block repeated G times."""
+        rng = np.random.default_rng(group * 100 + length * 10 + m)
+        node, trans = self._planted_chain(rng, group, length, m, 1)
+        self._assert_reference_bits(node, trans, np.repeat(trans, group, axis=0))
+
+    @pytest.mark.parametrize("batch, length, m", [(2, 8, 2), (7, 1, 3), (60, 8, 2), (250, 40, 4)])
+    def test_strided_transitions_and_node(self, batch, length, m):
+        """Transitions given as the transition view of every other row of a
+        weight block, and a node that is a strided view, decode as their
+        contiguous copies do."""
+        rng = np.random.default_rng(batch * 100 + length * 10 + m)
+        spec = FeatureSpec(d=3, m=m)
+        block = self._planted_scores(rng, 2 * batch, spec.K)
+        trans = spec.transition_view(block[::2])
+        assert not trans.flags.c_contiguous
+        node = self._planted_scores(rng, batch, 2 * length, m + 1)[:, ::2, :m]
+        node[0] = -0.0
+        self._assert_reference_bits(node, trans, trans)
+
+    @pytest.mark.parametrize("batch, length, m", [(1, 8, 2), (60, 8, 2), (480, 8, 2), (250, 40, 4)])
+    def test_workload_shapes_with_planted_zeros_and_ties(self, batch, length, m):
+        """One fixed-seed case at each shape that training and decoding meet:
+        B = 1 and 60 to 480 rows at L = 8, m = 2, and the wide decode."""
+        rng = np.random.default_rng(batch + length + m)
+        node, trans = self._planted_chain(rng, batch, length, m, batch)
+        self._assert_reference_bits(node, trans, trans)
+
     def test_batched_decode_and_features_equal_single_row_calls(self):
         rng = np.random.default_rng(13)
         spec = FeatureSpec(d=3, m=3)

@@ -1176,3 +1176,36 @@ def test_bare_memory_error_has_its_own_text(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_cmd_pac_bound", out_of_memory)
     assert main(["pac-bound", "--n", "1", "--y-card", "2", "--kl", "0"]) == 2
     assert capsys.readouterr().err == "error: out of memory\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train", "--model", "m3n", "--data", "d.jsonl", "--iters", "abc", "--out", "x.json"],
+         "error: argument --iters: invalid int value: 'abc'"),
+        (["pac-bound", "--n", "10", "--y-card", "1e400", "--kl", "1"],
+         "error: argument --y-card: invalid int value: '1e400'"),
+        (["cv", "--data", "x", "--folds", "2", "--betas", "1,a", "--out", "o"],
+         "error: argument --betas: not a number: 'a'"),
+        (["train", "--data", "x"], "error: the following arguments are required: --model, --out"),
+    ],
+    ids=["iters-text", "y-card-float", "betas-entry", "missing-flags"],
+)
+def test_bad_command_line_is_one_error_line(tmp_path, monkeypatch, capsys, argv, message):
+    """A command line that argparse rejects ends as every other failure
+    does: exit 2 and one ``error:`` line, with no usage block before it,
+    and no output file."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_help_is_argparse_usage(capsys):
+    """``--help`` still prints argparse's usage and exits 0."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["cv", "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: medn cv [-h] --data DATA --folds FOLDS")

@@ -497,6 +497,40 @@ def test_train_laplace_grid_over_mixed_families(monkeypatch):
     assert [len(args[1]) for args in kernel_calls] == [5, 2, 2]
 
 
+def test_identical_rows_train_once(monkeypatch):
+    """Round 1 does not depend on lambda, so two lapmedn rows that differ
+    only in lambda run one round-1 trajectory, and a repeated m3n row runs
+    one: round 1 decodes 2 rows, not 4, and round 2 the two lapmedn rows.
+    Every row is bit-equal to training its config alone."""
+    spec, data = _lockstep_problem(180, 3)
+    inner = SubgradConfig(beta=1.0, iterations=3, C=1.0, seed=2)
+    m3n = SubgradConfig(beta=10.0, iterations=3, C=2.0, seed=2)
+    cfgs = [LaplaceConfig(lam=4.0, inner=inner, outer_iters=3), m3n,
+            LaplaceConfig(lam=36.0, inner=inner, outer_iters=3), m3n]
+    alone = [train_laplace_grid(data, spec, [cfg]) for cfg in cfgs]
+    decodes = _count_calls(monkeypatch, optimize, "_viterbi")
+    means, variances = train_laplace_grid(data, spec, cfgs)
+    for mean, var, (want_mean, want_var) in zip(means, variances, alone):
+        assert _same_bits(mean, want_mean[0]) and _same_bits(var, want_var[0])
+    steps = inner.iterations * len(data)  # one bucket per step: every row shares its instance
+    batches = [len(args[0]) for args in decodes]
+    assert batches == [2] * steps + [2] * steps
+
+
+def test_identical_rows_name_the_first_diverging_row():
+    """A repeated diverging row raises the error its first copy raises alone."""
+    rng = np.random.default_rng(26)
+    spec = FeatureSpec(d=2, m=2)
+    data = make_signal_instances(rng, n=2, length=3, d=2)
+    stable = SubgradConfig(beta=1.0, iterations=50, C=1.0, seed=0)
+    risky = SubgradConfig(beta=0.01, iterations=50, C=1.0, seed=0)
+    with pytest.raises(RuntimeError) as alone:
+        train_laplace_grid(data, spec, [stable, risky])
+    with pytest.raises(RuntimeError) as repeated:
+        train_laplace_grid(data, spec, [stable, risky, stable, risky])
+    assert str(repeated.value) == str(alone.value)
+
+
 class TestLockstepValidation:
     def test_configs_must_share_the_instance_order(self):
         """Each row draws its own order from its seed, but every row runs
