@@ -33,6 +33,11 @@ __all__ = [
     "loss_augmented_decode_rows",
 ]
 
+# A count that sizes a float array stays below this.  numpy rejects, in its
+# own words, an array of 2**60 floats, whose bytes a 64-bit index cannot
+# count, and np.linspace rounds a count just below 2**60 up to it.
+_COUNT_LIMIT = 2**59
+
 
 @dataclass(frozen=True)
 class FeatureSpec:

@@ -7,11 +7,16 @@ with "\\n" newlines so reruns are byte-identical.  A failure, a command
 line that argparse rejects and running out of memory among them, ends in
 one ``error:`` line and exit code 2.
 
-``gen-synth`` and ``pac-bound`` build their library object (a
+Every command's config error names its flag: a library check names the
+field or parameter it rejects, and one rule, ``_error_text``, which writes
+every error line, puts the flag that set it in its place (a sweep's
+``--betas``, ``--lambdas`` or ``--radii`` where the command has it; the
+beta flag for m3n's default slack penalty, 200 * beta).  ``gen-synth``
+and ``pac-bound`` build their library object (a
 :class:`~medn.synth.GeneratorConfig`, a :class:`~medn.bounds.BoundInputs`)
 from the flags whose argparse dests are the object's field names, with
 ``_from_flags``, and a flag whose field has a default takes it from the
-object; an error that the object raises about one field names its flag.
+object.
 ``pac-bound``'s CSV columns are those fields, then m and the bound.  The
 model family names are :mod:`medn.dataio`'s, which checks a model file's
 kind.
@@ -32,7 +37,6 @@ data that trained it.
 
 import argparse
 import csv
-import math
 import sys
 import time
 from dataclasses import asdict, astuple, fields
@@ -41,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import BoundInputs, margin_sample_count, pac_bound
-from .chain import FeatureSpec, decode_instances
+from .chain import _COUNT_LIMIT, FeatureSpec, decode_instances
 from .curves import (
     identity_points,
     l1_unit_ball,
@@ -103,25 +107,34 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
-# The flags not spelled as their field's name with "-" for "_".
-_FIELD_FLAGS = {"L": "--length", "n_samples": "--n", "empirical_margin_rate": "--margin-rate"}
+# The flags not spelled as their field's or parameter's name with "-" for
+# "_"; a name listed here is a flag's even where no dest is named after it.
+_FIELD_FLAGS = {"L": "--length", "n_samples": "--n", "empirical_margin_rate": "--margin-rate",
+                "lam": "--lambda", "iterations": "--iters", "C": "--c", "n_points": "--points"}
+# The dests of the sweeps of cv, shrinkage-curve and norm-ball, by the field
+# each one sets; a command with the sweep names it in place of the field's flag.
+_SWEEPS = {"lam": "lambdas", "beta": "betas", "radius": "radii"}
+
+
+def _error_text(exc, args) -> str:
+    """The text of a failed command's ``error:`` line, which names the flag
+    behind a config error: a ValueError whose message starts with the name
+    of a field that a flag of the command sets, then a space, starts with
+    that flag instead, the library's own message naming the field.  An m3n
+    slack penalty C left to its default, 200 * beta, names the beta flag."""
+    name, space, rest = str(exc).partition(" ")
+    if name == "C" and args.c is None:
+        name, rest = "beta", f"(times 200, the default --c) {rest}"
+    if hasattr(args, _SWEEPS.get(name, "")):
+        name = _SWEEPS[name]
+    if isinstance(exc, ValueError) and space and (hasattr(args, name) or name in _FIELD_FLAGS):
+        return f"{_FIELD_FLAGS.get(name, '--' + name.replace('_', '-'))} {rest}"
+    return str(exc)
 
 
 def _from_flags(cls, args):
-    """A ``cls`` dataclass built from the flags whose dests are its field names.
-
-    An error message that starts with a field's name, then a space, names
-    that field's flag instead; the library's own message names the field.
-    """
-    names = [f.name for f in fields(cls)]
-    try:
-        return cls(**{name: getattr(args, name) for name in names})
-    except ValueError as exc:
-        name, space, rest = str(exc).partition(" ")
-        if not space or name not in names:
-            raise
-        flag = _FIELD_FLAGS.get(name, "--" + name.replace("_", "-"))
-        raise ValueError(f"{flag} {rest}") from exc
+    """A ``cls`` dataclass built from the flags whose dests are its field names."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
 # ----------------------------------------------------------------------
@@ -154,12 +167,6 @@ def _cmd_gen_synth(args) -> int:
 
 # ----------------------------------------------------------------------
 # train
-
-
-def _check_betas(flag, betas):
-    for beta in betas:
-        if not 0.0 < beta < math.inf:
-            raise ValueError(f"{flag} must be positive and finite, got {beta:g}")
 
 
 def _check_distinct(flag, values):
@@ -219,7 +226,6 @@ def _cmd_train(args) -> int:
         raise ValueError("lapmedn requires --lambda")
     if args.model == "l1m3n" and args.radius is None:
         raise ValueError("l1m3n requires --radius")
-    _check_betas("--beta", [args.beta])
     cfg = _config(args.model, args.lam, args.beta, args.radius, args.seed, args)
     c = cfg.inner.C if args.model == "lapmedn" else cfg.C
     instances, spec, _ = read_dataset(args.data)
@@ -324,7 +330,6 @@ def _cmd_cv(args) -> int:
         for name in _families(args)
         for hyper in _hyper_grid(name, lambdas, args.betas, radii)
     ]
-    _check_betas("--betas", args.betas)
     for flag, values in (("--lambdas", lambdas), ("--betas", args.betas), ("--radii", radii)):
         _check_distinct(flag, values)
     # Each row's config checks itself; fold f trains with seed + f, which is
@@ -332,11 +337,11 @@ def _cmd_cv(args) -> int:
     for row in table:
         _config(*row, args.seed, args)
     if args.folds < 2:
-        raise ValueError("need at least 2 folds")
+        raise ValueError(f"--folds must be at least 2, got {args.folds}")
     instances, spec, _ = read_dataset(args.data)
     n = len(instances)
     if args.folds > n:
-        raise ValueError("more folds than instances")
+        raise ValueError(f"--folds {args.folds} is more than the {n} instances")
     folds = np.array_split(np.random.default_rng(args.seed).permutation(n), args.folds)
     # Inverted split: each config of the table trains on every single fold
     # with seed + fold, all of them in one lockstep training, and is tested
@@ -381,8 +386,8 @@ def _parse_eta_grid(text: str) -> np.ndarray:
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
         raise ValueError("--eta-grid must look like MIN:MAX:COUNT") from None
-    if count < 2 or not lo < hi:
-        raise ValueError("--eta-grid needs MIN < MAX and COUNT >= 2")
+    if not (lo < hi and 2 <= count < _COUNT_LIMIT):
+        raise ValueError("--eta-grid needs MIN < MAX and COUNT in [2, 2**59)")
     return np.linspace(lo, hi, count)
 
 
@@ -407,8 +412,8 @@ def _cmd_shrinkage_curve(args) -> int:
 
 
 def _cmd_norm_ball(args) -> int:
-    if args.angles < 0:
-        raise ValueError(f"--angles must be nonnegative, got {args.angles}")
+    if not 0 <= args.angles < _COUNT_LIMIT:
+        raise ValueError(f"--angles must lie in [0, 2**59), got {args.angles}")
     _check_distinct("--lambdas", args.lambdas)
     rows = []
     for lam in args.lambdas:
@@ -548,7 +553,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_error_text(exc, args)}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         # A bare MemoryError has no message.

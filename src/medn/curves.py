@@ -12,6 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .chain import _COUNT_LIMIT
 from .models import _check_lam, _kl_excess, shrinkage_mean
 
 __all__ = [
@@ -39,8 +40,8 @@ _ETA_GRID_FRACTION = 0.9
 def shrinkage_eta_grid(lam: float, n_points: int = 50) -> np.ndarray:
     """Symmetric grid of eta values over 0.9 of (-sqrt(lam), sqrt(lam))."""
     _check_lam(lam)
-    if n_points < 1:
-        raise ValueError(f"need at least 1 grid point, got {n_points}")
+    if not 1 <= n_points < _COUNT_LIMIT:
+        raise ValueError(f"n_points must lie in [1, 2**59), got {n_points}")
     half_width = _ETA_GRID_FRACTION * math.sqrt(lam)
     return np.linspace(-half_width, half_width, n_points)
 

@@ -23,9 +23,8 @@ with ``orjson.dumps``, which finds the same shortest round-trip digits as
 ``repr`` but writes some floats differently (``-0.00006420707435172087``
 for ``-6.420707435172087e-05``, ``1e16`` for ``1e+16``): a line whose
 bytes hold an exponent, a value below 1e-4 or a non-finite value is
-printed again with ``json.dumps``.  On 250 desk instances that took
-``write_dataset`` from 32-64 to 8-13 ms (min of 7 x 5, four runs each).
-The header line and model files keep ``json.dumps``.
+printed again with ``json.dumps``.  The header line and model files keep
+``json.dumps``.
 """
 
 import json

@@ -81,20 +81,17 @@ class SubgradConfig:
     radius: float | None = None
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError("beta must be positive")
-        if self.beta == math.inf:
-            raise ValueError("beta must be finite")
+        # An infinite beta is a zero step size: the weights would stay 0.
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta:g}")
         if not isinstance(self.iterations, numbers.Integral) or isinstance(self.iterations, bool):
             raise ValueError("iterations must be an integer")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         _check_hinge_weight(self.C)
         _check_seed(self.seed)
-        if self.radius is not None and not self.radius > 0:
-            raise ValueError("radius must be positive")
-        if self.radius == math.inf:
-            raise ValueError("radius must be finite")
+        if self.radius is not None and not 0 < self.radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius:g}")
 
 
 def _check_seed(seed):

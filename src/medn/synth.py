@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import FeatureSpec, SequenceInstance, _check_weights
+from .chain import _COUNT_LIMIT, FeatureSpec, SequenceInstance, _check_weights
+from .optimize import _check_seed
 
 __all__ = [
     "GeneratorConfig",
@@ -67,16 +68,16 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("d", "d_rel", "L", "m", "n_samples", "gibbs_iters", "group_size", "seed"):
+        # Each count with its least value; a count sizes arrays, so it
+        # stays below _COUNT_LIMIT.
+        for name, least in (("d", 1), ("d_rel", 0), ("L", 1), ("m", 2), ("n_samples", 0),
+                            ("gibbs_iters", 1), ("group_size", 0)):
             value = getattr(self, name)
-            if not _is_count(value):
-                raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-        if self.d < 1 or self.L < 1 or self.m < 2:
-            raise ValueError("need d >= 1, L >= 1, m >= 2")
+            if not (_is_count(value) and least <= value < _COUNT_LIMIT):
+                raise ValueError(f"{name} must be an integer in [{least}, 2**59), got {value!r}")
+        _check_seed(self.seed)
         if self.d_rel > self.d:
             raise ValueError("d_rel must lie in [0, d]")
-        if self.gibbs_iters < 1:
-            raise ValueError("gibbs_iters must be at least 1")
         if not isinstance(self.correlated, bool):
             raise ValueError(f"correlated must be a bool, got {self.correlated!r}")
         if not isinstance(self.noise_sd, numbers.Real) or isinstance(self.noise_sd, bool):

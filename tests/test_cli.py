@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -20,7 +21,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from medn import BoundInputs, FeatureSpec, GeneratorConfig, LaplaceConfig, SequenceInstance
+from medn import (BoundInputs, FeatureSpec, GeneratorConfig, LaplaceConfig, SequenceInstance,
+                  SubgradConfig)
 from medn.cli import (
     DEFAULT_BETA_GRID,
     DEFAULT_LAMBDA_GRID,
@@ -150,7 +152,7 @@ class TestTrainPredictEval:
             (["--lambda", "1e-320", "--outer-iters", "2"],
              "error: variance refresh overflowed in round 1 at lam=9.99989e-321"),
             (["--lambda", "1e-320"], "error: variance refresh overflowed in round 1"),
-            (["--lambda", "inf"], "error: lam must be positive and finite, got inf"),
+            (["--lambda", "inf"], "error: --lambda must be positive and finite, got inf"),
         ],
         ids=["subnormal-two-rounds", "subnormal", "inf"],
     )
@@ -234,9 +236,9 @@ class TestTrainPredictEval:
         "argv, message",
         [
             (["train", "--model", "m3n", "--seed", "-1"],
-             "error: seed must be a nonnegative integer, got -1\n"),
+             "error: --seed must be a nonnegative integer, got -1\n"),
             (["cv", "--folds", "2", "--seed", "-3"],
-             "error: seed must be a nonnegative integer, got -3\n"),
+             "error: --seed must be a nonnegative integer, got -3\n"),
         ],
         ids=["train", "cv"],
     )
@@ -458,12 +460,14 @@ class TestCrossValidation:
         "flags, message",
         [
             (["--models", "m3n,lapmedn", "--lambdas", "0"],
-             "error: lam must be positive and finite, got 0\n"),
+             "error: --lambdas must be positive and finite, got 0\n"),
             (["--models", "l1m3n,m3n", "--betas", "1,inf"],
              "error: --betas must be positive and finite, got inf\n"),
-            (["--models", "m3n,l1m3n", "--c", "-1"], "error: C must be finite and nonnegative\n"),
-            (["--models", "m3n,l1m3n", "--radii", "0"], "error: radius must be positive\n"),
-            (["--models", "m3n,l1m3n", "--radii", "inf"], "error: radius must be finite\n"),
+            (["--models", "m3n,l1m3n", "--c", "-1"], "error: --c must be finite and nonnegative\n"),
+            (["--models", "m3n,l1m3n", "--radii", "0"],
+             "error: --radii must be positive and finite, got 0\n"),
+            (["--models", "m3n,l1m3n", "--radii", "inf"],
+             "error: --radii must be positive and finite, got inf\n"),
         ],
         ids=["lambda", "beta", "c", "radius", "radius-inf"],
     )
@@ -485,10 +489,10 @@ class TestCrossValidation:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--c", "-1"], "error: C must be finite and nonnegative\n"),
-            (["--iters", "0"], "error: iterations must be at least 1\n"),
-            (["--outer-iters", "1"], "error: outer_iters must be at least 2\n"),
-            (["--seed", "-3"], "error: seed must be a nonnegative integer, got -3\n"),
+            (["--c", "-1"], "error: --c must be finite and nonnegative\n"),
+            (["--iters", "0"], "error: --iters must be at least 1\n"),
+            (["--outer-iters", "1"], "error: --outer-iters must be at least 2\n"),
+            (["--seed", "-3"], "error: --seed must be a nonnegative integer, got -3\n"),
         ],
         ids=["c", "iters", "outer-iters", "seed"],
     )
@@ -508,7 +512,8 @@ class TestCrossValidation:
             ["cv", "--data", str(data), "--folds", "1000000000000", "--iters", "2",
              "--out", str(tmp_path / "o.csv")]
         )
-        assert (code, err, caught) == (2, "error: more folds than instances\n", [])
+        message = "error: --folds 1000000000000 is more than the 6 instances\n"
+        assert (code, err, caught) == (2, message, [])
 
     @pytest.mark.parametrize("outer_iters", [2, 3, 4])
     def test_every_row_equals_training_its_config_alone_on_its_fold(
@@ -802,7 +807,7 @@ class TestCurveCommands:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--points", "0"], "error: need at least 1 grid point"),
+            (["--points", "0"], "error: --points must lie in [1, 2**59), got 0\n"),
             (["--lambdas", ""], "error: shrinkage-curve requires nonempty --lambdas"),
             (["--eta-grid", "0:1:2.5"], "error: --eta-grid must look like MIN:MAX:COUNT\n"),
             (["--eta-grid", "a:1:3"], "error: --eta-grid must look like MIN:MAX:COUNT\n"),
@@ -819,10 +824,12 @@ class TestCurveCommands:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["norm-ball", "--lambdas", "inf"], "error: lam must be positive and finite, got inf"),
+            (["norm-ball", "--lambdas", "inf"],
+             "error: --lambdas must be positive and finite, got inf"),
             (["norm-ball", "--lambdas", "4,nan"],
-             "error: lam must be positive and finite, got nan"),
-            (["shrinkage-curve", "--lambdas", "inf"], "error: lam must be positive and finite"),
+             "error: --lambdas must be positive and finite, got nan"),
+            (["shrinkage-curve", "--lambdas", "inf"],
+             "error: --lambdas must be positive and finite, got inf"),
             (["gen-synth", "--correlated", "--d-rel", "2", "--group-size", "2",
               "--noise-sd", "inf"], "error: --noise-sd must be finite, got inf"),
             (["norm-ball", "--lambdas", "1,1"], "error: --lambdas lists 1 twice"),
@@ -1088,9 +1095,45 @@ def test_each_field_has_a_flag_named_after_it(command, cls, required):
 
 
 _PAC_BOUND = ["pac-bound", "--n", "10", "--y-card", "4", "--kl", "1"]
-# Each single-field check of GeneratorConfig and BoundInputs, as a command
-# line that fails it (argparse keeps the last value of a repeated flag; the
-# default d_rel of 5 is not divisible by 2), and the flag its error names.
+@pytest.mark.parametrize(
+    "argv",
+    [["train", "--model", "m3n", "--c", "1"], ["train", "--model", "m3n"],
+     ["cv", "--folds", "2"]],
+    ids=["train", "train-default-c", "cv"],
+)
+def test_each_config_field_names_a_flag_of_its_command(capsys, argv):
+    """An error about any field of a training config names a flag that the
+    command has, the default --c's included."""
+    names = [f.name for cls in (SubgradConfig, LaplaceConfig) for f in fields(cls)]
+    args = cli.build_parser().parse_args([*argv, "--data", "d", "--out", "o"])
+    with pytest.raises(SystemExit):
+        main([argv[0], "--help"])
+    flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    for name in names:
+        if name != "inner":
+            text = cli._error_text(ValueError(f"{name} is bad"), args)
+            assert text.split(" ")[0] in flags, (name, text)
+
+
+def test_error_text_renames_only_a_leading_field_of_a_value_error():
+    args = cli.build_parser().parse_args(["train", "--model", "m3n", "--data", "d", "--out", "o"])
+    assert cli._error_text(ValueError("seed must be 1"), args) == "--seed must be 1"
+    assert cli._error_text(ValueError("C must be finite"), args) == (
+        "--beta (times 200, the default --c) must be finite"
+    )
+    assert cli._error_text(RuntimeError("seed must be 1"), args) == "seed must be 1"
+    assert cli._error_text(OSError("seed must be 1"), args) == "seed must be 1"
+    assert cli._error_text(ValueError("need d >= 1"), args) == "need d >= 1"
+    assert cli._error_text(ValueError("seed"), args) == "seed"
+
+
+_TRAIN = ["train", "--data", "missing.jsonl", "--model"]
+_CV = ["cv", "--data", "missing.jsonl", "--folds", "2", "--models", "m3n,lapmedn,l1m3n"]
+# Each single-field check of GeneratorConfig, BoundInputs and the training
+# configs of train and cv, and of the other one-flag checks, as a command line
+# that fails it (argparse keeps the last value of a repeated flag; the default
+# d_rel of 5 is not divisible by 2), and the flag its error names.  train and
+# cv check every config before they read the data.
 _FIELD_ERRORS = [
     (["gen-synth", "--d", "-1"], "--d"),
     (["gen-synth", "--d-rel", "-1"], "--d-rel"),
@@ -1098,6 +1141,9 @@ _FIELD_ERRORS = [
     (["gen-synth", "--length", "-1"], "--length"),
     (["gen-synth", "--L", "-2"], "--length"),
     (["gen-synth", "--m", "-1"], "--m"),
+    (["gen-synth", "--d", "0"], "--d"),
+    (["gen-synth", "--length", "0"], "--length"),
+    (["gen-synth", "--m", "1"], "--m"),
     (["gen-synth", "--n", "-1"], "--n"),
     (["gen-synth", "--gibbs-iters", "-1"], "--gibbs-iters"),
     (["gen-synth", "--gibbs-iters", "0"], "--gibbs-iters"),
@@ -1113,6 +1159,26 @@ _FIELD_ERRORS = [
     ([*_PAC_BOUND, "--kl", "-1"], "--kl"),
     ([*_PAC_BOUND, "--delta", "1"], "--delta"),
     ([*_PAC_BOUND, "--margin-rate", "nan"], "--margin-rate"),
+    ([*_TRAIN, "m3n", "--beta", "0"], "--beta"),
+    # m3n's default C is 200 * beta, which overflows.
+    ([*_TRAIN, "m3n", "--beta", "1e307"], "--beta"),
+    ([*_TRAIN, "m3n", "--c", "-1"], "--c"),
+    ([*_TRAIN, "m3n", "--iters", "0"], "--iters"),
+    ([*_TRAIN, "lapmedn", "--lambda", "0"], "--lambda"),
+    ([*_TRAIN, "lapmedn", "--lambda", "4", "--outer-iters", "1"], "--outer-iters"),
+    ([*_TRAIN, "l1m3n", "--radius", "0"], "--radius"),
+    ([*_TRAIN, "m3n", "--seed", "-1"], "--seed"),
+    ([*_CV, "--betas", "1,0"], "--betas"),
+    ([*_CV, "--c", "-1"], "--c"),
+    ([*_CV, "--iters", "0"], "--iters"),
+    ([*_CV, "--lambdas", "4,inf"], "--lambdas"),
+    ([*_CV, "--outer-iters", "1"], "--outer-iters"),
+    ([*_CV, "--radii", "nan"], "--radii"),
+    ([*_CV, "--seed", "-1"], "--seed"),
+    ([*_CV, "--folds", "1"], "--folds"),
+    (["shrinkage-curve", "--points", "0"], "--points"),
+    (["shrinkage-curve", "--lambdas", "0"], "--lambdas"),
+    (["norm-ball", "--angles", "-1"], "--angles"),
 ]
 
 
@@ -1122,9 +1188,9 @@ _FIELD_ERRORS = [
     ids=[" ".join([argv[0], *argv[-2:]]) for argv, _ in _FIELD_ERRORS],
 )
 def test_single_field_error_names_its_flag(tmp_path, argv, flag):
-    """A check of one field of ``GeneratorConfig`` or ``BoundInputs`` fails
-    with one error line that names the field's flag, where the library
-    names the field; nothing is written."""
+    """A check of one field of a command's config fails with one error line
+    that names the field's flag, where the library names the field; nothing
+    is written."""
     out = tmp_path / "out.csv"
     code, _, err, caught = _run_quietly([*argv, "--out", str(out)])
     assert (code, caught) == (2, [])
@@ -1141,22 +1207,11 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE, _ADDRESS_SPACE))
 
 
-@pytest.mark.parametrize(
-    "flags",
-    [
-        ["shrinkage-curve", "--points", "1000000000000"],
-        ["shrinkage-curve", "--eta-grid", "0:1:1000000000000"],
-        ["norm-ball", "--angles", "1000000000000"],
-        ["gen-synth", "--length", "1000000000000", "--n", "1"],
-        ["gen-synth", "--length", "100000000", "--n", "1"],
-    ],
-)
-def test_out_of_memory_is_one_error_line(tmp_path, flags):
-    """Valid sizes that the machine cannot hold end in exit 2 and one
-    ``error:`` line, not numpy's traceback, and write no output.  Each runs
-    in a child process whose address space is limited, so the allocation
-    fails at once instead of taking the machine's memory."""
-    out = tmp_path / "out.txt"
+def _run_limited(flags, out):
+    """The stderr of ``medn <flags> --out <out>`` run in a child process
+    whose address space is limited, so that an allocation fails at once
+    instead of taking the machine's memory; it must exit 2, print one line
+    and write nothing."""
     proc = subprocess.run(
         [sys.executable, "-m", "medn.cli", *flags, "--out", str(out)],
         env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -1165,8 +1220,56 @@ def test_out_of_memory_is_one_error_line(tmp_path, flags):
         preexec_fn=_limit_address_space,
     )
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1
+    assert proc.stderr.count("\n") == 1, proc.stderr
     assert not out.exists()
+    return proc.stderr
+
+
+# The first count past every array, and the last count below it.
+_HUGE = str(2**59)
+_LARGEST = str(2**59 - 1)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["shrinkage-curve", "--points", "1000000000000"],
+        ["shrinkage-curve", "--eta-grid", "0:1:1000000000000"],
+        ["norm-ball", "--angles", "1000000000000"],
+        ["gen-synth", "--length", "1000000000000", "--n", "1"],
+        ["gen-synth", "--length", "100000000", "--n", "1"],
+        ["shrinkage-curve", "--points", _LARGEST],
+        ["shrinkage-curve", "--eta-grid", f"0:1:{_LARGEST}"],
+        ["norm-ball", "--angles", _LARGEST],
+    ],
+)
+def test_out_of_memory_is_one_error_line(tmp_path, flags):
+    """Valid sizes that the machine cannot hold end in exit 2 and one
+    ``error:`` line, not numpy's traceback, and write no output."""
+    assert _run_limited(flags, tmp_path / "out.txt").startswith("error: out of memory")
+
+
+_HUGE_COUNTS = [
+    (["gen-synth", "--d", "10000000000000000000000"], "--d"),
+    (["gen-synth", "--n", "10000000000000000000000"], "--n"),
+    (["gen-synth", "--length", "10000000000000000000000"], "--length"),
+    (["shrinkage-curve", "--points", "10000000000000000000000"], "--points"),
+    (["norm-ball", "--angles", "10000000000000000000000"], "--angles"),
+    (["gen-synth", "--n", _HUGE], "--n"),
+    (["shrinkage-curve", "--points", _HUGE], "--points"),
+    (["shrinkage-curve", "--eta-grid", f"0:1:{_HUGE}"], "--eta-grid"),
+    (["norm-ball", "--angles", _HUGE], "--angles"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, flag", _HUGE_COUNTS, ids=[" ".join(flags) for flags, _ in _HUGE_COUNTS]
+)
+def test_count_past_every_array_names_its_flag(tmp_path, flags, flag):
+    """A count that no numpy array can hold is rejected by its check, in a
+    message that names its flag, where numpy's own error named none (and
+    gen-synth's instance loop kept allocating): before any array is sized."""
+    assert _run_limited(flags, tmp_path / "out.txt").startswith(f"error: {flag} ")
 
 
 def test_bare_memory_error_has_its_own_text(monkeypatch, capsys):

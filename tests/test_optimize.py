@@ -246,10 +246,12 @@ class TestSubgradientTrain:
                 SubgradConfig(beta=1.0, iterations=10, C=1.0, seed=seed)
         assert SubgradConfig(1.0, 10, 1.0, seed=np.int64(3)).seed == 3
         # An infinite beta is a zero step size: the weights would stay 0.
-        with pytest.raises(ValueError, match="^beta must be finite$"):
-            SubgradConfig(beta=math.inf, iterations=10, C=1.0)
-        for radius in (0.0, -1.0, np.nan):
-            with pytest.raises(ValueError, match="^radius must be positive$"):
+        for beta, shown in ((math.inf, "inf"), (0.0, "0"), (-1.0, "-1"), (np.nan, "nan")):
+            with pytest.raises(ValueError, match=f"^beta must be positive and finite, got {shown}$"):
+                SubgradConfig(beta=beta, iterations=10, C=1.0)
+        for radius, shown in ((0.0, "0"), (-1.0, "-1"), (np.nan, "nan"), (math.inf, "inf")):
+            message = f"^radius must be positive and finite, got {shown}$"
+            with pytest.raises(ValueError, match=message):
                 SubgradConfig(beta=1.0, iterations=10, C=1.0, radius=radius)
 
 

@@ -44,7 +44,8 @@ class TestGeneratorConfig:
         # that names its field, not numpy's TypeError later or a bool read as 1.
         for name in ("d", "d_rel", "L", "m", "n_samples", "gibbs_iters", "group_size", "seed"):
             for value in (1.5, 2.0, True, -1, None, "3"):
-                with pytest.raises(ValueError, match=f"^{name} must be a nonnegative integer"):
+                kind = "a nonnegative integer" if name == "seed" else "an integer in \\["
+                with pytest.raises(ValueError, match=f"^{name} must be {kind}"):
                     _cfg(**{name: value})
         # A truthy string used to switch correlated mode on, and a noise_sd
         # of None or a string ended in math.isfinite's TypeError.
@@ -56,6 +57,16 @@ class TestGeneratorConfig:
                 _cfg(noise_sd=value)
         assert _cfg(noise_sd=np.float32(0.5), correlated=False).noise_sd == 0.5
         assert len(gen_dataset(_cfg(n_samples=np.int64(2), seed=np.uint32(7))).instances) == 2
+
+
+    def test_counts_stay_below_every_array(self):
+        """A count of 2**59 or more is rejected where it is checked, before
+        numpy sizes an array from it; a seed sizes none and may be larger."""
+        for name in ("d", "d_rel", "L", "m", "n_samples", "gibbs_iters", "group_size"):
+            message = f"^{name} must be an integer in \\[[012], 2\\*\\*59\\), got {2**59}$"
+            with pytest.raises(ValueError, match=message):
+                _cfg(**{name: 2**59})
+        assert _cfg(seed=2**64).seed == 2**64
 
 
 class TestGenCrf:
