@@ -19,11 +19,11 @@ Booleans and strings where numbers belong are errors too, though numpy
 would read them as numbers.  Every file is written as ``json.dumps`` with
 sorted keys, fixed separators and "\\n" newlines would write it, so
 identical inputs produce byte-identical files.  Instance lines are printed
-with ``orjson.dumps``, which finds the same shortest round-trip digits as
-``repr`` but writes some floats differently (``-0.00006420707435172087``
-for ``-6.420707435172087e-05``, ``1e16`` for ``1e+16``): a line whose
-bytes hold an exponent, a value below 1e-4 or a non-finite value is
-printed again with ``json.dumps``.  The header line and model files keep
+from their arrays with ``orjson.dumps``, which finds the same shortest
+round-trip digits as ``repr`` but writes some floats differently
+(``-0.00006420707435172087`` for ``-6.420707435172087e-05``, ``1e16`` for
+``1e+16``): a line whose bytes hold an exponent, a value below 1e-4 or a
+non-finite value is printed again with ``json.dumps``.  The header line and model files keep
 ``json.dumps``.
 """
 
@@ -65,6 +65,9 @@ def _orjson_may_differ(line: bytes) -> bool:
     return b"e" in line or b"E" in line or b"0.0000" in line or b"n" in line
 
 
+_ARRAY_LINE = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+
+
 def write_dataset(path, instances, spec: FeatureSpec, meta: dict | None = None):
     """Write instances with a header carrying d, m, and generator metadata."""
     header = {
@@ -77,10 +80,13 @@ def write_dataset(path, instances, spec: FeatureSpec, meta: dict | None = None):
     with open(path, "wb") as fh:
         fh.write(_dumps(header).encode() + b"\n")
         for inst in instances:
-            obj = {"x": inst.features.tolist(), "y": inst.labels.tolist()}
-            line = orjson.dumps(obj, option=orjson.OPT_APPEND_NEWLINE)
+            # orjson prints an array as its .tolist() values, from C-ordered
+            # memory only; an instance may keep F-ordered features.
+            x = np.ascontiguousarray(inst.features, dtype=float)
+            y = np.ascontiguousarray(inst.labels)
+            line = orjson.dumps({"x": x, "y": y}, option=_ARRAY_LINE)
             if _orjson_may_differ(line):
-                line = _dumps(obj).encode() + b"\n"
+                line = _dumps({"x": x.tolist(), "y": y.tolist()}).encode() + b"\n"
             fh.write(line)
 
 

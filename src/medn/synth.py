@@ -75,6 +75,24 @@ class GeneratorConfig:
             value = getattr(self, name)
             if not (_is_count(value) and least <= value < _COUNT_LIMIT):
                 raise ValueError(f"{name} must be an integer in [{least}, 2**59), got {value!r}")
+        # So does each product of counts that sizes an array: an instance's
+        # (L, d) features, the d * m + m * m weights, the (L, m, n) scores,
+        # a block of uniforms and the (n, L, d) feature stack.  The largest
+        # factor is named.
+        n, length, d, m = self.n_samples, self.L, self.d, self.m
+        block = min(_SWEEP_BLOCK, self.gibbs_iters)
+        factors = {"n_samples": n, "L": length, "d": d, "m": m, "gibbs_iters": block}
+        for names, expr, size in (
+            (("L", "d"), "L * d", length * d),
+            (("d", "m"), "d * m + m * m", (d + m) * m),
+            (("L", "m", "n_samples"), "L * m * n_samples", length * m * n),
+            (("gibbs_iters", "L", "n_samples"), f"min({_SWEEP_BLOCK}, gibbs_iters) * L * n_samples",
+             block * length * n),
+            (("n_samples", "L", "d"), "n_samples * L * d", n * length * d),
+        ):
+            if size >= _COUNT_LIMIT:
+                name = max(names, key=factors.get)
+                raise ValueError(f"{name} must keep {expr} below 2**59, got {size}")
         _check_seed(self.seed)
         if self.d_rel > self.d:
             raise ValueError("d_rel must lie in [0, d]")
@@ -167,8 +185,16 @@ def gibbs_chains(crf: TrueCrf, xs, seeds, burn_in: int, n_record: int):
     ``crf.spec.d`` features, and integer sweep counts ``>= 0`` that add up
     to at least one sweep.
 
-    Scores are label-major, (L, m, n): the max, exp, cumsum and pick count
-    over labels run along axis 0, elementwise over contiguous rows of chains.
+    Scores are label-major, (L, m, n), so a site's max, exp and pick count
+    over labels each take one numpy call across all n chains.  Its label
+    CDF is a running sum over the rows of one (m, n) buffer: m - 1 in-place
+    adds, each of one label row across all n chains, in the order
+    ``cumsum`` adds, so every draw is the one ``cumsum`` gave.  ``cumsum``
+    along axis 0 walks such a block one chain at a time; it costs one call
+    where the running sum costs one per label, so the running sum wins with
+    many chains per label and loses with few: against ``cumsum``, 0.86x to
+    0.97x at gen-synth's m = 2 for n from 1 to 5000, but 2.98x at m = 26
+    with one chain (the README has the table).
     A site's logits add its node score, then the previous neighbor's
     transition, then the next one's; addition does not associate, so another
     order would round some logits differently and flip draws near a
@@ -209,6 +235,9 @@ def gibbs_chains(crf: TrueCrf, xs, seeds, burn_in: int, n_record: int):
     out = np.empty((n_record, n, length), dtype=np.int64)
     # (block, L, n): the uniforms of one (sweep, position) are contiguous.
     uniforms = np.empty((min(_SWEEP_BLOCK, total), length, n))
+    # A site's (m, n) label CDF, and its rows paired for the running sum.
+    cdf = np.empty((m, n))
+    running_sum = list(zip(cdf, cdf[1:]))
     for block_start in range(0, total, _SWEEP_BLOCK):
         block = min(_SWEEP_BLOCK, total - block_start)
         for i, rng in enumerate(rngs):
@@ -223,7 +252,9 @@ def gibbs_chains(crf: TrueCrf, xs, seeds, burn_in: int, n_record: int):
                     logits = logits + trans_t.take(y[l - 1], axis=1)
                 if l + 1 < length:
                     logits = logits + trans.take(y[l + 1], axis=1)
-                cdf = np.exp(logits - logits.max(axis=0)).cumsum(axis=0)
+                np.exp(logits - logits.max(axis=0), out=cdf)
+                for below, row in running_sum:
+                    row += below
                 pick = (r[l] * cdf[-1] >= cdf).sum(axis=0)
                 y[l] = np.minimum(pick, m - 1)
             if sweep >= burn_in:
@@ -245,10 +276,11 @@ def gen_dataset(cfg: GeneratorConfig) -> SyntheticDataset:
     crf = gen_crf(cfg)
     if cfg.n_samples == 0:
         return SyntheticDataset(crf=crf, instances=[])
-    xs = [
-        gen_features(cfg, np.random.default_rng([_STREAM_FEATURES, cfg.seed, i]))
-        for i in range(cfg.n_samples)
-    ]
+    # The (n, L, d) stack is allocated before any instance is drawn, so an
+    # n past memory fails at once.
+    xs = np.empty((cfg.n_samples, cfg.L, cfg.d))
+    for i, x in enumerate(xs):
+        x[:] = gen_features(cfg, np.random.default_rng([_STREAM_FEATURES, cfg.seed, i]))
     rngs = [np.random.default_rng([_STREAM_GIBBS, cfg.seed, i]) for i in range(cfg.n_samples)]
     labels, _ = gibbs_chains(crf, xs, rngs, cfg.gibbs_iters, 0)
     instances = [SequenceInstance(features=x, labels=y) for x, y in zip(xs, labels)]

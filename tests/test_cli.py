@@ -1241,6 +1241,7 @@ _LARGEST = str(2**59 - 1)
         ["shrinkage-curve", "--points", _LARGEST],
         ["shrinkage-curve", "--eta-grid", f"0:1:{_LARGEST}"],
         ["norm-ball", "--angles", _LARGEST],
+        ["gen-synth", "--n", "1000000000"],
     ],
 )
 def test_out_of_memory_is_one_error_line(tmp_path, flags):
@@ -1259,6 +1260,10 @@ _HUGE_COUNTS = [
     (["shrinkage-curve", "--points", _HUGE], "--points"),
     (["shrinkage-curve", "--eta-grid", f"0:1:{_HUGE}"], "--eta-grid"),
     (["norm-ball", "--angles", _HUGE], "--angles"),
+    # Each count below 2**59, their product past it.
+    (["gen-synth", "--length", _LARGEST, "--n", "1"], "--length"),
+    (["gen-synth", "--d", _LARGEST, "--n", "1"], "--d"),
+    (["gen-synth", "--m", _LARGEST, "--n", "1"], "--m"),
 ]
 
 

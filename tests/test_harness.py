@@ -258,8 +258,11 @@ class TestDatasetFiles:
                    [(123.456, 1e-4, 1)]])
     def test_written_bytes_are_those_of_json_dumps(self, tmp_path_factory, rows):
         """Lines printed by orjson, and the ones that fall back to
-        ``json.dumps``, are byte for byte the lines ``json.dumps`` writes."""
-        instances = [
+        ``json.dumps``, are byte for byte the lines ``json.dumps`` writes,
+        for an instance that keeps F-ordered features among them."""
+        f_ordered = SequenceInstance(np.asfortranarray(np.arange(6).reshape(3, 2)), np.array([0, 1, 0]))
+        assert not f_ordered.features.flags.c_contiguous
+        instances = [f_ordered] + [
             SequenceInstance([position[:2] for position in row], [position[2] for position in row])
             for row in rows
         ]

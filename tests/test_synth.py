@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import re
 import warnings
 from collections import Counter
 
@@ -67,6 +68,26 @@ class TestGeneratorConfig:
             with pytest.raises(ValueError, match=message):
                 _cfg(**{name: 2**59})
         assert _cfg(seed=2**64).seed == 2**64
+
+    @pytest.mark.parametrize(
+        "counts, name, expr",
+        [
+            (dict(L=2**58, d=2), "L", "L * d"),
+            (dict(L=1, d=2**58, m=2), "d", "d * m + m * m"),
+            (dict(d=1, m=2**30), "m", "d * m + m * m"),
+            (dict(d=1, L=2**20, m=2**20, n_samples=2**20), "L", "L * m * n_samples"),
+            (dict(d=1, L=2**20, n_samples=2**34, gibbs_iters=2**58), "n_samples",
+             "min(64, gibbs_iters) * L * n_samples"),
+            (dict(d=2**20, L=2**20, n_samples=2**20), "n_samples", "n_samples * L * d"),
+        ],
+    )
+    def test_products_of_counts_stay_below_every_array(self, counts, name, expr):
+        """Counts that pass alone but whose product sizes an array past 2**59
+        entries are rejected before any array is sized, naming the largest
+        factor: ``gibbs_iters`` counts as at most one block of 64 sweeps."""
+        message = f"^{name} must keep {re.escape(expr)} below 2\\*\\*59, got \\d+$"
+        with pytest.raises(ValueError, match=message):
+            _cfg(d_rel=0, **counts)
 
 
 class TestGenCrf:
@@ -177,7 +198,7 @@ class TestGibbs:
             gibbs_chains(crf, [x], [42], 20, 0)[0], gibbs_chains(crf, [x], [42], 20, 0)[0]
         )
 
-    @pytest.mark.parametrize("m, length", [(2, 1), (3, 5), (4, 4)])
+    @pytest.mark.parametrize("m, length", [(2, 1), (3, 5), (4, 4), (9, 3)])
     def test_chain_matches_scalar_reference(self, m, length):
         """Every recorded state equals the one-site-at-a-time python loop's."""
         cfg = _cfg(d=3, d_rel=3, L=length, m=m, seed=21)
@@ -195,7 +216,7 @@ class TestGibbs:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        m=st.integers(2, 5),
+        m=st.integers(2, 9),
         length=st.integers(1, 6),
         n=st.integers(1, 4),
         burn_in=st.integers(0, 70),
@@ -351,6 +372,13 @@ PINNED_GEN_SYNTH = [
         ["--d", "20", "--d-rel", "5", "--length", "8", "--m", "2", "--n", "250",
          "--gibbs-iters", "100", "--seed", "0"],
         "4ca630e6cd6d510280a3b8041d63f235ca513d9d34ef34ebba80a5736badcba9",
+    ),
+    # The same config at gen-synth's default 500 sweeps, recorded from the
+    # kernel that summed each site's label CDF with numpy's cumsum.
+    (
+        ["--d", "20", "--d-rel", "5", "--length", "8", "--m", "2", "--n", "250",
+         "--gibbs-iters", "500", "--seed", "0"],
+        "00ca5e50aa5b0114a7ef7e62faba93328d538fd95302eb10986b361da2150d7b",
     ),
 ]
 
