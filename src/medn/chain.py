@@ -104,12 +104,12 @@ class SequenceInstance:
                 "labels must be a vector with one entry per position: "
                 f"sequence length {features.shape[0]}, labels of shape {labels.shape}"
             )
-        if not np.all(np.isfinite(features)):
+        if not np.isfinite(features).all():
             raise ValueError("features must be finite")
         if labels.dtype.kind not in "iu":
             raise ValueError("labels must be integer indices")
         labels = np.asarray(labels, dtype=np.int64)
-        if np.any(labels < 0):
+        if labels.min() < 0:
             raise ValueError("label indices must be nonnegative")
         # The instance owns read-only arrays: the caller's array, or a view
         # of one, is copied, so writing into it later cannot reach a checked

@@ -7,6 +7,11 @@ with "\\n" newlines so reruns are byte-identical.  A failure, a command
 line that argparse rejects and running out of memory among them, ends in
 one ``error:`` line and exit code 2.
 
+Each subcommand's flags are added by one function beside its command, and
+a run builds the parser of the subcommand it names alone, since argparse
+takes about 2 ms to build all eight.  A command line that names no
+subcommand (``--help``, none, a typo) gets them all.
+
 Every command's config error names its flag: a library check names the
 field or parameter it rejects, and one rule, ``_error_text``, which writes
 every error line, puts the flag that set it in its place (a sweep's
@@ -165,6 +170,22 @@ def _cmd_gen_synth(args) -> int:
     return 0
 
 
+def _gen_synth_flags(p):
+    p.add_argument("--d", type=int, default=20, help="input features per position")
+    p.add_argument("--d-rel", type=int, default=5, help="relevant input features")
+    p.add_argument("--length", "--L", dest="L", metavar="LENGTH", type=int, default=8, help="sequence length")
+    p.add_argument("--m", type=int, default=2, help="label arity")
+    p.add_argument("--n", dest="n_samples", metavar="N", type=int, default=250, help="number of instances")
+    p.add_argument("--gibbs-iters", type=int, default=GeneratorConfig.gibbs_iters,
+                   help="labeling sweeps per instance")
+    p.add_argument("--correlated", action="store_true", help="group-correlated relevant features")
+    p.add_argument("--group-size", type=int, default=GeneratorConfig.group_size)
+    p.add_argument("--noise-sd", type=float, default=GeneratorConfig.noise_sd)
+    p.add_argument("--seed", type=int, default=GeneratorConfig.seed)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_gen_synth)
+
+
 # ----------------------------------------------------------------------
 # train
 
@@ -229,6 +250,8 @@ def _cmd_train(args) -> int:
     cfg = _config(args.model, args.lam, args.beta, args.radius, args.seed, args)
     c = cfg.inner.C if args.model == "lapmedn" else cfg.C
     instances, spec, _ = read_dataset(args.data)
+    if not instances:
+        raise ValueError(f"{args.data}: no instances to train on")
     started = time.perf_counter()
     kernel = _KernelData(instances, spec)
     (weights,), (variances,) = _train_rounds(kernel, [cfg], [np.arange(kernel.n)])
@@ -257,6 +280,21 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _train_flags(p):
+    p.add_argument("--model", choices=_MODEL_KINDS, required=True)
+    p.add_argument("--data", required=True)
+    p.add_argument("--lambda", dest="lam", type=float, default=None, help="prior scale (lapmedn)")
+    p.add_argument("--beta", type=float, default=1.0, help="step-size scale")
+    p.add_argument("--c", type=float, default=None, help="slack penalty (default 200*beta for m3n, 1 otherwise)")
+    p.add_argument("--iters", type=int, default=50, help="epochs per subgradient solve")
+    p.add_argument("--outer-iters", type=int, default=None,
+                   help=f"outer loop bound T (lapmedn, default {DEFAULT_OUTER_ITERS})")
+    p.add_argument("--radius", type=float, default=None, help="L1 ball radius (l1m3n)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_train)
+
+
 # ----------------------------------------------------------------------
 # predict / eval
 
@@ -280,9 +318,18 @@ def _cmd_predict(args) -> int:
     return 0
 
 
+def _predict_flags(p):
+    p.add_argument("--model-file", required=True)
+    p.add_argument("--data", required=True)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_predict)
+
+
 def _cmd_eval(args) -> int:
     model = read_model_file(args.model_file)
     instances, spec, _ = read_dataset(args.data)
+    if not instances:
+        raise ValueError(f"{args.data}: no instances to evaluate")
     _check_compatible(model, spec)
     report = evaluate_weight_rows(spec, model.weights[None], instances)[0]
     row = [
@@ -301,6 +348,13 @@ def _cmd_eval(args) -> int:
         f"({report.n_sequences} sequences, {report.n_positions} positions)"
     )
     return 0
+
+
+def _eval_flags(p):
+    p.add_argument("--model-file", required=True)
+    p.add_argument("--data", required=True)
+    p.add_argument("--out", default=None, help="optional CSV destination")
+    p.set_defaults(func=_cmd_eval)
 
 
 # ----------------------------------------------------------------------
@@ -376,6 +430,21 @@ def _cmd_cv(args) -> int:
     return 0
 
 
+def _cv_flags(p):
+    p.add_argument("--data", required=True)
+    p.add_argument("--folds", type=int, required=True)
+    p.add_argument("--models", default="m3n,lapmedn", help="comma-separated model list")
+    p.add_argument("--lambdas", type=_float_list, default=None, help="prior scales (lapmedn)")
+    p.add_argument("--betas", type=_float_list, default=list(DEFAULT_BETA_GRID))
+    p.add_argument("--radii", type=_float_list, default=None, help="L1 ball radii (l1m3n)")
+    p.add_argument("--c", type=float, default=None)
+    p.add_argument("--iters", type=int, default=50)
+    p.add_argument("--outer-iters", type=int, default=None, help="outer loop bound T (lapmedn)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_cv)
+
+
 # ----------------------------------------------------------------------
 # curves
 
@@ -411,6 +480,14 @@ def _cmd_shrinkage_curve(args) -> int:
     return 0
 
 
+def _shrinkage_curve_flags(p):
+    p.add_argument("--lambdas", type=_float_list, default=[4.0, 6.0])
+    p.add_argument("--points", type=int, default=50)
+    p.add_argument("--eta-grid", default=None, help="explicit grid MIN:MAX:COUNT")
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_shrinkage_curve)
+
+
 def _cmd_norm_ball(args) -> int:
     if not 0 <= args.angles < _COUNT_LIMIT:
         raise ValueError(f"--angles must lie in [0, 2**59), got {args.angles}")
@@ -429,6 +506,13 @@ def _cmd_norm_ball(args) -> int:
     return 0
 
 
+def _norm_ball_flags(p):
+    p.add_argument("--lambdas", type=_float_list, default=[1.0, 4.0, 16.0])
+    p.add_argument("--angles", type=int, default=360)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_norm_ball)
+
+
 # ----------------------------------------------------------------------
 # pac-bound
 
@@ -445,6 +529,18 @@ def _cmd_pac_bound(args) -> int:
     return 0
 
 
+def _pac_bound_flags(p):
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--y-card", type=int, required=True)
+    p.add_argument("--c", type=float, default=1.0)
+    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--kl", type=float, required=True)
+    p.add_argument("--delta", type=float, default=0.1)
+    p.add_argument("--margin-rate", dest="empirical_margin_rate", metavar="MARGIN_RATE", type=float, default=0.0)
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=_cmd_pac_bound)
+
+
 # ----------------------------------------------------------------------
 # parser
 
@@ -459,97 +555,38 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each subcommand, in help order: its help line and the function beside its
+# command that adds its flags and binds the command.
+_COMMANDS = {
+    "gen-synth": ("generate a synthetic dataset file", _gen_synth_flags),
+    "train": ("train a model and write a model file", _train_flags),
+    "predict": ("decode a dataset under a trained model", _predict_flags),
+    "eval": ("error rates of a trained model on a dataset", _eval_flags),
+    "cv": ("inverted cross-validation with hyperparameter sweeps", _cv_flags),
+    "shrinkage-curve": ("posterior-mean shrinkage curves as CSV", _shrinkage_curve_flags),
+    "norm-ball": ("penalty-ball boundaries as CSV", _norm_ball_flags),
+    "pac-bound": ("evaluate the generalization bound", _pac_bound_flags),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The ``medn`` parser, with the subparser of ``command`` alone if it
+    names a subcommand, else with every subcommand's, so that ``--help``
+    and an unknown command's error list them all.  A command line that
+    starts with its subcommand parses, and fails, alike under both."""
     parser = _Parser(
         prog="medn", description="Max-margin chain models: data, training, analysis."
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-synth", help="generate a synthetic dataset file")
-    p.add_argument("--d", type=int, default=20, help="input features per position")
-    p.add_argument("--d-rel", type=int, default=5, help="relevant input features")
-    p.add_argument("--length", "--L", dest="L", metavar="LENGTH", type=int, default=8, help="sequence length")
-    p.add_argument("--m", type=int, default=2, help="label arity")
-    p.add_argument("--n", dest="n_samples", metavar="N", type=int, default=250, help="number of instances")
-    p.add_argument("--gibbs-iters", type=int, default=GeneratorConfig.gibbs_iters,
-                   help="labeling sweeps per instance")
-    p.add_argument("--correlated", action="store_true", help="group-correlated relevant features")
-    p.add_argument("--group-size", type=int, default=GeneratorConfig.group_size)
-    p.add_argument("--noise-sd", type=float, default=GeneratorConfig.noise_sd)
-    p.add_argument("--seed", type=int, default=GeneratorConfig.seed)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_gen_synth)
-
-    p = sub.add_parser("train", help="train a model and write a model file")
-    p.add_argument("--model", choices=_MODEL_KINDS, required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=None, help="prior scale (lapmedn)")
-    p.add_argument("--beta", type=float, default=1.0, help="step-size scale")
-    p.add_argument("--c", type=float, default=None, help="slack penalty (default 200*beta for m3n, 1 otherwise)")
-    p.add_argument("--iters", type=int, default=50, help="epochs per subgradient solve")
-    p.add_argument("--outer-iters", type=int, default=None,
-                   help=f"outer loop bound T (lapmedn, default {DEFAULT_OUTER_ITERS})")
-    p.add_argument("--radius", type=float, default=None, help="L1 ball radius (l1m3n)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("predict", help="decode a dataset under a trained model")
-    p.add_argument("--model-file", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_predict)
-
-    p = sub.add_parser("eval", help="error rates of a trained model on a dataset")
-    p.add_argument("--model-file", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", default=None, help="optional CSV destination")
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("cv", help="inverted cross-validation with hyperparameter sweeps")
-    p.add_argument("--data", required=True)
-    p.add_argument("--folds", type=int, required=True)
-    p.add_argument("--models", default="m3n,lapmedn", help="comma-separated model list")
-    p.add_argument("--lambdas", type=_float_list, default=None, help="prior scales (lapmedn)")
-    p.add_argument("--betas", type=_float_list, default=list(DEFAULT_BETA_GRID))
-    p.add_argument("--radii", type=_float_list, default=None, help="L1 ball radii (l1m3n)")
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--iters", type=int, default=50)
-    p.add_argument("--outer-iters", type=int, default=None, help="outer loop bound T (lapmedn)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_cv)
-
-    p = sub.add_parser("shrinkage-curve", help="posterior-mean shrinkage curves as CSV")
-    p.add_argument("--lambdas", type=_float_list, default=[4.0, 6.0])
-    p.add_argument("--points", type=int, default=50)
-    p.add_argument("--eta-grid", default=None, help="explicit grid MIN:MAX:COUNT")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_shrinkage_curve)
-
-    p = sub.add_parser("norm-ball", help="penalty-ball boundaries as CSV")
-    p.add_argument("--lambdas", type=_float_list, default=[1.0, 4.0, 16.0])
-    p.add_argument("--angles", type=int, default=360)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_norm_ball)
-
-    p = sub.add_parser("pac-bound", help="evaluate the generalization bound")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--y-card", type=int, required=True)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--kl", type=float, required=True)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--margin-rate", dest="empirical_margin_rate", metavar="MARGIN_RATE", type=float, default=0.0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_pac_bound)
-
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        help_text, add_flags = _COMMANDS[name]
+        add_flags(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:

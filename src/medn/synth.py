@@ -151,14 +151,16 @@ def gen_features(cfg: GeneratorConfig, rng) -> np.ndarray:
     Default: i.i.d. standard normal entries.  In correlated mode each
     relevant group shares one standard-normal base draw per position,
     corrupted per member by independent N(0, noise_sd**2) noise; irrelevant
-    features stay i.i.d.
+    features stay i.i.d.  Noise past the float range comes out infinite,
+    without a warning.
     """
     if not cfg.correlated:
         return rng.standard_normal((cfg.L, cfg.d))
     x = np.empty((cfg.L, cfg.d))
     n_groups = cfg.d_rel // cfg.group_size
     base = rng.standard_normal((cfg.L, n_groups))
-    noise = rng.standard_normal((cfg.L, cfg.d_rel)) * cfg.noise_sd
+    with np.errstate(over="ignore"):
+        noise = rng.standard_normal((cfg.L, cfg.d_rel)) * cfg.noise_sd
     x[:, : cfg.d_rel] = np.repeat(base, cfg.group_size, axis=1) + noise
     x[:, cfg.d_rel :] = rng.standard_normal((cfg.L, cfg.d - cfg.d_rel))
     return x
@@ -167,6 +169,17 @@ def gen_features(cfg: GeneratorConfig, rng) -> np.ndarray:
 def _is_count(value) -> bool:
     """``value`` is a nonnegative integer; a bool is not."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
+
+
+def _with_neighbors(node, trans, bound):
+    """(L, m, n) ``node`` scores plus, at each site, the ``bound`` (``np.min``
+    or ``np.max``) over neighbor labels of each label's transition scores
+    from the previous site and to the next, added in the sampler's order."""
+    length, m, _ = node.shape
+    before, after = np.zeros((2, length, m, 1))
+    before[1:, :, 0] = bound(trans, axis=0)
+    after[:-1, :, 0] = bound(trans, axis=1)
+    return node + before + after
 
 
 def gibbs_chains(crf: TrueCrf, xs, seeds, burn_in: int, n_record: int):
@@ -183,7 +196,12 @@ def gibbs_chains(crf: TrueCrf, xs, seeds, burn_in: int, n_record: int):
     what it draws alone.  Checked once, on the stacked inputs: at least one
     chain, one seed per input, finite nonempty inputs of one shared L with
     ``crf.spec.d`` features, and integer sweep counts ``>= 0`` that add up
-    to at least one sweep.
+    to at least one sweep.  Finite inputs whose scores could pass the float
+    range raise ``ValueError`` naming the first such chain, before any
+    draw.  Rounded addition is monotone, so a site's logits, whatever its
+    neighbors' labels, lie between those that add each label's smallest
+    and largest transition scores; the check bounds those, and how far the
+    smallest falls below the site's largest.
 
     Scores are label-major, (L, m, n), so a site's max, exp and pick count
     over labels each take one numpy call across all n chains.  Its label
@@ -194,7 +212,11 @@ def gibbs_chains(crf: TrueCrf, xs, seeds, burn_in: int, n_record: int):
     where the running sum costs one per label, so the running sum wins with
     many chains per label and loses with few: against ``cumsum``, 0.86x to
     0.97x at gen-synth's m = 2 for n from 1 to 5000, but 2.98x at m = 26
-    with one chain (the README has the table).
+    with one chain (the README has the table).  The pick counts the rows
+    below the top one that ``u * total`` reaches.  The CDF is
+    nondecreasing, so that is the count over all m rows clamped to m - 1,
+    with no clamp to compute; the highest-scoring label's exp is 1, so the
+    total is at least 1, and a uniform below 1 times it stays below it.
     A site's logits add its node score, then the previous neighbor's
     transition, then the next one's; addition does not associate, so another
     order would round some logits differently and flip draws near a
@@ -229,7 +251,12 @@ def gibbs_chains(crf: TrueCrf, xs, seeds, burn_in: int, n_record: int):
     trans_t = np.ascontiguousarray(trans.T)
     m = spec.m
     # Label-major (L, m, n); one chain matmul each, as a lone chain would.
-    node = np.stack([x @ state for x in xs], axis=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        node = np.stack([x @ state for x in xs], axis=2)
+        low, high = (_with_neighbors(node, trans, bound) for bound in (np.min, np.max))
+        finite = np.isfinite(low - high.max(axis=1, keepdims=True)).all(axis=(0, 1))
+    if not finite.all():
+        raise ValueError(f"chain {np.argmin(finite)}: its scores pass the float range")
     length, _, n = node.shape
     y = np.stack([rng.integers(0, m, size=length) for rng in rngs], axis=1)
     out = np.empty((n_record, n, length), dtype=np.int64)
@@ -238,6 +265,7 @@ def gibbs_chains(crf: TrueCrf, xs, seeds, burn_in: int, n_record: int):
     # A site's (m, n) label CDF, and its rows paired for the running sum.
     cdf = np.empty((m, n))
     running_sum = list(zip(cdf, cdf[1:]))
+    below_top = cdf[:-1]
     for block_start in range(0, total, _SWEEP_BLOCK):
         block = min(_SWEEP_BLOCK, total - block_start)
         for i, rng in enumerate(rngs):
@@ -255,8 +283,7 @@ def gibbs_chains(crf: TrueCrf, xs, seeds, burn_in: int, n_record: int):
                 np.exp(logits - logits.max(axis=0), out=cdf)
                 for below, row in running_sum:
                     row += below
-                pick = (r[l] * cdf[-1] >= cdf).sum(axis=0)
-                y[l] = np.minimum(pick, m - 1)
+                y[l] = (r[l] * cdf[-1] >= below_top).sum(axis=0)
             if sweep >= burn_in:
                 out[sweep - burn_in] = y.T
     return np.ascontiguousarray(y.T), out
@@ -271,7 +298,8 @@ def gen_dataset(cfg: GeneratorConfig) -> SyntheticDataset:
     All chains advance together in one :func:`gibbs_chains` call; because
     each keeps its own stream, instance ``i``'s labeling equals
     ``gibbs_chains(crf, [x_i], [default_rng([_STREAM_GIBBS, seed, i])], gibbs_iters, 0)``
-    and the dataset is a pure function of the config.
+    and the dataset is a pure function of the config.  A ``noise_sd`` that
+    puts features past the float range raises ``ValueError`` naming it.
     """
     crf = gen_crf(cfg)
     if cfg.n_samples == 0:
@@ -281,6 +309,10 @@ def gen_dataset(cfg: GeneratorConfig) -> SyntheticDataset:
     xs = np.empty((cfg.n_samples, cfg.L, cfg.d))
     for i, x in enumerate(xs):
         x[:] = gen_features(cfg, np.random.default_rng([_STREAM_FEATURES, cfg.seed, i]))
+    finite = np.isfinite(xs).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"noise_sd {cfg.noise_sd:g} puts the features of instance "
+                         f"{np.argmin(finite)} past the float range")
     rngs = [np.random.default_rng([_STREAM_GIBBS, cfg.seed, i]) for i in range(cfg.n_samples)]
     labels, _ = gibbs_chains(crf, xs, rngs, cfg.gibbs_iters, 0)
     instances = [SequenceInstance(features=x, labels=y) for x, y in zip(xs, labels)]

@@ -340,6 +340,23 @@ class TestTrainPredictEval:
         main(flags + ["--out", str(out_b)])
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_dataset_without_instances_names_its_file(self, tmp_path):
+        """train and eval on a file that holds a header alone fail with one
+        error line that names the file, and write nothing."""
+        data = tmp_path / "empty.jsonl"
+        write_dataset(data, [], FeatureSpec(3, 2))
+        model = tmp_path / "model.json"
+        write_model_file(model, ModelFile(kind="m3n", spec=FeatureSpec(3, 2),
+                                          weights=np.zeros(10), var_diag=None, hyper={}))
+        out = tmp_path / "out.txt"
+        for argv, message in (
+            (["train", "--model", "m3n"], f"error: {data}: no instances to train on\n"),
+            (["eval", "--model-file", str(model)], f"error: {data}: no instances to evaluate\n"),
+        ):
+            code, _, err, caught = _run_quietly([*argv, "--data", str(data), "--out", str(out)])
+            assert (code, err, caught) == (2, message, [])
+            assert not out.exists()
+
     def test_incompatible_dimensions_rejected(self, tmp_path):
         data = tmp_path / "train.jsonl"
         _write_signal_dataset(data, n=4, d=3, seed=86)
@@ -1151,6 +1168,8 @@ _FIELD_ERRORS = [
     (["gen-synth", "--correlated", "--group-size", "2"], "--group-size"),
     (["gen-synth", "--noise-sd", "nan"], "--noise-sd"),
     (["gen-synth", "--correlated", "--noise-sd", "0"], "--noise-sd"),
+    # Finite, but the correlated noise it scales passes the float range.
+    (["gen-synth", "--correlated", "--group-size", "1", "--noise-sd", "1e308"], "--noise-sd"),
     (["gen-synth", "--seed", "-1"], "--seed"),
     ([*_PAC_BOUND, "--n", "0"], "--n"),
     ([*_PAC_BOUND, "--y-card", "1"], "--y-card"),
@@ -1309,6 +1328,62 @@ def test_bad_command_line_is_one_error_line(tmp_path, monkeypatch, capsys, argv,
     assert exit_.value.code == 2
     assert capsys.readouterr().err == message + "\n"
     assert not list(tmp_path.iterdir())
+
+
+# Command lines that name no subcommand, then each subcommand's help, then
+# command lines that argparse rejects: one bad flag per subcommand, and
+# tokens past the subcommand that it does not know.
+_PARSER_ARGVS = [
+    [], ["--help"], ["-h"], ["-h", "train"], ["bogus"], ["tra", "--model", "m3n"],
+    *([command, "--help"] for command in cli._COMMANDS),
+    ["gen-synth", "--d", "x", "--out", "o"],
+    ["train", "--model", "m3n", "--data", "d.jsonl", "--iters", "abc", "--out", "x.json"],
+    ["predict", "--model-file", "m", "--data", "d", "--out", "o", "--bogus"],
+    ["eval", "--model-file", "m"],
+    ["cv", "--data", "x", "--folds", "2", "--betas", "1,a", "--out", "o"],
+    ["shrinkage-curve", "--points", "1.5", "--out", "o"],
+    ["norm-ball", "--angles", "x", "--out", "o"],
+    ["pac-bound", "--n", "10", "--y-card", "1e400", "--kl", "1"],
+    ["train", "--data", "x"],
+    ["train", "--model", "svm", "--data", "d", "--out", "o"],
+    ["cv", "--data", "x", "--folds", "2", "--out", "o", "extra"],
+    ["pac-bound", "--n", "10", "--y-card", "4", "--kl", "1"],
+    ["cv", "--data", "d", "--folds", "5", "--models", "m3n,l1m3n", "--out", "o"],
+]
+
+
+def _parse(parser, argv):
+    """Exit code, stdout and stderr of one ``parse_args`` call, and the
+    parsed flags (None where it exits)."""
+    out, err = io.StringIO(), io.StringIO()
+    code, flags = None, None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            flags = vars(parser.parse_args(argv))
+        except SystemExit as exit_:
+            code = exit_.code
+    return code, out.getvalue(), err.getvalue(), flags
+
+
+@pytest.mark.parametrize("argv", _PARSER_ARGVS, ids=[" ".join(argv) for argv in _PARSER_ARGVS])
+def test_the_named_subcommands_parser_parses_as_the_whole_parser(argv):
+    """A run builds the parser of the subcommand it names alone; every
+    command line gets the help, the error, the exit code and the flags
+    that the parser of all subcommands gives it."""
+    alone = _parse(cli.build_parser(argv[0] if argv else None), argv)
+    assert alone == _parse(cli.build_parser(), argv)
+    assert alone[1] or alone[2] or alone[3]
+
+
+def test_a_subcommands_parser_holds_that_subcommand_alone():
+    def usage(command):
+        # One line, however wide the terminal.
+        return " ".join(cli.build_parser(command).format_usage().split())
+
+    assert usage("cv") == "usage: medn [-h] {cv} ..."
+    whole = "{" + ",".join(cli._COMMANDS) + "}"
+    for command in (None, "-h", "bogus"):
+        assert usage(command) == f"usage: medn [-h] {whole} ..."
 
 
 def test_help_is_argparse_usage(capsys):

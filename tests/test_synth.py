@@ -248,6 +248,34 @@ class TestGibbs:
             )
             np.testing.assert_array_equal(got[:, i], want[burn_in:])
 
+    @pytest.mark.parametrize("m", [2, 3, 9])
+    def test_largest_uniform_draws_the_last_label(self, m):
+        """A uniform of 1 - 2**-53 at every site, the largest ``random``
+        returns, draws the last label everywhere, as the scalar loop does.
+        That uniform times a total of at least 1 stays below the total, so
+        the pick counts no more than the m - 1 rows below the top one."""
+        top = np.nextafter(1.0, 0.0)
+
+        class LargestUniform(np.random.Generator):
+            def random(self, size=None, dtype=np.float64, out=None):
+                return np.full(() if size is None else size, top)[()]
+
+        totals = np.linspace(1.0, m, 10_001)
+        assert (top * totals < totals).all()
+        rng = np.random.default_rng(m)
+        spec = FeatureSpec(3, m)
+        crf = TrueCrf(spec, rng.standard_normal(spec.K), relevant=np.arange(3))
+        x = rng.standard_normal((5, 3))
+        _, got = gibbs_chains(crf, [x], [LargestUniform(np.random.PCG64(7))], 0, 4)
+        want = scalar_gibbs_states(
+            x @ spec.state_view(crf.weights),
+            spec.transition_view(crf.weights),
+            LargestUniform(np.random.PCG64(7)),
+            sweeps=4,
+        )
+        np.testing.assert_array_equal(got[:, 0], want)
+        assert (want == m - 1).all()
+
     def test_sweeps_must_be_positive(self):
         crf = _uniform_crf()
         with pytest.raises(ValueError, match="at least one sweep"):
@@ -305,10 +333,66 @@ class TestGibbsChainsChecks:
             with pytest.raises(ValueError, match=match):
                 gibbs_chains(_uniform_crf(), xs, seeds, burn_in, n_record)
 
+    @pytest.mark.parametrize(
+        "d, m, state, trans, x, first",
+        [
+            # Node scores of 4e308.
+            (2, 3, 2.0, 2.0, 1e308, 1),
+            (2, 3, 2.0, 2.0, -1e308, 1),
+            # Finite node scores 2e308 apart.
+            (1, 2, [[1.0, -1.0]], 0.0, 1e308, 1),
+            # Finite node scores whose two transition terms pass the range:
+            # every chain's middle site.
+            (1, 2, 0.0, [[1e308, 0.0], [0.0, 1e308]], 0.0, 0),
+        ],
+        ids=["node-up", "node-down", "spread", "transitions"],
+    )
+    def test_scores_past_the_float_range_name_the_first_chain(self, d, m, state, trans, x, first):
+        """Finite inputs whose scores pass the float range raise one
+        ValueError naming the first such chain, before any chain draws,
+        where numpy warned and every site drew label 0."""
+        spec = FeatureSpec(d, m)
+        weights = np.empty(spec.K)
+        spec.state_view(weights)[:] = state
+        spec.transition_view(weights)[:] = trans
+        crf = TrueCrf(spec, weights, relevant=np.arange(spec.d))
+        xs = np.zeros((3, 3, spec.d))
+        xs[1:] = x
+        rngs = [np.random.default_rng(seed) for seed in range(3)]
+        states = [rng.bit_generator.state for rng in rngs]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^chain {first}: its scores pass the float range$"):
+                gibbs_chains(crf, xs, rngs, 1, 0)
+        assert [rng.bit_generator.state for rng in rngs] == states
+
+    def test_equal_scores_near_the_float_range_still_sample(self):
+        """Node scores of 1.6e308 at every label are finite and 0 apart, so
+        the chain draws, as the scalar loop does."""
+        spec = FeatureSpec(1, 3)
+        weights = np.zeros(spec.K)
+        spec.state_view(weights)[:] = 1.6
+        crf = TrueCrf(spec, weights, relevant=np.arange(1))
+        x = np.full((4, 1), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, got = gibbs_chains(crf, [x], [3], 0, 5)
+        want = scalar_gibbs_states(x @ spec.state_view(weights), spec.transition_view(weights),
+                                   np.random.default_rng(3), sweeps=5)
+        np.testing.assert_array_equal(got[:, 0], want)
+
 
 class TestGenDataset:
     def test_empty_dataset(self):
         assert gen_dataset(_cfg(n_samples=0)).instances == []
+
+    def test_features_past_the_float_range_name_noise_sd(self):
+        """Correlated noise that passes the float range is one ValueError
+        naming noise_sd and the first such instance, not numpy's overflow
+        warning and then the sampler's "features must be finite"."""
+        cfg = _cfg(correlated=True, group_size=1, noise_sd=1e308)
+        with pytest.raises(ValueError, match=r"^noise_sd 1e\+308 puts the features of instance \d+ "):
+            gen_dataset(cfg)
 
     def test_desk_scale_shapes_and_marginals(self):
         cfg = GeneratorConfig(d=20, d_rel=5, L=8, m=2, n_samples=250, gibbs_iters=100, seed=1)
