@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .chain import _check_count, _check_positive
+
 __all__ = ["BoundInputs", "margin_sample_count", "pac_bound"]
 
 
@@ -33,16 +35,11 @@ class BoundInputs:
     empirical_margin_rate: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.y_card < 2:
-            raise ValueError("y_card must be at least 2")
-        if not 0.0 < self.c < math.inf:
-            raise ValueError("c must be positive and finite")
-        if not 0.0 < self.gamma < math.inf:
-            raise ValueError("gamma must be positive and finite")
-        if not 0.0 <= self.kl < math.inf:
-            raise ValueError("kl must be nonnegative and finite")
+        _check_count("n", self.n, 1, None)
+        _check_count("y_card", self.y_card, 2, None)
+        _check_positive("c", self.c)
+        _check_positive("gamma", self.gamma)
+        _check_positive("kl", self.kl, or_zero=True)
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         if not 0.0 <= self.empirical_margin_rate <= 1.0:

@@ -18,8 +18,13 @@ stays checked.  The entry points (the dataset reader, the trainer, the
 objective and decoding) pass each instance through
 :func:`_check_instance`, which checks only its agreement with a
 :class:`FeatureSpec`: d input features and labels below m.
+
+Every count and positive real a public object takes is checked by
+:func:`_check_count` or :func:`_check_positive`, naming its field first.
 """
 
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +44,27 @@ __all__ = [
 _COUNT_LIMIT = 2**59
 
 
+def _check_count(name: str, value, least: int, limit=_COUNT_LIMIT):
+    """Reject ``value`` unless it is an integer, not a bool, in [least, limit);
+    ``limit`` is ``_COUNT_LIMIT``, for a count that sizes an array, or None."""
+    # A plain int (a float below) skips the far slower isinstance on the ABC.
+    integral = type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool))
+    if not integral or value < least or limit is not None and value >= limit:
+        within = f">= {least}" if limit is None else f"in [{least}, 2**59)"
+        raise ValueError(f"{name} must be an integer {within}, got {value!r}")
+
+
+def _check_positive(name: str, value, *, or_zero=False):
+    """Reject ``value`` unless it is a real number, not a bool, above 0 (or 0
+    itself with ``or_zero``) and at most the largest float."""
+    real = type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+    if not real or not (0 <= value if or_zero else 0 < value) or not value <= sys.float_info.max:
+        shown = f"{value:g}" if isinstance(value, float) else repr(value)
+        kind = "nonnegative" if or_zero else "positive"
+        raise ValueError(f"{name} must be {kind} and finite, got {shown}")
+
+
 @dataclass(frozen=True)
 class FeatureSpec:
     """Feature-space dimensions for a linear chain.
@@ -55,10 +81,8 @@ class FeatureSpec:
     m: int
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"need d >= 1, got {self.d}")
-        if self.m < 2:
-            raise ValueError(f"need m >= 2, got {self.m}")
+        _check_count("d", self.d, 1)
+        _check_count("m", self.m, 2)
 
     @property
     def n_state(self) -> int:

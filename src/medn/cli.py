@@ -50,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import BoundInputs, margin_sample_count, pac_bound
-from .chain import _COUNT_LIMIT, FeatureSpec, decode_instances
+from .chain import _COUNT_LIMIT, FeatureSpec, _check_count, decode_instances
 from .curves import (
     identity_points,
     l1_unit_ball,
@@ -489,8 +489,7 @@ def _shrinkage_curve_flags(p):
 
 
 def _cmd_norm_ball(args) -> int:
-    if not 0 <= args.angles < _COUNT_LIMIT:
-        raise ValueError(f"--angles must lie in [0, 2**59), got {args.angles}")
+    _check_count("angles", args.angles, 0)
     _check_distinct("--lambdas", args.lambdas)
     rows = []
     for lam in args.lambdas:

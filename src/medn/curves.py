@@ -12,8 +12,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import _COUNT_LIMIT
-from .models import _check_lam, _kl_excess, shrinkage_mean
+from .chain import _check_count, _check_positive
+from .models import _kl_excess, shrinkage_mean
 
 __all__ = [
     "CurvePoint",
@@ -39,9 +39,8 @@ _ETA_GRID_FRACTION = 0.9
 
 def shrinkage_eta_grid(lam: float, n_points: int = 50) -> np.ndarray:
     """Symmetric grid of eta values over 0.9 of (-sqrt(lam), sqrt(lam))."""
-    _check_lam(lam)
-    if not 1 <= n_points < _COUNT_LIMIT:
-        raise ValueError(f"n_points must lie in [1, 2**59), got {n_points}")
+    _check_positive("lam", lam)
+    _check_count("n_points", n_points, 1)
     half_width = _ETA_GRID_FRACTION * math.sqrt(lam)
     return np.linspace(-half_width, half_width, n_points)
 
@@ -63,7 +62,7 @@ def identity_points(etas) -> list[CurvePoint]:
 def norm_ball_level(lam: float) -> float:
     """Level at which the 2-D penalty boundary passes through (0, 1):
     sqrt(1/lam) + sqrt(1 + 1/lam) - log(sqrt(lam + 1)/2 + 1/2) / sqrt(lam)."""
-    _check_lam(lam)
+    _check_positive("lam", lam)
     level = (
         math.sqrt(1.0 / lam)
         + math.sqrt(1.0 + 1.0 / lam)

@@ -185,7 +185,7 @@ def _parse_header(line: bytes) -> tuple[FeatureSpec, dict]:
         raise ValueError("not a dataset file")
     if _json_int(header, "format") != DATASET_FORMAT:
         raise ValueError(f"unsupported dataset format {header['format']}")
-    return FeatureSpec(_json_int(header, "d"), _json_int(header, "m")), header.get("meta", {})
+    return FeatureSpec(header["d"], header["m"]), header.get("meta", {})
 
 
 def _parse_instance(line: bytes, spec: FeatureSpec) -> SequenceInstance:
@@ -300,7 +300,7 @@ def read_model_file(path) -> ModelFile:
         var = _json_numbers(payload.get("var_diag"), "var_diag")
         return ModelFile(
             kind=payload["kind"],
-            spec=FeatureSpec(_json_int(payload, "d"), _json_int(payload, "m")),
+            spec=FeatureSpec(payload["d"], payload["m"]),
             weights=np.asarray(_json_numbers(payload["weights"], "weights"), dtype=float),
             var_diag=None if var is None else np.asarray(var, dtype=float),
             hyper=payload.get("hyper", {}),

@@ -20,12 +20,11 @@ to certify the exact optimum.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import FeatureSpec
+from .chain import FeatureSpec, _check_count, _check_positive
 from .optimize import SubgradConfig, _KernelData, _lockstep
 
 __all__ = [
@@ -39,12 +38,6 @@ __all__ = [
 # Floor on posterior variances: keeps the next round's inverse-variance
 # penalty finite as second moments collapse toward zero.
 VARIANCE_FLOOR = 1e-12
-
-
-def _check_lam(lam: float):
-    """Reject a Laplace prior scale that is not a positive finite number."""
-    if not 0.0 < lam < math.inf:
-        raise ValueError(f"lam must be positive and finite, got {lam:g}")
 
 
 @dataclass(frozen=True)
@@ -62,15 +55,11 @@ class LaplaceConfig:
     outer_iters: int = 4
 
     def __post_init__(self):
-        _check_lam(self.lam)
-        if not self.inner.C > 0:
-            raise ValueError("C must be positive")
+        _check_positive("lam", self.lam)
+        _check_positive("C", self.inner.C)
         if self.inner.radius is not None:
             raise ValueError("a lapmedn inner config takes no radius")
-        if not isinstance(self.outer_iters, numbers.Integral) or isinstance(self.outer_iters, bool):
-            raise ValueError("outer_iters must be an integer")
-        if self.outer_iters < 2:
-            raise ValueError("outer_iters must be at least 2")
+        _check_count("outer_iters", self.outer_iters, 2, None)
 
 
 def train_laplace_grid(data: list, spec: FeatureSpec, cfgs, *, subsets=None):
@@ -164,7 +153,7 @@ def shrinkage_mean(eta: float, lam: float) -> float:
     normalizer diverges.  Odd in eta, and for fixed eta the output shrinks
     toward zero as lam grows.
     """
-    _check_lam(lam)
+    _check_positive("lam", lam)
     if not eta * eta < lam:  # a NaN eta fails too
         raise ValueError("eta**2 must be < lam (normalizer diverges)")
     return 2.0 * eta / (lam - eta * eta)
@@ -183,7 +172,7 @@ def kl_norm(mu, lam: float) -> float:
     with s = sqrt(lam) and r = hypot(mu_k, 1/s), the term is
     r - (log s + log(r + 1/s) - log 2) / s.
     """
-    _check_lam(lam)
+    _check_positive("lam", lam)
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     if not np.all(np.isfinite(mu)):
         raise ValueError("mu must be finite")

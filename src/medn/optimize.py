@@ -37,14 +37,15 @@ is about to raise.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import (
     FeatureSpec,
+    _check_count,
     _check_instance,
+    _check_positive,
     _check_weights,
     _loss_augmented_scores,
     _viterbi,
@@ -82,28 +83,12 @@ class SubgradConfig:
 
     def __post_init__(self):
         # An infinite beta is a zero step size: the weights would stay 0.
-        if not 0 < self.beta < math.inf:
-            raise ValueError(f"beta must be positive and finite, got {self.beta:g}")
-        if not isinstance(self.iterations, numbers.Integral) or isinstance(self.iterations, bool):
-            raise ValueError("iterations must be an integer")
-        if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
-        _check_hinge_weight(self.C)
-        _check_seed(self.seed)
-        if self.radius is not None and not 0 < self.radius < math.inf:
-            raise ValueError(f"radius must be positive and finite, got {self.radius:g}")
-
-
-def _check_seed(seed):
-    """Reject a seed that is not a nonnegative integer; a bool is not one."""
-    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-
-
-def _check_hinge_weight(C):
-    """Reject a hinge weight C that is not a finite, nonnegative number."""
-    if not isinstance(C, numbers.Real) or not 0 <= C < math.inf:
-        raise ValueError("C must be finite and nonnegative")
+        _check_positive("beta", self.beta)
+        _check_count("iterations", self.iterations, 1, None)
+        _check_positive("C", self.C, or_zero=True)
+        _check_count("seed", self.seed, 0, None)
+        if self.radius is not None:
+            _check_positive("radius", self.radius)
 
 
 def _check_inv_diag(spec: FeatureSpec, inv_diag) -> np.ndarray:
@@ -424,7 +409,7 @@ def structured_hinge_objective(
     alone.
     """
     w = _check_weights(spec, weights, 1)
-    _check_hinge_weight(C)
+    _check_positive("C", C, or_zero=True)
     inv_diag = None if inv_diag is None else _check_inv_diag(spec, inv_diag)
     return _objective(_KernelData(data, spec) if data else None, w, C, inv_diag)
 

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _COUNT_LIMIT, FeatureSpec, SequenceInstance, _check_weights
-from .optimize import _check_seed
+from .chain import _COUNT_LIMIT, FeatureSpec, SequenceInstance, _check_count, _check_weights
 
 __all__ = [
     "GeneratorConfig",
@@ -72,9 +71,7 @@ class GeneratorConfig:
         # stays below _COUNT_LIMIT.
         for name, least in (("d", 1), ("d_rel", 0), ("L", 1), ("m", 2), ("n_samples", 0),
                             ("gibbs_iters", 1), ("group_size", 0)):
-            value = getattr(self, name)
-            if not (_is_count(value) and least <= value < _COUNT_LIMIT):
-                raise ValueError(f"{name} must be an integer in [{least}, 2**59), got {value!r}")
+            _check_count(name, getattr(self, name), least)
         # So does each product of counts that sizes an array: an instance's
         # (L, d) features, the d * m + m * m weights, the (L, m, n) scores,
         # a block of uniforms and the (n, L, d) feature stack.  The largest
@@ -93,7 +90,7 @@ class GeneratorConfig:
             if size >= _COUNT_LIMIT:
                 name = max(names, key=factors.get)
                 raise ValueError(f"{name} must keep {expr} below 2**59, got {size}")
-        _check_seed(self.seed)
+        _check_count("seed", self.seed, 0, None)
         if self.d_rel > self.d:
             raise ValueError("d_rel must lie in [0, d]")
         if not isinstance(self.correlated, bool):
@@ -166,9 +163,12 @@ def gen_features(cfg: GeneratorConfig, rng) -> np.ndarray:
     return x
 
 
-def _is_count(value) -> bool:
-    """``value`` is a nonnegative integer; a bool is not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
+class _ScoresPastRange(ValueError):
+    """Finite inputs whose scores pass the float range; ``chain`` is the first."""
+
+    def __init__(self, chain: int):
+        super().__init__(f"chain {chain}: its scores pass the float range")
+        self.chain = chain
 
 
 def _with_neighbors(node, trans, bound):
@@ -227,8 +227,9 @@ def gibbs_chains(crf: TrueCrf, xs, seeds, burn_in: int, n_record: int):
         raise ValueError("need at least one chain")
     if len(seeds) != len(xs):
         raise ValueError(f"need one seed per input: {len(xs)} inputs, {len(seeds)} seeds")
-    if not all(isinstance(seed, np.random.Generator) or _is_count(seed) for seed in seeds):
-        raise ValueError("each seed must be a nonnegative int or a numpy Generator")
+    for seed in seeds:
+        if not isinstance(seed, np.random.Generator):
+            _check_count("seed (if not a numpy Generator)", seed, 0, None)
     try:
         xs = np.asarray(xs, dtype=float)
     except ValueError:
@@ -239,9 +240,8 @@ def gibbs_chains(crf: TrueCrf, xs, seeds, burn_in: int, n_record: int):
         raise ValueError(f"expected {spec.d} input features, got {xs.shape[2]}")
     if not np.all(np.isfinite(xs)):
         raise ValueError("features must be finite")
-    for name, value in (("burn_in", burn_in), ("n_record", n_record)):
-        if not _is_count(value):
-            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    _check_count("burn_in", burn_in, 0, None)
+    _check_count("n_record", n_record, 0, None)
     total = int(burn_in) + int(n_record)
     if not total:
         raise ValueError("need at least one sweep: burn_in + n_record is 0")
@@ -256,7 +256,7 @@ def gibbs_chains(crf: TrueCrf, xs, seeds, burn_in: int, n_record: int):
         low, high = (_with_neighbors(node, trans, bound) for bound in (np.min, np.max))
         finite = np.isfinite(low - high.max(axis=1, keepdims=True)).all(axis=(0, 1))
     if not finite.all():
-        raise ValueError(f"chain {np.argmin(finite)}: its scores pass the float range")
+        raise _ScoresPastRange(int(np.argmin(finite)))
     length, _, n = node.shape
     y = np.stack([rng.integers(0, m, size=length) for rng in rngs], axis=1)
     out = np.empty((n_record, n, length), dtype=np.int64)
@@ -299,7 +299,7 @@ def gen_dataset(cfg: GeneratorConfig) -> SyntheticDataset:
     each keeps its own stream, instance ``i``'s labeling equals
     ``gibbs_chains(crf, [x_i], [default_rng([_STREAM_GIBBS, seed, i])], gibbs_iters, 0)``
     and the dataset is a pure function of the config.  A ``noise_sd`` that
-    puts features past the float range raises ``ValueError`` naming it.
+    puts features or scores past the float range raises ``ValueError`` naming it.
     """
     crf = gen_crf(cfg)
     if cfg.n_samples == 0:
@@ -314,6 +314,11 @@ def gen_dataset(cfg: GeneratorConfig) -> SyntheticDataset:
         raise ValueError(f"noise_sd {cfg.noise_sd:g} puts the features of instance "
                          f"{np.argmin(finite)} past the float range")
     rngs = [np.random.default_rng([_STREAM_GIBBS, cfg.seed, i]) for i in range(cfg.n_samples)]
-    labels, _ = gibbs_chains(crf, xs, rngs, cfg.gibbs_iters, 0)
+    try:
+        labels, _ = gibbs_chains(crf, xs, rngs, cfg.gibbs_iters, 0)
+    except _ScoresPastRange as exc:
+        # Only the noise can take finite features' scores past the range.
+        raise ValueError(f"noise_sd {cfg.noise_sd:g} puts the scores of instance "
+                         f"{exc.chain} past the float range") from None
     instances = [SequenceInstance(features=x, labels=y) for x, y in zip(xs, labels)]
     return SyntheticDataset(crf=crf, instances=instances)

@@ -1,7 +1,8 @@
 """The public surface: every exported name resolves, the README's Python
 examples run against the package as it is, its command lines parse and the
-names it cites exist, the CLI starts without scipy, and every third-party import is a declared
-dependency."""
+names it cites exist, the CLI starts without scipy, every third-party import is a declared
+dependency, and every count and positive real that a public object takes
+is checked alike."""
 
 import ast
 import importlib
@@ -12,10 +13,24 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import medn
-from medn import cli
+from medn import (
+    BoundInputs,
+    FeatureSpec,
+    GeneratorConfig,
+    LaplaceConfig,
+    SubgradConfig,
+    TrueCrf,
+    cli,
+    gibbs_chains,
+    kl_norm,
+    shrinkage_mean,
+    structured_hinge_objective,
+)
+from medn.curves import norm_ball_level, shrinkage_eta_grid
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -158,3 +173,79 @@ def test_every_third_party_import_is_a_declared_dependency():
     third_party = imported - set(sys.stdlib_module_names) - {"medn"}
     assert {"numpy", "orjson", "scipy"} <= third_party
     assert third_party <= declared, sorted(third_party - declared)
+
+
+def _subgrad(**fields):
+    return SubgradConfig(**{"beta": 1.0, "iterations": 2, "C": 1.0, **fields})
+
+
+def _generator(**fields):
+    return GeneratorConfig(**{"d": 4, "d_rel": 2, "L": 3, "m": 2, "n_samples": 2, **fields})
+
+
+def _bound(**fields):
+    return BoundInputs(**{"n": 10, "y_card": 4, "c": 1.0, "gamma": 1.0, "kl": 1.0, "delta": 0.1,
+                          "empirical_margin_rate": 0.0, **fields})
+
+
+def _chains(seed=0, burn_in=1, n_record=0):
+    crf = TrueCrf(FeatureSpec(2, 2), np.zeros(8), np.arange(0))
+    return gibbs_chains(crf, [np.zeros((3, 2))], [seed], burn_in, n_record)
+
+
+# Each count a public object takes: its field or parameter name, a call
+# that passes it, its least value and whether it stays below 2**59.
+_COUNTS = [
+    ("FeatureSpec", "d", lambda v: FeatureSpec(v, 2), 1, True),
+    ("FeatureSpec", "m", lambda v: FeatureSpec(2, v), 2, True),
+    *[("GeneratorConfig", name, lambda v, name=name: _generator(**{name: v}), least, True)
+      for name, least in (("d", 1), ("d_rel", 0), ("L", 1), ("m", 2), ("n_samples", 0),
+                          ("gibbs_iters", 1), ("group_size", 0))],
+    ("GeneratorConfig", "seed", lambda v: _generator(seed=v), 0, False),
+    ("SubgradConfig", "iterations", lambda v: _subgrad(iterations=v), 1, False),
+    ("SubgradConfig", "seed", lambda v: _subgrad(seed=v), 0, False),
+    ("LaplaceConfig", "outer_iters", lambda v: LaplaceConfig(1.0, _subgrad(), v), 2, False),
+    ("gibbs_chains", "seed", lambda v: _chains(seed=v), 0, False),
+    ("gibbs_chains", "burn_in", lambda v: _chains(burn_in=v), 0, False),
+    ("gibbs_chains", "n_record", lambda v: _chains(n_record=v), 0, False),
+    ("shrinkage_eta_grid", "n_points", lambda v: shrinkage_eta_grid(4.0, v), 1, True),
+    ("BoundInputs", "n", lambda v: _bound(n=v), 1, False),
+    ("BoundInputs", "y_card", lambda v: _bound(y_card=v), 2, False),
+]
+# Each positive real a public object takes: its name, a call that passes
+# it, and whether 0 is allowed.
+_REALS = [
+    ("SubgradConfig", "beta", lambda v: _subgrad(beta=v), False),
+    ("SubgradConfig", "C", lambda v: _subgrad(C=v), True),
+    ("SubgradConfig", "radius", lambda v: _subgrad(radius=v), False),
+    ("structured_hinge_objective", "C",
+     lambda v: structured_hinge_objective([], FeatureSpec(2, 2), np.zeros(8), v), True),
+    ("LaplaceConfig", "lam", lambda v: LaplaceConfig(v, _subgrad()), False),
+    ("LaplaceConfig", "C", lambda v: LaplaceConfig(1.0, _subgrad(C=v)), False),
+    ("shrinkage_mean", "lam", lambda v: shrinkage_mean(0.0, v), False),
+    ("kl_norm", "lam", lambda v: kl_norm([0.0], v), False),
+    ("shrinkage_eta_grid", "lam", lambda v: shrinkage_eta_grid(v), False),
+    ("norm_ball_level", "lam", lambda v: norm_ball_level(v), False),
+    ("BoundInputs", "c", lambda v: _bound(c=v), False),
+    ("BoundInputs", "gamma", lambda v: _bound(gamma=v), False),
+    ("BoundInputs", "kl", lambda v: _bound(kl=v), True),
+]
+_BAD_NUMBERS = [
+    *[pytest.param(name, call, value, id=f"{owner}-{name}-{value!r:.20}")
+      for owner, name, call, least, bounded in _COUNTS
+      for value in (True, least + 0.5, str(least), least - 1, *[2**59] * bounded)],
+    *[pytest.param(name, call, value, id=f"{owner}-{name}-{value!r:.20}")
+      for owner, name, call, or_zero in _REALS
+      for value in (True, "1", -1.0, *[0.0] * (not or_zero), np.inf, np.nan, 10**400)],
+]
+
+
+@pytest.mark.parametrize("name, call, value", _BAD_NUMBERS)
+def test_a_bad_count_or_positive_real_is_one_error_naming_it(name, call, value):
+    """A bool, a float where an integer belongs, a string or a value out of
+    range is one ValueError whose one line starts with the field's name,
+    never a TypeError, numpy's error later, or a value taken as it is."""
+    with pytest.raises(ValueError) as info:
+        call(value)
+    message = str(info.value)
+    assert message.startswith(f"{name} ") and "\n" not in message

@@ -236,9 +236,9 @@ class TestTrainPredictEval:
         "argv, message",
         [
             (["train", "--model", "m3n", "--seed", "-1"],
-             "error: --seed must be a nonnegative integer, got -1\n"),
+             "error: --seed must be an integer >= 0, got -1\n"),
             (["cv", "--folds", "2", "--seed", "-3"],
-             "error: --seed must be a nonnegative integer, got -3\n"),
+             "error: --seed must be an integer >= 0, got -3\n"),
         ],
         ids=["train", "cv"],
     )
@@ -480,7 +480,7 @@ class TestCrossValidation:
              "error: --lambdas must be positive and finite, got 0\n"),
             (["--models", "l1m3n,m3n", "--betas", "1,inf"],
              "error: --betas must be positive and finite, got inf\n"),
-            (["--models", "m3n,l1m3n", "--c", "-1"], "error: --c must be finite and nonnegative\n"),
+            (["--models", "m3n,l1m3n", "--c", "-1"], "error: --c must be nonnegative and finite, got -1\n"),
             (["--models", "m3n,l1m3n", "--radii", "0"],
              "error: --radii must be positive and finite, got 0\n"),
             (["--models", "m3n,l1m3n", "--radii", "inf"],
@@ -506,10 +506,10 @@ class TestCrossValidation:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--c", "-1"], "error: --c must be finite and nonnegative\n"),
-            (["--iters", "0"], "error: --iters must be at least 1\n"),
-            (["--outer-iters", "1"], "error: --outer-iters must be at least 2\n"),
-            (["--seed", "-3"], "error: --seed must be a nonnegative integer, got -3\n"),
+            (["--c", "-1"], "error: --c must be nonnegative and finite, got -1\n"),
+            (["--iters", "0"], "error: --iters must be an integer >= 1, got 0\n"),
+            (["--outer-iters", "1"], "error: --outer-iters must be an integer >= 2, got 1\n"),
+            (["--seed", "-3"], "error: --seed must be an integer >= 0, got -3\n"),
         ],
         ids=["c", "iters", "outer-iters", "seed"],
     )
@@ -824,7 +824,7 @@ class TestCurveCommands:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--points", "0"], "error: --points must lie in [1, 2**59), got 0\n"),
+            (["--points", "0"], "error: --points must be an integer in [1, 2**59), got 0\n"),
             (["--lambdas", ""], "error: shrinkage-curve requires nonempty --lambdas"),
             (["--eta-grid", "0:1:2.5"], "error: --eta-grid must look like MIN:MAX:COUNT\n"),
             (["--eta-grid", "a:1:3"], "error: --eta-grid must look like MIN:MAX:COUNT\n"),
@@ -1170,6 +1170,8 @@ _FIELD_ERRORS = [
     (["gen-synth", "--correlated", "--noise-sd", "0"], "--noise-sd"),
     # Finite, but the correlated noise it scales passes the float range.
     (["gen-synth", "--correlated", "--group-size", "1", "--noise-sd", "1e308"], "--noise-sd"),
+    # Finite features, but their scores pass the float range.
+    (["gen-synth", "--correlated", "--group-size", "1", "--noise-sd", "3e307"], "--noise-sd"),
     (["gen-synth", "--seed", "-1"], "--seed"),
     ([*_PAC_BOUND, "--n", "0"], "--n"),
     ([*_PAC_BOUND, "--y-card", "1"], "--y-card"),

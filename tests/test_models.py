@@ -181,13 +181,13 @@ class TestTrainLaplace:
         with pytest.raises(ValueError):
             LaplaceConfig(lam=1.0, inner=_cfg(), outer_iters=1)
         # The inner config's C is the hinge weight, and a lapmedn row has no ball.
-        with pytest.raises(ValueError, match="^C must be positive$"):
+        with pytest.raises(ValueError, match="^C must be positive and finite, got 0$"):
             LaplaceConfig(lam=1.0, inner=_cfg(C=0.0))
         with pytest.raises(ValueError, match="^a lapmedn inner config takes no radius$"):
             LaplaceConfig(lam=1.0, inner=_cfg(radius=1.0))
         # Rejected here, not by range() inside the trainer.
         for outer_iters in (2.5, True):
-            with pytest.raises(ValueError, match="^outer_iters must be an integer$"):
+            with pytest.raises(ValueError, match=f"^outer_iters must be an integer >= 2, got {outer_iters!r}$"):
                 LaplaceConfig(lam=1.0, inner=_cfg(), outer_iters=outer_iters)
 
 

@@ -241,7 +241,7 @@ class TestSubgradientTrain:
             SubgradConfig(beta=1.0, iterations=10, C=-1.0)
         # numpy would reject these seeds only inside the kernel, naming neither.
         for seed, shown in ((-1, "-1"), (1.5, "1.5"), (True, "True"), ("3", "'3'")):
-            message = f"^seed must be a nonnegative integer, got {shown}$"
+            message = f"^seed must be an integer >= 0, got {shown}$"
             with pytest.raises(ValueError, match=message):
                 SubgradConfig(beta=1.0, iterations=10, C=1.0, seed=seed)
         assert SubgradConfig(1.0, 10, 1.0, seed=np.int64(3)).seed == 3
@@ -397,7 +397,7 @@ class TestStructuredHingeObjective:
         negative objective, and a non-finite one a non-finite value."""
         spec, data, _, inv = self._problem()
         for c in (-1.0, np.nan, np.inf):
-            with pytest.raises(ValueError, match="^C must be finite and nonnegative$"):
+            with pytest.raises(ValueError, match=f"^C must be nonnegative and finite, got {c:g}$"):
                 structured_hinge_objective(data, spec, np.zeros(spec.K), c, inv_diag=inv)
 
 
@@ -566,7 +566,7 @@ class TestLockstepValidation:
         """A fractional or bool epoch count is rejected with the config, not
         inside the kernel."""
         for iterations in (2.5, True):
-            with pytest.raises(ValueError, match="^iterations must be an integer$"):
+            with pytest.raises(ValueError, match=f"^iterations must be an integer >= 1, got {iterations!r}$"):
                 SubgradConfig(beta=1.0, iterations=iterations, C=1.0)
 
     @pytest.mark.parametrize("where, name", [(np, "full"), (optimize._KernelData, "draws")],

@@ -45,7 +45,7 @@ class TestGeneratorConfig:
         # that names its field, not numpy's TypeError later or a bool read as 1.
         for name in ("d", "d_rel", "L", "m", "n_samples", "gibbs_iters", "group_size", "seed"):
             for value in (1.5, 2.0, True, -1, None, "3"):
-                kind = "a nonnegative integer" if name == "seed" else "an integer in \\["
+                kind = "an integer >= 0" if name == "seed" else "an integer in \\["
                 with pytest.raises(ValueError, match=f"^{name} must be {kind}"):
                     _cfg(**{name: value})
         # A truthy string used to switch correlated mode on, and a noise_sd
@@ -393,6 +393,20 @@ class TestGenDataset:
         cfg = _cfg(correlated=True, group_size=1, noise_sd=1e308)
         with pytest.raises(ValueError, match=r"^noise_sd 1e\+308 puts the features of instance \d+ "):
             gen_dataset(cfg)
+
+    def test_scores_past_the_float_range_name_noise_sd(self):
+        """Noise that leaves the features finite but takes their scores past
+        the float range is one ValueError naming noise_sd and the first such
+        instance, where the sampler alone would name a chain."""
+        cfg = _cfg(d=20, d_rel=5, L=8, n_samples=8, correlated=True, group_size=1, noise_sd=3e307)
+        xs = [gen_features(cfg, np.random.default_rng([_STREAM_FEATURES, cfg.seed, i]))
+              for i in range(cfg.n_samples)]
+        assert np.isfinite(xs).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = r"^noise_sd 3e\+307 puts the scores of instance 7 past the float range$"
+            with pytest.raises(ValueError, match=message):
+                gen_dataset(cfg)
 
     def test_desk_scale_shapes_and_marginals(self):
         cfg = GeneratorConfig(d=20, d_rel=5, L=8, m=2, n_samples=250, gibbs_iters=100, seed=1)
