@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chain import _check_count, _check_positive
+from .chain import _check_count, _check_real
 
 __all__ = ["BoundInputs", "margin_sample_count", "pac_bound"]
 
@@ -35,15 +35,12 @@ class BoundInputs:
     empirical_margin_rate: float
 
     def __post_init__(self):
-        _check_count("n", self.n, 1, None)
-        _check_count("y_card", self.y_card, 2, None)
-        _check_positive("c", self.c)
-        _check_positive("gamma", self.gamma)
-        _check_positive("kl", self.kl, or_zero=True)
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if not 0.0 <= self.empirical_margin_rate <= 1.0:
-            raise ValueError("empirical_margin_rate must lie in [0, 1]")
+        object.__setattr__(self, "n", _check_count("n", self.n, 1, None))
+        object.__setattr__(self, "y_card", _check_count("y_card", self.y_card, 2, None))
+        for name, within in (("c", "positive and finite"), ("gamma", "positive and finite"),
+                             ("kl", "nonnegative and finite"), ("delta", "in (0, 1)"),
+                             ("empirical_margin_rate", "in [0, 1]")):
+            object.__setattr__(self, name, _check_real(name, getattr(self, name), within))
 
 
 def margin_sample_count(inputs: BoundInputs) -> int:

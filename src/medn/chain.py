@@ -19,10 +19,16 @@ objective and decoding) pass each instance through
 :func:`_check_instance`, which checks only its agreement with a
 :class:`FeatureSpec`: d input features and labels below m.
 
-Every count and positive real a public object takes is checked by
-:func:`_check_count` or :func:`_check_positive`, naming its field first.
+Every number a public object takes is checked by one of two functions,
+whose error names its field first: :func:`_check_count` for a count, which
+returns it as an ``int``, and :func:`_check_real` for a real in one of the
+intervals of ``_INTERVALS``, which returns it as a ``float``.  A frozen
+config stores what they return, so a numpy scalar or a ``Fraction`` never
+reaches the arithmetic behind a check: a numpy product cannot wrap, and
+every stored count and real can be written as JSON.
 """
 
+import math
 import numbers
 import sys
 from dataclasses import dataclass
@@ -44,25 +50,44 @@ __all__ = [
 _COUNT_LIMIT = 2**59
 
 
-def _check_count(name: str, value, least: int, limit=_COUNT_LIMIT):
-    """Reject ``value`` unless it is an integer, not a bool, in [least, limit);
-    ``limit`` is ``_COUNT_LIMIT``, for a count that sizes an array, or None."""
-    # A plain int (a float below) skips the far slower isinstance on the ABC.
-    integral = type(value) is int or (
-        isinstance(value, numbers.Integral) and not isinstance(value, bool))
-    if not integral or value < least or limit is not None and value >= limit:
+def _check_count(name: str, value, least: int, limit=_COUNT_LIMIT) -> int:
+    """``value`` as an int; ValueError unless it is an integer, not a bool, in
+    [least, limit).  ``limit`` is ``_COUNT_LIMIT``, for a count that sizes an
+    array, or None."""
+    # A plain int skips the far slower isinstance on the ABC.
+    count = int(value) if type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)) else None
+    if count is None or count < least or limit is not None and count >= limit:
         within = f">= {least}" if limit is None else f"in [{least}, 2**59)"
         raise ValueError(f"{name} must be an integer {within}, got {value!r}")
+    return count
 
 
-def _check_positive(name: str, value, *, or_zero=False):
-    """Reject ``value`` unless it is a real number, not a bool, above 0 (or 0
-    itself with ``or_zero``) and at most the largest float."""
-    real = type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
-    if not real or not (0 <= value if or_zero else 0 < value) or not value <= sys.float_info.max:
+# Each interval that a real may be asked to lie in, by the words that name it
+# in an error.
+_INTERVALS = {
+    "positive and finite": lambda x: 0.0 < x <= sys.float_info.max,
+    "nonnegative and finite": lambda x: 0.0 <= x <= sys.float_info.max,
+    "finite": lambda x: -sys.float_info.max <= x <= sys.float_info.max,
+    "positive": lambda x: 0.0 < x,
+    "in (0, 1)": lambda x: 0.0 < x < 1.0,
+    "in [0, 1]": lambda x: 0.0 <= x <= 1.0,
+}
+
+
+def _check_real(name: str, value, within: str = "positive and finite") -> float:
+    """``value`` as a float; ValueError unless it is a real number, not a
+    bool, that lies ``within`` an interval named in ``_INTERVALS``."""
+    # A plain float skips the far slower isinstance on the ABC.
+    is_real = type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        real = float(value) if is_real else math.nan  # so a float32 never meets the largest float
+    except OverflowError:  # an int or a Fraction past the float range rounds to an infinity
+        real = math.inf if value > 0 else -math.inf
+    if not _INTERVALS[within](real):
         shown = f"{value:g}" if isinstance(value, float) else repr(value)
-        kind = "nonnegative" if or_zero else "positive"
-        raise ValueError(f"{name} must be {kind} and finite, got {shown}")
+        raise ValueError(f"{name} must be {within}, got {shown}")
+    return real
 
 
 @dataclass(frozen=True)
@@ -81,8 +106,8 @@ class FeatureSpec:
     m: int
 
     def __post_init__(self):
-        _check_count("d", self.d, 1)
-        _check_count("m", self.m, 2)
+        object.__setattr__(self, "d", _check_count("d", self.d, 1))
+        object.__setattr__(self, "m", _check_count("m", self.m, 2))
 
     @property
     def n_state(self) -> int:

@@ -50,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import BoundInputs, margin_sample_count, pac_bound
-from .chain import _COUNT_LIMIT, FeatureSpec, _check_count, decode_instances
+from .chain import _COUNT_LIMIT, FeatureSpec, decode_instances
 from .curves import (
     identity_points,
     l1_unit_ball,
@@ -114,8 +114,8 @@ def _float_list(text: str) -> list[float]:
 
 # The flags not spelled as their field's or parameter's name with "-" for
 # "_"; a name listed here is a flag's even where no dest is named after it.
-_FIELD_FLAGS = {"L": "--length", "n_samples": "--n", "empirical_margin_rate": "--margin-rate",
-                "lam": "--lambda", "iterations": "--iters", "C": "--c", "n_points": "--points"}
+_FIELD_FLAGS = {"L": "--length", "n_samples": "--n", "empirical_margin_rate": "--margin-rate", "lam": "--lambda",
+                "iterations": "--iters", "C": "--c", "n_points": "--points", "n_angles": "--angles"}
 # The dests of the sweeps of cv, shrinkage-curve and norm-ball, by the field
 # each one sets; a command with the sweep names it in place of the field's flag.
 _SWEEPS = {"lam": "lambdas", "beta": "betas", "radius": "radii"}
@@ -489,17 +489,15 @@ def _shrinkage_curve_flags(p):
 
 
 def _cmd_norm_ball(args) -> int:
-    _check_count("angles", args.angles, 0)
     _check_distinct("--lambdas", args.lambdas)
     rows = []
     for lam in args.lambdas:
         level = norm_ball_level(lam)
         for w1, w2 in norm_ball_boundary(lam, args.angles):
             rows.append(["kl", _fmt(lam), _fmt(w1), _fmt(w2), _fmt(level)])
-    for w1, w2 in l1_unit_ball(args.angles):
-        rows.append(["l1", "", _fmt(w1), _fmt(w2), _fmt(1.0)])
-    for w1, w2 in l2_unit_ball(args.angles):
-        rows.append(["l2", "", _fmt(w1), _fmt(w2), _fmt(1.0)])
+    for curve, unit_ball in (("l1", l1_unit_ball), ("l2", l2_unit_ball)):
+        for w1, w2 in unit_ball(args.angles):
+            rows.append([curve, "", _fmt(w1), _fmt(w2), _fmt(1.0)])
     _write_csv(args.out, ["curve", "lambda", "w1", "w2", "level"], rows)
     print(f"wrote {len(rows)} boundary points to {args.out}")
     return 0

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import _check_count, _check_positive
+from .chain import _check_count, _check_real
 from .models import _kl_excess, shrinkage_mean
 
 __all__ = [
@@ -39,8 +39,8 @@ _ETA_GRID_FRACTION = 0.9
 
 def shrinkage_eta_grid(lam: float, n_points: int = 50) -> np.ndarray:
     """Symmetric grid of eta values over 0.9 of (-sqrt(lam), sqrt(lam))."""
-    _check_positive("lam", lam)
-    _check_count("n_points", n_points, 1)
+    lam = _check_real("lam", lam)
+    n_points = _check_count("n_points", n_points, 1)
     half_width = _ETA_GRID_FRACTION * math.sqrt(lam)
     return np.linspace(-half_width, half_width, n_points)
 
@@ -48,6 +48,7 @@ def shrinkage_eta_grid(lam: float, n_points: int = 50) -> np.ndarray:
 def shrinkage_points(lam: float, etas) -> list[CurvePoint]:
     """Shrunken posterior means over an eta grid; the grid must stay strictly
     inside the (-sqrt(lam), sqrt(lam)) domain."""
+    lam = _check_real("lam", lam)
     etas = np.asarray(etas, dtype=float)
     if np.any(etas * etas >= lam):
         raise ValueError("eta grid touches the +-sqrt(lam) domain boundary")
@@ -62,7 +63,7 @@ def identity_points(etas) -> list[CurvePoint]:
 def norm_ball_level(lam: float) -> float:
     """Level at which the 2-D penalty boundary passes through (0, 1):
     sqrt(1/lam) + sqrt(1 + 1/lam) - log(sqrt(lam + 1)/2 + 1/2) / sqrt(lam)."""
-    _check_positive("lam", lam)
+    lam = _check_real("lam", lam)
     level = (
         math.sqrt(1.0 / lam)
         + math.sqrt(1.0 + 1.0 / lam)
@@ -82,6 +83,7 @@ def norm_ball_boundary(lam: float, n_angles: int = 360) -> np.ndarray:
     cancellation.  Raises RuntimeError naming the angle if a ray cannot be
     bracketed.
     """
+    n_angles = _check_count("n_angles", n_angles, 0)
     # Imported here, so that every command but norm-ball starts without scipy.
     from scipy.optimize import brentq
 
@@ -107,13 +109,15 @@ def norm_ball_boundary(lam: float, n_angles: int = 360) -> np.ndarray:
 
 
 def l1_unit_ball(n_angles: int = 360) -> np.ndarray:
-    """Boundary of the unit L1 ball (diamond), one point per ray."""
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
-    radii = 1.0 / (np.abs(np.cos(thetas)) + np.abs(np.sin(thetas)))
-    return np.column_stack((radii * np.cos(thetas), radii * np.sin(thetas)))
+    """Boundary of the unit L1 ball (diamond), one point per ray: the unit
+    circle's points, each scaled onto the diamond."""
+    x, y = l2_unit_ball(n_angles).T
+    radii = 1.0 / (np.abs(x) + np.abs(y))
+    return np.column_stack((radii * x, radii * y))
 
 
 def l2_unit_ball(n_angles: int = 360) -> np.ndarray:
     """Boundary of the unit L2 ball (circle), one point per ray."""
+    n_angles = _check_count("n_angles", n_angles, 0)
     thetas = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
     return np.column_stack((np.cos(thetas), np.sin(thetas)))

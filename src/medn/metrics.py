@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import FeatureSpec, decode_instances
+from .chain import FeatureSpec, _check_real, decode_instances
 
 __all__ = ["MetricsReport", "evaluate_weight_rows", "mean_std"]
 
@@ -23,9 +23,8 @@ class MetricsReport:
     n_positions: int
 
     def __post_init__(self):
-        for rate in (self.per_label_err, self.seq_err):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError("error rates must lie in [0, 1]")
+        for name in ("per_label_err", "seq_err"):
+            object.__setattr__(self, name, _check_real(name, getattr(self, name), "in [0, 1]"))
 
 
 def evaluate_weight_rows(spec: FeatureSpec, weights, instances) -> list:

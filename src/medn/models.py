@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import FeatureSpec, _check_count, _check_positive
+from .chain import FeatureSpec, _check_count, _check_real
 from .optimize import SubgradConfig, _KernelData, _lockstep
 
 __all__ = [
@@ -55,11 +55,11 @@ class LaplaceConfig:
     outer_iters: int = 4
 
     def __post_init__(self):
-        _check_positive("lam", self.lam)
-        _check_positive("C", self.inner.C)
+        object.__setattr__(self, "lam", _check_real("lam", self.lam))
+        _check_real("C", self.inner.C)
         if self.inner.radius is not None:
             raise ValueError("a lapmedn inner config takes no radius")
-        _check_count("outer_iters", self.outer_iters, 2, None)
+        object.__setattr__(self, "outer_iters", _check_count("outer_iters", self.outer_iters, 2, None))
 
 
 def train_laplace_grid(data: list, spec: FeatureSpec, cfgs, *, subsets=None):
@@ -153,7 +153,7 @@ def shrinkage_mean(eta: float, lam: float) -> float:
     normalizer diverges.  Odd in eta, and for fixed eta the output shrinks
     toward zero as lam grows.
     """
-    _check_positive("lam", lam)
+    lam = _check_real("lam", lam)
     if not eta * eta < lam:  # a NaN eta fails too
         raise ValueError("eta**2 must be < lam (normalizer diverges)")
     return 2.0 * eta / (lam - eta * eta)
@@ -172,7 +172,7 @@ def kl_norm(mu, lam: float) -> float:
     with s = sqrt(lam) and r = hypot(mu_k, 1/s), the term is
     r - (log s + log(r + 1/s) - log 2) / s.
     """
-    _check_positive("lam", lam)
+    lam = _check_real("lam", lam)
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     if not np.all(np.isfinite(mu)):
         raise ValueError("mu must be finite")

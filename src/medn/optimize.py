@@ -45,7 +45,7 @@ from .chain import (
     FeatureSpec,
     _check_count,
     _check_instance,
-    _check_positive,
+    _check_real,
     _check_weights,
     _loss_augmented_scores,
     _viterbi,
@@ -83,12 +83,12 @@ class SubgradConfig:
 
     def __post_init__(self):
         # An infinite beta is a zero step size: the weights would stay 0.
-        _check_positive("beta", self.beta)
-        _check_count("iterations", self.iterations, 1, None)
-        _check_positive("C", self.C, or_zero=True)
-        _check_count("seed", self.seed, 0, None)
+        object.__setattr__(self, "beta", _check_real("beta", self.beta))
+        object.__setattr__(self, "iterations", _check_count("iterations", self.iterations, 1, None))
+        object.__setattr__(self, "C", _check_real("C", self.C, "nonnegative and finite"))
+        object.__setattr__(self, "seed", _check_count("seed", self.seed, 0, None))
         if self.radius is not None:
-            _check_positive("radius", self.radius)
+            object.__setattr__(self, "radius", _check_real("radius", self.radius))
 
 
 def _check_inv_diag(spec: FeatureSpec, inv_diag) -> np.ndarray:
@@ -225,7 +225,7 @@ def _lockstep(kernel: _KernelData, cfgs, subsets, *, inv_diag=None) -> np.ndarra
          for cfg, s in zip(cfgs, subsets)]
     )
     sizes = np.array([len(s) for _, _, s in groups.values()])
-    steps = int(iterations) * int(sizes.max())
+    steps = iterations * int(sizes.max())
     try:
         # numpy's own errors for a schedule this large name neither the
         # flag nor the kernel.
@@ -383,16 +383,14 @@ def l1_ball_project(v: np.ndarray, radius: float) -> np.ndarray:
     Returns a new array, never ``v`` or a view of it.  Vectors already
     inside the ball come back unchanged, otherwise every entry shrinks
     toward zero by the threshold that makes the result land on the ball
-    boundary.
+    boundary.  ``radius`` must be positive and may be infinite.
     """
     v = np.array(v, dtype=float)
     if v.ndim != 1:
         raise ValueError("input must be a vector")
     if not np.all(np.isfinite(v)):
         raise ValueError("input must be finite")
-    if not radius > 0:
-        raise ValueError("radius must be positive")
-    _project_rows(v[None], np.array([float(radius)]))
+    _project_rows(v[None], np.array([_check_real("radius", radius, "positive")]))
     return v
 
 
@@ -409,7 +407,7 @@ def structured_hinge_objective(
     alone.
     """
     w = _check_weights(spec, weights, 1)
-    _check_positive("C", C, or_zero=True)
+    C = _check_real("C", C, "nonnegative and finite")
     inv_diag = None if inv_diag is None else _check_inv_diag(spec, inv_diag)
     return _objective(_KernelData(data, spec) if data else None, w, C, inv_diag)
 

@@ -15,13 +15,11 @@ labeling: a chain run with others draws what it draws alone.  Scores are
 label-major, so a step's reductions over labels are elementwise across chains.
 """
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _COUNT_LIMIT, FeatureSpec, SequenceInstance, _check_count, _check_weights
+from .chain import _COUNT_LIMIT, FeatureSpec, SequenceInstance, _check_count, _check_real, _check_weights
 
 __all__ = [
     "GeneratorConfig",
@@ -71,7 +69,7 @@ class GeneratorConfig:
         # stays below _COUNT_LIMIT.
         for name, least in (("d", 1), ("d_rel", 0), ("L", 1), ("m", 2), ("n_samples", 0),
                             ("gibbs_iters", 1), ("group_size", 0)):
-            _check_count(name, getattr(self, name), least)
+            object.__setattr__(self, name, _check_count(name, getattr(self, name), least))
         # So does each product of counts that sizes an array: an instance's
         # (L, d) features, the d * m + m * m weights, the (L, m, n) scores,
         # a block of uniforms and the (n, L, d) feature stack.  The largest
@@ -90,20 +88,16 @@ class GeneratorConfig:
             if size >= _COUNT_LIMIT:
                 name = max(names, key=factors.get)
                 raise ValueError(f"{name} must keep {expr} below 2**59, got {size}")
-        _check_count("seed", self.seed, 0, None)
+        object.__setattr__(self, "seed", _check_count("seed", self.seed, 0, None))
         if self.d_rel > self.d:
             raise ValueError("d_rel must lie in [0, d]")
         if not isinstance(self.correlated, bool):
             raise ValueError(f"correlated must be a bool, got {self.correlated!r}")
-        if not isinstance(self.noise_sd, numbers.Real) or isinstance(self.noise_sd, bool):
-            raise ValueError(f"noise_sd must be a real number, got {self.noise_sd!r}")
-        if not math.isfinite(self.noise_sd):
-            raise ValueError(f"noise_sd must be finite, got {self.noise_sd:g}")
+        object.__setattr__(self, "noise_sd", _check_real("noise_sd", self.noise_sd, "finite"))
         if self.correlated:
             if self.group_size < 1 or self.d_rel % self.group_size != 0:
                 raise ValueError("group_size must divide d_rel in correlated mode")
-            if not self.noise_sd > 0:
-                raise ValueError("noise_sd must be positive in correlated mode")
+            _check_real("noise_sd in correlated mode", self.noise_sd, "positive")
 
 
 @dataclass
@@ -227,9 +221,9 @@ def gibbs_chains(crf: TrueCrf, xs, seeds, burn_in: int, n_record: int):
         raise ValueError("need at least one chain")
     if len(seeds) != len(xs):
         raise ValueError(f"need one seed per input: {len(xs)} inputs, {len(seeds)} seeds")
-    for seed in seeds:
-        if not isinstance(seed, np.random.Generator):
-            _check_count("seed (if not a numpy Generator)", seed, 0, None)
+    rngs = [seed if isinstance(seed, np.random.Generator)
+            else np.random.default_rng(_check_count("seed (if not a numpy Generator)", seed, 0, None))
+            for seed in seeds]
     try:
         xs = np.asarray(xs, dtype=float)
     except ValueError:
@@ -240,12 +234,9 @@ def gibbs_chains(crf: TrueCrf, xs, seeds, burn_in: int, n_record: int):
         raise ValueError(f"expected {spec.d} input features, got {xs.shape[2]}")
     if not np.all(np.isfinite(xs)):
         raise ValueError("features must be finite")
-    _check_count("burn_in", burn_in, 0, None)
-    _check_count("n_record", n_record, 0, None)
-    total = int(burn_in) + int(n_record)
+    total = _check_count("burn_in", burn_in, 0, None) + _check_count("n_record", n_record, 0, None)
     if not total:
         raise ValueError("need at least one sweep: burn_in + n_record is 0")
-    rngs = [np.random.default_rng(seed) for seed in seeds]
     state = spec.state_view(crf.weights)
     trans = spec.transition_view(crf.weights)
     trans_t = np.ascontiguousarray(trans.T)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from medn import FeatureSpec, SequenceInstance, l1_ball_project
-from medn.chain import _check_instance, _check_positive, feature_vectors, loss_augmented_decode_rows
+from medn.chain import _check_instance, _check_real, feature_vectors, loss_augmented_decode_rows
 from medn.models import VARIANCE_FLOOR
 
 
@@ -211,7 +211,7 @@ class DualWeights:
 
 
 def _check_eta_domain(eta: np.ndarray, lam: float):
-    _check_positive("lam", lam)
+    _check_real("lam", lam)
     if not np.all(eta * eta < lam):
         raise ValueError("eta_k**2 must be < lam for every coordinate")
 

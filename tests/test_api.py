@@ -1,10 +1,11 @@
 """The public surface: every exported name resolves, the README's Python
 examples run against the package as it is, its command lines parse and the
 names it cites exist, the CLI starts without scipy, every third-party import is a declared
-dependency, and every count and positive real that a public object takes
-is checked alike."""
+dependency, and every count and real that a public object takes is checked
+alike and stored as a Python number."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 import re
@@ -22,15 +23,24 @@ from medn import (
     FeatureSpec,
     GeneratorConfig,
     LaplaceConfig,
+    MetricsReport,
     SubgradConfig,
     TrueCrf,
     cli,
     gibbs_chains,
     kl_norm,
+    l1_ball_project,
     shrinkage_mean,
     structured_hinge_objective,
 )
-from medn.curves import norm_ball_level, shrinkage_eta_grid
+from medn.curves import (
+    l1_unit_ball,
+    l2_unit_ball,
+    norm_ball_boundary,
+    norm_ball_level,
+    shrinkage_eta_grid,
+    shrinkage_points,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -211,32 +221,53 @@ _COUNTS = [
     ("shrinkage_eta_grid", "n_points", lambda v: shrinkage_eta_grid(4.0, v), 1, True),
     ("BoundInputs", "n", lambda v: _bound(n=v), 1, False),
     ("BoundInputs", "y_card", lambda v: _bound(y_card=v), 2, False),
+    ("l1_unit_ball", "n_angles", lambda v: l1_unit_ball(v), 0, True),
+    ("l2_unit_ball", "n_angles", lambda v: l2_unit_ball(v), 0, True),
+    ("norm_ball_boundary", "n_angles", lambda v: norm_ball_boundary(4.0, v), 0, True),
 ]
-# Each positive real a public object takes: its name, a call that passes
-# it, and whether 0 is allowed.
+# Each real a public object takes: its name, a call that passes it, and
+# the interval it must lie in, as chain._INTERVALS names it.
 _REALS = [
-    ("SubgradConfig", "beta", lambda v: _subgrad(beta=v), False),
-    ("SubgradConfig", "C", lambda v: _subgrad(C=v), True),
-    ("SubgradConfig", "radius", lambda v: _subgrad(radius=v), False),
+    ("SubgradConfig", "beta", lambda v: _subgrad(beta=v), "positive and finite"),
+    ("SubgradConfig", "C", lambda v: _subgrad(C=v), "nonnegative and finite"),
+    ("SubgradConfig", "radius", lambda v: _subgrad(radius=v), "positive and finite"),
     ("structured_hinge_objective", "C",
-     lambda v: structured_hinge_objective([], FeatureSpec(2, 2), np.zeros(8), v), True),
-    ("LaplaceConfig", "lam", lambda v: LaplaceConfig(v, _subgrad()), False),
-    ("LaplaceConfig", "C", lambda v: LaplaceConfig(1.0, _subgrad(C=v)), False),
-    ("shrinkage_mean", "lam", lambda v: shrinkage_mean(0.0, v), False),
-    ("kl_norm", "lam", lambda v: kl_norm([0.0], v), False),
-    ("shrinkage_eta_grid", "lam", lambda v: shrinkage_eta_grid(v), False),
-    ("norm_ball_level", "lam", lambda v: norm_ball_level(v), False),
-    ("BoundInputs", "c", lambda v: _bound(c=v), False),
-    ("BoundInputs", "gamma", lambda v: _bound(gamma=v), False),
-    ("BoundInputs", "kl", lambda v: _bound(kl=v), True),
+     lambda v: structured_hinge_objective([], FeatureSpec(2, 2), np.zeros(8), v),
+     "nonnegative and finite"),
+    ("LaplaceConfig", "lam", lambda v: LaplaceConfig(v, _subgrad()), "positive and finite"),
+    ("LaplaceConfig", "C", lambda v: LaplaceConfig(1.0, _subgrad(C=v)), "positive and finite"),
+    ("shrinkage_mean", "lam", lambda v: shrinkage_mean(0.0, v), "positive and finite"),
+    ("kl_norm", "lam", lambda v: kl_norm([0.0], v), "positive and finite"),
+    ("shrinkage_eta_grid", "lam", lambda v: shrinkage_eta_grid(v), "positive and finite"),
+    ("shrinkage_points", "lam", lambda v: shrinkage_points(v, [0.0]), "positive and finite"),
+    ("norm_ball_level", "lam", lambda v: norm_ball_level(v), "positive and finite"),
+    ("BoundInputs", "c", lambda v: _bound(c=v), "positive and finite"),
+    ("BoundInputs", "gamma", lambda v: _bound(gamma=v), "positive and finite"),
+    ("BoundInputs", "kl", lambda v: _bound(kl=v), "nonnegative and finite"),
+    ("BoundInputs", "delta", lambda v: _bound(delta=v), "in (0, 1)"),
+    ("BoundInputs", "empirical_margin_rate", lambda v: _bound(empirical_margin_rate=v),
+     "in [0, 1]"),
+    ("GeneratorConfig", "noise_sd", lambda v: _generator(noise_sd=v), "finite"),
+    ("l1_ball_project", "radius", lambda v: l1_ball_project(np.ones(2), v), "positive"),
+    ("MetricsReport", "per_label_err", lambda v: MetricsReport(v, 0.0, 1, 1), "in [0, 1]"),
+    ("MetricsReport", "seq_err", lambda v: MetricsReport(0.0, v, 1, 1), "in [0, 1]"),
 ]
+# Values past the ends of each interval; an infinite radius is valid.
+_PAST_ENDS = {
+    "positive and finite": (-1.0, 0.0, np.inf, 10**400),
+    "nonnegative and finite": (-1.0, np.inf, 10**400),
+    "finite": (-np.inf, np.inf, -(10**400), 10**400),
+    "positive": (-np.inf, -1.0, 0.0),
+    "in (0, 1)": (-1.0, 0.0, 1.0, np.inf),
+    "in [0, 1]": (-1.0, -5e-324, 1.0000000000000002, np.inf),
+}
 _BAD_NUMBERS = [
     *[pytest.param(name, call, value, id=f"{owner}-{name}-{value!r:.20}")
       for owner, name, call, least, bounded in _COUNTS
       for value in (True, least + 0.5, str(least), least - 1, *[2**59] * bounded)],
     *[pytest.param(name, call, value, id=f"{owner}-{name}-{value!r:.20}")
-      for owner, name, call, or_zero in _REALS
-      for value in (True, "1", -1.0, *[0.0] * (not or_zero), np.inf, np.nan, 10**400)],
+      for owner, name, call, within in _REALS
+      for value in (True, "1", np.nan, *_PAST_ENDS[within])],
 ]
 
 
@@ -249,3 +280,28 @@ def test_a_bad_count_or_positive_real_is_one_error_naming_it(name, call, value):
         call(value)
     message = str(info.value)
     assert message.startswith(f"{name} ") and "\n" not in message
+
+
+# A numpy scalar of every count and real: each count at least + 2, which
+# every call above accepts, and each real 0.5, which lies in every interval
+# and is exact in every float type.
+_GOOD_NUMBERS = [
+    *[pytest.param(name, call, np.int64(least + 2), int, id=f"{owner}-{name}-int64")
+      for owner, name, call, least, _ in _COUNTS],
+    *[pytest.param(name, call, kind(0.5), float, id=f"{owner}-{name}-{kind.__name__}")
+      for owner, name, call, _ in _REALS for kind in (np.float16, np.float32, np.float64)],
+]
+
+
+@pytest.mark.parametrize("name, call, value, stored_type", _GOOD_NUMBERS)
+def test_a_numpy_count_or_real_is_accepted_and_stored_as_a_python_number(
+    name, call, value, stored_type
+):
+    """A numpy integer or float is accepted without a warning (the suite
+    makes a warning an error), and a config stores it as exactly ``int``
+    or ``float``, so no numpy arithmetic runs on it later."""
+    built = call(value)
+    if dataclasses.is_dataclass(built):
+        owner = built.inner if isinstance(built, LaplaceConfig) and name == "C" else built
+        stored = getattr(owner, name)
+        assert type(stored) is stored_type and stored == value

@@ -1,5 +1,6 @@
 """File formats, metrics, the bound calculator, and curve generation."""
 
+import dataclasses
 import json
 import math
 import re
@@ -209,6 +210,18 @@ class TestDatasetFiles:
             np.testing.assert_array_equal(orig.labels, back.labels)
         write_dataset(path_b, instances, spec_back, meta=meta)
         assert path_a.read_bytes() == path_b.read_bytes()
+
+    def test_numpy_integer_dimensions_write_the_bytes_of_python_ints(self, tmp_path):
+        """A spec and a generator config built from numpy scalars store Python
+        numbers, so the file is the one Python numbers give; numpy integers
+        used to end in json's ``TypeError``."""
+        instances = [SequenceInstance(np.ones((2, 3)), np.array([0, 1]))]
+        for name, num, real in (("python.jsonl", int, float), ("numpy.jsonl", np.int64, np.float32)):
+            cfg = GeneratorConfig(d=num(3), d_rel=num(2), L=num(2), m=num(2), n_samples=num(1),
+                                  gibbs_iters=num(1), noise_sd=real(0.5), seed=num(7))
+            meta = {"generator": dataclasses.asdict(cfg)}
+            write_dataset(tmp_path / name, instances, FeatureSpec(num(3), num(2)), meta=meta)
+        assert (tmp_path / "python.jsonl").read_bytes() == (tmp_path / "numpy.jsonl").read_bytes()
 
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -449,6 +462,16 @@ class TestModelFiles:
         _mutate(path, edits)
         _assert_parses_or_fails_in_one_located_line(read_model_file, path)
 
+    def test_numpy_integer_dimensions_write_the_bytes_of_python_ints(self, tmp_path):
+        """A spec built from numpy integers stores Python ints, so the model
+        file is the one Python ints give, not json's ``TypeError``."""
+        for name, num in (("python.json", int), ("numpy.json", np.int64)):
+            spec = FeatureSpec(num(3), num(2))
+            model = ModelFile(kind="m3n", spec=spec, weights=np.ones(spec.K), var_diag=None,
+                              hyper={"beta": 1.0})
+            write_model_file(tmp_path / name, model)
+        assert (tmp_path / "python.json").read_bytes() == (tmp_path / "numpy.json").read_bytes()
+
     def test_unknown_kind_rejected(self):
         spec = FeatureSpec(2, 2)
         with pytest.raises(ValueError):
@@ -585,6 +608,15 @@ class TestPacBound:
             n=10, y_card=1000, c=2.0, gamma=0.1, kl=10.0, delta=0.01, empirical_margin_rate=0.5
         )
         assert pac_bound(inputs) > 1.0
+
+    def test_numpy_integers_give_the_bound_of_python_ints(self):
+        """n and y_card are stored as Python ints, so n * y_card**2 is exact:
+        in int64, 10 * (2**40)**2 wrapped to 0, giving m = 1 and a bound of
+        1.07e12."""
+        base = dict(c=1, gamma=1, kl=1, delta=0.1, empirical_margin_rate=0)
+        for n, y_card in ((10, 2**40), (np.int64(10), np.int64(2**40))):
+            inputs = BoundInputs(n=n, y_card=y_card, **base)
+            assert (margin_sample_count(inputs), pac_bound(inputs)) == (913, 7.498106447820263)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -122,6 +122,13 @@ class TestL1BallProject:
         u[:] = 7.0
         assert np.array_equal(v.view(np.int64), before.view(np.int64))
 
+    @pytest.mark.parametrize("radius", [np.inf, 10**400], ids=["inf", "int-past-float-range"])
+    def test_an_infinite_radius_leaves_the_vector_as_it_is(self, radius):
+        """The radius may be infinite, or an int too large for a float,
+        which counts as infinite: every finite vector lies in that ball."""
+        v = np.array([3.0, -1e308, 0.5])
+        np.testing.assert_array_equal(l1_ball_project(v, radius), v)
+
     def test_invalid_inputs_raise(self):
         with pytest.raises(ValueError):
             l1_ball_project(np.array([1.0, np.inf]), 1.0)

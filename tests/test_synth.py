@@ -54,7 +54,7 @@ class TestGeneratorConfig:
             with pytest.raises(ValueError, match="^correlated must be a bool, got "):
                 _cfg(correlated=value)
         for value in (None, "0.1", True, np.bool_(False), [0.1]):
-            with pytest.raises(ValueError, match="^noise_sd must be a real number, got "):
+            with pytest.raises(ValueError, match="^noise_sd must be finite, got "):
                 _cfg(noise_sd=value)
         assert _cfg(noise_sd=np.float32(0.5), correlated=False).noise_sd == 0.5
         assert len(gen_dataset(_cfg(n_samples=np.int64(2), seed=np.uint32(7))).instances) == 2
@@ -88,6 +88,14 @@ class TestGeneratorConfig:
         message = f"^{name} must keep {re.escape(expr)} below 2\\*\\*59, got \\d+$"
         with pytest.raises(ValueError, match=message):
             _cfg(d_rel=0, **counts)
+
+    def test_numpy_counts_do_not_wrap_in_a_product(self):
+        """Counts are stored as Python ints before their products are taken:
+        in int64, L * d = 2**64 wrapped to 0 and passed, and gen_dataset
+        then asked for 64 GiB of features."""
+        with pytest.raises(ValueError, match=rf"^L must keep L \* d below 2\*\*59, got {2**64}$"):
+            GeneratorConfig(d=np.int64(2**32), L=np.int64(2**32), d_rel=0, m=2, n_samples=1,
+                            gibbs_iters=1)
 
 
 class TestGenCrf:
