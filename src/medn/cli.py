@@ -26,12 +26,16 @@ object.
 model family names are :mod:`medn.dataio`'s, which checks a model file's
 kind.
 
-``train`` and ``cv`` reject a flag that only a family they do not train
-reads (``FAMILY_FLAGS``), and ``cv`` a family or a sweep value listed
-twice, before any data is read.  They build the config of each training
-row with one helper, ``_config``; a config checks itself when it is
-built, and each command builds every row's config (``cv`` with fold 0's
-seed) before it reads the data, so every row is checked first.  One
+``FAMILY_FLAGS`` names, by family, the argparse dests that only that
+family reads.  ``train`` and ``cv`` reject such a flag when they do not
+train its family, ``train`` a family's hyperparameter left out, and
+``cv`` an empty sweep, a family or a sweep value listed twice, all before
+any data is read; ``_flag`` spells the flag of a dest in each of those
+errors.  ``_training_flags`` adds the flags that both commands share.
+They build the config of each training row with one helper,
+``_config``; a config checks itself when it is built, and each command
+builds every row's config (``cv`` with fold 0's seed) before it reads
+the data, so every row is checked first.  One
 :func:`medn.models.train_laplace_grid` call trains them all: T - 1
 lockstep kernel calls for the whole ``cv`` sweep, which then evaluates
 each fold's rows in one decode of the other folds.
@@ -42,6 +46,7 @@ data that trained it.
 
 import argparse
 import csv
+import math
 import sys
 import time
 from dataclasses import asdict, astuple, fields
@@ -50,7 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import BoundInputs, margin_sample_count, pac_bound
-from .chain import _COUNT_LIMIT, FeatureSpec, decode_instances
+from .chain import _COUNT_LIMIT, FeatureSpec, _check_count, decode_instances
 from .curves import (
     identity_points,
     l1_unit_ball,
@@ -121,6 +126,11 @@ _FIELD_FLAGS = {"L": "--length", "n_samples": "--n", "empirical_margin_rate": "-
 _SWEEPS = {"lam": "lambdas", "beta": "betas", "radius": "radii"}
 
 
+def _flag(name) -> str:
+    """The flag of an argparse dest or of the field or parameter it sets."""
+    return _FIELD_FLAGS.get(name, "--" + name.replace("_", "-"))
+
+
 def _error_text(exc, args) -> str:
     """The text of a failed command's ``error:`` line, which names the flag
     behind a config error: a ValueError whose message starts with the name
@@ -133,7 +143,7 @@ def _error_text(exc, args) -> str:
     if hasattr(args, _SWEEPS.get(name, "")):
         name = _SWEEPS[name]
     if isinstance(exc, ValueError) and space and (hasattr(args, name) or name in _FIELD_FLAGS):
-        return f"{_FIELD_FLAGS.get(name, '--' + name.replace('_', '-'))} {rest}"
+        return f"{_flag(name)} {rest}"
     return str(exc)
 
 
@@ -190,19 +200,18 @@ def _gen_synth_flags(p):
 # train
 
 
-def _check_distinct(flag, values):
+def _check_distinct(dest, values):
     """Rejects a sweep value listed twice; values compare as floats, so 1
     and 1.0 are one value."""
     for i, value in enumerate(values):
         if value in values[:i]:
-            raise ValueError(f"{flag} lists {value:g} twice")
+            raise ValueError(f"{_flag(dest)} lists {value:g} twice")
 
 
-# The flags that only one family reads, by their argparse dest: train's
-# single values and cv's sweeps.
-FAMILY_FLAGS = {"lam": ("--lambda", "lapmedn"), "lambdas": ("--lambdas", "lapmedn"),
-                "radius": ("--radius", "l1m3n"), "radii": ("--radii", "l1m3n"),
-                "outer_iters": ("--outer-iters", "lapmedn")}
+# The argparse dests that only one family reads, by family: first the
+# hyperparameter that train requires, then its sweep in cv, then a flag
+# with a default.
+FAMILY_FLAGS = {"lapmedn": ("lam", "lambdas", "outer_iters"), "l1m3n": ("radius", "radii")}
 
 
 def _families(args) -> list[str]:
@@ -222,9 +231,10 @@ def _families(args) -> list[str]:
                 raise ValueError(f"unknown model {name!r}")
             if models.count(name) > 1:
                 raise ValueError(f"--models lists {name} twice")
-    for dest, (flag, family) in FAMILY_FLAGS.items():
-        if getattr(args, dest, None) is not None and family not in models:
-            raise ValueError(f"{flag} is for {family} only, not {','.join(models)}")
+    for family, dests in FAMILY_FLAGS.items():
+        for dest in dests:
+            if getattr(args, dest, None) is not None and family not in models:
+                raise ValueError(f"{_flag(dest)} is for {family} only, not {','.join(models)}")
     return models
 
 
@@ -243,12 +253,11 @@ def _config(model, lam, beta, radius, seed, args):
 
 def _cmd_train(args) -> int:
     _families(args)
-    if args.model == "lapmedn" and args.lam is None:
-        raise ValueError("lapmedn requires --lambda")
-    if args.model == "l1m3n" and args.radius is None:
-        raise ValueError("l1m3n requires --radius")
+    hyperparameter = FAMILY_FLAGS.get(args.model, (None,))[0]
+    if hyperparameter and getattr(args, hyperparameter) is None:
+        raise ValueError(f"{args.model} requires {_flag(hyperparameter)}")
     cfg = _config(args.model, args.lam, args.beta, args.radius, args.seed, args)
-    c = cfg.inner.C if args.model == "lapmedn" else cfg.C
+    c = getattr(cfg, "inner", cfg).C
     instances, spec, _ = read_dataset(args.data)
     if not instances:
         raise ValueError(f"{args.data}: no instances to train on")
@@ -280,19 +289,25 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _training_flags(p, command):
+    """Adds the flags that train and cv share, after the command's own, and
+    binds ``command``."""
+    p.add_argument("--c", type=float, default=None, help="slack penalty (default 200*beta for m3n, 1 otherwise)")
+    p.add_argument("--iters", type=int, default=50, help="epochs per subgradient solve")
+    p.add_argument("--outer-iters", type=int, default=None,
+                   help=f"outer loop bound T (lapmedn, default {DEFAULT_OUTER_ITERS})")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=command)
+
+
 def _train_flags(p):
     p.add_argument("--model", choices=_MODEL_KINDS, required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=None, help="prior scale (lapmedn)")
     p.add_argument("--beta", type=float, default=1.0, help="step-size scale")
-    p.add_argument("--c", type=float, default=None, help="slack penalty (default 200*beta for m3n, 1 otherwise)")
-    p.add_argument("--iters", type=int, default=50, help="epochs per subgradient solve")
-    p.add_argument("--outer-iters", type=int, default=None,
-                   help=f"outer loop bound T (lapmedn, default {DEFAULT_OUTER_ITERS})")
     p.add_argument("--radius", type=float, default=None, help="L1 ball radius (l1m3n)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_train)
+    _training_flags(p, _cmd_train)
 
 
 # ----------------------------------------------------------------------
@@ -361,37 +376,30 @@ def _eval_flags(p):
 # cv
 
 
-def _hyper_grid(model_name, lambdas, betas, radii):
-    """Hyperparameter combinations (lam, beta, radius) swept for one model family."""
-    if model_name == "m3n":
-        grid, flags = [(None, beta, None) for beta in betas], "--betas"
-    elif model_name == "lapmedn":
-        grid = [(lam, beta, None) for lam in lambdas for beta in betas]
-        flags = "--lambdas and --betas"
-    else:
-        grid = [(None, beta, radius) for radius in radii for beta in betas]
-        flags = "--radii and --betas"
+def _hyper_grid(family, sweeps):
+    """The (lam, beta, radius) rows swept for one family, beta innermost:
+    each field ranges over its sweep in ``sweeps``, by dest, if the family
+    reads it, else is None."""
+    read = [dest for dest in FAMILY_FLAGS.get(family, ()) if dest in sweeps] + ["betas"]
+    lams, radii, betas = (sweeps[dest] if dest in read else [None] for dest in ("lambdas", "radii", "betas"))
+    grid = [(lam, beta, radius) for lam in lams for radius in radii for beta in betas]
     if not grid:
-        raise ValueError(f"{model_name} requires nonempty {flags}")
+        raise ValueError(f"{family} requires nonempty {' and '.join(map(_flag, read))}")
     return grid
 
 
 def _cmd_cv(args) -> int:
-    lambdas = DEFAULT_LAMBDA_GRID if args.lambdas is None else args.lambdas
-    radii = DEFAULT_RADIUS_GRID if args.radii is None else args.radii
-    table = [
-        (name, *hyper)
-        for name in _families(args)
-        for hyper in _hyper_grid(name, lambdas, args.betas, radii)
-    ]
-    for flag, values in (("--lambdas", lambdas), ("--betas", args.betas), ("--radii", radii)):
-        _check_distinct(flag, values)
+    sweeps = {"lambdas": DEFAULT_LAMBDA_GRID if args.lambdas is None else args.lambdas,
+              "betas": args.betas,
+              "radii": DEFAULT_RADIUS_GRID if args.radii is None else args.radii}
+    table = [(name, *hyper) for name in _families(args) for hyper in _hyper_grid(name, sweeps)]
+    for dest, values in sweeps.items():
+        _check_distinct(dest, values)
     # Each row's config checks itself; fold f trains with seed + f, which is
     # valid if fold 0's seed is.
     for row in table:
         _config(*row, args.seed, args)
-    if args.folds < 2:
-        raise ValueError(f"--folds must be at least 2, got {args.folds}")
+    _check_count("folds", args.folds, 2, limit=None)
     instances, spec, _ = read_dataset(args.data)
     n = len(instances)
     if args.folds > n:
@@ -437,12 +445,7 @@ def _cv_flags(p):
     p.add_argument("--lambdas", type=_float_list, default=None, help="prior scales (lapmedn)")
     p.add_argument("--betas", type=_float_list, default=list(DEFAULT_BETA_GRID))
     p.add_argument("--radii", type=_float_list, default=None, help="L1 ball radii (l1m3n)")
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--iters", type=int, default=50)
-    p.add_argument("--outer-iters", type=int, default=None, help="outer loop bound T (lapmedn)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_cv)
+    _training_flags(p, _cmd_cv)
 
 
 # ----------------------------------------------------------------------
@@ -457,13 +460,15 @@ def _parse_eta_grid(text: str) -> np.ndarray:
         raise ValueError("--eta-grid must look like MIN:MAX:COUNT") from None
     if not (lo < hi and 2 <= count < _COUNT_LIMIT):
         raise ValueError("--eta-grid needs MIN < MAX and COUNT in [2, 2**59)")
+    if not math.isfinite(hi - lo):  # an infinite end, or ends too far apart to step between
+        raise ValueError("--eta-grid needs finite MIN and MAX whose difference is finite")
     return np.linspace(lo, hi, count)
 
 
 def _cmd_shrinkage_curve(args) -> int:
     if not args.lambdas:
         raise ValueError("shrinkage-curve requires nonempty --lambdas")
-    _check_distinct("--lambdas", args.lambdas)
+    _check_distinct("lambdas", args.lambdas)
     rows = []
     explicit = _parse_eta_grid(args.eta_grid) if args.eta_grid else None
     widest = None
@@ -489,7 +494,7 @@ def _shrinkage_curve_flags(p):
 
 
 def _cmd_norm_ball(args) -> int:
-    _check_distinct("--lambdas", args.lambdas)
+    _check_distinct("lambdas", args.lambdas)
     rows = []
     for lam in args.lambdas:
         level = norm_ball_level(lam)

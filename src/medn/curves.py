@@ -50,8 +50,9 @@ def shrinkage_points(lam: float, etas) -> list[CurvePoint]:
     inside the (-sqrt(lam), sqrt(lam)) domain."""
     lam = _check_real("lam", lam)
     etas = np.asarray(etas, dtype=float)
-    if np.any(etas * etas >= lam):
-        raise ValueError("eta grid touches the +-sqrt(lam) domain boundary")
+    with np.errstate(over="ignore"):  # a square past the float range is past any lam
+        if np.any(etas * etas >= lam):
+            raise ValueError("eta grid touches the +-sqrt(lam) domain boundary")
     return [CurvePoint(float(e), shrinkage_mean(float(e), lam)) for e in etas]
 
 

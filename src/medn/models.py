@@ -153,8 +153,8 @@ def shrinkage_mean(eta: float, lam: float) -> float:
     normalizer diverges.  Odd in eta, and for fixed eta the output shrinks
     toward zero as lam grows.
     """
-    lam = _check_real("lam", lam)
-    if not eta * eta < lam:  # a NaN eta fails too
+    eta, lam = _check_real("eta", eta, "finite"), _check_real("lam", lam)
+    if not eta * eta < lam:
         raise ValueError("eta**2 must be < lam (normalizer diverges)")
     return 2.0 * eta / (lam - eta * eta)
 

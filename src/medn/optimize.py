@@ -357,6 +357,15 @@ def _project_rows(v: np.ndarray, radii: np.ndarray):
     written, so they keep their bits; in every other row each entry
     shrinks toward zero by the threshold that makes the row land on the
     ball boundary.
+
+    The threshold comes from sums of the largest entries, so its error is
+    of their size, and where they dwarf the radius a row can miss the
+    boundary or leave the ball (past about 2**53 times it, the radius
+    rounds away).  A row whose L1 norm misses the radius by more than
+    1e-12 of it is computed again from the gaps between its sorted
+    entries, which stay on the radius's scale: the entries above the
+    threshold lie within the radius of the smallest of them, so their
+    differences to it are exact or small.
     """
     mag = np.abs(v)
     # Relative slack keeps re-projection an exact no-op despite the float
@@ -374,7 +383,19 @@ def _project_rows(v: np.ndarray, radii: np.ndarray):
     # rho: one past the last index where the sorted entry clears the threshold.
     rho = v.shape[1] - above[:, ::-1].argmax(axis=1)
     theta = (cssv[np.arange(len(outside)), rho - 1] - radius) / rho
-    v[outside] = np.sign(v[outside]) * np.maximum(mag_out - theta[:, None], 0.0)
+    shrunk = np.maximum(mag_out - theta[:, None], 0.0)
+    # A NaN row (an infinite entry) is left as it is, for the caller to see.
+    for i in np.flatnonzero(np.abs(np.add.reduce(shrunk, axis=1) - radius) > 1e-12 * radius):
+        # mass[j]: the L1 mass above sorted entry j + 1, from the gaps.  The
+        # threshold lies below the last entry whose mass is under the
+        # radius, the rho-th, and above the next one.
+        mass = np.cumsum(np.arange(1, v.shape[1]) * (u[i, :-1] - u[i, 1:]))
+        rho_i = 1 + np.count_nonzero(mass < radius[i])
+        excess = mag_out[i] - u[i, rho_i - 1]
+        kept = excess >= 0.0
+        share = (radius[i] - np.add.reduce(excess[kept])) / rho_i
+        shrunk[i] = np.where(kept, excess + share, 0.0)
+    v[outside] = np.sign(v[outside]) * shrunk
 
 
 def l1_ball_project(v: np.ndarray, radius: float) -> np.ndarray:
@@ -390,7 +411,9 @@ def l1_ball_project(v: np.ndarray, radius: float) -> np.ndarray:
         raise ValueError("input must be a vector")
     if not np.all(np.isfinite(v)):
         raise ValueError("input must be finite")
-    _project_rows(v[None], np.array([_check_real("radius", radius, "positive")]))
+    radius = _check_real("radius", radius, "positive")
+    with np.errstate(over="ignore"):  # an L1 norm past the float range is past the radius
+        _project_rows(v[None], np.array([radius]))
     return v
 
 

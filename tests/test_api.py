@@ -237,6 +237,7 @@ _REALS = [
     ("LaplaceConfig", "lam", lambda v: LaplaceConfig(v, _subgrad()), "positive and finite"),
     ("LaplaceConfig", "C", lambda v: LaplaceConfig(1.0, _subgrad(C=v)), "positive and finite"),
     ("shrinkage_mean", "lam", lambda v: shrinkage_mean(0.0, v), "positive and finite"),
+    ("shrinkage_mean", "eta", lambda v: shrinkage_mean(v, 4.0), "finite"),
     ("kl_norm", "lam", lambda v: kl_norm([0.0], v), "positive and finite"),
     ("shrinkage_eta_grid", "lam", lambda v: shrinkage_eta_grid(v), "positive and finite"),
     ("shrinkage_points", "lam", lambda v: shrinkage_points(v, [0.0]), "positive and finite"),
@@ -305,3 +306,11 @@ def test_a_numpy_count_or_real_is_accepted_and_stored_as_a_python_number(
         owner = built.inner if isinstance(built, LaplaceConfig) and name == "C" else built
         stored = getattr(owner, name)
         assert type(stored) is stored_type and stored == value
+
+
+@pytest.mark.parametrize("kind", [np.float16, np.float32, np.float64])
+def test_shrinkage_mean_of_a_numpy_eta_is_the_python_floats(kind):
+    """A numpy eta is read as a Python float, so no float32 arithmetic
+    rounds the mean."""
+    mean = shrinkage_mean(kind(0.5), 4.0)
+    assert type(mean) is float and mean == shrinkage_mean(0.5, 4.0) == 0.26666666666666666

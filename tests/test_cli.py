@@ -645,6 +645,35 @@ class TestTrainingFlags:
         assert code == 2 and "more steps than the kernel can schedule" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["train", "--model=lapmedn"], "error: lapmedn requires --lambda\n"),
+         (["train", "--model=l1m3n"], "error: l1m3n requires --radius\n"),
+         (["cv", "--folds=1"], "error: --folds must be an integer >= 2, got 1\n"),
+         (["cv", "--folds=0"], "error: --folds must be an integer >= 2, got 0\n")],
+        ids=["lapmedn-lambda", "l1m3n-radius", "folds-1", "folds-0"],
+    )
+    def test_a_missing_or_bad_flag_is_reported_before_the_data_is_read(self, tmp_path, argv, message):
+        """A family's hyperparameter left out and a fold count below 2 are
+        each one error line, not the missing file the command would read."""
+        out = tmp_path / "o"
+        code, _, err, caught = _run_quietly([*argv, f"--data={tmp_path / 'missing.jsonl'}", f"--out={out}"])
+        assert (code, err, caught) == (2, message, [])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("radius", [1e-12, 1e-16, 3e-17])
+    def test_l1m3n_weights_land_on_a_radius_they_dwarf(self, tmp_path, radius):
+        """Steps many times the radius are projected onto its ball, not
+        past it or to zero: the written weights have an L1 norm of the
+        radius to 1e-12 of it."""
+        data, out = tmp_path / "train.jsonl", tmp_path / "o.json"
+        _write_signal_dataset(data, n=6, seed=88)
+        code, _, err, caught = _run_quietly(["train", "--model=l1m3n", f"--radius={radius!r}", "--iters=3",
+                                             f"--data={data}", f"--out={out}"])
+        assert (code, err, caught) == (0, "", [])
+        norm = np.abs(read_model_file(out).weights).sum()
+        assert abs(norm - radius) <= 1e-12 * radius
+
     @settings(max_examples=100, deadline=None)
     @given(
         model=st.sampled_from(["m3n", "lapmedn", "l1m3n"]),
@@ -820,6 +849,16 @@ class TestCurveCommands:
             main(["shrinkage-curve", "--lambdas", "4", "--eta-grid=-2:2:5", "--out", str(out)])
             == 2
         )
+
+    @pytest.mark.parametrize("grid", ["-inf:inf:3", "-1e308:1e308:3", "0:inf:3"])
+    def test_eta_grid_past_the_float_range_is_one_error_line(self, tmp_path, grid):
+        """An infinite end, or ends whose difference overflows, is one
+        error line naming the flag, without numpy's warnings before it."""
+        out = tmp_path / "s.csv"
+        code, _, err, caught = _run_quietly(["shrinkage-curve", f"--eta-grid={grid}", f"--out={out}"])
+        assert (code, caught, err.count("\n")) == (2, [], 1)
+        assert err.startswith("error: --eta-grid ")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -1394,3 +1433,14 @@ def test_help_is_argparse_usage(capsys):
         main(["cv", "--help"])
     assert exit_.value.code == 0
     assert capsys.readouterr().out.startswith("usage: medn cv [-h] --data DATA --folds FOLDS")
+
+
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_train_and_cv_share_the_help_of_their_shared_flags(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for shown in ("--c C slack penalty (default 200*beta for m3n, 1 otherwise)",
+                  "--iters ITERS epochs per subgradient solve",
+                  "--outer-iters OUTER_ITERS outer loop bound T (lapmedn, default 4)"):
+        assert shown in text

@@ -647,6 +647,13 @@ class TestShrinkageCurves:
         with pytest.raises(ValueError):
             shrinkage_points(4.0, [0.0, 2.0])
 
+    @pytest.mark.parametrize("eta", [1e200, -1e300, 1.7e308])
+    def test_grid_whose_square_overflows_is_rejected_without_a_warning(self, eta):
+        """A square past the float range is past any lam; the suite makes
+        numpy's overflow warning an error."""
+        with pytest.raises(ValueError, match="domain boundary"):
+            shrinkage_points(4.0, [0.0, eta])
+
     def test_default_grid_stays_inside(self):
         grid = shrinkage_eta_grid(6.0)
         assert len(grid) == 50

@@ -107,6 +107,46 @@ class TestL1BallProject:
             u = l1_ball_project(v, 1.0)
             assert np.abs(u).sum() <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize(
+        "v, radius, exact",
+        [([1.3e17, -2.0, 5.0], 1.0, [1.0, 0.0, 0.0]),
+         ([-4e18, 4e18, 1.0], 1.0, [-0.5, 0.5, 0.0]),
+         ([3.0 * 2**51, 0.0], 0.75, [0.75, 0.0]),
+         ([1e16, 1e16 - 2.0, 3.0], 1.5, [1.5, 0.0, 0.0]),
+         ([1e308, 1e308], 1.0, [0.5, 0.5])],
+    )
+    def test_entries_that_dwarf_the_radius_project_exactly(self, v, radius, exact):
+        """Where the largest entries are 2**50 and more times the radius,
+        the threshold from their sums loses the radius; these projections
+        are exact in floats, and come back without a warning."""
+        np.testing.assert_array_equal(l1_ball_project(np.array(v), radius), exact)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_projection_cases(), st.integers(-30, 999), st.booleans())
+    def test_lands_on_the_ball_at_every_scale(self, case, k, negate_power):
+        """Entries scaled by 2**k (or 2**-k) against the radius: the result
+        lies in the ball to 1e-12 of the radius, on its boundary to 1e-9 of
+        it when the input lay outside, and keeps the KKT form with the
+        radius as the scale of every tolerance."""
+        v, radius = case
+        v = v * 2.0 ** (-k if negate_power else k)
+        u = l1_ball_project(v, radius)
+        mag, norm = np.abs(v), np.abs(u).sum()
+        assert norm <= radius * (1.0 + 1e-12)
+        if mag.sum() <= radius * (1.0 + 1e-12):
+            assert np.array_equal(u, v)
+            return
+        assert norm >= radius * (1.0 - 1e-9)
+        assert np.all(np.sign(u) * np.sign(v) >= 0.0) and np.all(np.abs(u) <= mag)
+        # Every kept entry shrank by one threshold: the gaps between kept
+        # entries stay as they were, and every dropped entry lies at least
+        # the smallest kept result below the smallest kept entry.  Entries
+        # within the radius of each other differ exactly in floats, so the
+        # radius sets the tolerance.
+        kept, out = mag[u != 0.0], np.abs(u[u != 0.0])
+        np.testing.assert_allclose(out - out.min(), kept - kept.min(), rtol=0, atol=1e-9 * radius)
+        assert np.all(kept.min() - mag[u == 0.0] >= out.min() - 1e-9 * radius)
+
     def test_signs_preserved(self):
         out = l1_ball_project(np.array([-2.0, 1.0, -0.5]), 1.0)
         assert out[0] <= 0 and out[1] >= 0 and out[2] <= 0
