@@ -23,17 +23,20 @@ lapmedn's rounds share one preparation, and the objective evaluator,
 :func:`_objective`, decodes and scores the data from the same one, so
 ``train`` prepares its data once for training and objective alike.  A
 kernel call keeps its rows in config order and gives each bucket of rows
-decoded together its ``2 * beta``, hinge weights, penalty scales, L1
-balls and shrink sizes; a shrinking row's ball is infinite, so the
-projection never moves it, and a projecting row's shrink size is
-infinite, so its shrink factor is exactly 1.0.  An update then does only
-what depends on the weights: the loss-augmented DP, one in-place multiply
-that shrinks the whole bucket (skipped when no row shrinks), the hit
-test, one feature map of the hit rows' winners and the in-place step
-(with no row gathers when every row of the bucket is hit), the in-place
-projection onto each row's ball, which writes only the rows outside
-theirs, and a divergence test that builds its per-row mask only when it
-is about to raise.
+decoded together its ``2 * beta``, hinge weights, preconditioner (none
+unless the call has an ``inv_diag``), L1 balls and shrink sizes; a
+shrinking row's ball is infinite, so the projection never moves it, and
+a projecting row's shrink size is infinite, so its shrink factor is
+exactly 1.0.  An update then does only what depends on the weights: the
+loss-augmented DP, one in-place multiply that shrinks the whole bucket
+(skipped when no row shrinks), the hit test, one feature map of the hit
+rows' winners, the step formed in that map's own buffer and added in
+place (no preconditioner multiply without a preconditioner, no row
+gathers when every row of the bucket is hit, and only the hit rows'
+golds gathered otherwise), the in-place projection onto each row's
+ball, which writes only the rows outside theirs, and a divergence test
+that bounds every row's norm with one dot product of the bucket and
+forms the rows' squares only past that bound.
 """
 
 import math
@@ -171,7 +174,8 @@ def _lockstep(kernel: _KernelData, cfgs, subsets, *, inv_diag=None) -> np.ndarra
     Each row keeps its own ``beta`` and ``C``, and its config's ``radius``
     sets its step rule.  Row b's subgradient is scaled by
     ``1 / inv_diag[b]``: lapmedn's later rounds pass their (B, K) inverse
-    variances, already floored, and every other call the identity (None).
+    variances, already floored, and every other call None, the identity,
+    for which the step makes no multiply at all.
     The kernel trusts its arguments, as the ``*_rows`` primitives do:
     :func:`medn.models.train_laplace_grid` checks them at the edge, so
     there is at least one config and each training set is a nonempty int64
@@ -212,7 +216,8 @@ def _lockstep(kernel: _KernelData, cfgs, subsets, *, inv_diag=None) -> np.ndarra
         inv_diag = inv_diag[first]
     iterations = cfgs[0].iterations
     batch = len(cfgs)
-    scale = 1.0 / (np.ones((batch, spec.K)) if inv_diag is None else inv_diag)
+    # Without a preconditioner the step skips its multiply: x * 1.0 is x.
+    scale = None if inv_diag is None else 1.0 / inv_diag
     # A shrinking row's ball is infinite, so projecting onto it never moves it.
     radii = np.array([math.inf if cfg.radius is None else cfg.radius for cfg in cfgs])
 
@@ -249,7 +254,7 @@ def _lockstep(kernel: _KernelData, cfgs, subsets, *, inv_diag=None) -> np.ndarra
             np.array([2.0 * cfgs[b].beta for b in rows]),
             np.array([cfgs[b].C for b in rows]),
             row_sizes,
-            scale[rows],
+            None if scale is None else scale[rows],
             radii[rows],
             # A projecting row's infinite size makes its shrink factor exactly 1.0.
             np.where(shrinking, row_sizes, math.inf),
@@ -277,11 +282,12 @@ def _lockstep(kernel: _KernelData, cfgs, subsets, *, inv_diag=None) -> np.ndarra
                 if bucket is None:
                     bucket = buckets[key] = make_bucket(live)
                 if len(live) == 1:  # one group: its rows share an instance
-                    inputs = kernel.instances[current[live[0]]]
-                else:  # one instance per row
+                    inputs, at = kernel.instances[current[live[0]]], None
+                else:  # one instance per row; the step gathers the hit rows' golds
                     at = kernel.slot[row[bucket.groups]]
-                    inputs = [a[at] for a in kernel.stacks[length]]
-                updated = bucket.step(w, spec, t, *inputs)
+                    xs, ys, onehot, gold = kernel.stacks[length]
+                    inputs = xs[at], ys[at], onehot[at], gold
+                updated = bucket.step(w, spec, t, *inputs, at)
                 _check_iterates(updated, bucket, t, cfgs)
     return w[inverse]
 
@@ -296,17 +302,25 @@ class _Bucket:
     twice_betas: np.ndarray  # 2 * beta, the step size's fixed factor
     hinge_weights: np.ndarray
     sizes: np.ndarray  # training-set sizes
-    scale: np.ndarray  # 1 / inv_diag: the preconditioner of every row
+    scale: np.ndarray | None  # 1 / inv_diag, None without a preconditioner
     radii: np.ndarray  # L1 balls, infinite for the shrinking rows
     shrink_sizes: np.ndarray  # training-set sizes, infinite for the projecting rows
     whole: bool  # the bucket holds every row of w
     shrinks: bool  # some row has an infinite ball
     projects: bool  # some row has a finite ball
 
-    def step(self, w, spec, t, x, y, onehot, gold):
+    def step(self, w, spec, t, x, y, onehot, gold, at=None):
         """One update of these rows of ``w`` at instance(s) ``x``, ``y`` with
-        gold one-hot ``onehot`` and gold features ``gold``; returns the
-        updated rows."""
+        gold one-hot ``onehot``; returns the updated rows.  ``gold`` is the
+        shared instance's gold feature vector, or with ``at`` the stack of
+        gold feature vectors in which row r's is ``gold[at[r]]``.
+
+        The step is formed in the feature map's own output buffer:
+        ``gold - f``, times the preconditioner when there is one, times
+        ``alpha * C``, then added to the rows.  Each multiply is the one
+        the per-config loop makes, in its order, so every row keeps its
+        bits; only the golds of the hit rows are gathered.
+        """
         block = w if self.whole else w[self.rows]
         alpha = 1.0 / (self.twice_betas * math.sqrt(t))
         node = _loss_augmented_scores(spec, block, x, onehot)
@@ -316,14 +330,17 @@ class _Bucket:
         hit = np.logical_or.reduce(y_star != y, axis=1)
         hits = np.count_nonzero(hit)
         if hits == len(block):  # every row moves: no gathers, no scatter
-            delta = self.scale * (gold - feature_vectors(spec, x, y_star))
-            block += (alpha * self.hinge_weights)[:, None] * delta
+            f = feature_vectors(spec, x, y_star)
+            block += _step_into(f, gold if at is None else gold[at], self.scale,
+                                alpha * self.hinge_weights)
         elif hits:
             hit = np.flatnonzero(hit)
             if x.ndim == 3:
-                x, gold = x[hit], gold[hit]
-            delta = self.scale[hit] * (gold - feature_vectors(spec, x, y_star[hit]))
-            block[hit] += (alpha[hit] * self.hinge_weights[hit])[:, None] * delta
+                x = x[hit]
+            f = feature_vectors(spec, x, y_star[hit])
+            block[hit] += _step_into(f, gold if at is None else gold[at[hit]],
+                                     None if self.scale is None else self.scale[hit],
+                                     alpha[hit] * self.hinge_weights[hit])
         if self.projects:
             _project_rows(block, self.radii)
         if not self.whole:
@@ -331,14 +348,31 @@ class _Bucket:
         return block
 
 
+def _step_into(f, gold, scale, coef):
+    """``coef * (scale * (gold - f))``, ``coef`` one factor per row, formed
+    in ``f``'s buffer and returned.  ``scale`` None is the identity, whose
+    multiply would change no bit."""
+    np.subtract(gold, f, out=f)
+    if scale is not None:
+        f *= scale
+    f *= coef[:, None]
+    return f
+
+
 def _check_iterates(updated, bucket, t: int, cfgs):
     """Raise if an updated row is not finite or its L2 norm passes
-    ``DIVERGENCE_LIMIT``; the error names the first such row."""
-    squares = np.add.reduce(updated * updated, axis=1)
-    # Adding a nonnegative float never lowers a partial sum, so the total
-    # bounds every row's squared norm, rounding included, and a NaN fails it.
-    if np.add.reduce(squares) <= DIVERGENCE_LIMIT**2:
+    ``DIVERGENCE_LIMIT``; the error names the first such row.
+
+    One dot product of the whole block bounds every row's squared norm,
+    up to the last bits of its sum, without a temporary: its terms are
+    squares, and adding a nonnegative float never lowers a partial sum,
+    so in any summation order the total is at least each single square,
+    and a NaN or an infinity fails it.  Only past that bound are the
+    rows' squares formed, and they decide.
+    """
+    if np.vdot(updated, updated) <= DIVERGENCE_LIMIT**2:
         return
+    squares = np.add.reduce(updated * updated, axis=1)
     bad = np.flatnonzero(~(squares <= DIVERGENCE_LIMIT**2))
     if bad.size:
         cfg = cfgs[bucket.rows[bad[0]]]

@@ -294,14 +294,28 @@ _GOOD_NUMBERS = [
 ]
 
 
+def _same_result(got, want) -> bool:
+    """Equal values of exactly the same types, element by element; arrays of
+    the same dtype and contents."""
+    if type(got) is not type(want):
+        return False
+    if isinstance(got, np.ndarray):
+        return got.dtype == want.dtype and np.array_equal(got, want)
+    if isinstance(got, (tuple, list)):
+        return len(got) == len(want) and all(map(_same_result, got, want))
+    return got == want
+
+
 @pytest.mark.parametrize("name, call, value, stored_type", _GOOD_NUMBERS)
 def test_a_numpy_count_or_real_is_accepted_and_stored_as_a_python_number(
     name, call, value, stored_type
 ):
     """A numpy integer or float is accepted without a warning (the suite
-    makes a warning an error), and a config stores it as exactly ``int``
-    or ``float``, so no numpy arithmetic runs on it later."""
+    makes a warning an error), and the call returns exactly what it returns
+    for the Python ``int`` or ``float``: a config stores it as exactly that
+    type, and no numpy arithmetic runs on it later."""
     built = call(value)
+    assert _same_result(built, call(stored_type(value)))
     if dataclasses.is_dataclass(built):
         owner = built.inner if isinstance(built, LaplaceConfig) and name == "C" else built
         stored = getattr(owner, name)

@@ -274,6 +274,38 @@ class TestSubgradientTrain:
             with pytest.raises(RuntimeError, match="seed=4 diverged in epoch 2 at update t=7: beta=2 "):
                 optimize._check_iterates(rows, bucket, 7, cfgs)
 
+    def test_divergence_limit_is_the_edge_where_order_cannot_matter(self):
+        """A row whose one nonzero entry is the limit has the square 1e16,
+        exactly, in any summation order: it passes, alone or beside a row
+        whose squares push the block's total past the limit's square.  One
+        ulp more raises, naming that row's seed, epoch, update and beta."""
+        cfgs = [SubgradConfig(beta=1.0, iterations=1, C=1.0, seed=3), SubgradConfig(2.0, 1, 1.0, seed=4)]
+        bucket = SimpleNamespace(rows=np.array([0, 1]), sizes=np.array([5, 3]))
+        rows = np.zeros((2, 6))
+        rows[1, 4] = DIVERGENCE_LIMIT
+        optimize._check_iterates(rows, bucket, 7, cfgs)
+        rows[0] = 1.0
+        optimize._check_iterates(rows, bucket, 7, cfgs)
+        rows[1, 4] = np.nextafter(DIVERGENCE_LIMIT, np.inf)
+        message = (r"^subgradient iterate with seed=4 diverged in epoch 3 at update t=7: "
+                   r"beta=2 reached L2 norm 1e\+08; decrease the step size \(raise beta\)$")
+        with pytest.raises(RuntimeError, match=message):
+            optimize._check_iterates(rows, bucket, 7, cfgs)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_a_row_that_is_not_finite_is_named_beside_a_finite_one(self, bad, value):
+        """A NaN or an infinity fails the block's bound, and the error names
+        its row, first or second, by that row's seed, epoch and beta."""
+        cfgs = [SubgradConfig(beta=1.0, iterations=1, C=1.0, seed=3), SubgradConfig(2.0, 1, 1.0, seed=4)]
+        bucket = SimpleNamespace(rows=np.array([0, 1]), sizes=np.array([5, 3]))
+        rows = np.full((2, 6), 0.5)
+        rows[bad, 2] = value
+        seed, epoch, beta = ((3, 2, 1), (4, 3, 2))[bad]
+        message = rf"^subgradient iterate with seed={seed} diverged in epoch {epoch} at update t=7: beta={beta} "
+        with pytest.raises(RuntimeError, match=message):
+            optimize._check_iterates(rows, bucket, 7, cfgs)
+
     def test_empty_data_raises(self):
         spec = FeatureSpec(d=2, m=2)
         with pytest.raises(ValueError):
@@ -679,13 +711,15 @@ def _same_bits(got, want) -> bool:
     return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def _label_signal_instances(rng, n, d, m, max_length):
+def _label_signal_instances(rng, n, d, m, max_length, labels=None):
     """Instances of lengths 1..max_length whose feature 0 is the label
-    centered on 0 plus a little noise, which a single feature can learn."""
+    centered on 0 plus a little noise, which a single feature can learn.
+    Labels are drawn from ``labels``, all m by default."""
+    labels = np.arange(m) if labels is None else np.asarray(labels)
     instances = []
     for _ in range(n):
         length = int(rng.integers(1, max_length + 1))
-        y = rng.integers(0, m, size=length)
+        y = labels[rng.integers(0, len(labels), size=length)]
         x = 0.1 * rng.standard_normal((length, d))
         x[:, 0] += y - (m - 1) / 2
         instances.append(SequenceInstance(x, y))
@@ -693,16 +727,22 @@ def _label_signal_instances(rng, n, d, m, max_length):
 
 
 @pytest.mark.parametrize("d", [1, 3])
-@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("m", [2, 3, 26])
 class TestKernelBranches:
     """Every branch of the update against the per-config loops, bit for bit
-    and sign bits included.  A bucket whose rows are all hit updates them
-    without gathering rows; one where only some are hit gathers those."""
+    and sign bits included, up to the OCR task's 26 labels.  A bucket whose
+    rows are all hit updates them without gathering rows; one where only
+    some are hit gathers those.  Each is run with and without a
+    preconditioner, which the update then skips."""
 
     def test_one_row_under_each_step_rule(self, monkeypatch, d, m):
         rng = np.random.default_rng(150 + 10 * d + m)
         spec = FeatureSpec(d=d, m=m)
-        data = _label_signal_instances(rng, n=6, d=d, m=m, max_length=3)
+        # Feature 0 is linear in the label and no feature is constant, so a
+        # score can make only the two end labels win: past 3 labels, only
+        # instances of those can stop being hit.
+        ends = None if m <= 3 else [0, m - 1]
+        data = _label_signal_instances(rng, n=6, d=d, m=m, max_length=3, labels=ends)
         cfg = SubgradConfig(beta=1.0, iterations=6, C=2.0, seed=d + m)
         ones, inv = np.ones(spec.K), np.linspace(0.5, 4.0, spec.K)
         ball = replace(cfg, radius=3.0)
@@ -726,32 +766,47 @@ class TestKernelBranches:
         """Equal-length instances, so every step decodes all four rows in one
         bucket; with one seed they share an input, with two each row brings
         its own.  Rows differ in C and step rule, so their hits differ."""
-        rng = np.random.default_rng(160 + 10 * d + m)
-        spec = FeatureSpec(d=d, m=m)
-        data = [
-            SequenceInstance(np.tile(inst.features, (3, 1)), np.tile(inst.labels, 3))
-            for inst in _label_signal_instances(rng, n=5, d=d, m=m, max_length=1)
-        ]
-        hinge_weights = (4.0, 1e-3, 2.0, 30.0)
-        cfgs = [
-            SubgradConfig(beta=1.0, iterations=5, C=c, seed=seed)
-            for c, seed in zip(hinge_weights, seeds)
-        ]
-        inv = np.vstack([np.ones(spec.K), np.linspace(0.5, 4.0, spec.K)])
-        radii = [2.0, 1e6]
-        cfgs[len(inv):] = [replace(cfg, radius=r) for cfg, r in zip(cfgs[len(inv):], radii)]
-        maps = _count_calls(monkeypatch, optimize, "feature_vectors")
-        ones = np.ones((len(radii), spec.K))  # a projecting row's scale of 1 is exact
-        rows = _kernel(data, spec, cfgs, np.vstack([inv, ones]))
-        for b, cfg in enumerate(cfgs):
-            if b < len(inv):
-                want = reference_subgradient_train(data, spec, inv[b], cfg)
-            else:
-                want = reference_l1_constrained_train(data, spec, radii[b - len(inv)], cfg)
-            assert _same_bits(rows[b], want)
-        mapped = [len(args[2]) for args in maps[1:]]  # after the golds' one call
-        assert len(cfgs) in mapped  # every row hit: no gathers
-        assert any(0 < rows_hit < len(cfgs) for rows_hit in mapped)  # some rows hit
+        _bucket_against_loops(monkeypatch, d, m, seeds, preconditioned=True)
+
+    @pytest.mark.parametrize("seeds", [(0, 0, 0, 0), (0, 1, 0, 1)], ids=["shared", "per-row"])
+    def test_bucket_without_a_preconditioner(self, monkeypatch, d, m, seeds):
+        """The same bucket with no ``inv_diag``, as every m3n and l1m3n call
+        and lapmedn's first round run it."""
+        _bucket_against_loops(monkeypatch, d, m, seeds, preconditioned=False)
+
+
+def _bucket_against_loops(monkeypatch, d, m, seeds, preconditioned):
+    """Four rows, two shrinking and two projecting, on five equal-length
+    instances: each row bit-equal to its per-config loop, and at least one
+    step where every row is hit and one where only some are."""
+    rng = np.random.default_rng(160 + 10 * d + m)
+    spec = FeatureSpec(d=d, m=m)
+    data = [
+        SequenceInstance(np.tile(inst.features, (3, 1)), np.tile(inst.labels, 3))
+        for inst in _label_signal_instances(rng, n=5, d=d, m=m, max_length=1)
+    ]
+    hinge_weights = (4.0, 1e-3, 2.0, 30.0)
+    cfgs = [
+        SubgradConfig(beta=1.0, iterations=5, C=c, seed=seed)
+        for c, seed in zip(hinge_weights, seeds)
+    ]
+    inv = np.vstack([np.ones(spec.K), np.linspace(0.5, 4.0, spec.K)])
+    if not preconditioned:
+        inv[1] = 1.0
+    radii = [2.0, 1e6]
+    cfgs[len(inv):] = [replace(cfg, radius=r) for cfg, r in zip(cfgs[len(inv):], radii)]
+    maps = _count_calls(monkeypatch, optimize, "feature_vectors")
+    ones = np.ones((len(radii), spec.K))  # a projecting row's scale of 1 is exact
+    rows = _kernel(data, spec, cfgs, np.vstack([inv, ones]) if preconditioned else None)
+    for b, cfg in enumerate(cfgs):
+        if b < len(inv):
+            want = reference_subgradient_train(data, spec, inv[b], cfg)
+        else:
+            want = reference_l1_constrained_train(data, spec, radii[b - len(inv)], cfg)
+        assert _same_bits(rows[b], want)
+    mapped = [len(args[2]) for args in maps[1:]]  # after the golds' one call
+    assert len(cfgs) in mapped  # every row hit: no gathers
+    assert any(0 < rows_hit < len(cfgs) for rows_hit in mapped)  # some rows hit
 
 
 @pytest.mark.parametrize("whole", [True, False], ids=["whole", "some-rows"])
@@ -788,6 +843,30 @@ def test_row_inside_its_ball_keeps_its_bits_when_another_row_projects(whole):
     np.testing.assert_array_equal(updated, w[:3])
     if not whole:
         assert np.array_equal(w[3], np.full(spec.K, 9.0))
+
+
+def test_kernel_call_at_the_ocr_shape_holds_no_idle_whole_block():
+    """One kernel call at the OCR task's shape (m = 26, d = 128, so K =
+    4,004) with B = 60 rows of two seeds and no preconditioner: three
+    updates of a bucket in which each row brings its own instance.  Its
+    traced peak measured 3.41 (B, K) float blocks: the weights, the
+    feature map's output, in which the step is formed, and the hit rows'
+    gathered golds.  A ones matrix for the absent preconditioner, a block
+    of squares for the norm bound and the step's temporaries made it 6.41."""
+    rng = np.random.default_rng(7)
+    spec = FeatureSpec(d=128, m=26)
+    data = [SequenceInstance(rng.standard_normal((8, 128)), rng.integers(0, 26, 8))
+            for _ in range(3)]
+    kernel = optimize._KernelData(data, spec)
+    cfgs = [SubgradConfig(beta=1.0, iterations=1, C=1.0 + b, seed=b % 2) for b in range(60)]
+    tracemalloc.start()
+    try:
+        optimize._lockstep(kernel, cfgs, [np.arange(3)] * len(cfgs))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 17 % above the measured 3.41 blocks.
+    assert peak / (len(cfgs) * spec.K * 8) < 4.0
 
 
 class TestLayerCounts:
