@@ -31,12 +31,11 @@ exactly 1.0.  An update then does only what depends on the weights: the
 loss-augmented DP, one in-place multiply that shrinks the whole bucket
 (skipped when no row shrinks), the hit test, one feature map of the hit
 rows' winners, the step formed in that map's own buffer and added in
-place (no preconditioner multiply without a preconditioner, no row
-gathers when every row of the bucket is hit, and only the hit rows'
-golds gathered otherwise), the in-place projection onto each row's
-ball, which writes only the rows outside theirs, and a divergence test
-that bounds every row's norm with one dot product of the bucket and
-forms the rows' squares only past that bound.
+place (no preconditioner multiply without a preconditioner, and no row
+gathers when every row of the bucket is hit), the in-place projection
+onto each row's ball, which writes only the rows outside theirs, and a
+divergence test that clears the bucket with one dot product and forms
+the rows' squares only within a millionth of the limit or past it.
 """
 
 import math
@@ -282,12 +281,11 @@ def _lockstep(kernel: _KernelData, cfgs, subsets, *, inv_diag=None) -> np.ndarra
                 if bucket is None:
                     bucket = buckets[key] = make_bucket(live)
                 if len(live) == 1:  # one group: its rows share an instance
-                    inputs, at = kernel.instances[current[live[0]]], None
-                else:  # one instance per row; the step gathers the hit rows' golds
+                    inputs = kernel.instances[current[live[0]]]
+                else:  # one instance per row
                     at = kernel.slot[row[bucket.groups]]
-                    xs, ys, onehot, gold = kernel.stacks[length]
-                    inputs = xs[at], ys[at], onehot[at], gold
-                updated = bucket.step(w, spec, t, *inputs, at)
+                    inputs = [a[at] for a in kernel.stacks[length]]
+                updated = bucket.step(w, spec, t, *inputs)
                 _check_iterates(updated, bucket, t, cfgs)
     return w[inverse]
 
@@ -309,17 +307,16 @@ class _Bucket:
     shrinks: bool  # some row has an infinite ball
     projects: bool  # some row has a finite ball
 
-    def step(self, w, spec, t, x, y, onehot, gold, at=None):
+    def step(self, w, spec, t, x, y, onehot, gold):
         """One update of these rows of ``w`` at instance(s) ``x``, ``y`` with
-        gold one-hot ``onehot``; returns the updated rows.  ``gold`` is the
-        shared instance's gold feature vector, or with ``at`` the stack of
-        gold feature vectors in which row r's is ``gold[at[r]]``.
+        gold one-hot ``onehot`` and gold features ``gold``; returns the
+        updated rows.
 
         The step is formed in the feature map's own output buffer:
         ``gold - f``, times the preconditioner when there is one, times
         ``alpha * C``, then added to the rows.  Each multiply is the one
         the per-config loop makes, in its order, so every row keeps its
-        bits; only the golds of the hit rows are gathered.
+        bits.
         """
         block = w if self.whole else w[self.rows]
         alpha = 1.0 / (self.twice_betas * math.sqrt(t))
@@ -331,14 +328,13 @@ class _Bucket:
         hits = np.count_nonzero(hit)
         if hits == len(block):  # every row moves: no gathers, no scatter
             f = feature_vectors(spec, x, y_star)
-            block += _step_into(f, gold if at is None else gold[at], self.scale,
-                                alpha * self.hinge_weights)
+            block += _step_into(f, gold, self.scale, alpha * self.hinge_weights)
         elif hits:
             hit = np.flatnonzero(hit)
             if x.ndim == 3:
-                x = x[hit]
+                x, gold = x[hit], gold[hit]
             f = feature_vectors(spec, x, y_star[hit])
-            block[hit] += _step_into(f, gold if at is None else gold[at[hit]],
+            block[hit] += _step_into(f, gold,
                                      None if self.scale is None else self.scale[hit],
                                      alpha[hit] * self.hinge_weights[hit])
         if self.projects:
@@ -363,14 +359,15 @@ def _check_iterates(updated, bucket, t: int, cfgs):
     """Raise if an updated row is not finite or its L2 norm passes
     ``DIVERGENCE_LIMIT``; the error names the first such row.
 
-    One dot product of the whole block bounds every row's squared norm,
-    up to the last bits of its sum, without a temporary: its terms are
-    squares, and adding a nonnegative float never lowers a partial sum,
-    so in any summation order the total is at least each single square,
-    and a NaN or an infinity fails it.  Only past that bound are the
-    rows' squares formed, and they decide.
+    One dot product of the whole block clears it without a temporary when
+    it lies a millionth below the limit's square: its terms are squares,
+    so in any summation order it is within about ``B * K`` ulps of a total
+    that is at least each row's squared norm, and a NaN or an infinity
+    fails it.  Otherwise the rows' squares, summed row by row, decide, so
+    a row at the limit passes or raises by its own sum, whatever order
+    the dot product adds in.
     """
-    if np.vdot(updated, updated) <= DIVERGENCE_LIMIT**2:
+    if np.vdot(updated, updated) <= DIVERGENCE_LIMIT**2 * (1.0 - 1e-6):
         return
     squares = np.add.reduce(updated * updated, axis=1)
     bad = np.flatnonzero(~(squares <= DIVERGENCE_LIMIT**2))

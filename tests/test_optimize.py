@@ -292,6 +292,27 @@ class TestSubgradientTrain:
         with pytest.raises(RuntimeError, match=message):
             optimize._check_iterates(rows, bucket, 7, cfgs)
 
+    @pytest.mark.parametrize("raises", [False, True], ids=["passes", "raises"])
+    def test_a_row_at_the_limit_goes_by_its_own_sum(self, raises):
+        """A row of squares 1e16 - 2, 1.125**2 and 1.125**2 sums to 1e16
+        when the small squares meet first and to 1e16 + 2 when each meets
+        the large one: its own sum decides, as a dot product of the block,
+        which may add them in yet another order, must not."""
+        cfgs = [SubgradConfig(beta=1.0, iterations=1, C=1.0, seed=3), SubgradConfig(2.0, 1, 1.0, seed=4)]
+        bucket = SimpleNamespace(rows=np.array([0, 1]), sizes=np.array([5, 3]))
+        rows = np.zeros((2, 44))
+        # numpy's row sum adds entries 0 and 1 (and 2 and 3) before the rest.
+        rows[1, [0, 1, 3] if raises else [2, 0, 1]] = np.nextafter(DIVERGENCE_LIMIT, 0.0), 1.125, 1.125
+        squares = rows[1] * rows[1]
+        assert sorted(squares[:4].tolist()) == [0.0, 1.265625, 1.265625, 1e16 - 2]
+        assert np.add.reduce(squares) == (1e16 + 2 if raises else 1e16)
+        assert math.fsum(squares) == 1e16
+        if raises:
+            with pytest.raises(RuntimeError, match="^subgradient iterate with seed=4 diverged in epoch 3 "):
+                optimize._check_iterates(rows, bucket, 7, cfgs)
+        else:
+            optimize._check_iterates(rows, bucket, 7, cfgs)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("bad", [0, 1])
     def test_a_row_that_is_not_finite_is_named_beside_a_finite_one(self, bad, value):
@@ -849,10 +870,11 @@ def test_kernel_call_at_the_ocr_shape_holds_no_idle_whole_block():
     """One kernel call at the OCR task's shape (m = 26, d = 128, so K =
     4,004) with B = 60 rows of two seeds and no preconditioner: three
     updates of a bucket in which each row brings its own instance.  Its
-    traced peak measured 3.41 (B, K) float blocks: the weights, the
-    feature map's output, in which the step is formed, and the hit rows'
-    gathered golds.  A ones matrix for the absent preconditioner, a block
-    of squares for the norm bound and the step's temporaries made it 6.41."""
+    traced peak measured 4.26 (B, K) float blocks: the weights, the
+    feature map's output, in which the step is formed, and the rows'
+    gathered golds and inputs.  A ones matrix for the absent
+    preconditioner, a block of squares for the norm bound and the step's
+    temporaries made it 6.41."""
     rng = np.random.default_rng(7)
     spec = FeatureSpec(d=128, m=26)
     data = [SequenceInstance(rng.standard_normal((8, 128)), rng.integers(0, 26, 8))
@@ -865,8 +887,9 @@ def test_kernel_call_at_the_ocr_shape_holds_no_idle_whole_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 17 % above the measured 3.41 blocks.
-    assert peak / (len(cfgs) * spec.K * 8) < 4.0
+    # Midway between the two peaks: a block of slack either way, for
+    # another numpy version's temporaries.
+    assert peak / (len(cfgs) * spec.K * 8) < 5.3
 
 
 class TestLayerCounts:
