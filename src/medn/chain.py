@@ -10,7 +10,11 @@ weight vectors as a (B, K) array, or B labelings as a (B, L) array; each
 row may bring its own same-length input, or all rows share one.  They
 skip input checks, so the entry points validate their data once and
 then call them on every update.  :func:`decode_instances` decodes a whole
-dataset that way: one check of the weights, one DP call per length.
+dataset that way: one check of the weights, one DP call per length.  What
+a shape alone fixes is not rebuilt per call: the DP's candidate offsets
+and row starts for each (B, m), the feature map's label column for each m
+and the projection's ranks 1..K are read-only index ramps from one memo,
+:func:`_ramp`, which keeps the last 8.
 
 An instance is checked in one place: a :class:`SequenceInstance` checks
 its own shape, dtype and values when it is built, and is frozen, so it
@@ -28,6 +32,7 @@ reaches the arithmetic behind a check: a numpy product cannot wrap, and
 every stored count and real can be written as JSON.
 """
 
+import functools
 import math
 import numbers
 import sys
@@ -120,11 +125,11 @@ class FeatureSpec:
 
     def state_view(self, weights: np.ndarray) -> np.ndarray:
         """(..., d, m) view of the state block of (..., K) weight-shaped rows."""
-        return weights[..., : self.n_state].reshape(*weights.shape[:-1], self.d, self.m)
+        return weights[..., : self.d * self.m].reshape(weights.shape[:-1] + (self.d, self.m))
 
     def transition_view(self, weights: np.ndarray) -> np.ndarray:
         """(..., m, m) view of the transition block of (..., K) weight-shaped rows."""
-        return weights[..., self.n_state :].reshape(*weights.shape[:-1], self.m, self.m)
+        return weights[..., self.d * self.m :].reshape(weights.shape[:-1] + (self.m, self.m))
 
 
 @dataclass(frozen=True)
@@ -202,6 +207,21 @@ def _check_instance(spec: FeatureSpec, inst) -> SequenceInstance:
     return inst
 
 
+@functools.lru_cache(maxsize=8)
+def _ramp(shape: tuple, step: int = 1, start: int = 0) -> np.ndarray:
+    """``np.arange(start, ..., step)`` in ``shape``, read-only and memoized.
+
+    Holds the index ramps that a shape alone fixes: the DP's candidate
+    offsets and row starts for (B, m), the feature map's label column for
+    m and the projection's ranks for K.  The last 8 are kept; each entry
+    is one ramp of B * m, m or K integers.  Read-only, since every caller
+    shares it.
+    """
+    ramp = np.arange(start, start + step * math.prod(shape), step).reshape(shape)
+    ramp.flags.writeable = False
+    return ramp
+
+
 def feature_vectors(spec: FeatureSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """(B, K) feature vectors of the B labelings ``ys`` (B, L).
 
@@ -221,8 +241,8 @@ def feature_vectors(spec: FeatureSpec, xs: np.ndarray, ys: np.ndarray) -> np.nda
         # einsum sums a lone column, contiguous along positions, out of order;
         # beside a zero column it sums it in position order.
         xs = np.concatenate((xs, np.zeros_like(xs)), axis=2)
-    picked = (ys[:, None, :] == np.arange(m)[:, None]).astype(float)  # (B, m, L)
-    f = np.zeros((batch, spec.K))
+    picked = (ys[:, None, :] == _ramp((m, 1))).astype(float)  # (B, m, L)
+    f = np.empty((batch, spec.K))  # both blocks are written in full below
     spec.state_view(f)[:] = np.einsum("...ml,...ld->...dm", picked, xs)[:, :d]
     # Pair (c, c') counts as the product of the label indicators at l and
     # l + 1: sums of 0s and 1s, exact in any order.
@@ -250,7 +270,7 @@ def _viterbi(node: np.ndarray, trans: np.ndarray):
     trans_t = np.ascontiguousarray(trans.transpose(0, 2, 1))  # (batch or 1, current, previous)
     cand = np.empty((batch, m, m))
     # Flat index of cand[b, c, 0], so adding a previous label p reads cand[b, c, p].
-    offsets = np.arange(0, batch * m * m, m).reshape(batch, m)
+    offsets = _ramp((batch, m), m)
     back = np.empty((length, batch, m), dtype=np.intp)
     v = node[:, 0]
     for l in range(1, length):
@@ -259,7 +279,7 @@ def _viterbi(node: np.ndarray, trans: np.ndarray):
         v = cand.take(best + offsets)
         v += node[:, l]
     labels = np.empty((batch, length), dtype=np.int64)
-    rows = np.arange(0, batch * m, m)  # flat index of row b's label 0 in a (B, m) array
+    rows = _ramp((batch,), m)  # flat index of row b's label 0 in a (B, m) array
     label = labels[:, -1] = v.argmax(axis=1)
     value = v.take(rows + label)
     for l in range(length - 1, 0, -1):
@@ -353,15 +373,21 @@ def loss_augmented_decode_rows(
     decoding it alone.  Unchecked: inputs must be finite floats and labels
     lie in [0, m).
     """
-    node = _loss_augmented_scores(spec, weights, xs, golds[..., None] == np.arange(spec.m))
+    onehot = golds[..., None] == np.arange(spec.m)
+    node = _loss_augmented_scores(spec.state_view(weights), xs, onehot)
     return _viterbi(node, spec.transition_view(weights))
 
 
-def _loss_augmented_scores(spec: FeatureSpec, weights, xs, gold_onehot) -> np.ndarray:
-    """(B, L, m) node scores plus the Hamming loss of each label: 1 off the
-    gold labels that ``gold_onehot`` (..., L, m) marks with 1 (or True)."""
-    node = xs @ spec.state_view(weights) + 1.0
-    # Subtracting 1.0 back at the gold labels, and 0.0 elsewhere, leaves the
-    # plain score there: (s + 1) - 1, to the bit.
+def _loss_augmented_scores(state, xs, gold_onehot) -> np.ndarray:
+    """(B, L, m) node scores under the (..., d, m) ``state`` block plus the
+    Hamming loss of each label: 1 off the gold labels that ``gold_onehot``
+    (..., L, m) marks with 1 (or True)."""
+    node = xs @ state + 1.0
+    # A gold label's node score is (s + 1) - 1, which is not always s (0.1
+    # comes back as 0.10000000000000009); every other label scores s + 1.
+    # The kernel, the objective and the oracles all score through here, so
+    # they round alike.  Adding 1.0 - onehot instead would keep s at the
+    # gold labels: that moves the last bits of objective values and can
+    # flip the DP's choice between near-tied labelings.
     node -= gold_onehot
     return node

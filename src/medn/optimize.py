@@ -24,18 +24,23 @@ lapmedn's rounds share one preparation, and the objective evaluator,
 ``train`` prepares its data once for training and objective alike.  A
 kernel call keeps its rows in config order and gives each bucket of rows
 decoded together its ``2 * beta``, hinge weights, preconditioner (none
-unless the call has an ``inv_diag``), L1 balls and shrink sizes; a
-shrinking row's ball is infinite, so the projection never moves it, and
-a projecting row's shrink size is infinite, so its shrink factor is
-exactly 1.0.  An update then does only what depends on the weights: the
-loss-augmented DP, one in-place multiply that shrinks the whole bucket
-(skipped when no row shrinks), the hit test, one feature map of the hit
-rows' winners, the step formed in that map's own buffer and added in
-place (no preconditioner multiply without a preconditioner, and no row
-gathers when every row of the bucket is hit), the in-place projection
-onto each row's ball, which writes only the rows outside theirs, and a
-divergence test that clears the bucket with one dot product and forms
-the rows' squares only within a millionth of the limit or past it.
+unless the call has an ``inv_diag``), L1 balls and shrink sizes, and a
+bucket of every row (each one of a B = 1 call) the state and transition
+views of the weights, made once per call; a shrinking row's ball is
+infinite, so the projection never moves it, and a projecting row's
+shrink size is infinite, so its shrink factor is exactly 1.0.  An update
+then does only what depends on the weights: the loss-augmented DP, one
+in-place multiply that shrinks the whole bucket (skipped when no row
+shrinks), the hit test, one feature map of the hit rows' winners, the
+step formed in that map's own buffer and added in place (no
+preconditioner multiply without a preconditioner, and no row gathers
+when every row of the bucket is hit), the in-place projection onto each
+row's ball, which gathers the rows outside theirs once and writes only
+those, and a divergence test that clears the bucket with one dot product
+and forms the rows' squares only within a millionth of the limit or past
+it.  The index ramps a shape fixes (the DP's offsets, the feature map's
+label column, the projection's ranks) come from :func:`medn.chain._ramp`'s
+memo.
 """
 
 import math
@@ -50,6 +55,7 @@ from .chain import (
     _check_real,
     _check_weights,
     _loss_augmented_scores,
+    _ramp,
     _viterbi,
     feature_vectors,
 )
@@ -244,9 +250,12 @@ def _lockstep(kernel: _KernelData, cfgs, subsets, *, inv_diag=None) -> np.ndarra
             " than the kernel can schedule"
         ) from None
 
+    w = np.zeros((batch, spec.K))
+
     def make_bucket(live):
         rows = np.flatnonzero(np.isin(row_group, live))
         row_sizes, shrinking = sizes[row_group[rows]], radii[rows] == math.inf
+        whole = len(rows) == batch
         return _Bucket(
             rows,
             row_group[rows],
@@ -257,13 +266,14 @@ def _lockstep(kernel: _KernelData, cfgs, subsets, *, inv_diag=None) -> np.ndarra
             radii[rows],
             # A projecting row's infinite size makes its shrink factor exactly 1.0.
             np.where(shrinking, row_sizes, math.inf),
-            whole=len(rows) == batch,
+            whole=whole,
             shrinks=bool(shrinking.any()),
             projects=not shrinking.all(),
+            # Every update writes w in place, so its views stay valid for the call.
+            views=(spec.state_view(w), spec.transition_view(w)) if whole else None,
         )
 
     buckets = {}
-    w = np.zeros((batch, spec.K))
     # A row that overflows fails _check_iterates; numpy's warnings about it
     # would only precede that error.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -293,7 +303,10 @@ def _lockstep(kernel: _KernelData, cfgs, subsets, *, inv_diag=None) -> np.ndarra
 @dataclass
 class _Bucket:
     """Rows decoded in one call: those of the groups whose current instances
-    share a length, in config order.  Holds their fixed per-row arrays."""
+    share a length, in config order.  Holds their fixed per-row arrays and,
+    for a bucket of every row, the state and transition views of ``w``,
+    which stay valid because every update writes ``w`` in place; a bucket
+    without them makes its block's views at each step."""
 
     rows: np.ndarray
     groups: np.ndarray
@@ -306,6 +319,7 @@ class _Bucket:
     whole: bool  # the bucket holds every row of w
     shrinks: bool  # some row has an infinite ball
     projects: bool  # some row has a finite ball
+    views: tuple | None = None  # (state, transition) views of w
 
     def step(self, w, spec, t, x, y, onehot, gold):
         """One update of these rows of ``w`` at instance(s) ``x``, ``y`` with
@@ -319,9 +333,9 @@ class _Bucket:
         bits.
         """
         block = w if self.whole else w[self.rows]
+        state, trans = self.views or (spec.state_view(block), spec.transition_view(block))
         alpha = 1.0 / (self.twice_betas * math.sqrt(t))
-        node = _loss_augmented_scores(spec, block, x, onehot)
-        y_star, _ = _viterbi(node, spec.transition_view(block))
+        y_star, _ = _viterbi(_loss_augmented_scores(state, x, onehot), trans)
         if self.shrinks:
             block *= (1.0 - alpha / self.shrink_sizes)[:, None]
         hit = np.logical_or.reduce(y_star != y, axis=1)
@@ -404,10 +418,11 @@ def _project_rows(v: np.ndarray, radii: np.ndarray):
     outside = np.flatnonzero(np.add.reduce(mag, axis=1) > radii * (1.0 + 1e-12))
     if not outside.size:
         return
-    mag_out, radius = mag[outside], radii[outside]
+    v_out, radius = v[outside], radii[outside]
+    mag_out = np.abs(v_out)
     u = np.sort(mag_out, axis=1)[:, ::-1]
     cssv = np.cumsum(u, axis=1)
-    above = u * np.arange(1, v.shape[1] + 1) > cssv - radius[:, None]
+    above = u * _ramp((v.shape[1],), 1, 1) > cssv - radius[:, None]
     # The largest entry always clears the threshold (u_1 > u_1 - radius),
     # but rounding hides it once u_1 is ~2**53 times the radius.
     above[:, 0] = True
@@ -426,7 +441,7 @@ def _project_rows(v: np.ndarray, radii: np.ndarray):
         kept = excess >= 0.0
         share = (radius[i] - np.add.reduce(excess[kept])) / rho_i
         shrunk[i] = np.where(kept, excess + share, 0.0)
-    v[outside] = np.sign(v[outside]) * shrunk
+    v[outside] = np.sign(v_out) * shrunk
 
 
 def l1_ball_project(v: np.ndarray, radius: float) -> np.ndarray:
@@ -478,9 +493,9 @@ def _objective(kernel: _KernelData | None, w: np.ndarray, C: float, inv_diag=Non
     reg = 0.0 if inv_diag is None else 0.5 * float(np.dot(w, inv_diag * w))
     hinge = 0.0
     if kernel is not None:
-        trans = kernel.spec.transition_view(w[None])
+        state, trans = kernel.spec.state_view(w[None]), kernel.spec.transition_view(w[None])
         values = {
-            length: _viterbi(_loss_augmented_scores(kernel.spec, w[None], xs, onehot), trans)[1]
+            length: _viterbi(_loss_augmented_scores(state, xs, onehot), trans)[1]
             for length, (xs, _, onehot, _) in kernel.stacks.items()
         }
         # Any other order or summation changes the last bits.
