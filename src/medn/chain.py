@@ -23,13 +23,16 @@ objective and decoding) pass each instance through
 :func:`_check_instance`, which checks only its agreement with a
 :class:`FeatureSpec`: d input features and labels below m.
 
-Every number a public object takes is checked by one of two functions,
+Every number a public object takes is checked by one of three functions,
 whose error names its field first: :func:`_check_count` for a count, which
-returns it as an ``int``, and :func:`_check_real` for a real in one of the
-intervals of ``_INTERVALS``, which returns it as a ``float``.  A frozen
-config stores what they return, so a numpy scalar or a ``Fraction`` never
+returns it as an ``int``, :func:`_check_real` for a real in one of the
+intervals of ``_INTERVALS``, which returns it as a ``float``, and
+:func:`_check_reals` for an array of reals of a given shape, each in one
+of those intervals, which returns it as a float array.  A frozen config
+stores what they return, so a numpy scalar or a ``Fraction`` never
 reaches the arithmetic behind a check: a numpy product cannot wrap, and
-every stored count and real can be written as JSON.
+every stored count and real can be written as JSON.  Bools, strings and
+complex numbers are refused alike, as scalars and as array entries.
 """
 
 import functools
@@ -68,15 +71,16 @@ def _check_count(name: str, value, least: int, limit=_COUNT_LIMIT) -> int:
     return count
 
 
+_MAX = sys.float_info.max
 # Each interval that a real may be asked to lie in, by the words that name it
-# in an error.
+# in an error; each test holds for a float and entry by entry for an array.
 _INTERVALS = {
-    "positive and finite": lambda x: 0.0 < x <= sys.float_info.max,
-    "nonnegative and finite": lambda x: 0.0 <= x <= sys.float_info.max,
-    "finite": lambda x: -sys.float_info.max <= x <= sys.float_info.max,
+    "positive and finite": lambda x: (0.0 < x) & (x <= _MAX),
+    "nonnegative and finite": lambda x: (0.0 <= x) & (x <= _MAX),
+    "finite": lambda x: (-_MAX <= x) & (x <= _MAX),
     "positive": lambda x: 0.0 < x,
-    "in (0, 1)": lambda x: 0.0 < x < 1.0,
-    "in [0, 1]": lambda x: 0.0 <= x <= 1.0,
+    "in (0, 1)": lambda x: (0.0 < x) & (x < 1.0),
+    "in [0, 1]": lambda x: (0.0 <= x) & (x <= 1.0),
 }
 
 
@@ -93,6 +97,31 @@ def _check_real(name: str, value, within: str = "positive and finite") -> float:
         shown = f"{value:g}" if isinstance(value, float) else repr(value)
         raise ValueError(f"{name} must be {within}, got {shown}")
     return real
+
+
+def _check_reals(name: str, value, shape, within: str = "finite") -> np.ndarray:
+    """``value`` as a float array; ValueError unless numpy reads it as an
+    integer or float array (not bool, string, object or complex) of
+    ``shape`` whose every entry lies ``within`` an interval named in
+    ``_INTERVALS``.  A None ``shape`` admits any shape, and a None among its
+    entries any length along that axis."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # sequences of unequal lengths
+        raise ValueError(f"{name} must be an array of real numbers, got ragged sequences") from None
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be an array of real numbers, got dtype {array.dtype}")
+    if shape is not None and (
+        array.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, array.shape))
+    ):
+        raise ValueError(f"{name} must have shape {str(shape).replace('None', 'any')}, got {array.shape}")
+    array = np.asarray(array, dtype=float)
+    inside = _INTERVALS[within](array)
+    if not inside.all():
+        at = np.unravel_index(np.argmin(inside), array.shape)
+        shown = at[0] if len(at) == 1 else tuple(map(int, at))
+        raise ValueError(f"{name} must be {within}, got {array[at]:g} at index {shown}")
+    return array
 
 
 @dataclass(frozen=True)
@@ -139,7 +168,13 @@ class SequenceInstance:
     Checks itself when built: ``features`` becomes a nonempty, finite
     float (L, d) matrix and ``labels`` an int64 vector of L nonnegative
     indices; labels of any other dtype are rejected, since casting would
-    truncate 1.7 to 1 and parse '1' as 1.  Frozen, and its arrays are its
+    truncate 1.7 to 1 and parse '1' as 1.  Features given as an array must
+    hold integers or floats, as :func:`_check_reals` asks; features given
+    as a Python list are cast to float, so bools and numeric strings in it
+    still read as numbers (complex entries and ints past the float range
+    do not).  The cast, not numpy's dtype inference, because the dataset
+    reader builds one instance per line, and inference costs it about a
+    third more per line.  Frozen, and its arrays are its
     own and read-only, so a built instance stays checked.  Its agreement
     with a :class:`FeatureSpec` (d and m) is checked where it meets one, by
     :func:`_check_instance`.
@@ -149,7 +184,13 @@ class SequenceInstance:
     labels: np.ndarray
 
     def __post_init__(self):
-        features = np.asarray(self.features, dtype=float)
+        features = self.features
+        if isinstance(features, np.ndarray) and features.dtype.kind not in "iuf":
+            raise ValueError(f"features must be an array of real numbers, got dtype {features.dtype}")
+        try:
+            features = np.asarray(features, dtype=float)
+        except (TypeError, ValueError, OverflowError):  # a complex entry, a ragged list, an int past the floats
+            raise ValueError("features must be an (L, d) matrix of real numbers") from None
         labels = np.asarray(self.labels)
         if features.ndim != 2 or features.shape[0] < 1:
             raise ValueError("features must be a nonempty (L, d) matrix")
@@ -178,18 +219,6 @@ class SequenceInstance:
         return self.features.shape[0]
 
 
-def _check_weights(spec: FeatureSpec, weights, ndim: int) -> np.ndarray:
-    """``weights`` as a finite float array of ``ndim`` dimensions with K
-    entries along the last: a (K,) vector or (B, K) rows; ValueError otherwise."""
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim != ndim or weights.shape[-1] != spec.K:
-        want = f"{spec.K} weights" if ndim == 1 else f"rows of {spec.K} weights"
-        raise ValueError(f"expected {want}, got shape {weights.shape}")
-    if not np.all(np.isfinite(weights)):
-        raise ValueError("weights must be finite")
-    return weights
-
-
 def _check_instance(spec: FeatureSpec, inst) -> SequenceInstance:
     """``inst`` as a :class:`SequenceInstance` with d input features and
     labels below m; ValueError otherwise.
@@ -199,7 +228,11 @@ def _check_instance(spec: FeatureSpec, inst) -> SequenceInstance:
     ``SequenceInstance`` is already checked and is returned as it is.
     """
     if not isinstance(inst, SequenceInstance):
-        inst = SequenceInstance(inst.features, inst.labels)
+        try:
+            features, labels = inst.features, inst.labels
+        except AttributeError:
+            raise ValueError(f"an instance must have features and labels, got {type(inst).__name__}") from None
+        inst = SequenceInstance(features, labels)
     if inst.features.shape[1] != spec.d:
         raise ValueError(f"expected {spec.d} input features, got {inst.features.shape[1]}")
     if inst.labels.max() >= spec.m:
@@ -345,7 +378,7 @@ def decode_instances(spec: FeatureSpec, weights, instances) -> list:
     that instance under that row alone.  Scores past the float range raise
     ``ValueError`` naming the first such instance in input order.
     """
-    weights = _check_weights(spec, weights, 2)
+    weights = _check_reals("weights", weights, (None, spec.K))
     instances = [_check_instance(spec, inst) for inst in instances]
     by_length = {}
     for i, inst in enumerate(instances):

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import _check_count, _check_real
+from .chain import _check_count, _check_real, _check_reals
 from .models import _kl_excess, shrinkage_mean
 
 __all__ = [
@@ -49,7 +49,7 @@ def shrinkage_points(lam: float, etas) -> list[CurvePoint]:
     """Shrunken posterior means over an eta grid; the grid must stay strictly
     inside the (-sqrt(lam), sqrt(lam)) domain."""
     lam = _check_real("lam", lam)
-    etas = np.asarray(etas, dtype=float)
+    etas = _check_reals("etas", etas, (None,))
     with np.errstate(over="ignore"):  # a square past the float range is past any lam
         if np.any(etas * etas >= lam):
             raise ValueError("eta grid touches the +-sqrt(lam) domain boundary")
@@ -58,7 +58,7 @@ def shrinkage_points(lam: float, etas) -> list[CurvePoint]:
 
 def identity_points(etas) -> list[CurvePoint]:
     """The Gaussian-prior curve: the posterior mean equals eta exactly."""
-    return [CurvePoint(float(e), float(e)) for e in np.asarray(etas, dtype=float)]
+    return [CurvePoint(float(e), float(e)) for e in _check_reals("etas", etas, (None,))]
 
 
 def norm_ball_level(lam: float) -> float:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import orjson
 
-from .chain import FeatureSpec, SequenceInstance, _check_instance, _check_weights
+from .chain import FeatureSpec, SequenceInstance, _check_instance, _check_reals
 
 __all__ = [
     "DATASET_FORMAT",
@@ -263,13 +263,9 @@ class ModelFile:
     def __post_init__(self):
         if self.kind not in _MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        self.weights = _check_weights(self.spec, self.weights, 1)
+        self.weights = _check_reals("weights", self.weights, (self.spec.K,))
         if self.var_diag is not None:
-            self.var_diag = np.asarray(self.var_diag, dtype=float)
-            if self.var_diag.shape != (self.spec.K,):
-                raise ValueError("var_diag length disagrees with spec")
-            if not np.all(np.isfinite(self.var_diag) & (self.var_diag > 0)):
-                raise ValueError("var_diag must be finite and positive")
+            self.var_diag = _check_reals("var_diag", self.var_diag, (self.spec.K,), "positive and finite")
         if not isinstance(self.hyper, dict):
             raise ValueError("hyper must be a JSON object")
 
@@ -297,12 +293,11 @@ def read_model_file(path) -> ModelFile:
         payload = _json_object(content)
         if _json_int(payload, "format") != MODEL_FORMAT:
             raise ValueError(f"unsupported model format {payload['format']}")
-        var = _json_numbers(payload.get("var_diag"), "var_diag")
         return ModelFile(
             kind=payload["kind"],
             spec=FeatureSpec(payload["d"], payload["m"]),
-            weights=np.asarray(_json_numbers(payload["weights"], "weights"), dtype=float),
-            var_diag=None if var is None else np.asarray(var, dtype=float),
+            weights=_json_numbers(payload["weights"], "weights"),
+            var_diag=_json_numbers(payload.get("var_diag"), "var_diag"),
             hyper=payload.get("hyper", {}),
         )
     except _PARSE_ERRORS as exc:

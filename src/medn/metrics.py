@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import FeatureSpec, _check_real, decode_instances
+from .chain import FeatureSpec, _check_real, _check_reals, decode_instances
 
 __all__ = ["MetricsReport", "evaluate_weight_rows", "mean_std"]
 
@@ -54,7 +54,7 @@ def evaluate_weight_rows(spec: FeatureSpec, weights, instances) -> list:
 
 def mean_std(values) -> tuple[float, float]:
     """Population mean and standard deviation (ddof = 0) of a value list."""
-    arr = np.asarray(values, dtype=float)
+    arr = _check_reals("values", values, (None,))
     if arr.size == 0:
         raise ValueError("cannot aggregate an empty list")
     return float(arr.mean()), float(arr.std())

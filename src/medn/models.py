@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import FeatureSpec, _check_count, _check_real
+from .chain import FeatureSpec, _check_count, _check_real, _check_reals
 from .optimize import SubgradConfig, _KernelData, _lockstep
 
 __all__ = [
@@ -173,9 +173,7 @@ def kl_norm(mu, lam: float) -> float:
     r - (log s + log(r + 1/s) - log 2) / s.
     """
     lam = _check_real("lam", lam)
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    if not np.all(np.isfinite(mu)):
-        raise ValueError("mu must be finite")
+    mu = _check_reals("mu", mu, None)
     s = math.sqrt(lam)
     r = np.hypot(mu, 1.0 / s)
     return float(np.sum(r - (math.log(s) + np.log(r + 1.0 / s) - math.log(2.0)) / s))
@@ -189,7 +187,6 @@ def _kl_excess(mu, lam: float) -> float:
     and log((root + 1) / 2) = log1p(lam mu**2 / (root + 1) / 2).  Subtracting
     the two sides instead loses every digit once 1/sqrt(lam) dwarfs them.
     """
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
     root = np.sqrt(lam * mu**2 + 1.0)
     inv_sqrt = 1.0 / math.sqrt(lam)
     radial = mu**2 / (np.sqrt(mu**2 + 1.0 / lam) + inv_sqrt)

@@ -53,7 +53,7 @@ from .chain import (
     _check_count,
     _check_instance,
     _check_real,
-    _check_weights,
+    _check_reals,
     _loss_augmented_scores,
     _ramp,
     _viterbi,
@@ -97,20 +97,6 @@ class SubgradConfig:
         object.__setattr__(self, "seed", _check_count("seed", self.seed, 0, None))
         if self.radius is not None:
             object.__setattr__(self, "radius", _check_real("radius", self.radius))
-
-
-def _check_inv_diag(spec: FeatureSpec, inv_diag) -> np.ndarray:
-    """``inv_diag`` as a (K,) float array, every entry positive and finite;
-    ValueError otherwise."""
-    inv_diag = np.asarray(inv_diag, dtype=float)
-    if inv_diag.shape != (spec.K,):
-        raise ValueError(
-            f"regularizer dimension disagrees with spec: need inv_diag of shape ({spec.K},), "
-            f"got {inv_diag.shape}"
-        )
-    if not np.all(np.isfinite(inv_diag)) or np.any(inv_diag <= 0):
-        raise ValueError("inv_diag entries must be positive and finite")
-    return inv_diag
 
 
 class _KernelData:
@@ -452,11 +438,7 @@ def l1_ball_project(v: np.ndarray, radius: float) -> np.ndarray:
     toward zero by the threshold that makes the result land on the ball
     boundary.  ``radius`` must be positive and may be infinite.
     """
-    v = np.array(v, dtype=float)
-    if v.ndim != 1:
-        raise ValueError("input must be a vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("input must be finite")
+    v = _check_reals("v", v, (None,)).copy()
     radius = _check_real("radius", radius, "positive")
     with np.errstate(over="ignore"):  # an L1 norm past the float range is past the radius
         _project_rows(v[None], np.array([radius]))
@@ -475,9 +457,10 @@ def structured_hinge_objective(
     evaluated by :func:`_objective`.  Empty ``data`` gives the penalty term
     alone.
     """
-    w = _check_weights(spec, weights, 1)
+    w = _check_reals("weights", weights, (spec.K,))
     C = _check_real("C", C, "nonnegative and finite")
-    inv_diag = None if inv_diag is None else _check_inv_diag(spec, inv_diag)
+    if inv_diag is not None:
+        inv_diag = _check_reals("inv_diag", inv_diag, (spec.K,), "positive and finite")
     return _objective(_KernelData(data, spec) if data else None, w, C, inv_diag)
 
 

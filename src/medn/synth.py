@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _COUNT_LIMIT, FeatureSpec, SequenceInstance, _check_count, _check_real, _check_weights
+from .chain import _COUNT_LIMIT, FeatureSpec, SequenceInstance, _check_count, _check_real, _check_reals
 
 __all__ = [
     "GeneratorConfig",
@@ -110,7 +110,7 @@ class TrueCrf:
     relevant: np.ndarray
 
     def __post_init__(self):
-        self.weights = _check_weights(self.spec, self.weights, 1)
+        self.weights = _check_reals("weights", self.weights, (self.spec.K,))
 
 
 @dataclass
@@ -188,9 +188,9 @@ def gibbs_chains(crf: TrueCrf, xs, seeds, burn_in: int, n_record: int):
     blocks of ``_SWEEP_BLOCK`` sweeps (a block ``random((k, L))`` yields the
     same values as ``k * L`` single draws), so a chain run with others draws
     what it draws alone.  Checked once, on the stacked inputs: at least one
-    chain, one seed per input, finite nonempty inputs of one shared L with
-    ``crf.spec.d`` features, and integer sweep counts ``>= 0`` that add up
-    to at least one sweep.  Finite inputs whose scores could pass the float
+    chain, finite nonempty real inputs of one shared L with ``crf.spec.d``
+    features, one seed per input, and integer sweep counts ``>= 0`` that
+    add up to at least one sweep.  Finite inputs whose scores could pass the float
     range raise ``ValueError`` naming the first such chain, before any
     draw.  Rounded addition is monotone, so a site's logits, whatever its
     neighbors' labels, lie between those that add each label's smallest
@@ -217,23 +217,20 @@ def gibbs_chains(crf: TrueCrf, xs, seeds, burn_in: int, n_record: int):
     cumulative boundary, changing generated datasets.
     """
     spec = crf.spec
-    if not len(xs):
+    try:
+        xs = np.asarray(xs)
+    except ValueError:
+        raise ValueError("xs must be (L, d) matrices of one shared length") from None
+    if xs.shape[:1] == (0,):
         raise ValueError("need at least one chain")
+    xs = _check_reals("xs", xs, (None, None, spec.d))
+    if not xs.shape[1]:
+        raise ValueError("each input must be a nonempty (L, d) matrix")
     if len(seeds) != len(xs):
         raise ValueError(f"need one seed per input: {len(xs)} inputs, {len(seeds)} seeds")
     rngs = [seed if isinstance(seed, np.random.Generator)
             else np.random.default_rng(_check_count("seed (if not a numpy Generator)", seed, 0, None))
             for seed in seeds]
-    try:
-        xs = np.asarray(xs, dtype=float)
-    except ValueError:
-        raise ValueError("inputs must be numeric (L, d) matrices of one shared length") from None
-    if xs.ndim != 3 or not xs.shape[1]:
-        raise ValueError("each input must be a nonempty (L, d) matrix")
-    if xs.shape[2] != spec.d:
-        raise ValueError(f"expected {spec.d} input features, got {xs.shape[2]}")
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("features must be finite")
     total = _check_count("burn_in", burn_in, 0, None) + _check_count("n_record", n_record, 0, None)
     if not total:
         raise ValueError("need at least one sweep: burn_in + n_record is 0")

@@ -12,6 +12,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,16 +25,21 @@ from medn import (
     GeneratorConfig,
     LaplaceConfig,
     MetricsReport,
+    SequenceInstance,
     SubgradConfig,
     TrueCrf,
     cli,
+    decode_instances,
+    evaluate_weight_rows,
     gibbs_chains,
     kl_norm,
     l1_ball_project,
+    mean_std,
     shrinkage_mean,
     structured_hinge_objective,
 )
 from medn.curves import (
+    identity_points,
     l1_unit_ball,
     l2_unit_ball,
     norm_ball_boundary,
@@ -41,6 +47,7 @@ from medn.curves import (
     shrinkage_eta_grid,
     shrinkage_points,
 )
+from medn.dataio import ModelFile
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -296,11 +303,11 @@ _GOOD_NUMBERS = [
 
 def _same_result(got, want) -> bool:
     """Equal values of exactly the same types, element by element; arrays of
-    the same dtype and contents."""
+    the same dtype, shape and bytes."""
     if type(got) is not type(want):
         return False
     if isinstance(got, np.ndarray):
-        return got.dtype == want.dtype and np.array_equal(got, want)
+        return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
     if isinstance(got, (tuple, list)):
         return len(got) == len(want) and all(map(_same_result, got, want))
     return got == want
@@ -328,3 +335,107 @@ def test_shrinkage_mean_of_a_numpy_eta_is_the_python_floats(kind):
     rounds the mean."""
     mean = shrinkage_mean(kind(0.5), 4.0)
     assert type(mean) is float and mean == shrinkage_mean(0.5, 4.0) == 0.26666666666666666
+
+
+_SPEC = FeatureSpec(2, 2)  # K = 8
+_DATA = [SequenceInstance([[1.0, -1.0], [0.5, 2.0], [-2.0, 0.25]], [0, 1, 1])]
+_W = np.linspace(-1.0, 1.0, _SPEC.K)
+
+
+def _model(**fields):
+    return ModelFile(**{"kind": "lapmedn", "spec": _SPEC, "weights": _W, "var_diag": np.ones(_SPEC.K),
+                        "hyper": {}, **fields})
+
+
+# Each real array a public object takes: its owner, its name, a call that
+# passes it and returns what the array decides, the interval its entries
+# must lie in, as chain._INTERVALS names it, and its shape, None along an
+# axis of any length (a None shape: any shape).
+_ARRAYS = [
+    ("SequenceInstance", "features", lambda v: SequenceInstance(v, [0, 1, 1]).features, "finite",
+     (3, None)),
+    ("decode_instances", "weights", lambda v: decode_instances(_SPEC, v, _DATA), "finite", (None, 8)),
+    ("evaluate_weight_rows", "weights", lambda v: evaluate_weight_rows(_SPEC, v, _DATA), "finite",
+     (None, 8)),
+    ("structured_hinge_objective", "weights",
+     lambda v: structured_hinge_objective(_DATA, _SPEC, v, 1.0, np.ones(8)), "finite", (8,)),
+    ("structured_hinge_objective", "inv_diag",
+     lambda v: structured_hinge_objective(_DATA, _SPEC, _W, 1.0, v), "positive and finite", (8,)),
+    ("TrueCrf", "weights", lambda v: TrueCrf(_SPEC, v, np.arange(0)).weights, "finite", (8,)),
+    ("ModelFile", "weights", lambda v: _model(weights=v).weights, "finite", (8,)),
+    ("ModelFile", "var_diag", lambda v: _model(var_diag=v).var_diag, "positive and finite", (8,)),
+    ("l1_ball_project", "v", lambda v: l1_ball_project(v, 2.0), "finite", (None,)),
+    ("kl_norm", "mu", lambda v: kl_norm(v, 4.0), "finite", None),
+    ("gibbs_chains", "xs", lambda v: gibbs_chains(TrueCrf(_SPEC, _W, np.arange(0)), v, [0, 1, 2], 2, 1),
+     "finite", (3, None, 2)),
+    ("shrinkage_points", "etas", lambda v: shrinkage_points(100.0, v), "finite", (None,)),
+    ("identity_points", "etas", identity_points, "finite", (None,)),
+    ("mean_std", "values", mean_std, "finite", (None,)),
+]
+
+
+def _good_array(shape):
+    """Small positive integers, exact in every integer and float type, in
+    ``shape`` with 3 along each axis of any length."""
+    concrete = (3,) if shape is None else tuple(3 if n is None else n for n in shape)
+    return (np.arange(np.prod(concrete)) % 3 + 1).reshape(concrete)
+
+
+def _bad_arrays(shape, within):
+    """Labelled values that no real array of ``shape`` within ``within`` may
+    take: a wrong dtype, an int past the float range, a wrong shape, or a
+    good array with one entry past the interval."""
+    good = _good_array(shape)
+    yield "bool", good.astype(bool)
+    yield "str", good.astype(str)
+    yield "complex", good + 1j
+    yield "10**400", np.full(good.shape, 10**400, dtype=object).tolist()
+    if shape is not None:
+        yield "0-d", np.float64(1.0)
+        yield "extra-axis", good[..., None]
+        if shape[-1] is not None:
+            yield "long", np.ones(good.shape[:-1] + (shape[-1] + 1,))
+    past = (np.nan, np.inf, -np.inf) + ((0.0, -1.0) if within.startswith("positive") else ())
+    for value in past:
+        bad = good.astype(float)
+        bad.flat[1] = value
+        yield repr(value), bad
+
+
+_BAD_ARRAYS = [
+    pytest.param(name, call, value, id=f"{owner}-{name}-{label}")
+    for owner, name, call, within, shape in _ARRAYS
+    for label, value in _bad_arrays(shape, within)
+]
+
+
+@pytest.mark.parametrize("name, call, value", _BAD_ARRAYS)
+def test_a_bad_real_array_is_one_error_naming_it(name, call, value):
+    """A bool, string, complex or object array, a wrong shape or an entry
+    out of its interval is one ValueError whose one line starts with the
+    field's name, with no warning before it: never a TypeError, an
+    OverflowError, a ComplexWarning or a value taken as a number."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            call(value)
+    message = str(info.value)
+    assert message.startswith(f"{name} ") and "\n" not in message
+
+
+_GOOD_ARRAYS = [
+    pytest.param(call, shape, kind, id=f"{owner}-{name}-{np.dtype(kind).name}")
+    for owner, name, call, _, shape in _ARRAYS
+    for kind in (np.int64, np.float16, np.float32)
+]
+
+
+@pytest.mark.parametrize("call, shape, kind", _GOOD_ARRAYS)
+def test_an_integer_or_narrow_float_array_gives_the_float64_result(call, shape, kind):
+    """An int64, float16 or float32 array is read as the float64 array of
+    the same values: the call returns exactly what it returns for that
+    array, to the bit, with no warning."""
+    good = _good_array(shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _same_result(call(good.astype(kind)), call(good.astype(np.float64)))

@@ -304,6 +304,54 @@ class TestDecode:
         with pytest.raises(ValueError, match="^features must be finite$"):
             run()
 
+    @pytest.mark.parametrize(
+        "features",
+        [[[1 + 2j, 0.0]], [[10**400, 0.0]], [[1.0], [1.0, 0.0]], np.array([[1 + 0j, 0.0]]),
+         np.array([[True, False]]), np.array([["1", "0"]])],
+        ids=["complex-list", "huge-int-list", "ragged-list", "complex-array", "bool-array", "str-array"],
+    )
+    def test_non_real_features_raise(self, features):
+        """Features that are not reals are one ValueError naming them, with
+        no warning, where an instance is built and where a duck-typed one
+        enters: a complex entry or an int past the float range in a list
+        (once a TypeError and an OverflowError), a ragged list, and an array
+        of complex numbers, bools or strings."""
+        spec = FeatureSpec(d=2, m=2)
+        labels = np.zeros(len(features), dtype=np.int64)
+        duck = SimpleNamespace(features=features, labels=labels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^features must be "):
+                SequenceInstance(features, labels)
+            with pytest.raises(ValueError, match="^features must be "):
+                decode_instances(spec, np.zeros((1, spec.K)), [duck])
+
+    def test_bools_and_numeric_strings_in_a_list_read_as_numbers(self):
+        """A list of features is cast to float, since numpy's dtype inference
+        would cost the dataset reader more per line, so its bools and numeric
+        strings read as numbers; the reader refuses them before it builds an
+        instance."""
+        inst = SequenceInstance([[True, "0.5"]], [0])
+        np.testing.assert_array_equal(inst.features, [[1.0, 0.5]])
+
+    @pytest.mark.parametrize("entry", ["train", "objective", "decode", "evaluate"])
+    @pytest.mark.parametrize(
+        "inst", [np.zeros((2, 3)), (np.zeros((2, 3)), [0, 1])], ids=["array", "tuple"]
+    )
+    def test_an_instance_without_features_or_labels_raises(self, entry, inst):
+        """An object without ``features`` or ``labels`` is one ValueError
+        that says so, not an AttributeError, at every entry point."""
+        spec = FeatureSpec(d=3, m=2)
+        run = {
+            "train": lambda: train_laplace_grid([inst], spec, [SubgradConfig(1.0, 1, 1.0)]),
+            "objective": lambda: structured_hinge_objective([inst], spec, np.zeros(spec.K), 1.0),
+            "decode": lambda: decode_instances(spec, np.zeros((1, spec.K)), [inst]),
+            "evaluate": lambda: evaluate_weight_rows(spec, np.zeros((1, spec.K)), [inst]),
+        }[entry]
+        name = type(inst).__name__
+        with pytest.raises(ValueError, match=f"^an instance must have features and labels, got {name}$"):
+            run()
+
     def test_duck_typed_instances_decode_and_evaluate_alike(self):
         """Any object with ``features`` and ``labels``, here nested lists,
         decodes and evaluates as the SequenceInstance built from it."""

@@ -470,7 +470,7 @@ class TestStructuredHingeObjective:
     def test_bad_weights_raise(self):
         spec, data, w, _ = self._problem()
         for bad in (w[:-1], w[None], np.append(w, 0.0)):
-            with pytest.raises(ValueError, match=f"expected {spec.K} weights"):
+            with pytest.raises(ValueError, match=rf"^weights must have shape \({spec.K},\), got "):
                 structured_hinge_objective(data, spec, bad, 1.0)
         for value in (np.nan, np.inf):
             bad = w.copy()
@@ -483,13 +483,13 @@ class TestStructuredHingeObjective:
         used to broadcast, and a negative one gave a negative objective."""
         spec, data, w, inv = self._problem()
         for bad in (np.full(1, 2.0), inv[None], inv[:-1], np.float64(2.0)):
-            with pytest.raises(ValueError, match=rf"need inv_diag of shape \({spec.K},\)"):
+            with pytest.raises(ValueError, match=rf"^inv_diag must have shape \({spec.K},\), got "):
                 structured_hinge_objective(data, spec, w, 1.0, inv_diag=bad)
         for value in (-1.0, 0.0, np.nan, np.inf):
             one_bad = inv.copy()
             one_bad[3] = value
             for bad in (one_bad, np.full(spec.K, value)):
-                with pytest.raises(ValueError, match="inv_diag entries must be positive"):
+                with pytest.raises(ValueError, match="^inv_diag must be positive and finite, got "):
                     structured_hinge_objective(data, spec, w, 1.0, inv_diag=bad)
 
     def test_bad_hinge_weight_raises(self):
