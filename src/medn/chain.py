@@ -11,10 +11,10 @@ row may bring its own same-length input, or all rows share one.  They
 skip input checks, so the entry points validate their data once and
 then call them on every update.  :func:`decode_instances` decodes a whole
 dataset that way: one check of the weights, one DP call per length.  What
-a shape alone fixes is not rebuilt per call: the DP's candidate offsets
-and row starts for each (B, m), the feature map's label column for each m
-and the projection's ranks 1..K are read-only index ramps from one memo,
-:func:`_ramp`, which keeps the last 8.
+a shape alone fixes is not rebuilt per call: the DP's row index, candidate
+offsets and row starts for each (B, m), the feature map's label column for
+each m and the projection's ranks 1..K are read-only index ramps from one
+memo, :func:`_ramp`, which keeps the last 8.
 
 An instance is checked in one place: a :class:`SequenceInstance` checks
 its own shape, dtype and values when it is built, and is frozen, so it
@@ -104,13 +104,20 @@ def _check_reals(name: str, value, shape, within: str = "finite") -> np.ndarray:
     integer or float array (not bool, string, object or complex) of
     ``shape`` whose every entry lies ``within`` an interval named in
     ``_INTERVALS``.  A None ``shape`` admits any shape, and a None among its
-    entries any length along that axis."""
+    entries any length along that axis.  A bool nested in Python lists or
+    tuples of numbers is refused too, with its index, though numpy reads it
+    as a number."""
     try:
         array = np.asarray(value)
     except ValueError:  # sequences of unequal lengths
         raise ValueError(f"{name} must be an array of real numbers, got ragged sequences") from None
     if array.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be an array of real numbers, got dtype {array.dtype}")
+    # numpy reads a bool among numbers as a number; an array's dtype already
+    # says whether it holds bools, so only Python sequences are walked.
+    at = _first_bool(value) if isinstance(value, (list, tuple)) else None
+    if at is not None:
+        raise ValueError(f"{name} must be an array of real numbers, got a bool at index {_shown(at)}")
     if shape is not None and (
         array.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, array.shape))
     ):
@@ -119,9 +126,28 @@ def _check_reals(name: str, value, shape, within: str = "finite") -> np.ndarray:
     inside = _INTERVALS[within](array)
     if not inside.all():
         at = np.unravel_index(np.argmin(inside), array.shape)
-        shown = at[0] if len(at) == 1 else tuple(map(int, at))
-        raise ValueError(f"{name} must be {within}, got {array[at]:g} at index {shown}")
+        raise ValueError(f"{name} must be {within}, got {array[at]:g} at index {_shown(at)}")
     return array
+
+
+def _first_bool(value, at=()):
+    """Index of the first bool in ``value``'s nested lists and tuples, or of
+    the first entry of a nonempty bool array among them; None if none."""
+    for i, entry in enumerate(value):
+        if isinstance(entry, (list, tuple)):
+            found = _first_bool(entry, at + (i,))
+            if found is not None:
+                return found
+        elif isinstance(entry, (bool, np.bool_)):
+            return at + (i,)
+        elif isinstance(entry, np.ndarray) and entry.dtype.kind == "b" and entry.size:
+            return at + (i,) + (0,) * entry.ndim
+    return None
+
+
+def _shown(at) -> int | tuple:
+    """An index as an error shows it: an int along one axis, else a tuple of ints."""
+    return int(at[0]) if len(at) == 1 else tuple(map(int, at))
 
 
 @dataclass(frozen=True)
@@ -241,16 +267,18 @@ def _check_instance(spec: FeatureSpec, inst) -> SequenceInstance:
 
 
 @functools.lru_cache(maxsize=8)
-def _ramp(shape: tuple, step: int = 1, start: int = 0) -> np.ndarray:
-    """``np.arange(start, ..., step)`` in ``shape``, read-only and memoized.
+def _ramp(shape: tuple, step: int = 1, start: int = 0, repeat: int = 1) -> np.ndarray:
+    """``np.arange(start, ..., step)`` in ``shape``, each entry ``repeat``
+    times in a row, read-only and memoized.
 
-    Holds the index ramps that a shape alone fixes: the DP's candidate
-    offsets and row starts for (B, m), the feature map's label column for
-    m and the projection's ranks for K.  The last 8 are kept; each entry
-    is one ramp of B * m, m or K integers.  Read-only, since every caller
-    shares it.
+    Holds the index ramps that a shape alone fixes: the DP's row index,
+    candidate offsets and row starts for (B, m), the feature map's label
+    column for m and the projection's ranks for K.  The last 8 are kept;
+    each entry is one ramp of B * m, m or K integers.  Read-only, since
+    every caller shares it.
     """
-    ramp = np.arange(start, start + step * math.prod(shape), step).reshape(shape)
+    ramp = np.arange(start, start + step * (math.prod(shape) // repeat), step)
+    ramp = ramp.repeat(repeat).reshape(shape)
     ramp.flags.writeable = False
     return ramp
 
@@ -258,12 +286,13 @@ def _ramp(shape: tuple, step: int = 1, start: int = 0) -> np.ndarray:
 def feature_vectors(spec: FeatureSpec, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """(B, K) feature vectors of the B labelings ``ys`` (B, L).
 
-    ``xs`` holds each row's input as a (B, L, d) array, or one (L, d) input
-    shared by every row, in any memory layout.  Unchecked: inputs must be
-    finite floats and ``ys`` hold labels in [0, m).  Each state feature
-    (k, c) sums ``x[y == c, k]`` in position order, for every d and every
-    memory layout, so rows never depend on which other rows share the call;
-    transition feature (c, c') counts the adjacent label pairs (c, c').
+    ``xs`` holds each row's input as a (B, L, d) array, or one input shared
+    by every row, as an (L, d) or a (1, L, d) array, in any memory layout.
+    Unchecked: inputs must be finite floats and ``ys`` hold labels in
+    [0, m).  Each state feature (k, c) sums ``x[y == c, k]`` in position
+    order, for every d and every memory layout, so rows never depend on
+    which other rows share the call; transition feature (c, c') counts the
+    adjacent label pairs (c, c').
     """
     batch, length = ys.shape
     m, d = spec.m, spec.d
@@ -291,32 +320,41 @@ def _viterbi(node: np.ndarray, trans: np.ndarray):
     are resolved toward the lowest label index at the final argmax and at
     every backpointer, so the result is deterministic.
 
-    Each position's candidates lie in one (B, current, previous) buffer,
-    the transitions transposed once per call, so the argmax runs along the
-    contiguous last axis and writes position l's (B, m) slice of the
-    position-major (L, B, m) backpointers in place.  The forward maxima,
-    the final value and every backpointer step are read with one flat
-    ``take`` each.  Each maximum is the candidate taken at its argmax, so
-    it keeps that candidate's bits, sign of zero included.
+    Each position's candidates lie in one (B, current, previous) buffer per
+    call: the forward values' rows gathered into it once per current label
+    (a row gather, not a broadcast), then the transitions, transposed once
+    per call, added in place.  Each candidate is still the one add
+    ``v[b, p] + trans[b, p, c]``, and at B = 1 the add meets an operand of
+    its own shape, which numpy runs faster than a broadcast.  The argmax
+    runs along the contiguous last axis and writes position l's (B, m)
+    slice of the position-major (L, B, m) backpointers in place.  The
+    forward maxima, the final value and every backpointer step are read
+    with one flat ``take`` each.  Each maximum is the candidate taken at
+    its argmax, so it keeps that candidate's bits, sign of zero included.
     """
     batch, length, m = node.shape
     trans_t = np.ascontiguousarray(trans.transpose(0, 2, 1))  # (batch or 1, current, previous)
     cand = np.empty((batch, m, m))
+    # rows[b, c] = b, so taking v's rows by it lays v[b, p] at cand[b, c, p].
+    rows = _ramp((batch, m), repeat=m)
     # Flat index of cand[b, c, 0], so adding a previous label p reads cand[b, c, p].
     offsets = _ramp((batch, m), m)
     back = np.empty((length, batch, m), dtype=np.intp)
     v = node[:, 0]
     for l in range(1, length):
-        np.add(v[:, None, :], trans_t, out=cand)
+        # Under "clip" take writes straight into cand, where "raise" would
+        # buffer it; every index is in range, so nothing is clipped.
+        v.take(rows, axis=0, out=cand, mode="clip")
+        cand += trans_t
         best = cand.argmax(axis=2, out=back[l])  # first maximum = lowest index
         v = cand.take(best + offsets)
         v += node[:, l]
     labels = np.empty((batch, length), dtype=np.int64)
-    rows = _ramp((batch,), m)  # flat index of row b's label 0 in a (B, m) array
+    starts = _ramp((batch,), m)  # flat index of row b's label 0 in a (B, m) array
     label = labels[:, -1] = v.argmax(axis=1)
-    value = v.take(rows + label)
+    value = v.take(starts + label)
     for l in range(length - 1, 0, -1):
-        label = labels[:, l - 1] = back[l].take(rows + label)
+        label = labels[:, l - 1] = back[l].take(starts + label)
     return labels, value
 
 

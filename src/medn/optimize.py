@@ -18,15 +18,16 @@ The kernel trusts its arguments: ``train_laplace_grid`` checks the configs
 and training sets at the public edge.  A preparation of the data,
 :class:`_KernelData`, holds whatever the weights do not change: each
 instance checked once, the instances stacked by length with their gold
-feature vectors and gold one-hots, and each seed's instance order.
-lapmedn's rounds share one preparation, and the objective evaluator,
-:func:`_objective`, decodes and scores the data from the same one, so
-``train`` prepares its data once for training and objective alike.  A
-kernel call keeps its rows in config order and gives each bucket of rows
-decoded together its ``2 * beta``, hinge weights, preconditioner (none
-unless the call has an ``inv_diag``), L1 balls and shrink sizes, and a
-bucket of every row (each one of a B = 1 call) the state and transition
-views of the weights, made once per call; a shrinking row's ball is
+feature vectors and gold one-hots, each instance as one-row views of its
+stacks, and each seed's instance order.  lapmedn's rounds share one
+preparation, and the objective evaluator, :func:`_objective`, decodes and
+scores the data from the same one, so ``train`` prepares its data once
+for training and objective alike.  A kernel call keeps its rows in config
+order and gives each bucket of rows decoded together its ``2 * beta``,
+hinge weights, preconditioner (none unless the call has an
+``inv_diag``), L1 balls and shrink sizes, and a bucket of every row (each
+one of a B = 1 call) the state and transition views of the weights, made
+once per call; a shrinking row's ball is
 infinite, so the projection never moves it, and a projecting row's
 shrink size is infinite, so its shrink factor is exactly 1.0.  An update
 then does only what depends on the weights: the loss-augmented DP, one
@@ -38,9 +39,11 @@ when every row of the bucket is hit), the in-place projection onto each
 row's ball, which gathers the rows outside theirs once and writes only
 those, and a divergence test that clears the bucket with one dot product
 and forms the rows' squares only within a millionth of the limit or past
-it.  The index ramps a shape fixes (the DP's offsets, the feature map's
-label column, the projection's ranks) come from :func:`medn.chain._ramp`'s
-memo.
+it.  An instance's arrays are one-row slices, so at B = 1 the
+loss-augmented scores, the hit test and ``gold - f`` meet operands of one
+shape, which numpy runs faster than a broadcast.  The index ramps a shape
+fixes (the DP's row index and offsets, the feature map's label column, the
+projection's ranks) come from :func:`medn.chain._ramp`'s memo.
 """
 
 import math
@@ -111,8 +114,10 @@ class _KernelData:
     data order, whose gold feature vector is not finite.  ``stacks[L]``
     holds the inputs, labels, float gold one-hots (L, m) and gold feature
     vectors of the instances of length L, and ``slot[i]`` is instance i's
-    place there; ``instances[i]`` is that slice of each stack.  Each (seed,
-    training set) draws its instance order once.
+    place there; ``instances[i]`` is that one-row slice of each stack,
+    ``a[at : at + 1]``, a (1, ...) view and not a copy, so an update on one
+    instance meets (1, ...) operands.  Each (seed, training set) draws its
+    instance order once.
     """
 
     def __init__(self, data, spec: FeatureSpec):
@@ -138,8 +143,9 @@ class _KernelData:
             self.stacks[length] = (xs, ys, onehot, gold)
         if not finite.all():
             raise ValueError(f"instance {np.argmin(finite)}: its features sum past the float range")
+        # One-row views, so a B = 1 update meets operands of its own shape.
         self.instances = [
-            tuple(a[at] for a in self.stacks[length])
+            tuple(a[at : at + 1] for a in self.stacks[length])
             for length, at in zip(self.lengths, self.slot.tolist())
         ]
         self._orders = {}
@@ -308,9 +314,10 @@ class _Bucket:
     views: tuple | None = None  # (state, transition) views of w
 
     def step(self, w, spec, t, x, y, onehot, gold):
-        """One update of these rows of ``w`` at instance(s) ``x``, ``y`` with
-        gold one-hot ``onehot`` and gold features ``gold``; returns the
-        updated rows.
+        """One update of these rows of ``w`` at ``x``, ``y`` with gold
+        one-hot ``onehot`` and gold features ``gold``, which hold one
+        instance per row or one (1, ...) instance that every row shares;
+        returns the updated rows.
 
         The step is formed in the feature map's own output buffer:
         ``gold - f``, times the preconditioner when there is one, times
@@ -331,7 +338,7 @@ class _Bucket:
             block += _step_into(f, gold, self.scale, alpha * self.hinge_weights)
         elif hits:
             hit = np.flatnonzero(hit)
-            if x.ndim == 3:
+            if len(x) == len(block):  # one input per row, not one shared
                 x, gold = x[hit], gold[hit]
             f = feature_vectors(spec, x, y_star[hit])
             block[hit] += _step_into(f, gold,
@@ -483,5 +490,5 @@ def _objective(kernel: _KernelData | None, w: np.ndarray, C: float, inv_diag=Non
         }
         # Any other order or summation changes the last bits.
         for length, at, (_, _, _, gold) in zip(kernel.lengths, kernel.slot, kernel.instances):
-            hinge += float(values[length][at]) - float(np.dot(w, gold))
+            hinge += float(values[length][at]) - float(np.dot(w, gold[0]))
     return reg + C * hinge

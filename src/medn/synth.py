@@ -176,6 +176,21 @@ def _with_neighbors(node, trans, bound):
     return node + before + after
 
 
+def _unequal_shapes(xs) -> str:
+    """Which of the inputs ``xs`` keeps them from stacking into one array:
+    the first whose shape differs from the first input's, or that is ragged
+    itself."""
+    shapes = []
+    for i, x in enumerate(xs):
+        try:
+            shapes.append(np.shape(x))
+        except ValueError:
+            return f"got a ragged input at index {i}"
+        if shapes[i] != shapes[0]:
+            return f"got {shapes[0]} at index 0 and {shapes[i]} at index {i}"
+    return "got ragged sequences"
+
+
 def gibbs_chains(crf: TrueCrf, xs, seeds, burn_in: int, n_record: int):
     """Run one Gibbs chain per (L, d) input in ``xs``, all in lockstep.
 
@@ -187,15 +202,16 @@ def gibbs_chains(crf: TrueCrf, xs, seeds, burn_in: int, n_record: int):
     ``integers(0, m, L)``, then one uniform per site in scan order, drawn in
     blocks of ``_SWEEP_BLOCK`` sweeps (a block ``random((k, L))`` yields the
     same values as ``k * L`` single draws), so a chain run with others draws
-    what it draws alone.  Checked once, on the stacked inputs: at least one
-    chain, finite nonempty real inputs of one shared L with ``crf.spec.d``
-    features, one seed per input, and integer sweep counts ``>= 0`` that
-    add up to at least one sweep.  Finite inputs whose scores could pass the float
-    range raise ``ValueError`` naming the first such chain, before any
-    draw.  Rounded addition is monotone, so a site's logits, whatever its
-    neighbors' labels, lie between those that add each label's smallest
-    and largest transition scores; the check bounds those, and how far the
-    smallest falls below the site's largest.
+    what it draws alone.  Checked once: at least one chain, finite nonempty
+    real inputs (no bool among them) of one shared L with ``crf.spec.d``
+    features, whose first differing shape an error names, one seed per
+    input, and integer sweep counts ``>= 0`` that add up to at least one
+    sweep.  Finite inputs whose scores could pass the float range raise
+    ``ValueError`` naming the first such chain, before any draw.  Rounded
+    addition is monotone, so a site's logits, whatever its neighbors'
+    labels, lie between those that add each label's smallest and largest
+    transition scores; the check bounds those, and how far the smallest
+    falls below the site's largest.
 
     Scores are label-major, (L, m, n), so a site's max, exp and pick count
     over labels each take one numpy call across all n chains.  Its label
@@ -218,11 +234,13 @@ def gibbs_chains(crf: TrueCrf, xs, seeds, burn_in: int, n_record: int):
     """
     spec = crf.spec
     try:
-        xs = np.asarray(xs)
-    except ValueError:
-        raise ValueError("xs must be (L, d) matrices of one shared length") from None
-    if xs.shape[:1] == (0,):
+        stacked = np.asarray(xs)
+    except ValueError:  # inputs of different shapes
+        raise ValueError(f"xs must be (L, d) matrices of one shared shape, {_unequal_shapes(xs)}") from None
+    if stacked.shape[:1] == (0,):
         raise ValueError("need at least one chain")
+    # The inputs as given, not stacked: a bool among numbers in a list reads
+    # as a number once stacked.
     xs = _check_reals("xs", xs, (None, None, spec.d))
     if not xs.shape[1]:
         raise ValueError("each input must be a nonempty (L, d) matrix")

@@ -233,7 +233,9 @@ _COUNTS = [
     ("norm_ball_boundary", "n_angles", lambda v: norm_ball_boundary(4.0, v), 0, True),
 ]
 # Each real a public object takes: its name, a call that passes it, and
-# the interval it must lie in, as chain._INTERVALS names it.
+# the interval it must lie in, as chain._INTERVALS names it.  The last rows
+# pass it as an entry of a Python list or tuple of numbers where a real
+# array is taken, since numpy reads a bool there as a number.
 _REALS = [
     ("SubgradConfig", "beta", lambda v: _subgrad(beta=v), "positive and finite"),
     ("SubgradConfig", "C", lambda v: _subgrad(C=v), "nonnegative and finite"),
@@ -259,6 +261,13 @@ _REALS = [
     ("l1_ball_project", "radius", lambda v: l1_ball_project(np.ones(2), v), "positive"),
     ("MetricsReport", "per_label_err", lambda v: MetricsReport(v, 0.0, 1, 1), "in [0, 1]"),
     ("MetricsReport", "seq_err", lambda v: MetricsReport(0.0, v, 1, 1), "in [0, 1]"),
+    ("structured_hinge_objective", "weights",
+     lambda v: structured_hinge_objective(_DATA, _SPEC, [0.5] * 7 + [v], 1.0), "finite"),
+    ("ModelFile", "var_diag", lambda v: _model(var_diag=(1.0,) * 7 + (v,)).var_diag,
+     "positive and finite"),
+    ("kl_norm", "mu", lambda v: kl_norm([[0.5, 0.25], [v, 0.5]], 4.0), "finite"),
+    ("gibbs_chains", "xs", lambda v: gibbs_chains(TrueCrf(_SPEC, _W, np.arange(0)),
+                                                  [[[0.5, 1.0], (1.0, v)]], [0], 2, 1), "finite"),
 ]
 # Values past the ends of each interval; an infinite radius is valid.
 _PAST_ENDS = {
@@ -421,6 +430,27 @@ def test_a_bad_real_array_is_one_error_naming_it(name, call, value):
             call(value)
     message = str(info.value)
     assert message.startswith(f"{name} ") and "\n" not in message
+
+
+@pytest.mark.parametrize(
+    "name, call, value, index",
+    [
+        ("weights", lambda v: structured_hinge_objective(_DATA, _SPEC, v, 1.0), [0.5] * 7 + [True], "7"),
+        ("weights", lambda v: structured_hinge_objective(_DATA, _SPEC, v, 1.0), (1,) * 7 + (np.False_,), "7"),
+        ("v", lambda v: l1_ball_project(v, 2.0), [1, False, True], "1"),
+        ("mu", lambda v: kl_norm(v, 4.0), [[0.5, 1.0], (0.25, True)], r"\(1, 1\)"),
+        ("mu", lambda v: kl_norm(v, 4.0), [[0.5, 1.0], np.array([True, False])], r"\(1, 0\)"),
+        ("xs", lambda v: gibbs_chains(TrueCrf(_SPEC, _W, np.arange(0)), v, [0], 2, 1),
+         [[[0.5, 1.0], [1.0, 2.0], [True, 0.0]]], r"\(0, 2, 0\)"),
+    ],
+    ids=["list", "tuple-numpy-bool", "ints", "nested", "bool-array-in-list", "gibbs-xs"],
+)
+def test_a_bool_among_numbers_is_refused_at_its_index(name, call, value, index):
+    """numpy reads a list that mixes bools with numbers as numbers; the
+    check refuses it, as it refuses a bool array, naming the field and the
+    first bool's index."""
+    with pytest.raises(ValueError, match=f"^{name} must be an array of real numbers, got a bool at index {index}$"):
+        call(value)
 
 
 _GOOD_ARRAYS = [

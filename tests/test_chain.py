@@ -519,6 +519,24 @@ class TestBatchedViterbi:
         node, trans = self._planted_chain(rng, group, length, m, 1)
         self._assert_reference_bits(node, trans, np.repeat(trans, group, axis=0))
 
+    @pytest.mark.parametrize(
+        "batch, length, m, trans_rows",
+        [(1, 1, 2, 1), (5, 1, 26, 1), (1, 8, 2, 1), (1, 8, 26, 1), (3, 8, 26, 1), (49, 8, 26, 1)],
+    )
+    def test_candidates_gathered_by_row_at_the_edges(self, batch, length, m, trans_rows):
+        """Each position's candidates are a row gather of the forward values
+        plus the transitions: at L = 1, where no candidate is formed, at
+        B = 1, where the add meets an operand of its own shape, and with one
+        shared (1, m, m) block at B > 1 and m = 26.  With planted ties, both
+        zeros, NaN and infinities in the last row, labels and maxima equal
+        the reference DP's to the bit."""
+        rng = np.random.default_rng(batch * 1000 + length * 100 + m)
+        node, trans = self._planted_chain(rng, batch, length, m, trans_rows)
+        special = rng.random(node[-1].shape) < 0.2
+        node[-1][special] = rng.choice([np.nan, np.inf, -np.inf], np.count_nonzero(special))
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            self._assert_reference_bits(node, trans, np.repeat(trans, batch // trans_rows, axis=0))
+
     @pytest.mark.parametrize("batch, length, m", [(2, 8, 2), (7, 1, 3), (60, 8, 2), (250, 40, 4)])
     def test_strided_transitions_and_node(self, batch, length, m):
         """Transitions given as the transition view of every other row of a
@@ -742,8 +760,8 @@ class TestIndexRamps:
         any ramp it serves raises."""
         served, real = [], chain._ramp
 
-        def recording(*args):
-            served.append(real(*args))
+        def recording(*args, **kwargs):
+            served.append(real(*args, **kwargs))
             return served[-1]
 
         monkeypatch.setattr(chain, "_ramp", recording)
@@ -752,8 +770,8 @@ class TestIndexRamps:
         _viterbi(rng.standard_normal((2, 3, 2)), rng.standard_normal((2, 2, 2)))
         feature_vectors(FeatureSpec(d=2, m=3), rng.standard_normal((3, 2)), np.array([[0, 2, 1]]))
         l1_ball_project(10.0 * rng.standard_normal(5), 1.0)
-        # The DP's offsets and row starts, the label column, the ranks.
-        assert [ramp.shape for ramp in served] == [(2, 2), (2,), (3, 1), (5,)]
+        # The DP's row index, offsets and row starts, the label column, the ranks.
+        assert [ramp.shape for ramp in served] == [(2, 2), (2, 2), (2,), (3, 1), (5,)]
         for ramp in served:
             with pytest.raises(ValueError):
                 ramp[...] = 0

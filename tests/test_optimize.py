@@ -633,6 +633,59 @@ def test_identical_rows_name_the_first_diverging_row():
     assert str(repeated.value) == str(alone.value)
 
 
+@pytest.mark.parametrize("seeds", [(7, 7, 7, 7), (7, 7, 8, 8)], ids=["one-group", "two-groups"])
+def test_rows_that_partly_hit_map_the_right_inputs(monkeypatch, seeds):
+    """A bucket whose rows are only partly hit at one step maps the hit
+    rows' winners on their inputs: the one-row input that every row of one
+    seed and training set shares, as it is, or each row's own input,
+    gathered to the hit rows.  Both kinds of step occur, and every row is
+    bit-equal to its per-config loop."""
+    spec, data = _lockstep_problem(192, 3)
+    cfgs = [SubgradConfig(beta=beta, iterations=4, C=c, seed=seed)
+            for (beta, c), seed in zip(((1.0, 200.0), (0.5, 1.0), (10.0, 3.0), (2.0, 0.01)), seeds)]
+    kernel = optimize._KernelData(data, spec)
+    events, decode, fmap = [], optimize._viterbi, optimize.feature_vectors
+
+    def decoding(node, trans):
+        events.append(("decode", len(node)))
+        return decode(node, trans)
+
+    def mapping(spec, xs, ys):
+        events.append(("map", len(ys), len(xs)))
+        return fmap(spec, xs, ys)
+
+    monkeypatch.setattr(optimize, "_viterbi", decoding)
+    monkeypatch.setattr(optimize, "feature_vectors", mapping)
+    rows = optimize._lockstep(kernel, cfgs, [np.arange(len(data))] * len(cfgs))
+    for row, cfg in zip(rows, cfgs):
+        assert _same_bits(row, reference_subgradient_train(data, spec, np.ones(spec.K), cfg))
+    # (rows decoded, rows hit, input rows) of each step that hit only some rows.
+    partial = [(before[1], event[1], event[2]) for before, event in zip(events, events[1:])
+               if event[0] == "map" and event[1] < before[1]]
+    whole = len(cfgs)
+    if len(set(seeds)) == 1:  # every bucket shares one input
+        assert any(rows == whole and hits > inputs == 1 for rows, hits, inputs in partial)
+    else:  # a bucket of both groups has one input per row
+        assert any(rows == whole and hits == inputs > 1 for rows, hits, inputs in partial)
+
+
+def test_instances_are_one_row_views_of_their_stacks():
+    """Each prepared instance is a (1, ...) slice of its length's stacks,
+    not a copy, holding that instance's input, labels, gold one-hot and
+    gold features."""
+    spec, data = _lockstep_problem(200, 3)
+    kernel = optimize._KernelData(data, spec)
+    for inst, parts, length, at in zip(data, kernel.instances, kernel.lengths, kernel.slot):
+        for part, stack in zip(parts, kernel.stacks[length]):
+            assert part.shape == (1,) + stack.shape[1:]
+            assert np.shares_memory(part, stack)
+            assert np.array_equal(part[0], stack[at])
+        x, y, onehot, gold = parts
+        assert np.array_equal(x[0], inst.features) and np.array_equal(y[0], inst.labels)
+        assert np.array_equal(onehot[0], np.eye(spec.m)[inst.labels])
+        assert np.array_equal(gold[0], feature_vectors(spec, inst.features, inst.labels[None])[0])
+
+
 class TestLockstepValidation:
     def test_configs_must_share_the_instance_order(self):
         """Each row draws its own order from its seed, but every row runs
