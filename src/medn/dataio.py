@@ -296,8 +296,8 @@ def read_model_file(path) -> ModelFile:
         return ModelFile(
             kind=payload["kind"],
             spec=FeatureSpec(payload["d"], payload["m"]),
-            weights=_json_numbers(payload["weights"], "weights"),
-            var_diag=_json_numbers(payload.get("var_diag"), "var_diag"),
+            weights=payload["weights"],
+            var_diag=payload.get("var_diag"),
             hyper=payload.get("hyper", {}),
         )
     except _PARSE_ERRORS as exc:

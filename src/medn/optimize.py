@@ -27,9 +27,9 @@ order and gives each bucket of rows decoded together its ``2 * beta``,
 hinge weights, preconditioner (none unless the call has an
 ``inv_diag``), L1 balls and shrink sizes, and a bucket of every row (each
 one of a B = 1 call) the state and transition views of the weights, made
-once per call; a shrinking row's ball is
-infinite, so the projection never moves it, and a projecting row's
-shrink size is infinite, so its shrink factor is exactly 1.0.  An update
+once per call; a shrinking row's ball is infinite, so the projection
+never moves it, and a projecting row's shrink size is infinite, so its
+shrink factor is exactly 1.0.  An update
 then does only what depends on the weights: the loss-augmented DP, one
 in-place multiply that shrinks the whole bucket (skipped when no row
 shrinks), the hit test, one feature map of the hit rows' winners, the
@@ -143,7 +143,6 @@ class _KernelData:
             self.stacks[length] = (xs, ys, onehot, gold)
         if not finite.all():
             raise ValueError(f"instance {np.argmin(finite)}: its features sum past the float range")
-        # One-row views, so a B = 1 update meets operands of its own shape.
         self.instances = [
             tuple(a[at : at + 1] for a in self.stacks[length])
             for length, at in zip(self.lengths, self.slot.tolist())

@@ -462,6 +462,31 @@ class TestModelFiles:
         _mutate(path, edits)
         _assert_parses_or_fails_in_one_located_line(read_model_file, path)
 
+    @pytest.mark.parametrize(
+        "field, values, error",
+        [
+            ("weights", "[0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, true]",
+             "weights must be an array of real numbers, got a bool at index 7"),
+            ("weights", '[0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, "1"]',
+             "weights must be an array of real numbers, got dtype <U32"),
+            ("var_diag", "[1, 1, 1, 1, 1, 1, false, 1]",
+             "var_diag must be an array of real numbers, got a bool at index 6"),
+        ],
+    )
+    def test_a_bool_or_string_among_the_numbers_is_one_located_line(self, tmp_path, field, values, error):
+        """The model's own check refuses a JSON boolean or string among the
+        weights or variances, naming the field, in one line located at the
+        file's line 1."""
+        path = tmp_path / "model.json"
+        spec = FeatureSpec(2, 2)
+        write_model_file(path, ModelFile(kind="lapmedn", spec=spec, weights=np.ones(spec.K),
+                                         var_diag=np.ones(spec.K), hyper={}))
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps({**payload, field: "VALUES"}).replace('"VALUES"', values))
+        with pytest.raises(ValueError) as info:
+            read_model_file(path)
+        assert str(info.value) == f"{path}:1: {error}"
+
     def test_numpy_integer_dimensions_write_the_bytes_of_python_ints(self, tmp_path):
         """A spec built from numpy integers stores Python ints, so the model
         file is the one Python ints give, not json's ``TypeError``."""
