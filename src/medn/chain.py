@@ -10,7 +10,8 @@ weight vectors as a (B, K) array, or B labelings as a (B, L) array; each
 row may bring its own same-length input, or all rows share one.  They
 skip input checks, so the entry points validate their data once and
 then call them on every update.  :func:`decode_instances` decodes a whole
-dataset that way: one check of the weights, one DP call per length.  What
+dataset that way: one check of the weights, one DP call per length, each
+input's node scores written in place into one node array.  What
 a shape alone fixes is not rebuilt per call: the DP's row index, candidate
 offsets and row starts for each (B, m), the feature map's label column for
 each m and the projection's ranks 1..K are read-only index ramps from one
@@ -261,7 +262,7 @@ def _check_instance(spec: FeatureSpec, inst) -> SequenceInstance:
         inst = SequenceInstance(features, labels)
     if inst.features.shape[1] != spec.d:
         raise ValueError(f"expected {spec.d} input features, got {inst.features.shape[1]}")
-    if inst.labels.max() >= spec.m:
+    if np.maximum.reduce(inst.labels) >= spec.m:
         raise ValueError(f"label indices must lie in [0, {spec.m})")
     return inst
 
@@ -374,7 +375,7 @@ def _decode_rows(spec: FeatureSpec, weights: np.ndarray, xs):
     with np.errstate(over="ignore", invalid="ignore"):
         for g, x in enumerate(xs):
             # A strided operand can multiply to other last bits than a contiguous one.
-            node[:, g] = np.ascontiguousarray(x) @ state
+            np.matmul(np.ascontiguousarray(x), state, out=node[:, g])
         labels, value = _viterbi(node.reshape(batch * group, length, spec.m), trans)
     finite = np.isfinite(node).all(axis=(0, 2, 3))
     finite &= np.isfinite(value).reshape(batch, group).all(axis=0)
@@ -398,7 +399,8 @@ def decode_rows(spec: FeatureSpec, weights: np.ndarray, xs) -> np.ndarray:
     bit-equal to decoding that input under that row alone.  Unchecked:
     ``xs`` must be finite floats.  Finite inputs and weights whose node
     scores or Viterbi maxima pass the float range raise ``ValueError``
-    naming the first such input.
+    naming the first such input.  Each input's scores are written in place
+    into its (B, L, m) slice of the node array, by ``np.matmul``'s ``out``.
     """
     labels, finite = _decode_rows(spec, weights, xs)
     _check_scores(finite)

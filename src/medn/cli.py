@@ -67,7 +67,7 @@ from .curves import (
 )
 from .dataio import (ModelFile, _MODEL_KINDS, read_dataset, read_model_file, write_dataset,
                      write_model_file)
-from .metrics import evaluate_weight_rows, mean_std
+from .metrics import _mean_std_rows, evaluate_weight_rows
 from .models import LaplaceConfig, _train_rounds, train_laplace_grid
 from .optimize import SubgradConfig, _KernelData, _objective
 from .synth import GeneratorConfig, gen_dataset
@@ -416,8 +416,13 @@ def _cmd_cv(args) -> int:
         held = set(fold.tolist())
         test_set = [instances[i] for i in range(n) if i not in held]
         reports.append(evaluate_weight_rows(spec, weights[:, f], test_set))
+    per_config = list(zip(*reports))
+    # Every config's fold statistics in one reduction, over a (rate, config,
+    # fold) array whose fold axis is last and contiguous, as mean_std's is.
+    stats = _mean_std_rows(np.array([[[r.per_label_err for r in per_fold] for per_fold in per_config],
+                                     [[r.seq_err for r in per_fold] for per_fold in per_config]]))
     rows = []
-    for (name, lam, beta, radius), per_fold in zip(table, zip(*reports)):
+    for c, ((name, lam, beta, radius), per_fold) in enumerate(zip(table, per_config)):
         config = [
             name,
             "" if lam is None else _fmt(lam),
@@ -429,10 +434,8 @@ def _cmd_cv(args) -> int:
                 config
                 + [f, len(fold), _fmt(report.per_label_err), _fmt(report.seq_err), args.seed + f]
             )
-        label_stats = mean_std([r.per_label_err for r in per_fold])
-        seq_stats = mean_std([r.seq_err for r in per_fold])
-        for stat_name, label_stat, seq_stat in zip(("mean", "std"), label_stats, seq_stats):
-            rows.append(config + [stat_name, "", _fmt(label_stat), _fmt(seq_stat), args.seed])
+        for stat_name, (label_stat, seq_stat) in zip(("mean", "std"), stats):
+            rows.append(config + [stat_name, "", _fmt(label_stat[c]), _fmt(seq_stat[c]), args.seed])
     _write_csv(args.out, CV_COLUMNS, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

@@ -57,4 +57,18 @@ def mean_std(values) -> tuple[float, float]:
     arr = _check_reals("values", values, (None,))
     if arr.size == 0:
         raise ValueError("cannot aggregate an empty list")
-    return float(arr.mean()), float(arr.std())
+    mean, std = _mean_std_rows(arr)
+    return float(mean), float(std)
+
+
+def _mean_std_rows(values: np.ndarray):
+    """:func:`mean_std` of every row of a nonempty float array along its last
+    axis: (mean, std) arrays of the leading shape, unchecked.
+
+    The reduction runs along a C-contiguous last axis, where numpy sums
+    pairwise, row by row, as it sums a lone vector, so every row keeps the
+    bits that ``mean_std`` gives it at any length; along a strided axis numpy
+    would sum in sequence and round otherwise.
+    """
+    values = np.ascontiguousarray(values)
+    return values.mean(axis=-1), values.std(axis=-1)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import FeatureSpec, _check_count, _check_real, _check_reals
-from .optimize import SubgradConfig, _KernelData, _lockstep
+from .optimize import SubgradConfig, _Diverged, _KernelData, _lockstep
 
 __all__ = [
     "LaplaceConfig",
@@ -91,7 +91,9 @@ def train_laplace_grid(data: list, spec: FeatureSpec, cfgs, *, subsets=None):
 
     Checks the configs and training sets, which the kernel trusts.  Raises
     ``ValueError`` naming the round and lam when a variance overflows, as
-    for a subnormal lam.
+    for a subnormal lam, and when a row diverges in round 2 or later, under
+    the penalty that lam set; a round-1 divergence is the kernel's
+    ``RuntimeError``, naming the row's seed and beta.
     """
     cfgs = list(cfgs)
     if not cfgs:
@@ -110,7 +112,7 @@ def train_laplace_grid(data: list, spec: FeatureSpec, cfgs, *, subsets=None):
     for subset in subsets:
         if subset.ndim != 1 or not subset.size or subset.dtype.kind not in "iu":
             raise ValueError("a training set must be a nonempty vector of instance indices")
-        if subset.min() < 0 or subset.max() >= n:
+        if np.minimum.reduce(subset) < 0 or np.maximum.reduce(subset) >= n:
             raise ValueError(f"training set indices must lie in [0, {n})")
     # One dtype, so that equal training sets, and only they, have equal bytes.
     return _train_rounds(kernel, cfgs, [subset.astype(np.int64) for subset in subsets])
@@ -128,7 +130,15 @@ def _train_rounds(kernel: _KernelData, cfgs: list, subsets: list):
     # Rounds 2 to T - 1 carry the lapmedn rows alone.
     inners, subsets = [inners[b] for b in laplace], [subsets[b] for b in laplace]
     for round_ in range(2, max((cfgs[b].outer_iters for b in laplace), default=2)):
-        mean[laplace] = _lockstep(kernel, inners, subsets, inv_diag=1.0 / var[laplace])
+        try:
+            mean[laplace] = _lockstep(kernel, inners, subsets, inv_diag=1.0 / var[laplace])
+        except _Diverged as exc:
+            # Round 1 trained the same row under the identity penalty, so
+            # the variances that lam set, not the step size, let it diverge.
+            raise ValueError(
+                f"lam {lams[exc.row, 0]:g} made round {round_} diverge: {exc.where} and reached "
+                f"L2 norm {exc.norm:.6g}; use a larger lam"
+            ) from None
         var[laplace] = _refresh_variances(var[laplace], mean[laplace], lams, round_)
     return mean, var
 

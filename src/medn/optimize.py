@@ -23,13 +23,14 @@ stacks, and each seed's instance order.  lapmedn's rounds share one
 preparation, and the objective evaluator, :func:`_objective`, decodes and
 scores the data from the same one, so ``train`` prepares its data once
 for training and objective alike.  A kernel call keeps its rows in config
-order and gives each bucket of rows decoded together its ``2 * beta``,
-hinge weights, preconditioner (none unless the call has an
-``inv_diag``), L1 balls and shrink sizes, and a bucket of every row (each
-one of a B = 1 call) the state and transition views of the weights, made
-once per call; a shrinking row's ball is infinite, so the projection
-never moves it, and a projecting row's shrink size is infinite, so its
-shrink factor is exactly 1.0.  An update
+order and gives each bucket of rows decoded together, picked by a boolean
+mask over its groups, its ``2 * beta`` and hinge weights (sliced from
+per-row arrays made once per call), preconditioner (none unless the call
+has an ``inv_diag``), L1 balls with their slack and shrink sizes, and a
+bucket of every row (each one of a B = 1 call) the state and transition
+views of the weights, made once per call; a shrinking row's ball is
+infinite, so the projection never moves it, and a projecting row's shrink
+size is infinite, so its shrink factor is exactly 1.0.  An update
 then does only what depends on the weights: the loss-augmented DP, one
 in-place multiply that shrinks the whole bucket (skipped when no row
 shrinks), the hit test, one feature map of the hit rows' winners, the
@@ -41,13 +42,20 @@ those, and a divergence test that clears the bucket with one dot product
 and forms the rows' squares only within a millionth of the limit or past
 it.  An instance's arrays are one-row slices, so at B = 1 the
 loss-augmented scores, the hit test and ``gold - f`` meet operands of one
-shape, which numpy runs faster than a broadcast.  The index ramps a shape
+shape, which numpy runs faster than a broadcast.  Every row gather (the
+bucket's instances, the hit rows' inputs, golds, winners and
+preconditioner rows, the rows outside their balls) is
+``ndarray.take(..., axis=0)``, which numpy runs faster than fancy indexing
+at desk shapes; 1-D gathers stay fancy indexing, faster there.  A row
+that diverges raises :class:`_Diverged`, which carries its config's
+index, so that lapmedn can blame the lam of a later round's divergence
+rather than beta.  The index ramps a shape
 fixes (the DP's row index and offsets, the feature map's label column, the
 projection's ranks) come from :func:`medn.chain._ramp`'s memo.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,6 +79,10 @@ __all__ = [
 
 # Iterates beyond this L2 norm abort training: the step size is divergent.
 DIVERGENCE_LIMIT = 1e8
+# A row is projected once its L1 norm passes its radius times this: the
+# relative slack keeps re-projection an exact no-op despite the float error
+# (~K ulp) that a previous projection leaves on the boundary.
+_BALL_SLACK = 1.0 + 1e-12
 
 
 @dataclass(frozen=True)
@@ -216,6 +228,8 @@ def _lockstep(kernel: _KernelData, cfgs, subsets, *, inv_diag=None) -> np.ndarra
     scale = None if inv_diag is None else 1.0 / inv_diag
     # A shrinking row's ball is infinite, so projecting onto it never moves it.
     radii = np.array([math.inf if cfg.radius is None else cfg.radius for cfg in cfgs])
+    twice_betas = np.array([2.0 * cfg.beta for cfg in cfgs])
+    hinge_weights = np.array([cfg.C for cfg in cfgs])
 
     # Rows of one seed and training set form a group: they visit the same
     # instances, drawn once.  order[s, g] is group g's instance at step s,
@@ -244,17 +258,20 @@ def _lockstep(kernel: _KernelData, cfgs, subsets, *, inv_diag=None) -> np.ndarra
     w = np.zeros((batch, spec.K))
 
     def make_bucket(live):
-        rows = np.flatnonzero(np.isin(row_group, live))
-        row_sizes, shrinking = sizes[row_group[rows]], radii[rows] == math.inf
+        member = np.zeros(len(groups), dtype=bool)
+        member[live] = True
+        rows = np.flatnonzero(member[row_group])
+        row_sizes, row_radii = sizes[row_group[rows]], radii[rows]
+        shrinking = row_radii == math.inf
         whole = len(rows) == batch
         return _Bucket(
             rows,
             row_group[rows],
-            np.array([2.0 * cfgs[b].beta for b in rows]),
-            np.array([cfgs[b].C for b in rows]),
+            twice_betas[rows],
+            hinge_weights[rows],
             row_sizes,
-            None if scale is None else scale[rows],
-            radii[rows],
+            None if scale is None else scale.take(rows, axis=0),
+            row_radii,
             # A projecting row's infinite size makes its shrink factor exactly 1.0.
             np.where(shrinking, row_sizes, math.inf),
             whole=whole,
@@ -265,29 +282,33 @@ def _lockstep(kernel: _KernelData, cfgs, subsets, *, inv_diag=None) -> np.ndarra
         )
 
     buckets = {}
-    # A row that overflows fails _check_iterates; numpy's warnings about it
-    # would only precede that error.
-    with np.errstate(over="ignore", invalid="ignore"):
-        # One row of the schedule at a time: a list of the whole schedule
-        # would hold about 64 bytes per step more than the matrix.
-        for t, row in enumerate(order, 1):
-            current = row.tolist()
-            by_length = {}
-            for g, i in enumerate(current):
-                if i >= 0:
-                    by_length.setdefault(kernel.lengths[i], []).append(g)
-            for length, live in by_length.items():
-                key = tuple(live)
-                bucket = buckets.get(key)
-                if bucket is None:
-                    bucket = buckets[key] = make_bucket(live)
-                if len(live) == 1:  # one group: its rows share an instance
-                    inputs = kernel.instances[current[live[0]]]
-                else:  # one instance per row
-                    at = kernel.slot[row[bucket.groups]]
-                    inputs = [a[at] for a in kernel.stacks[length]]
-                updated = bucket.step(w, spec, t, *inputs)
-                _check_iterates(updated, bucket, t, cfgs)
+    try:
+        # A row that overflows fails _check_iterates; numpy's warnings about it
+        # would only precede that error.
+        with np.errstate(over="ignore", invalid="ignore"):
+            # One row of the schedule at a time: a list of the whole schedule
+            # would hold about 64 bytes per step more than the matrix.
+            for t, row in enumerate(order, 1):
+                current = row.tolist()
+                by_length = {}
+                for g, i in enumerate(current):
+                    if i >= 0:
+                        by_length.setdefault(kernel.lengths[i], []).append(g)
+                for length, live in by_length.items():
+                    key = tuple(live)
+                    bucket = buckets.get(key)
+                    if bucket is None:
+                        bucket = buckets[key] = make_bucket(live)
+                    if len(live) == 1:  # one group: its rows share an instance
+                        inputs = kernel.instances[current[live[0]]]
+                    else:  # one instance per row
+                        at = kernel.slot[row[bucket.groups]]
+                        inputs = [a.take(at, axis=0) for a in kernel.stacks[length]]
+                    updated = bucket.step(w, spec, t, *inputs)
+                    _check_iterates(updated, bucket, t, cfgs)
+    except _Diverged as exc:
+        exc.row = first[exc.row]  # the config's index, not its trajectory's
+        raise
     return w[inverse]
 
 
@@ -311,6 +332,10 @@ class _Bucket:
     shrinks: bool  # some row has an infinite ball
     projects: bool  # some row has a finite ball
     views: tuple | None = None  # (state, transition) views of w
+    limits: np.ndarray = field(init=False)  # radii * _BALL_SLACK, past which a row projects
+
+    def __post_init__(self):
+        self.limits = self.radii * _BALL_SLACK
 
     def step(self, w, spec, t, x, y, onehot, gold):
         """One update of these rows of ``w`` at ``x``, ``y`` with gold
@@ -324,7 +349,7 @@ class _Bucket:
         the per-config loop makes, in its order, so every row keeps its
         bits.
         """
-        block = w if self.whole else w[self.rows]
+        block = w if self.whole else w.take(self.rows, axis=0)
         state, trans = self.views or (spec.state_view(block), spec.transition_view(block))
         alpha = 1.0 / (self.twice_betas * math.sqrt(t))
         y_star, _ = _viterbi(_loss_augmented_scores(state, x, onehot), trans)
@@ -338,13 +363,13 @@ class _Bucket:
         elif hits:
             hit = np.flatnonzero(hit)
             if len(x) == len(block):  # one input per row, not one shared
-                x, gold = x[hit], gold[hit]
-            f = feature_vectors(spec, x, y_star[hit])
+                x, gold = x.take(hit, axis=0), gold.take(hit, axis=0)
+            f = feature_vectors(spec, x, y_star.take(hit, axis=0))
             block[hit] += _step_into(f, gold,
-                                     None if self.scale is None else self.scale[hit],
-                                     alpha[hit] * self.hinge_weights[hit])
+                                     None if self.scale is None else self.scale.take(hit, axis=0),
+                                     (alpha * self.hinge_weights)[hit])
         if self.projects:
-            _project_rows(block, self.radii)
+            _project_rows(block, self.radii, self.limits)
         if not self.whole:
             w[self.rows] = block
         return block
@@ -361,9 +386,21 @@ def _step_into(f, gold, scale, coef):
     return f
 
 
+class _Diverged(RuntimeError):
+    """An iterate that diverged: ``row`` is its config's index in the kernel
+    call (:func:`_check_iterates` raises it with the trajectory's index,
+    which :func:`_lockstep` maps), ``where`` names its seed, epoch and
+    update, and ``norm`` is its L2 norm.  The message blames the step size."""
+
+    def __init__(self, row: int, where: str, beta: float, norm: float):
+        super().__init__(f"{where}: beta={beta:g} reached L2 norm {norm:.6g}; "
+                         "decrease the step size (raise beta)")
+        self.row, self.where, self.norm = row, where, norm
+
+
 def _check_iterates(updated, bucket, t: int, cfgs):
-    """Raise if an updated row is not finite or its L2 norm passes
-    ``DIVERGENCE_LIMIT``; the error names the first such row.
+    """Raise :class:`_Diverged` for the first updated row that is not finite
+    or whose L2 norm passes ``DIVERGENCE_LIMIT``.
 
     One dot product of the whole block clears it without a temporary when
     it lies a millionth below the limit's square: its terms are squares,
@@ -378,22 +415,21 @@ def _check_iterates(updated, bucket, t: int, cfgs):
     squares = np.add.reduce(updated * updated, axis=1)
     bad = np.flatnonzero(~(squares <= DIVERGENCE_LIMIT**2))
     if bad.size:
-        cfg = cfgs[bucket.rows[bad[0]]]
+        row = bucket.rows[bad[0]]
         epoch = (t - 1) // bucket.sizes[bad[0]] + 1
-        raise RuntimeError(
-            f"subgradient iterate with seed={cfg.seed} diverged in epoch {epoch} "
-            f"at update t={t}: beta={cfg.beta:g} reached L2 norm "
-            f"{np.linalg.norm(updated[bad[0]]):.6g}; decrease the step size (raise beta)"
-        )
+        where = (f"subgradient iterate with seed={cfgs[row].seed} diverged in epoch {epoch} "
+                 f"at update t={t}")
+        raise _Diverged(row, where, cfgs[row].beta, np.linalg.norm(updated[bad[0]]))
 
 
-def _project_rows(v: np.ndarray, radii: np.ndarray):
+def _project_rows(v: np.ndarray, radii: np.ndarray, limits: np.ndarray):
     """Project each row of (B, K) ``v`` onto the L1 ball of its radius, in place.
 
-    Sort-and-threshold algorithm: rows already inside their ball are not
-    written, so they keep their bits; in every other row each entry
-    shrinks toward zero by the threshold that makes the row land on the
-    ball boundary.
+    Sort-and-threshold algorithm: rows whose L1 norm is within their
+    ``limits``, ``radii * _BALL_SLACK``, which a kernel call makes once per
+    bucket, are not written, so they keep their bits; every other row is
+    gathered once, and each of its entries shrinks toward zero by the
+    threshold that makes the row land on the ball boundary.
 
     The threshold comes from sums of the largest entries, so its error is
     of their size, and where they dwarf the radius a row can miss the
@@ -404,13 +440,10 @@ def _project_rows(v: np.ndarray, radii: np.ndarray):
     threshold lie within the radius of the smallest of them, so their
     differences to it are exact or small.
     """
-    mag = np.abs(v)
-    # Relative slack keeps re-projection an exact no-op despite the float
-    # error (~K ulp) left on the boundary by a previous projection.
-    outside = np.flatnonzero(np.add.reduce(mag, axis=1) > radii * (1.0 + 1e-12))
+    outside = np.flatnonzero(np.add.reduce(np.abs(v), axis=1) > limits)
     if not outside.size:
         return
-    v_out, radius = v[outside], radii[outside]
+    v_out, radius = v.take(outside, axis=0), radii[outside]
     mag_out = np.abs(v_out)
     u = np.sort(mag_out, axis=1)[:, ::-1]
     cssv = np.cumsum(u, axis=1)
@@ -446,8 +479,9 @@ def l1_ball_project(v: np.ndarray, radius: float) -> np.ndarray:
     """
     v = _check_reals("v", v, (None,)).copy()
     radius = _check_real("radius", radius, "positive")
+    radii = np.array([radius])
     with np.errstate(over="ignore"):  # an L1 norm past the float range is past the radius
-        _project_rows(v[None], np.array([radius]))
+        _project_rows(v[None], radii, radii * _BALL_SLACK)
     return v
 
 

@@ -31,6 +31,7 @@ from medn.cli import (
     main,
 )
 from medn import cli, optimize
+from medn.metrics import _mean_std_rows, mean_std
 from medn.dataio import ModelFile, read_dataset, read_model_file, write_dataset, write_model_file
 from oracles import (
     HUGE_WEIGHTS,
@@ -192,6 +193,33 @@ class TestTrainPredictEval:
         )
         assert (code, caught) == (2, [])
         assert err.startswith(message) and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train", "--model", "lapmedn", "--lambda", "1e-300"],
+             "error: --lambda 1e-300 made round 2 diverge: subgradient iterate with seed=0 "
+             "diverged in epoch 1 at update t=1 and reached L2 norm "),
+            (["cv", "--folds", "2", "--models", "lapmedn", "--lambdas", "9,1e-300", "--betas", "1"],
+             "error: --lambdas 1e-300 made round 2 diverge: subgradient iterate with seed=0 "
+             "diverged in epoch 1 at update t=1 and reached L2 norm "),
+        ],
+        ids=["train", "cv"],
+    )
+    def test_a_later_round_divergence_names_lambda(self, tmp_path, argv, message):
+        """Round 1 trains under the identity penalty; a row that diverges in
+        a later round does so under the variances its lam set, so the error
+        names that lam's flag and value and the round, not beta."""
+        data = tmp_path / "train.jsonl"
+        _write_signal_dataset(data, n=4, seed=85)
+        code, _, err, caught = _run_quietly(
+            [*argv, "--data", str(data), "--iters", "1", "--outer-iters", "3",
+             "--out", str(tmp_path / "o")]
+        )
+        assert (code, caught) == (2, [])
+        assert err.startswith(message) and err.endswith("; use a larger lam\n"), err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -599,6 +627,49 @@ _ANY_FLOAT = st.one_of(
     st.sampled_from([math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, 1e308, -1e308, -0.0]),
     st.floats(),
 )
+
+
+class TestFoldStatistics:
+    """cv's mean and std rows come from one reduction over a (rate, config,
+    fold) array, ``metrics._mean_std_rows``; every row keeps the bits that
+    ``mean_std`` gives its fold rates, on both sides of numpy's 8-element
+    pairwise-summation block."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 5), st.integers(2, 20), st.integers(0, 2**32 - 1))
+    @example(1, 8, 0)
+    @example(3, 9, 1)
+    @example(2, 20, 2)
+    def test_one_reduction_is_mean_std_of_each_row(self, configs, folds, seed):
+        rng = np.random.default_rng(seed)
+        rates = rng.random((2, configs, folds)) * 10.0 ** rng.uniform(-3, 3, (2, configs, folds))
+        means, stds = _mean_std_rows(rates)
+        assert means.shape == stds.shape == (2, configs)
+        for rate in range(2):
+            for c in range(configs):
+                want = [v.hex() for v in mean_std(rates[rate, c])]
+                assert [float(means[rate, c]).hex(), float(stds[rate, c]).hex()] == want
+
+    def test_cv_rows_are_mean_std_of_their_fold_rates(self, tmp_path, monkeypatch):
+        """Nine folds, past the pairwise block: with every float field
+        written as its exact hex, each config's mean and std rows are
+        mean_std of its nine fold rows."""
+        monkeypatch.setattr(cli, "_fmt", lambda value: float(value).hex())
+        data, out = tmp_path / "cv.jsonl", tmp_path / "cv.csv"
+        _write_signal_dataset(data, n=27, length=4, seed=96)
+        code = main(["cv", "--data", str(data), "--folds", "9", "--models", "m3n,lapmedn,l1m3n",
+                     "--betas", "1,10", "--lambdas", "9", "--radii", "2", "--iters", "2",
+                     "--outer-iters", "3", "--out", str(out)])
+        assert code == 0
+        header, *rows = _read_csv(out)
+        fold, label, seq = (header.index(name) for name in ("fold", "per_label_err", "seq_err"))
+        assert len(rows) == 6 * 11
+        for start in range(0, len(rows), 11):
+            group = rows[start : start + 11]
+            assert [row[fold] for row in group] == [str(f) for f in range(9)] + ["mean", "std"]
+            for col in (label, seq):
+                stats = mean_std([float.fromhex(row[col]) for row in group[:9]])
+                assert [group[9][col], group[10][col]] == [v.hex() for v in stats]
 
 
 def _small_count(low):
