@@ -314,28 +314,36 @@ def feature_vectors(spec: FeatureSpec, xs: np.ndarray, ys: np.ndarray) -> np.nda
 
 
 def _viterbi(node: np.ndarray, trans: np.ndarray):
-    """Max-sum DP over (B, L, m) node and (B, m, m) transition scores.
+    """Max-sum DP over the (N, L, m) node scores of N chains under B
+    (B, m, m) transition blocks.
 
-    One (1, m, m) transition block may be shared by every row.  Returns
-    (B, L) int64 labels, C-contiguous, and the (B,) attained maxima.  Ties
-    are resolved toward the lowest label index at the final argmax and at
-    every backpointer, so the result is deterministic.
+    B divides N, and block r serves the G = N / B consecutive chains from
+    r * G: one block per chain (the kernel), one block for every chain (the
+    objective), or one block per weight row for its G inputs (decoding).
+    Returns (N, L) int64 labels, C-contiguous, and the (N,) attained
+    maxima.  Ties are resolved toward the lowest label index at the final
+    argmax and at every backpointer, so the result is deterministic.
 
-    Each position's candidates lie in one (B, current, previous) buffer per
+    Each position's candidates lie in one (N, current, previous) buffer per
     call: the forward values' rows gathered into it once per current label
-    (a row gather, not a broadcast), then the transitions, transposed once
-    per call, added in place.  Each candidate is still the one add
-    ``v[b, p] + trans[b, p, c]``, and at B = 1 the add meets an operand of
-    its own shape, which numpy runs faster than a broadcast.  The argmax
-    runs along the contiguous last axis and writes position l's (B, m)
-    slice of the position-major (L, B, m) backpointers in place.  The
-    forward maxima, the final value and every backpointer step are read
-    with one flat ``take`` each.  Each maximum is the candidate taken at
+    (a row gather, not a broadcast), then the blocks, transposed once per
+    call into (B, 1, m * m), added in place into the buffer's (B, G, m * m)
+    view, so no block is copied per chain.  Each candidate is still the one
+    add ``v[i, p] + trans[i // G, p, current]``, and at G = 1 the add meets
+    an operand of its own shape, which numpy runs faster than a broadcast
+    (the same adds through a 4-D (B, G, m, m) view run slower).  The
+    argmax runs along the contiguous last axis and writes position l's
+    (N, m) slice of the position-major (L, N, m) backpointers in place.
+    The forward maxima, the final value and every backpointer step are
+    read with one flat ``take`` each.  Each maximum is the candidate taken at
     its argmax, so it keeps that candidate's bits, sign of zero included.
     """
     batch, length, m = node.shape
-    trans_t = np.ascontiguousarray(trans.transpose(0, 2, 1))  # (batch or 1, current, previous)
+    # Block r's (current, previous) transitions, flat, once per call.
+    trans_t = trans.transpose(0, 2, 1).reshape(len(trans), 1, m * m)
     cand = np.empty((batch, m, m))
+    # cand as (blocks, G, current * previous): chain r * G + g is [r, g].
+    cand_blocks = cand.reshape(len(trans), -1, m * m)
     # rows[b, c] = b, so taking v's rows by it lays v[b, p] at cand[b, c, p].
     rows = _ramp((batch, m), repeat=m)
     # Flat index of cand[b, c, 0], so adding a previous label p reads cand[b, c, p].
@@ -346,7 +354,7 @@ def _viterbi(node: np.ndarray, trans: np.ndarray):
         # Under "clip" take writes straight into cand, where "raise" would
         # buffer it; every index is in range, so nothing is clipped.
         v.take(rows, axis=0, out=cand, mode="clip")
-        cand += trans_t
+        cand_blocks += trans_t
         best = cand.argmax(axis=2, out=back[l])  # first maximum = lowest index
         v = cand.take(best + offsets)
         v += node[:, l]
@@ -362,13 +370,13 @@ def _viterbi(node: np.ndarray, trans: np.ndarray):
 def _decode_rows(spec: FeatureSpec, weights: np.ndarray, xs):
     """:func:`decode_rows`' (B, G, L) labelings, unchecked, and a (G,) mask
     of the inputs whose node scores and attained maxima are finite under
-    every row."""
+    every row.  The DP reads each row's (m, m) transition block where it
+    lies in ``weights``, one block for that row's G chains."""
     batch, group = weights.shape[0], len(xs)
     length = xs[0].shape[0] if group else xs.shape[1]
     state = spec.state_view(weights)
     # (B, G, ...) keeps the reshape to (B * G, L, m) below a view.
     node = np.empty((batch, group, length, spec.m))
-    trans = np.repeat(spec.transition_view(weights), group, axis=0)
     # Finite inputs and weights can still score past the float range; the
     # masks below catch that, so numpy's warnings about it would only
     # precede the error.
@@ -376,7 +384,7 @@ def _decode_rows(spec: FeatureSpec, weights: np.ndarray, xs):
         for g, x in enumerate(xs):
             # A strided operand can multiply to other last bits than a contiguous one.
             np.matmul(np.ascontiguousarray(x), state, out=node[:, g])
-        labels, value = _viterbi(node.reshape(batch * group, length, spec.m), trans)
+        labels, value = _viterbi(node.reshape(batch * group, length, spec.m), spec.transition_view(weights))
     finite = np.isfinite(node).all(axis=(0, 2, 3))
     finite &= np.isfinite(value).reshape(batch, group).all(axis=0)
     return labels.reshape(batch, group, length), finite
@@ -392,7 +400,8 @@ def decode_rows(spec: FeatureSpec, weights: np.ndarray, xs) -> np.ndarray:
     """(B, G, L) highest-scoring labelings of G same-length inputs under B weight rows.
 
     ``weights`` is (B, K) and ``xs`` a list of G (L, d) inputs or a
-    (G, L, d) array; all B * G chains go through one DP.  The inputs are
+    (G, L, d) array; all B * G chains go through one DP, under one (m, m)
+    transition block per row, never copied per input.  The inputs are
     never copied together: each is scored on its own, through a
     C-contiguous (L, d) operand, into one (B, G, L, m) node array.  numpy
     runs one matrix product per (row, input) pair, so each labeling is

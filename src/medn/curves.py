@@ -52,7 +52,7 @@ def shrinkage_points(lam: float, etas) -> list[CurvePoint]:
     etas = _check_reals("etas", etas, (None,))
     with np.errstate(over="ignore"):  # a square past the float range is past any lam
         if np.any(etas * etas >= lam):
-            raise ValueError("eta grid touches the +-sqrt(lam) domain boundary")
+            raise ValueError(f"lam {lam:g} puts the eta grid on or past its +-sqrt(lam) domain boundary")
     return [CurvePoint(float(e), shrinkage_mean(float(e), lam)) for e in etas]
 
 
@@ -71,7 +71,7 @@ def norm_ball_level(lam: float) -> float:
         - math.log(math.sqrt(lam + 1.0) / 2.0 + 0.5) / math.sqrt(lam)
     )
     if not math.isfinite(level):  # 1 / lam overflowed
-        raise ValueError(f"penalty-ball level is not finite at lam={lam:g}")
+        raise ValueError(f"lam {lam:g} gives a penalty-ball level that is not finite")
     return level
 
 

@@ -150,8 +150,7 @@ def _refresh_variances(var, mean, lams, round_):
     bad = np.flatnonzero(~np.isfinite(var).all(axis=1))
     if bad.size:
         raise ValueError(
-            f"variance refresh overflowed in round {round_} at lam={lams[bad[0], 0]:g}; "
-            "use a larger lam"
+            f"lam {lams[bad[0], 0]:g} overflowed the variance refresh in round {round_}; use a larger lam"
         )
     return var
 

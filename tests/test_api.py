@@ -392,13 +392,14 @@ def _good_array(shape):
 
 def _bad_arrays(shape, within):
     """Labelled values that no real array of ``shape`` within ``within`` may
-    take: a wrong dtype, an int past the float range, a wrong shape, or a
-    good array with one entry past the interval."""
+    take: a wrong dtype, an int past the float range, ragged sequences, a
+    wrong shape, or a good array with one entry past the interval."""
     good = _good_array(shape)
     yield "bool", good.astype(bool)
     yield "str", good.astype(str)
     yield "complex", good + 1j
     yield "10**400", np.full(good.shape, 10**400, dtype=object).tolist()
+    yield "ragged", [good.tolist(), good.tolist()[:-1]]
     if shape is not None:
         yield "0-d", np.float64(1.0)
         yield "extra-axis", good[..., None]

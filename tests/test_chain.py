@@ -3,6 +3,7 @@ checks at the entry points that run them."""
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -557,6 +558,51 @@ class TestBatchedViterbi:
         rng = np.random.default_rng(batch + length + m)
         node, trans = self._planted_chain(rng, batch, length, m, batch)
         self._assert_reference_bits(node, trans, trans)
+
+    @pytest.mark.parametrize("m", [2, 4, 26])
+    @pytest.mark.parametrize("blocks", [1, 3])
+    @pytest.mark.parametrize("group", [1, 5])
+    def test_each_block_serves_its_own_run_of_chains(self, m, blocks, group):
+        """B transition blocks over B * G chains, block r serving the G
+        chains from r * G, decode as the same call on the blocks tiled once
+        per chain: labels equal, maxima equal as bits, sign of zero
+        included.  Block 0 is zeros of both signs, under -0.0 node scores
+        in each of its chains."""
+        rng = np.random.default_rng(m * 100 + blocks * 10 + group)
+        node, trans = self._planted_chain(rng, blocks * group, 8, m, blocks)
+        node[:group] = -0.0
+        labels, values = _viterbi(node, trans)
+        want_labels, want_values = _viterbi(node, np.repeat(trans, group, axis=0))
+        assert np.array_equal(labels, want_labels)
+        assert np.array_equal(values.view(np.int64), want_values.view(np.int64))
+        assert np.array_equal(np.signbit(values), np.signbit(want_values))
+
+    def test_ocr_shape_evaluation_holds_no_per_instance_transitions(self):
+        """Evaluating 480 instances of (8, 128) under 10 weight rows at
+        m = 26, the shape of handwritten-word OCR, peaks below 9 of its
+        (B, G, L, m) node arrays: the node scores, the (B * G, m, m)
+        candidates (3.25 node arrays at L = 8), the backpointers and the
+        labels.  Each row's (m, m) transition block is read where it lies;
+        tiling it once per instance, and transposing the tiling, added two
+        more (B * G, m, m) arrays, about 12 node arrays in all."""
+        rows, n, length, d, m = 10, 480, 8, 128, 26
+        rng = np.random.default_rng(26)
+        spec = FeatureSpec(d=d, m=m)
+        instances = [SequenceInstance(rng.standard_normal((length, d)), rng.integers(0, m, length))
+                     for _ in range(n)]
+        weights = rng.standard_normal((rows, spec.K))
+        node_bytes = rows * n * length * m * 8
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            evaluate_weight_rows(spec, weights, instances)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak - before < 9 * node_bytes
 
     def test_batched_decode_and_features_equal_single_row_calls(self):
         rng = np.random.default_rng(13)

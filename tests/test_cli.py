@@ -151,8 +151,8 @@ class TestTrainPredictEval:
         "flags, message",
         [
             (["--lambda", "1e-320", "--outer-iters", "2"],
-             "error: variance refresh overflowed in round 1 at lam=9.99989e-321"),
-            (["--lambda", "1e-320"], "error: variance refresh overflowed in round 1"),
+             "error: --lambda 9.99989e-321 overflowed the variance refresh in round 1"),
+            (["--lambda", "1e-320"], "error: --lambda 9.99989e-321 overflowed the variance refresh"),
             (["--lambda", "inf"], "error: --lambda must be positive and finite, got inf"),
         ],
         ids=["subnormal-two-rounds", "subnormal", "inf"],
@@ -167,6 +167,22 @@ class TestTrainPredictEval:
         assert (code, caught) == (2, [])
         assert err.startswith(message) and err.count("\n") == 1
         assert not (tmp_path / "m.json").exists()
+
+    def test_cv_lambda_past_the_float_range_names_lambdas(self, tmp_path):
+        """A subnormal lambda among cv's overflows its variance refresh: the
+        one error line names --lambdas and that value, and nothing is written."""
+        data = tmp_path / "train.jsonl"
+        _write_signal_dataset(data, n=4, seed=84)
+        code, _, err, caught = _run_quietly(
+            ["cv", "--models", "lapmedn", "--lambdas", "4,1e-320", "--betas", "1", "--folds", "2",
+             "--data", str(data), "--iters", "1", "--out", str(tmp_path / "cv.csv")]
+        )
+        assert (code, caught) == (2, [])
+        assert err == (
+            "error: --lambdas 9.99989e-321 overflowed the variance refresh in round 1; "
+            "use a larger lam\n"
+        )
+        assert not (tmp_path / "cv.csv").exists()
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -939,9 +955,10 @@ class TestCurveCommands:
             (["--eta-grid", "0:1:2.5"], "error: --eta-grid must look like MIN:MAX:COUNT\n"),
             (["--eta-grid", "a:1:3"], "error: --eta-grid must look like MIN:MAX:COUNT\n"),
             (["--eta-grid", "0:1:x"], "error: --eta-grid must look like MIN:MAX:COUNT\n"),
+            (["--eta-grid", "1:0:3"], "error: --eta-grid needs MIN < MAX and COUNT in [2, 2**59)\n"),
         ],
         ids=["zero-points", "empty-lambdas", "eta-grid-fractional-count", "eta-grid-text-min",
-             "eta-grid-text-count"],
+             "eta-grid-text-count", "eta-grid-reversed"],
     )
     def test_empty_grid_is_a_one_line_error(self, tmp_path, capsys, flags, message):
         assert main(["shrinkage-curve", *flags, "--out", str(tmp_path / "s.csv")]) == 2
@@ -1310,6 +1327,10 @@ _FIELD_ERRORS = [
     (["shrinkage-curve", "--points", "0"], "--points"),
     (["shrinkage-curve", "--lambdas", "0"], "--lambdas"),
     (["norm-ball", "--angles", "-1"], "--angles"),
+    # A lambda whose penalty-ball level overflows, and an eta grid that
+    # reaches +-sqrt(lambda).
+    (["norm-ball", "--angles", "4", "--lambdas", "1e-320"], "--lambdas"),
+    (["shrinkage-curve", "--eta-grid=-1:1:3", "--lambdas", "1"], "--lambdas"),
 ]
 
 

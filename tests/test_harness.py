@@ -230,6 +230,20 @@ class TestDatasetFiles:
         assert instances == [] and spec == FeatureSpec(2, 2)
         assert len(path.read_text().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [(b"", ": empty dataset file"),
+         (b'{"d":1,"format":2,"kind":"sequence-dataset","m":2,"meta":{}}\n',
+          ":1: unsupported dataset format 2")],
+        ids=["empty", "format-2"],
+    )
+    def test_a_file_without_a_readable_header_is_one_error(self, tmp_path, text, error):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(text)
+        with pytest.raises(ValueError) as info:
+            read_dataset(path)
+        assert str(info.value) == f"{path}{error}"
+
     def test_bad_width_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         write_dataset(path, [SequenceInstance([[1.0, 2.0]], [0])], FeatureSpec(2, 2))
@@ -497,6 +511,16 @@ class TestModelFiles:
             write_model_file(tmp_path / name, model)
         assert (tmp_path / "python.json").read_bytes() == (tmp_path / "numpy.json").read_bytes()
 
+    def test_an_unsupported_format_is_one_located_line(self, tmp_path):
+        path = tmp_path / "model.json"
+        spec = FeatureSpec(2, 2)
+        write_model_file(path, ModelFile(kind="m3n", spec=spec, weights=np.ones(spec.K),
+                                         var_diag=None, hyper={}))
+        path.write_text(json.dumps({**json.loads(path.read_text()), "format": 2}))
+        with pytest.raises(ValueError) as info:
+            read_model_file(path)
+        assert str(info.value) == f"{path}:1: unsupported model format 2"
+
     def test_unknown_kind_rejected(self):
         spec = FeatureSpec(2, 2)
         with pytest.raises(ValueError):
@@ -575,6 +599,11 @@ class TestMetrics:
             if not tracing:
                 tracemalloc.stop()
         assert peak - before < size / 2
+
+    def test_an_empty_evaluation_set_raises(self):
+        spec = FeatureSpec(2, 2)
+        with pytest.raises(ValueError, match="^evaluation set must be nonempty$"):
+            evaluate_weight_rows(spec, np.zeros((1, spec.K)), [])
 
     def test_mean_std_aggregation(self):
         mean, std = mean_std([0.1, 0.2, 0.3])

@@ -696,6 +696,19 @@ class TestLockstepValidation:
         with pytest.raises(ValueError, match="share iterations"):
             train_laplace_grid(data, spec, [a, b])
 
+    @pytest.mark.parametrize(
+        "outer_iters, message",
+        [((), "^need at least one configuration$"),
+         ((2, 3), "^lockstep configurations must share outer_iters$")],
+        ids=["no-configs", "unequal-outer-iters"],
+    )
+    def test_an_empty_grid_or_unequal_rounds_is_refused(self, outer_iters, message):
+        spec, data = _lockstep_problem(131, 2)
+        inner = SubgradConfig(beta=1.0, iterations=3, C=1.0)
+        cfgs = [LaplaceConfig(lam=4.0, inner=inner, outer_iters=t) for t in outer_iters]
+        with pytest.raises(ValueError, match=message):
+            train_laplace_grid(data, spec, cfgs)
+
     def test_training_sets_are_checked(self):
         spec, data = _lockstep_problem(132, 2)
         cfg = SubgradConfig(beta=1.0, iterations=3, C=1.0)
