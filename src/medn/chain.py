@@ -33,7 +33,13 @@ of those intervals, which returns it as a float array.  A frozen config
 stores what they return, so a numpy scalar or a ``Fraction`` never
 reaches the arithmetic behind a check: a numpy product cannot wrap, and
 every stored count and real can be written as JSON.  Bools, strings and
-complex numbers are refused alike, as scalars and as array entries.
+complex numbers are refused alike, as scalars and as array entries, with
+one exception: a :class:`SequenceInstance` casts a features list to float,
+so bools and numeric strings in it read as numbers.  numpy reads a bool
+among numbers in Python lists as a number, so one iterative walk,
+:func:`_first_non_number`, finds the first bool or string in nested lists
+and tuples for :func:`_check_reals`, for a ``SequenceInstance``'s list
+labels and for the dataset reader.
 """
 
 import functools
@@ -107,16 +113,17 @@ def _check_reals(name: str, value, shape, within: str = "finite") -> np.ndarray:
     ``_INTERVALS``.  A None ``shape`` admits any shape, and a None among its
     entries any length along that axis.  A bool nested in Python lists or
     tuples of numbers is refused too, with its index, though numpy reads it
-    as a number."""
+    as a number, and nested sequences that do not form one array name their
+    first entry of another shape."""
     try:
         array = np.asarray(value)
-    except ValueError:  # sequences of unequal lengths
-        raise ValueError(f"{name} must be an array of real numbers, got ragged sequences") from None
+    except ValueError:  # numpy's words for ragged nesting
+        raise ValueError(f"{name} must have entries of one shared shape, {_unequal_shapes(value)}") from None
     if array.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be an array of real numbers, got dtype {array.dtype}")
-    # numpy reads a bool among numbers as a number; an array's dtype already
-    # says whether it holds bools, so only Python sequences are walked.
-    at = _first_bool(value) if isinstance(value, (list, tuple)) else None
+    # numpy reads a bool among numbers as a number; a string among them makes
+    # a string dtype, refused above.
+    at = _first_non_number(value)
     if at is not None:
         raise ValueError(f"{name} must be an array of real numbers, got a bool at index {_shown(at)}")
     if shape is not None and (
@@ -131,18 +138,46 @@ def _check_reals(name: str, value, shape, within: str = "finite") -> np.ndarray:
     return array
 
 
-def _first_bool(value, at=()):
-    """Index of the first bool in ``value``'s nested lists and tuples, or of
-    the first entry of a nonempty bool array among them; None if none."""
+def _unequal_shapes(value) -> str:
+    """What keeps the nested sequences ``value`` from forming one array: the
+    first entry whose shape differs from the first entry's, or that does
+    not form one array itself."""
+    shapes = []
     for i, entry in enumerate(value):
-        if isinstance(entry, (list, tuple)):
-            found = _first_bool(entry, at + (i,))
-            if found is not None:
-                return found
-        elif isinstance(entry, (bool, np.bool_)):
-            return at + (i,)
-        elif isinstance(entry, np.ndarray) and entry.dtype.kind == "b" and entry.size:
-            return at + (i,) + (0,) * entry.ndim
+        try:
+            shapes.append(np.shape(entry))
+        except ValueError:
+            return f"got a ragged entry at index {i}"
+        if shapes[i] != shapes[0]:
+            return f"got {shapes[0]} at index 0 and {shapes[i]} at index {i}"
+    return "got ragged sequences"
+
+
+def _first_non_number(value) -> tuple | None:
+    """Index of the first bool or string in ``value``'s nested lists and
+    tuples, or of the first entry of a nonempty bool array among them; None
+    if there is none, or if ``value`` is not a list or a tuple.
+
+    Depth first, in index order, with a stack of the lists it is inside,
+    not recursion, so no nesting depth reaches Python's recursion limit.
+    """
+    stack = [((), value, 0)] if isinstance(value, (list, tuple)) else []
+    while stack:
+        at, seq, start = stack.pop()
+        # A list of plain ints and floats alone is passed over in one scan
+        # of its entries' types.
+        if not start and {int, float}.issuperset(map(type, seq)):
+            continue
+        for i in range(start, len(seq)):
+            entry = seq[i]
+            if isinstance(entry, (list, tuple)):
+                # Resume this list after the entry's own entries.
+                stack += (at, seq, i + 1), (at + (i,), entry, 0)
+                break
+            if isinstance(entry, (bool, np.bool_, str)):
+                return at + (i,)
+            if isinstance(entry, np.ndarray) and entry.dtype.kind == "b" and entry.size:
+                return at + (i,) + (0,) * entry.ndim
     return None
 
 
@@ -195,13 +230,14 @@ class SequenceInstance:
     Checks itself when built: ``features`` becomes a nonempty, finite
     float (L, d) matrix and ``labels`` an int64 vector of L nonnegative
     indices; labels of any other dtype are rejected, since casting would
-    truncate 1.7 to 1 and parse '1' as 1.  Features given as an array must
-    hold integers or floats, as :func:`_check_reals` asks; features given
-    as a Python list are cast to float, so bools and numeric strings in it
-    still read as numbers (complex entries and ints past the float range
-    do not).  The cast, not numpy's dtype inference, because the dataset
-    reader builds one instance per line, and inference costs it about a
-    third more per line.  Frozen, and its arrays are its
+    truncate 1.7 to 1 and parse '1' as 1, and so is a bool in a list or a
+    tuple of labels, which numpy reads as an int.  Features given as an
+    array must hold integers or floats, as :func:`_check_reals` asks;
+    features given as a Python list are cast to float, so bools and
+    numeric strings in it still read as numbers (complex entries and ints
+    past the float range do not).  The cast, not numpy's dtype inference,
+    because the dataset reader builds one instance per line, and inference
+    costs it about a third more per line.  Frozen, and its arrays are its
     own and read-only, so a built instance stays checked.  Its agreement
     with a :class:`FeatureSpec` (d and m) is checked where it meets one, by
     :func:`_check_instance`.
@@ -230,6 +266,9 @@ class SequenceInstance:
             raise ValueError("features must be finite")
         if labels.dtype.kind not in "iu":
             raise ValueError("labels must be integer indices")
+        at = _first_non_number(self.labels)  # numpy reads a bool among ints as an int
+        if at is not None:
+            raise ValueError(f"labels must be integer indices, got a bool at index {_shown(at)}")
         labels = np.asarray(labels, dtype=np.int64)
         if labels.min() < 0:
             raise ValueError("label indices must be nonnegative")

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 import orjson
 
-from .chain import FeatureSpec, SequenceInstance, _check_instance, _check_reals
+from .chain import (FeatureSpec, SequenceInstance, _check_count, _check_instance, _check_reals,
+                    _first_non_number, _shown)
 
 __all__ = [
     "DATASET_FORMAT",
@@ -105,14 +106,6 @@ def _located(path, lineno, exc) -> ValueError:
     return ValueError(f"{path}:{lineno}: {what}")
 
 
-def _json_int(obj: dict, key: str) -> int:
-    """``obj[key]`` if it is a JSON integer; booleans, floats and strings are not."""
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be a JSON integer, got {value!r}")
-    return value
-
-
 # orjson builds nested values on the C stack and crashes the interpreter
 # past about 10^5 levels (far fewer in a thread); the standard library's
 # reader stopped at the recursion limit, just under 1000.
@@ -151,23 +144,10 @@ def _line_object(line: bytes) -> dict:
     return _json_object(memoryview(line)[: len(line) - line.endswith(b"\n")])
 
 
-def _json_numbers(value, key: str):
-    """``value``, nested lists of JSON numbers; a boolean or a string among
-    them is a ValueError naming ``key``."""
-    stack = [value]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, list):
-            stack.extend(item)
-        elif isinstance(item, (bool, str)):
-            raise ValueError(f"{key} must hold JSON numbers, got {item!r}")
-    return value
-
-
 def _may_hold_non_numbers(line: bytes) -> bool:
     """Whether a dataset line has a true, a false, or a string besides its
     keys "x" and "y"; no other line can hold a non-number, so the others
-    skip :func:`_json_numbers`.  Each test is a memchr scan: no number or
+    skip the walk for one.  Each test is a memchr scan: no number or
     key has a "t" or an "f", and the two keys take four quotes."""
     if b"t" in line or b"f" in line:
         return True
@@ -183,17 +163,23 @@ def _parse_header(line: bytes) -> tuple[FeatureSpec, dict]:
     header = _line_object(line)
     if header.get("kind") != _DATASET_KIND:
         raise ValueError("not a dataset file")
-    if _json_int(header, "format") != DATASET_FORMAT:
+    if _check_count("format", header["format"], 1, None) != DATASET_FORMAT:
         raise ValueError(f"unsupported dataset format {header['format']}")
     return FeatureSpec(header["d"], header["m"]), header.get("meta", {})
 
 
 def _parse_instance(line: bytes, spec: FeatureSpec) -> SequenceInstance:
     obj = _line_object(line)
-    if _may_hold_non_numbers(line):
-        _json_numbers(obj["x"], "x")
-        _json_numbers(obj["y"], "y")
-    return _check_instance(spec, SequenceInstance(obj["x"], obj["y"]))
+    for key in ("x", "y") if _may_hold_non_numbers(line) else ():
+        at = _first_non_number(obj[key])
+        if at is not None:
+            found = obj[key]
+            for i in at:
+                found = found[i]
+            raise ValueError(f"{key} must hold JSON numbers, got {found!r} at index {_shown(at)}")
+    # The labels go in as an array, whose dtype SequenceInstance reads
+    # without walking it: only a line walked above can hold a bool.
+    return _check_instance(spec, SequenceInstance(obj["x"], np.asarray(obj["y"])))
 
 
 # Dataset files are read this many bytes at a time.  A wide line, tens of
@@ -291,7 +277,7 @@ def read_model_file(path) -> ModelFile:
         content = fh.read()
     try:
         payload = _json_object(content)
-        if _json_int(payload, "format") != MODEL_FORMAT:
+        if _check_count("format", payload["format"], 1, None) != MODEL_FORMAT:
             raise ValueError(f"unsupported model format {payload['format']}")
         return ModelFile(
             kind=payload["kind"],

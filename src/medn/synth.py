@@ -176,21 +176,6 @@ def _with_neighbors(node, trans, bound):
     return node + before + after
 
 
-def _unequal_shapes(xs) -> str:
-    """Which of the inputs ``xs`` keeps them from stacking into one array:
-    the first whose shape differs from the first input's, or that is ragged
-    itself."""
-    shapes = []
-    for i, x in enumerate(xs):
-        try:
-            shapes.append(np.shape(x))
-        except ValueError:
-            return f"got a ragged input at index {i}"
-        if shapes[i] != shapes[0]:
-            return f"got {shapes[0]} at index 0 and {shapes[i]} at index {i}"
-    return "got ragged sequences"
-
-
 def gibbs_chains(crf: TrueCrf, xs, seeds, burn_in: int, n_record: int):
     """Run one Gibbs chain per (L, d) input in ``xs``, all in lockstep.
 
@@ -234,13 +219,11 @@ def gibbs_chains(crf: TrueCrf, xs, seeds, burn_in: int, n_record: int):
     """
     spec = crf.spec
     try:
-        stacked = np.asarray(xs)
-    except ValueError:  # inputs of different shapes
-        raise ValueError(f"xs must be (L, d) matrices of one shared shape, {_unequal_shapes(xs)}") from None
-    if stacked.shape[:1] == (0,):
+        chains = len(xs)
+    except TypeError:  # a scalar, which the shape check refuses
+        chains = 1
+    if not chains:
         raise ValueError("need at least one chain")
-    # The inputs as given, not stacked: a bool among numbers in a list reads
-    # as a number once stacked.
     xs = _check_reals("xs", xs, (None, None, spec.d))
     if not xs.shape[1]:
         raise ValueError("each input must be a nonempty (L, d) matrix")

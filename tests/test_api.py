@@ -454,6 +454,29 @@ def test_a_bool_among_numbers_is_refused_at_its_index(name, call, value, index):
         call(value)
 
 
+_CHECKED_ARRAYS = [
+    pytest.param(name, call, shape, id=f"{owner}-{name}")
+    for owner, name, call, _, shape in _ARRAYS
+    if owner != "SequenceInstance"  # whose features have their own check
+]
+
+
+@pytest.mark.parametrize("name, call, shape", _CHECKED_ARRAYS)
+def test_a_ragged_array_names_its_first_entry_of_another_shape(name, call, shape):
+    """Nested sequences that numpy cannot stack into one array are one
+    error naming the first entry whose shape differs from the first
+    entry's, or the first entry that is ragged itself."""
+    good = _good_array(shape).tolist()
+    short = good[:-1]
+    with pytest.raises(ValueError) as info:
+        call([good, good, short])
+    assert str(info.value) == (f"{name} must have entries of one shared shape, got "
+                               f"{np.shape(good)} at index 0 and {np.shape(short)} at index 2")
+    with pytest.raises(ValueError) as info:
+        call([good, [good, short]])
+    assert str(info.value) == f"{name} must have entries of one shared shape, got a ragged entry at index 1"
+
+
 _GOOD_ARRAYS = [
     pytest.param(call, shape, kind, id=f"{owner}-{name}-{np.dtype(kind).name}")
     for owner, name, call, _, shape in _ARRAYS

@@ -286,6 +286,21 @@ class TestDecode:
             with pytest.raises(ValueError, match="^labels must be integer indices$"):
                 train_laplace_grid([duck], spec, [SubgradConfig(1.0, 1, 1.0, radius=1.0)])
 
+    @pytest.mark.parametrize(
+        "labels, index",
+        [([True, 1], 0), ([0, 1, False], 2), ((1, np.True_), 1), ([1, np.array(False)], 1)],
+        ids=["list", "list-last", "tuple-numpy-bool", "bool-0-d-array"],
+    )
+    def test_a_bool_among_integer_labels_raises(self, labels, index):
+        """numpy reads a list that mixes bools with ints as int64, as it
+        would read ``[1, 1]``; the instance refuses it, as it refuses a bool
+        array, naming the first bool's index."""
+        features = np.zeros((len(labels), 1))
+        with pytest.raises(ValueError, match=f"^labels must be integer indices, got a bool at index {index}$"):
+            SequenceInstance(features, labels)
+        with pytest.raises(ValueError, match="^labels must be integer indices$"):
+            SequenceInstance(features, np.ones(len(labels), dtype=bool))
+
     @pytest.mark.parametrize("entry", ["train", "objective", "decode", "evaluate"])
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_features_raise(self, entry, value):

@@ -38,7 +38,7 @@ from medn.curves import (
     shrinkage_eta_grid,
     shrinkage_points,
 )
-from medn import dataio
+from medn import chain, dataio
 from medn.dataio import (
     ModelFile,
     read_dataset,
@@ -234,8 +234,12 @@ class TestDatasetFiles:
         "text, error",
         [(b"", ": empty dataset file"),
          (b'{"d":1,"format":2,"kind":"sequence-dataset","m":2,"meta":{}}\n',
-          ":1: unsupported dataset format 2")],
-        ids=["empty", "format-2"],
+          ":1: unsupported dataset format 2"),
+         (b'{"d":1,"format":true,"kind":"sequence-dataset","m":2,"meta":{}}\n',
+          ":1: format must be an integer >= 1, got True"),
+         (b'{"d":1,"format":1.0,"kind":"sequence-dataset","m":2,"meta":{}}\n',
+          ":1: format must be an integer >= 1, got 1.0")],
+        ids=["empty", "format-2", "format-true", "format-1.0"],
     )
     def test_a_file_without_a_readable_header_is_one_error(self, tmp_path, text, error):
         path = tmp_path / "bad.jsonl"
@@ -366,6 +370,46 @@ class TestDatasetFiles:
         else:
             with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: {message}$"):
                 read_dataset(path)
+
+    @pytest.mark.parametrize(
+        "x, y, error",
+        [
+            ("[[1.0,true]]", "[0]", "x must hold JSON numbers, got True at index (0, 1)"),
+            ('[[1.0,"2"]]', "[0]", "x must hold JSON numbers, got '2' at index (0, 1)"),
+            ("[[1.0],[0.5]]", "[0,false]", "y must hold JSON numbers, got False at index 1"),
+            ("[" * 999 + "true" + "]" * 999, "[0]", f"x must hold JSON numbers, got True at index {(0,) * 999}"),
+            ("[" * 999 + '"a"' + "]" * 999, "[0]", f"x must hold JSON numbers, got 'a' at index {(0,) * 999}"),
+        ],
+        ids=["bool", "string", "bool-label", "bool-999-levels-deep", "string-999-levels-deep"],
+    )
+    def test_a_bool_or_string_among_the_numbers_is_one_located_line(self, tmp_path, x, y, error):
+        """A JSON boolean or string in "x" or "y" is one error naming the key,
+        the value and its index, at any depth the reader parses: the walk
+        that finds it is not recursive, so 999 levels do not reach Python's
+        recursion limit."""
+        path = tmp_path / "non-number.jsonl"
+        path.write_text(f'{_ONE_FEATURE_HEADER}\n{{"x":{x},"y":{y}}}\n')
+        with pytest.raises(ValueError) as info:
+            read_dataset(path)
+        assert str(info.value) == f"{path}:2: {error}"
+
+    def test_only_a_line_that_may_hold_a_non_number_is_walked(self, tmp_path, monkeypatch):
+        """A line with no true, false or string besides its keys pays no walk
+        of its lists, in the reader or in the instance it builds; a line
+        with one has its "x" and "y" walked once each."""
+        walk, walked = chain._first_non_number, []
+
+        def spy(value):
+            walked.append(isinstance(value, (list, tuple)))
+            return walk(value)
+
+        monkeypatch.setattr(chain, "_first_non_number", spy)
+        monkeypatch.setattr(dataio, "_first_non_number", spy)
+        path = tmp_path / "lines.jsonl"
+        path.write_text(f'{_ONE_FEATURE_HEADER}\n{{"x":[[0.5],[1.0]],"y":[0,1]}}\n'
+                        '{"x":[[0.5]],"y":[1],"note":"a"}\n')
+        instances, _, _ = read_dataset(path)
+        assert len(instances) == 2 and walked.count(True) == 2
 
 
     @settings(max_examples=200, deadline=None)
@@ -520,6 +564,19 @@ class TestModelFiles:
         with pytest.raises(ValueError) as info:
             read_model_file(path)
         assert str(info.value) == f"{path}:1: unsupported model format 2"
+
+    @pytest.mark.parametrize("value", [True, 1.0, "1", 0], ids=["true", "1.0", "string", "0"])
+    def test_a_format_that_is_not_a_count_is_one_located_line(self, tmp_path, value):
+        """The format goes through the package's count check, which names it
+        and refuses a bool, a float and a string alike."""
+        path = tmp_path / "model.json"
+        spec = FeatureSpec(2, 2)
+        write_model_file(path, ModelFile(kind="m3n", spec=spec, weights=np.ones(spec.K),
+                                         var_diag=None, hyper={}))
+        path.write_text(json.dumps({**json.loads(path.read_text()), "format": value}))
+        with pytest.raises(ValueError) as info:
+            read_model_file(path)
+        assert str(info.value) == f"{path}:1: format must be an integer >= 1, got {value!r}"
 
     def test_unknown_kind_rejected(self):
         spec = FeatureSpec(2, 2)

@@ -329,11 +329,11 @@ class TestGibbsChainsChecks:
             ([_X, np.zeros((4, 2))], [0, 1], 1, 0, "one shared"),
             # Inputs that do not stack name the first shape that differs.
             ([_X, _X, np.zeros((4, 2))], [0, 1, 2], 1, 0,
-             r"^xs must be \(L, d\) matrices of one shared shape, got \(3, 2\) at index 0 and \(4, 2\) at index 2$"),
+             r"^xs must have entries of one shared shape, got \(3, 2\) at index 0 and \(4, 2\) at index 2$"),
             ([_X, np.zeros((3, 3))], [0, 1], 1, 0,
-             r"^xs must be \(L, d\) matrices of one shared shape, got \(3, 2\) at index 0 and \(3, 3\) at index 1$"),
+             r"^xs must have entries of one shared shape, got \(3, 2\) at index 0 and \(3, 3\) at index 1$"),
             ([_X, [[0.0, 0.0], [0.0]]], [0, 1], 1, 0,
-             r"^xs must be \(L, d\) matrices of one shared shape, got a ragged input at index 1$"),
+             r"^xs must have entries of one shared shape, got a ragged entry at index 1$"),
             ([[["a", "b"]]], [0], 1, 0, "^xs must be an array of real numbers, got dtype <U1$"),
             ([_X], [0], -4, 5, "burn_in"),
             ([_X], [0], 2.5, 0, "burn_in"),
