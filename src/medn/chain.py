@@ -39,7 +39,7 @@ so bools and numeric strings in it read as numbers.  numpy reads a bool
 among numbers in Python lists as a number, so one iterative walk,
 :func:`_first_non_number`, finds the first bool or string in nested lists
 and tuples for :func:`_check_reals`, for a ``SequenceInstance``'s list
-labels and for the dataset reader.
+labels, for the dataset reader and for a training set given as a list.
 """
 
 import functools
@@ -115,10 +115,7 @@ def _check_reals(name: str, value, shape, within: str = "finite") -> np.ndarray:
     tuples of numbers is refused too, with its index, though numpy reads it
     as a number, and nested sequences that do not form one array name their
     first entry of another shape."""
-    try:
-        array = np.asarray(value)
-    except ValueError:  # numpy's words for ragged nesting
-        raise ValueError(f"{name} must have entries of one shared shape, {_unequal_shapes(value)}") from None
+    array = _as_array(name, value)
     if array.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be an array of real numbers, got dtype {array.dtype}")
     # numpy reads a bool among numbers as a number; a string among them makes
@@ -136,6 +133,15 @@ def _check_reals(name: str, value, shape, within: str = "finite") -> np.ndarray:
         at = np.unravel_index(np.argmin(inside), array.shape)
         raise ValueError(f"{name} must be {within}, got {array[at]:g} at index {_shown(at)}")
     return array
+
+
+def _as_array(name: str, value) -> np.ndarray:
+    """``np.asarray(value)``; a ValueError naming ``name`` and its first entry
+    of another shape where nested sequences do not form one array."""
+    try:
+        return np.asarray(value)
+    except ValueError:  # numpy's words for ragged nesting
+        raise ValueError(f"{name} must have entries of one shared shape, {_unequal_shapes(value)}") from None
 
 
 def _unequal_shapes(value) -> str:
@@ -254,7 +260,7 @@ class SequenceInstance:
             features = np.asarray(features, dtype=float)
         except (TypeError, ValueError, OverflowError):  # a complex entry, a ragged list, an int past the floats
             raise ValueError("features must be an (L, d) matrix of real numbers") from None
-        labels = np.asarray(self.labels)
+        labels = _as_array("labels", self.labels)
         if features.ndim != 2 or features.shape[0] < 1:
             raise ValueError("features must be a nonempty (L, d) matrix")
         if labels.shape != (features.shape[0],):

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import orjson
 
-from .chain import (FeatureSpec, SequenceInstance, _check_count, _check_instance, _check_reals,
+from .chain import (FeatureSpec, SequenceInstance, _as_array, _check_count, _check_instance, _check_reals,
                     _first_non_number, _shown)
 
 __all__ = [
@@ -179,7 +179,7 @@ def _parse_instance(line: bytes, spec: FeatureSpec) -> SequenceInstance:
             raise ValueError(f"{key} must hold JSON numbers, got {found!r} at index {_shown(at)}")
     # The labels go in as an array, whose dtype SequenceInstance reads
     # without walking it: only a line walked above can hold a bool.
-    return _check_instance(spec, SequenceInstance(obj["x"], np.asarray(obj["y"])))
+    return _check_instance(spec, SequenceInstance(obj["x"], _as_array("y", obj["y"])))
 
 
 # Dataset files are read this many bytes at a time.  A wide line, tens of

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import FeatureSpec, _check_count, _check_real, _check_reals
+from .chain import FeatureSpec, _as_array, _check_count, _check_real, _check_reals, _first_non_number, _shown
 from .optimize import SubgradConfig, _Diverged, _KernelData, _lockstep
 
 __all__ = [
@@ -106,16 +106,23 @@ def train_laplace_grid(data: list, spec: FeatureSpec, cfgs, *, subsets=None):
     # instance orders once.
     kernel = _KernelData(data, spec)
     n, batch = kernel.n, len(cfgs)
-    subsets = [np.arange(n)] * batch if subsets is None else [np.asarray(s) for s in subsets]
-    if len(subsets) != batch:
+    given = [np.arange(n)] * batch if subsets is None else list(subsets)
+    if len(given) != batch:
         raise ValueError("need one training set per configuration")
-    for subset in subsets:
+    subsets = []
+    for b, s in enumerate(given):
+        subset = s if isinstance(s, np.ndarray) else _as_array(f"training set {b}", s)
         if subset.ndim != 1 or not subset.size or subset.dtype.kind not in "iu":
             raise ValueError("a training set must be a nonempty vector of instance indices")
+        # numpy reads a bool among ints as an int; an index array holds none.
+        at = None if subset is s else _first_non_number(s)
+        if at is not None:
+            raise ValueError(f"training set {b} must hold instance indices, got a bool at index {_shown(at)}")
         if np.minimum.reduce(subset) < 0 or np.maximum.reduce(subset) >= n:
             raise ValueError(f"training set indices must lie in [0, {n})")
-    # One dtype, so that equal training sets, and only they, have equal bytes.
-    return _train_rounds(kernel, cfgs, [subset.astype(np.int64) for subset in subsets])
+        # One dtype, so that equal training sets, and only they, have equal bytes.
+        subsets.append(subset.astype(np.int64))
+    return _train_rounds(kernel, cfgs, subsets)
 
 
 def _train_rounds(kernel: _KernelData, cfgs: list, subsets: list):

@@ -5,7 +5,10 @@ standard normal (optionally group-correlated), and each labeling is a Gibbs
 sample from the model's conditional distribution over label sequences.
 Every draw is keyed off the config seed through independent named streams,
 one per instance for features and one per instance for its Gibbs chain, so
-a config fully determines its dataset.
+a config fully determines its dataset.  :func:`_stream` is the one place
+where a named stream is keyed: the model's ``[_STREAM_CRF, seed]``, each
+instance's ``[_STREAM_FEATURES, seed, i]`` and ``[_STREAM_GIBBS, seed, i]``
+and :func:`gibbs_chains`' integer seeds.
 
 One kernel, :func:`gibbs_chains`, runs every Gibbs chain: a systematic scan
 that, at each (sweep, position) step, redraws that position in all chains
@@ -39,6 +42,26 @@ _STREAM_GIBBS = 2
 # Sweeps of uniforms drawn per generator call: bounds the kernel's uniform
 # buffer at n * _SWEEP_BLOCK * L floats whatever the sweep count.
 _SWEEP_BLOCK = 64
+
+
+def _stream(*keys):
+    """The numpy Generator ``np.random.default_rng(list(keys))`` for keys
+    that are ints >= 0, built from their uint32 words.
+
+    numpy's ``SeedSequence`` reads each key as its little-endian 32-bit
+    words, one word 0 for a key of 0, and a list of keys as their words in
+    turn; given that uint32 array itself it draws the same stream, and
+    skips the per-call coercion of a Python list.  No return annotation:
+    one would load ``numpy.random`` when this module is imported.
+    """
+    words = []
+    for key in keys:
+        words.append(key & 0xFFFFFFFF)
+        key >>= 32
+        while key:
+            words.append(key & 0xFFFFFFFF)
+            key >>= 32
+    return np.random.default_rng(np.array(words, dtype=np.uint32))
 
 
 @dataclass(frozen=True)
@@ -128,7 +151,7 @@ def gen_crf(cfg: GeneratorConfig) -> TrueCrf:
     weights are i.i.d. standard normal; remaining state weights are exactly
     zero.  Deterministic per config seed.
     """
-    rng = np.random.default_rng([_STREAM_CRF, cfg.seed])
+    rng = _stream(_STREAM_CRF, cfg.seed)
     spec = FeatureSpec(cfg.d, cfg.m)
     w = np.zeros(spec.K)
     spec.state_view(w)[: cfg.d_rel] = rng.standard_normal((cfg.d_rel, cfg.m))
@@ -215,7 +238,10 @@ def gibbs_chains(crf: TrueCrf, xs, seeds, burn_in: int, n_record: int):
     A site's logits add its node score, then the previous neighbor's
     transition, then the next one's; addition does not associate, so another
     order would round some logits differently and flip draws near a
-    cumulative boundary, changing generated datasets.
+    cumulative boundary, changing generated datasets.  What a site reads
+    (its node scores, its neighbors' label rows and the CDF's top row) is
+    built once per call, and ``np.add.reduce(..., out=)`` writes the pick
+    straight into the site's label row.
     """
     spec = crf.spec
     try:
@@ -230,7 +256,7 @@ def gibbs_chains(crf: TrueCrf, xs, seeds, burn_in: int, n_record: int):
     if len(seeds) != len(xs):
         raise ValueError(f"need one seed per input: {len(xs)} inputs, {len(seeds)} seeds")
     rngs = [seed if isinstance(seed, np.random.Generator)
-            else np.random.default_rng(_check_count("seed (if not a numpy Generator)", seed, 0, None))
+            else _stream(_check_count("seed (if not a numpy Generator)", seed, 0, None))
             for seed in seeds]
     total = _check_count("burn_in", burn_in, 0, None) + _check_count("n_record", n_record, 0, None)
     if not total:
@@ -254,25 +280,26 @@ def gibbs_chains(crf: TrueCrf, xs, seeds, burn_in: int, n_record: int):
     # A site's (m, n) label CDF, and its rows paired for the running sum.
     cdf = np.empty((m, n))
     running_sum = list(zip(cdf, cdf[1:]))
-    below_top = cdf[:-1]
+    below_top, top = cdf[:-1], cdf[-1]
+    # Per site: its node scores, its neighbors' label rows (None past an
+    # end) and its own.  The rows are views of y, so they see every draw.
+    sites = list(zip(node, [None, *y[:-1]], [*y[1:], None], y))
     for block_start in range(0, total, _SWEEP_BLOCK):
         block = min(_SWEEP_BLOCK, total - block_start)
         for i, rng in enumerate(rngs):
             uniforms[:block, :, i] = rng.random((block, length))
         for sweep in range(block_start, block_start + block):
-            r = uniforms[sweep - block_start]
-            for l in range(length):
+            for (logits, previous, following, drawn), u in zip(sites, uniforms[sweep - block_start]):
                 # Keep this order of adds (node, previous, next): the pinned
                 # gen-synth digests in the tests depend on its rounding.
-                logits = node[l]
-                if l > 0:
-                    logits = logits + trans_t.take(y[l - 1], axis=1)
-                if l + 1 < length:
-                    logits = logits + trans.take(y[l + 1], axis=1)
-                np.exp(logits - logits.max(axis=0), out=cdf)
+                if previous is not None:
+                    logits = logits + trans_t.take(previous, axis=1)
+                if following is not None:
+                    logits = logits + trans.take(following, axis=1)
+                np.exp(logits - np.maximum.reduce(logits, axis=0), out=cdf)
                 for below, row in running_sum:
                     row += below
-                y[l] = (r[l] * cdf[-1] >= below_top).sum(axis=0)
+                np.add.reduce(u * top >= below_top, axis=0, out=drawn)
             if sweep >= burn_in:
                 out[sweep - burn_in] = y.T
     return np.ascontiguousarray(y.T), out
@@ -297,12 +324,12 @@ def gen_dataset(cfg: GeneratorConfig) -> SyntheticDataset:
     # n past memory fails at once.
     xs = np.empty((cfg.n_samples, cfg.L, cfg.d))
     for i, x in enumerate(xs):
-        x[:] = gen_features(cfg, np.random.default_rng([_STREAM_FEATURES, cfg.seed, i]))
+        x[:] = gen_features(cfg, _stream(_STREAM_FEATURES, cfg.seed, i))
     finite = np.isfinite(xs).all(axis=(1, 2))
     if not finite.all():
         raise ValueError(f"noise_sd {cfg.noise_sd:g} puts the features of instance "
                          f"{np.argmin(finite)} past the float range")
-    rngs = [np.random.default_rng([_STREAM_GIBBS, cfg.seed, i]) for i in range(cfg.n_samples)]
+    rngs = [_stream(_STREAM_GIBBS, cfg.seed, i) for i in range(cfg.n_samples)]
     try:
         labels, _ = gibbs_chains(crf, xs, rngs, cfg.gibbs_iters, 0)
     except _ScoresPastRange as exc:

@@ -3,6 +3,7 @@ checks at the entry points that run them."""
 
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -300,6 +301,20 @@ class TestDecode:
             SequenceInstance(features, labels)
         with pytest.raises(ValueError, match="^labels must be integer indices$"):
             SequenceInstance(features, np.ones(len(labels), dtype=bool))
+
+    @pytest.mark.parametrize(
+        "labels, shapes",
+        [([[0], [1, 2]], "(1,) at index 0 and (2,) at index 1"),
+         ([0, [1]], "() at index 0 and (1,) at index 1"),
+         ([[0], [[1], 2]], "a ragged entry at index 1")],
+        ids=["rows-of-two-lengths", "scalar-then-row", "ragged-entry"],
+    )
+    def test_ragged_labels_name_their_first_entry_of_another_shape(self, labels, shapes):
+        """Labels that form no array are one error naming the field and its
+        first entry of another shape, not numpy's words."""
+        message = f"labels must have entries of one shared shape, got {shapes}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SequenceInstance([[0.5], [1.0]], labels)
 
     @pytest.mark.parametrize("entry", ["train", "objective", "decode", "evaluate"])
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])

@@ -267,6 +267,15 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_dataset(path)
 
+    def test_ragged_labels_name_y(self, tmp_path):
+        """A line whose labels form no array names ``y`` and its first entry
+        of another shape after ``path:line``, not numpy's words."""
+        path = tmp_path / "ragged.jsonl"
+        path.write_text(f'{_ONE_FEATURE_HEADER}\n{{"x":[[0.5],[1.0]],"y":[[0],[1,2]]}}\n')
+        message = f"{path}:2: y must have entries of one shared shape, got (1,) at index 0 and (2,) at index 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_dataset(path)
+
     @settings(max_examples=200, deadline=None)
     @given(edits=_EDITS)
     def test_mutated_file_parses_or_fails_with_one_located_line(self, tmp_path_factory, edits):

@@ -716,6 +716,23 @@ class TestLockstepValidation:
             with pytest.raises(ValueError):
                 train_laplace_grid(data, spec, [cfg], subsets=subsets)
 
+    @pytest.mark.parametrize(
+        "subsets, message",
+        [([[0, 1], [True, 1]], "training set 1 must hold instance indices, got a bool at index 0"),
+         ([(0, np.True_)], "training set 0 must hold instance indices, got a bool at index 1"),
+         ([[0], [1, [0]]], "training set 1 must have entries of one shared shape, got () at index 0 "
+                           "and (1,) at index 1")],
+        ids=["bool-first", "numpy-bool-in-tuple", "ragged"],
+    )
+    def test_a_bool_or_ragged_training_set_names_it(self, subsets, message):
+        """numpy reads ``[True, 1]`` as the indices ``[1, 1]``, which would
+        train on instance 1 twice; the training set is refused by its
+        number, with the bool's index, as is one that forms no array."""
+        spec, data = _lockstep_problem(134, 2)
+        cfg = SubgradConfig(beta=1.0, iterations=3, C=1.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            train_laplace_grid(data, spec, [cfg] * len(subsets), subsets=subsets)
+
     def test_training_sets_of_any_integer_dtype(self):
         """[5, 0] as int32 has the bytes of [5] as int64; each row must still
         train on its own training set."""

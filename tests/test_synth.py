@@ -21,7 +21,7 @@ from medn import (
     gibbs_chains,
 )
 from medn.cli import main
-from medn.synth import _STREAM_FEATURES, _STREAM_GIBBS
+from medn.synth import _STREAM_CRF, _STREAM_FEATURES, _STREAM_GIBBS
 from oracles import scalar_gibbs_states
 
 
@@ -284,6 +284,25 @@ class TestGibbs:
         np.testing.assert_array_equal(got[:, 0], want)
         assert (want == m - 1).all()
 
+    def test_integer_seeds_of_several_words_draw_numpys_streams(self):
+        """An int seed at or past 2**32 keys the stream
+        ``np.random.default_rng(seed)`` keys: the start labels and every
+        recorded state equal the scalar loop's from that Generator."""
+        seeds = [2**32 - 1, 2**32, 2**32 + 5, 2**64 + 3, 0]
+        rng = np.random.default_rng(23)
+        spec = FeatureSpec(3, 3)
+        crf = TrueCrf(spec, rng.standard_normal(spec.K), relevant=np.arange(3))
+        xs = rng.standard_normal((len(seeds), 4, 3))
+        _, got = gibbs_chains(crf, xs, seeds, 0, 6)
+        for i, seed in enumerate(seeds):
+            want = scalar_gibbs_states(
+                xs[i] @ spec.state_view(crf.weights),
+                spec.transition_view(crf.weights),
+                np.random.default_rng(seed),
+                sweeps=6,
+            )
+            np.testing.assert_array_equal(got[:, i], want)
+
     def test_sweeps_must_be_positive(self):
         crf = _uniform_crf()
         with pytest.raises(ValueError, match="at least one sweep"):
@@ -445,20 +464,27 @@ class TestGenDataset:
 
     def test_batched_chains_equal_one_chain_at_a_time(self):
         """gen_dataset advances all chains together; each labeling must equal
-        a lone chain run from that instance's own seed stream."""
-        cfg = _cfg(d=4, d_rel=3, L=5, m=3, n_samples=12, gibbs_iters=40, seed=17)
-        dataset = gen_dataset(cfg)
-        for i, inst in enumerate(dataset.instances):
-            x = gen_features(cfg, rng=np.random.default_rng([_STREAM_FEATURES, cfg.seed, i]))
-            np.testing.assert_array_equal(inst.features, x)
-            alone, _ = gibbs_chains(
-                dataset.crf,
-                [x],
-                [np.random.default_rng([_STREAM_GIBBS, cfg.seed, i])],
-                cfg.gibbs_iters,
-                0,
-            )
-            np.testing.assert_array_equal(inst.labels, alone[0])
+        a lone chain run from that instance's own seed stream, keyed by the
+        list ``[tag, seed, i]``, as the model is by ``[_STREAM_CRF, seed]``,
+        for seeds of one, two and three 32-bit words."""
+        for seed in (17, 2**32 - 1, 2**32 + 5, 2**64 + 3):
+            cfg = _cfg(d=4, d_rel=3, L=5, m=3, n_samples=12, gibbs_iters=40, seed=seed)
+            dataset = gen_dataset(cfg)
+            spec, weights = dataset.crf.spec, dataset.crf.weights
+            rng = np.random.default_rng([_STREAM_CRF, seed])
+            np.testing.assert_array_equal(spec.state_view(weights)[:3], rng.standard_normal((3, 3)))
+            np.testing.assert_array_equal(spec.transition_view(weights), rng.standard_normal((3, 3)))
+            for i, inst in enumerate(dataset.instances):
+                x = gen_features(cfg, rng=np.random.default_rng([_STREAM_FEATURES, seed, i]))
+                np.testing.assert_array_equal(inst.features, x)
+                alone, _ = gibbs_chains(
+                    dataset.crf,
+                    [x],
+                    [np.random.default_rng([_STREAM_GIBBS, seed, i])],
+                    cfg.gibbs_iters,
+                    0,
+                )
+                np.testing.assert_array_equal(inst.labels, alone[0])
 
     def test_instances_differ_from_each_other(self):
         dataset = gen_dataset(_cfg(n_samples=3, seed=14))
